@@ -27,6 +27,7 @@ use scrutinizer_core::incremental::IncrementalPlanner;
 use scrutinizer_core::ordering::{
     batch_utility, select_batch_detailed, select_batch_serial_baseline, ClaimChoice,
 };
+use scrutinizer_core::policy::batch_budget;
 use scrutinizer_core::{OrderingStrategy, SystemConfig};
 use scrutinizer_corpus::{Document, Section};
 
@@ -71,12 +72,6 @@ fn instance(n_claims: usize, n_sections: usize, seed: u64) -> (Document, Vec<Cla
     (document, choices)
 }
 
-/// The engine's session budget formula.
-fn budget_for(choices: &[ClaimChoice], config: &SystemConfig) -> f64 {
-    let mean_cost = choices.iter().map(|c| c.cost).sum::<f64>() / choices.len().max(1) as f64;
-    config.batch_size as f64 * mean_cost * 1.3 + 3.0 * config.read_seconds_per_sentence * 400.0
-}
-
 /// Utilities after a simulated retrain: a few percent of drift, the
 /// Definition-7 re-estimate the mixed-initiative loop produces.
 fn retrained(choices: &[ClaimChoice], seed: u64) -> Vec<ClaimChoice> {
@@ -98,7 +93,7 @@ fn bench_planner(c: &mut Criterion) {
 
     for n in [100usize, 1_000, 10_000] {
         let (document, choices) = instance(n, 8 + n / 250, 41 * n as u64 + 1);
-        let budget = budget_for(&choices, &config);
+        let budget = batch_budget(&choices, &config);
 
         // ---- objective parity, asserted before anything is timed --------
         let ilp =
@@ -261,7 +256,7 @@ fn bench_replan(c: &mut Criterion) {
     group.sample_size(10);
     for n in [1_000usize, 10_000] {
         let (document, choices) = instance(n, 8 + n / 250, 17 * n as u64 + 9);
-        let budget = budget_for(&choices, &config);
+        let budget = batch_budget(&choices, &config);
         let variants = [
             retrained(&choices, n as u64 + 1),
             retrained(&choices, n as u64 + 2),

@@ -26,6 +26,8 @@
 //! * [`ordering`] — claim-batch selection (Definitions 7–9, ILP),
 //! * [`incremental`] — cached re-planning: repair the last batch after a
 //!   retrain instead of re-solving Definition 9 cold,
+//! * [`policy`] — Algorithm 1's per-claim rules (context, simulated
+//!   checker, verdict, OptBatch budget), shared by every driver,
 //! * [`verify`] — the main loop, producing a [`report::VerificationReport`],
 //! * [`sim`] — the paper's experiments: user study (Figures 5–6), report
 //!   simulation (Table 2, Figures 7–9), top-k accuracy (Figure 10).
@@ -39,6 +41,7 @@ pub mod incremental;
 pub mod models;
 pub mod ordering;
 pub mod planner;
+pub mod policy;
 pub mod pruning;
 pub mod qgen;
 pub mod report;
@@ -56,8 +59,8 @@ pub use ordering::{
 };
 pub use planner::ClaimPlan;
 pub use qgen::{
-    generate_queries, generate_queries_unprepared, generate_queries_with, padded_context,
-    AssignmentCache, NoCache, QueryCandidate,
+    generate_queries, generate_queries_unprepared, generate_queries_with, AssignmentCache, NoCache,
+    QueryCandidate,
 };
 pub use report::{ClaimOutcome, Verdict, VerificationReport};
 pub use verify::Verifier;

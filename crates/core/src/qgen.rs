@@ -561,27 +561,6 @@ fn rank(
     }
 }
 
-/// Builds one property's query-generation context: the crowd-validated
-/// answer first (when present), padded with up to `extra` classifier
-/// candidates, deduplicated. Shared by the one-shot verifier and the
-/// serving engine so both build identical contexts.
-pub fn padded_context(
-    validated: Option<&str>,
-    candidates: &[(String, f32)],
-    extra: usize,
-) -> Vec<String> {
-    let mut values: Vec<String> = Vec::new();
-    if let Some(v) = validated {
-        values.push(v.to_string());
-    }
-    for (label, _) in candidates.iter().take(extra) {
-        if !values.contains(label) {
-            values.push(label.clone());
-        }
-    }
-    values
-}
-
 fn relative_distance(value: f64, parameter: f64) -> f64 {
     (value - parameter).abs() / parameter.abs().max(1e-9)
 }

@@ -34,6 +34,18 @@ pub struct ClaimOutcome {
     pub verdict_matches_truth: bool,
 }
 
+impl ClaimOutcome {
+    /// The outcome of a claim its checker skipped.
+    pub fn skipped(claim_id: usize) -> Self {
+        ClaimOutcome {
+            claim_id,
+            verdict: Verdict::Skipped,
+            crowd_seconds: 0.0,
+            verdict_matches_truth: false,
+        }
+    }
+}
+
 /// A complete verification report for a document.
 #[derive(Debug, Clone, Default)]
 pub struct VerificationReport {

@@ -94,8 +94,8 @@ impl FinalScreen {
     }
 
     /// Rendered rows "SQL → value" exactly as checkers see them (Figure 3).
-    pub fn rendered(&self) -> Vec<String> {
-        self.candidates
+    pub fn rendered(candidates: &[QueryCandidate]) -> Vec<String> {
+        candidates
             .iter()
             .map(|c| format!("{} \u{2192} {:.4}", c.stmt, c.value))
             .collect()
@@ -173,7 +173,7 @@ mod tests {
     #[test]
     fn rendered_rows_contain_sql_and_value() {
         let screen = FinalScreen::new(vec![candidate("a / b", 0.0298, true)], &[], 5);
-        let rows = screen.rendered();
+        let rows = FinalScreen::rendered(&screen.candidates);
         assert_eq!(rows.len(), 1);
         assert!(rows[0].contains("SELECT"));
         assert!(rows[0].contains("0.0298"));

@@ -5,14 +5,14 @@ use crate::config::SystemConfig;
 use crate::feature_store::FeatureStore;
 use crate::models::{PropertyKind, SystemModels};
 use crate::ordering::{select_batch, ClaimChoice, OrderingStrategy};
-use crate::planner::plan_claim;
-use crate::qgen::generate_queries;
+use crate::policy::{
+    claim_outcome, opt_batch, translate_and_plan, validated_slot, QueryContext, SimulatedCheck,
+};
+use crate::qgen::NoCache;
 use crate::report::{ClaimOutcome, Verdict, VerificationReport};
 use crate::screens::FinalScreen;
-use crate::stats::mean;
-use scrutinizer_corpus::{ClaimKind, ClaimRecord, Corpus};
+use scrutinizer_corpus::{ClaimRecord, Corpus};
 use scrutinizer_crowd::{Panel, Worker};
-use scrutinizer_formula::parse_formula;
 use scrutinizer_query::FunctionRegistry;
 use scrutinizer_text::{extract_parameters, ParameterKind, SparseView};
 
@@ -80,173 +80,30 @@ impl Verifier {
         features: SparseView<'_>,
         worker: &mut Worker,
     ) -> ClaimOutcome {
-        if worker.skips() {
-            return ClaimOutcome {
-                claim_id: claim.id,
-                verdict: Verdict::Skipped,
-                crowd_seconds: 0.0,
-                verdict_matches_truth: false,
-            };
-        }
-        let cost = self.config.cost;
-        let translation = self
-            .models
-            .translate_view(features, self.config.options_per_screen);
-        let plan = plan_claim(&translation, &self.config);
-
-        let mut seconds = 0.0;
+        let Some(mut check) = SimulatedCheck::begin(worker, claim, self.config.cost) else {
+            return ClaimOutcome::skipped(claim.id);
+        };
+        let (translation, plan) = translate_and_plan(&self.models, features, &self.config, |_| ());
         // property screens: crowd validates the context (§4.3)
         let mut validated: [Option<String>; 3] = [None, None, None];
         for screen in &plan.screens {
-            let truth = match screen.kind {
-                PropertyKind::Relation => claim.relation.as_str(),
-                PropertyKind::Key => claim.key.as_str(),
-                PropertyKind::Attribute => claim.attributes[0].as_str(),
-                PropertyKind::Formula => unreachable!("formulas are not crowd-validated"),
-            };
-            let outcome = worker.answer_screen(&screen.labels(), truth, cost.vp, cost.sp);
-            seconds += outcome.seconds;
-            let slot = match screen.kind {
-                PropertyKind::Relation => 0,
-                PropertyKind::Key => 1,
-                PropertyKind::Attribute => 2,
-                PropertyKind::Formula => unreachable!(),
-            };
-            validated[slot] = Some(outcome.answer);
+            let answer = check.answer_screen(screen.kind, &screen.labels());
+            let slot = validated_slot(screen.kind).expect("formulas are not crowd-validated");
+            validated[slot] = Some(answer);
         }
-
-        // context for query generation: validated answers, padded with
-        // classifier candidates for properties that were not asked
-        let context = |slot: usize, kind: PropertyKind, extra: usize| -> Vec<String> {
-            crate::qgen::padded_context(validated[slot].as_deref(), translation.of(kind), extra)
-        };
-        let relations = context(
-            0,
-            PropertyKind::Relation,
-            if validated[0].is_some() { 0 } else { 3 },
-        );
-        let keys = context(
-            1,
-            PropertyKind::Key,
-            if validated[1].is_some() { 0 } else { 3 },
-        );
-        // attributes: claims use up to three; keep a handful of candidates
-        let attributes = context(2, PropertyKind::Attribute, 4);
-
-        // formula candidates in rank order
-        let formulas: Vec<(String, scrutinizer_formula::Formula)> = translation
-            .of(PropertyKind::Formula)
-            .iter()
-            .take(self.config.final_options * 3)
-            .filter_map(|(text, _)| parse_formula(text).ok().map(|f| (text.clone(), f)))
-            .collect();
-
-        let parameter = match claim.kind {
-            ClaimKind::Explicit => Self::extract_parameter(&claim.claim_text),
-            ClaimKind::General => None,
-        };
-
-        let candidates = generate_queries(
+        let candidates = QueryContext::new(claim, &translation, &validated, &self.config).generate(
             &corpus.catalog,
             &self.registry,
-            &relations,
-            &keys,
-            &attributes,
-            &formulas,
-            parameter,
             &self.config,
+            &mut NoCache,
         );
         let screen = FinalScreen::new(
             candidates,
             translation.of(PropertyKind::Formula),
             self.config.final_options,
         );
-
-        // ---- final screen ----
-        // A shown candidate is truth-equivalent when it either reproduces the
-        // ground-truth check or (explicit claims) confirms the stated value.
-        let truth_shown = screen.candidates.iter().position(|c| {
-            (c.formula_text == claim.formula_text && c.lookups == claim.lookups)
-                || (claim.is_correct && c.matches_parameter)
-        });
-        match truth_shown {
-            Some(position) if claim.is_correct => {
-                // worker reads down to the right query and confirms it
-                let labels: Vec<String> =
-                    screen.rendered().into_iter().take(position + 1).collect();
-                let outcome = worker.answer_screen(&labels, &labels[position], cost.vf, cost.sf);
-                seconds += outcome.seconds;
-                let accepted = outcome.chosen.is_some();
-                let verdict = if accepted {
-                    Verdict::Correct {
-                        query: screen.candidates[position].stmt.to_string(),
-                    }
-                } else {
-                    // worker balked and re-derived the query manually
-                    Verdict::Correct {
-                        query: claim.formula_text.clone(),
-                    }
-                };
-                ClaimOutcome {
-                    claim_id: claim.id,
-                    verdict,
-                    crowd_seconds: seconds,
-                    verdict_matches_truth: true,
-                }
-            }
-            _ => {
-                // No confirming query on screen: the worker examines the
-                // evidence (Figure 3: formula, assignment, value) and judges
-                // the claim against it. Tentative execution makes explicit
-                // mismatches conclusive from the single closest value
-                // ("claimed 2.5%, data says 3%"); general claims may need a
-                // second look. The judgment itself is the first v_f read.
-                let extra_scans = if parameter.is_some() {
-                    0
-                } else {
-                    screen.candidates.len().saturating_sub(1).min(1)
-                };
-                seconds += cost.vf * extra_scans as f64;
-                let (judged_correct, judge_seconds) = worker.judge_result(claim.is_correct, &cost);
-                seconds += judge_seconds;
-                if judged_correct {
-                    // believes the claim. With evidence on screen (Figure 3:
-                    // formula, assignment, value) the judgment itself settles
-                    // it — e.g. deciding 0.012 matches "scarcely". Only with
-                    // no evidence at all must the worker derive a query from
-                    // scratch (suggestion cost s_f).
-                    let query = match screen.candidates.first() {
-                        Some(c) => c.stmt.to_string(),
-                        None => {
-                            seconds += cost.sf;
-                            claim.formula_text.clone()
-                        }
-                    };
-                    ClaimOutcome {
-                        claim_id: claim.id,
-                        verdict: Verdict::Correct { query },
-                        crowd_seconds: seconds,
-                        verdict_matches_truth: claim.is_correct,
-                    }
-                } else {
-                    let closest = screen.candidates.first();
-                    if closest.is_none() {
-                        // declaring "no query exists" with no evidence at
-                        // all requires a manual search of the data
-                        seconds += cost.sf * 0.5;
-                    }
-                    ClaimOutcome {
-                        claim_id: claim.id,
-                        verdict: Verdict::Incorrect {
-                            closest_query: closest.map(|c| c.stmt.to_string()),
-                            suggested_value: closest.map(|c| c.value),
-                        },
-                        crowd_seconds: seconds,
-                        verdict_matches_truth: !claim.is_correct,
-                    }
-                }
-            }
-        }
+        let (correct, chosen) = check.judge(&screen.candidates);
+        claim_outcome(claim, correct, chosen, &screen.candidates, check.seconds())
     }
 
     /// Runs Algorithm 1 over all claims of the corpus with a team of
@@ -274,10 +131,8 @@ impl Verifier {
                 .iter()
                 .zip(&utilities)
                 .map(|(&id, &utility)| {
-                    let translation = self
-                        .models
-                        .translate_view(store.features(id), self.config.options_per_screen);
-                    let plan = plan_claim(&translation, &self.config);
+                    let (_, plan) =
+                        translate_and_plan(&self.models, store.features(id), &self.config, |_| ());
                     ClaimChoice {
                         id,
                         section: claims[id].section,
@@ -286,15 +141,9 @@ impl Verifier {
                     }
                 })
                 .collect();
-            let mean_cost = mean(&choices.iter().map(|c| c.cost).collect::<Vec<_>>());
-            let budget = self.config.batch_size as f64 * mean_cost * 1.3
-                + 3.0 * self.config.read_seconds_per_sentence * 400.0;
-            let batch = select_batch(&choices, &corpus.document, strategy, budget, &self.config);
-            let batch = if batch.is_empty() {
-                vec![remaining[0]]
-            } else {
-                batch
-            };
+            let batch = opt_batch(&choices, &self.config, |budget| {
+                select_batch(&choices, &corpus.document, strategy, budget, &self.config)
+            });
             report.computation_seconds += planning_start.elapsed().as_secs_f64();
 
             // ---- accuracy trace (measured on the upcoming batch) ----
@@ -332,21 +181,17 @@ impl Verifier {
                     .map(|o| matches!(o.verdict, Verdict::Correct { .. }))
                     .collect();
                 let majority_correct = Panel::majority(&votes);
-                let representative = outcomes
+                let verdict = outcomes
                     .into_iter()
-                    .find(|o| {
-                        matches!(o.verdict, Verdict::Correct { .. }) == majority_correct
-                            && !matches!(o.verdict, Verdict::Skipped)
+                    .map(|o| o.verdict)
+                    .find(|v| {
+                        matches!(v, Verdict::Correct { .. }) == majority_correct
+                            && !matches!(v, Verdict::Skipped)
                     })
-                    .unwrap_or(ClaimOutcome {
-                        claim_id: id,
-                        verdict: Verdict::Skipped,
-                        crowd_seconds: 0.0,
-                        verdict_matches_truth: false,
-                    });
+                    .unwrap_or(Verdict::Skipped);
                 report.outcomes.push(ClaimOutcome {
                     claim_id: id,
-                    verdict: representative.verdict,
+                    verdict,
                     crowd_seconds: claim_seconds,
                     verdict_matches_truth: majority_correct == claim.is_correct,
                 });
@@ -376,6 +221,16 @@ mod tests {
         (corpus, verifier)
     }
 
+    fn perfect_worker(seed: u64) -> Worker {
+        let config = WorkerConfig {
+            accuracy: 1.0,
+            skip_probability: 0.0,
+            seed,
+            ..Default::default()
+        };
+        Worker::new("S1", config)
+    }
+
     #[test]
     fn parameter_extraction_prefers_rates_and_skips_years() {
         assert_eq!(
@@ -398,15 +253,7 @@ mod tests {
         let (corpus, mut verifier) = setup();
         let refs: Vec<&ClaimRecord> = corpus.claims.iter().collect();
         verifier.models_mut().retrain(&refs);
-        let mut worker = Worker::new(
-            "S1",
-            WorkerConfig {
-                accuracy: 1.0,
-                skip_probability: 0.0,
-                seed: 3,
-                ..Default::default()
-            },
-        );
+        let mut worker = perfect_worker(3);
         let mut matched = 0;
         let mut total_seconds = 0.0;
         let sample: Vec<&ClaimRecord> = corpus.claims.iter().take(20).collect();
@@ -456,15 +303,7 @@ mod tests {
         let (corpus, mut verifier) = setup();
         let refs: Vec<&ClaimRecord> = corpus.claims.iter().collect();
         verifier.models_mut().retrain(&refs);
-        let mut worker = Worker::new(
-            "S1",
-            WorkerConfig {
-                accuracy: 1.0,
-                skip_probability: 0.0,
-                seed: 9,
-                ..Default::default()
-            },
-        );
+        let mut worker = perfect_worker(9);
         let mut suggestions = 0;
         for claim in corpus.claims.iter().filter(|c| !c.is_correct).take(10) {
             let features = verifier.models().features(claim);

@@ -5,21 +5,21 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, Weak};
 
 use scrutinizer_core::ordering::ClaimChoice;
-use scrutinizer_core::planner::{plan_claim, ClaimPlan};
-use scrutinizer_core::qgen::QueryCandidate;
-use scrutinizer_core::report::{ClaimOutcome, Verdict};
+use scrutinizer_core::planner::ClaimPlan;
+use scrutinizer_core::policy::{
+    claim_outcome, opt_batch, translate_and_plan, validated_slot, QueryContext, SimulatedCheck,
+};
+use scrutinizer_core::report::ClaimOutcome;
 use scrutinizer_core::screens::FinalScreen;
-use scrutinizer_core::stats::mean;
 use scrutinizer_core::AssignmentCache;
 use scrutinizer_core::{
-    generate_queries_with, padded_context, FeatureStore, OrderingStrategy, PlannerCounters,
-    PropertyKind, SystemConfig, SystemModels, Translation, Verifier,
+    FeatureStore, OrderingStrategy, PlannerCounters, PropertyKind, SystemConfig, SystemModels,
+    Translation,
 };
-use scrutinizer_corpus::{ClaimKind, ClaimRecord, Corpus};
+use scrutinizer_corpus::{ClaimRecord, Corpus};
 use scrutinizer_crowd::{Worker, WorkerConfig};
 use scrutinizer_data::hash::{FxHashMap, FxHashSet};
 use scrutinizer_data::CellRef;
-use scrutinizer_formula::{parse_formula, Formula};
 use scrutinizer_query::FunctionRegistry;
 
 use scrutinizer_sim::{SimEnv, Spawner};
@@ -275,25 +275,21 @@ impl Engine {
         Self::with_options(corpus, config, EngineOptions::default())
     }
 
-    /// Engine with explicit sizing (production environment).
+    /// Engine with explicit sizing (production environment) —
+    /// bootstraps fresh models and featurizes the corpus. The simulation
+    /// harness injects its environment through
+    /// [`from_parts`](Self::from_parts) instead.
     pub fn with_options(corpus: Corpus, config: SystemConfig, options: EngineOptions) -> Arc<Self> {
-        Self::with_env(corpus, config, options, SimEnv::production())
-    }
-
-    /// Engine with explicit sizing and an injected [`SimEnv`] —
-    /// bootstraps fresh models and featurizes the corpus. Production
-    /// callers use [`with_options`](Self::with_options); the simulation
-    /// harness passes a simulated environment here or, to amortize the
-    /// world build across schedules, via [`from_parts`](Self::from_parts).
-    pub fn with_env(
-        corpus: Corpus,
-        config: SystemConfig,
-        options: EngineOptions,
-        env: SimEnv,
-    ) -> Arc<Self> {
         let models = SystemModels::bootstrap(&corpus, &config);
         let features = Arc::new(FeatureStore::build(&corpus, &models));
-        Self::from_parts(Arc::new(corpus), features, models, config, options, env)
+        Self::from_parts(
+            Arc::new(corpus),
+            features,
+            models,
+            config,
+            options,
+            SimEnv::production(),
+        )
     }
 
     /// Engine over a pre-built world: a shared corpus, its feature store,
@@ -714,7 +710,7 @@ impl Engine {
                 if let Ok(handle) = self.session(SessionId(*session)) {
                     let mut state = handle.lock().expect("session poisoned");
                     if let Some(task) = state.tasks.get_mut(claim) {
-                        if let Some(slot) = ClaimTask::slot(*kind) {
+                        if let Some(slot) = validated_slot(*kind) {
                             task.validated[slot] = Some(answer.clone());
                         }
                     }
@@ -812,15 +808,16 @@ impl Engine {
                     .tasks
                     .get_mut(&claim_id)
                     .expect("open claim has a task");
-                task.translation = snapshot.models.translate_view(
+                (task.translation, task.plan) = translate_and_plan(
+                    &snapshot.models,
                     self.features.features(claim_id),
-                    self.config.options_per_screen,
+                    &self.config,
+                    |_| (),
                 );
-                task.plan = plan_claim(&task.translation, &self.config);
                 task.translated_epoch = snapshot.epoch;
                 let mut next = 0;
                 for screen in &task.plan.screens {
-                    let answered = ClaimTask::slot(screen.kind)
+                    let answered = validated_slot(screen.kind)
                         .is_some_and(|slot| task.validated[slot].is_some());
                     if !answered {
                         break;
@@ -945,17 +942,12 @@ impl Engine {
                     continue;
                 }
                 let task = self.stats.plan_latency.time(|| {
-                    let features = self.features.features(claim_id);
-                    let translation = {
-                        let _span = obs::span!("translate", claim = claim_id);
-                        snapshot
-                            .models
-                            .translate_view(features, self.config.options_per_screen)
-                    };
-                    let plan = {
-                        let _span = obs::span!("plan", claim = claim_id);
-                        plan_claim(&translation, &self.config)
-                    };
+                    let (translation, plan) = translate_and_plan(
+                        &snapshot.models,
+                        self.features.features(claim_id),
+                        &self.config,
+                        |stage| obs::span!(stage, claim = claim_id),
+                    );
                     ClaimTask {
                         translation,
                         plan,
@@ -1019,11 +1011,12 @@ impl Engine {
                 && task.phase == ClaimPhase::Screening
                 && task.translated_epoch != snapshot.epoch
             {
-                task.translation = snapshot.models.translate_view(
+                (task.translation, task.plan) = translate_and_plan(
+                    &snapshot.models,
                     self.features.features(claim_id),
-                    self.config.options_per_screen,
+                    &self.config,
+                    |_| (),
                 );
-                task.plan = plan_claim(&task.translation, &self.config);
                 task.translated_epoch = snapshot.epoch;
             }
         }
@@ -1055,27 +1048,23 @@ impl Engine {
                 utility: state.utilities[&id],
             })
             .collect();
-        let mean_cost = mean(&choices.iter().map(|c| c.cost).collect::<Vec<_>>());
-        let budget = self.config.batch_size as f64 * mean_cost * 1.3
-            + 3.0 * self.config.read_seconds_per_sentence * 400.0;
-        let before = state.planner.counters();
-        let selection = {
-            let _span = obs::span!("plan_batch", open = open.len());
-            state.planner.plan(
-                &choices,
-                &self.corpus.document,
-                self.options.ordering,
-                budget,
-                &self.config,
-            )
-        };
-        let after = state.planner.counters();
-        let fallback = state.planner.last_fallback().map(|e| e.to_string());
-        self.note_planned(before, after, fallback);
-        let mut batch = selection.batch;
-        if batch.is_empty() {
-            batch = vec![open[0]];
-        }
+        let batch = opt_batch(&choices, &self.config, |budget| {
+            let before = state.planner.counters();
+            let selection = {
+                let _span = obs::span!("plan_batch", open = open.len());
+                state.planner.plan(
+                    &choices,
+                    &self.corpus.document,
+                    self.options.ordering,
+                    budget,
+                    &self.config,
+                )
+            };
+            let after = state.planner.counters();
+            let fallback = state.planner.last_fallback().map(|e| e.to_string());
+            self.note_planned(before, after, fallback);
+            selection.batch
+        });
         Ok(batch
             .iter()
             .map(|&id| state.tasks[&id].questions(id))
@@ -1128,7 +1117,7 @@ impl Engine {
         if screen.kind != kind {
             return Err(EngineError::UnexpectedAnswer(kind));
         }
-        let slot = ClaimTask::slot(kind).ok_or(EngineError::UnexpectedAnswer(kind))?;
+        let slot = validated_slot(kind).ok_or(EngineError::UnexpectedAnswer(kind))?;
         task.validated[slot] = Some(answer.to_string());
         task.next_screen += 1;
         self.stats.bump(&self.stats.answers_posted);
@@ -1187,8 +1176,23 @@ impl Engine {
         let claim = &self.corpus.claims[claim_id];
         let screen = self.stats.suggest_latency.time(|| {
             let candidates = {
-                let _span = obs::span!("qgen", claim = claim_id);
-                self.generate_candidates(claim, task)
+                let _qgen = obs::span!("qgen", claim = claim_id);
+                let context =
+                    QueryContext::new(claim, &task.translation, &task.validated, &self.config);
+                // near-duplicate instantiations across claims and sessions
+                // cost a cache probe on the plan fingerprint, not an
+                // evaluation
+                let mut hook = PlanCacheHook {
+                    cache: &self.cache,
+                    formula_ids: &self.formula_ids,
+                };
+                let _execute = obs::span!("execute");
+                context.generate(
+                    &self.corpus.catalog,
+                    &self.registry,
+                    &self.config,
+                    &mut hook,
+                )
             };
             let _span = obs::span!("score", claim = claim_id);
             FinalScreen::new(
@@ -1244,28 +1248,9 @@ impl Engine {
             });
         }
         let claim = &self.corpus.claims[claim_id];
-        let verdict = if correct {
-            let query = chosen
-                .and_then(|rank| task.candidates.get(rank))
-                .or_else(|| task.candidates.first())
-                .map(|c| c.stmt.to_string())
-                .unwrap_or_else(|| claim.formula_text.clone());
-            Verdict::Correct { query }
-        } else {
-            let closest = task.candidates.first();
-            Verdict::Incorrect {
-                closest_query: closest.map(|c| c.stmt.to_string()),
-                suggested_value: closest.map(|c| c.value),
-            }
-        };
+        let outcome = claim_outcome(claim, correct, chosen, &task.candidates, 0.0);
         task.phase = ClaimPhase::Done;
         state.verified.push(claim_id);
-        let outcome = ClaimOutcome {
-            claim_id,
-            verdict,
-            crowd_seconds: 0.0,
-            verdict_matches_truth: correct == claim.is_correct,
-        };
         let lsn = self.append_record(&WalRecord::VerdictPosted {
             session: session.0,
             claim: claim_id,
@@ -1482,85 +1467,13 @@ impl Engine {
         }
     }
 
-    // ---- cache-assisted query generation ----------------------------------
-
-    /// Algorithm 2 with the query-result cache on the hot path: the same
-    /// enumeration, budgeting and ranking as
-    /// [`scrutinizer_core::generate_queries`] — it delegates to
-    /// [`generate_queries_with`] — but each assignment's evaluation goes
-    /// through the sharded LRU, keyed by the prepared plan's structural
-    /// fingerprint (interned formula id + resolved cell handles), so
-    /// near-duplicate instantiations across claims and sessions cost a
-    /// hash probe over a few plain words instead of an evaluation — and
-    /// never build a key string.
-    pub fn cached_generate(
-        &self,
-        relations: &[String],
-        keys: &[String],
-        attributes: &[String],
-        formulas: &[(String, Formula)],
-        parameter: Option<f64>,
-    ) -> Vec<QueryCandidate> {
-        let mut hook = PlanCacheHook {
-            cache: &self.cache,
-            formula_ids: &self.formula_ids,
-        };
-        let _span = obs::span!("execute");
-        generate_queries_with(
-            &self.corpus.catalog,
-            &self.registry,
-            relations,
-            keys,
-            attributes,
-            formulas,
-            parameter,
-            &self.config,
-            &mut hook,
-        )
-    }
-
-    /// Builds the query-generation context exactly the way the one-shot
-    /// verifier does — validated answers first, classifier candidates as
-    /// padding — and runs cache-assisted generation.
-    fn generate_candidates(&self, claim: &ClaimRecord, task: &ClaimTask) -> Vec<QueryCandidate> {
-        let context = |slot: usize, kind: PropertyKind, extra: usize| -> Vec<String> {
-            padded_context(
-                task.validated[slot].as_deref(),
-                task.translation.of(kind),
-                extra,
-            )
-        };
-        let relations = context(
-            0,
-            PropertyKind::Relation,
-            if task.validated[0].is_some() { 0 } else { 3 },
-        );
-        let keys = context(
-            1,
-            PropertyKind::Key,
-            if task.validated[1].is_some() { 0 } else { 3 },
-        );
-        let attributes = context(2, PropertyKind::Attribute, 4);
-        let formulas: Vec<(String, Formula)> = task
-            .translation
-            .of(PropertyKind::Formula)
-            .iter()
-            .take(self.config.final_options * 3)
-            .filter_map(|(text, _)| parse_formula(text).ok().map(|f| (text.clone(), f)))
-            .collect();
-        let parameter = match claim.kind {
-            ClaimKind::Explicit => Verifier::extract_parameter(&claim.claim_text),
-            ClaimKind::General => None,
-        };
-        self.cached_generate(&relations, &keys, &attributes, &formulas, parameter)
-    }
-
     // ---- simulated driving (batch mode, benches, tests) --------------------
 
     /// Drives one claim end to end with a simulated checker, through the
     /// same session machinery an interactive client uses: plan → answer
     /// every screen → suggest → final-screen judgment → verdict. The
-    /// final-screen behavior mirrors the one-shot verifier's cost model.
+    /// checker is core's [`SimulatedCheck`], the one `Verifier` uses, so
+    /// both charge the same crowd seconds for the same answers.
     pub fn verify_claim_with(&self, claim_id: usize, worker: &mut Worker) -> ClaimOutcome {
         self.stats
             .verify_latency
@@ -1569,17 +1482,11 @@ impl Engine {
 
     fn verify_claim_inner(&self, claim_id: usize, worker: &mut Worker) -> ClaimOutcome {
         let claim = &self.corpus.claims[claim_id];
-        if worker.skips() {
-            return ClaimOutcome {
-                claim_id,
-                verdict: Verdict::Skipped,
-                crowd_seconds: 0.0,
-                verdict_matches_truth: false,
-            };
-        }
-        let cost = self.config.cost;
-        let session = self.open_session(&format!("sim-{}", worker.name));
-        let mut seconds = 0.0;
+        let checker = format!("sim-{}", worker.name);
+        let Some(mut check) = SimulatedCheck::begin(worker, claim, self.config.cost) else {
+            return ClaimOutcome::skipped(claim_id);
+        };
+        let session = self.open_session(&checker);
         let outcome = (|| {
             let batch = self.submit_report(session, &[claim_id])?;
             let screens = batch
@@ -1587,74 +1494,21 @@ impl Engine {
                 .find(|q| q.claim_id == claim_id)
                 .map(|q| q.screens);
             for screen in screens.unwrap_or_default() {
-                let truth = match screen.kind {
-                    PropertyKind::Relation => claim.relation.as_str(),
-                    PropertyKind::Key => claim.key.as_str(),
-                    PropertyKind::Attribute => claim.attributes[0].as_str(),
-                    PropertyKind::Formula => unreachable!("formulas are not crowd-validated"),
-                };
-                let answered = worker.answer_screen(&screen.options, truth, cost.vp, cost.sp);
-                seconds += answered.seconds;
-                self.post_answer(session, claim_id, screen.kind, &answered.answer)?;
+                let answer = check.answer_screen(screen.kind, &screen.options);
+                self.post_answer(session, claim_id, screen.kind, &answer)?;
             }
-            let suggestions = self.suggest(session, claim_id)?;
-            let parameter = match claim.kind {
-                ClaimKind::Explicit => Verifier::extract_parameter(&claim.claim_text),
-                ClaimKind::General => None,
-            };
-
-            // final screen: a suggestion is truth-equivalent when it
-            // reproduces the ground-truth check or confirms the stated value
-            let handle = self.session(session)?;
-            let rendered: Vec<String> = {
+            self.suggest(session, claim_id)?;
+            let (correct, chosen) = {
+                let handle = self.session(session)?;
                 let state = handle.lock().expect("session poisoned");
-                let task = &state.tasks[&claim_id];
-                FinalScreen {
-                    candidates: task.candidates.clone(),
-                    probabilities: vec![0.0; task.candidates.len()],
-                }
-                .rendered()
+                check.judge(&state.tasks[&claim_id].candidates)
             };
-            let truth_shown = {
-                let state = handle.lock().expect("session poisoned");
-                let task = &state.tasks[&claim_id];
-                task.candidates.iter().position(|c| {
-                    (c.formula_text == claim.formula_text && c.lookups == claim.lookups)
-                        || (claim.is_correct && c.matches_parameter)
-                })
-            };
-            let record = match truth_shown {
-                Some(position) if claim.is_correct => {
-                    let labels: Vec<String> = rendered.into_iter().take(position + 1).collect();
-                    let shown = worker.answer_screen(&labels, &labels[position], cost.vf, cost.sf);
-                    seconds += shown.seconds;
-                    self.post_verdict(session, claim_id, true, shown.chosen)?
-                }
-                _ => {
-                    let extra_scans = if parameter.is_some() {
-                        0
-                    } else {
-                        suggestions.len().saturating_sub(1).min(1)
-                    };
-                    seconds += cost.vf * extra_scans as f64;
-                    let (judged_correct, judge_seconds) =
-                        worker.judge_result(claim.is_correct, &cost);
-                    seconds += judge_seconds;
-                    if judged_correct && suggestions.is_empty() {
-                        seconds += cost.sf;
-                    }
-                    if !judged_correct && suggestions.is_empty() {
-                        seconds += cost.sf * 0.5;
-                    }
-                    self.post_verdict(session, claim_id, judged_correct, None)?
-                }
-            };
-            Ok::<VerdictRecord, EngineError>(record)
+            self.post_verdict(session, claim_id, correct, chosen)
         })();
         let _ = self.close_session(session);
         match outcome {
             Ok(record) => ClaimOutcome {
-                crowd_seconds: seconds,
+                crowd_seconds: check.seconds(),
                 ..record.outcome
             },
             Err(error) => unreachable!("simulated drive hit a session error: {error}"),

@@ -114,16 +114,6 @@ impl ClaimTask {
             expected_cost: self.plan.expected_cost,
         }
     }
-
-    /// Slot index in `validated` for a crowd-validated property.
-    pub(crate) fn slot(kind: PropertyKind) -> Option<usize> {
-        match kind {
-            PropertyKind::Relation => Some(0),
-            PropertyKind::Key => Some(1),
-            PropertyKind::Attribute => Some(2),
-            PropertyKind::Formula => None,
-        }
-    }
 }
 
 /// One checker's live session.
