@@ -20,13 +20,22 @@
 //!   layout exists for (`entropy_batch_into` over the feature-major
 //!   transpose) ≥ 2× the scalar per-row `predict_proba` + `Σ −p ln p`
 //!   loop.
+//! * `translate/*` — claim translation (§3.1, top-k per property) over
+//!   the utility corpus's label spaces: `per_claim` is
+//!   `SystemModels::translate_view`, which ranks all four classifiers
+//!   from one sweep of the fused feature-major block; `per_classifier`
+//!   the row-major path it replaced (one `top_k_ids` per classifier: a
+//!   gathered dot product per class, then a ranking). Bit-identical
+//!   output is asserted on every claim before timing; acceptance target:
+//!   fused ≥ 4× per-classifier.
 //! * the **retrain storm** — suggest latency on a live engine while a
 //!   writer thread publishes back-to-back model epochs. With snapshot
 //!   swaps readers never wait on the trainer; the p99 must stay near the
 //!   idle p99 instead of absorbing whole retrain latencies.
 //!
 //! The warm≡cold model-equivalence assertion (accuracy parity on the full
-//! stream) and the batched≡scalar utility parity run **before** anything
+//! stream), the batched≡scalar utility parity and the fused≡per-classifier
+//! translation parity run **before** anything
 //! is timed, in `--quick` smoke mode too. The latency-ratio assertions
 //! run only in full mode: a one-shot smoke iteration has no stable tail.
 
@@ -38,7 +47,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use scrutinizer_core::{FeatureStore, OrderingStrategy, PropertyKind, SystemConfig, SystemModels};
 use scrutinizer_corpus::{ClaimRecord, Corpus, CorpusConfig};
 use scrutinizer_engine::engine::{Engine, EngineOptions};
-use scrutinizer_text::SparseVector;
+use scrutinizer_text::{SparseVector, SparseView};
 
 /// The retrain stream's shape mirrors the paper's loop: a report's worth
 /// of claims verified in interval-sized batches (§6.2 retrains every 100
@@ -348,6 +357,107 @@ fn bench_utilities(c: &mut Criterion) {
     }
 }
 
+/// The row-major translation path `translate_view` replaced: each
+/// classifier ranks its own classes through `top_k_ids`.
+fn translate_per_classifier(
+    models: &SystemModels,
+    features: SparseView<'_>,
+    k: usize,
+) -> [Vec<(String, f32)>; 4] {
+    PropertyKind::ALL.map(|kind| {
+        let c = models.classifier(kind);
+        c.top_k_ids(features, k)
+            .into_iter()
+            .map(|(id, p)| (c.label_name(id).to_string(), p))
+            .collect()
+    })
+}
+
+fn bench_translation(c: &mut Criterion) {
+    let (corpus, mut models, store) = setup_scaled(utility_corpus());
+    let refs: Vec<&ClaimRecord> = corpus.claims.iter().collect();
+    models.retrain(&refs);
+    let k = SystemConfig::default().options_per_screen;
+    let claims = corpus.claims.len();
+
+    // ---- fused ≡ per-classifier, bit for bit, every claim --------------
+    for id in 0..claims {
+        let features = store.features(id);
+        let fused = models.translate_view(features, k);
+        let expected = translate_per_classifier(&models, features, k);
+        for (kind, (got, want)) in PropertyKind::ALL
+            .iter()
+            .zip(fused.candidates.iter().zip(&expected))
+        {
+            let bits = |v: &[(String, f32)]| -> Vec<(String, u32)> {
+                v.iter().map(|(l, p)| (l.clone(), p.to_bits())).collect()
+            };
+            assert_eq!(
+                bits(got),
+                bits(want),
+                "claim {id}, {}: fused translation diverged",
+                kind.name()
+            );
+        }
+    }
+
+    // ---- criterion timings ---------------------------------------------
+    let mut group = c.benchmark_group("translate");
+    group.sample_size(10);
+    group.bench_function("per_claim", |b| {
+        b.iter(|| {
+            for id in 0..claims {
+                black_box(models.translate_view(store.features(id), k));
+            }
+        })
+    });
+    group.bench_function("per_classifier", |b| {
+        b.iter(|| {
+            for id in 0..claims {
+                black_box(translate_per_classifier(&models, store.features(id), k));
+            }
+        })
+    });
+    group.finish();
+
+    // ---- headline ratio ------------------------------------------------
+    let rounds = if quick_mode() { 1 } else { 20 };
+    let timed = |f: &dyn Fn(usize)| {
+        let start = Instant::now();
+        for _ in 0..rounds {
+            for id in 0..claims {
+                f(id);
+            }
+        }
+        start.elapsed().as_secs_f64() / (rounds * claims) as f64
+    };
+    let fused_s = timed(&|id| {
+        black_box(models.translate_view(store.features(id), k));
+    });
+    let per_classifier_s = timed(&|id| {
+        black_box(translate_per_classifier(&models, store.features(id), k));
+    });
+    let classes: usize = PropertyKind::ALL
+        .iter()
+        .map(|&kind| models.classifier(kind).labels().len())
+        .sum();
+    println!(
+        "translation ({claims} claims, {classes} classes, k={k}): per-classifier {:.1} µs | \
+         fused {:.1} µs per claim ({:.2}x)",
+        per_classifier_s * 1e6,
+        fused_s * 1e6,
+        per_classifier_s / fused_s,
+    );
+    if !quick_mode() {
+        assert!(
+            per_classifier_s >= 4.0 * fused_s,
+            "fused translation must be ≥4× the per-classifier path: {:.1} µs vs {:.1} µs",
+            fused_s * 1e6,
+            per_classifier_s * 1e6
+        );
+    }
+}
+
 /// p99 of a set of measured latencies, in microseconds.
 fn p99_micros(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(f64::total_cmp);
@@ -466,6 +576,6 @@ fn bench_retrain_storm(_c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_retrain, bench_utilities, bench_retrain_storm
+    targets = bench_retrain, bench_utilities, bench_translation, bench_retrain_storm
 }
 criterion_main!(benches);

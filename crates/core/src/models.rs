@@ -88,7 +88,8 @@ pub struct SystemModels {
     replay_cursor: usize,
     /// The four classifiers' scoring layouts fused into one
     /// `dim × total_classes` block — rebuilt after every retrain, so
-    /// batched utility scoring walks the CSR batch exactly once.
+    /// batched utility scoring walks the CSR batch exactly once and
+    /// translation scores a claim in one sweep.
     fused: FusedEntropy,
 }
 
@@ -191,21 +192,37 @@ impl SystemModels {
     /// [`translate`](Self::translate) over borrowed features (a
     /// [`FeatureStore`] row); label strings materialize only here, at the
     /// screen boundary.
+    ///
+    /// The trained classifiers are ranked from one sweep of the
+    /// [`FusedEntropy`] block ([`FusedEntropy::top_k_ids_each`]),
+    /// bit-identical to each classifier's own
+    /// [`top_k_ids`](PropertyClassifier::top_k_ids); untrained ones keep
+    /// their uniform answer in label-id order.
     pub fn translate_view(&self, features: SparseView<'_>, k: usize) -> Translation {
-        let ranked = |c: &PropertyClassifier| -> Vec<(String, f32)> {
-            c.top_k_ids(features, k)
-                .into_iter()
-                .map(|(id, p)| (c.label_name(id).to_string(), p))
+        debug_assert!(
+            self.fused.segments().eq(self
+                .classifiers
+                .iter()
+                .enumerate()
+                .filter_map(|(model, c)| Some((model, c.n_classes()?)))),
+            "the fused block is stale: a classifier changed without a re-fuse"
+        );
+        let named = |c: &PropertyClassifier, ranked: &[(u32, f32)]| -> Vec<(String, f32)> {
+            ranked
+                .iter()
+                .map(|&(id, p)| (c.label_name(id).to_string(), p))
                 .collect()
         };
-        Translation {
-            candidates: [
-                ranked(&self.classifiers[0]),
-                ranked(&self.classifiers[1]),
-                ranked(&self.classifiers[2]),
-                ranked(&self.classifiers[3]),
-            ],
+        let mut candidates: [Vec<(String, f32)>; 4] = Default::default();
+        self.fused.top_k_ids_each(features, k, |model, ranked| {
+            candidates[model] = named(&self.classifiers[model], ranked);
+        });
+        for (slot, c) in candidates.iter_mut().zip(&self.classifiers) {
+            if !c.is_trained() {
+                *slot = named(c, &c.top_k_ids(features, k));
+            }
         }
+        Translation { candidates }
     }
 
     /// Training utility `u(c)` of Definition 7 (summed prediction entropy).
@@ -414,6 +431,7 @@ impl SystemModels {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::feature_store::FeatureStore;
     use scrutinizer_corpus::CorpusConfig;
 
     fn setup() -> (Corpus, SystemModels, SystemConfig) {
@@ -524,6 +542,55 @@ mod tests {
             after >= before - 0.35,
             "skewed batch right after pretrain dragged accuracy {before} → {after}"
         );
+    }
+
+    /// Asserts the fused translation equals each classifier's own
+    /// row-major ranking bit for bit, on every claim and at several `k`.
+    fn assert_translation_parity(models: &SystemModels, store: &FeatureStore, claims: usize) {
+        for id in 0..claims {
+            let features = store.features(id);
+            for k in [0, 1, 5, 10_000] {
+                let fused = models.translate_view(features, k);
+                for (kind, got) in PropertyKind::ALL.iter().zip(&fused.candidates) {
+                    let c = models.classifier(*kind);
+                    let expected: Vec<(&str, u32)> = c
+                        .top_k_ids(features, k)
+                        .into_iter()
+                        .map(|(id, p)| (c.label_name(id), p.to_bits()))
+                        .collect();
+                    let got: Vec<(&str, u32)> =
+                        got.iter().map(|(l, p)| (l.as_str(), p.to_bits())).collect();
+                    assert_eq!(got, expected, "claim {id}, k {k}, {}", kind.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_translation_tracks_retrain_incremental_and_restore() {
+        let (corpus, mut models, _) = setup();
+        let store = FeatureStore::build(&corpus, &models);
+        let n = corpus.claims.len();
+        // untrained: every classifier answers uniformly
+        assert_translation_parity(&models, &store, 4);
+
+        let refs: Vec<&ClaimRecord> = corpus.claims[..n / 2].iter().collect();
+        models.retrain(&refs);
+        assert_translation_parity(&models, &store, n);
+
+        // unseen labels grow the classes mid-stream
+        let mut claims = corpus.claims.clone();
+        claims[n - 1].relation = "UnseenRelation".to_string();
+        claims[n - 1].key = "UnseenKey".to_string();
+        let new_ids: Vec<usize> = (n / 2..n).collect();
+        let before = models.classifier(PropertyKind::Relation).n_classes();
+        models.retrain_incremental(&store, &claims, &new_ids);
+        assert!(models.classifier(PropertyKind::Relation).n_classes() > before);
+        assert_translation_parity(&models, &store, n);
+
+        let mut restored = SystemModels::bootstrap(&corpus, &SystemConfig::test());
+        restored.restore_state(models.export_state()).unwrap();
+        assert_translation_parity(&restored, &store, n);
     }
 
     #[test]

@@ -113,6 +113,13 @@ impl PropertyClassifier {
         self.model.is_some()
     }
 
+    /// The trained model's class count (`None` when untrained). It can
+    /// trail [`labels`](Self::labels): labels interned since the last
+    /// training call have no class yet.
+    pub fn n_classes(&self) -> Option<usize> {
+        self.model.as_ref().map(SoftmaxClassifier::n_classes)
+    }
+
     /// Retrains from scratch on borrowed `(features, label id)` pairs —
     /// the `Retrain(N, A)` step of Algorithm 1, with zero feature clones
     /// and zero label strings in the loop.

@@ -1,5 +1,6 @@
-//! Fused multi-model entropy scoring — the bulk kernel behind batched
-//! training-utility estimation (Definition 7).
+//! Fused multi-model scoring — the bulk kernel behind batched
+//! training-utility estimation (Definition 7) and per-claim translation
+//! (§3.1).
 //!
 //! Definition 7 sums the prediction entropy of *four* classifiers per
 //! claim. Scoring them one at a time walks the CSR batch four times and
@@ -10,13 +11,47 @@
 //! models' classes, and each row needs one pass over the matrix total.
 //! Untrained classifiers fold in as their constant uniform entropy.
 //!
+//! Translation reads the same block: [`FusedEntropy::top_k_ids_each`]
+//! scores one claim against all four classifiers in one sweep and ranks
+//! each classifier's segment. Its answers must be **bit-identical** to
+//! the row-major per-classifier path (`bias + dot_dense` per class, then
+//! the libm softmax), because every screen, plan, verdict and golden
+//! fixture downstream depends on the exact ranking. So its kernel keeps
+//! that path's per-class summation order: each lane starts at `+0.0`,
+//! adds `v · w` for the in-range stored features in CSR order with an
+//! unfused multiply then add (`mul_add` rounds once and changes bits),
+//! and adds the bias last. The entropy kernel has no such constraint and
+//! uses fused multiply-adds.
+//!
 //! The fusion is a snapshot of the classifiers at build time — rebuild it
 //! after training (`scrutinizer-core` rebuilds per retrain and ships it
 //! inside the published model snapshot).
 
+use std::cell::RefCell;
+
 use crate::classifier::PropertyClassifier;
-use crate::softmax::{entropy_from_scores, entropy_from_scores_reference, LANES};
-use scrutinizer_text::FeatureMatrix;
+use crate::softmax::{
+    entropy_from_scores, entropy_from_scores_reference, rank_top_k, softmax_in_place, LANES,
+};
+use scrutinizer_text::{FeatureMatrix, SparseView};
+
+/// Per-thread translation scratch, reused across calls, so ranking
+/// allocates nothing once a thread has seen the widest block.
+struct RankScratch {
+    /// The stride-length score row.
+    scores: Vec<f32>,
+    /// `(class id, probability)` pairs of the segment being ranked.
+    ranked: Vec<(u32, f32)>,
+}
+
+thread_local! {
+    static RANK_SCRATCH: RefCell<RankScratch> = const {
+        RefCell::new(RankScratch {
+            scores: Vec::new(),
+            ranked: Vec::new(),
+        })
+    };
+}
 
 /// Clamps one CSR entry for the branch-free fused sweep: an in-range
 /// feature passes through; an out-of-range index (never produced by the
@@ -43,6 +78,8 @@ pub struct FusedEntropy {
     stride: usize,
     /// `[start, end)` segment of each fused classifier inside a scratch row.
     segments: Vec<(usize, usize)>,
+    /// Index into the `fuse` input of each segment's classifier.
+    members: Vec<usize>,
     /// `dim × stride`: for feature `i`, the concatenated class columns of
     /// every fused classifier at `weights[i * stride ..][..width]`; the
     /// pad columns stay 0.0.
@@ -67,8 +104,9 @@ impl FusedEntropy {
         let mut constant = 0.0f64;
         // (weights_t, biases, nc, part stride)
         let mut parts: Vec<(&[f32], &[f32], usize, usize)> = Vec::new();
+        let mut members = Vec::new();
         let mut dim = 0usize;
-        for classifier in models {
+        for (index, classifier) in models.iter().enumerate() {
             match classifier.softmax() {
                 Some(model) => {
                     assert!(
@@ -78,6 +116,7 @@ impl FusedEntropy {
                     dim = model.dim();
                     let (weights_t, biases, part_stride) = model.transposed_parts();
                     parts.push((weights_t, biases, model.n_classes(), part_stride));
+                    members.push(index);
                 }
                 None => constant += classifier.uniform_entropy(),
             }
@@ -107,11 +146,122 @@ impl FusedEntropy {
             width,
             stride,
             segments,
+            members,
             weights,
             biases,
             dim,
             constant,
         }
+    }
+
+    /// `(index into the fuse input, class count)` of every fused
+    /// (trained) classifier, in segment order. Untrained classifiers are
+    /// absent: they are not in the block.
+    pub fn segments(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.members
+            .iter()
+            .zip(&self.segments)
+            .map(|(&model, &(start, end))| (model, end - start))
+    }
+
+    /// Linear scores of one claim against every fused class, into the
+    /// first `stride` lanes of `scores` (pad lanes end at 0.0).
+    ///
+    /// Bit-identical to the row-major `bias + x.dot_dense(row)` of each
+    /// class: every lane accumulates from `+0.0` with an unfused
+    /// `a + v * w` over the stored features in CSR order, skipping
+    /// indices ≥ `dim`, and the bias is added last (IEEE addition
+    /// commutes, so `dot + bias` is `bias + dot`). `mul_add` would round
+    /// once instead of twice and change bits. In-range features are
+    /// gathered eight at a time and folded into each lane in that order
+    /// within one sweep, which keeps the per-lane order and vectorizes
+    /// across lanes.
+    fn scores_into(&self, x: SparseView<'_>, scores: &mut [f32]) {
+        let stride = self.stride;
+        let scores = &mut scores[..stride];
+        scores.fill(0.0);
+        let mut group = [(0usize, 0.0f32); 8];
+        let mut filled = 0;
+        for (i, v) in x.iter() {
+            let i = i as usize;
+            if i >= self.dim {
+                continue;
+            }
+            group[filled] = (i * stride, v);
+            filled += 1;
+            if filled < group.len() {
+                continue;
+            }
+            filled = 0;
+            let [(o0, v0), (o1, v1), (o2, v2), (o3, v3), (o4, v4), (o5, v5), (o6, v6), (o7, v7)] =
+                group;
+            let c0 = &self.weights[o0..][..stride];
+            let c1 = &self.weights[o1..][..stride];
+            let c2 = &self.weights[o2..][..stride];
+            let c3 = &self.weights[o3..][..stride];
+            let c4 = &self.weights[o4..][..stride];
+            let c5 = &self.weights[o5..][..stride];
+            let c6 = &self.weights[o6..][..stride];
+            let c7 = &self.weights[o7..][..stride];
+            for j in 0..stride {
+                let mut a = scores[j];
+                a += v0 * c0[j];
+                a += v1 * c1[j];
+                a += v2 * c2[j];
+                a += v3 * c3[j];
+                a += v4 * c4[j];
+                a += v5 * c5[j];
+                a += v6 * c6[j];
+                a += v7 * c7[j];
+                scores[j] = a;
+            }
+        }
+        for &(offset, v) in &group[..filled] {
+            let column = &self.weights[offset..][..stride];
+            for (s, &w) in scores.iter_mut().zip(column) {
+                *s += v * w;
+            }
+        }
+        for (s, &b) in scores.iter_mut().zip(&self.biases) {
+            *s += b;
+        }
+    }
+
+    /// Ranks every fused classifier's classes for one claim in a single
+    /// sweep of the block, calling `emit(model, ranked)` once per segment
+    /// in [`segments`](Self::segments) order: `model` indexes the `fuse`
+    /// input, `ranked` holds at most `k` `(class id, probability)` pairs.
+    ///
+    /// Each segment's answer is bit-identical to that classifier's
+    /// row-major `SoftmaxClassifier::top_k_view`: the same scores (see
+    /// the kernel's summation order in the module doc), the same libm
+    /// softmax, and the same total order — probability descending by
+    /// `total_cmp`, then id ascending — found by partial selection. The
+    /// score row and ranking buffer are per-thread scratch, so `emit`
+    /// must not translate again on the same thread.
+    pub fn top_k_ids_each(
+        &self,
+        x: SparseView<'_>,
+        k: usize,
+        mut emit: impl FnMut(usize, &[(u32, f32)]),
+    ) {
+        if self.width == 0 {
+            return;
+        }
+        RANK_SCRATCH.with_borrow_mut(|RankScratch { scores, ranked }| {
+            if scores.len() < self.stride {
+                scores.resize(self.stride, 0.0);
+            }
+            self.scores_into(x, scores);
+            for (&model, &(start, end)) in self.members.iter().zip(&self.segments) {
+                let probs = &mut scores[start..end];
+                softmax_in_place(probs);
+                ranked.clear();
+                ranked.extend(probs.iter().enumerate().map(|(id, &p)| (id as u32, p)));
+                let taken = rank_top_k(ranked, k);
+                emit(model, &ranked[..taken]);
+            }
+        });
     }
 
     /// Appends the summed prediction entropy (Definition 7's `u(c)`) of
@@ -324,6 +474,42 @@ mod tests {
         assert_eq!(fast.len(), reference.len());
         for (r, (f, s)) in fast.iter().zip(&reference).enumerate() {
             assert!((f - s).abs() < 1e-5, "row {r}: fast {f} vs reference {s}");
+        }
+    }
+
+    #[test]
+    fn fused_ranking_is_each_classifiers_own_ranking_bit_for_bit() {
+        let a = trained(&["x", "y", "z"], 0);
+        let untrained = PropertyClassifier::new(
+            "u",
+            LabelDict::from_labels(["m", "n"]),
+            12,
+            TrainConfig::default(),
+        );
+        let b = trained(&["p", "q"], 4);
+        let models = [&a, &untrained, &b];
+        let fused = FusedEntropy::fuse(&models);
+        assert_eq!(fused.segments().collect::<Vec<_>>(), vec![(0, 3), (2, 2)]);
+        // 9 in-range features exercise the eight-column sweep and its tail
+        let rows = [
+            features(0, 11),
+            SparseVector::from_pairs(vec![]),
+            SparseVector::from_pairs((0..9).map(|i| (i, 0.1 * i as f32 + 0.2)).collect()),
+            SparseVector::from_pairs(vec![(2, 1.5), (100, 9.0)]),
+        ];
+        for row in &rows {
+            for k in 0..5 {
+                let mut seen = Vec::new();
+                fused.top_k_ids_each(row.view(), k, |model, ranked| {
+                    let bits = |v: &[(u32, f32)]| -> Vec<(u32, u32)> {
+                        v.iter().map(|&(id, p)| (id, p.to_bits())).collect()
+                    };
+                    let expected = models[model].top_k_ids(row.view(), k);
+                    assert_eq!(bits(ranked), bits(&expected), "model {model}, k {k}");
+                    seen.push(model);
+                });
+                assert_eq!(seen, vec![0, 2]);
+            }
         }
     }
 

@@ -15,15 +15,22 @@
 //! Two inference layouts coexist on purpose:
 //!
 //! * the **row-major** weight matrix (`class × dim`) drives training
-//!   updates and the legacy one-claim-at-a-time `predict_proba` path, and
+//!   updates and the per-classifier adapters only (`predict_proba`,
+//!   [`top_k_view`], and through them `PropertyClassifier::top_k_ids`,
+//!   `predict_id` and accuracy traces). Claim translation no longer runs
+//!   here: it ranks all four classifiers from one sweep of the fused
+//!   feature-major block ([`FusedEntropy`]), bit-identical to this path;
 //! * a **feature-major transpose** (`dim × class`, rebuilt once per
 //!   training call) drives the batched [`predict_proba_batch`] /
-//!   [`entropy_batch_into`] paths: scoring a CSR row walks each feature's
-//!   *contiguous* class slice instead of gathering one scattered weight
-//!   per class, which is what makes bulk utility scoring fast.
+//!   [`entropy_batch_into`] paths and is what [`FusedEntropy`]
+//!   concatenates: scoring a CSR row walks each feature's *contiguous*
+//!   class slice instead of gathering one scattered weight per class,
+//!   which is what makes bulk scoring fast.
 //!
+//! [`top_k_view`]: SoftmaxClassifier::top_k_view
 //! [`predict_proba_batch`]: SoftmaxClassifier::predict_proba_batch
 //! [`entropy_batch_into`]: SoftmaxClassifier::entropy_batch_into
+//! [`FusedEntropy`]: crate::FusedEntropy
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -440,8 +447,8 @@ impl SoftmaxClassifier {
             .enumerate()
             .map(|(i, p)| (i as u32, p))
             .collect();
-        ranked.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        ranked.truncate(k);
+        let taken = rank_top_k(&mut ranked, k);
+        ranked.truncate(taken);
         ranked
     }
 
@@ -554,6 +561,24 @@ pub fn entropy_from_scores_reference(scores: &[f32]) -> f64 {
     }
 }
 
+/// Moves the `k` best `(class id, probability)` pairs to the front of
+/// `ranked`, in rank order, and returns how many there are
+/// (`min(k, len)`). The order is total: probability descending by
+/// `total_cmp`, then id ascending, so partial selection plus a sort of
+/// the prefix gives exactly the prefix of a full sort.
+pub(crate) fn rank_top_k(ranked: &mut [(u32, f32)], k: usize) -> usize {
+    let order = |a: &(u32, f32), b: &(u32, f32)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
+    let taken = k.min(ranked.len());
+    if taken == 0 {
+        return 0;
+    }
+    if taken < ranked.len() {
+        ranked.select_nth_unstable_by(taken - 1, order);
+    }
+    ranked[..taken].sort_unstable_by(order);
+    taken
+}
+
 /// Numerically stable in-place softmax.
 pub fn softmax_in_place(scores: &mut [f32]) {
     let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -626,6 +651,35 @@ mod tests {
         assert_eq!(top[0].0, 0);
         // k beyond classes clamps
         assert_eq!(model.top_k(&examples[0].0, 10).len(), 3);
+    }
+
+    #[test]
+    fn top_k_breaks_probability_ties_by_id() {
+        // biases only: classes {1, 2, 4} tie on top, {0, 3} tie next
+        let biases = vec![1.0, 2.0, 2.0, 1.0, 2.0, 0.0];
+        let n = biases.len();
+        let model = SoftmaxClassifier::from_state(SoftmaxState {
+            weights: vec![0.0; n * 2],
+            biases,
+            grad_sq_w: vec![1e-8; n * 2],
+            grad_sq_b: vec![1e-8; n],
+            dim: 2,
+            n_classes: n,
+            fits: 1,
+        })
+        .unwrap();
+        let x = SparseVector::from_pairs(vec![(0, 1.0)]);
+        let ids = |k| -> Vec<u32> { model.top_k(&x, k).iter().map(|&(id, _)| id).collect() };
+        assert_eq!(ids(0), Vec::<u32>::new());
+        assert_eq!(ids(1), vec![1]);
+        assert_eq!(ids(2), vec![1, 2]);
+        assert_eq!(ids(4), vec![1, 2, 4, 0]);
+        assert_eq!(ids(n), vec![1, 2, 4, 0, 3, 5]);
+        assert_eq!(ids(n + 3), vec![1, 2, 4, 0, 3, 5]);
+        // an all-zero model is one n-way tie: id order
+        let flat = SoftmaxClassifier::untrained(n, 2);
+        let top: Vec<u32> = flat.top_k(&x, 3).iter().map(|&(id, _)| id).collect();
+        assert_eq!(top, vec![0, 1, 2]);
     }
 
     #[test]
