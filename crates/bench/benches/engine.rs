@@ -1,9 +1,9 @@
-//! Engine benchmarks: what the query-result cache and the executor buy.
+//! Engine benchmarks: the suggest path and what the executor buys.
 //!
-//! `suggestion_pipeline/*` isolates Algorithm 2 — the same claim context
-//! generated cold (cache cleared every iteration) vs. warm (cache kept) —
-//! and `verify_throughput/*` measures end-to-end batch verification,
-//! sequential vs. pooled and cold vs. warm.
+//! `suggestion_pipeline` isolates Algorithm 2 — submit + suggest over a
+//! fixed slice of claims, every assignment evaluated directly — and
+//! `verify_throughput/*` measures end-to-end batch verification,
+//! sequential vs. pooled.
 
 use std::sync::Arc;
 
@@ -43,18 +43,9 @@ fn suggest_all(engine: &Arc<Engine>, claims: &[usize]) -> usize {
 fn bench_suggestion_pipeline(c: &mut Criterion) {
     let engine = engine();
     let claims: Vec<usize> = (0..12).collect();
-    let mut group = c.benchmark_group("suggestion_pipeline");
-    group.sample_size(10);
-    group.bench_function("cold_cache", |b| {
-        b.iter(|| {
-            engine.clear_cache();
-            suggest_all(&engine, &claims)
-        })
+    c.bench_function("suggestion_pipeline", |b| {
+        b.iter(|| suggest_all(&engine, &claims))
     });
-    // warm the cache once, then measure steady-state
-    suggest_all(&engine, &claims);
-    group.bench_function("warm_cache", |b| b.iter(|| suggest_all(&engine, &claims)));
-    group.finish();
 }
 
 fn bench_verify_throughput(c: &mut Criterion) {
@@ -68,9 +59,8 @@ fn bench_verify_throughput(c: &mut Criterion) {
     };
     let mut group = c.benchmark_group("verify_throughput");
     group.sample_size(10);
-    group.bench_function("sequential_cold", |b| {
+    group.bench_function("sequential", |b| {
         b.iter(|| {
-            engine.clear_cache();
             claims
                 .iter()
                 .map(|&id| {
@@ -86,17 +76,7 @@ fn bench_verify_throughput(c: &mut Criterion) {
                 .sum::<f64>()
         })
     });
-    group.bench_function("pooled_cold", |b| {
-        b.iter(|| {
-            engine.clear_cache();
-            engine
-                .verify_batch(&claims, base)
-                .expect("valid claims")
-                .len()
-        })
-    });
-    engine.verify_batch(&claims, base).expect("valid claims"); // warm
-    group.bench_function("pooled_warm", |b| {
+    group.bench_function("pooled", |b| {
         b.iter(|| {
             engine
                 .verify_batch(&claims, base)
@@ -105,11 +85,6 @@ fn bench_verify_throughput(c: &mut Criterion) {
         })
     });
     group.finish();
-    let stats = engine.stats();
-    println!(
-        "engine cache: {} hits / {} misses (rate {:.3}), {} entries",
-        stats.cache_hits, stats.cache_misses, stats.cache_hit_rate, stats.cache_entries
-    );
 }
 
 criterion_group! {

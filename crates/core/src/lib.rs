@@ -58,9 +58,6 @@ pub use ordering::{
     select_batch, select_batch_detailed, BatchMethod, BatchSelection, OrderingStrategy,
 };
 pub use planner::ClaimPlan;
-pub use qgen::{
-    generate_queries, generate_queries_unprepared, generate_queries_with, AssignmentCache, NoCache,
-    QueryCandidate,
-};
+pub use qgen::{generate_queries, generate_queries_unprepared, QueryCandidate};
 pub use report::{ClaimOutcome, Verdict, VerificationReport};
 pub use verify::Verifier;

@@ -9,7 +9,7 @@ use crate::config::SystemConfig;
 use crate::models::{PropertyKind, SystemModels, Translation};
 use crate::ordering::ClaimChoice;
 use crate::planner::{plan_claim, ClaimPlan};
-use crate::qgen::{generate_queries_with, AssignmentCache, QueryCandidate};
+use crate::qgen::{generate_queries, QueryCandidate};
 use crate::report::{ClaimOutcome, Verdict};
 use crate::screens::FinalScreen;
 use crate::stats::mean;
@@ -109,16 +109,14 @@ impl QueryContext {
         }
     }
 
-    /// Runs Algorithm 2 over this context, evaluating assignments through
-    /// `cache` ([`NoCache`](crate::NoCache) evaluates every one).
-    pub fn generate<C: AssignmentCache>(
+    /// Runs Algorithm 2 over this context, evaluating every assignment.
+    pub fn generate(
         &self,
         catalog: &Catalog,
         registry: &FunctionRegistry,
         config: &SystemConfig,
-        cache: &mut C,
     ) -> Vec<QueryCandidate> {
-        generate_queries_with(
+        generate_queries(
             catalog,
             registry,
             &self.relations,
@@ -127,7 +125,6 @@ impl QueryContext {
             &self.formulas,
             self.parameter,
             config,
-            cache,
         )
     }
 }

@@ -15,8 +15,8 @@
 //! name-shaped is resolved **once** before enumeration:
 //!
 //! * every `(relation, key, attribute)` triple becomes a `ResolvedCell`
-//!   — a numeric [`CellRef`] handle plus the cell's `f64`, materialized
-//!   once from the catalog's cached numeric views;
+//!   — the cell's `f64`, materialized once from the catalog's cached
+//!   numeric views;
 //! * every formula is compiled once into a flat postfix program whose
 //!   function calls hold resolved `fn` pointers — the shared *prepared
 //!   skeleton* all of the formula's assignments instantiate;
@@ -26,16 +26,18 @@
 //!   of this loop at zero).
 //!
 //! Only surviving candidates (a match, or a bounded set of alternatives)
-//! are rewritten into [`SelectStmt`]s. The serving engine plugs a
-//! query-result cache into the loop through [`AssignmentCache`], keyed by
-//! the same `(formula, cells)` structural fingerprint. The pre-refactor
+//! are rewritten into [`SelectStmt`]s. Every assignment is evaluated
+//! directly, in the library and the serving engine alike: a compiled
+//! program is ~10 postfix instructions over `f64`s, cheaper than a
+//! shared result cache's hash, lock and LRU relink (the engine's `cache`
+//! module docs give the measurements). The pre-refactor
 //! string-resolving implementation survives as
 //! [`generate_queries_unprepared`], the differential-testing and
 //! benchmarking baseline.
 
 use crate::config::SystemConfig;
 use scrutinizer_data::value::approx_eq_f64;
-use scrutinizer_data::{Catalog, CellRef};
+use scrutinizer_data::Catalog;
 use scrutinizer_formula::{eval_formula, instantiate, Formula, Lookup};
 use scrutinizer_query::eval::apply_binop;
 use scrutinizer_query::functions::FnImpl;
@@ -56,53 +58,11 @@ pub struct QueryCandidate {
     pub matches_parameter: bool,
 }
 
-/// Cache hook for Algorithm 2's assignment evaluations.
-///
-/// The serving engine implements this over its sharded query-result cache:
-/// the `(formula token, resolved cells)` pair is the structural fingerprint
-/// of one prepared-assignment evaluation, shared across claims and
-/// sessions. The library path uses [`NoCache`].
-pub trait AssignmentCache {
-    /// Whether probes do anything; the no-op impl opts out so the loop can
-    /// skip building cell keys entirely.
-    const ENABLED: bool = true;
-
-    /// Called once per formula before its assignments are enumerated;
-    /// returns the token passed back on every probe.
-    fn formula_token(&mut self, formula_text: &str) -> u64;
-
-    /// Probes the cache: `Some(outcome)` on a hit (`outcome` is `None`
-    /// for a remembered failing assignment), `None` on a miss.
-    fn get(&mut self, token: u64, cells: &[CellRef]) -> Option<Option<f64>>;
-
-    /// Records an evaluation outcome.
-    fn put(&mut self, token: u64, cells: &[CellRef], value: Option<f64>);
-}
-
-/// The no-op cache used by the plain library path.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoCache;
-
-impl AssignmentCache for NoCache {
-    const ENABLED: bool = false;
-
-    fn formula_token(&mut self, _formula_text: &str) -> u64 {
-        0
-    }
-
-    fn get(&mut self, _token: u64, _cells: &[CellRef]) -> Option<Option<f64>> {
-        None
-    }
-
-    fn put(&mut self, _token: u64, _cells: &[CellRef], _value: Option<f64>) {}
-}
-
 /// A context cell resolved once before enumeration: the textual lookup it
-/// came from, its numeric handle, and its materialized value.
+/// came from and its materialized value.
 #[derive(Debug, Clone)]
 struct ResolvedCell {
     lookup: Lookup,
-    cell: CellRef,
     value: f64,
     /// The attribute label parsed as a number (`A1`-style variables), or
     /// `None` for non-numeric labels like `Total`.
@@ -232,7 +192,7 @@ impl FormulaProgram {
 }
 
 /// Resolves the `R × K × A` context (Algorithm 2 lines 5–8) to numeric
-/// cell handles, in the same deterministic nesting order as the string
+/// cell values, in the same deterministic nesting order as the string
 /// path.
 fn resolve_context(
     catalog: &Catalog,
@@ -259,11 +219,6 @@ fn resolve_context(
                 };
                 values.push(ResolvedCell {
                     lookup: Lookup::new(relation.clone(), key.clone(), attribute.clone()),
-                    cell: CellRef {
-                        table: table_id,
-                        row,
-                        col: col as u32,
-                    },
                     value,
                     attr_value: attribute.parse().ok(),
                 });
@@ -292,41 +247,6 @@ pub fn generate_queries(
     parameter: Option<f64>,
     config: &SystemConfig,
 ) -> Vec<QueryCandidate> {
-    generate_queries_with(
-        catalog,
-        registry,
-        relations,
-        keys,
-        attributes,
-        formulas,
-        parameter,
-        config,
-        &mut NoCache,
-    )
-}
-
-/// Algorithm 2 over prepared skeletons, with a pluggable assignment cache.
-///
-/// Enumeration, budgeting and ranking are identical to
-/// [`generate_queries`] (which plugs in [`NoCache`]); the serving engine
-/// supplies its sharded query-result cache so near-duplicate
-/// instantiations across claims and sessions cost a hash probe on the
-/// `(formula, cells)` structural fingerprint instead of an evaluation.
-#[allow(clippy::too_many_arguments)]
-pub fn generate_queries_with<C>(
-    catalog: &Catalog,
-    registry: &FunctionRegistry,
-    relations: &[String],
-    keys: &[String],
-    attributes: &[String],
-    formulas: &[(String, Formula)],
-    parameter: Option<f64>,
-    config: &SystemConfig,
-    cache: &mut C,
-) -> Vec<QueryCandidate>
-where
-    C: AssignmentCache,
-{
     // lines 5-8: collect and resolve the available data values V = R × K × A
     let values = resolve_context(catalog, relations, keys, attributes);
     if values.is_empty() {
@@ -337,7 +257,6 @@ where
     let mut alternatives: Vec<QueryCandidate> = Vec::new();
     let mut budget = config.max_assignments;
     let mut stack: Vec<f64> = Vec::new();
-    let mut cells: Vec<CellRef> = Vec::new();
 
     for (text, formula) in formulas {
         let n = formula.value_var_count(); // line 11: GetVars(f)
@@ -346,7 +265,6 @@ where
         }
         // the prepared skeleton every assignment of this formula shares
         let program = FormulaProgram::compile(formula, registry);
-        let token = cache.formula_token(text);
         // line 12-13: iterate assignments (permutations with repetition)
         let mut assignment = vec![0usize; n];
         'assignments: loop {
@@ -354,21 +272,7 @@ where
                 break;
             }
             budget -= 1;
-            let value = if C::ENABLED {
-                cells.clear();
-                cells.extend(assignment.iter().map(|&i| values[i].cell));
-                match cache.get(token, &cells) {
-                    Some(cached) => cached,
-                    None => {
-                        let computed = program.eval(&values, &assignment, &mut stack);
-                        cache.put(token, &cells, computed);
-                        computed
-                    }
-                }
-            } else {
-                program.eval(&values, &assignment, &mut stack)
-            };
-            if let Some(value) = value {
+            if let Some(value) = program.eval(&values, &assignment, &mut stack) {
                 let matches = parameter
                     .map(|p| approx_eq_f64(value, p, config.tolerance))
                     .unwrap_or(false);
@@ -748,99 +652,6 @@ mod tests {
                 && c.lookups[0].relation == "GED"
                 && c.lookups[1].relation == "GED_EU"
         }));
-    }
-
-    /// A recording cache that remembers everything and replays on re-run.
-    #[derive(Default)]
-    struct MemoCache {
-        tokens: Vec<String>,
-        map: std::collections::HashMap<(u64, Vec<CellRef>), Option<f64>>,
-        hits: usize,
-        misses: usize,
-    }
-
-    impl AssignmentCache for MemoCache {
-        fn formula_token(&mut self, text: &str) -> u64 {
-            if let Some(i) = self.tokens.iter().position(|t| t == text) {
-                i as u64
-            } else {
-                self.tokens.push(text.to_string());
-                (self.tokens.len() - 1) as u64
-            }
-        }
-
-        fn get(&mut self, token: u64, cells: &[CellRef]) -> Option<Option<f64>> {
-            match self.map.get(&(token, cells.to_vec())) {
-                Some(&cached) => {
-                    self.hits += 1;
-                    Some(cached)
-                }
-                None => {
-                    self.misses += 1;
-                    None
-                }
-            }
-        }
-
-        fn put(&mut self, token: u64, cells: &[CellRef], value: Option<f64>) {
-            self.map.insert((token, cells.to_vec()), value);
-        }
-    }
-
-    #[test]
-    fn cached_path_is_identical_and_hits_on_rerun() {
-        let cat = catalog();
-        let registry = FunctionRegistry::standard();
-        let config = SystemConfig::test();
-        let args = (
-            strs(&["GED"]),
-            strs(&["PGElecDemand", "CapAddTotal_Wind"]),
-            strs(&["2000", "2016", "2017"]),
-            formulas(&["POWER(a / b, 1 / (A1 - A2)) - 1", "a / b"]),
-        );
-        let plain = generate_queries(
-            &cat,
-            &registry,
-            &args.0,
-            &args.1,
-            &args.2,
-            &args.3,
-            Some(0.03),
-            &config,
-        );
-        let mut memo = MemoCache::default();
-        let cached = generate_queries_with(
-            &cat,
-            &registry,
-            &args.0,
-            &args.1,
-            &args.2,
-            &args.3,
-            Some(0.03),
-            &config,
-            &mut memo,
-        );
-        assert_eq!(plain.len(), cached.len());
-        for (a, b) in plain.iter().zip(&cached) {
-            assert_eq!(a.stmt, b.stmt);
-            assert_eq!(a.value, b.value);
-        }
-        assert_eq!(memo.hits, 0);
-        let misses = memo.misses;
-        let rerun = generate_queries_with(
-            &cat,
-            &registry,
-            &args.0,
-            &args.1,
-            &args.2,
-            &args.3,
-            Some(0.03),
-            &config,
-            &mut memo,
-        );
-        assert_eq!(rerun.len(), cached.len());
-        assert_eq!(memo.misses, misses, "re-run must be all hits");
-        assert!(memo.hits > 0);
     }
 
     #[test]

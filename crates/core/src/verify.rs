@@ -8,7 +8,6 @@ use crate::ordering::{select_batch, ClaimChoice, OrderingStrategy};
 use crate::policy::{
     claim_outcome, opt_batch, translate_and_plan, validated_slot, QueryContext, SimulatedCheck,
 };
-use crate::qgen::NoCache;
 use crate::report::{ClaimOutcome, Verdict, VerificationReport};
 use crate::screens::FinalScreen;
 use scrutinizer_corpus::{ClaimRecord, Corpus};
@@ -95,7 +94,6 @@ impl Verifier {
             &corpus.catalog,
             &self.registry,
             &self.config,
-            &mut NoCache,
         );
         let screen = FinalScreen::new(
             candidates,

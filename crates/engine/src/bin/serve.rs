@@ -22,6 +22,9 @@
 //! ADDR defaults to 127.0.0.1:7878.
 //! ```
 //!
+//! `--cache-capacity N` sizes the raw-SQL result cache (the `sql` op's
+//! results only; `suggest` evaluates every assignment directly).
+//!
 //! `--data-dir DIR` makes the server durable: every state-changing op is
 //! appended to a checksummed write-ahead log under `DIR` before it is
 //! acknowledged, and each published model epoch is checkpointed there.

@@ -1,27 +1,26 @@
-//! The sharded LRU query-result cache.
+//! The sharded LRU raw-SQL result cache.
 //!
-//! Algorithm 2 instantiates thousands of near-duplicate queries per claim,
-//! and concurrent checker sessions re-derive the same instantiations over
-//! and over (contexts are Zipf-distributed, so the same relation/key/
-//! attribute combinations dominate). Caching the evaluated result of each
-//! instantiated query turns the brute-force enumeration's hot path into
-//! hash lookups.
+//! The TCP `sql` op evaluates client-supplied statements; repeated
+//! statements cost a hash probe instead of a parse and an execution.
+//! Entries are keyed by the [`normalize_sql`]'d client text, so spellings
+//! that differ only in whitespace, keyword case or a trailing `;` share
+//! one entry. Text normalization lives **only** at that boundary, where
+//! text is the input format.
 //!
-//! ## Keying
+//! ## Why Algorithm 2's assignments are not cached
 //!
-//! Entries are keyed by [`PlanKey`] — the **structural fingerprint of a
-//! prepared plan**. Two key producers feed the same cache:
-//!
-//! * the query-generation hot path keys with
-//!   [`PlanKey::assignment`]: an interned formula id plus the assignment's
-//!   resolved [`CellRef`] handles. No strings are built or hashed per
-//!   probe — the fingerprint is a few words of plain data, and it
-//!   identifies the evaluation exactly (same formula skeleton, same bound
-//!   cells ⇒ same result);
-//! * the raw-SQL TCP endpoint keys with [`PlanKey::sql`] over
-//!   [`normalize_sql`]'d client text. Text normalization survives **only**
-//!   at that boundary, where text is the input format; everything behind
-//!   it works on prepared plans.
+//! `suggest` evaluates thousands of assignments per claim, each a ~10
+//! instruction postfix program over `f64`s (see `scrutinizer_core::qgen`).
+//! Caching them was measured and lost: a probe builds a key, hashes it,
+//! locks a shard, relinks the LRU and bumps counters shared across cores,
+//! which costs more than the evaluation it skips. On the checker-loop
+//! benchmark's `small_binary` workload (2-core container) the cache
+//! answered 96 % of ~8,800 lookups per suggest, yet evaluating every
+//! assignment directly cut the per-suggest `execute` stage from 4.3 ms
+//! to 0.23 ms and `suggest_p50_ms` from 5.4 ms to 0.56 ms. In-process
+//! (the `engine` bench), the 12-claim suggestion pipeline took 7.3 ms
+//! with a warm cache and 12.6 ms with a cold one, against 2.1 ms with
+//! none.
 //!
 //! ## Structure
 //!
@@ -39,16 +38,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use scrutinizer_data::hash::FxBuildHasher;
-use scrutinizer_data::CellRef;
 
 /// The cached outcome of evaluating one query.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CachedResult {
     /// The query evaluated to this finite value.
     Value(f64),
-    /// Evaluation failed (missing cell, non-numeric operand, non-finite
-    /// result). Negative results are worth caching too: Algorithm 2
-    /// re-tries failing assignments just as often as succeeding ones.
+    /// Evaluation failed (parse error, missing cell, non-numeric operand,
+    /// non-finite result). Failures are cached too: a client re-sending a
+    /// bad statement costs a probe, not a parse.
     Failed,
 }
 
@@ -59,68 +57,6 @@ impl CachedResult {
             CachedResult::Value(v) => Some(v),
             CachedResult::Failed => None,
         }
-    }
-}
-
-/// A compact cell list: inline for the common ≤ 4-variable formulas, a
-/// heap slice beyond that. Padding slots are zeroed so derived equality
-/// and hashing are well-defined.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum CellVec {
-    /// Up to four cells stored inline (length, zero-padded array).
-    Inline(u8, [CellRef; 4]),
-    /// Five or more cells on the heap.
-    Heap(Box<[CellRef]>),
-}
-
-impl CellVec {
-    /// Packs a cell slice, staying allocation-free for ≤ 4 cells.
-    pub fn from_slice(cells: &[CellRef]) -> CellVec {
-        if cells.len() <= 4 {
-            let mut inline = [CellRef::default(); 4];
-            inline[..cells.len()].copy_from_slice(cells);
-            CellVec::Inline(cells.len() as u8, inline)
-        } else {
-            CellVec::Heap(cells.into())
-        }
-    }
-
-    /// The cells as a slice.
-    pub fn as_slice(&self) -> &[CellRef] {
-        match self {
-            CellVec::Inline(len, cells) => &cells[..*len as usize],
-            CellVec::Heap(cells) => cells,
-        }
-    }
-}
-
-/// Structural fingerprint of one prepared evaluation — the cache key.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum PlanKey {
-    /// A prepared-assignment evaluation: which formula skeleton (interned
-    /// id), bound to which resolved cells.
-    Assignment {
-        /// Interned formula id (stable per engine lifetime, never reused).
-        formula: u64,
-        /// The assignment's resolved cell handles, in variable order.
-        cells: CellVec,
-    },
-    /// A raw-SQL request, keyed by its [`normalize_sql`]'d text.
-    Sql(Box<str>),
-}
-
-impl PlanKey {
-    /// Fingerprint of a prepared assignment.
-    pub fn assignment(formula: u64, cells: &[CellRef]) -> PlanKey {
-        PlanKey::Assignment {
-            formula,
-            cells: CellVec::from_slice(cells),
-        }
-    }
-
-    /// Fingerprint of a raw-SQL request (pass [`normalize_sql`] output).
-    pub fn sql(normalized: String) -> PlanKey {
-        PlanKey::Sql(normalized.into_boxed_str())
     }
 }
 
@@ -248,8 +184,8 @@ impl<K: Hash + Eq + Clone> LruShard<K> {
 }
 
 /// The concurrent, sharded query-result cache, generic over the key (the
-/// engine instantiates it with [`PlanKey`]).
-pub struct QueryCache<K = PlanKey> {
+/// engine keys it with [`normalize_sql`]'d statement text).
+pub struct QueryCache<K = String> {
     shards: Vec<Mutex<LruShard<K>>>,
     shard_bits: u32,
     hits: AtomicU64,
@@ -367,7 +303,7 @@ impl<K: Hash + Eq + Clone> QueryCache<K> {
 /// Canonicalizes SQL text for cache keying: collapses whitespace runs,
 /// uppercases bare keywords, trims, and strips a trailing semicolon.
 /// Quoted strings pass through untouched. Used only at the raw-SQL TCP
-/// endpoint boundary — internal paths key on prepared-plan fingerprints.
+/// endpoint boundary.
 pub fn normalize_sql(sql: &str) -> String {
     const KEYWORDS: [&str; 5] = ["SELECT", "FROM", "WHERE", "AND", "OR"];
     let mut out = String::with_capacity(sql.len());
@@ -422,25 +358,6 @@ pub fn normalize_sql(sql: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scrutinizer_data::{Catalog, TableBuilder};
-
-    fn cell(catalog: &Catalog, relation: &str, key: &str, attribute: &str) -> CellRef {
-        catalog.resolve_cell(relation, key, attribute).unwrap()
-    }
-
-    fn sample_catalog() -> Catalog {
-        let mut cat = Catalog::new();
-        cat.add(
-            TableBuilder::new("T", "Index", &["2016", "2017"])
-                .row("K", &[1.0, 2.0])
-                .unwrap()
-                .row("L", &[3.0, 4.0])
-                .unwrap()
-                .build(),
-        )
-        .unwrap();
-        cat
-    }
 
     #[test]
     fn hit_after_insert_miss_before() {
@@ -533,49 +450,19 @@ mod tests {
     }
 
     #[test]
-    fn plan_keys_distinguish_assignments() {
-        let cat = sample_catalog();
-        let a = PlanKey::assignment(0, &[cell(&cat, "T", "K", "2016")]);
-        let b = PlanKey::assignment(0, &[cell(&cat, "T", "K", "2017")]);
-        let c = PlanKey::assignment(0, &[cell(&cat, "T", "K", "2016")]);
-        let d = PlanKey::assignment(1, &[cell(&cat, "T", "K", "2016")]);
-        assert_ne!(a, b);
-        assert_eq!(a, c);
-        assert_ne!(a, d, "different formulas never collide");
-        assert_ne!(a, PlanKey::sql("SELECT 1".to_string()));
-    }
-
-    #[test]
-    fn cell_vec_inline_and_heap_agree() {
-        let cat = sample_catalog();
-        let cells: Vec<CellRef> = ["2016", "2017"]
-            .iter()
-            .flat_map(|attr| [cell(&cat, "T", "K", attr), cell(&cat, "T", "L", attr)])
-            .collect();
-        let inline = CellVec::from_slice(&cells[..3]);
-        assert!(matches!(inline, CellVec::Inline(3, _)));
-        assert_eq!(inline.as_slice(), &cells[..3]);
-        let mut many = cells.clone();
-        many.extend_from_slice(&cells);
-        let heap = CellVec::from_slice(&many);
-        assert!(matches!(heap, CellVec::Heap(_)));
-        assert_eq!(heap.as_slice(), &many[..]);
-        // equality is by content, padding never leaks
-        assert_eq!(CellVec::from_slice(&cells[..3]), inline);
-        assert_ne!(CellVec::from_slice(&cells[..2]), inline);
-    }
-
-    #[test]
     fn plan_keyed_cache_round_trips() {
-        let cat = sample_catalog();
-        let cache: QueryCache<PlanKey> = QueryCache::new(16, 2);
-        let key = PlanKey::assignment(7, &[cell(&cat, "T", "L", "2017")]);
+        let cache: QueryCache = QueryCache::new(16, 2);
+        let key = normalize_sql("select  a.2017 from T a;");
         assert_eq!(cache.get(&key), None);
         cache.insert(key.clone(), CachedResult::Value(4.0));
-        assert_eq!(cache.get(&key), Some(CachedResult::Value(4.0)));
-        let sql = PlanKey::sql(normalize_sql("select  a.2017 from T a"));
-        cache.insert(sql.clone(), CachedResult::Failed);
-        assert_eq!(cache.get(&sql), Some(CachedResult::Failed));
+        assert_eq!(
+            cache.get(&normalize_sql("SELECT a.2017\nFROM T a")),
+            Some(CachedResult::Value(4.0)),
+            "normalized spellings share one entry"
+        );
+        let bad = normalize_sql("select nope from T a");
+        cache.insert(bad.clone(), CachedResult::Failed);
+        assert_eq!(cache.get(&bad), Some(CachedResult::Failed));
         assert_eq!(cache.len(), 2);
     }
 

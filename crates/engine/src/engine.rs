@@ -11,7 +11,6 @@ use scrutinizer_core::policy::{
 };
 use scrutinizer_core::report::ClaimOutcome;
 use scrutinizer_core::screens::FinalScreen;
-use scrutinizer_core::AssignmentCache;
 use scrutinizer_core::{
     FeatureStore, OrderingStrategy, PlannerCounters, PropertyKind, SystemConfig, SystemModels,
     Translation,
@@ -19,13 +18,12 @@ use scrutinizer_core::{
 use scrutinizer_corpus::{ClaimRecord, Corpus};
 use scrutinizer_crowd::{Worker, WorkerConfig};
 use scrutinizer_data::hash::{FxHashMap, FxHashSet};
-use scrutinizer_data::CellRef;
 use scrutinizer_query::FunctionRegistry;
 
 use scrutinizer_sim::{SimEnv, Spawner};
 use scrutinizer_wal::{Wal, WalMetrics};
 
-use crate::cache::{normalize_sql, CachedResult, PlanKey, QueryCache};
+use crate::cache::{normalize_sql, CachedResult, QueryCache};
 use crate::durability::{self, ClaimImage, SessionImage, StateImage, WalRecord};
 use crate::executor::ThreadPool;
 use crate::session::{ClaimPhase, ClaimQuestions, ClaimTask, SessionId, SessionState, Suggestion};
@@ -41,9 +39,9 @@ pub struct EngineOptions {
     /// Bounded executor queue length; submissions beyond it block
     /// (backpressure).
     pub queue_capacity: usize,
-    /// Query-result cache capacity, in entries.
+    /// Raw-SQL result cache capacity, in entries.
     pub cache_capacity: usize,
-    /// Cache shard count (rounded up to a power of two).
+    /// Raw-SQL cache shard count (rounded up to a power of two).
     pub cache_shards: usize,
     /// Schedule a background incremental retrain once this many newly
     /// verified claims sit in the pending-examples log; `None` freezes the
@@ -145,43 +143,6 @@ fn wal_io<T>(result: std::io::Result<T>, context: &str) -> T {
     }
 }
 
-/// The engine's [`AssignmentCache`]: routes Algorithm 2's assignment
-/// evaluations through the sharded LRU, keyed by the prepared plan's
-/// structural fingerprint ([`PlanKey::Assignment`]).
-struct PlanCacheHook<'a> {
-    cache: &'a QueryCache<PlanKey>,
-    formula_ids: &'a Mutex<FxHashMap<Box<str>, u64>>,
-}
-
-impl AssignmentCache for PlanCacheHook<'_> {
-    fn formula_token(&mut self, formula_text: &str) -> u64 {
-        let mut ids = self.formula_ids.lock().expect("formula interner poisoned");
-        if let Some(&id) = ids.get(formula_text) {
-            return id;
-        }
-        // ids are dense and never reused; the formula pool is the learned
-        // formula library plus per-claim ground-truth texts, so the
-        // interner stays small relative to the result cache it feeds
-        let id = ids.len() as u64;
-        ids.insert(formula_text.into(), id);
-        id
-    }
-
-    fn get(&mut self, token: u64, cells: &[CellRef]) -> Option<Option<f64>> {
-        self.cache
-            .get(&PlanKey::assignment(token, cells))
-            .map(CachedResult::value)
-    }
-
-    fn put(&mut self, token: u64, cells: &[CellRef], value: Option<f64>) {
-        let result = match value {
-            Some(v) => CachedResult::Value(v),
-            None => CachedResult::Failed,
-        };
-        self.cache.insert(PlanKey::assignment(token, cells), result);
-    }
-}
-
 struct VerifiedSet {
     order: Vec<usize>,
     seen: FxHashSet<usize>,
@@ -190,7 +151,7 @@ struct VerifiedSet {
 /// The long-lived, concurrent verification engine.
 ///
 /// One engine owns the corpus (catalog + claims + document), the four
-/// property classifiers, the query-result cache and the executor; any
+/// property classifiers, the raw-SQL result cache and the executor; any
 /// number of threads may drive sessions against it concurrently. See the
 /// [crate docs](crate) for the full tour.
 pub struct Engine {
@@ -205,10 +166,8 @@ pub struct Engine {
     /// Every claim featurized exactly once at construction; shared by
     /// translation, utility scoring and the background trainer.
     features: Arc<FeatureStore>,
-    cache: QueryCache<PlanKey>,
-    /// Formula text → stable interned id, the `formula` half of
-    /// [`PlanKey::Assignment`] fingerprints.
-    formula_ids: Mutex<FxHashMap<Box<str>, u64>>,
+    /// Raw-SQL results, keyed by [`normalize_sql`] text.
+    cache: QueryCache,
     pool: ThreadPool,
     /// Dedicated single-thread executor for background retraining, so
     /// learning can never compete with (or deadlock against) the serving
@@ -332,7 +291,6 @@ impl Engine {
             models: SnapshotCell::with_epoch(models, epoch),
             features,
             cache: QueryCache::new(options.cache_capacity, options.cache_shards),
-            formula_ids: Mutex::new(FxHashMap::default()),
             pool: ThreadPool::new(options.threads, options.queue_capacity),
             trainer: ThreadPool::new(1, 2),
             stats: EngineStats::default(),
@@ -1000,8 +958,7 @@ impl Engine {
         }
         // re-plan claims whose screens have not started yet — but only when
         // the model epoch moved since their translation was computed; the
-        // epoch is the invalidation token, same discipline as the PlanKey
-        // fingerprints on the query cache
+        // epoch is the invalidation token
         for &claim_id in &open {
             let task = state
                 .tasks
@@ -1179,20 +1136,8 @@ impl Engine {
                 let _qgen = obs::span!("qgen", claim = claim_id);
                 let context =
                     QueryContext::new(claim, &task.translation, &task.validated, &self.config);
-                // near-duplicate instantiations across claims and sessions
-                // cost a cache probe on the plan fingerprint, not an
-                // evaluation
-                let mut hook = PlanCacheHook {
-                    cache: &self.cache,
-                    formula_ids: &self.formula_ids,
-                };
                 let _execute = obs::span!("execute");
-                context.generate(
-                    &self.corpus.catalog,
-                    &self.registry,
-                    &self.config,
-                    &mut hook,
-                )
+                context.generate(&self.corpus.catalog, &self.registry, &self.config)
             };
             let _span = obs::span!("score", claim = claim_id);
             FinalScreen::new(
@@ -1544,7 +1489,7 @@ impl Engine {
             })
             .collect();
         // per-claim worker seeds make results scheduling-independent, but
-        // side effects (session-id draws, cache fills, retrain timing) are
+        // side effects (session-id draws, retrain timing) are
         // not — under simulation the batch runs inline in input order so
         // the whole run stays bitwise deterministic
         if self.env.is_simulated() {
@@ -1564,8 +1509,7 @@ impl Engine {
         self.stats.bump(&self.stats.sql_executed);
         let _span = obs::span!("sql");
         let normalized = normalize_sql(sql);
-        let key = PlanKey::sql(normalized.clone());
-        let result = self.cache.get_or_insert_with(&key, || {
+        let result = self.cache.get_or_insert_with(&normalized, || {
             // evaluate the *normalized* text so the cached outcome always
             // agrees with the key (e.g. a trailing `;` is stripped by
             // normalization and must not fail the parse)
@@ -1683,16 +1627,5 @@ impl Engine {
             wal_segments: wal.segments,
             wal_last_checkpoint_epoch: wal.last_checkpoint_epoch,
         }
-    }
-
-    /// Drops every cached query result (used by the benches to compare
-    /// cold and warm paths).
-    pub fn clear_cache(&self) {
-        self.cache.clear();
-    }
-
-    /// The cache's lifetime hit rate.
-    pub fn cache_hit_rate(&self) -> f64 {
-        self.cache.hit_rate()
     }
 }

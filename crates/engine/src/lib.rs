@@ -24,7 +24,7 @@
 //!   │   features: Arc<FeatureStore> (CSR, built   │──▶ batch utility scoring
 //!   │             once at bootstrap)              │
 //!   │   corpus:   Arc<Corpus>       (catalog)     │──▶ Algorithm 2 (qgen)
-//!   │   cache:    sharded LRU (plan fingerprints) │──▶ hit ⇒ skip evaluation
+//!   │   cache:    sharded LRU (raw-SQL text)      │──▶ `sql` op results
 //!   │   pool:     bounded-queue thread pool       │──▶ verify_batch fan-out
 //!   │   trainer:  1-thread background executor    │──▶ warm-start retrains
 //!   │   stats:    counters + latency histograms   │──▶ `stats` endpoint
@@ -44,8 +44,8 @@
 //! 3. [`Engine::post_answer`] — the checker validates property screens
 //!    (relation, row key, attribute).
 //! 4. [`Engine::suggest`] — Algorithm 2 instantiates candidate queries
-//!    over the validated context, through the query-result cache, and
-//!    returns the top-k as a ranked final screen.
+//!    over the validated context, evaluating every assignment directly,
+//!    and returns the top-k as a ranked final screen.
 //! 5. [`Engine::post_verdict`] — the checker's judgment lands in the
 //!    pending-examples log; at the configured interval a **background**
 //!    warm-start retrain folds the log into the next model epoch (readers
@@ -57,18 +57,14 @@
 //! checkers ([`scrutinizer_crowd::Worker`]) concurrently over the thread
 //! pool — the high-throughput batch path used by the benches and tests.
 //!
-//! ## The query-result cache
+//! ## The raw-SQL result cache
 //!
-//! Algorithm 2 brute-forces thousands of near-duplicate query
-//! instantiations per claim, and concurrent sessions repeat one another's
-//! work (contexts are Zipf-distributed). [`cache::QueryCache`] is a
-//! sharded LRU keyed by [`cache::PlanKey`] — the structural fingerprint
-//! of a prepared evaluation (interned formula id + resolved cell
-//! handles), so the hot path's probes hash a few plain words instead of
-//! building key strings. [`cache::normalize_sql`] survives only at the
-//! raw-SQL TCP boundary, where the input is text. Cached entries include
-//! failures, which recur just as often. The `engine` and `prepared`
-//! benches measure the cold/warm and string/prepared gaps.
+//! [`cache::QueryCache`] is a sharded LRU over the `sql` op's results,
+//! keyed by [`cache::normalize_sql`]'d statement text; cached entries
+//! include failures. Algorithm 2's assignments are **not** cached: each
+//! is a few postfix instructions over `f64`s, cheaper to evaluate than to
+//! probe a shared cache for (the [`cache`] module docs give the
+//! measurements). The `cache_*` stats fields describe this cache only.
 //!
 //! ## The typed API and the server
 //!
@@ -116,7 +112,7 @@ pub mod stats;
 pub mod wire;
 
 pub use api::{dispatch, ApiError, ErrorCode, Request, Response};
-pub use cache::{normalize_sql, CachedResult, CellVec, PlanKey, QueryCache};
+pub use cache::{normalize_sql, CachedResult, QueryCache};
 pub use codec::RequestRef;
 pub use durability::{recover, recover_parts, DurableEnv, RecoveryReport, WalRecord};
 pub use engine::{Engine, EngineError, EngineOptions, VerdictRecord};

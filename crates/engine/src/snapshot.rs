@@ -15,9 +15,8 @@
 //!   as a new snapshot with the epoch advanced — an atomic pointer swap.
 //!
 //! The epoch is the invalidation token for everything derived from the
-//! models (session translations, cached utilities): same idea as the
-//! `PlanKey` structural fingerprints, but one monotone counter is enough
-//! because models only ever advance wholesale.
+//! models (session translations, cached utilities): one monotone counter
+//! is enough because models only ever advance wholesale.
 
 use std::sync::{Arc, RwLock};
 

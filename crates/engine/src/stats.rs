@@ -139,7 +139,7 @@ pub struct EngineStats {
     pub wire_errors_by_codec: [Counter; WireCodec::COUNT],
     /// Latency of claim planning (translation + screen selection).
     pub plan_latency: LatencyHistogram,
-    /// Latency of query generation (Algorithm 2, cache-assisted).
+    /// Latency of query generation (Algorithm 2).
     pub suggest_latency: LatencyHistogram,
     /// Latency of full single-claim verification drives.
     pub verify_latency: LatencyHistogram,
@@ -151,11 +151,11 @@ pub struct EngineStats {
     pub model_epoch: Gauge,
     /// Verified claims awaiting the next retrain (mirrored for exposition).
     pub pending_examples: Gauge,
-    /// Query-result cache hits (mirrored from the cache for exposition).
+    /// Raw-SQL result cache hits (mirrored from the cache for exposition).
     pub cache_hits: Counter,
-    /// Query-result cache misses (mirrored from the cache for exposition).
+    /// Raw-SQL result cache misses (mirrored from the cache for exposition).
     pub cache_misses: Counter,
-    /// Entries resident in the query-result cache (mirrored).
+    /// Entries resident in the raw-SQL result cache (mirrored).
     pub cache_entries: Gauge,
     /// Jobs waiting in the executor queue (mirrored).
     pub queue_depth: Gauge,
@@ -321,7 +321,7 @@ impl EngineStats {
             ),
             suggest_latency: r.histogram(
                 "scrutinizer_suggest_latency_seconds",
-                "Latency of query generation (Algorithm 2, cache-assisted).",
+                "Latency of query generation (Algorithm 2).",
             ),
             verify_latency: r.histogram(
                 "scrutinizer_verify_latency_seconds",
@@ -340,14 +340,14 @@ impl EngineStats {
                 "scrutinizer_pending_examples",
                 "Verified claims awaiting the next retrain.",
             ),
-            cache_hits: r.counter("scrutinizer_cache_hits_total", "Query-result cache hits."),
+            cache_hits: r.counter("scrutinizer_cache_hits_total", "Raw-SQL result cache hits."),
             cache_misses: r.counter(
                 "scrutinizer_cache_misses_total",
-                "Query-result cache misses.",
+                "Raw-SQL result cache misses.",
             ),
             cache_entries: r.gauge(
                 "scrutinizer_cache_entries",
-                "Entries resident in the query-result cache.",
+                "Entries resident in the raw-SQL result cache.",
             ),
             queue_depth: r.gauge(
                 "scrutinizer_queue_depth",
@@ -496,13 +496,14 @@ pub struct StatsSnapshot {
     pub requests_ok_by_codec: [u64; WireCodec::COUNT],
     /// Error responses per wire codec (aggregated across codes).
     pub wire_errors_by_codec: [u64; WireCodec::COUNT],
-    /// Query-result cache hits.
+    /// Raw-SQL result cache hits (`sql` op only; `suggest` evaluates
+    /// every assignment and never touches the cache).
     pub cache_hits: u64,
-    /// Query-result cache misses.
+    /// Raw-SQL result cache misses.
     pub cache_misses: u64,
-    /// Cache hit rate in `[0, 1]`.
+    /// Raw-SQL result cache hit rate in `[0, 1]`.
     pub cache_hit_rate: f64,
-    /// Entries resident in the cache.
+    /// Entries resident in the raw-SQL result cache.
     pub cache_entries: usize,
     /// Jobs waiting in the executor queue.
     pub queue_depth: usize,

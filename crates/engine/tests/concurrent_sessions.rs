@@ -1,7 +1,7 @@
 //! Integration test: many checker sessions drive one shared engine from
 //! separate threads. Verdicts must be independent of thread scheduling
-//! (workers are seeded per claim), and the query-result cache must see
-//! cross-session reuse.
+//! (workers are seeded per claim), and suggest/verify traffic evaluates
+//! Algorithm 2 directly: it never probes the raw-SQL result cache.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -91,19 +91,18 @@ fn drive_concurrently(engine: &Arc<Engine>) -> BTreeMap<usize, (bool, bool)> {
 }
 
 #[test]
-fn concurrent_sessions_are_deterministic_and_share_the_cache() {
+fn concurrent_sessions_are_deterministic_and_evaluate_directly() {
     let first = fresh_engine();
     let verdicts_a = drive_concurrently(&first);
     let stats = first.stats();
 
-    // ---- cache effectiveness: overlapping sessions must hit ----
-    assert!(
-        stats.cache_hits > 0,
-        "overlapping sessions produced zero cache hits (misses: {})",
-        stats.cache_misses
+    // ---- direct evaluation: suggest and verify never probe the cache ----
+    assert_eq!(
+        stats.cache_hits + stats.cache_misses,
+        0,
+        "suggest/verify traffic probed the raw-SQL cache"
     );
-    assert!(stats.cache_hit_rate > 0.0);
-    assert!(stats.cache_entries > 0);
+    assert_eq!(stats.cache_entries, 0);
 
     // ---- bookkeeping: 8 explicit sessions plus one ephemeral session
     // per simulated claim drive ----
@@ -134,7 +133,7 @@ fn concurrent_sessions_are_deterministic_and_share_the_cache() {
 }
 
 #[test]
-fn batch_mode_matches_sequential_results_and_hits_cache() {
+fn batch_mode_matches_sequential_results() {
     let engine = fresh_engine();
     let claims: Vec<usize> = (0..30).collect();
     let base = WorkerConfig {
@@ -174,7 +173,13 @@ fn batch_mode_matches_sequential_results_and_hits_cache() {
         );
         assert_eq!(a.verdict_matches_truth, b.verdict_matches_truth);
     }
-    assert!(engine.cache_hit_rate() > 0.0);
+    let stats = engine.stats();
+    assert_eq!(
+        stats.cache_hits + stats.cache_misses,
+        0,
+        "verify_batch probed the raw-SQL cache"
+    );
+    assert_eq!(stats.cache_entries, 0);
 }
 
 #[test]

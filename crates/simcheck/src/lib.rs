@@ -1,7 +1,7 @@
 //! # scrutinizer-simcheck
 //!
 //! The deterministic simulation harness: model-checks the whole serving
-//! system — sessions, planning, the query cache, the wire protocol, the
+//! system — sessions, planning, the raw-SQL cache, the wire protocol, the
 //! background trainer — by driving thousands of seeded random op
 //! schedules with fault injection against global invariants, and
 //! shrinking any failure to a minimal reproduction.

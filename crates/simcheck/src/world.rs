@@ -22,7 +22,7 @@ use scrutinizer_wal::WalOptions;
 /// so a few verdicts already exercise the drain → train → publish path.
 pub const RETRAIN_INTERVAL: usize = 2;
 
-/// Query-result cache capacity for simulated engines — small enough that
+/// Raw-SQL result cache capacity for simulated engines — small enough that
 /// schedules actually evict, exercising the LRU under the coherence
 /// invariant.
 pub const CACHE_CAPACITY: usize = 64;

@@ -138,13 +138,7 @@ fn main() {
         stats.sessions_opened, stats.sessions_closed
     );
     println!("  claims verified:        {}", stats.claims_verified);
-    println!(
-        "  cache:                  {} hits / {} misses (hit rate {:.1}%), {} entries",
-        stats.cache_hits,
-        stats.cache_misses,
-        stats.cache_hit_rate * 100.0,
-        stats.cache_entries
-    );
+    println!("  suggestions served:     {}", stats.suggestions_served);
     println!(
         "  suggest latency:        mean {:.0}µs, p99 ≤ {}µs over {} runs",
         stats.suggest_latency.mean_micros(),
