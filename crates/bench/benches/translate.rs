@@ -16,18 +16,18 @@
 //!   ≥ 1.35× its scalar twin (both kernels stream the same ~200 KB of
 //!   weight columns per claim, so past the point where the sweep is
 //!   L2-fill-bound the twin ratio compresses — the per-claim ratio is
-//!   the headroom measure); and the classifier batch paths the aligned
-//!   layout exists for (`entropy_batch_into` over the feature-major
-//!   transpose) ≥ 2× the scalar per-row `predict_proba` + `Σ −p ln p`
-//!   loop.
+//!   the headroom measure); and the classifier batch path the aligned
+//!   layout exists for (`entropy_batch_into`'s fused-multiply-add sweep
+//!   of the feature-major block) ≥ 2× the scalar per-row
+//!   `predict_proba` + `Σ −p ln p` loop.
 //! * `translate/*` — claim translation (§3.1, top-k per property) over
 //!   the utility corpus's label spaces: `per_claim` is
 //!   `SystemModels::translate_view`, which ranks all four classifiers
-//!   from one sweep of the fused feature-major block; `per_classifier`
-//!   the row-major path it replaced (one `top_k_ids` per classifier: a
-//!   gathered dot product per class, then a ranking). Bit-identical
-//!   output is asserted on every claim before timing; acceptance target:
-//!   fused ≥ 4× per-classifier.
+//!   by sweeping each one's feature-major block; `per_classifier` the
+//!   row-major path it replaced, rebuilt here from the exported
+//!   row-major state (per classifier, a gathered dot product per class,
+//!   then a ranking). Bit-identical output is asserted on every claim
+//!   before timing; acceptance target: fused ≥ 4× per-classifier.
 //! * the **retrain storm** — suggest latency on a live engine while a
 //!   writer thread publishes back-to-back model epochs. With snapshot
 //!   swaps readers never wait on the trainer; the p99 must stay near the
@@ -44,9 +44,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use scrutinizer_core::{FeatureStore, OrderingStrategy, PropertyKind, SystemConfig, SystemModels};
+use scrutinizer_core::{
+    FeatureStore, ModelsState, OrderingStrategy, PropertyKind, SystemConfig, SystemModels,
+};
 use scrutinizer_corpus::{ClaimRecord, Corpus, CorpusConfig};
 use scrutinizer_engine::engine::{Engine, EngineOptions};
+use scrutinizer_learn::softmax::softmax_in_place;
 use scrutinizer_text::{SparseVector, SparseView};
 
 /// The retrain stream's shape mirrors the paper's loop: a report's worth
@@ -308,14 +311,14 @@ fn bench_utilities(c: &mut Criterion) {
         );
     }
 
-    // ---- classifier batch paths: aligned transpose vs per-row scalar ----
+    // ---- classifier batch paths: aligned FMA sweep vs per-row scalar ----
     // `entropy_batch_into` is the kernel Definition 7 leans on when the
-    // fusion is bypassed (single-classifier callers): feature-major
-    // transpose, one reused scratch row, entropy folded out of raw scores
-    // with one `ln` per row. The scalar baseline is what every caller did
-    // before the batch path existed: `prediction_entropy` per row
-    // (row-major dots, a fresh Vec of probabilities, libm softmax, then
-    // `Σ −p ln p`).
+    // fusion is bypassed (single-classifier callers): fused
+    // multiply-adds over the feature-major block, one reused scratch row,
+    // entropy folded out of raw scores with one `ln` per row. The scalar
+    // baseline is what every caller did before the batch path existed:
+    // `prediction_entropy` per row (the exact scoring kernel, a fresh Vec
+    // of probabilities, libm softmax, then `Σ −p ln p`).
     let clf = models.classifier(PropertyKind::Relation);
     let mut batch_entropy: Vec<f64> = Vec::new();
     clf.entropy_batch_into(&rows, &mut batch_entropy);
@@ -357,18 +360,39 @@ fn bench_utilities(c: &mut Criterion) {
     }
 }
 
-/// The row-major translation path `translate_view` replaced: each
-/// classifier ranks its own classes through `top_k_ids`.
+/// The row-major translation path `translate_view` replaced, over the
+/// exported (row-major) state: per classifier, `bias + x.dot_dense(row)`
+/// for every class, the libm softmax, then the top `k` by probability
+/// descending, ties by id, found by partial selection.
 fn translate_per_classifier(
-    models: &SystemModels,
+    state: &ModelsState,
     features: SparseView<'_>,
     k: usize,
 ) -> [Vec<(String, f32)>; 4] {
-    PropertyKind::ALL.map(|kind| {
-        let c = models.classifier(kind);
-        c.top_k_ids(features, k)
+    state.classifiers.each_ref().map(|c| {
+        let model = c.model.as_ref().expect("every classifier is trained");
+        let mut probs: Vec<f32> = (0..model.n_classes)
+            .map(|class| {
+                model.biases[class]
+                    + features.dot_dense(&model.weights[class * model.dim..][..model.dim])
+            })
+            .collect();
+        softmax_in_place(&mut probs);
+        let mut ranked: Vec<(u32, f32)> = probs
             .into_iter()
-            .map(|(id, p)| (c.label_name(id).to_string(), p))
+            .enumerate()
+            .map(|(id, p)| (id as u32, p))
+            .collect();
+        let order = |a: &(u32, f32), b: &(u32, f32)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
+        let taken = k.min(ranked.len());
+        if taken > 0 && taken < ranked.len() {
+            ranked.select_nth_unstable_by(taken - 1, order);
+        }
+        ranked.truncate(taken);
+        ranked.sort_unstable_by(order);
+        ranked
+            .into_iter()
+            .map(|(id, p)| (c.labels[id as usize].clone(), p))
             .collect()
     })
 }
@@ -379,12 +403,13 @@ fn bench_translation(c: &mut Criterion) {
     models.retrain(&refs);
     let k = SystemConfig::default().options_per_screen;
     let claims = corpus.claims.len();
+    let state = models.export_state();
 
     // ---- fused ≡ per-classifier, bit for bit, every claim --------------
     for id in 0..claims {
         let features = store.features(id);
         let fused = models.translate_view(features, k);
-        let expected = translate_per_classifier(&models, features, k);
+        let expected = translate_per_classifier(&state, features, k);
         for (kind, (got, want)) in PropertyKind::ALL
             .iter()
             .zip(fused.candidates.iter().zip(&expected))
@@ -414,7 +439,7 @@ fn bench_translation(c: &mut Criterion) {
     group.bench_function("per_classifier", |b| {
         b.iter(|| {
             for id in 0..claims {
-                black_box(translate_per_classifier(&models, store.features(id), k));
+                black_box(translate_per_classifier(&state, store.features(id), k));
             }
         })
     });
@@ -435,7 +460,7 @@ fn bench_translation(c: &mut Criterion) {
         black_box(models.translate_view(store.features(id), k));
     });
     let per_classifier_s = timed(&|id| {
-        black_box(translate_per_classifier(&models, store.features(id), k));
+        black_box(translate_per_classifier(&state, store.features(id), k));
     });
     let classes: usize = PropertyKind::ALL
         .iter()

@@ -56,9 +56,8 @@ impl Translation {
 }
 
 /// The serializable learned state of [`SystemModels`]: what a durable
-/// model snapshot carries. Everything else ([`ClaimFeaturizer`], the
-/// fused scoring block) is deterministically derived and rebuilt on
-/// restore.
+/// model snapshot carries. The [`ClaimFeaturizer`] is deterministically
+/// derived and rebuilt on restore.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelsState {
     /// Per-property learned state, in [`PropertyKind`] order.
@@ -86,11 +85,6 @@ pub struct SystemModels {
     replay: Vec<usize>,
     /// Round-robin cursor into `replay`.
     replay_cursor: usize,
-    /// The four classifiers' scoring layouts fused into one
-    /// `dim × total_classes` block — rebuilt after every retrain, so
-    /// batched utility scoring walks the CSR batch exactly once and
-    /// translation scores a claim in one sweep.
-    fused: FusedEntropy,
 }
 
 impl SystemModels {
@@ -118,13 +112,11 @@ impl SystemModels {
             PropertyClassifier::new("attribute", attribute_labels, dim, config.training),
             PropertyClassifier::new("formula", formula_labels, dim, config.training),
         ];
-        let fused = FusedEntropy::fuse(&classifiers.iter().collect::<Vec<_>>());
         SystemModels {
             featurizer: std::sync::Arc::new(featurizer),
             classifiers,
             replay: Vec::new(),
             replay_cursor: 0,
-            fused,
         }
     }
 
@@ -149,9 +141,9 @@ impl SystemModels {
     }
 
     /// Restores learned state exported by [`export_state`] onto
-    /// bootstrapped models (same corpus, same featurizer config), then
-    /// re-fuses the scoring block. Fails — leaving `self` untouched
-    /// — if the snapshot's shapes do not fit this featurizer.
+    /// bootstrapped models (same corpus, same featurizer config). Fails —
+    /// leaving `self` untouched — if the snapshot's shapes do not fit
+    /// this featurizer.
     ///
     /// [`export_state`]: Self::export_state
     pub fn restore_state(&mut self, state: ModelsState) -> Result<(), String> {
@@ -168,7 +160,6 @@ impl SystemModels {
         } else {
             state.replay_cursor % self.replay.len()
         };
-        self.fused = FusedEntropy::fuse(&self.classifiers.iter().collect::<Vec<_>>());
         Ok(())
     }
 
@@ -184,6 +175,11 @@ impl SystemModels {
         &self.classifiers[kind as usize]
     }
 
+    /// The four classifiers viewed together for the fused kernels.
+    fn fused(&self) -> FusedEntropy<'_> {
+        FusedEntropy::fuse(&self.classifiers.each_ref())
+    }
+
     /// Translates a claim: top-k candidates per property (§3.1).
     pub fn translate(&self, features: &SparseVector, k: usize) -> Translation {
         self.translate_view(features.view(), k)
@@ -193,20 +189,12 @@ impl SystemModels {
     /// [`FeatureStore`] row); label strings materialize only here, at the
     /// screen boundary.
     ///
-    /// The trained classifiers are ranked from one sweep of the
-    /// [`FusedEntropy`] block ([`FusedEntropy::top_k_ids_each`]),
-    /// bit-identical to each classifier's own
+    /// The trained classifiers are ranked through
+    /// [`FusedEntropy::top_k_ids_each`], one sweep of each classifier's
+    /// feature-major block, bit-identical to each classifier's own
     /// [`top_k_ids`](PropertyClassifier::top_k_ids); untrained ones keep
     /// their uniform answer in label-id order.
     pub fn translate_view(&self, features: SparseView<'_>, k: usize) -> Translation {
-        debug_assert!(
-            self.fused.segments().eq(self
-                .classifiers
-                .iter()
-                .enumerate()
-                .filter_map(|(model, c)| Some((model, c.n_classes()?)))),
-            "the fused block is stale: a classifier changed without a re-fuse"
-        );
         let named = |c: &PropertyClassifier, ranked: &[(u32, f32)]| -> Vec<(String, f32)> {
             ranked
                 .iter()
@@ -214,7 +202,7 @@ impl SystemModels {
                 .collect()
         };
         let mut candidates: [Vec<(String, f32)>; 4] = Default::default();
-        self.fused.top_k_ids_each(features, k, |model, ranked| {
+        self.fused().top_k_ids_each(features, k, |model, ranked| {
             candidates[model] = named(&self.classifiers[model], ranked);
         });
         for (slot, c) in candidates.iter_mut().zip(&self.classifiers) {
@@ -237,14 +225,14 @@ impl SystemModels {
     }
 
     /// Batched Definition 7: the training utility of every row of a CSR
-    /// feature batch (see [`FeatureStore::gather`]). One pass over the
-    /// batch through the [`FusedEntropy`] block — every stored feature is
-    /// one contiguous multiply-add sweep across all four classifiers'
-    /// classes, with a single reused scratch row and no per-claim
-    /// allocation.
+    /// feature batch (see [`FeatureStore::gather`]), through
+    /// [`FusedEntropy::utilities_into`]: per row and trained classifier,
+    /// every stored feature is one contiguous multiply-add sweep of that
+    /// classifier's classes, with a single reused scratch row and no
+    /// per-claim allocation.
     pub fn training_utilities(&self, rows: &FeatureMatrix) -> Vec<f64> {
         let mut out = Vec::new();
-        self.fused.utilities_into(rows, &mut out);
+        self.fused().utilities_into(rows, &mut out);
         out
     }
 
@@ -255,7 +243,7 @@ impl SystemModels {
     /// sweep to (≥ 2× on the aligned CSR layout).
     pub fn training_utilities_reference(&self, rows: &FeatureMatrix) -> Vec<f64> {
         let mut out = Vec::new();
-        self.fused.utilities_into_reference(rows, &mut out);
+        self.fused().utilities_into_reference(rows, &mut out);
         out
     }
 
@@ -358,8 +346,6 @@ impl SystemModels {
             .map(|(r, c)| (rows.row(r), formula.intern_label(&c.formula_text)))
             .collect();
         fit(formula, &formula_examples);
-
-        self.fused = FusedEntropy::fuse(&self.classifiers.iter().collect::<Vec<_>>());
     }
 
     /// Top-1 accuracy of each classifier on a claim set (used for the

@@ -1,9 +1,12 @@
 //! Differential property test for claim translation: the fused
-//! `SystemModels::translate_view` (one sweep of the feature-major block
-//! for all four classifiers) must return exactly what each classifier's
-//! own row-major `top_k_ids` returns — the same labels in the same
-//! order with bit-identical probabilities. Every screen, plan, verdict
-//! and golden fixture downstream depends on that ranking.
+//! `SystemModels::translate_view` (one sweep of each classifier's
+//! feature-major block) must return exactly the row-major ranking —
+//! the same labels in the same order with bit-identical probabilities.
+//! Every screen, plan, verdict and golden fixture downstream depends on
+//! that ranking. The oracle is independent of the classifiers' scoring
+//! kernel: it recomputes each ranking from the exported row-major
+//! `SoftmaxState` (`bias + x.dot_dense(row)` per class, the libm
+//! softmax, then probability descending with ties by id).
 //!
 //! Models come two ways: arbitrary learned state injected through
 //! `restore_state` (untrained classifiers, class counts below the label
@@ -19,8 +22,9 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 use scrutinizer_core::{FeatureStore, PropertyKind, SystemConfig, SystemModels};
 use scrutinizer_corpus::{ClaimRecord, Corpus, CorpusConfig};
-use scrutinizer_learn::SoftmaxState;
-use scrutinizer_text::SparseVector;
+use scrutinizer_learn::softmax::softmax_in_place;
+use scrutinizer_learn::{ClassifierState, SoftmaxState};
+use scrutinizer_text::{SparseVector, SparseView};
 
 struct Fixture {
     corpus: Corpus,
@@ -111,7 +115,32 @@ fn rows(mix: &mut Mix, dim: usize, claims: usize) -> Vec<SparseVector> {
     rows
 }
 
-/// The comparison: fused translation ≡ per-classifier `top_k_ids`, as
+/// The oracle: one classifier's top-`k` ranking recomputed from its
+/// exported state. Trained: row-major `bias + x.dot_dense(row)` per
+/// class, the libm softmax, a full sort by probability descending
+/// (`total_cmp`) then id ascending. Untrained: the uniform answer in
+/// label-id order.
+fn expected_ranking(state: &ClassifierState, x: SparseView<'_>, k: usize) -> Vec<(u32, f32)> {
+    let Some(model) = &state.model else {
+        let n = state.labels.len();
+        let p = 1.0 / n as f32;
+        return (0..n.min(k) as u32).map(|id| (id, p)).collect();
+    };
+    let mut probs: Vec<f32> = (0..model.n_classes)
+        .map(|c| model.biases[c] + x.dot_dense(&model.weights[c * model.dim..][..model.dim]))
+        .collect();
+    softmax_in_place(&mut probs);
+    let mut ranked: Vec<(u32, f32)> = probs
+        .into_iter()
+        .enumerate()
+        .map(|(id, p)| (id as u32, p))
+        .collect();
+    ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    ranked.truncate(k);
+    ranked
+}
+
+/// The comparison: fused translation ≡ the exported-state oracle, as
 /// `(label, prob.to_bits())`, at `k` ∈ {0, 1, n−1, n, n+5} for every
 /// classifier's label count `n`.
 fn check_parity(models: &SystemModels, rows: &[SparseVector]) -> Result<(), String> {
@@ -120,15 +149,15 @@ fn check_parity(models: &SystemModels, rows: &[SparseVector]) -> Result<(), Stri
         let n = models.classifier(kind).labels().len();
         ks.extend([n.saturating_sub(1), n, n + 5]);
     }
+    let states = models.export_state().classifiers;
     for (r, row) in rows.iter().enumerate() {
         for &k in &ks {
             let fused = models.translate_view(row.view(), k);
             for kind in PropertyKind::ALL {
-                let c = models.classifier(kind);
-                let expected: Vec<(&str, u32)> = c
-                    .top_k_ids(row.view(), k)
+                let state = &states[kind as usize];
+                let expected: Vec<(&str, u32)> = expected_ranking(state, row.view(), k)
                     .into_iter()
-                    .map(|(id, p)| (c.label_name(id), p.to_bits()))
+                    .map(|(id, p)| (state.labels[id as usize].as_str(), p.to_bits()))
                     .collect();
                 let got: Vec<(&str, u32)> = fused
                     .of(kind)
@@ -137,7 +166,7 @@ fn check_parity(models: &SystemModels, rows: &[SparseVector]) -> Result<(), Stri
                     .collect();
                 if got != expected {
                     return Err(format!(
-                        "row {r}, k {k}, {}: fused {got:?} != per-classifier {expected:?}",
+                        "row {r}, k {k}, {}: fused {got:?} != row-major oracle {expected:?}",
                         kind.name()
                     ));
                 }

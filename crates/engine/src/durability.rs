@@ -37,11 +37,20 @@
 //!   `EpochPublished` record, then the checkpoint — so any durable
 //!   `EpochPublished` record has its blob, and any checkpoint at epoch
 //!   `E > 0` has the `epoch-E` blob.
+//! * Recovery reads a blob only when the checkpoint or an
+//!   `EpochPublished` record names its epoch. A crash after the blob
+//!   write but before its record leaves an unreferenced blob: recovery
+//!   resumes the previous epoch, and the next publish of that epoch
+//!   number overwrites the stray blob atomically.
 //! * The engine's `wal_gate` makes checkpointing atomic against
 //!   concurrent mutations: ops hold the read side across
 //!   mutate-and-append, the checkpoint holds the write side across
 //!   image-and-cut, so a record can never land after a checkpoint that
 //!   already captured its effect (which would double-apply on replay).
+//!   The write side covers only the `EpochPublished` record and the
+//!   checkpoint: the blob (an encode, write and sync of the whole model)
+//!   is written before the gate is taken, so a publish never stalls
+//!   acknowledgements for it.
 
 use std::io;
 use std::sync::Arc;
@@ -443,11 +452,7 @@ fn put_f32s(out: &mut Vec<u8>, values: &[f32]) {
 
 fn read_f32s(reader: &mut Reader<'_>) -> Result<Vec<f32>, ApiError> {
     let count = reader.u32()? as usize;
-    let mut out = Vec::with_capacity(count.min(1 << 20));
-    for _ in 0..count {
-        out.push(f32::from_bits(reader.u32()?));
-    }
-    Ok(out)
+    reader.f32s(count)
 }
 
 /// Serializes the learned model state for one published epoch.

@@ -382,29 +382,37 @@ impl Engine {
     /// the counter. Concurrent trainers serialize on `retrain_serial`, so
     /// each one bases its copy on the previous one's published snapshot
     /// and no training is ever lost; readers keep loading snapshots
-    /// throughout.
+    /// throughout. The trainer lets go of the previous snapshot as soon
+    /// as it has its copy, so once readers move on, the previous epoch's
+    /// weights are freed before the new epoch's blob is encoded.
     fn run_retrain(&self, claim_ids: &[usize], kind: RetrainKind) -> u64 {
         let _serial = self
             .retrain_serial
             .lock()
             .expect("retrain serializer poisoned");
-        let snapshot = self.models.load();
-        let mut models = snapshot.models.clone();
-        self.stats.retrain_latency.time(|| {
+        let models = {
             let _span = obs::span!("retrain", claims = claim_ids.len());
-            match kind {
-                RetrainKind::FromScratch => {
-                    let refs: Vec<&ClaimRecord> = claim_ids
-                        .iter()
-                        .map(|&id| &self.corpus.claims[id])
-                        .collect();
-                    models.retrain(&refs);
+            let mut models = {
+                let _span = obs::span!("retrain.clone");
+                self.models.load().models.clone()
+            };
+            self.stats.retrain_latency.time(|| {
+                let _span = obs::span!("retrain.fit");
+                match kind {
+                    RetrainKind::FromScratch => {
+                        let refs: Vec<&ClaimRecord> = claim_ids
+                            .iter()
+                            .map(|&id| &self.corpus.claims[id])
+                            .collect();
+                        models.retrain(&refs);
+                    }
+                    RetrainKind::Incremental => {
+                        models.retrain_incremental(&self.features, &self.corpus.claims, claim_ids);
+                    }
                 }
-                RetrainKind::Incremental => {
-                    models.retrain_incremental(&self.features, &self.corpus.claims, claim_ids);
-                }
-            }
-        });
+            });
+            models
+        };
         let epoch = self.models.publish(models);
         self.stats.bump(&self.stats.retrains);
         if kind == RetrainKind::Incremental {
@@ -467,28 +475,39 @@ impl Engine {
 
     /// Makes a freshly published epoch durable: snapshot blob first, then
     /// the `EpochPublished` record, then a checkpoint of the full state
-    /// image (which compacts the log and prunes superseded blobs). Runs
-    /// under the gate's write side so the image is consistent with the
-    /// cut; callers hold `retrain_serial`, so epochs checkpoint in order.
+    /// image (which compacts the log), then pruning of superseded blobs.
+    /// Only the record and the checkpoint run under the gate's write
+    /// side, so the image is consistent with the cut; the blob is encoded
+    /// and written before it, while ops keep acknowledging — nothing
+    /// references the blob until the record is durable. Callers hold
+    /// `retrain_serial`, so epochs checkpoint in order.
     fn durable_publish(&self, epoch: u64, examples: u64, background: bool) {
         if !self.recording() {
             return;
         }
         let Some(wal) = &self.wal else { return };
-        let _gate = self.wal_gate.write().expect("wal gate poisoned");
-        let snapshot = self.models.load();
-        let blob = durability::encode_models(epoch, &snapshot.models.export_state());
-        wal_io(
-            wal.write_blob(&durability::snapshot_blob_name(epoch), &blob),
-            "model snapshot write failed",
-        );
-        self.log_record(&WalRecord::EpochPublished {
-            epoch,
-            examples,
-            background,
-        });
-        let image = durability::encode_state_image(&self.build_state_image());
-        wal_io(wal.checkpoint(epoch, &image), "wal checkpoint failed");
+        {
+            let _span = obs::span!("wal.blob_write");
+            let blob = {
+                let snapshot = self.models.load();
+                durability::encode_models(epoch, &snapshot.models.export_state())
+            };
+            wal_io(
+                wal.write_blob(&durability::snapshot_blob_name(epoch), &blob),
+                "model snapshot write failed",
+            );
+        }
+        {
+            let _gate = self.wal_gate.write().expect("wal gate poisoned");
+            self.log_record(&WalRecord::EpochPublished {
+                epoch,
+                examples,
+                background,
+            });
+            let _span = obs::span!("wal.checkpoint");
+            let image = durability::encode_state_image(&self.build_state_image());
+            wal_io(wal.checkpoint(epoch, &image), "wal checkpoint failed");
+        }
         if let Ok(blobs) = wal.list_blobs("epoch-") {
             for name in blobs {
                 if durability::snapshot_blob_epoch(&name).is_some_and(|e| e < epoch) {

@@ -198,6 +198,48 @@ fn missing_snapshot_blob_fails_recovery_instead_of_serving_bootstrap_models() {
 }
 
 #[test]
+fn crash_between_blob_and_record_resumes_the_previous_epoch() {
+    let storage = SimStorage::new();
+    let (engine, _) = recover_engine(&storage);
+    for claim_id in 0..6 {
+        engine.verify_claim_with(claim_id, &mut worker(400 + claim_id as u64));
+    }
+    engine.flush_retrains();
+    let epoch = engine.model_epoch();
+    assert!(epoch >= 1, "the verdicts retrained at least once");
+    let before = durable_subset(&engine);
+    drop(engine);
+    storage.crash();
+
+    // the next publish wrote its blob (written before the WAL gate is
+    // taken) and crashed before its EpochPublished record: the blob is
+    // durable but nothing references it. Its bytes are garbage on
+    // purpose — recovery must never read it.
+    let stray = format!("data/epoch-{:010}.snap", epoch + 1);
+    storage
+        .write_atomic(&stray, b"torn publish")
+        .expect("stray blob written");
+    let (recovered, report) = recover_engine(&storage);
+    assert_eq!(report.resumed_epoch, epoch, "the previous epoch resumes");
+    assert_eq!(durable_subset(&recovered), before);
+
+    // the next publish reuses the epoch number and overwrites the stray
+    // blob, so a second crash recovers onto the new epoch's real weights
+    for claim_id in 6..10 {
+        recovered.verify_claim_with(claim_id, &mut worker(400 + claim_id as u64));
+    }
+    recovered.flush_retrains();
+    assert!(recovered.model_epoch() > epoch, "a new epoch was published");
+    assert!(storage.read(&stray).expect("blob").starts_with(b"SCRMDLv1"));
+    let after = durable_subset(&recovered);
+    drop(recovered);
+    storage.crash();
+    let (second, report) = recover_engine(&storage);
+    assert_eq!(durable_subset(&second), after);
+    assert!(report.resumed_epoch > epoch);
+}
+
+#[test]
 fn open_sessions_survive_a_crash_and_finish_after_recovery() {
     let storage = SimStorage::new();
     let (engine, _) = recover_engine(&storage);

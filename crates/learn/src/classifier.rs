@@ -237,8 +237,8 @@ impl PropertyClassifier {
         }
     }
 
-    /// The trained softmax model, if any (crate-internal: fusion reads the
-    /// transposed layout directly).
+    /// The trained softmax model, if any (crate-internal: fusion sweeps
+    /// its feature-major block in place).
     pub(crate) fn softmax(&self) -> Option<&SoftmaxClassifier> {
         self.model.as_ref()
     }

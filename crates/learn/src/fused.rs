@@ -3,44 +3,41 @@
 //! (§3.1).
 //!
 //! Definition 7 sums the prediction entropy of *four* classifiers per
-//! claim. Scoring them one at a time walks the CSR batch four times and
-//! touches four separate transposed weight blocks per stored feature.
-//! [`FusedEntropy`] concatenates the trained classifiers' feature-major
-//! layouts into one `dim × total_classes` block, so each stored feature
-//! contributes with a single contiguous multiply-add sweep across *all*
-//! models' classes, and each row needs one pass over the matrix total.
+//! claim, and translation ranks all four per claim. [`FusedEntropy`] is
+//! a borrowed view of the classifiers: it owns no weights and is built
+//! in O(classifiers), so it can never go stale after a retrain. Both
+//! kernels walk a claim's stored features once, eight at a time, and
+//! sweep each group through every trained classifier's own
+//! feature-major block in place — per feature, one contiguous segment
+//! of class columns per classifier — into one reused scratch row.
 //! Untrained classifiers fold in as their constant uniform entropy.
 //!
-//! Translation reads the same block: [`FusedEntropy::top_k_ids_each`]
-//! scores one claim against all four classifiers in one sweep and ranks
-//! each classifier's segment. Its answers must be **bit-identical** to
-//! the row-major per-classifier path (`bias + dot_dense` per class, then
-//! the libm softmax), because every screen, plan, verdict and golden
-//! fixture downstream depends on the exact ranking. So its kernel keeps
+//! Translation ([`FusedEntropy::top_k_ids_each`]) must be
+//! **bit-identical** to the row-major per-classifier path it replaced
+//! (`bias + dot_dense` per class, then the libm softmax), because every
+//! screen, plan, verdict and golden fixture downstream depends on the
+//! exact ranking. It runs the classifier's exact kernel, which keeps
 //! that path's per-class summation order: each lane starts at `+0.0`,
 //! adds `v · w` for the in-range stored features in CSR order with an
 //! unfused multiply then add (`mul_add` rounds once and changes bits),
 //! and adds the bias last. The entropy kernel has no such constraint and
 //! uses fused multiply-adds.
-//!
-//! The fusion is a snapshot of the classifiers at build time — rebuild it
-//! after training (`scrutinizer-core` rebuilds per retrain and ships it
-//! inside the published model snapshot).
 
 use std::cell::RefCell;
 
 use crate::classifier::PropertyClassifier;
 use crate::softmax::{
-    entropy_from_scores, entropy_from_scores_reference, rank_top_k, softmax_in_place, LANES,
+    entropy_from_scores, entropy_from_scores_reference, feature_groups, rank_top_k,
+    softmax_in_place, SoftmaxClassifier,
 };
 use scrutinizer_text::{FeatureMatrix, SparseView};
 
 /// Per-thread translation scratch, reused across calls, so ranking
-/// allocates nothing once a thread has seen the widest block.
+/// allocates nothing once a thread has seen the widest classifier.
 struct RankScratch {
-    /// The stride-length score row.
+    /// The score row: every trained classifier's lanes, end to end.
     scores: Vec<f32>,
-    /// `(class id, probability)` pairs of the segment being ranked.
+    /// `(class id, probability)` pairs of the classifier being ranked.
     ranked: Vec<(u32, f32)>,
 }
 
@@ -53,189 +50,86 @@ thread_local! {
     };
 }
 
-/// Clamps one CSR entry for the branch-free fused sweep: an in-range
-/// feature passes through; an out-of-range index (never produced by the
-/// shared featurizer, but tolerated for parity with the scalar path)
-/// becomes a zero-valued sweep of column 0.
-#[inline]
-fn clamp_feature(index: u32, value: f32, dim: usize) -> (usize, f32) {
-    let i = index as usize;
-    if i < dim {
-        (i, value)
-    } else {
-        (0, 0.0)
-    }
-}
-
-/// The concatenated feature-major scoring block of several classifiers.
+/// Several classifiers scored together, reading each one's weights in
+/// place.
 #[derive(Debug, Clone)]
-pub struct FusedEntropy {
-    /// Total classes across the fused (trained) classifiers.
+pub struct FusedEntropy<'a> {
+    /// Every trained classifier, in input order.
+    members: Vec<Member<'a>>,
+    /// Length of one scratch score row: every member's stride, end to
+    /// end.
     width: usize,
-    /// Row stride of `weights`: `width` rounded up to a multiple of
-    /// [`LANES`], so every per-feature sweep is an exact
-    /// `chunks_exact(LANES)` pass with no scalar tail.
-    stride: usize,
-    /// `[start, end)` segment of each fused classifier inside a scratch row.
-    segments: Vec<(usize, usize)>,
-    /// Index into the `fuse` input of each segment's classifier.
-    members: Vec<usize>,
-    /// `dim × stride`: for feature `i`, the concatenated class columns of
-    /// every fused classifier at `weights[i * stride ..][..width]`; the
-    /// pad columns stay 0.0.
-    weights: Vec<f32>,
-    /// Concatenated biases padded to length `stride` (pad lanes 0.0).
-    biases: Vec<f32>,
-    /// Shared feature dimensionality.
+    /// The members' shared feature dimensionality.
     dim: usize,
     /// Σ `ln(n_labels)` of the untrained classifiers — their constant
     /// entropy contribution per row.
     constant: f64,
 }
 
-impl FusedEntropy {
-    /// Fuses the trained classifiers of `models`; untrained ones
+/// One trained classifier inside a [`FusedEntropy`].
+#[derive(Debug, Clone, Copy)]
+struct Member<'a> {
+    /// Index into the `fuse` input.
+    index: usize,
+    model: &'a SoftmaxClassifier,
+    /// Start of this member's lanes in a scratch score row.
+    offset: usize,
+}
+
+impl Member<'_> {
+    /// This member's lanes of a scratch score row.
+    fn lanes<'s>(&self, scratch: &'s mut [f32]) -> &'s mut [f32] {
+        &mut scratch[self.offset..][..self.model.stride()]
+    }
+}
+
+impl<'a> FusedEntropy<'a> {
+    /// Views the trained classifiers of `models` together; untrained ones
     /// contribute their uniform entropy as a per-row constant.
     ///
     /// # Panics
     /// Panics if the trained classifiers disagree on feature
     /// dimensionality (they share one featurizer by construction).
-    pub fn fuse(models: &[&PropertyClassifier]) -> Self {
+    pub fn fuse(models: &[&'a PropertyClassifier]) -> Self {
         let mut constant = 0.0f64;
-        // (weights_t, biases, nc, part stride)
-        let mut parts: Vec<(&[f32], &[f32], usize, usize)> = Vec::new();
-        let mut members = Vec::new();
-        let mut dim = 0usize;
+        let mut members: Vec<Member<'a>> = Vec::with_capacity(models.len());
+        let mut width = 0;
         for (index, classifier) in models.iter().enumerate() {
             match classifier.softmax() {
                 Some(model) => {
                     assert!(
-                        dim == 0 || dim == model.dim(),
+                        members.first().is_none_or(|m| m.model.dim() == model.dim()),
                         "fused classifiers must share one feature space"
                     );
-                    dim = model.dim();
-                    let (weights_t, biases, part_stride) = model.transposed_parts();
-                    parts.push((weights_t, biases, model.n_classes(), part_stride));
-                    members.push(index);
+                    members.push(Member {
+                        index,
+                        model,
+                        offset: width,
+                    });
+                    width += model.stride();
                 }
                 None => constant += classifier.uniform_entropy(),
             }
         }
-        let width: usize = parts.iter().map(|(_, _, nc, _)| nc).sum();
-        let stride = width.next_multiple_of(LANES);
-        let mut segments = Vec::with_capacity(parts.len());
-        let mut biases = vec![0.0f32; stride];
-        let mut start = 0usize;
-        for (_, part_biases, nc, _) in &parts {
-            segments.push((start, start + nc));
-            biases[start..start + nc].copy_from_slice(part_biases);
-            start += nc;
-        }
-        // interleave: fused row i = [m1 column i | m2 column i | ... | 0-pad]
-        let mut weights = vec![0.0f32; dim * stride];
-        for i in 0..dim {
-            let row = &mut weights[i * stride..(i + 1) * stride];
-            let mut offset = 0usize;
-            for (weights_t, _, nc, part_stride) in &parts {
-                row[offset..offset + nc]
-                    .copy_from_slice(&weights_t[i * part_stride..i * part_stride + nc]);
-                offset += nc;
-            }
-        }
+        let dim = members.first().map_or(0, |m| m.model.dim());
         FusedEntropy {
-            width,
-            stride,
-            segments,
             members,
-            weights,
-            biases,
+            width,
             dim,
             constant,
         }
     }
 
-    /// `(index into the fuse input, class count)` of every fused
-    /// (trained) classifier, in segment order. Untrained classifiers are
-    /// absent: they are not in the block.
-    pub fn segments(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.members
-            .iter()
-            .zip(&self.segments)
-            .map(|(&model, &(start, end))| (model, end - start))
-    }
-
-    /// Linear scores of one claim against every fused class, into the
-    /// first `stride` lanes of `scores` (pad lanes end at 0.0).
+    /// Ranks every trained classifier's classes for one claim, calling
+    /// `emit(model, ranked)` once per trained classifier, in input order:
+    /// `model` indexes the `fuse` input, `ranked` holds at most `k`
+    /// `(class id, probability)` pairs.
     ///
-    /// Bit-identical to the row-major `bias + x.dot_dense(row)` of each
-    /// class: every lane accumulates from `+0.0` with an unfused
-    /// `a + v * w` over the stored features in CSR order, skipping
-    /// indices ≥ `dim`, and the bias is added last (IEEE addition
-    /// commutes, so `dot + bias` is `bias + dot`). `mul_add` would round
-    /// once instead of twice and change bits. In-range features are
-    /// gathered eight at a time and folded into each lane in that order
-    /// within one sweep, which keeps the per-lane order and vectorizes
-    /// across lanes.
-    fn scores_into(&self, x: SparseView<'_>, scores: &mut [f32]) {
-        let stride = self.stride;
-        let scores = &mut scores[..stride];
-        scores.fill(0.0);
-        let mut group = [(0usize, 0.0f32); 8];
-        let mut filled = 0;
-        for (i, v) in x.iter() {
-            let i = i as usize;
-            if i >= self.dim {
-                continue;
-            }
-            group[filled] = (i * stride, v);
-            filled += 1;
-            if filled < group.len() {
-                continue;
-            }
-            filled = 0;
-            let [(o0, v0), (o1, v1), (o2, v2), (o3, v3), (o4, v4), (o5, v5), (o6, v6), (o7, v7)] =
-                group;
-            let c0 = &self.weights[o0..][..stride];
-            let c1 = &self.weights[o1..][..stride];
-            let c2 = &self.weights[o2..][..stride];
-            let c3 = &self.weights[o3..][..stride];
-            let c4 = &self.weights[o4..][..stride];
-            let c5 = &self.weights[o5..][..stride];
-            let c6 = &self.weights[o6..][..stride];
-            let c7 = &self.weights[o7..][..stride];
-            for j in 0..stride {
-                let mut a = scores[j];
-                a += v0 * c0[j];
-                a += v1 * c1[j];
-                a += v2 * c2[j];
-                a += v3 * c3[j];
-                a += v4 * c4[j];
-                a += v5 * c5[j];
-                a += v6 * c6[j];
-                a += v7 * c7[j];
-                scores[j] = a;
-            }
-        }
-        for &(offset, v) in &group[..filled] {
-            let column = &self.weights[offset..][..stride];
-            for (s, &w) in scores.iter_mut().zip(column) {
-                *s += v * w;
-            }
-        }
-        for (s, &b) in scores.iter_mut().zip(&self.biases) {
-            *s += b;
-        }
-    }
-
-    /// Ranks every fused classifier's classes for one claim in a single
-    /// sweep of the block, calling `emit(model, ranked)` once per segment
-    /// in [`segments`](Self::segments) order: `model` indexes the `fuse`
-    /// input, `ranked` holds at most `k` `(class id, probability)` pairs.
-    ///
-    /// Each segment's answer is bit-identical to that classifier's
-    /// row-major `SoftmaxClassifier::top_k_view`: the same scores (see
-    /// the kernel's summation order in the module doc), the same libm
-    /// softmax, and the same total order — probability descending by
+    /// One walk over the claim's features: each group of eight is swept
+    /// through every member's block in turn (the classifiers' exact
+    /// kernel, so each lane keeps the summation order in the module doc),
+    /// then each member adds its biases, takes the same libm softmax, and
+    /// ranks by the same total order — probability descending by
     /// `total_cmp`, then id ascending — found by partial selection. The
     /// score row and ranking buffer are per-thread scratch, so `emit`
     /// must not translate again on the same thread.
@@ -245,139 +139,98 @@ impl FusedEntropy {
         k: usize,
         mut emit: impl FnMut(usize, &[(u32, f32)]),
     ) {
-        if self.width == 0 {
+        if self.members.is_empty() {
             return;
         }
         RANK_SCRATCH.with_borrow_mut(|RankScratch { scores, ranked }| {
-            if scores.len() < self.stride {
-                scores.resize(self.stride, 0.0);
+            if scores.len() < self.width {
+                scores.resize(self.width, 0.0);
             }
-            self.scores_into(x, scores);
-            for (&model, &(start, end)) in self.members.iter().zip(&self.segments) {
-                let probs = &mut scores[start..end];
+            scores[..self.width].fill(0.0);
+            feature_groups(x, self.dim, |group| {
+                for m in &self.members {
+                    m.model.add_columns(group, m.lanes(scores));
+                }
+            });
+            for m in &self.members {
+                let lanes = m.lanes(scores);
+                m.model.add_biases(lanes);
+                let probs = &mut lanes[..m.model.n_classes()];
                 softmax_in_place(probs);
                 ranked.clear();
                 ranked.extend(probs.iter().enumerate().map(|(id, &p)| (id as u32, p)));
                 let taken = rank_top_k(ranked, k);
-                emit(model, &ranked[..taken]);
+                emit(m.index, &ranked[..taken]);
             }
         });
     }
 
     /// Appends the summed prediction entropy (Definition 7's `u(c)`) of
-    /// every CSR row to `out`: one matrix pass, one contiguous
-    /// fused-multiply-add sweep per group of eight stored features, one
-    /// softmax-entropy per fused segment, plus the untrained constant.
-    ///
-    /// The hot loop consumes features eight at a time with a scalar-zip
-    /// tail for the remainder: each sweep folds eight weight columns into
-    /// the scratch row per scratch load/store, split across two
-    /// accumulator chains (`a`/`b`) so the fused multiply-adds pipeline
-    /// instead of serializing on one dependency chain. Eight columns per
-    /// sweep is the lever because the sweep is otherwise bound on scratch
-    /// traffic — one column per load/store (the scalar twin's shape)
-    /// spends most of its memory ports re-reading the scratch row.
-    /// Columns and scratch share the `LANES`-multiple `stride`, so the
-    /// sweep is a contiguous same-length pass the compiler turns into
-    /// packed FMAs, and the per-segment entropies use the branch-free
-    /// [`exp_approx`] kernel. The [`utilities_into_reference`] scalar
-    /// twin is the parity oracle and the throughput baseline the
-    /// `translate` bench holds this kernel to.
+    /// every CSR row to `out`: one walk over the row's features, each
+    /// group of eight swept through every member's block with fused
+    /// multiply-adds (two accumulator chains per contiguous sweep), then
+    /// one softmax-entropy per member through the branch-free
+    /// [`exp_approx`], plus the untrained constant. The
+    /// [`utilities_into_reference`] scalar twin is the parity oracle and
+    /// the throughput baseline the `translate` bench holds this kernel
+    /// to.
     ///
     /// [`exp_approx`]: crate::softmax::exp_approx
     /// [`utilities_into_reference`]: Self::utilities_into_reference
     pub fn utilities_into(&self, rows: &FeatureMatrix, out: &mut Vec<f64>) {
         out.reserve(rows.rows());
-        if self.width == 0 {
-            out.extend(std::iter::repeat_n(self.constant, rows.rows()));
-            return;
-        }
-        let stride = self.stride;
-        let mut scratch_buf = vec![0.0f32; stride];
-        let scratch = &mut scratch_buf[..stride];
-        for r in 0..rows.rows() {
-            scratch.copy_from_slice(&self.biases);
-            if self.dim > 0 {
-                let row = rows.row(r);
-                let full = row.indices.len() - row.indices.len() % 8;
-                // out-of-dim features (never produced by the shared
-                // featurizer) degrade to a zero-valued sweep of column 0
-                // instead of a branch
-                let mut p = 0;
-                while p < full {
-                    let (i0, v0) = clamp_feature(row.indices[p], row.values[p], self.dim);
-                    let (i1, v1) = clamp_feature(row.indices[p + 1], row.values[p + 1], self.dim);
-                    let (i2, v2) = clamp_feature(row.indices[p + 2], row.values[p + 2], self.dim);
-                    let (i3, v3) = clamp_feature(row.indices[p + 3], row.values[p + 3], self.dim);
-                    let (i4, v4) = clamp_feature(row.indices[p + 4], row.values[p + 4], self.dim);
-                    let (i5, v5) = clamp_feature(row.indices[p + 5], row.values[p + 5], self.dim);
-                    let (i6, v6) = clamp_feature(row.indices[p + 6], row.values[p + 6], self.dim);
-                    let (i7, v7) = clamp_feature(row.indices[p + 7], row.values[p + 7], self.dim);
-                    let c0 = &self.weights[i0 * stride..][..stride];
-                    let c1 = &self.weights[i1 * stride..][..stride];
-                    let c2 = &self.weights[i2 * stride..][..stride];
-                    let c3 = &self.weights[i3 * stride..][..stride];
-                    let c4 = &self.weights[i4 * stride..][..stride];
-                    let c5 = &self.weights[i5 * stride..][..stride];
-                    let c6 = &self.weights[i6 * stride..][..stride];
-                    let c7 = &self.weights[i7 * stride..][..stride];
-                    for j in 0..stride {
-                        let mut a = scratch[j];
-                        let mut b = v4 * c4[j];
-                        a = v0.mul_add(c0[j], a);
-                        b = v5.mul_add(c5[j], b);
-                        a = v1.mul_add(c1[j], a);
-                        b = v6.mul_add(c6[j], b);
-                        a = v2.mul_add(c2[j], a);
-                        b = v7.mul_add(c7[j], b);
-                        a = v3.mul_add(c3[j], a);
-                        scratch[j] = a + b;
-                    }
-                    p += 8;
-                }
-                while p < row.indices.len() {
-                    let (i, v) = clamp_feature(row.indices[p], row.values[p], self.dim);
-                    let column = &self.weights[i * stride..][..stride];
-                    for (s, &w) in scratch.iter_mut().zip(column) {
-                        *s = v.mul_add(w, *s);
-                    }
-                    p += 1;
-                }
+        let mut scratch = vec![0.0f32; self.width];
+        for row in rows.iter() {
+            for m in &self.members {
+                m.lanes(&mut scratch)
+                    .copy_from_slice(m.model.padded_biases());
             }
+            feature_groups(row, self.dim, |group| {
+                for m in &self.members {
+                    m.model.fma_columns(group, m.lanes(&mut scratch));
+                }
+            });
             let mut utility = self.constant;
-            for &(start, end) in &self.segments {
-                utility += entropy_from_scores(&scratch[start..end]);
+            for m in &self.members {
+                utility += entropy_from_scores(&m.lanes(&mut scratch)[..m.model.n_classes()]);
             }
             out.push(utility);
         }
     }
 
-    /// The pre-alignment scalar kernel, kept verbatim as the parity
-    /// oracle and the baseline [`utilities_into`](Self::utilities_into)
-    /// is benchmarked against: `width`-strided (unpadded, unaligned)
-    /// weights, exact (unpadded) rows, one feature at a time, plain zip
-    /// sweeps, libm-`exp` entropy. The width-strided weight copy is
-    /// rebuilt per call (the pre-alignment kernel kept that layout
-    /// resident); the copy is a fraction of a percent of the scoring
-    /// work at any batch size worth benchmarking.
+    /// The pre-alignment scalar kernel, kept as the parity oracle and the
+    /// baseline [`utilities_into`](Self::utilities_into) is benchmarked
+    /// against: the trained classifiers' columns concatenated into one
+    /// `dim × width` block (unpadded, unaligned, rebuilt per call — a
+    /// fraction of a percent of the scoring work at any batch size worth
+    /// benchmarking), exact (unpadded) rows, one feature at a time,
+    /// plain zip sweeps, libm-`exp` entropy.
     pub fn utilities_into_reference(&self, rows: &FeatureMatrix, out: &mut Vec<f64>) {
         out.reserve(rows.rows());
-        if self.width == 0 {
+        if self.members.is_empty() {
             out.extend(std::iter::repeat_n(self.constant, rows.rows()));
             return;
         }
-        let width = self.width;
-        let mut weights = vec![0.0f32; self.dim * width];
-        for i in 0..self.dim {
-            weights[i * width..(i + 1) * width]
-                .copy_from_slice(&self.weights[i * self.stride..i * self.stride + width]);
+        let dim = self.dim;
+        let mut segments = Vec::with_capacity(self.members.len());
+        let mut biases = Vec::new();
+        for m in &self.members {
+            segments.push((biases.len(), biases.len() + m.model.n_classes()));
+            biases.extend_from_slice(m.model.biases());
+        }
+        let width = biases.len();
+        let mut weights = Vec::with_capacity(dim * width);
+        for i in 0..dim {
+            for m in &self.members {
+                weights.extend_from_slice(m.model.feature_column(i));
+            }
         }
         let mut scratch = vec![0.0f32; width];
         for row in rows.iter() {
-            scratch.copy_from_slice(&self.biases[..width]);
+            scratch.copy_from_slice(&biases);
             for (i, v) in row.iter() {
                 let i = i as usize;
-                if i >= self.dim {
+                if i >= dim {
                     continue;
                 }
                 let column = &weights[i * width..(i + 1) * width];
@@ -386,7 +239,7 @@ impl FusedEntropy {
                 }
             }
             let mut utility = self.constant;
-            for &(start, end) in &self.segments {
+            for &(start, end) in &segments {
                 utility += entropy_from_scores_reference(&scratch[start..end]);
             }
             out.push(utility);
@@ -489,7 +342,6 @@ mod tests {
         let b = trained(&["p", "q"], 4);
         let models = [&a, &untrained, &b];
         let fused = FusedEntropy::fuse(&models);
-        assert_eq!(fused.segments().collect::<Vec<_>>(), vec![(0, 3), (2, 2)]);
         // 9 in-range features exercise the eight-column sweep and its tail
         let rows = [
             features(0, 11),

@@ -9,27 +9,34 @@
 //! model, so [`SoftmaxClassifier::partial_fit`] resumes from the previous
 //! weights on just the newly verified examples instead of replaying the
 //! whole history from scratch. The class count can grow mid-stream
-//! (checkers suggest new answers); new classes join as zero rows appended
-//! in place.
+//! (checkers suggest new answers); new classes join as zero columns.
 //!
-//! Two inference layouts coexist on purpose:
+//! Each weight is stored once, in one **feature-major** layout: a
+//! `dim × stride` block (`stride` = the class count rounded up to a
+//! multiple of eight lanes) in which feature `i`'s class columns sit
+//! contiguously at `weights[i * stride..][..n_classes]`; the pad columns
+//! stay 0.0. The AdaGrad accumulators share the layout. Every consumer
+//! reads the block in place:
 //!
-//! * the **row-major** weight matrix (`class × dim`) drives training
-//!   updates and the per-classifier adapters only (`predict_proba`,
-//!   [`top_k_view`], and through them `PropertyClassifier::top_k_ids`,
-//!   `predict_id` and accuracy traces). Claim translation no longer runs
-//!   here: it ranks all four classifiers from one sweep of the fused
-//!   feature-major block ([`FusedEntropy`]), bit-identical to this path;
-//! * a **feature-major transpose** (`dim × class`, rebuilt once per
-//!   training call) drives the batched [`predict_proba_batch`] /
-//!   [`entropy_batch_into`] paths and is what [`FusedEntropy`]
-//!   concatenates: scoring a CSR row walks each feature's *contiguous*
-//!   class slice instead of gathering one scattered weight per class,
-//!   which is what makes bulk scoring fast.
+//! * training scores an example with one contiguous sweep per stored
+//!   feature, then updates the touched `(feature, class)` slots
+//!   elementwise;
+//! * per-claim inference (`predict_proba`, [`top_k_view`], and through
+//!   them `PropertyClassifier::top_k_ids`, `predict_id` and accuracy
+//!   traces) runs the same kernel;
+//! * [`FusedEntropy`] ranks all four classifiers for translation and sums
+//!   their Definition 7 entropies by sweeping each classifier's block.
+//!
+//! The exact scoring kernel keeps the per-lane order of the row-major
+//! `bias + x.dot_dense(row)` it replaced (see `scores_into`), so every
+//! ranking, screen, plan and verdict is bit-identical to that path; the
+//! batched entropy kernels carry no such constraint and use fused
+//! multiply-adds. The persisted [`SoftmaxState`] stays row-major:
+//! [`export_state`] and [`from_state`] transpose.
 //!
 //! [`top_k_view`]: SoftmaxClassifier::top_k_view
-//! [`predict_proba_batch`]: SoftmaxClassifier::predict_proba_batch
-//! [`entropy_batch_into`]: SoftmaxClassifier::entropy_batch_into
+//! [`export_state`]: SoftmaxClassifier::export_state
+//! [`from_state`]: SoftmaxClassifier::from_state
 //! [`FusedEntropy`]: crate::FusedEntropy
 
 use rand::rngs::StdRng;
@@ -71,17 +78,18 @@ impl Default for TrainConfig {
 }
 
 /// The serializable training state of a [`SoftmaxClassifier`]:
-/// everything needed to reconstruct it exactly. The feature-major
-/// scoring transpose is *derived* state and deliberately absent — it is
-/// rebuilt on restore, so a persisted model round-trips bit-for-bit
-/// through the same code path every retrain already exercises.
+/// everything needed to reconstruct it exactly. It is row-major (one
+/// `dim`-long row per class) — the on-disk layout since the first
+/// persisted snapshot; the classifier's feature-major block is a
+/// transpose of it, built on restore and undone on export, bit for bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SoftmaxState {
     /// Row-major `n_classes × dim` weights.
     pub weights: Vec<f32>,
     /// Per-class biases.
     pub biases: Vec<f32>,
-    /// AdaGrad weight accumulators (the warm-start state).
+    /// AdaGrad weight accumulators (the warm-start state), row-major
+    /// like `weights`.
     pub grad_sq_w: Vec<f32>,
     /// AdaGrad bias accumulators.
     pub grad_sq_b: Vec<f32>,
@@ -98,21 +106,26 @@ pub struct SoftmaxState {
 /// exact `chunks_exact(LANES)` sweeps with no scalar tail.
 pub(crate) const LANES: usize = 8;
 
+/// The initial AdaGrad accumulator of every weight and bias (keeps the
+/// first step's `1 / sqrt` finite).
+const GRAD_SQ_INIT: f32 = 1e-8;
+
 /// A trained softmax classifier over `n_classes` classes and `dim` features.
 #[derive(Debug, Clone)]
 pub struct SoftmaxClassifier {
-    weights: Vec<f32>, // n_classes × dim, row-major (training layout)
-    /// Feature-major transpose of `weights` (`dim × stride_t` with
-    /// `stride_t = n_classes` rounded up to [`LANES`]; the pad columns
-    /// stay 0.0), rebuilt after every training call; the batched scoring
-    /// layout.
-    weights_t: Vec<f32>,
-    /// Row stride of `weights_t`.
-    stride_t: usize,
-    biases: Vec<f32>,
-    /// Persisted AdaGrad accumulators — the warm-start state.
+    /// Feature-major weights, `dim × stride`: feature `i`'s class columns
+    /// at `weights[i * stride..][..n_classes]`, pad columns 0.0.
+    weights: Vec<f32>,
+    /// AdaGrad weight accumulators in the layout of `weights` (pad
+    /// columns at [`GRAD_SQ_INIT`], so a class growing into one starts
+    /// fresh) — the warm-start state.
     grad_sq_w: Vec<f32>,
+    /// Per-class biases padded to `stride` (pad lanes 0.0).
+    biases: Vec<f32>,
+    /// AdaGrad bias accumulators padded to `stride`.
     grad_sq_b: Vec<f32>,
+    /// Row stride of `weights`: `n_classes` rounded up to [`LANES`].
+    stride: usize,
     dim: usize,
     n_classes: usize,
     /// Completed training calls; salts the shuffle seed so successive
@@ -126,13 +139,13 @@ impl SoftmaxClassifier {
     /// [`partial_fit`]: SoftmaxClassifier::partial_fit
     pub fn untrained(n_classes: usize, dim: usize) -> Self {
         assert!(n_classes > 0, "need at least one class");
+        let stride = n_classes.next_multiple_of(LANES);
         SoftmaxClassifier {
-            weights: vec![0.0; n_classes * dim],
-            weights_t: vec![0.0; n_classes.next_multiple_of(LANES) * dim],
-            stride_t: n_classes.next_multiple_of(LANES),
-            biases: vec![0.0; n_classes],
-            grad_sq_w: vec![1e-8; n_classes * dim],
-            grad_sq_b: vec![1e-8; n_classes],
+            weights: vec![0.0; dim * stride],
+            grad_sq_w: vec![GRAD_SQ_INIT; dim * stride],
+            biases: vec![0.0; stride],
+            grad_sq_b: vec![GRAD_SQ_INIT; stride],
+            stride,
             dim,
             n_classes,
             fits: 0,
@@ -157,7 +170,6 @@ impl SoftmaxClassifier {
         let mut model = SoftmaxClassifier::untrained(n_classes, dim);
         model.fit_epochs(examples, config, config.seed);
         model.fits = 1;
-        model.rebuild_transpose();
         model
     }
 
@@ -178,9 +190,7 @@ impl SoftmaxClassifier {
     /// incremental retrain path. Weights, biases and AdaGrad accumulators
     /// continue from where the last call left them, so the effective step
     /// sizes keep shrinking as if the stream had been one long training
-    /// run; class ids beyond the current shape grow the weight matrix in
-    /// place (appended zero rows — row-major by class makes that a plain
-    /// `resize`).
+    /// run; class ids beyond the current shape grow the model first.
     pub fn partial_fit(&mut self, examples: &[(SparseView<'_>, u32)], config: TrainConfig) {
         if examples.is_empty() {
             return;
@@ -196,112 +206,109 @@ impl SoftmaxClassifier {
             .wrapping_add(self.fits.wrapping_mul(0x9E37_79B9));
         self.fit_epochs(examples, config, seed);
         self.fits += 1;
-        self.rebuild_transpose();
     }
 
-    /// Appends zero-weight classes in place (row-major by class, so class
-    /// growth is a tail `resize` of every per-class array).
+    /// Adds zero-weight classes. Within the current stride they take over
+    /// pad columns, which already hold a zero weight and a fresh
+    /// accumulator; past it, this classifier's arrays are re-strided once.
     fn grow_classes(&mut self, n_classes: usize) {
         debug_assert!(n_classes > self.n_classes);
-        self.weights.resize(n_classes * self.dim, 0.0);
-        self.grad_sq_w.resize(n_classes * self.dim, 1e-8);
-        self.biases.resize(n_classes, 0.0);
-        self.grad_sq_b.resize(n_classes, 1e-8);
+        let stride = n_classes.next_multiple_of(LANES);
+        if stride > self.stride {
+            self.weights = restride(&self.weights, self.stride, stride, 0.0);
+            self.grad_sq_w = restride(&self.grad_sq_w, self.stride, stride, GRAD_SQ_INIT);
+            self.biases.resize(stride, 0.0);
+            self.grad_sq_b.resize(stride, GRAD_SQ_INIT);
+            self.stride = stride;
+        }
         self.n_classes = n_classes;
     }
 
     /// The AdaGrad inner loop: `config.epochs` shuffled passes over
-    /// `examples`, updating the true class plus the top-probability classes.
+    /// `examples`, updating the true class plus the top-probability
+    /// classes in place in the feature-major block.
     fn fit_epochs(&mut self, examples: &[(SparseView<'_>, u32)], config: TrainConfig, seed: u64) {
-        let n_classes = self.n_classes;
-        let dim = self.dim;
+        let (n_classes, dim, stride) = (self.n_classes, self.dim, self.stride);
         let mut order: Vec<usize> = (0..examples.len()).collect();
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut probs = vec![0.0f32; n_classes];
-        let mut touched: Vec<usize> = Vec::with_capacity(n_classes.min(64));
+        let mut scores = vec![0.0f32; stride];
+        let mut touched: Vec<usize> = Vec::with_capacity(n_classes);
+        // (class, gradient) of every touched class with a nonzero gradient
+        let mut steps: Vec<(usize, f32)> = Vec::with_capacity(n_classes.min(64));
         for _ in 0..config.epochs {
             order.shuffle(&mut rng);
             for &idx in &order {
                 let (x, y) = &examples[idx];
-                self.scores_into(*x, &mut probs);
-                softmax_in_place(&mut probs);
+                let y = *y as usize;
+                self.scores_into(*x, &mut scores);
+                let probs = &mut scores[..n_classes];
+                softmax_in_place(probs);
                 // classes to update: the true class plus the top-probability
                 // classes (they carry essentially all the gradient mass)
                 touched.clear();
-                if n_classes <= config.max_update_classes {
-                    touched.extend(0..n_classes);
-                } else {
-                    let mut ranked: Vec<usize> = (0..n_classes).collect();
-                    ranked.select_nth_unstable_by(config.max_update_classes - 1, |&a, &b| {
+                touched.extend(0..n_classes);
+                if n_classes > config.max_update_classes {
+                    touched.select_nth_unstable_by(config.max_update_classes - 1, |&a, &b| {
                         probs[b].total_cmp(&probs[a])
                     });
-                    touched.extend_from_slice(&ranked[..config.max_update_classes]);
-                    if !touched.contains(&(*y as usize)) {
-                        touched.push(*y as usize);
+                    touched.truncate(config.max_update_classes);
+                    if !touched.contains(&y) {
+                        touched.push(y);
                     }
                 }
-                // gradient of cross-entropy: (p - onehot(y)) ⊗ x
+                // gradient of cross-entropy: (p - onehot(y)) ⊗ x — biases
+                // first, then the touched weights feature by feature. Every
+                // slot's update reads and writes only that slot, so the
+                // visiting order changes no bit.
+                steps.clear();
                 for &c in &touched {
-                    let g = probs[c] - f32::from(c as u32 == *y);
+                    let g = probs[c] - f32::from(c == y);
                     if g == 0.0 {
                         continue;
                     }
-                    // bias
-                    let gb = g;
-                    self.grad_sq_b[c] += gb * gb;
-                    self.biases[c] -= config.learning_rate * gb / self.grad_sq_b[c].sqrt();
-                    // touched weights only
-                    let row = c * dim;
-                    for (i, v) in x.iter() {
-                        let i = i as usize;
-                        if i >= dim {
-                            continue;
-                        }
-                        let slot = row + i;
-                        let gw = g * v + config.l2 * self.weights[slot];
-                        self.grad_sq_w[slot] += gw * gw;
-                        self.weights[slot] -=
-                            config.learning_rate * gw / self.grad_sq_w[slot].sqrt();
+                    self.grad_sq_b[c] += g * g;
+                    self.biases[c] -= config.learning_rate * g / self.grad_sq_b[c].sqrt();
+                    steps.push((c, g));
+                }
+                for (i, v) in x.iter() {
+                    let i = i as usize;
+                    if i >= dim {
+                        continue;
+                    }
+                    let weights = &mut self.weights[i * stride..][..stride];
+                    let grad_sq = &mut self.grad_sq_w[i * stride..][..stride];
+                    for &(c, g) in &steps {
+                        let gw = g * v + config.l2 * weights[c];
+                        grad_sq[c] += gw * gw;
+                        weights[c] -= config.learning_rate * gw / grad_sq[c].sqrt();
                     }
                 }
             }
         }
     }
 
-    /// Rebuilds the feature-major scoring transpose from the row-major
-    /// training weights; called once per training call, so reads between
-    /// retrains always see a consistent layout. Each feature's class
-    /// slice is padded out to a [`LANES`]-multiple stride (pad columns
-    /// 0.0), so the batched sweeps run tail-free.
-    fn rebuild_transpose(&mut self) {
-        self.stride_t = self.n_classes.next_multiple_of(LANES);
-        self.weights_t.clear();
-        self.weights_t.resize(self.stride_t * self.dim, 0.0);
-        for c in 0..self.n_classes {
-            let row = &self.weights[c * self.dim..(c + 1) * self.dim];
-            for (i, &w) in row.iter().enumerate() {
-                if w != 0.0 {
-                    self.weights_t[i * self.stride_t + c] = w;
-                }
-            }
-        }
-    }
-
-    /// A copy of the full training state, for persistence.
+    /// A copy of the full training state, for persistence, transposed to
+    /// the row-major [`SoftmaxState`] layout.
     pub fn export_state(&self) -> SoftmaxState {
+        let (n_classes, dim) = (self.n_classes, self.dim);
+        let row_major = |block: &[f32]| {
+            let mut out = vec![0.0; n_classes * dim];
+            transpose_into(block, dim, n_classes, self.stride, &mut out, dim);
+            out
+        };
         SoftmaxState {
-            weights: self.weights.clone(),
-            biases: self.biases.clone(),
-            grad_sq_w: self.grad_sq_w.clone(),
-            grad_sq_b: self.grad_sq_b.clone(),
-            dim: self.dim,
-            n_classes: self.n_classes,
+            weights: row_major(&self.weights),
+            biases: self.biases[..n_classes].to_vec(),
+            grad_sq_w: row_major(&self.grad_sq_w),
+            grad_sq_b: self.grad_sq_b[..n_classes].to_vec(),
+            dim,
+            n_classes,
             fits: self.fits,
         }
     }
 
-    /// Reconstructs a classifier from persisted state, rebuilding the
-    /// derived scoring transpose. Rejects shape-inconsistent state (a
+    /// Reconstructs a classifier from persisted state, transposing it to
+    /// the feature-major block. Rejects shape-inconsistent state (a
     /// corrupt or truncated snapshot) rather than panicking later.
     pub fn from_state(state: SoftmaxState) -> Result<Self, String> {
         if state.n_classes == 0 {
@@ -321,19 +328,27 @@ impl SoftmaxClassifier {
                 state.biases.len()
             ));
         }
-        let mut model = SoftmaxClassifier {
-            weights: state.weights,
-            weights_t: Vec::new(),
-            stride_t: 0,
-            biases: state.biases,
-            grad_sq_w: state.grad_sq_w,
-            grad_sq_b: state.grad_sq_b,
-            dim: state.dim,
-            n_classes: state.n_classes,
-            fits: state.fits,
+        let (n_classes, dim) = (state.n_classes, state.dim);
+        let stride = n_classes.next_multiple_of(LANES);
+        let feature_major = |rows: &[f32], pad: f32| {
+            let mut out = vec![pad; dim * stride];
+            transpose_into(rows, n_classes, dim, dim, &mut out, stride);
+            out
         };
-        model.rebuild_transpose();
-        Ok(model)
+        let mut biases = state.biases;
+        biases.resize(stride, 0.0);
+        let mut grad_sq_b = state.grad_sq_b;
+        grad_sq_b.resize(stride, GRAD_SQ_INIT);
+        Ok(SoftmaxClassifier {
+            weights: feature_major(&state.weights, 0.0),
+            grad_sq_w: feature_major(&state.grad_sq_w, GRAD_SQ_INIT),
+            biases,
+            grad_sq_b,
+            stride,
+            dim,
+            n_classes,
+            fits: state.fits,
+        })
     }
 
     /// Number of classes.
@@ -341,16 +356,24 @@ impl SoftmaxClassifier {
         self.n_classes
     }
 
-    /// The feature-major scoring layout (`weights_t`, `biases`, row
-    /// stride of `weights_t`) — crate-internal input to
-    /// [`FusedEntropy`](crate::FusedEntropy).
-    pub(crate) fn transposed_parts(&self) -> (&[f32], &[f32], usize) {
-        (&self.weights_t, &self.biases, self.stride_t)
-    }
-
     /// Feature dimensionality.
     pub fn dim(&self) -> usize {
         self.dim
+    }
+
+    /// Length of one score row: the class count rounded up to [`LANES`].
+    pub(crate) fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// Feature `i`'s weight for every class (`i < dim`).
+    pub(crate) fn feature_column(&self, i: usize) -> &[f32] {
+        &self.weights[i * self.stride..][..self.n_classes]
+    }
+
+    /// The per-class biases.
+    pub(crate) fn biases(&self) -> &[f32] {
+        &self.biases[..self.n_classes]
     }
 
     /// Class probabilities for `x` (softmax over linear scores).
@@ -360,58 +383,153 @@ impl SoftmaxClassifier {
 
     /// [`predict_proba`](Self::predict_proba) over a borrowed view.
     pub fn predict_proba_view(&self, x: SparseView<'_>) -> Vec<f32> {
-        let mut probs = vec![0.0f32; self.n_classes];
+        let mut probs = vec![0.0f32; self.stride];
         self.scores_into(x, &mut probs);
+        probs.truncate(self.n_classes);
         softmax_in_place(&mut probs);
         probs
     }
 
-    /// Linear scores via the row-major layout (one dot product per class) —
-    /// the legacy per-claim path, also used inside training where the
-    /// transpose is stale.
-    fn scores_into(&self, x: SparseView<'_>, scores: &mut [f32]) {
-        debug_assert_eq!(scores.len(), self.n_classes);
-        for (c, s) in scores.iter_mut().enumerate() {
-            *s = self.biases[c] + x.dot_dense(&self.weights[c * self.dim..(c + 1) * self.dim]);
+    /// Linear scores of `x` against every class, into `scores[..stride]`
+    /// (`scores[..n_classes]` are the real scores; the pad lanes end at
+    /// 0.0) — the one exact scoring kernel: training, per-claim inference
+    /// and fused translation all run it.
+    ///
+    /// Bit-identical to the row-major `bias + x.dot_dense(row)` of each
+    /// class: every lane accumulates from `+0.0` with an unfused
+    /// `a + v * w` over the stored features in CSR order, skipping
+    /// indices ≥ `dim`, and the bias is added last (IEEE addition
+    /// commutes, so `dot + bias` is `bias + dot`). `mul_add` would round
+    /// once instead of twice and change bits. In-range features are
+    /// gathered eight at a time ([`feature_groups`]) and folded into each
+    /// lane in that order within one sweep, which keeps the per-lane
+    /// order and vectorizes across lanes.
+    pub(crate) fn scores_into(&self, x: SparseView<'_>, scores: &mut [f32]) {
+        scores[..self.stride].fill(0.0);
+        feature_groups(x, self.dim, |group| self.add_columns(group, scores));
+        self.add_biases(scores);
+    }
+
+    /// The exact kernel's sweep: folds a group of `(feature, value)`
+    /// columns into `scores[..stride]`, each lane `a += v * w` (unfused)
+    /// in group order — eight columns per pass for a full group, one at a
+    /// time for the remainder.
+    #[inline]
+    pub(crate) fn add_columns(&self, group: &[(usize, f32)], scores: &mut [f32]) {
+        let stride = self.stride;
+        let scores = &mut scores[..stride];
+        let Ok(&[(i0, v0), (i1, v1), (i2, v2), (i3, v3), (i4, v4), (i5, v5), (i6, v6), (i7, v7)]) =
+            <&[(usize, f32); 8]>::try_from(group)
+        else {
+            for &(i, v) in group {
+                let column = &self.weights[i * stride..][..stride];
+                for (s, &w) in scores.iter_mut().zip(column) {
+                    *s += v * w;
+                }
+            }
+            return;
+        };
+        let c0 = &self.weights[i0 * stride..][..stride];
+        let c1 = &self.weights[i1 * stride..][..stride];
+        let c2 = &self.weights[i2 * stride..][..stride];
+        let c3 = &self.weights[i3 * stride..][..stride];
+        let c4 = &self.weights[i4 * stride..][..stride];
+        let c5 = &self.weights[i5 * stride..][..stride];
+        let c6 = &self.weights[i6 * stride..][..stride];
+        let c7 = &self.weights[i7 * stride..][..stride];
+        for j in 0..stride {
+            let mut a = scores[j];
+            a += v0 * c0[j];
+            a += v1 * c1[j];
+            a += v2 * c2[j];
+            a += v3 * c3[j];
+            a += v4 * c4[j];
+            a += v5 * c5[j];
+            a += v6 * c6[j];
+            a += v7 * c7[j];
+            scores[j] = a;
         }
     }
 
-    /// Linear scores via the feature-major transpose into a
-    /// `stride_t`-long scratch row (`scores[..n_classes]` are the real
-    /// scores; the pad lanes stay 0.0 because the pad weight columns and
-    /// pad bias lanes are 0.0). The sweep over each stored feature's
-    /// contiguous class slice is a flat fused-multiply-add pass over two
-    /// slices of provably equal length — the shape the vectorizer turns
-    /// into packed FMAs — instead of a nested lane-chunked loop, which
-    /// compiles to scalar code — the batched scoring kernel.
-    fn scores_into_transposed(&self, x: SparseView<'_>, scores: &mut [f32]) {
-        debug_assert_eq!(scores.len(), self.stride_t);
-        scores[..self.n_classes].copy_from_slice(&self.biases);
-        scores[self.n_classes..].fill(0.0);
-        let stride = self.stride_t;
-        let scores = &mut scores[..stride];
-        for (i, v) in x.iter() {
-            let i = i as usize;
-            if i >= self.dim {
-                continue;
-            }
-            let column = &self.weights_t[i * stride..][..stride];
-            for j in 0..stride {
-                scores[j] = v.mul_add(column[j], scores[j]);
-            }
+    /// The exact kernel's last step: adds each bias to its lane of
+    /// `scores[..stride]` (pad lanes add 0.0).
+    #[inline]
+    pub(crate) fn add_biases(&self, scores: &mut [f32]) {
+        for (s, &b) in scores[..self.stride].iter_mut().zip(&self.biases) {
+            *s += b;
         }
+    }
+
+    /// Linear scores for the entropy kernels, into `scores[..stride]`:
+    /// from the biases, one fused-multiply-add sweep per group of eight
+    /// stored features ([`fma_columns`](Self::fma_columns)). Not
+    /// bit-identical to [`scores_into`](Self::scores_into) (an FMA rounds
+    /// once), and no ranking reads it.
+    pub(crate) fn fma_scores_into(&self, x: SparseView<'_>, scores: &mut [f32]) {
+        scores[..self.stride].copy_from_slice(&self.biases);
+        feature_groups(x, self.dim, |group| self.fma_columns(group, scores));
+    }
+
+    /// The entropy kernels' sweep: folds a group of `(feature, value)`
+    /// columns into `scores[..stride]` with fused multiply-adds. A full
+    /// group of eight runs as one contiguous pass split across two
+    /// accumulator chains (`a`/`b`), so the FMAs pipeline instead of
+    /// serializing on one dependency chain; eight columns per pass is the
+    /// lever because the sweep is otherwise bound on scratch traffic. A
+    /// remainder group sweeps one column at a time.
+    #[inline]
+    pub(crate) fn fma_columns(&self, group: &[(usize, f32)], scores: &mut [f32]) {
+        let stride = self.stride;
+        let scratch = &mut scores[..stride];
+        let Ok(&[(i0, v0), (i1, v1), (i2, v2), (i3, v3), (i4, v4), (i5, v5), (i6, v6), (i7, v7)]) =
+            <&[(usize, f32); 8]>::try_from(group)
+        else {
+            for &(i, v) in group {
+                let column = &self.weights[i * stride..][..stride];
+                for (s, &w) in scratch.iter_mut().zip(column) {
+                    *s = v.mul_add(w, *s);
+                }
+            }
+            return;
+        };
+        let c0 = &self.weights[i0 * stride..][..stride];
+        let c1 = &self.weights[i1 * stride..][..stride];
+        let c2 = &self.weights[i2 * stride..][..stride];
+        let c3 = &self.weights[i3 * stride..][..stride];
+        let c4 = &self.weights[i4 * stride..][..stride];
+        let c5 = &self.weights[i5 * stride..][..stride];
+        let c6 = &self.weights[i6 * stride..][..stride];
+        let c7 = &self.weights[i7 * stride..][..stride];
+        for j in 0..stride {
+            let mut a = scratch[j];
+            let mut b = v4 * c4[j];
+            a = v0.mul_add(c0[j], a);
+            b = v5.mul_add(c5[j], b);
+            a = v1.mul_add(c1[j], a);
+            b = v6.mul_add(c6[j], b);
+            a = v2.mul_add(c2[j], a);
+            b = v7.mul_add(c7[j], b);
+            a = v3.mul_add(c3[j], a);
+            scratch[j] = a + b;
+        }
+    }
+
+    /// The per-class biases padded to `stride` (pad lanes 0.0): the
+    /// starting score row of the entropy kernels.
+    pub(crate) fn padded_biases(&self) -> &[f32] {
+        &self.biases
     }
 
     /// Class probabilities for every row of a CSR batch, returned as one
     /// row-major `rows × n_classes` block. Scores run through the
-    /// feature-major transpose with a single reused scratch row — no
+    /// fused-multiply-add kernel with a single reused scratch row — no
     /// per-claim allocation, no scattered weight gathers.
     pub fn predict_proba_batch(&self, rows: &FeatureMatrix) -> Vec<f32> {
         let nc = self.n_classes;
-        let mut scratch = vec![0.0f32; self.stride_t];
+        let mut scratch = vec![0.0f32; self.stride];
         let mut out = vec![0.0f32; rows.rows() * nc];
         for (r, row) in rows.iter().enumerate() {
-            self.scores_into_transposed(row, &mut scratch);
+            self.fma_scores_into(row, &mut scratch);
             let slot = &mut out[r * nc..(r + 1) * nc];
             slot.copy_from_slice(&scratch[..nc]);
             softmax_in_place(slot);
@@ -422,14 +540,14 @@ impl SoftmaxClassifier {
     /// Appends the prediction entropy of every row of a CSR batch to `out`
     /// — the bulk kernel behind batched training-utility scoring
     /// (Definition 7). Equivalent to `entropy(&predict_proba(row))` per
-    /// row, but with one reused scratch buffer, the transposed layout, and
-    /// entropy folded out of the raw scores with a single `ln` per row
-    /// (`H = ln Z − Σ eᶜ·sᶜ / Z`) instead of one per class.
+    /// row, but with one reused scratch buffer, the fused-multiply-add
+    /// kernel, and entropy folded out of the raw scores with a single
+    /// `ln` per row (`H = ln Z − Σ eᶜ·sᶜ / Z`) instead of one per class.
     pub fn entropy_batch_into(&self, rows: &FeatureMatrix, out: &mut Vec<f64>) {
-        let mut scratch = vec![0.0f32; self.stride_t];
+        let mut scratch = vec![0.0f32; self.stride];
         out.reserve(rows.rows());
         for row in rows.iter() {
-            self.scores_into_transposed(row, &mut scratch);
+            self.fma_scores_into(row, &mut scratch);
             out.push(entropy_from_scores(&scratch[..self.n_classes]));
         }
     }
@@ -455,6 +573,73 @@ impl SoftmaxClassifier {
     /// Most probable class.
     pub fn predict(&self, x: &SparseVector) -> u32 {
         self.top_k(x, 1)[0].0
+    }
+}
+
+/// The feature walk shared by every scoring kernel: hands the stored
+/// features of `x` with index < `dim` to `sweep` in CSR order, eight per
+/// call, then the remainder (fewer than eight) in one last call. Indices
+/// ≥ `dim` (never produced by the shared featurizer) are skipped, as the
+/// row-major `dot_dense` skips them.
+#[inline]
+pub(crate) fn feature_groups(
+    x: SparseView<'_>,
+    dim: usize,
+    mut sweep: impl FnMut(&[(usize, f32)]),
+) {
+    let mut group = [(0usize, 0.0f32); 8];
+    let mut filled = 0;
+    for (i, v) in x.iter() {
+        let i = i as usize;
+        if i >= dim {
+            continue;
+        }
+        group[filled] = (i, v);
+        filled += 1;
+        if filled == group.len() {
+            sweep(&group);
+            filled = 0;
+        }
+    }
+    if filled > 0 {
+        sweep(&group[..filled]);
+    }
+}
+
+/// Copies a block of `from`-long rows into `to`-long rows (`to ≥ from`),
+/// filling the new trailing lanes with `pad`.
+fn restride(block: &[f32], from: usize, to: usize, pad: f32) -> Vec<f32> {
+    let mut out = Vec::with_capacity(block.len() / from * to);
+    for row in block.chunks_exact(from) {
+        out.extend_from_slice(row);
+        out.resize(out.len() + to - from, pad);
+    }
+    out
+}
+
+/// `dst[c * dst_stride + r] = src[r * src_stride + c]` for every
+/// `r < rows`, `c < cols`, in square tiles: each tile writes contiguous
+/// runs of `dst` and gathers from a tile of `src` rows small enough to
+/// stay in cache.
+fn transpose_into(
+    src: &[f32],
+    rows: usize,
+    cols: usize,
+    src_stride: usize,
+    dst: &mut [f32],
+    dst_stride: usize,
+) {
+    const TILE: usize = 64;
+    for r0 in (0..rows).step_by(TILE) {
+        let r1 = (r0 + TILE).min(rows);
+        for c0 in (0..cols).step_by(TILE) {
+            for c in c0..(c0 + TILE).min(cols) {
+                let run = &mut dst[c * dst_stride..][r0..r1];
+                for (r, slot) in (r0..r1).zip(run) {
+                    *slot = src[r * src_stride + c];
+                }
+            }
+        }
     }
 }
 
