@@ -125,8 +125,9 @@ impl SystemModels {
         &self.featurizer
     }
 
-    /// A copy of the learned state for persistence: the four classifiers
-    /// plus the rehearsal log. The featurizer is *not* included — it is
+    /// A whole copy of the learned state: the four classifiers plus the
+    /// rehearsal log — what a model snapshot carries, though snapshots
+    /// stream it rather than copy it. The featurizer is *not* included — it is
     /// fitted deterministically from the corpus at bootstrap, so a
     /// restored process rebuilds it and layers the learned state on top.
     pub fn export_state(&self) -> ModelsState {
@@ -147,20 +148,51 @@ impl SystemModels {
     ///
     /// [`export_state`]: Self::export_state
     pub fn restore_state(&mut self, state: ModelsState) -> Result<(), String> {
-        let mut classifiers = self.classifiers.clone();
         let [relation, key, attribute, formula] = state.classifiers;
-        classifiers[0].restore_state(relation)?;
-        classifiers[1].restore_state(key)?;
-        classifiers[2].restore_state(attribute)?;
-        classifiers[3].restore_state(formula)?;
-        self.classifiers = classifiers;
-        self.replay = state.replay;
-        self.replay_cursor = if self.replay.is_empty() {
+        let [c0, c1, c2, c3] = &self.classifiers;
+        let classifiers = [
+            c0.with_state(relation)?,
+            c1.with_state(key)?,
+            c2.with_state(attribute)?,
+            c3.with_state(formula)?,
+        ];
+        *self = self.with_learned(classifiers, state.replay, state.replay_cursor);
+        Ok(())
+    }
+
+    /// Models sharing this one's featurizer that carry the given learned
+    /// state instead of this one's: `classifiers` (in [`PropertyKind`]
+    /// order, built on this set's classifiers with
+    /// [`PropertyClassifier::with_learned`]) and the rehearsal log. No
+    /// weight of `self` is copied, so a snapshot decodes onto a scaffold
+    /// without cloning it.
+    pub fn with_learned(
+        &self,
+        classifiers: [PropertyClassifier; 4],
+        replay: Vec<usize>,
+        replay_cursor: usize,
+    ) -> Self {
+        let replay_cursor = if replay.is_empty() {
             0
         } else {
-            state.replay_cursor % self.replay.len()
+            replay_cursor % replay.len()
         };
-        Ok(())
+        SystemModels {
+            featurizer: std::sync::Arc::clone(&self.featurizer),
+            classifiers,
+            replay,
+            replay_cursor,
+        }
+    }
+
+    /// The rehearsal log: claim ids folded in by past retrains.
+    pub fn replay_log(&self) -> &[usize] {
+        &self.replay
+    }
+
+    /// Round-robin cursor into [`replay_log`](Self::replay_log).
+    pub fn replay_cursor(&self) -> usize {
+        self.replay_cursor
     }
 
     /// Features of a claim (one-shot path; bulk consumers go through a

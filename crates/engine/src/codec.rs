@@ -265,16 +265,6 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    /// `count` little-endian `f32`s in one bounds check — model blobs
-    /// carry tens of millions of them.
-    pub(crate) fn f32s(&mut self, count: usize) -> Result<Vec<f32>, ApiError> {
-        let bytes = self.take(count.checked_mul(4).ok_or_else(truncated)?)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes")))
-            .collect())
-    }
-
     pub(crate) fn bool(&mut self) -> Result<bool, ApiError> {
         match self.u8()? {
             0 => Ok(false),

@@ -48,20 +48,29 @@
 //!   image-and-cut, so a record can never land after a checkpoint that
 //!   already captured its effect (which would double-apply on replay).
 //!   The write side covers only the `EpochPublished` record and the
-//!   checkpoint: the blob (an encode, write and sync of the whole model)
-//!   is written before the gate is taken, so a publish never stalls
-//!   acknowledgements for it.
+//!   checkpoint: the blob is streamed to disk and synced before the gate
+//!   is taken, so a publish never stalls acknowledgements for it.
+//!
+//! ## Snapshot blobs stream
+//!
+//! A model blob is as large as the model (142 MB at paper scale), so it
+//! never exists in memory: `write_models` streams each classifier's
+//! feature-major blocks through the atomic write one tile of class rows
+//! at a time, and `read_models` fills fresh blocks from the file the
+//! same way, building each classifier on the label and dim scaffold of a
+//! model set already in hand rather than on a clone of its weights.
+//! Publishing or restarting therefore needs one tile (~1.5 MB) beyond
+//! the models themselves.
 
-use std::io;
+use std::io::{self, Read, Write};
 use std::sync::Arc;
 
-use scrutinizer_core::{FeatureStore, ModelsState, SystemConfig, SystemModels};
+use scrutinizer_core::{FeatureStore, PropertyKind, SystemConfig, SystemModels};
 use scrutinizer_corpus::Corpus;
-use scrutinizer_learn::{ClassifierState, SoftmaxState};
+use scrutinizer_learn::softmax::{feature_major_from_tiles, Block};
+use scrutinizer_learn::{PropertyClassifier, SoftmaxClassifier};
 use scrutinizer_sim::{SimEnv, Storage};
 use scrutinizer_wal::{Wal, WalOptions};
-
-use scrutinizer_core::PropertyKind;
 
 use crate::api::ApiError;
 use crate::codec::{kind_byte, kind_from_byte, put_str, put_u32, put_u64, put_u8, Reader};
@@ -428,7 +437,19 @@ fn decode_state_image_inner(payload: &[u8]) -> Result<StateImage, ApiError> {
 
 // ---- model snapshot blobs ------------------------------------------------
 
+/// `SCRMDLv1`, the model snapshot blob, every integer and float
+/// little-endian: the magic, the epoch (u64), then per classifier in
+/// [`PropertyKind`] order its labels (u32 count, each a u32 length plus
+/// UTF-8) and a trained byte (0 or 1); a trained one carries its weights
+/// (u32 count `n·d`, then `n` rows of `d` f32s), biases (u32 `n`, f32s),
+/// AdaGrad weight accumulators (like the weights), AdaGrad bias
+/// accumulators (like the biases), then `d`, `n` and its fit count
+/// (u64 each). The rehearsal log (u32 count, u64 ids) and its cursor
+/// (u64) close the blob.
 const MODEL_MAGIC: &[u8; 8] = b"SCRMDLv1";
+
+/// Floats per buffered chunk when a float array streams (4 KiB).
+const F32_CHUNK: usize = 1024;
 
 /// The blob name a published epoch's models are stored under.
 pub fn snapshot_blob_name(epoch: u64) -> String {
@@ -443,97 +464,290 @@ pub fn snapshot_blob_epoch(name: &str) -> Option<u64> {
         .ok()
 }
 
-fn put_f32s(out: &mut Vec<u8>, values: &[f32]) {
-    put_u32(out, values.len() as u32);
-    for &value in values {
-        put_u32(out, value.to_bits());
-    }
+fn write_u32(out: &mut dyn Write, value: usize) -> io::Result<()> {
+    out.write_all(&(value as u32).to_le_bytes())
 }
 
-fn read_f32s(reader: &mut Reader<'_>) -> Result<Vec<f32>, ApiError> {
-    let count = reader.u32()? as usize;
-    reader.f32s(count)
-}
-
-/// Serializes the learned model state for one published epoch.
-pub(crate) fn encode_models(epoch: u64, state: &ModelsState) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1 << 12);
-    out.extend_from_slice(MODEL_MAGIC);
-    put_u64(&mut out, epoch);
-    for classifier in &state.classifiers {
-        put_u32(&mut out, classifier.labels.len() as u32);
-        for label in &classifier.labels {
-            put_str(&mut out, label);
+fn write_f32s(out: &mut dyn Write, values: &[f32]) -> io::Result<()> {
+    let mut bytes = [0u8; 4 * F32_CHUNK];
+    for chunk in values.chunks(F32_CHUNK) {
+        let bytes = &mut bytes[..4 * chunk.len()];
+        for (slot, value) in bytes.chunks_exact_mut(4).zip(chunk) {
+            slot.copy_from_slice(&value.to_le_bytes());
         }
-        match &classifier.model {
-            Some(model) => {
-                put_u8(&mut out, 1);
-                put_f32s(&mut out, &model.weights);
-                put_f32s(&mut out, &model.biases);
-                put_f32s(&mut out, &model.grad_sq_w);
-                put_f32s(&mut out, &model.grad_sq_b);
-                put_u64(&mut out, model.dim as u64);
-                put_u64(&mut out, model.n_classes as u64);
-                put_u64(&mut out, model.fits);
-            }
-            None => put_u8(&mut out, 0),
-        }
+        out.write_all(bytes)?;
     }
-    put_ids(&mut out, &state.replay);
-    put_u64(&mut out, state.replay_cursor as u64);
-    out
+    Ok(())
 }
 
-/// Deserializes a model snapshot blob back to `(epoch, state)`.
-pub(crate) fn decode_models(payload: &[u8]) -> Result<(u64, ModelsState), String> {
-    decode_models_inner(payload).map_err(|e| e.message)
-}
-
-fn decode_models_inner(payload: &[u8]) -> Result<(u64, ModelsState), ApiError> {
-    let bad = |message: &str| ApiError::new(crate::api::ErrorCode::ParseError, message);
-    if payload.len() < MODEL_MAGIC.len() || &payload[..MODEL_MAGIC.len()] != MODEL_MAGIC {
-        return Err(bad("model snapshot blob has a bad magic header"));
-    }
-    let mut reader = Reader::new(&payload[MODEL_MAGIC.len()..]);
-    let epoch = reader.u64()?;
-    let mut classifiers: Vec<ClassifierState> = Vec::with_capacity(4);
-    for _ in 0..4 {
-        let n_labels = reader.u32()? as usize;
-        let mut labels = Vec::with_capacity(n_labels.min(1 << 16));
-        for _ in 0..n_labels {
-            labels.push(reader.str()?.to_string());
+/// Streams one published epoch's models into `out` as a `SCRMDLv1`
+/// blob, straight from each classifier's feature-major blocks one tile
+/// of class rows at a time: no row-major copy and no encoded blob is
+/// ever held in memory.
+pub(crate) fn write_models(
+    epoch: u64,
+    models: &SystemModels,
+    out: &mut dyn Write,
+) -> io::Result<()> {
+    out.write_all(MODEL_MAGIC)?;
+    out.write_all(&epoch.to_le_bytes())?;
+    for kind in PropertyKind::ALL {
+        let classifier = models.classifier(kind);
+        let labels = classifier.labels().names();
+        write_u32(out, labels.len())?;
+        for label in labels {
+            write_u32(out, label.len())?;
+            out.write_all(label.as_bytes())?;
         }
-        let model = if reader.bool()? {
-            Some(SoftmaxState {
-                weights: read_f32s(&mut reader)?,
-                biases: read_f32s(&mut reader)?,
-                grad_sq_w: read_f32s(&mut reader)?,
-                grad_sq_b: read_f32s(&mut reader)?,
-                dim: reader.u64()? as usize,
-                n_classes: reader.u64()? as usize,
-                fits: reader.u64()?,
-            })
-        } else {
-            None
+        let Some(model) = classifier.softmax() else {
+            out.write_all(&[0])?;
+            continue;
         };
-        classifiers.push(ClassifierState { labels, model });
+        out.write_all(&[1])?;
+        for (block, biases) in [
+            (Block::Weights, model.biases()),
+            (Block::GradSq, model.grad_sq_biases()),
+        ] {
+            write_u32(out, model.n_classes() * model.dim())?;
+            model.row_tiles(block, |tile| write_f32s(out, tile))?;
+            write_u32(out, biases.len())?;
+            write_f32s(out, biases)?;
+        }
+        for value in [model.dim() as u64, model.n_classes() as u64, model.fits()] {
+            out.write_all(&value.to_le_bytes())?;
+        }
     }
-    let replay = read_ids(&mut reader)?;
-    let replay_cursor = reader.u64()? as usize;
-    if !reader.is_empty() {
-        return Err(bad("trailing bytes after model snapshot blob"));
+    let replay = models.replay_log();
+    write_u32(out, replay.len())?;
+    for &id in replay {
+        out.write_all(&(id as u64).to_le_bytes())?;
     }
-    let classifiers: [ClassifierState; 4] = classifiers
-        .try_into()
-        .map_err(|_| bad("model snapshot blob is missing classifiers"))?;
+    out.write_all(&(models.replay_cursor() as u64).to_le_bytes())
+}
+
+/// A length-bounded cursor over a streamed blob. Every read is checked
+/// against the bytes the blob still holds before it touches the stream,
+/// and every count before anything is allocated for it, so a truncated
+/// blob or a lying count is `InvalidData` — never a panic or an
+/// allocation past the blob's size. A stream that ends before the
+/// length its storage reported surfaces as `UnexpectedEof`: a short
+/// read, which the WAL retries.
+struct BlobReader<'a> {
+    input: &'a mut dyn Read,
+    remaining: u64,
+}
+
+impl BlobReader<'_> {
+    fn reserve(&mut self, bytes: u64) -> io::Result<()> {
+        if bytes > self.remaining {
+            return Err(invalid("model snapshot blob is truncated".to_string()));
+        }
+        self.remaining -= bytes;
+        Ok(())
+    }
+
+    fn array<const N: usize>(&mut self) -> io::Result<[u8; N]> {
+        self.reserve(N as u64)?;
+        let mut bytes = [0; N];
+        self.input.read_exact(&mut bytes)?;
+        Ok(bytes)
+    }
+
+    fn u64(&mut self) -> io::Result<u64> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    fn bool(&mut self) -> io::Result<bool> {
+        match self.array::<1>()?[0] {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(invalid(format!("invalid boolean byte {other}"))),
+        }
+    }
+
+    /// A u32 count of items at least `width` bytes each, rejected unless
+    /// the rest of the blob can hold them.
+    fn count(&mut self, width: u64) -> io::Result<usize> {
+        let count = u32::from_le_bytes(self.array()?);
+        if u64::from(count) * width > self.remaining {
+            return Err(invalid(format!(
+                "model snapshot blob counts {count} items past its end"
+            )));
+        }
+        Ok(count as usize)
+    }
+
+    fn string(&mut self) -> io::Result<String> {
+        let len = self.count(1)?;
+        self.reserve(len as u64)?;
+        let mut bytes = vec![0; len];
+        self.input.read_exact(&mut bytes)?;
+        String::from_utf8(bytes)
+            .map_err(|_| invalid("model snapshot label is not UTF-8".to_string()))
+    }
+
+    fn f32s_into(&mut self, out: &mut [f32]) -> io::Result<()> {
+        self.reserve(4 * out.len() as u64)?;
+        let mut bytes = [0u8; 4 * F32_CHUNK];
+        for chunk in out.chunks_mut(F32_CHUNK) {
+            let bytes = &mut bytes[..4 * chunk.len()];
+            self.input.read_exact(bytes)?;
+            for (value, raw) in chunk.iter_mut().zip(bytes.chunks_exact(4)) {
+                *value = f32::from_le_bytes(raw.try_into().expect("4 bytes"));
+            }
+        }
+        Ok(())
+    }
+
+    /// A counted float array that must hold exactly `len` values.
+    fn f32s(&mut self, len: usize) -> io::Result<Vec<f32>> {
+        let count = self.count(4)?;
+        if count != len {
+            return Err(invalid(format!(
+                "model snapshot holds {count} per-class values for {len} classes"
+            )));
+        }
+        let mut values = vec![0.0; count];
+        self.f32s_into(&mut values)?;
+        Ok(values)
+    }
+
+    /// Fails unless the blob was consumed exactly.
+    fn finish(self) -> io::Result<()> {
+        if self.remaining > 0 || self.input.read(&mut [0])? > 0 {
+            return Err(invalid(
+                "trailing bytes after model snapshot blob".to_string(),
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// Decodes a `SCRMDLv1` blob of `len` bytes from `input` into
+/// `(epoch, models)`. Each classifier is built on its counterpart in
+/// `scaffold` ([`PropertyClassifier::with_learned`]): the scaffold lends
+/// the featurizer, property names, feature dims and training config,
+/// never its weights, and each weight block streams from `input` straight
+/// into a fresh feature-major block one tile at a time.
+pub(crate) fn read_models(
+    input: &mut dyn Read,
+    len: u64,
+    scaffold: &SystemModels,
+) -> io::Result<(u64, SystemModels)> {
+    let mut blob = BlobReader {
+        input,
+        remaining: len,
+    };
+    if blob.array()? != *MODEL_MAGIC {
+        return Err(invalid(
+            "model snapshot blob has a bad magic header".to_string(),
+        ));
+    }
+    let epoch = blob.u64()?;
+    let [relation, key, attribute, formula] =
+        PropertyKind::ALL.map(|kind| scaffold.classifier(kind));
+    let classifiers = [
+        read_classifier(&mut blob, relation)?,
+        read_classifier(&mut blob, key)?,
+        read_classifier(&mut blob, attribute)?,
+        read_classifier(&mut blob, formula)?,
+    ];
+    let n_replay = blob.count(8)?;
+    let mut replay = Vec::with_capacity(n_replay);
+    for _ in 0..n_replay {
+        replay.push(blob.u64()? as usize);
+    }
+    let replay_cursor = blob.u64()? as usize;
+    blob.finish()?;
     Ok((
         epoch,
-        ModelsState {
-            classifiers,
-            replay,
-            replay_cursor,
-        },
+        scaffold.with_learned(classifiers, replay, replay_cursor),
     ))
+}
+
+fn read_classifier(
+    blob: &mut BlobReader<'_>,
+    scaffold: &PropertyClassifier,
+) -> io::Result<PropertyClassifier> {
+    let n_labels = blob.count(4)?;
+    let mut labels = Vec::with_capacity(n_labels);
+    for _ in 0..n_labels {
+        labels.push(blob.string()?);
+    }
+    let model = if blob.bool()? {
+        Some(read_softmax(blob, scaffold)?)
+    } else {
+        None
+    };
+    scaffold.with_learned(labels, model).map_err(invalid)
+}
+
+/// One trained classifier. The blob stores its shape after the weights,
+/// so the scaffold's feature dim sizes the class rows up front and the
+/// stored shape is checked against it once read.
+fn read_softmax(
+    blob: &mut BlobReader<'_>,
+    scaffold: &PropertyClassifier,
+) -> io::Result<SoftmaxClassifier> {
+    let dim = scaffold.dim();
+    let cells = blob.count(4)?;
+    if dim == 0 || cells % dim != 0 {
+        return Err(invalid(format!(
+            "{}: {cells} weights are not whole rows of {dim} dims",
+            scaffold.property
+        )));
+    }
+    let n_classes = cells / dim;
+    let weights =
+        feature_major_from_tiles(Block::Weights, n_classes, dim, |tile| blob.f32s_into(tile))?;
+    let biases = blob.f32s(n_classes)?;
+    if blob.count(4)? != cells {
+        return Err(invalid(format!(
+            "{}: weight and accumulator counts differ",
+            scaffold.property
+        )));
+    }
+    let grad_sq_w =
+        feature_major_from_tiles(Block::GradSq, n_classes, dim, |tile| blob.f32s_into(tile))?;
+    let grad_sq_b = blob.f32s(n_classes)?;
+    let (stored_dim, stored_classes, fits) = (blob.u64()?, blob.u64()?, blob.u64()?);
+    if (stored_dim, stored_classes) != (dim as u64, n_classes as u64) {
+        return Err(invalid(format!(
+            "{}: snapshot shape {stored_classes} classes × {stored_dim} dims != {n_classes} × featurizer dim {dim}",
+            scaffold.property
+        )));
+    }
+    SoftmaxClassifier::from_blocks(weights, grad_sq_w, biases, grad_sq_b, dim, n_classes, fits)
+        .map_err(|e| invalid(format!("{}: {e}", scaffold.property)))
+}
+
+/// Loads the models published at `epoch` from their snapshot blob,
+/// decoded onto `scaffold` (see [`read_models`]).
+pub(crate) fn load_models(
+    wal: &Wal,
+    epoch: u64,
+    scaffold: &SystemModels,
+) -> io::Result<SystemModels> {
+    let _span = obs::span!("wal.blob_read");
+    let name = snapshot_blob_name(epoch);
+    // the publish order (blob → record → checkpoint) guarantees that an
+    // epoch named by a checkpoint or a durable EpochPublished record has
+    // its blob, so a missing one is corruption or an external deletion;
+    // serving other weights while the recovered counters report this
+    // epoch would mask it
+    let (stored_epoch, models) = wal
+        .read_blob_with(&name, |input, len| read_models(input, len, scaffold))?
+        .ok_or_else(|| {
+            invalid(format!(
+                "epoch {epoch} was published but snapshot blob {name} is missing"
+            ))
+        })?;
+    if stored_epoch != epoch {
+        return Err(invalid(format!(
+            "snapshot blob {name} claims epoch {stored_epoch}"
+        )));
+    }
+    Ok(models)
 }
 
 // ---- recovery ------------------------------------------------------------
@@ -577,8 +791,9 @@ fn invalid(message: String) -> io::Error {
 /// state-changing op to the same WAL.
 ///
 /// `base_models` are the bootstrap models used when no epoch was ever
-/// published (and as the label-space scaffold snapshots are restored
-/// onto); `corpus`/`features` must describe the same world the log was
+/// published, and the scaffold a snapshot decodes onto (featurizer,
+/// feature dims, training config; labels and weights come from the
+/// blob); `corpus`/`features` must describe the same world the log was
 /// written against.
 pub fn recover_parts(
     corpus: Arc<Corpus>,
@@ -596,27 +811,11 @@ pub fn recover_parts(
         Some((epoch, payload)) => (*epoch, Some(decode_state_image(payload).map_err(invalid)?)),
         None => (0, None),
     };
-    let mut models = base_models;
-    if checkpoint_epoch > 0 {
-        let name = snapshot_blob_name(checkpoint_epoch);
-        // the publish order (blob → record → checkpoint) guarantees any
-        // durable checkpoint at epoch E > 0 has its epoch-E blob, so a
-        // missing blob is corruption or an external deletion; resuming on
-        // bootstrap models would silently serve untrained weights while
-        // the recovered counters report a trained epoch
-        let bytes = wal.read_blob(&name)?.ok_or_else(|| {
-            invalid(format!(
-                "checkpoint at epoch {checkpoint_epoch} but snapshot blob {name} is missing"
-            ))
-        })?;
-        let (epoch, state) = decode_models(&bytes).map_err(invalid)?;
-        if epoch != checkpoint_epoch {
-            return Err(invalid(format!(
-                "snapshot blob {name} claims epoch {epoch}"
-            )));
-        }
-        models.restore_state(state).map_err(invalid)?;
-    }
+    let models = if checkpoint_epoch > 0 {
+        load_models(&wal, checkpoint_epoch, &base_models)?
+    } else {
+        base_models
+    };
     let engine = Engine::assemble(
         corpus,
         features,
@@ -675,6 +874,7 @@ pub fn recover(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scrutinizer_core::ModelsState;
 
     #[test]
     fn wal_records_round_trip() {
@@ -779,21 +979,214 @@ mod tests {
         assert_eq!(snapshot_blob_epoch("epoch-x.snap"), None);
     }
 
+    /// The whole-model `SCRMDLv1` encoder the streamed writer replaced,
+    /// kept as the reference: it encodes the row-major `ModelsState` one
+    /// value at a time. Also returns where each section of the blob ends.
+    fn encode_reference(epoch: u64, state: &ModelsState) -> (Vec<u8>, Vec<(String, usize)>) {
+        let mut out = Vec::new();
+        let mut ends = Vec::new();
+        let mut mark = |out: &Vec<u8>, section: String| ends.push((section, out.len()));
+        out.extend_from_slice(MODEL_MAGIC);
+        mark(&out, "magic".to_string());
+        put_u64(&mut out, epoch);
+        mark(&out, "epoch".to_string());
+        for (k, classifier) in state.classifiers.iter().enumerate() {
+            put_u32(&mut out, classifier.labels.len() as u32);
+            for label in &classifier.labels {
+                put_str(&mut out, label);
+            }
+            mark(&out, format!("{k}.labels"));
+            let Some(model) = &classifier.model else {
+                put_u8(&mut out, 0);
+                mark(&out, format!("{k}.trained"));
+                continue;
+            };
+            put_u8(&mut out, 1);
+            mark(&out, format!("{k}.trained"));
+            for (section, values) in [
+                ("weights", &model.weights),
+                ("biases", &model.biases),
+                ("grad_sq_w", &model.grad_sq_w),
+                ("grad_sq_b", &model.grad_sq_b),
+            ] {
+                put_u32(&mut out, values.len() as u32);
+                for value in values {
+                    put_u32(&mut out, value.to_bits());
+                }
+                mark(&out, format!("{k}.{section}"));
+            }
+            for (section, value) in [
+                ("dim", model.dim as u64),
+                ("n_classes", model.n_classes as u64),
+                ("fits", model.fits),
+            ] {
+                put_u64(&mut out, value);
+                mark(&out, format!("{k}.{section}"));
+            }
+        }
+        put_ids(&mut out, &state.replay);
+        mark(&out, "replay".to_string());
+        put_u64(&mut out, state.replay_cursor as u64);
+        mark(&out, "cursor".to_string());
+        (out, ends)
+    }
+
+    fn streamed(epoch: u64, models: &SystemModels) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_models(epoch, models, &mut out).expect("writing to a Vec cannot fail");
+        out
+    }
+
+    fn decode(bytes: &[u8], scaffold: &SystemModels) -> io::Result<(u64, SystemModels)> {
+        read_models(&mut &bytes[..], bytes.len() as u64, scaffold)
+    }
+
+    /// Bootstrap (untrained) models for the small corpus, plus model sets
+    /// covering every shape a blob can carry.
+    fn model_cases() -> (SystemModels, Vec<(&'static str, SystemModels)>) {
+        use scrutinizer_corpus::{ClaimRecord, Corpus, CorpusConfig};
+        let corpus = Corpus::generate(CorpusConfig::small());
+        let scaffold = SystemModels::bootstrap(&corpus, &SystemConfig::test());
+        let mut pretrained = scaffold.clone();
+        let refs: Vec<&ClaimRecord> = corpus.claims.iter().take(40).collect();
+        pretrained.retrain(&refs);
+
+        let mut state = pretrained.export_state();
+        state.classifiers[2].model = None;
+        let mut one_untrained = scaffold.clone();
+        one_untrained.restore_state(state).expect("restores");
+
+        let mut state = pretrained.export_state();
+        state.replay.clear();
+        let mut no_replay = scaffold.clone();
+        no_replay.restore_state(state).expect("restores");
+
+        // eight unseen relations: the class count crosses a multiple of
+        // the eight-lane stride, so the relation block is re-strided
+        let store = FeatureStore::build(&corpus, &scaffold);
+        let mut claims = corpus.claims.clone();
+        for (i, claim) in claims.iter_mut().take(8).enumerate() {
+            claim.relation = format!("UnseenRelation{i}");
+        }
+        let relations = |m: &SystemModels| m.classifier(PropertyKind::Relation).n_classes();
+        let mut grown = pretrained.clone();
+        grown.retrain_incremental(&store, &claims, &(0..8).collect::<Vec<_>>());
+        assert_eq!(relations(&grown), relations(&pretrained).map(|n| n + 8));
+
+        let cases = vec![
+            ("pretrained", pretrained),
+            ("one classifier untrained", one_untrained),
+            ("classes grown past the stride", grown),
+            ("empty replay log", no_replay),
+            ("bootstrap", scaffold.clone()),
+        ];
+        (scaffold, cases)
+    }
+
+    /// The streamed blob is the reference encoder's, byte for byte, and
+    /// decodes back to the same state — from either writer's bytes.
     #[test]
     fn model_state_round_trips_bit_exactly() {
-        use scrutinizer_core::SystemConfig;
-        use scrutinizer_corpus::{Corpus, CorpusConfig};
-        let corpus = Corpus::generate(CorpusConfig::small());
-        let config = SystemConfig::test();
-        let mut models = SystemModels::bootstrap(&corpus, &config);
-        let refs: Vec<&scrutinizer_corpus::ClaimRecord> = corpus.claims.iter().take(40).collect();
-        models.retrain(&refs);
-        let state = models.export_state();
-        let bytes = encode_models(9, &state);
-        let (epoch, decoded) = decode_models(&bytes).expect("decodes");
-        assert_eq!(epoch, 9);
-        assert_eq!(decoded, state);
-        assert!(decode_models(&bytes[..bytes.len() - 2]).is_err());
-        assert!(decode_models(b"NOTMAGIC").is_err());
+        let (scaffold, cases) = model_cases();
+        for (case, models) in &cases {
+            let state = models.export_state();
+            let (reference, _) = encode_reference(9, &state);
+            assert!(
+                streamed(9, models) == reference,
+                "{case}: streamed bytes differ"
+            );
+            // reference bytes are what a data dir written by the
+            // whole-model encoder holds
+            let (epoch, decoded) = decode(&reference, &scaffold).expect(case);
+            assert_eq!(epoch, 9);
+            assert!(
+                decoded.export_state() == state,
+                "{case}: decoded state differs"
+            );
+            // a trained model set works as the scaffold too: it lends
+            // dims, never weights
+            let (_, onto_trained) = decode(&reference, &cases[0].1).expect(case);
+            assert!(
+                onto_trained.export_state() == state,
+                "{case}: onto a trained scaffold"
+            );
+        }
+    }
+
+    #[test]
+    fn corrupt_and_short_blobs_fail_cleanly() {
+        let (scaffold, cases) = model_cases();
+        let state = cases[0].1.export_state();
+        let (bytes, ends) = encode_reference(9, &state);
+        let end = |section: &str| {
+            ends.iter()
+                .find(|(name, _)| name == section)
+                .unwrap_or_else(|| panic!("no section {section}"))
+                .1
+        };
+        let patched = |at: usize, with: &[u8]| {
+            let mut blob = bytes.clone();
+            blob[at..at + with.len()].copy_from_slice(with);
+            blob
+        };
+        let dim = state.classifiers[0].model.as_ref().expect("trained").dim as u64;
+        assert!(!state.classifiers[0].labels[0].is_empty());
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        let mut few_labels = state.clone();
+        few_labels.classifiers[0].labels.pop();
+
+        let mut corrupt: Vec<(String, Vec<u8>)> = ends[..ends.len() - 1]
+            .iter()
+            .map(|(section, at)| (format!("truncated after {section}"), bytes[..*at].to_vec()))
+            .collect();
+        corrupt.extend([
+            (
+                "truncated mid-weights".to_string(),
+                bytes[..end("0.trained") + 10].to_vec(),
+            ),
+            (
+                "weight count lies high".to_string(),
+                patched(end("0.trained"), &u32::MAX.to_le_bytes()),
+            ),
+            (
+                "label count lies high".to_string(),
+                patched(end("epoch"), &u32::MAX.to_le_bytes()),
+            ),
+            (
+                "non-UTF-8 label".to_string(),
+                patched(end("epoch") + 8, &[0xFF]),
+            ),
+            ("bool byte of 2".to_string(), patched(end("0.labels"), &[2])),
+            (
+                "dim mismatch".to_string(),
+                patched(end("0.grad_sq_b"), &(dim + 1).to_le_bytes()),
+            ),
+            (
+                "more classes than labels".to_string(),
+                encode_reference(9, &few_labels).0,
+            ),
+            ("one trailing byte".to_string(), trailing),
+            ("bad magic".to_string(), patched(0, b"X")),
+        ]);
+        for (case, blob) in &corrupt {
+            match decode(blob, &scaffold) {
+                Ok(_) => panic!("{case}: decoded"),
+                Err(error) => {
+                    assert_eq!(error.kind(), io::ErrorKind::InvalidData, "{case}: {error}")
+                }
+            }
+        }
+        // a stream that ends before the length its storage reported is a
+        // short read, which the WAL retries — not corruption
+        let short = read_models(
+            &mut &bytes[..bytes.len() / 2],
+            bytes.len() as u64,
+            &scaffold,
+        );
+        assert_eq!(
+            short.err().map(|e| e.kind()),
+            Some(io::ErrorKind::UnexpectedEof)
+        );
     }
 }

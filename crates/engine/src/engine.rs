@@ -384,7 +384,7 @@ impl Engine {
     /// and no training is ever lost; readers keep loading snapshots
     /// throughout. The trainer lets go of the previous snapshot as soon
     /// as it has its copy, so once readers move on, the previous epoch's
-    /// weights are freed before the new epoch's blob is encoded.
+    /// weights are freed before the new epoch's blob is written.
     fn run_retrain(&self, claim_ids: &[usize], kind: RetrainKind) -> u64 {
         let _serial = self
             .retrain_serial
@@ -477,10 +477,11 @@ impl Engine {
     /// the `EpochPublished` record, then a checkpoint of the full state
     /// image (which compacts the log), then pruning of superseded blobs.
     /// Only the record and the checkpoint run under the gate's write
-    /// side, so the image is consistent with the cut; the blob is encoded
-    /// and written before it, while ops keep acknowledging — nothing
-    /// references the blob until the record is durable. Callers hold
-    /// `retrain_serial`, so epochs checkpoint in order.
+    /// side, so the image is consistent with the cut; the blob is
+    /// streamed from the live snapshot's blocks to disk before it, while
+    /// ops keep acknowledging — nothing references the blob until the
+    /// record is durable. Callers hold `retrain_serial`, so epochs
+    /// checkpoint in order.
     fn durable_publish(&self, epoch: u64, examples: u64, background: bool) {
         if !self.recording() {
             return;
@@ -488,12 +489,11 @@ impl Engine {
         let Some(wal) = &self.wal else { return };
         {
             let _span = obs::span!("wal.blob_write");
-            let blob = {
-                let snapshot = self.models.load();
-                durability::encode_models(epoch, &snapshot.models.export_state())
-            };
+            let snapshot = self.models.load();
             wal_io(
-                wal.write_blob(&durability::snapshot_blob_name(epoch), &blob),
+                wal.write_blob_with(&durability::snapshot_blob_name(epoch), &mut |out| {
+                    durability::write_models(epoch, &snapshot.models, out)
+                }),
                 "model snapshot write failed",
             );
         }
@@ -734,28 +734,9 @@ impl Engine {
                 }
                 if *epoch > self.models.epoch() {
                     let wal = self.wal.as_ref().expect("replay requires a wal");
-                    let snapshot = self.models.load();
-                    let mut models = snapshot.models.clone();
-                    let name = durability::snapshot_blob_name(*epoch);
-                    // publish order is blob → record → checkpoint, so a
-                    // durable EpochPublished record always has its blob; a
-                    // missing one is corruption or an external deletion,
-                    // and silently serving the previous weights while the
-                    // counters report this epoch would mask it
-                    let bytes = wal.read_blob(&name)?.ok_or_else(|| {
-                        std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            format!(
-                                "epoch {epoch} was published but snapshot blob {name} is missing"
-                            ),
-                        )
-                    })?;
-                    let (_, state) = durability::decode_models(&bytes).map_err(|error| {
-                        std::io::Error::new(std::io::ErrorKind::InvalidData, error)
-                    })?;
-                    models.restore_state(state).map_err(|error| {
-                        std::io::Error::new(std::io::ErrorKind::InvalidData, error)
-                    })?;
+                    // the live snapshot is only the scaffold: the blob
+                    // decodes into fresh blocks, no trained weight copied
+                    let models = durability::load_models(wal, *epoch, &self.models.load().models)?;
                     let published = self.models.publish(models);
                     debug_assert_eq!(published, *epoch, "replayed epochs are contiguous");
                 }

@@ -9,7 +9,8 @@
 //! over [`SimStorage`], where a crash is a deterministic truncation to the
 //! fsynced prefix.
 
-use std::sync::Arc;
+use std::io;
+use std::sync::{Arc, Mutex};
 
 use scrutinizer_core::{OrderingStrategy, PropertyKind, SystemConfig};
 use scrutinizer_corpus::{Corpus, CorpusConfig};
@@ -28,6 +29,10 @@ fn durable_env(storage: &Arc<SimStorage>) -> DurableEnv {
 }
 
 fn recover_engine(storage: &Arc<SimStorage>) -> (Arc<Engine>, RecoveryReport) {
+    recover_on(durable_env(storage))
+}
+
+fn recover_on(durable: DurableEnv) -> (Arc<Engine>, RecoveryReport) {
     let corpus = Corpus::generate(CorpusConfig::small());
     recover(
         corpus,
@@ -38,7 +43,7 @@ fn recover_engine(storage: &Arc<SimStorage>) -> (Arc<Engine>, RecoveryReport) {
             threads: 2,
             ..EngineOptions::default()
         },
-        durable_env(storage),
+        durable,
     )
     .expect("recovery over healthy storage cannot fail")
 }
@@ -217,7 +222,7 @@ fn crash_between_blob_and_record_resumes_the_previous_epoch() {
     // purpose — recovery must never read it.
     let stray = format!("data/epoch-{:010}.snap", epoch + 1);
     storage
-        .write_atomic(&stray, b"torn publish")
+        .write_atomic(&stray, &mut |out| out.write_all(b"torn publish"))
         .expect("stray blob written");
     let (recovered, report) = recover_engine(&storage);
     assert_eq!(report.resumed_epoch, epoch, "the previous epoch resumes");
@@ -277,4 +282,125 @@ fn open_sessions_survive_a_crash_and_finish_after_recovery() {
     recovered.close_session(session).expect("close");
     assert_eq!(recovered.session_count(), 0);
     assert_eq!(recovered.stats().claims_verified, 1);
+}
+
+/// Storage that, each time the checkpoint file is about to be written,
+/// first copies what a crash at that instant would leave: every file's
+/// durable prefix. After a publish, the copy is the data dir of a process
+/// killed with that epoch's `EpochPublished` record durable but its
+/// checkpoint not yet written.
+struct CrashBeforeCheckpoint {
+    inner: Arc<SimStorage>,
+    crashed: Mutex<Option<Arc<SimStorage>>>,
+}
+
+impl CrashBeforeCheckpoint {
+    fn capture(&self, dir: &str) -> io::Result<()> {
+        let copy = SimStorage::new();
+        for name in self.inner.list(dir)? {
+            let path = format!("{dir}/{name}");
+            let bytes = self.inner.read(&path)?;
+            copy.append(&path, &bytes[..self.inner.durable_len(&path)])?;
+            copy.sync(&path)?;
+        }
+        *self.crashed.lock().unwrap() = Some(copy);
+        Ok(())
+    }
+}
+
+impl Storage for CrashBeforeCheckpoint {
+    fn create_dir_all(&self, dir: &str) -> io::Result<()> {
+        self.inner.create_dir_all(dir)
+    }
+    fn list(&self, dir: &str) -> io::Result<Vec<String>> {
+        self.inner.list(dir)
+    }
+    fn read(&self, path: &str) -> io::Result<Vec<u8>> {
+        self.inner.read(path)
+    }
+    fn read_stream(&self, path: &str) -> io::Result<(Box<dyn io::Read>, u64)> {
+        self.inner.read_stream(path)
+    }
+    fn append(&self, path: &str, bytes: &[u8]) -> io::Result<()> {
+        self.inner.append(path, bytes)
+    }
+    fn sync(&self, path: &str) -> io::Result<()> {
+        self.inner.sync(path)
+    }
+    fn truncate(&self, path: &str, len: u64) -> io::Result<()> {
+        self.inner.truncate(path, len)
+    }
+    fn write_atomic(
+        &self,
+        path: &str,
+        fill: &mut dyn FnMut(&mut dyn io::Write) -> io::Result<()>,
+    ) -> io::Result<()> {
+        if let Some(dir) = path.strip_suffix("/CHECKPOINT") {
+            self.capture(dir)?;
+        }
+        self.inner.write_atomic(path, fill)
+    }
+    fn remove(&self, path: &str) -> io::Result<()> {
+        self.inner.remove(path)
+    }
+    fn exists(&self, path: &str) -> bool {
+        self.inner.exists(path)
+    }
+}
+
+#[test]
+fn crash_between_epoch_record_and_checkpoint_replays_the_epoch_from_its_blob() {
+    let storage = Arc::new(CrashBeforeCheckpoint {
+        inner: SimStorage::new(),
+        crashed: Mutex::new(None),
+    });
+    let (engine, _) = recover_on(DurableEnv {
+        storage: Arc::clone(&storage) as Arc<dyn Storage>,
+        dir: "data".to_string(),
+        wal: WalOptions::default(),
+    });
+    // two rounds of verdicts, each flushed into at least one epoch: the
+    // last publish then has a checkpointed epoch before it
+    for round in [0..4, 4..8] {
+        for claim_id in round {
+            engine.verify_claim_with(claim_id, &mut worker(500 + claim_id as u64));
+        }
+        engine.flush_retrains();
+    }
+    let epoch = engine.model_epoch();
+    assert!(epoch >= 2, "two flushed rounds publish two epochs");
+    let epoch_counters = |engine: &Engine| {
+        let s = engine.stats();
+        (
+            s.model_epoch,
+            s.retrains,
+            s.background_retrains,
+            s.examples_trained,
+        )
+    };
+    let acknowledged = epoch_counters(&engine);
+    let trained = engine.models_snapshot().models.export_state();
+    drop(engine);
+
+    let crashed = storage
+        .crashed
+        .lock()
+        .unwrap()
+        .take()
+        .expect("checkpointed");
+    let (recovered, report) = recover_engine(&crashed);
+    assert_eq!(
+        report.checkpoint_epoch,
+        epoch - 1,
+        "the last checkpoint never landed"
+    );
+    assert_eq!(
+        report.resumed_epoch, epoch,
+        "replay published the last epoch"
+    );
+    assert!(
+        recovered.models_snapshot().models.export_state() == trained,
+        "the replayed epoch's weights are the pre-crash snapshot's, bit for bit"
+    );
+    assert_eq!(epoch_counters(&recovered), acknowledged);
 }

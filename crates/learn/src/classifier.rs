@@ -64,7 +64,8 @@ impl PropertyClassifier {
         &self.labels
     }
 
-    /// A copy of the learned state, for persistence.
+    /// A whole copy of the learned state (snapshots stream the model
+    /// instead; see [`softmax`](Self::softmax)).
     pub fn export_state(&self) -> ClassifierState {
         ClassifierState {
             labels: self.labels.names().to_vec(),
@@ -72,35 +73,66 @@ impl PropertyClassifier {
         }
     }
 
-    /// Replaces the learned state from a persisted snapshot. The model's
-    /// feature dimensionality must match this classifier's (a mismatch
-    /// means the snapshot came from a different corpus/featurizer).
+    /// Replaces the learned state from a whole-model snapshot. The
+    /// model's feature dimensionality must match this classifier's (a
+    /// mismatch means the snapshot came from a different
+    /// corpus/featurizer).
     pub fn restore_state(&mut self, state: ClassifierState) -> Result<(), String> {
-        let model = match state.model {
-            Some(model_state) => {
-                if model_state.dim != self.dim {
-                    return Err(format!(
-                        "{}: snapshot dim {} != featurizer dim {}",
-                        self.property, model_state.dim, self.dim
-                    ));
-                }
-                let model = SoftmaxClassifier::from_state(model_state)
-                    .map_err(|e| format!("{}: {e}", self.property))?;
-                if model.n_classes() > state.labels.len() {
-                    return Err(format!(
-                        "{}: snapshot has {} classes but only {} labels",
-                        self.property,
-                        model.n_classes(),
-                        state.labels.len()
-                    ));
-                }
-                Some(model)
-            }
-            None => None,
-        };
-        self.labels = LabelDict::from_labels(state.labels);
-        self.model = model;
+        *self = self.with_state(state)?;
         Ok(())
+    }
+
+    /// [`restore_state`](Self::restore_state) into a new classifier built
+    /// on this one's scaffold (see [`with_learned`](Self::with_learned)).
+    pub fn with_state(&self, state: ClassifierState) -> Result<Self, String> {
+        let model = state
+            .model
+            .map(SoftmaxClassifier::from_state)
+            .transpose()
+            .map_err(|e| format!("{}: {e}", self.property))?;
+        self.with_learned(state.labels, model)
+    }
+
+    /// A classifier with this one's property, feature dimensionality and
+    /// training config that carries `labels` and `model` instead of this
+    /// one's learned state — the scaffold a snapshot is decoded onto,
+    /// which never copies this classifier's weights. Rejects a model of
+    /// another dimensionality or with more classes than labels.
+    pub fn with_learned(
+        &self,
+        labels: Vec<String>,
+        model: Option<SoftmaxClassifier>,
+    ) -> Result<Self, String> {
+        if let Some(model) = &model {
+            if model.dim() != self.dim {
+                return Err(format!(
+                    "{}: snapshot dim {} != featurizer dim {}",
+                    self.property,
+                    model.dim(),
+                    self.dim
+                ));
+            }
+            if model.n_classes() > labels.len() {
+                return Err(format!(
+                    "{}: snapshot has {} classes but only {} labels",
+                    self.property,
+                    model.n_classes(),
+                    labels.len()
+                ));
+            }
+        }
+        Ok(PropertyClassifier {
+            property: self.property.clone(),
+            labels: LabelDict::from_labels(labels),
+            model,
+            dim: self.dim,
+            config: self.config,
+        })
+    }
+
+    /// Feature dimensionality the model is trained over.
+    pub fn dim(&self) -> usize {
+        self.dim
     }
 
     /// Interns a label (checkers may suggest new answers), returning its id.
@@ -237,9 +269,9 @@ impl PropertyClassifier {
         }
     }
 
-    /// The trained softmax model, if any (crate-internal: fusion sweeps
-    /// its feature-major block in place).
-    pub(crate) fn softmax(&self) -> Option<&SoftmaxClassifier> {
+    /// The trained softmax model, if any (fusion sweeps its
+    /// feature-major block in place; snapshots stream it out).
+    pub fn softmax(&self) -> Option<&SoftmaxClassifier> {
         self.model.as_ref()
     }
 

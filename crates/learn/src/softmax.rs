@@ -31,10 +31,19 @@
 //! `bias + x.dot_dense(row)` it replaced (see `scores_into`), so every
 //! ranking, screen, plan and verdict is bit-identical to that path; the
 //! batched entropy kernels carry no such constraint and use fused
-//! multiply-adds. The persisted [`SoftmaxState`] stays row-major:
-//! [`export_state`] and [`from_state`] transpose.
+//! multiply-adds.
+//!
+//! Persistence is row-major (one `dim`-long row per class) and never
+//! materializes a whole row-major copy: [`row_tiles`] streams a block
+//! out as tiles of 64 class rows, and
+//! [`feature_major_from_tiles`] fills a fresh padded block from such
+//! tiles, so a snapshot writer or reader holds at most one tile (~1.5 MB
+//! at paper scale) beside the block itself. The whole-model
+//! [`SoftmaxState`] ([`export_state`], [`from_state`]) remains as the
+//! reference the tests hold the streamed form to.
 //!
 //! [`top_k_view`]: SoftmaxClassifier::top_k_view
+//! [`row_tiles`]: SoftmaxClassifier::row_tiles
 //! [`export_state`]: SoftmaxClassifier::export_state
 //! [`from_state`]: SoftmaxClassifier::from_state
 //! [`FusedEntropy`]: crate::FusedEntropy
@@ -77,11 +86,12 @@ impl Default for TrainConfig {
     }
 }
 
-/// The serializable training state of a [`SoftmaxClassifier`]:
-/// everything needed to reconstruct it exactly. It is row-major (one
-/// `dim`-long row per class) — the on-disk layout since the first
-/// persisted snapshot; the classifier's feature-major block is a
-/// transpose of it, built on restore and undone on export, bit for bit.
+/// The whole training state of a [`SoftmaxClassifier`] in one value:
+/// everything needed to reconstruct it exactly, row-major (one
+/// `dim`-long row per class) like the on-disk snapshot. Persistence
+/// streams the same rows tile by tile ([`SoftmaxClassifier::row_tiles`],
+/// [`feature_major_from_tiles`]); this whole-model copy is the reference
+/// the tests check that stream against.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SoftmaxState {
     /// Row-major `n_classes × dim` weights.
@@ -109,6 +119,30 @@ pub(crate) const LANES: usize = 8;
 /// The initial AdaGrad accumulator of every weight and bias (keeps the
 /// first step's `1 / sqrt` finite).
 const GRAD_SQ_INIT: f32 = 1e-8;
+
+/// Class rows per tile of the row-major stream
+/// ([`SoftmaxClassifier::row_tiles`], [`feature_major_from_tiles`]): a
+/// tile is `TILE_CLASSES × dim` floats, about 1.5 MB at paper scale.
+pub(crate) const TILE_CLASSES: usize = 64;
+
+/// One of a classifier's two feature-major `dim × stride` blocks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Block {
+    /// The weights (pad columns 0.0).
+    Weights,
+    /// The AdaGrad weight accumulators (pad columns at the initial
+    /// accumulator, so a class growing into one starts fresh).
+    GradSq,
+}
+
+impl Block {
+    fn pad(self) -> f32 {
+        match self {
+            Block::Weights => 0.0,
+            Block::GradSq => GRAD_SQ_INIT,
+        }
+    }
+}
 
 /// A trained softmax classifier over `n_classes` classes and `dim` features.
 #[derive(Debug, Clone)]
@@ -287,8 +321,9 @@ impl SoftmaxClassifier {
         }
     }
 
-    /// A copy of the full training state, for persistence, transposed to
-    /// the row-major [`SoftmaxState`] layout.
+    /// A whole copy of the training state, transposed to the row-major
+    /// [`SoftmaxState`] layout (persistence streams the same rows with
+    /// [`row_tiles`](Self::row_tiles) instead).
     pub fn export_state(&self) -> SoftmaxState {
         let (n_classes, dim) = (self.n_classes, self.dim);
         let row_major = |block: &[f32]| {
@@ -307,8 +342,8 @@ impl SoftmaxClassifier {
         }
     }
 
-    /// Reconstructs a classifier from persisted state, transposing it to
-    /// the feature-major block. Rejects shape-inconsistent state (a
+    /// Reconstructs a classifier from a whole [`SoftmaxState`],
+    /// transposing it to the feature-major block. Rejects shape-inconsistent state (a
     /// corrupt or truncated snapshot) rather than panicking later.
     pub fn from_state(state: SoftmaxState) -> Result<Self, String> {
         if state.n_classes == 0 {
@@ -351,6 +386,77 @@ impl SoftmaxClassifier {
         })
     }
 
+    /// Streams `block` out row-major, one tile at a time: `emit` gets
+    /// consecutive tiles of up to 64 classes in id order,
+    /// each `rows × dim` floats with class rows contiguous. Concatenated,
+    /// the tiles are [`export_state`](Self::export_state)'s `weights` (or
+    /// `grad_sq_w`); at most one tile is allocated. Stops at the first
+    /// error `emit` returns.
+    pub fn row_tiles<E>(
+        &self,
+        block: Block,
+        mut emit: impl FnMut(&[f32]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let (n_classes, dim, stride) = (self.n_classes, self.dim, self.stride);
+        if dim == 0 {
+            return Ok(());
+        }
+        let src = match block {
+            Block::Weights => &self.weights,
+            Block::GradSq => &self.grad_sq_w,
+        };
+        let mut tile = vec![0.0; TILE_CLASSES.min(n_classes) * dim];
+        for c0 in (0..n_classes).step_by(TILE_CLASSES) {
+            let tile = &mut tile[..TILE_CLASSES.min(n_classes - c0) * dim];
+            transpose_into(&src[c0..], dim, tile.len() / dim, stride, tile, dim);
+            emit(tile)?;
+        }
+        Ok(())
+    }
+
+    /// Assembles a classifier from streamed parts: `weights` and
+    /// `grad_sq_w` are padded blocks from [`feature_major_from_tiles`]
+    /// over `n_classes` classes and `dim` features, `biases` and
+    /// `grad_sq_b` hold one value per class. Rejects inconsistent shapes
+    /// (a corrupt snapshot) rather than panicking later.
+    pub fn from_blocks(
+        weights: Vec<f32>,
+        grad_sq_w: Vec<f32>,
+        mut biases: Vec<f32>,
+        mut grad_sq_b: Vec<f32>,
+        dim: usize,
+        n_classes: usize,
+        fits: u64,
+    ) -> Result<Self, String> {
+        if n_classes == 0 {
+            return Err("snapshot has zero classes".to_string());
+        }
+        let stride = n_classes.next_multiple_of(LANES);
+        if weights.len() != dim * stride
+            || grad_sq_w.len() != dim * stride
+            || biases.len() != n_classes
+            || grad_sq_b.len() != n_classes
+        {
+            return Err(format!(
+                "snapshot shape mismatch: {n_classes} classes × {dim} dims vs {} padded weights / {} biases",
+                weights.len(),
+                biases.len()
+            ));
+        }
+        biases.resize(stride, 0.0);
+        grad_sq_b.resize(stride, GRAD_SQ_INIT);
+        Ok(SoftmaxClassifier {
+            weights,
+            grad_sq_w,
+            biases,
+            grad_sq_b,
+            stride,
+            dim,
+            n_classes,
+            fits,
+        })
+    }
+
     /// Number of classes.
     pub fn n_classes(&self) -> usize {
         self.n_classes
@@ -372,8 +478,18 @@ impl SoftmaxClassifier {
     }
 
     /// The per-class biases.
-    pub(crate) fn biases(&self) -> &[f32] {
+    pub fn biases(&self) -> &[f32] {
         &self.biases[..self.n_classes]
+    }
+
+    /// The per-class AdaGrad bias accumulators.
+    pub fn grad_sq_biases(&self) -> &[f32] {
+        &self.grad_sq_b[..self.n_classes]
+    }
+
+    /// Completed training calls (salts the shuffle seed).
+    pub fn fits(&self) -> u64 {
+        self.fits
     }
 
     /// Class probabilities for `x` (softmax over linear scores).
@@ -604,6 +720,33 @@ pub(crate) fn feature_groups(
     if filled > 0 {
         sweep(&group[..filled]);
     }
+}
+
+/// Builds a padded feature-major block for `n_classes` classes over
+/// `dim` features from row-major tiles — the inverse of
+/// [`SoftmaxClassifier::row_tiles`]. `fill` is handed one buffer per tile
+/// (up to 64 classes in id order, `rows × dim` floats) to
+/// fill with those classes' rows; pad columns hold the block's pad value.
+/// Allocates the block plus one tile, and stops at the first error
+/// `fill` returns.
+pub fn feature_major_from_tiles<E>(
+    block: Block,
+    n_classes: usize,
+    dim: usize,
+    mut fill: impl FnMut(&mut [f32]) -> Result<(), E>,
+) -> Result<Vec<f32>, E> {
+    let stride = n_classes.next_multiple_of(LANES);
+    let mut out = vec![block.pad(); dim * stride];
+    if dim == 0 {
+        return Ok(out);
+    }
+    let mut tile = vec![0.0; TILE_CLASSES.min(n_classes) * dim];
+    for c0 in (0..n_classes).step_by(TILE_CLASSES) {
+        let tile = &mut tile[..TILE_CLASSES.min(n_classes - c0) * dim];
+        fill(tile)?;
+        transpose_into(tile, tile.len() / dim, dim, dim, &mut out[c0..], stride);
+    }
+    Ok(out)
 }
 
 /// Copies a block of `from`-long rows into `to`-long rows (`to ≥ from`),
@@ -1022,6 +1165,103 @@ mod tests {
         for (x, _) in &examples {
             assert_eq!(a.predict_proba(x), b.predict_proba(x));
         }
+    }
+
+    #[test]
+    fn row_tiles_stream_the_exported_rows_and_rebuild_the_blocks() {
+        // 140 classes grown to 150: past the stride, and two full tiles
+        // plus a partial one
+        let dim = 5;
+        let example = |c: u32| {
+            let x = vec![(c % 5, 1.0 + c as f32 * 0.01), ((c + 2) % 5, 0.5)];
+            (SparseVector::from_pairs(x), c)
+        };
+        let first: Vec<(SparseVector, u32)> = (0..140).map(example).collect();
+        let mut model = SoftmaxClassifier::train_owned(&first, 140, dim, TrainConfig::default());
+        let grown: Vec<(SparseVector, u32)> = (130..150).map(example).collect();
+        let views: Vec<(SparseView<'_>, u32)> = grown.iter().map(|(x, y)| (x.view(), *y)).collect();
+        model.partial_fit(&views, TrainConfig::default());
+        let n = model.n_classes();
+        assert_eq!(n, 150);
+        let bits = |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+        let state = model.export_state();
+        for (block, rows) in [
+            (Block::Weights, &state.weights),
+            (Block::GradSq, &state.grad_sq_w),
+        ] {
+            let mut streamed = Vec::new();
+            model
+                .row_tiles(block, |tile| {
+                    assert!(tile.len() <= TILE_CLASSES * dim && tile.len() % dim == 0);
+                    streamed.extend_from_slice(tile);
+                    Ok::<_, ()>(())
+                })
+                .unwrap();
+            assert_eq!(bits(&streamed), bits(rows), "{block:?}");
+        }
+
+        let from_rows = |block: Block, rows: &[f32]| {
+            let mut at = 0;
+            feature_major_from_tiles(block, n, dim, |tile| {
+                tile.copy_from_slice(&rows[at..at + tile.len()]);
+                at += tile.len();
+                Ok::<_, ()>(())
+            })
+            .unwrap()
+        };
+        let rebuilt = SoftmaxClassifier::from_blocks(
+            from_rows(Block::Weights, &state.weights),
+            from_rows(Block::GradSq, &state.grad_sq_w),
+            state.biases.clone(),
+            state.grad_sq_b.clone(),
+            dim,
+            n,
+            state.fits,
+        )
+        .unwrap();
+        // the same blocks, pad columns included
+        assert_eq!(bits(&rebuilt.weights), bits(&model.weights));
+        assert_eq!(bits(&rebuilt.grad_sq_w), bits(&model.grad_sq_w));
+        assert_eq!(bits(&rebuilt.biases), bits(&model.biases));
+        assert_eq!(bits(&rebuilt.grad_sq_b), bits(&model.grad_sq_b));
+        assert_eq!((rebuilt.stride, rebuilt.fits), (model.stride, model.fits));
+
+        // an error stops either stream at once
+        let mut calls = 0;
+        let stopped = model.row_tiles(Block::Weights, |_| {
+            calls += 1;
+            Err("stop")
+        });
+        assert_eq!((stopped, calls), (Err("stop"), 1));
+        assert!(feature_major_from_tiles(Block::GradSq, n, dim, |_| Err("stop")).is_err());
+        // and shapes that do not fit are rejected
+        let blocks = || {
+            (
+                from_rows(Block::Weights, &state.weights),
+                from_rows(Block::GradSq, &state.grad_sq_w),
+            )
+        };
+        let (w, g) = blocks();
+        assert!(
+            SoftmaxClassifier::from_blocks(w, g, vec![0.0; n - 1], vec![0.0; n], dim, n, 1)
+                .is_err()
+        );
+        let (w, g) = blocks();
+        assert!(
+            SoftmaxClassifier::from_blocks(w, g, vec![0.0; n], vec![0.0; n], dim + 1, n, 1)
+                .is_err()
+        );
+        assert!(SoftmaxClassifier::from_blocks(
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+            dim,
+            0,
+            1
+        )
+        .is_err());
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //!   crashes (the tail survives even though `sync` never returned —
 //!   the crash-after-fsync case), and short reads.
 //!
+//! Whole files too large to hold twice (model snapshot blobs) stream in
+//! both directions: [`Storage::write_atomic`] hands the caller a writer,
+//! and [`Storage::read_stream`] a sequential reader plus the file's
+//! length, so neither side ever buffers the file.
+//!
 //! Paths are plain `/`-separated strings relative to whatever root the
 //! caller chose; `list` returns the file *names* directly under a
 //! directory, sorted, so replay order is deterministic on both
@@ -28,7 +33,8 @@ use std::sync::{Arc, Mutex};
 
 use crate::fault::FaultPlan;
 
-/// Fault point: `read` returns only a prefix of the file once.
+/// Fault point: `read` returns only a prefix of the file once, and a
+/// `read_stream` reader ends halfway through the length it reported.
 pub const FAULT_SHORT_READ: &str = "storage.short_read";
 /// Fault point: on `crash`, a file keeps a *torn prefix* of its
 /// unsynced tail (the classic partially-persisted append).
@@ -57,6 +63,11 @@ pub trait Storage: Send + Sync {
     /// under injected faults; callers that must see a stable tail
     /// should tolerate prefixes (the WAL replay does by design).
     fn read(&self, path: &str) -> io::Result<Vec<u8>>;
+    /// Opens the file for one sequential read, returning the reader and
+    /// the file's length. Under injected faults the reader may end before
+    /// that length (a short read); a caller decoding the stream should
+    /// treat running off its end as retryable.
+    fn read_stream(&self, path: &str) -> io::Result<(Box<dyn io::Read>, u64)>;
     /// Appends `bytes` to the file, creating it if absent. Not durable
     /// until [`sync`](Storage::sync).
     fn append(&self, path: &str, bytes: &[u8]) -> io::Result<()>;
@@ -66,8 +77,14 @@ pub trait Storage: Send + Sync {
     /// Truncates the file to `len` bytes and makes the truncation
     /// durable. Used to chop a torn tail off a recovered segment.
     fn truncate(&self, path: &str, len: u64) -> io::Result<()>;
-    /// Replaces the file's contents atomically and durably.
-    fn write_atomic(&self, path: &str, bytes: &[u8]) -> io::Result<()>;
+    /// Replaces the file's contents atomically and durably with the
+    /// bytes `fill` writes. If `fill` (or the write) fails, the previous
+    /// contents survive and no partial file becomes visible under `path`.
+    fn write_atomic(
+        &self,
+        path: &str,
+        fill: &mut dyn FnMut(&mut dyn io::Write) -> io::Result<()>,
+    ) -> io::Result<()>;
     /// Removes the file. Missing files are not an error (removal is
     /// used for compaction, which must be idempotent across crashes).
     fn remove(&self, path: &str) -> io::Result<()>;
@@ -78,6 +95,9 @@ pub trait Storage: Send + Sync {
 // ---------------------------------------------------------------------
 // Production: std::fs
 // ---------------------------------------------------------------------
+
+/// Buffer size of [`FsStorage`]'s streaming reads and atomic writes.
+const STREAM_BUFFER: usize = 1 << 20;
 
 /// Production [`Storage`] over the real file system, with a cache of
 /// append-mode handles keyed by path so the per-record append/fsync
@@ -131,6 +151,15 @@ impl Storage for FsStorage {
         std::fs::read(path)
     }
 
+    fn read_stream(&self, path: &str) -> io::Result<(Box<dyn io::Read>, u64)> {
+        let file = std::fs::File::open(path)?;
+        let len = file.metadata()?.len();
+        Ok((
+            Box::new(io::BufReader::with_capacity(STREAM_BUFFER, file)),
+            len,
+        ))
+    }
+
     fn append(&self, path: &str, bytes: &[u8]) -> io::Result<()> {
         use std::io::Write as _;
         self.with_handle(path, |file| file.write_all(bytes))
@@ -149,11 +178,18 @@ impl Storage for FsStorage {
         file.sync_data()
     }
 
-    fn write_atomic(&self, path: &str, bytes: &[u8]) -> io::Result<()> {
+    fn write_atomic(
+        &self,
+        path: &str,
+        fill: &mut dyn FnMut(&mut dyn io::Write) -> io::Result<()>,
+    ) -> io::Result<()> {
         self.handles.lock().unwrap().remove(path);
+        // a failed fill leaves only the temp file, which `path` readers
+        // never see and the WAL's open sweep deletes
         let tmp = format!("{path}.tmp");
-        std::fs::write(&tmp, bytes)?;
-        let file = std::fs::OpenOptions::new().append(true).open(&tmp)?;
+        let mut out = io::BufWriter::with_capacity(STREAM_BUFFER, std::fs::File::create(&tmp)?);
+        fill(&mut out)?;
+        let file = out.into_inner().map_err(io::IntoInnerError::into_error)?;
         file.sync_data()?;
         drop(file);
         std::fs::rename(&tmp, path)?;
@@ -246,6 +282,22 @@ impl SimStorage {
         }
     }
 
+    /// A copy of the file's bytes plus its full length; under
+    /// [`FAULT_SHORT_READ`] the copy is only the first half.
+    fn read_file(&self, path: &str) -> io::Result<(Vec<u8>, usize)> {
+        let files = self.files.lock().unwrap();
+        let file = files
+            .get(path)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, path.to_string()))?;
+        let mut data = file.data.clone();
+        drop(files);
+        let len = data.len();
+        if self.fire(FAULT_SHORT_READ) {
+            data.truncate(len / 2);
+        }
+        Ok((data, len))
+    }
+
     /// Total bytes currently held (durable + volatile), for tests.
     pub fn total_bytes(&self) -> usize {
         self.files
@@ -283,16 +335,12 @@ impl Storage for SimStorage {
     }
 
     fn read(&self, path: &str) -> io::Result<Vec<u8>> {
-        let files = self.files.lock().unwrap();
-        let file = files
-            .get(path)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, path.to_string()))?;
-        let mut data = file.data.clone();
-        drop(files);
-        if self.fire(FAULT_SHORT_READ) {
-            data.truncate(data.len() / 2);
-        }
-        Ok(data)
+        self.read_file(path).map(|(data, _)| data)
+    }
+
+    fn read_stream(&self, path: &str) -> io::Result<(Box<dyn io::Read>, u64)> {
+        let (data, len) = self.read_file(path)?;
+        Ok((Box::new(io::Cursor::new(data)), len as u64))
     }
 
     fn append(&self, path: &str, bytes: &[u8]) -> io::Result<()> {
@@ -325,15 +373,18 @@ impl Storage for SimStorage {
         Ok(())
     }
 
-    fn write_atomic(&self, path: &str, bytes: &[u8]) -> io::Result<()> {
-        let mut files = self.files.lock().unwrap();
-        files.insert(
-            path.to_string(),
-            SimFile {
-                data: bytes.to_vec(),
-                durable_len: bytes.len(),
-            },
-        );
+    fn write_atomic(
+        &self,
+        path: &str,
+        fill: &mut dyn FnMut(&mut dyn io::Write) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let mut data = Vec::new();
+        fill(&mut data)?;
+        let durable_len = data.len();
+        self.files
+            .lock()
+            .unwrap()
+            .insert(path.to_string(), SimFile { data, durable_len });
         Ok(())
     }
 
@@ -350,6 +401,7 @@ impl Storage for SimStorage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read as _;
 
     #[test]
     fn unsynced_bytes_die_in_a_crash() {
@@ -393,12 +445,46 @@ mod tests {
         assert_eq!(storage.read("wal/a.log").unwrap(), b"0123456789");
     }
 
+    /// `write_atomic` with a fill that writes `bytes`.
+    fn write_all(storage: &dyn Storage, path: &str, bytes: &[u8]) -> io::Result<()> {
+        storage.write_atomic(path, &mut |out| out.write_all(bytes))
+    }
+
+    #[test]
+    fn short_stream_reads_end_before_the_reported_length() {
+        let faults = Arc::new(FaultPlan::new());
+        faults.arm(FAULT_SHORT_READ, 1);
+        let storage = SimStorage::with_faults(faults);
+        storage.append("wal/blob", b"0123456789").unwrap();
+        let read_all = || {
+            let (mut reader, len) = storage.read_stream("wal/blob").unwrap();
+            let mut data = Vec::new();
+            reader.read_to_end(&mut data).unwrap();
+            (data, len)
+        };
+        assert_eq!(read_all(), (b"01234".to_vec(), 10));
+        assert_eq!(read_all(), (b"0123456789".to_vec(), 10));
+        assert!(storage.read_stream("wal/missing").is_err());
+    }
+
     #[test]
     fn write_atomic_is_durable_immediately() {
         let storage = SimStorage::new();
-        storage.write_atomic("wal/CHECKPOINT", b"epoch 3").unwrap();
+        write_all(storage.as_ref(), "wal/CHECKPOINT", b"epoch 3").unwrap();
         storage.crash();
         assert_eq!(storage.read("wal/CHECKPOINT").unwrap(), b"epoch 3");
+    }
+
+    #[test]
+    fn failed_fill_keeps_the_previous_contents() {
+        let storage = SimStorage::new();
+        write_all(storage.as_ref(), "wal/blob", b"old").unwrap();
+        let failed = storage.write_atomic("wal/blob", &mut |out| {
+            out.write_all(b"new, half")?;
+            Err(io::Error::other("fill failed"))
+        });
+        assert!(failed.is_err());
+        assert_eq!(storage.read("wal/blob").unwrap(), b"old");
     }
 
     #[test]
@@ -438,13 +524,15 @@ mod tests {
         storage.append(&path, b"!").unwrap();
         storage.sync(&path).unwrap();
         assert_eq!(storage.read(&path).unwrap(), b"hello!");
-        storage
-            .write_atomic(&format!("{root}/CHECKPOINT"), b"meta")
-            .unwrap();
+        write_all(&storage, &format!("{root}/CHECKPOINT"), b"meta").unwrap();
         assert_eq!(
             storage.read(&format!("{root}/CHECKPOINT")).unwrap(),
             b"meta"
         );
+        let (mut reader, len) = storage.read_stream(&format!("{root}/CHECKPOINT")).unwrap();
+        let mut streamed = Vec::new();
+        reader.read_to_end(&mut streamed).unwrap();
+        assert_eq!((streamed.as_slice(), len), (&b"meta"[..], 4));
         let names = storage.list(&root).unwrap();
         assert_eq!(names, vec!["CHECKPOINT", "seg.log"]);
         storage.remove(&path).unwrap();

@@ -20,7 +20,10 @@
 //!   compaction — and re-deleted on open if a crash interrupted the
 //!   sweep, so compaction is idempotent.
 //! - **blobs** — arbitrary atomically-written files (the engine stores
-//!   one serialized model snapshot per published epoch).
+//!   one serialized model snapshot per published epoch). Blobs stream:
+//!   [`Wal::write_blob_with`] hands the caller the atomic write's
+//!   writer and [`Wal::read_blob_with`] a sequential reader, so a
+//!   blob is never held in memory whole.
 //!
 //! ## Durability contract
 //!
@@ -370,7 +373,9 @@ impl Wal {
         let cut = writer.seg_seq + 1;
         let bytes = encode_checkpoint(epoch, cut, payload);
         self.storage
-            .write_atomic(&format!("{}/{CHECKPOINT_FILE}", self.dir), &bytes)?;
+            .write_atomic(&format!("{}/{CHECKPOINT_FILE}", self.dir), &mut |out| {
+                out.write_all(&bytes)
+            })?;
         // the checkpoint is durable; old segments are garbage now (a
         // crash mid-sweep re-deletes on open)
         for seq in self
@@ -397,19 +402,44 @@ impl Wal {
         Ok(())
     }
 
-    /// Writes a named blob atomically and durably (model snapshots).
-    pub fn write_blob(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+    /// Writes a named blob atomically and durably from the bytes `fill`
+    /// streams into the writer it is handed (model snapshots). A failed
+    /// `fill` leaves any previous blob of that name intact.
+    pub fn write_blob_with(
+        &self,
+        name: &str,
+        fill: &mut dyn FnMut(&mut dyn io::Write) -> io::Result<()>,
+    ) -> io::Result<()> {
         self.storage
-            .write_atomic(&format!("{}/{name}", self.dir), bytes)
+            .write_atomic(&format!("{}/{name}", self.dir), fill)
     }
 
-    /// Reads a named blob, `None` if absent.
-    pub fn read_blob(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
+    /// Decodes a named blob straight from storage, `None` if absent:
+    /// `decode` reads the blob from a sequential reader, given its
+    /// length. A decode that runs off the end of the stream
+    /// (`UnexpectedEof` before the reported length: a short read) is
+    /// retried on a fresh reader — the streaming form of the
+    /// two-reads-agree rule segment reads use. Every other error is
+    /// returned as it is.
+    pub fn read_blob_with<T>(
+        &self,
+        name: &str,
+        mut decode: impl FnMut(&mut dyn io::Read, u64) -> io::Result<T>,
+    ) -> io::Result<Option<T>> {
         let path = format!("{}/{name}", self.dir);
         if !self.storage.exists(&path) {
             return Ok(None);
         }
-        read_stable(self.storage.as_ref(), &path).map(Some)
+        let mut retries = 3;
+        loop {
+            let (mut reader, len) = self.storage.read_stream(&path)?;
+            match decode(&mut reader, len) {
+                Err(error) if error.kind() == io::ErrorKind::UnexpectedEof && retries > 0 => {
+                    retries -= 1;
+                }
+                result => return result.map(Some),
+            }
+        }
     }
 
     /// Removes a named blob (idempotent).
@@ -537,6 +567,22 @@ mod tests {
         Wal::open(storage, "wal", options).expect("open")
     }
 
+    fn write_blob(wal: &Wal, name: &str, bytes: &[u8]) {
+        wal.write_blob_with(name, &mut |out| out.write_all(bytes))
+            .unwrap();
+    }
+
+    /// Reads a whole blob through `read_blob_with`, failing with
+    /// `UnexpectedEof` when the stream ends before the reported length.
+    fn read_blob(wal: &Wal, name: &str) -> Option<Vec<u8>> {
+        wal.read_blob_with(name, |input, len| {
+            let mut bytes = vec![0; len as usize];
+            input.read_exact(&mut bytes)?;
+            Ok(bytes)
+        })
+        .unwrap()
+    }
+
     #[test]
     fn committed_records_survive_a_crash() {
         let storage = sim();
@@ -627,7 +673,7 @@ mod tests {
         wal.checkpoint(1, b"img").unwrap();
         let lsn = wal.append(b"y").unwrap();
         wal.commit(lsn).unwrap();
-        wal.write_blob("seg-mental", b"blob").unwrap();
+        write_blob(&wal, "seg-mental", b"blob");
         // prefixes that would naively match the active segment or the
         // checkpoint file return only true blobs
         assert_eq!(wal.list_blobs("seg-").unwrap(), vec!["seg-mental"]);
@@ -660,6 +706,34 @@ mod tests {
         let (_, recovered) = open(&storage);
         assert_eq!(recovered.records.len(), 4);
         assert_eq!(recovered.truncated_bytes, 0);
+    }
+
+    #[test]
+    fn short_reads_do_not_fail_a_blob_decode() {
+        let faults = Arc::new(FaultPlan::new());
+        let storage = SimStorage::with_faults(faults.clone());
+        let (wal, _) = open(&storage);
+        let blob: Vec<u8> = (0..=255).collect();
+        write_blob(&wal, "epoch-0000000001.snap", &blob);
+        faults.arm(FAULT_SHORT_READ, 1);
+        let mut attempts = 0;
+        let decoded = wal
+            .read_blob_with("epoch-0000000001.snap", |input, len| {
+                attempts += 1;
+                let mut bytes = vec![0; len as usize];
+                input.read_exact(&mut bytes)?;
+                Ok(bytes)
+            })
+            .unwrap();
+        assert_eq!(decoded, Some(blob));
+        assert_eq!(attempts, 2, "the short read was retried once");
+        // a decode error that is not a short read is returned as it is
+        let error = wal
+            .read_blob_with("epoch-0000000001.snap", |_, _| -> io::Result<()> {
+                Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic"))
+            })
+            .unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
@@ -729,16 +803,29 @@ mod tests {
     fn blobs_round_trip_and_survive_crashes() {
         let storage = sim();
         let (wal, _) = open(&storage);
-        wal.write_blob("epoch-0000000002.snap", b"weights").unwrap();
+        write_blob(&wal, "epoch-0000000002.snap", b"weights");
         storage.crash();
         let (wal, _) = open(&storage);
         assert_eq!(
-            wal.read_blob("epoch-0000000002.snap").unwrap().unwrap(),
+            read_blob(&wal, "epoch-0000000002.snap").unwrap(),
             b"weights"
         );
         assert_eq!(wal.list_blobs("epoch-").unwrap().len(), 1);
         wal.remove_blob("epoch-0000000002.snap").unwrap();
-        assert!(wal.read_blob("epoch-0000000002.snap").unwrap().is_none());
+        assert!(read_blob(&wal, "epoch-0000000002.snap").is_none());
+    }
+
+    #[test]
+    fn a_failed_blob_fill_keeps_the_previous_blob() {
+        let storage = sim();
+        let (wal, _) = open(&storage);
+        write_blob(&wal, "epoch-0000000001.snap", b"old");
+        let failed = wal.write_blob_with("epoch-0000000001.snap", &mut |out| {
+            out.write_all(b"half of the new")?;
+            Err(io::Error::other("encoder failed"))
+        });
+        assert!(failed.is_err());
+        assert_eq!(read_blob(&wal, "epoch-0000000001.snap").unwrap(), b"old");
     }
 
     #[test]
