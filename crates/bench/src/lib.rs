@@ -1,7 +1,7 @@
 //! Shared helpers for the Scrutinizer bench harness.
 //!
 //! The interesting code lives in `benches/` (criterion benchmarks:
-//! `engine`, `prepared`, `planner`, `planning`, `substrates`)
+//! `engine`, `prepared`, `planner`, `translate`, `serve`, `obs`, `wal`)
 //! and `src/bin/` (paper-reproduction binaries). This library crate
 //! additionally provides [`CountingAllocator`], the global-allocator shim
 //! the `serve` bench installs to prove the binary suggest hot path makes

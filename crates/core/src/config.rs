@@ -45,9 +45,6 @@ pub struct SystemConfig {
     /// stays within `replan_gap` of an optimistic bound on the achievable
     /// optimum (see `incremental`).
     pub replan_gap: f64,
-    /// Worker threads for the parallel batch-selection solver; `0` uses the
-    /// machine's available parallelism.
-    pub planner_threads: usize,
     /// Master seed for the crowd and any tie-breaking.
     pub seed: u64,
 }
@@ -68,7 +65,6 @@ impl Default for SystemConfig {
             utility_weight: 60.0,
             screen_skip_confidence: 0.85,
             replan_gap: 0.15,
-            planner_threads: 0,
             seed: 17,
         }
     }

@@ -3,9 +3,9 @@
 //! Picks the next batch of claims to verify, trading off expected
 //! verification cost (including section skim costs, Definition 8) against
 //! training utility (Definition 7). The selection ILP (Definition 9) is
-//! solved with `scrutinizer-ilp`'s parallel, warm-started branch & bound; a
-//! utility-density greedy serves as the fallback when the solver fails and
-//! as an ablation baseline.
+//! solved with `scrutinizer-ilp`'s serial, warm-started, hint-seeded
+//! branch & bound; a utility-density greedy serves as the fallback when
+//! the solver fails and as an ablation baseline.
 //!
 //! [`select_batch`] returns just the claim ids; [`select_batch_detailed`]
 //! additionally reports the achieved utility, the method that produced the
@@ -16,17 +16,16 @@
 use crate::config::SystemConfig;
 use scrutinizer_corpus::Document;
 use scrutinizer_ilp::simplex::solve_lp;
-use scrutinizer_ilp::{
-    solve_ilp, solve_ilp_parallel, BranchConfig, IlpError, Model, ParallelConfig, Sense, SolveStats,
-};
+use scrutinizer_ilp::{solve_ilp, BranchConfig, IlpError, Model, Sense, SolveStats};
 
-/// Node budget of the parallel planning solver. The incumbent is seeded
-/// with the greedy solution before the search starts, so every explored
-/// node strictly *improves* on greedy — a dozen warm-started nodes recoup
-/// most of the ILP's advantage at a fraction of the seed solver's 40 cold
-/// LP solves (which, at the default 150-claim window, routinely found no
-/// incumbent at all and fell back to greedy anyway).
-const PARALLEL_NODE_LIMIT: usize = 12;
+/// Node budget of the planning solver. The incumbent is seeded with the
+/// greedy solution before the search starts, so every explored node
+/// strictly *improves* on greedy — a dozen warm-started nodes recoup most
+/// of the ILP's advantage at a fraction of the baseline's 40 nodes.
+const PLANNING_NODE_LIMIT: usize = 12;
+
+/// Node budget of [`select_batch_serial_baseline`], the seed's.
+const BASELINE_NODE_LIMIT: usize = 40;
 
 /// Relative optimality gap of the planning solver. Batch selection needs
 /// "the right claims", not the last decimal of the utility sum; a 1 % gap
@@ -74,7 +73,7 @@ pub enum BatchMethod {
     /// sections push value below the utility-density cut); the greedy
     /// batch is returned. This post-hoc max makes [`OrderingStrategy::Ilp`]
     /// never worse than [`OrderingStrategy::Greedy`] *by construction*,
-    /// whatever the window or thread schedule did.
+    /// whatever the window or the node budget did.
     GreedyOverWindow,
     /// Greedy was the requested strategy.
     Greedy,
@@ -95,7 +94,7 @@ pub struct BatchSelection {
     /// The solver error behind a [`BatchMethod::GreedyFallback`] — returned
     /// instead of silently dropped so the engine can log it.
     pub fallback: Option<IlpError>,
-    /// Search counters when the parallel ILP ran to completion.
+    /// Search counters when the ILP returned a batch.
     pub solver: Option<SolveStats>,
 }
 
@@ -273,8 +272,11 @@ pub fn select_batch_with_hint(
     }
 }
 
-/// The pre-PR3 serial ILP path — one cold branch & bound per call, greedy
-/// on failure — kept verbatim as the benchmark baseline and ablation.
+/// The benchmark baseline and ablation: the planning solver run cold — no
+/// greedy or prior-batch hints, a 40-node budget, the default gap — with
+/// greedy on failure. It keeps the seed's budget and fallback but is no
+/// longer the seed's code verbatim: it runs the one warm-started branch &
+/// bound, rounding-heuristic incumbent included.
 pub fn select_batch_serial_baseline(
     choices: &[ClaimChoice],
     document: &Document,
@@ -451,7 +453,7 @@ fn hint_values(wm: &WindowModel<'_>, batch: &[usize]) -> Vec<f64> {
     values
 }
 
-/// Solves Definition 9 with the parallel, warm-started solver. The greedy
+/// Solves Definition 9 with the warm-started branch & bound. The greedy
 /// heuristic's answer always seeds the incumbent (so the ILP can only
 /// match or beat it); a prior batch from the incremental planner seeds it
 /// too. Errors — no longer swallowed — bubble up so the caller records the
@@ -476,13 +478,12 @@ fn ilp_batch(
         hints.push(prior);
     }
 
-    let parallel = ParallelConfig {
-        threads: config.planner_threads,
-        node_limit: PARALLEL_NODE_LIMIT,
+    let planning = BranchConfig {
+        node_limit: PLANNING_NODE_LIMIT,
         gap: PLANNING_GAP,
         ..Default::default()
     };
-    let solve = solve_ilp_parallel(&wm.model, parallel, &hints)?;
+    let solve = solve_ilp(&wm.model, planning, &hints)?;
     let method = if solve.stats.node_limit_hit {
         BatchMethod::IlpIncumbent
     } else {
@@ -520,8 +521,8 @@ pub fn window_lp_bound(
         .map(|s| s.objective)
 }
 
-/// The seed's serial solve: cold branch & bound, 40-node budget, incumbent
-/// accepted on exhaustion, `None` on any other failure.
+/// The baseline's solve: no hints, 40-node budget, default gap, incumbent
+/// accepted on exhaustion, `None` on any failure.
 fn serial_ilp_batch(
     choices: &[ClaimChoice],
     document: &Document,
@@ -529,17 +530,11 @@ fn serial_ilp_batch(
     config: &SystemConfig,
 ) -> Option<Vec<usize>> {
     let wm = build_window_model(choices, document, budget_seconds, config)?;
-    let solution = match solve_ilp(
-        &wm.model,
-        BranchConfig {
-            node_limit: 40,
-            ..Default::default()
-        },
-    ) {
-        Ok(s) => s,
-        Err(IlpError::NodeLimit(Some(s))) => s,
-        Err(_) => return None,
+    let cold = BranchConfig {
+        node_limit: BASELINE_NODE_LIMIT,
+        ..Default::default()
     };
+    let solution = solve_ilp(&wm.model, cold, &[]).ok()?.solution;
     let batch: Vec<usize> = wm
         .window
         .iter()
@@ -649,25 +644,26 @@ mod tests {
             ilp.method
         );
         assert!(ilp.fallback.is_none());
-        let solver = ilp.solver.expect("parallel solver ran");
+        let solver = ilp.solver.expect("the ILP solver ran");
         assert!(solver.lp_solves >= 1);
     }
 
     #[test]
     fn parallel_matches_serial_baseline_objective() {
+        // the hint-seeded production solve against the cold baseline solve
         let (document, choices, config) = setup();
         for budget in [500.0, 900.0, 2000.0] {
-            let parallel =
+            let seeded =
                 select_batch_detailed(&choices, &document, OrderingStrategy::Ilp, budget, &config);
             let serial = select_batch_serial_baseline(&choices, &document, budget, &config);
             let serial_utility = batch_utility(&serial, &choices);
-            // the parallel solver legitimately trades up to PLANNING_GAP of
+            // the planning solver legitimately trades up to PLANNING_GAP of
             // objective for early termination, so the guarantee is
             // gap-relative, not exact
             assert!(
-                parallel.utility >= serial_utility * (1.0 - PLANNING_GAP) - 1e-6,
-                "budget {budget}: parallel {} < serial {} beyond the gap",
-                parallel.utility,
+                seeded.utility >= serial_utility * (1.0 - PLANNING_GAP) - 1e-6,
+                "budget {budget}: seeded {} < serial {} beyond the gap",
+                seeded.utility,
                 serial_utility
             );
         }

@@ -2,7 +2,8 @@
 //! on the small corpus: `Verifier::run` (three checkers, document order),
 //! the simulated user study at its test config, a frozen pretrained
 //! engine's `verify_batch` over every claim, and the engine's first
-//! `submit_report` batch for claims 0..40 under Sequential and Greedy.
+//! `submit_report` batch for claims 0..40 under Sequential, Greedy and
+//! Ilp (the production default).
 //! Crowd seconds are kept as raw `f64` bits, so a changed RNG draw order
 //! or summation order shows up here.
 //!
@@ -107,6 +108,7 @@ fn algorithm1_outcomes_match_the_golden_fixture() {
         &frozen_engine(OrderingStrategy::Greedy),
         "Greedy",
     );
+    first_batch(&mut actual, &frozen_engine(OrderingStrategy::Ilp), "Ilp");
     actual.push_str("# frozen engine verify_batch, every claim, default worker\n");
     let ids: Vec<usize> = (0..engine.corpus().claims.len()).collect();
     let outcomes = engine.verify_batch(&ids, WorkerConfig::default()).unwrap();

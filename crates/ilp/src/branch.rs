@@ -1,8 +1,28 @@
 //! Best-first branch & bound for 0/1 integer programs.
+//!
+//! One serial search, built to be re-entered cheaply by a planner that
+//! re-solves a small ILP after every retrain:
+//!
+//! * **LP warm starts** — every child node carries its parent's optimal
+//!   [`LpBasis`] and re-installs it, repairing the usual primal
+//!   infeasibility (the fixed branching variable) with dual simplex pivots
+//!   instead of re-running phase 1 from scratch;
+//! * **incumbent seeding** — caller hints (known feasible assignments) are
+//!   offered first, then the root relaxation is rounded
+//!   ([`crate::heuristic::round_to_incumbent`]) into a feasible incumbent,
+//!   so the gap test prunes from node one;
+//! * **gap pruning** — a node survives only if its bound beats the
+//!   incumbent by more than the relative gap, which is also the
+//!   early-termination test.
+//!
+//! The search is deterministic: the same model, configuration and hints
+//! give the same solution and the same [`SolveStats`]. Incumbent ties
+//! (within `1e-12`) go to the lexicographically smaller value vector.
 
 use crate::error::IlpError;
+use crate::heuristic::round_to_incumbent;
 use crate::model::{Direction, Model, Solution, SolveStatus};
-use crate::simplex::solve_lp;
+use crate::simplex::{solve_lp_warm, LpBasis};
 use crate::Result;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -12,7 +32,8 @@ use std::collections::BinaryHeap;
 pub struct BranchConfig {
     /// Maximum number of explored nodes before giving up with the incumbent.
     pub node_limit: usize,
-    /// Relative optimality gap at which search stops early.
+    /// Relative optimality gap at which a node is pruned against the
+    /// incumbent (also the early-termination gap).
     pub gap: f64,
     /// Integrality tolerance.
     pub int_tol: f64,
@@ -28,11 +49,39 @@ impl Default for BranchConfig {
     }
 }
 
+/// Counters describing one solve, surfaced up to the planner and the
+/// engine's metrics.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SolveStats {
+    /// Nodes branched on or popped and processed.
+    pub nodes_explored: usize,
+    /// LP relaxations solved, the root included.
+    pub lp_solves: usize,
+    /// LP solves that reused a parent basis and skipped phase 1.
+    pub warm_start_hits: usize,
+    /// Whether the rounding heuristic produced a seed incumbent.
+    pub heuristic_seeded: bool,
+    /// Whether the node budget ran out (the solution is the best incumbent,
+    /// not a proven optimum).
+    pub node_limit_hit: bool,
+}
+
+/// A completed solve: the solution plus its search counters.
+#[derive(Debug, Clone)]
+pub struct Solve {
+    /// The optimal (or, under a nonzero gap, gap-optimal) solution.
+    pub solution: Solution,
+    /// Search counters.
+    pub stats: SolveStats,
+}
+
 struct Node {
-    /// LP bound of this node (in maximize convention).
+    /// LP bound of this node (maximize convention).
     bound: f64,
     lower: Vec<f64>,
     upper: Vec<f64>,
+    /// Parent's optimal basis, installed to warm-start this node's LP.
+    basis: LpBasis,
 }
 
 impl PartialEq for Node {
@@ -53,11 +102,75 @@ impl Ord for Node {
     }
 }
 
+struct Incumbent<'m> {
+    model: &'m Model,
+    sign: f64,
+    gap: f64,
+    /// Best value in maximize convention; −∞ when none.
+    value: f64,
+    solution: Option<Solution>,
+}
+
+impl Incumbent<'_> {
+    /// Keeps `values` if it beats the incumbent; ties (within 1e-12) go to
+    /// the lexicographically smaller value vector.
+    fn offer(&mut self, values: Vec<f64>) {
+        let objective = self.model.objective_value(&values);
+        let value = self.sign * objective;
+        let better = value > self.value + 1e-12
+            || ((value - self.value).abs() <= 1e-12
+                && self
+                    .solution
+                    .as_ref()
+                    .is_none_or(|s| lexicographically_less(&values, &s.values)));
+        if better {
+            self.value = value;
+            self.solution = Some(Solution {
+                values,
+                objective,
+                status: SolveStatus::Optimal,
+            });
+        }
+    }
+
+    /// Offers an integral relaxation with its binaries rounded exactly.
+    fn offer_rounded(&mut self, mut values: Vec<f64>, binaries: &[usize]) {
+        for &i in binaries {
+            values[i] = values[i].round();
+        }
+        if self.model.is_feasible(&values, 1e-6) {
+            self.offer(values);
+        }
+    }
+
+    /// Whether a node at `bound` can still beat the incumbent by more than
+    /// the gap.
+    fn improves(&self, bound: f64) -> bool {
+        self.solution.is_none() || bound > self.value + self.gap * self.value.abs().max(1.0) - 1e-12
+    }
+}
+
+fn lexicographically_less(a: &[f64], b: &[f64]) -> bool {
+    for (x, y) in a.iter().zip(b) {
+        match x.total_cmp(y) {
+            Ordering::Less => return true,
+            Ordering::Greater => return false,
+            Ordering::Equal => {}
+        }
+    }
+    false
+}
+
 /// Solves a model whose integer variables are all binary.
 ///
-/// Returns the optimal solution, or — when the node budget runs out — the
-/// best incumbent wrapped in [`IlpError::NodeLimit`].
-pub fn solve_ilp(model: &Model, config: BranchConfig) -> Result<Solution> {
+/// `hints` seed the incumbent with known feasible assignments (e.g. a
+/// greedy answer, or the previous planning round's solution); infeasible
+/// hints are ignored, and the returned objective can only improve on a
+/// feasible hint. When the node budget runs out with an incumbent, the
+/// incumbent is returned as a [`SolveStatus::Feasible`] solution with
+/// [`SolveStats::node_limit_hit`] set; exhaustion with no incumbent is
+/// [`IlpError::NodeLimit`].
+pub fn solve_ilp(model: &Model, config: BranchConfig, hints: &[&[f64]]) -> Result<Solve> {
     let binaries: Vec<usize> = model.binary_vars().iter().map(|v| v.index()).collect();
     let sign = match model.direction() {
         Direction::Maximize => 1.0,
@@ -66,91 +179,134 @@ pub fn solve_ilp(model: &Model, config: BranchConfig) -> Result<Solution> {
 
     let root_lower: Vec<f64> = model.variables.iter().map(|v| v.lower).collect();
     let root_upper: Vec<f64> = model.variables.iter().map(|v| v.upper).collect();
+    let root = solve_lp_warm(model, &root_lower, &root_upper, None)?;
+    let mut stats = SolveStats {
+        lp_solves: 1,
+        ..SolveStats::default()
+    };
 
-    let root = solve_lp(model, &root_lower, &root_upper)?;
+    let mut incumbent = Incumbent {
+        model,
+        sign,
+        gap: config.gap,
+        value: f64::NEG_INFINITY,
+        solution: None,
+    };
+    for &values in hints {
+        if values.len() == model.num_variables() && model.is_feasible(values, 1e-6) {
+            incumbent.offer(values.to_vec());
+        }
+    }
+    if let Some(seed) = round_to_incumbent(model, &root.solution) {
+        stats.heuristic_seeded = true;
+        incumbent.offer(seed.values);
+    }
 
+    // the root is handled inline: an integral root never enters the heap
     let mut heap = BinaryHeap::new();
-    heap.push(Node {
-        bound: sign * root.objective,
-        lower: root_lower,
-        upper: root_upper,
-    });
-
-    let mut incumbent: Option<Solution> = None;
-    let mut incumbent_value = f64::NEG_INFINITY; // maximize convention
-    let mut explored = 0usize;
+    let root_bound = sign * root.solution.objective;
+    match most_fractional(&binaries, &root.solution.values, config.int_tol) {
+        None => incumbent.offer_rounded(root.solution.values, &binaries),
+        Some(var) if incumbent.improves(root_bound) => {
+            stats.nodes_explored += 1;
+            push_children(
+                &mut heap, var, root_bound, root_lower, root_upper, root.basis,
+            );
+        }
+        // the seeds already meet the root bound within the gap
+        Some(_) => {}
+    }
 
     while let Some(node) = heap.pop() {
-        // bound-based pruning (also achieves early gap termination)
-        if node.bound <= incumbent_value + config.gap * incumbent_value.abs().max(1.0) - 1e-12
-            && incumbent.is_some()
-        {
-            break; // best-first: all remaining nodes are no better
-        }
-        explored += 1;
-        if explored > config.node_limit {
-            return Err(IlpError::NodeLimit(incumbent));
-        }
-        let relaxed = match solve_lp(model, &node.lower, &node.upper) {
-            Ok(sol) => sol,
-            Err(IlpError::Infeasible) => continue,
-            Err(e) => return Err(e),
-        };
-        let bound = sign * relaxed.objective;
-        if incumbent.is_some() && bound <= incumbent_value + 1e-12 {
+        if !incumbent.improves(node.bound) {
             continue;
         }
-        // most fractional binary
-        let fractional = binaries
-            .iter()
-            .copied()
-            .map(|i| (i, (relaxed.values[i] - relaxed.values[i].round()).abs()))
-            .filter(|(_, f)| *f > config.int_tol)
-            .max_by(|a, b| a.1.total_cmp(&b.1));
-        match fractional {
-            None => {
-                // integral: candidate incumbent (round binaries exactly)
-                let mut values = relaxed.values.clone();
-                for &i in &binaries {
-                    values[i] = values[i].round();
-                }
-                let objective = model.objective_value(&values);
-                let value = sign * objective;
-                if value > incumbent_value && model.is_feasible(&values, 1e-6) {
-                    incumbent_value = value;
-                    incumbent = Some(Solution {
-                        values,
-                        objective,
-                        status: SolveStatus::Optimal,
-                    });
-                }
-            }
-            Some((var, _)) => {
-                let mut down_upper = node.upper.clone();
-                down_upper[var] = 0.0;
-                heap.push(Node {
-                    bound,
-                    lower: node.lower.clone(),
-                    upper: down_upper,
-                });
-                let mut up_lower = node.lower.clone();
-                up_lower[var] = 1.0;
-                heap.push(Node {
-                    bound,
-                    lower: up_lower,
-                    upper: node.upper,
-                });
+        stats.nodes_explored += 1;
+        if stats.nodes_explored > config.node_limit {
+            stats.node_limit_hit = true;
+            break;
+        }
+        let warm = (!node.basis.is_empty()).then_some(&node.basis);
+        stats.lp_solves += 1;
+        let relaxed = match solve_lp_warm(model, &node.lower, &node.upper, warm) {
+            Ok(relaxed) => relaxed,
+            Err(IlpError::Infeasible) => continue,
+            Err(error) => return Err(error),
+        };
+        if relaxed.warm_start_used {
+            stats.warm_start_hits += 1;
+        }
+        let bound = sign * relaxed.solution.objective;
+        if !incumbent.improves(bound) {
+            continue;
+        }
+        match most_fractional(&binaries, &relaxed.solution.values, config.int_tol) {
+            None => incumbent.offer_rounded(relaxed.solution.values, &binaries),
+            Some(var) => {
+                push_children(&mut heap, var, bound, node.lower, node.upper, relaxed.basis)
             }
         }
     }
 
-    incumbent.ok_or(IlpError::Infeasible)
+    let Some(mut solution) = incumbent.solution else {
+        return Err(if stats.node_limit_hit {
+            IlpError::NodeLimit
+        } else {
+            IlpError::Infeasible
+        });
+    };
+    if stats.node_limit_hit {
+        solution.status = SolveStatus::Feasible;
+    }
+    Ok(Solve { solution, stats })
+}
+
+fn most_fractional(binaries: &[usize], values: &[f64], int_tol: f64) -> Option<usize> {
+    binaries
+        .iter()
+        .copied()
+        .map(|i| (i, (values[i] - values[i].round()).abs()))
+        .filter(|(_, f)| *f > int_tol)
+        .max_by(|a, b| a.1.total_cmp(&b.1))
+        .map(|(i, _)| i)
+}
+
+/// Queues both children of a node branched on `var`: down (`var = 0`)
+/// first, then up (`var = 1`), each warm-started from `basis`.
+fn push_children(
+    heap: &mut BinaryHeap<Node>,
+    var: usize,
+    bound: f64,
+    lower: Vec<f64>,
+    upper: Vec<f64>,
+    basis: LpBasis,
+) {
+    let mut down_upper = upper.clone();
+    down_upper[var] = 0.0;
+    let mut up_lower = lower.clone();
+    up_lower[var] = 1.0;
+    heap.push(Node {
+        bound,
+        lower,
+        upper: down_upper,
+        basis: basis.clone(),
+    });
+    heap.push(Node {
+        bound,
+        lower: up_lower,
+        upper,
+        basis,
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::{Model, Sense};
+
+    fn solve(m: &Model) -> Result<Solution> {
+        solve_ilp(m, BranchConfig::default(), &[]).map(|s| s.solution)
+    }
 
     #[test]
     fn knapsack_style() {
@@ -162,7 +318,7 @@ mod tests {
         let c = m.add_binary("c", 7.0);
         m.add_constraint(vec![(a, 3.0), (b, 4.0), (c, 2.0)], Sense::Le, 6.0)
             .unwrap();
-        let sol = solve_ilp(&m, BranchConfig::default()).unwrap();
+        let sol = solve(&m).unwrap();
         assert!((sol.objective - 20.0).abs() < 1e-6);
         assert!(sol.is_set(b) && sol.is_set(c) && !sol.is_set(a));
         assert_eq!(sol.status, SolveStatus::Optimal);
@@ -176,7 +332,7 @@ mod tests {
         let y = m.add_binary("y", 1.0);
         m.add_constraint(vec![(x, 1.0), (y, 1.0)], Sense::Le, 1.5)
             .unwrap();
-        let sol = solve_ilp(&m, BranchConfig::default()).unwrap();
+        let sol = solve(&m).unwrap();
         assert!((sol.objective - 1.0).abs() < 1e-6);
     }
 
@@ -195,7 +351,7 @@ mod tests {
         }
         let terms: Vec<_> = items.iter().map(|&c| (c, 1.0)).collect();
         m.add_constraint(terms, Sense::Eq, 2.0).unwrap();
-        let sol = solve_ilp(&m, BranchConfig::default()).unwrap();
+        let sol = solve(&m).unwrap();
         // best two items: values 2 + 3 = 5, minus section 0.5 → 4.5
         assert!((sol.objective - 4.5).abs() < 1e-6);
         assert!(sol.is_set(section));
@@ -210,7 +366,7 @@ mod tests {
         let y = m.add_binary("y", 2.0);
         m.add_constraint(vec![(x, 1.0), (y, 1.0)], Sense::Ge, 1.0)
             .unwrap();
-        let sol = solve_ilp(&m, BranchConfig::default()).unwrap();
+        let sol = solve(&m).unwrap();
         assert!((sol.objective - 1.0).abs() < 1e-6);
         assert!(sol.is_set(x) && !sol.is_set(y));
     }
@@ -220,8 +376,18 @@ mod tests {
         let mut m = Model::maximize();
         let x = m.add_binary("x", 1.0);
         m.add_constraint(vec![(x, 1.0)], Sense::Ge, 2.0).unwrap();
+        assert!(matches!(solve(&m), Err(IlpError::Infeasible)));
+    }
+
+    #[test]
+    fn infeasible_detected_with_hints() {
+        // hints can only seed an incumbent, never make an infeasible model solvable
+        let mut m = Model::maximize();
+        let x = m.add_binary("x", 1.0);
+        m.add_constraint(vec![(x, 1.0)], Sense::Ge, 2.0).unwrap();
+        let hints: [&[f64]; 2] = [&[0.0], &[1.0]];
         assert!(matches!(
-            solve_ilp(&m, BranchConfig::default()),
+            solve_ilp(&m, BranchConfig::default(), &hints),
             Err(IlpError::Infeasible)
         ));
     }
@@ -241,13 +407,37 @@ mod tests {
                 node_limit: 1,
                 ..Default::default()
             },
+            &[],
         ) {
-            Err(IlpError::NodeLimit(Some(sol))) => {
-                assert!(sol.objective <= 6.0 + 1e-9);
+            Ok(solve) if solve.stats.node_limit_hit => {
+                assert!(solve.solution.objective <= 6.0 + 1e-9);
             }
-            Ok(sol) => assert!((sol.objective - 6.0).abs() < 1e-6), // solved at root
+            // solved at root
+            Ok(solve) => assert!((solve.solution.objective - 6.0).abs() < 1e-6),
             other => panic!("unexpected: {other:?}"),
         }
+    }
+
+    #[test]
+    fn node_limit_hit_keeps_the_seeded_incumbent() {
+        // symmetric optima under a fractional cap, with a tiny node budget
+        let mut m = Model::maximize();
+        let vars: Vec<_> = (0..12)
+            .map(|i| m.add_binary(format!("x{i}"), 1.0 + (i as f64) * 1e-7))
+            .collect();
+        let terms: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
+        m.add_constraint(terms, Sense::Le, 6.5).unwrap();
+        let tight = BranchConfig {
+            node_limit: 1,
+            ..Default::default()
+        };
+        // the rounding heuristic seeds six ones; the root bound 6.5 still
+        // branches, and the first child exhausts the budget
+        let solve = solve_ilp(&m, tight, &[]).unwrap();
+        assert!(solve.stats.node_limit_hit, "{:?}", solve.stats);
+        assert_eq!(solve.solution.status, SolveStatus::Feasible);
+        assert!(solve.solution.objective <= 6.5 + 1e-9);
+        assert!(m.is_feasible(&solve.solution.values, 1e-6));
     }
 
     #[test]
@@ -258,10 +448,72 @@ mod tests {
         let y = m.add_continuous("y", 0.0, 3.5, 1.0).unwrap();
         m.add_constraint(vec![(x, 1.0), (y, 1.0)], Sense::Le, 4.0)
             .unwrap();
-        let sol = solve_ilp(&m, BranchConfig::default()).unwrap();
+        let sol = solve(&m).unwrap();
         // x=1, y=3 → 5
         assert!((sol.objective - 5.0).abs() < 1e-6);
         assert!(sol.is_set(x));
         assert!((sol.value(y) - 3.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn mixed_continuous_and_binary_solves_to_optimality() {
+        let mut m = Model::maximize();
+        let x = m.add_binary("x", 2.0);
+        let y = m.add_continuous("y", 0.0, 3.5, 1.0).unwrap();
+        m.add_constraint(vec![(x, 1.0), (y, 1.0)], Sense::Le, 4.0)
+            .unwrap();
+        let solve = solve_ilp(&m, BranchConfig::default(), &[]).unwrap();
+        assert!((solve.solution.objective - 5.0).abs() < 1e-6);
+        assert!(solve.solution.is_set(x));
+        assert!((solve.solution.value(y) - 3.0).abs() < 1e-6);
+        assert_eq!(solve.solution.status, SolveStatus::Optimal);
+        assert!(!solve.stats.node_limit_hit, "{:?}", solve.stats);
+    }
+
+    #[test]
+    fn hint_seeds_incumbent() {
+        let mut m = Model::maximize();
+        let a = m.add_binary("a", 2.0);
+        let b = m.add_binary("b", 3.0);
+        m.add_constraint(vec![(a, 1.0), (b, 1.0)], Sense::Le, 1.0)
+            .unwrap();
+        // feasible hint: take `a` (suboptimal); the search must still find `b`
+        let hint = [1.0, 0.0];
+        let solve = solve_ilp(&m, BranchConfig::default(), &[&hint]).unwrap();
+        assert!((solve.solution.objective - 3.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn infeasible_hint_is_ignored() {
+        let mut m = Model::maximize();
+        let a = m.add_binary("a", 2.0);
+        let b = m.add_binary("b", 3.0);
+        m.add_constraint(vec![(a, 1.0), (b, 1.0)], Sense::Le, 1.0)
+            .unwrap();
+        let bad_hint = [1.0, 1.0];
+        let solve = solve_ilp(&m, BranchConfig::default(), &[&bad_hint]).unwrap();
+        assert!((solve.solution.objective - 3.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn stats_report_search_effort() {
+        // a model that forces branching
+        let mut m = Model::maximize();
+        let vars: Vec<_> = (0..10)
+            .map(|i| m.add_binary(format!("x{i}"), 3.0 + ((i * 5) % 7) as f64))
+            .collect();
+        let terms: Vec<_> = vars
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (v, 2.0 + ((i * 3) % 5) as f64))
+            .collect();
+        m.add_constraint(terms, Sense::Le, 11.0).unwrap();
+        let solve = solve_ilp(&m, BranchConfig::default(), &[]).unwrap();
+        assert!(solve.stats.lp_solves >= 1);
+        assert!(solve.stats.heuristic_seeded);
+        // warm starts only happen once children are explored
+        if solve.stats.nodes_explored > 1 {
+            assert!(solve.stats.warm_start_hits > 0, "{:?}", solve.stats);
+        }
     }
 }

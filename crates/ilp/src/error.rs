@@ -13,9 +13,9 @@ pub enum IlpError {
     UnknownVariable(usize),
     /// The simplex iteration limit was exceeded (numerical trouble).
     IterationLimit,
-    /// Branch & bound exhausted its node budget before proving optimality;
-    /// the payload carries the best incumbent found, if any.
-    NodeLimit(Option<crate::model::Solution>),
+    /// Branch & bound exhausted its node budget before finding any
+    /// feasible incumbent.
+    NodeLimit,
     /// A bound pair is inconsistent (lower > upper).
     BadBounds {
         /// Variable index.
@@ -34,15 +34,9 @@ impl fmt::Display for IlpError {
             IlpError::Unbounded => write!(f, "model is unbounded"),
             IlpError::UnknownVariable(id) => write!(f, "unknown variable id {id}"),
             IlpError::IterationLimit => write!(f, "simplex iteration limit exceeded"),
-            IlpError::NodeLimit(best) => write!(
-                f,
-                "branch & bound node limit reached ({})",
-                if best.is_some() {
-                    "incumbent available"
-                } else {
-                    "no incumbent"
-                }
-            ),
+            IlpError::NodeLimit => {
+                write!(f, "branch & bound node limit reached (no incumbent)")
+            }
             IlpError::BadBounds { var, lower, upper } => {
                 write!(
                     f,

@@ -2,8 +2,8 @@
 //!
 //! Theorem 7 reduces knapsack to claim selection; the converse direction is
 //! useful too: when every claim sits in its own section, batch selection *is*
-//! a knapsack, and this exact DP provides both a fast path and an independent
-//! oracle for testing the ILP solver.
+//! a knapsack, and this exact DP is an independent oracle for testing the
+//! ILP solver. No production path calls it.
 
 /// Solves 0/1 knapsack with integer weights: maximize Σ value over item
 /// subsets with Σ weight ≤ capacity. Returns `(best_value, chosen_indices)`;

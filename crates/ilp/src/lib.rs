@@ -7,17 +7,15 @@
 //!   binary), linear constraints, minimize/maximize objective;
 //! * [`simplex`] — dense two-phase primal simplex for the LP relaxation,
 //!   with optional basis warm-starting ([`simplex::solve_lp_warm`]);
-//! * [`branch`] — serial best-first branch & bound over the binary
-//!   variables, with node and gap limits (kept as the reference solver and
-//!   ablation baseline);
-//! * [`parallel`] — the scalable solver: work-stealing parallel branch &
-//!   bound with a shared atomic incumbent, per-node LP warm starts, and
-//!   [`heuristic`] incumbent seeding, reporting [`SolveStats`] counters;
+//! * [`branch`] — the one solver: serial best-first branch & bound over
+//!   the binary variables, with per-node LP warm starts, hint and
+//!   [`heuristic`] incumbent seeding, node and gap limits, and
+//!   [`SolveStats`] counters;
 //! * [`heuristic`] — LP-relaxation rounding that turns the root relaxation
 //!   into a feasible incumbent so the gap test prunes early;
-//! * [`knapsack`] — dynamic-programming 0/1 knapsack, used both as a fast
-//!   path for batch-selection instances that degenerate to knapsack
-//!   (Theorem 7's reduction) and as an independent cross-check in tests.
+//! * [`knapsack`] — dynamic-programming 0/1 knapsack, an independent
+//!   cross-check of branch & bound on knapsack instances (Theorem 7's
+//!   reduction) in tests.
 //!
 //! The batch-selection ILPs are small — `O(claims + sections)` variables and
 //! constraints (Theorem 8) — but the mixed-initiative loop re-solves one
@@ -32,14 +30,12 @@ pub mod error;
 pub mod heuristic;
 pub mod knapsack;
 pub mod model;
-pub mod parallel;
 pub mod simplex;
 
-pub use branch::{solve_ilp, BranchConfig};
+pub use branch::{solve_ilp, BranchConfig, Solve, SolveStats};
 pub use error::IlpError;
 pub use knapsack::knapsack_01;
 pub use model::{Constraint, Model, Sense, Solution, SolveStatus, VarId, VarKind};
-pub use parallel::{solve_ilp_parallel, ParallelConfig, ParallelSolve, SolveStats};
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, IlpError>;

@@ -1,14 +1,12 @@
-//! Differential property tests for the parallel solver: over random
-//! Definition-9 instances (claims with costs/utilities, section coverage
-//! variables, a budget, cardinality bounds), the work-stealing parallel
-//! branch & bound must return exactly the serial solver's objective — at
-//! one thread and at several — and its warm starts, heuristic seeding and
-//! hints must never change the optimum.
+//! Property tests for branch & bound against a brute-force reference:
+//! over random Definition-9 instances (claims with costs/utilities,
+//! section coverage variables, a budget, cardinality bounds), the solver's
+//! objective must equal exhaustive enumeration of every 0/1 assignment,
+//! the two must agree on feasibility, and hints — feasible or not — must
+//! never change the optimum.
 
 use proptest::prelude::*;
-use scrutinizer_ilp::{
-    solve_ilp, solve_ilp_parallel, BranchConfig, IlpError, Model, ParallelConfig, Sense, VarId,
-};
+use scrutinizer_ilp::{solve_ilp, BranchConfig, IlpError, Model, Sense, VarId};
 
 /// A random Definition-9 instance small enough to solve exactly.
 #[derive(Debug, Clone)]
@@ -77,40 +75,43 @@ fn instances() -> impl Strategy<Value = Instance> {
         })
 }
 
-/// Serial reference objective, `None` when infeasible.
-fn serial_objective(model: &Model) -> Option<f64> {
-    match solve_ilp(
-        model,
-        BranchConfig {
-            node_limit: 1_000_000,
-            ..Default::default()
-        },
-    ) {
-        Ok(solution) => Some(solution.objective),
-        Err(IlpError::Infeasible) => None,
-        Err(error) => panic!("serial solver failed: {error}"),
+/// Exhaustive reference optimum over every 0/1 assignment, `None` when
+/// no assignment is feasible. Instances hold at most 11 claims plus 4
+/// sections, so at most 2^15 masks.
+fn brute_force_objective(model: &Model) -> Option<f64> {
+    let n = model.num_variables();
+    let mut values = vec![0.0; n];
+    let mut best: Option<f64> = None;
+    for mask in 0u32..(1 << n) {
+        for (i, value) in values.iter_mut().enumerate() {
+            *value = f64::from((mask >> i) & 1);
+        }
+        if model.is_feasible(&values, 1e-6) {
+            let objective = model.objective_value(&values);
+            best = Some(best.map_or(objective, |b| b.max(objective)));
+        }
     }
+    best
 }
 
-fn parallel_objective(model: &Model, threads: usize, hints: &[&[f64]]) -> Option<f64> {
-    match solve_ilp_parallel(
-        model,
-        ParallelConfig {
-            threads,
-            node_limit: 1_000_000,
-            ..Default::default()
-        },
-        hints,
-    ) {
+/// The solver's objective under an effectively unbounded node budget,
+/// `None` when infeasible.
+fn solved_objective(model: &Model, hints: &[&[f64]]) -> Option<f64> {
+    let unbounded = BranchConfig {
+        node_limit: 1_000_000,
+        ..Default::default()
+    };
+    match solve_ilp(model, unbounded, hints) {
         Ok(solve) => {
             assert!(
                 !solve.stats.node_limit_hit,
                 "budget was effectively unbounded"
             );
+            assert!(model.is_feasible(&solve.solution.values, 1e-6));
             Some(solve.solution.objective)
         }
         Err(IlpError::Infeasible) => None,
-        Err(error) => panic!("parallel solver failed: {error}"),
+        Err(error) => panic!("solver failed: {error}"),
     }
 }
 
@@ -118,26 +119,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn parallel_matches_serial_objective(instance in instances()) {
+    fn matches_brute_force(instance in instances()) {
         let (model, _) = instance.build();
-        let serial = serial_objective(&model);
-        for threads in [1, 3] {
-            let parallel = parallel_objective(&model, threads, &[]);
-            match (serial, parallel) {
-                (None, None) => {}
-                (Some(s), Some(p)) => prop_assert!(
-                    (s - p).abs() < 1e-6,
-                    "{threads} threads: serial {s} vs parallel {p}"
-                ),
-                other => prop_assert!(false, "feasibility disagreement: {other:?}"),
-            }
+        match (brute_force_objective(&model), solved_objective(&model, &[])) {
+            (None, None) => {}
+            (Some(b), Some(s)) => prop_assert!(
+                (b - s).abs() < 1e-6,
+                "brute force {b} vs branch & bound {s}"
+            ),
+            other => prop_assert!(false, "feasibility disagreement: {other:?}"),
         }
     }
 
     #[test]
     fn hints_never_change_the_optimum(instance in instances()) {
         let (model, claim_vars) = instance.build();
-        let serial = serial_objective(&model);
+        let exact = brute_force_objective(&model);
         // hint: cheapest single claim plus its section (feasible whenever
         // the instance is), plus a deliberately infeasible all-ones hint
         let cheapest = (0..instance.costs.len())
@@ -147,14 +144,15 @@ proptest! {
         hint[claim_vars[cheapest].index()] = 1.0;
         hint[instance.costs.len() + instance.sections[cheapest]] = 1.0;
         let all_ones = vec![1.0; model.num_variables()];
-        let parallel = parallel_objective(&model, 2, &[&hint, &all_ones]);
-        match (serial, parallel) {
-            (None, None) => {}
-            (Some(s), Some(p)) => prop_assert!(
-                (s - p).abs() < 1e-6,
-                "hinted: serial {s} vs parallel {p}"
-            ),
-            other => prop_assert!(false, "feasibility disagreement: {other:?}"),
+        for hints in [&[&hint[..]][..], &[&all_ones[..]], &[&hint[..], &all_ones[..]]] {
+            match (exact, solved_objective(&model, hints)) {
+                (None, None) => {}
+                (Some(b), Some(s)) => prop_assert!(
+                    (b - s).abs() < 1e-6,
+                    "hinted: brute force {b} vs branch & bound {s}"
+                ),
+                other => prop_assert!(false, "feasibility disagreement: {other:?}"),
+            }
         }
     }
 }

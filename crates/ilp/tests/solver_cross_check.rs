@@ -38,7 +38,10 @@ fn knapsack_as_ilp(weights: &[u64], values: &[f64], capacity: u64) -> f64 {
         .map(|(&v, &w)| (v, w as f64))
         .collect();
     m.add_constraint(terms, Sense::Le, capacity as f64).unwrap();
-    solve_ilp(&m, BranchConfig::default()).unwrap().objective
+    solve_ilp(&m, BranchConfig::default(), &[])
+        .unwrap()
+        .solution
+        .objective
 }
 
 proptest! {
@@ -94,7 +97,7 @@ proptest! {
         m.add_constraint(weight_terms, Sense::Le, capacity as f64).unwrap();
         let card_terms: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
         m.add_constraint(card_terms, Sense::Le, 2.0).unwrap();
-        let sol = solve_ilp(&m, BranchConfig::default()).unwrap();
+        let sol = solve_ilp(&m, BranchConfig::default(), &[]).unwrap().solution;
         prop_assert!((sol.objective - best).abs() < 1e-6,
             "ILP {} vs brute {best}", sol.objective);
     }

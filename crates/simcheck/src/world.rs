@@ -68,10 +68,8 @@ impl SharedWorld {
             ..CorpusConfig::small()
         };
         let mut config = SystemConfig::test();
-        // bound Algorithm 2's enumeration and pin the planner to one
-        // thread: schedule runs must be fast *and* bitwise deterministic
+        // bound Algorithm 2's enumeration: schedule runs must be fast
         config.max_assignments = 2_000;
-        config.planner_threads = 1;
         let bootstrap = Engine::with_options(
             Corpus::generate(corpus_config),
             config,
