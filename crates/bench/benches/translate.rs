@@ -46,6 +46,7 @@ use std::time::Instant;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use scrutinizer_core::{
     FeatureStore, ModelsState, OrderingStrategy, PropertyKind, SystemConfig, SystemModels,
+    TrainingState,
 };
 use scrutinizer_corpus::{ClaimRecord, Corpus, CorpusConfig};
 use scrutinizer_engine::engine::{Engine, EngineOptions};
@@ -98,11 +99,12 @@ fn setup_scaled(config: CorpusConfig) -> (Corpus, SystemModels, FeatureStore) {
 /// scratch on everything verified so far.
 fn cold_replay_stream(base: &SystemModels, corpus: &Corpus, batches: &[&[usize]]) -> SystemModels {
     let mut models = base.clone();
+    let mut training = TrainingState::default();
     let mut union: Vec<usize> = Vec::new();
     for batch in batches {
         union.extend_from_slice(batch);
         let refs: Vec<&ClaimRecord> = union.iter().map(|&id| &corpus.claims[id]).collect();
-        models.retrain(&refs);
+        models.retrain(&mut training, &refs);
     }
     models
 }
@@ -115,8 +117,9 @@ fn warm_incremental_stream(
     batches: &[&[usize]],
 ) -> SystemModels {
     let mut models = base.clone();
+    let mut training = TrainingState::default();
     for batch in batches {
-        models.retrain_incremental(store, &corpus.claims, batch);
+        models.retrain_incremental(&mut training, store, &corpus.claims, batch);
     }
     models
 }
@@ -201,7 +204,7 @@ fn bench_retrain(c: &mut Criterion) {
 fn bench_utilities(c: &mut Criterion) {
     let (corpus, mut models, store) = setup_scaled(utility_corpus());
     let refs: Vec<&ClaimRecord> = corpus.claims.iter().collect();
-    models.retrain(&refs);
+    models.retrain(&mut TrainingState::default(), &refs);
 
     // 10 000 open claims, cycling the corpus
     let n = if quick_mode() { 1_000 } else { 10_000 };
@@ -400,10 +403,11 @@ fn translate_per_classifier(
 fn bench_translation(c: &mut Criterion) {
     let (corpus, mut models, store) = setup_scaled(utility_corpus());
     let refs: Vec<&ClaimRecord> = corpus.claims.iter().collect();
-    models.retrain(&refs);
+    let mut training = TrainingState::default();
+    models.retrain(&mut training, &refs);
     let k = SystemConfig::default().options_per_screen;
     let claims = corpus.claims.len();
-    let state = models.export_state();
+    let state = models.export_state(&training);
 
     // ---- fused ≡ per-classifier, bit for bit, every claim --------------
     for id in 0..claims {

@@ -21,8 +21,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use scrutinizer_core::{FeatureStore, OrderingStrategy, SystemConfig, SystemModels};
-use scrutinizer_corpus::{Corpus, CorpusConfig};
+use scrutinizer_core::{FeatureStore, OrderingStrategy, SystemConfig, SystemModels, TrainingState};
+use scrutinizer_corpus::{ClaimRecord, Corpus, CorpusConfig};
 use scrutinizer_crowd::{Worker, WorkerConfig};
 use scrutinizer_engine::engine::{Engine, EngineOptions};
 use scrutinizer_engine::{recover_parts, DurableEnv, RecoveryReport};
@@ -52,31 +52,31 @@ fn median_secs(rounds: usize, mut routine: impl FnMut()) -> f64 {
 }
 
 /// The expensive once-per-process parts every engine incarnation shares:
-/// corpus, features, pretrained weights. Re-execution and replay both
-/// start from here, so the comparison isolates *state reconstruction*.
+/// corpus, features, pretrained weights and their training state.
+/// Re-execution and replay both start from here, so the comparison
+/// isolates *state reconstruction*.
 struct World {
     corpus: Arc<Corpus>,
     features: Arc<FeatureStore>,
     models: SystemModels,
+    training: TrainingState,
     config: SystemConfig,
 }
 
 fn world() -> World {
-    let bootstrap = Engine::with_options(
-        Corpus::generate(CorpusConfig::small()),
-        SystemConfig::test(),
-        EngineOptions {
-            retrain_interval: None,
-            ordering: OrderingStrategy::Sequential,
-            ..EngineOptions::default()
-        },
-    );
-    bootstrap.pretrain(None);
+    let corpus = Corpus::generate(CorpusConfig::small());
+    let config = SystemConfig::test();
+    let mut models = SystemModels::bootstrap(&corpus, &config);
+    let features = FeatureStore::build(&corpus, &models);
+    let mut training = TrainingState::default();
+    let all: Vec<&ClaimRecord> = corpus.claims.iter().collect();
+    models.retrain(&mut training, &all);
     World {
-        corpus: bootstrap.corpus_handle(),
-        features: bootstrap.features_handle(),
-        models: bootstrap.models_snapshot().models.clone(),
-        config: SystemConfig::test(),
+        corpus: Arc::new(corpus),
+        features: Arc::new(features),
+        models,
+        training,
+        config,
     }
 }
 
@@ -118,6 +118,7 @@ fn reexecute(world: &World) -> Arc<Engine> {
         Arc::clone(&world.corpus),
         Arc::clone(&world.features),
         world.models.clone(),
+        world.training.clone(),
         world.config,
         options(),
         SimEnv::production(),
@@ -132,6 +133,7 @@ fn recover_dir(world: &World, dir: &str) -> (Arc<Engine>, RecoveryReport) {
         Arc::clone(&world.corpus),
         Arc::clone(&world.features),
         world.models.clone(),
+        world.training.clone(),
         world.config,
         options(),
         SimEnv::production(),

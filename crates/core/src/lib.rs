@@ -53,7 +53,7 @@ pub mod verify;
 pub use config::SystemConfig;
 pub use feature_store::FeatureStore;
 pub use incremental::{IncrementalPlanner, PlannerCounters};
-pub use models::{ModelsState, PropertyKind, SystemModels, Translation};
+pub use models::{ModelsState, PropertyKind, SystemModels, TrainingState, Translation};
 pub use ordering::{
     select_batch, select_batch_detailed, BatchMethod, BatchSelection, OrderingStrategy,
 };

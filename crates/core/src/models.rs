@@ -4,7 +4,7 @@ use crate::config::SystemConfig;
 use crate::feature_store::FeatureStore;
 use scrutinizer_corpus::{ClaimRecord, Corpus};
 use scrutinizer_learn::{
-    training_utility, ClassifierState, FusedEntropy, LabelDict, PropertyClassifier,
+    training_utility, ClassifierState, FusedEntropy, LabelDict, PropertyClassifier, SoftmaxTraining,
 };
 use scrutinizer_text::{ClaimFeaturizer, FeatureMatrix, SparseVector, SparseView};
 
@@ -55,9 +55,10 @@ impl Translation {
     }
 }
 
-/// The serializable learned state of [`SystemModels`]: what a durable
-/// model snapshot carries. The [`ClaimFeaturizer`] is deterministically
-/// derived and rebuilt on restore.
+/// The serializable learned state of [`SystemModels`] and their
+/// [`TrainingState`] in one value: what a durable model snapshot carries.
+/// The [`ClaimFeaturizer`] is deterministically derived and rebuilt on
+/// restore.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelsState {
     /// Per-property learned state, in [`PropertyKind`] order.
@@ -68,7 +69,9 @@ pub struct ModelsState {
     pub replay_cursor: usize,
 }
 
-/// The trained models: shared featurizer + four classifiers.
+/// The trained models: shared featurizer + four classifiers — the read
+/// side of the learned state, everything translation, the utility pass
+/// and top-k read. The trainer's half lives in a [`TrainingState`].
 #[derive(Debug, Clone)]
 pub struct SystemModels {
     /// The fitted featurizer — immutable after bootstrap (the
@@ -77,6 +80,18 @@ pub struct SystemModels {
     /// vocabularies on every retrain epoch.
     featurizer: std::sync::Arc<ClaimFeaturizer>,
     classifiers: [PropertyClassifier; 4],
+}
+
+/// The trainer's half of the learned state: per classifier, the AdaGrad
+/// accumulators and fit count ([`SoftmaxTraining`], `Some` exactly when
+/// that classifier of the paired [`SystemModels`] is trained), and the
+/// rehearsal log with its cursor. Only [`SystemModels::retrain`] and
+/// [`SystemModels::retrain_incremental`] read or advance it; nothing on
+/// the read path does. The default is the training state of freshly
+/// bootstrapped models.
+#[derive(Debug, Clone, Default)]
+pub struct TrainingState {
+    classifiers: [Option<SoftmaxTraining>; 4],
     /// Claim ids folded in by past incremental retrains — the rehearsal
     /// log. Each warm-start batch mixes in a round-robin sample of these
     /// so a skewed new batch cannot drag the classifiers off everything
@@ -85,6 +100,45 @@ pub struct SystemModels {
     replay: Vec<usize>,
     /// Round-robin cursor into `replay`.
     replay_cursor: usize,
+}
+
+impl TrainingState {
+    /// A training state from its parts: per classifier in
+    /// [`PropertyKind`] order, and the rehearsal log with its cursor
+    /// (reduced modulo the log's length).
+    pub fn new(
+        classifiers: [Option<SoftmaxTraining>; 4],
+        replay: Vec<usize>,
+        replay_cursor: usize,
+    ) -> Self {
+        let replay_cursor = if replay.is_empty() {
+            0
+        } else {
+            replay_cursor % replay.len()
+        };
+        TrainingState {
+            classifiers,
+            replay,
+            replay_cursor,
+        }
+    }
+
+    /// The training state of one classifier (`None` while it is
+    /// untrained).
+    pub fn classifier(&self, kind: PropertyKind) -> Option<&SoftmaxTraining> {
+        self.classifiers[kind as usize].as_ref()
+    }
+
+    /// The rehearsal log: claim ids folded in by past retrains, each
+    /// incremental batch appended last.
+    pub fn replay_log(&self) -> &[usize] {
+        &self.replay
+    }
+
+    /// Round-robin cursor into [`replay_log`](Self::replay_log).
+    pub fn replay_cursor(&self) -> usize {
+        self.replay_cursor
+    }
 }
 
 impl SystemModels {
@@ -115,8 +169,6 @@ impl SystemModels {
         SystemModels {
             featurizer: std::sync::Arc::new(featurizer),
             classifiers,
-            replay: Vec::new(),
-            replay_cursor: 0,
         }
     }
 
@@ -125,74 +177,64 @@ impl SystemModels {
         &self.featurizer
     }
 
-    /// A whole copy of the learned state: the four classifiers plus the
+    /// A whole copy of the learned state joined with its `training`
+    /// state: the four classifiers with their AdaGrad state plus the
     /// rehearsal log — what a model snapshot carries, though snapshots
-    /// stream it rather than copy it. The featurizer is *not* included — it is
-    /// fitted deterministically from the corpus at bootstrap, so a
-    /// restored process rebuilds it and layers the learned state on top.
-    pub fn export_state(&self) -> ModelsState {
+    /// stream both halves rather than copy them. The featurizer is *not*
+    /// included — it is fitted deterministically from the corpus at
+    /// bootstrap, so a restored process rebuilds it and layers the
+    /// learned state on top.
+    ///
+    /// # Panics
+    /// Panics if `training` is not these models' training state.
+    pub fn export_state(&self, training: &TrainingState) -> ModelsState {
+        let [c0, c1, c2, c3] = &self.classifiers;
+        let [t0, t1, t2, t3] = &training.classifiers;
         ModelsState {
-            classifiers: self
-                .classifiers
-                .each_ref()
-                .map(PropertyClassifier::export_state),
-            replay: self.replay.clone(),
-            replay_cursor: self.replay_cursor,
+            classifiers: [
+                c0.export_state(t0.as_ref()),
+                c1.export_state(t1.as_ref()),
+                c2.export_state(t2.as_ref()),
+                c3.export_state(t3.as_ref()),
+            ],
+            replay: training.replay.clone(),
+            replay_cursor: training.replay_cursor,
         }
     }
 
     /// Restores learned state exported by [`export_state`] onto
-    /// bootstrapped models (same corpus, same featurizer config). Fails —
-    /// leaving `self` untouched — if the snapshot's shapes do not fit
-    /// this featurizer.
+    /// bootstrapped models (same corpus, same featurizer config),
+    /// returning its training state. Fails — leaving `self` untouched —
+    /// if the snapshot's shapes do not fit this featurizer.
     ///
     /// [`export_state`]: Self::export_state
-    pub fn restore_state(&mut self, state: ModelsState) -> Result<(), String> {
+    pub fn restore_state(&mut self, state: ModelsState) -> Result<TrainingState, String> {
         let [relation, key, attribute, formula] = state.classifiers;
         let [c0, c1, c2, c3] = &self.classifiers;
-        let classifiers = [
+        let [(c0, t0), (c1, t1), (c2, t2), (c3, t3)] = [
             c0.with_state(relation)?,
             c1.with_state(key)?,
             c2.with_state(attribute)?,
             c3.with_state(formula)?,
         ];
-        *self = self.with_learned(classifiers, state.replay, state.replay_cursor);
-        Ok(())
+        *self = self.with_learned([c0, c1, c2, c3]);
+        Ok(TrainingState::new(
+            [t0, t1, t2, t3],
+            state.replay,
+            state.replay_cursor,
+        ))
     }
 
-    /// Models sharing this one's featurizer that carry the given learned
-    /// state instead of this one's: `classifiers` (in [`PropertyKind`]
-    /// order, built on this set's classifiers with
-    /// [`PropertyClassifier::with_learned`]) and the rehearsal log. No
-    /// weight of `self` is copied, so a snapshot decodes onto a scaffold
-    /// without cloning it.
-    pub fn with_learned(
-        &self,
-        classifiers: [PropertyClassifier; 4],
-        replay: Vec<usize>,
-        replay_cursor: usize,
-    ) -> Self {
-        let replay_cursor = if replay.is_empty() {
-            0
-        } else {
-            replay_cursor % replay.len()
-        };
+    /// Models sharing this one's featurizer that carry the given
+    /// classifiers (in [`PropertyKind`] order, built on this set's
+    /// classifiers with [`PropertyClassifier::with_learned`]) instead of
+    /// this one's. No weight of `self` is copied, so a snapshot decodes
+    /// onto a scaffold without cloning it.
+    pub fn with_learned(&self, classifiers: [PropertyClassifier; 4]) -> Self {
         SystemModels {
             featurizer: std::sync::Arc::clone(&self.featurizer),
             classifiers,
-            replay,
-            replay_cursor,
         }
-    }
-
-    /// The rehearsal log: claim ids folded in by past retrains.
-    pub fn replay_log(&self) -> &[usize] {
-        &self.replay
-    }
-
-    /// Round-robin cursor into [`replay_log`](Self::replay_log).
-    pub fn replay_cursor(&self) -> usize {
-        self.replay_cursor
     }
 
     /// Features of a claim (one-shot path; bulk consumers go through a
@@ -284,12 +326,13 @@ impl SystemModels {
     /// (a claim with two attributes yields two attribute examples). Claims
     /// are featurized once into a CSR batch; every example borrows its row.
     ///
-    /// The rehearsal log resets to exactly these claims: everything the
+    /// `training` is replaced by the fresh models' training state, and
+    /// its rehearsal log resets to exactly these claims: everything the
     /// fresh models know came from this call, so a later
     /// [`retrain_incremental`](Self::retrain_incremental) batch rehearses
     /// against it from the first increment (a pretrain followed by a
     /// skewed verdict batch is precisely the drift case the log guards).
-    pub fn retrain(&mut self, verified: &[&ClaimRecord]) {
+    pub fn retrain(&mut self, training: &mut TrainingState, verified: &[&ClaimRecord]) {
         if verified.is_empty() {
             return;
         }
@@ -298,20 +341,26 @@ impl SystemModels {
                 .iter()
                 .map(|c| (c.claim_text.as_str(), c.sentence_text.as_str())),
         );
-        self.fit_rows(&rows, verified, false);
-        self.replay = verified.iter().map(|c| c.id).collect();
-        self.replay_cursor = 0;
+        self.fit_rows(training, &rows, verified, false);
+        training.replay = verified.iter().map(|c| c.id).collect();
+        training.replay_cursor = 0;
     }
 
     /// Warm-start incremental retrain on the *newly* verified claims only
     /// (`new_ids` index both `claims` and the store, so nothing is
-    /// re-featurized). Each classifier resumes from its current weights via
-    /// `partial_fit`, with a bounded rehearsal sample of previously trained
-    /// claims mixed in; labels unseen at bootstrap are interned and grow
-    /// the models in place. The `translate` bench pins this path at ≥ 3×
-    /// the from-scratch `retrain` at matching accuracy.
+    /// re-featurized). Each classifier resumes from its current weights and
+    /// its AdaGrad state in `training` via `partial_fit`, with a bounded
+    /// rehearsal sample of previously trained claims mixed in; labels
+    /// unseen at bootstrap are interned and grow the models in place.
+    /// `new_ids` are appended last to the rehearsal log. The `translate`
+    /// bench pins this path at ≥ 3× the from-scratch `retrain` at matching
+    /// accuracy.
+    ///
+    /// # Panics
+    /// Panics if `training` is not these models' training state.
     pub fn retrain_incremental(
         &mut self,
+        training: &mut TrainingState,
         store: &FeatureStore,
         claims: &[ClaimRecord],
         new_ids: &[usize],
@@ -325,28 +374,38 @@ impl SystemModels {
         // tests pin warm-vs-cold accuracy on adversarial streams. Work per
         // call stays O(batch), never O(history).
         let mut batch: Vec<usize> = new_ids.to_vec();
-        let replay_count = self.replay.len().min(new_ids.len());
+        let replay_count = training.replay.len().min(new_ids.len());
         for _ in 0..replay_count {
-            self.replay_cursor = (self.replay_cursor + 1) % self.replay.len();
-            batch.push(self.replay[self.replay_cursor]);
+            training.replay_cursor = (training.replay_cursor + 1) % training.replay.len();
+            batch.push(training.replay[training.replay_cursor]);
         }
         let rows = store.gather(&batch);
         let records: Vec<&ClaimRecord> = batch.iter().map(|&id| &claims[id]).collect();
-        self.fit_rows(&rows, &records, true);
-        self.replay.extend_from_slice(new_ids);
+        self.fit_rows(training, &rows, &records, true);
+        training.replay.extend_from_slice(new_ids);
     }
 
     /// Shared example assembly for both retrain flavors: row `r` of `rows`
     /// must hold the features of `verified[r]`. `incremental` selects
     /// `partial_fit` (resume) over `train` (from scratch).
-    fn fit_rows(&mut self, rows: &FeatureMatrix, verified: &[&ClaimRecord], incremental: bool) {
+    fn fit_rows(
+        &mut self,
+        training: &mut TrainingState,
+        rows: &FeatureMatrix,
+        verified: &[&ClaimRecord],
+        incremental: bool,
+    ) {
         debug_assert_eq!(rows.rows(), verified.len());
         let [relation, key, attribute, formula] = &mut self.classifiers;
-        let fit = |classifier: &mut PropertyClassifier, examples: &[(SparseView<'_>, u32)]| {
+        let [relation_training, key_training, attribute_training, formula_training] =
+            &mut training.classifiers;
+        let fit = |classifier: &mut PropertyClassifier,
+                   training: &mut Option<SoftmaxTraining>,
+                   examples: &[(SparseView<'_>, u32)]| {
             if incremental {
-                classifier.partial_fit_encoded(examples);
+                classifier.partial_fit_encoded(training, examples);
             } else {
-                classifier.retrain_encoded(examples);
+                classifier.retrain_encoded(training, examples);
             }
         };
 
@@ -355,14 +414,14 @@ impl SystemModels {
             .enumerate()
             .map(|(r, c)| (rows.row(r), relation.intern_label(&c.relation)))
             .collect();
-        fit(relation, &relation_examples);
+        fit(relation, relation_training, &relation_examples);
 
         let key_examples: Vec<(SparseView<'_>, u32)> = verified
             .iter()
             .enumerate()
             .map(|(r, c)| (rows.row(r), key.intern_label(&c.key)))
             .collect();
-        fit(key, &key_examples);
+        fit(key, key_training, &key_examples);
 
         let mut attribute_examples: Vec<(SparseView<'_>, u32)> = Vec::new();
         for (r, c) in verified.iter().enumerate() {
@@ -370,14 +429,14 @@ impl SystemModels {
                 attribute_examples.push((rows.row(r), attribute.intern_label(attr)));
             }
         }
-        fit(attribute, &attribute_examples);
+        fit(attribute, attribute_training, &attribute_examples);
 
         let formula_examples: Vec<(SparseView<'_>, u32)> = verified
             .iter()
             .enumerate()
             .map(|(r, c)| (rows.row(r), formula.intern_label(&c.formula_text)))
             .collect();
-        fit(formula, &formula_examples);
+        fit(formula, formula_training, &formula_examples);
     }
 
     /// Top-1 accuracy of each classifier on a claim set (used for the
@@ -483,7 +542,7 @@ mod tests {
         let refs: Vec<&ClaimRecord> = corpus.claims.iter().collect();
         let before = models.accuracy_on(&refs);
         let u_before = models.training_utility(&models.features(&corpus.claims[0]));
-        models.retrain(&refs);
+        models.retrain(&mut TrainingState::default(), &refs);
         let after = models.accuracy_on(&refs);
         let u_after = models.training_utility(&models.features(&corpus.claims[0]));
         // training accuracy must beat the untrained baseline for every model
@@ -501,7 +560,7 @@ mod tests {
     fn batch_utilities_match_the_per_claim_loop() {
         let (corpus, mut models, _) = setup();
         let refs: Vec<&ClaimRecord> = corpus.claims.iter().collect();
-        models.retrain(&refs);
+        models.retrain(&mut TrainingState::default(), &refs);
         let store = crate::feature_store::FeatureStore::build(&corpus, &models);
         let ids: Vec<usize> = (0..corpus.claims.len().min(12)).collect();
         let batch = models.training_utilities(&store.gather(&ids));
@@ -521,12 +580,13 @@ mod tests {
         let refs: Vec<&ClaimRecord> = corpus.claims.iter().collect();
 
         let mut cold = models.clone();
-        cold.retrain(&refs);
+        cold.retrain(&mut TrainingState::default(), &refs);
 
         let mut warm = models;
+        let mut training = TrainingState::default();
         let ids: Vec<usize> = (0..corpus.claims.len()).collect();
         for chunk in ids.chunks(10) {
-            warm.retrain_incremental(&store, &corpus.claims, chunk);
+            warm.retrain_incremental(&mut training, &store, &corpus.claims, chunk);
         }
 
         let cold_acc = cold.accuracy_on(&refs);
@@ -550,11 +610,12 @@ mod tests {
         let (corpus, mut models, _) = setup();
         let store = crate::feature_store::FeatureStore::build(&corpus, &models);
         let refs: Vec<&ClaimRecord> = corpus.claims.iter().collect();
-        models.retrain(&refs);
+        let mut training = TrainingState::default();
+        models.retrain(&mut training, &refs);
         let before: f64 = models.accuracy_on(&refs).iter().sum();
 
         let skewed = vec![0usize; 12];
-        models.retrain_incremental(&store, &corpus.claims, &skewed);
+        models.retrain_incremental(&mut training, &store, &corpus.claims, &skewed);
         let after: f64 = models.accuracy_on(&refs).iter().sum();
         assert!(
             after >= before - 0.35,
@@ -593,7 +654,8 @@ mod tests {
         assert_translation_parity(&models, &store, 4);
 
         let refs: Vec<&ClaimRecord> = corpus.claims[..n / 2].iter().collect();
-        models.retrain(&refs);
+        let mut training = TrainingState::default();
+        models.retrain(&mut training, &refs);
         assert_translation_parity(&models, &store, n);
 
         // unseen labels grow the classes mid-stream
@@ -602,20 +664,22 @@ mod tests {
         claims[n - 1].key = "UnseenKey".to_string();
         let new_ids: Vec<usize> = (n / 2..n).collect();
         let before = models.classifier(PropertyKind::Relation).n_classes();
-        models.retrain_incremental(&store, &claims, &new_ids);
+        models.retrain_incremental(&mut training, &store, &claims, &new_ids);
         assert!(models.classifier(PropertyKind::Relation).n_classes() > before);
         assert_translation_parity(&models, &store, n);
 
+        let state = models.export_state(&training);
         let mut restored = SystemModels::bootstrap(&corpus, &SystemConfig::test());
-        restored.restore_state(models.export_state()).unwrap();
+        let restored_training = restored.restore_state(state.clone()).unwrap();
         assert_translation_parity(&restored, &store, n);
+        assert!(restored.export_state(&restored_training) == state);
     }
 
     #[test]
     fn translate_view_is_translate() {
         let (corpus, mut models, _) = setup();
         let refs: Vec<&ClaimRecord> = corpus.claims.iter().collect();
-        models.retrain(&refs);
+        models.retrain(&mut TrainingState::default(), &refs);
         let features = models.features(&corpus.claims[0]);
         let a = models.translate(&features, 5);
         let b = models.translate_view(features.view(), 5);
@@ -626,7 +690,7 @@ mod tests {
     fn translate_returns_ranked_candidates() {
         let (corpus, mut models, _) = setup();
         let refs: Vec<&ClaimRecord> = corpus.claims.iter().collect();
-        models.retrain(&refs);
+        models.retrain(&mut TrainingState::default(), &refs);
         let features = models.features(&corpus.claims[0]);
         let t = models.translate(&features, 5);
         for kind in PropertyKind::ALL {

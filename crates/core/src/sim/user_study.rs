@@ -117,7 +117,7 @@ pub fn run_user_study(corpus: &Corpus, config: SystemConfig, study: StudyConfig)
         .iter()
         .filter(|c| !study_ids.contains(&c.id))
         .collect();
-    verifier.models_mut().retrain(&training);
+    verifier.pretrain(&training);
 
     let mut checkers = Vec::new();
     // ---- manual group ----

@@ -3,7 +3,7 @@
 
 use crate::config::SystemConfig;
 use crate::feature_store::FeatureStore;
-use crate::models::{PropertyKind, SystemModels};
+use crate::models::{PropertyKind, SystemModels, TrainingState};
 use crate::ordering::{select_batch, ClaimChoice, OrderingStrategy};
 use crate::policy::{
     claim_outcome, opt_batch, translate_and_plan, validated_slot, QueryContext, SimulatedCheck,
@@ -15,11 +15,13 @@ use scrutinizer_crowd::{Panel, Worker};
 use scrutinizer_query::FunctionRegistry;
 use scrutinizer_text::{extract_parameters, ParameterKind, SparseView};
 
-/// The Scrutinizer verifier: models + configuration + function registry.
+/// The Scrutinizer verifier: models + their training state +
+/// configuration + function registry.
 pub struct Verifier {
     config: SystemConfig,
     registry: FunctionRegistry,
     models: SystemModels,
+    training: TrainingState,
 }
 
 impl Verifier {
@@ -30,6 +32,7 @@ impl Verifier {
             config,
             registry: FunctionRegistry::standard(),
             models: SystemModels::bootstrap(corpus, &config),
+            training: TrainingState::default(),
         }
     }
 
@@ -38,9 +41,11 @@ impl Verifier {
         &self.models
     }
 
-    /// Mutable access (pre-training in the user study).
-    pub fn models_mut(&mut self) -> &mut SystemModels {
-        &mut self.models
+    /// Retrains the models from scratch on `claims` (pre-training in the
+    /// user study) — the same `Retrain(N, A)` step [`run`](Self::run)
+    /// takes after every batch.
+    pub fn pretrain(&mut self, claims: &[&ClaimRecord]) {
+        self.models.retrain(&mut self.training, claims);
     }
 
     /// The configuration.
@@ -200,7 +205,7 @@ impl Verifier {
             verified.extend(batch.iter().copied());
             let retrain_start = std::time::Instant::now();
             let training: Vec<&ClaimRecord> = verified.iter().map(|&id| &claims[id]).collect();
-            self.models.retrain(&training);
+            self.models.retrain(&mut self.training, &training);
             report.computation_seconds += retrain_start.elapsed().as_secs_f64();
         }
         report
@@ -250,7 +255,7 @@ mod tests {
     fn trained_verifier_confirms_correct_claims_fast() {
         let (corpus, mut verifier) = setup();
         let refs: Vec<&ClaimRecord> = corpus.claims.iter().collect();
-        verifier.models_mut().retrain(&refs);
+        verifier.pretrain(&refs);
         let mut worker = perfect_worker(3);
         let mut matched = 0;
         let mut total_seconds = 0.0;
@@ -300,7 +305,7 @@ mod tests {
     fn incorrect_claims_get_suggestions() {
         let (corpus, mut verifier) = setup();
         let refs: Vec<&ClaimRecord> = corpus.claims.iter().collect();
-        verifier.models_mut().retrain(&refs);
+        verifier.pretrain(&refs);
         let mut worker = perfect_worker(9);
         let mut suggestions = 0;
         for claim in corpus.claims.iter().filter(|c| !c.is_correct).take(10) {

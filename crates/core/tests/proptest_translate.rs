@@ -20,7 +20,7 @@
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use scrutinizer_core::{FeatureStore, PropertyKind, SystemConfig, SystemModels};
+use scrutinizer_core::{FeatureStore, PropertyKind, SystemConfig, SystemModels, TrainingState};
 use scrutinizer_corpus::{ClaimRecord, Corpus, CorpusConfig};
 use scrutinizer_learn::softmax::softmax_in_place;
 use scrutinizer_learn::{ClassifierState, SoftmaxState};
@@ -143,13 +143,17 @@ fn expected_ranking(state: &ClassifierState, x: SparseView<'_>, k: usize) -> Vec
 /// The comparison: fused translation ≡ the exported-state oracle, as
 /// `(label, prob.to_bits())`, at `k` ∈ {0, 1, n−1, n, n+5} for every
 /// classifier's label count `n`.
-fn check_parity(models: &SystemModels, rows: &[SparseVector]) -> Result<(), String> {
+fn check_parity(
+    models: &SystemModels,
+    training: &TrainingState,
+    rows: &[SparseVector],
+) -> Result<(), String> {
     let mut ks = vec![0usize, 1];
     for kind in PropertyKind::ALL {
         let n = models.classifier(kind).labels().len();
         ks.extend([n.saturating_sub(1), n, n + 5]);
     }
-    let states = models.export_state().classifiers;
+    let states = models.export_state(training).classifiers;
     for (r, row) in rows.iter().enumerate() {
         for &k in &ks {
             let fused = models.translate_view(row.view(), k);
@@ -179,11 +183,15 @@ fn check_parity(models: &SystemModels, rows: &[SparseVector]) -> Result<(), Stri
 /// Restores arbitrary learned state onto the bootstrapped models: per
 /// classifier, `trained_mask` bit set → a model with a random class
 /// count ≤ its (possibly grown) label space.
-fn injected_models(seed: u64, trained_mask: u32, weights: Weights) -> SystemModels {
+fn injected_models(
+    seed: u64,
+    trained_mask: u32,
+    weights: Weights,
+) -> (SystemModels, TrainingState) {
     let fixture = fixture();
     let dim = fixture.base.featurizer().dimension();
     let mut mix = Mix(seed);
-    let mut state = fixture.base.export_state();
+    let mut state = fixture.base.export_state(&TrainingState::default());
     for (slot, classifier) in state.classifiers.iter_mut().enumerate() {
         for extra in 0..mix.below(3) {
             classifier.labels.push(format!("injected-{slot}-{extra}"));
@@ -208,10 +216,10 @@ fn injected_models(seed: u64, trained_mask: u32, weights: Weights) -> SystemMode
         });
     }
     let mut models = fixture.base.clone();
-    models
+    let training = models
         .restore_state(state)
         .expect("injected state fits the featurizer");
-    models
+    (models, training)
 }
 
 /// One step of a real training sequence.
@@ -239,7 +247,7 @@ fn subset(mix: &mut Mix, claims: usize, max: u64) -> Vec<usize> {
     (0..n).map(|_| mix.below(claims as u64) as usize).collect()
 }
 
-fn apply(models: &mut SystemModels, step: Step, round: usize) {
+fn apply(models: &mut SystemModels, training: &mut TrainingState, step: Step, round: usize) {
     let fixture = fixture();
     let claims = fixture.corpus.claims.len();
     match step {
@@ -248,7 +256,7 @@ fn apply(models: &mut SystemModels, step: Step, round: usize) {
             let ids = subset(&mut mix, claims, 24);
             let refs: Vec<&ClaimRecord> =
                 ids.iter().map(|&id| &fixture.corpus.claims[id]).collect();
-            models.retrain(&refs);
+            models.retrain(training, &refs);
         }
         Step::Incremental(seed) => {
             let mut mix = Mix(seed);
@@ -265,14 +273,19 @@ fn apply(models: &mut SystemModels, step: Step, round: usize) {
                     claim.formula_text = format!("unseen-formula-{round}-{i}");
                 }
             }
-            models.retrain_incremental(&fixture.store, &relabeled, &ids);
+            models.retrain_incremental(training, &fixture.store, &relabeled, &ids);
         }
         Step::Restore => {
+            let state = models.export_state(training);
             let mut restored = fixture.base.clone();
-            restored
-                .restore_state(models.export_state())
+            let restored_training = restored
+                .restore_state(state.clone())
                 .expect("a round trip restores");
-            *models = restored;
+            assert!(
+                restored.export_state(&restored_training) == state,
+                "the round trip keeps every weight, accumulator and the rehearsal log"
+            );
+            (*models, *training) = (restored, restored_training);
         }
     }
 }
@@ -286,10 +299,10 @@ proptest! {
         trained_mask in 0u32..16,
         weights in prop_oneof![Just(Weights::Zero), Just(Weights::Quantized), Just(Weights::Random)],
     ) {
-        let models = injected_models(seed, trained_mask, weights);
+        let (models, training) = injected_models(seed, trained_mask, weights);
         let dim = models.featurizer().dimension();
         let rows = rows(&mut Mix(!seed), dim, fixture().corpus.claims.len());
-        let parity = check_parity(&models, &rows);
+        let parity = check_parity(&models, &training, &rows);
         prop_assert!(parity.is_ok(), "{:?}: {}", weights, parity.unwrap_err());
     }
 }
@@ -306,10 +319,11 @@ proptest! {
         let dim = fixture.base.featurizer().dimension();
         let claims = fixture.corpus.claims.len();
         let mut models = fixture.base.clone();
+        let mut training = TrainingState::default();
         let mut mix = Mix(seed);
         for (round, &step) in steps.iter().enumerate() {
-            apply(&mut models, step, round);
-            let parity = check_parity(&models, &rows(&mut mix, dim, claims));
+            apply(&mut models, &mut training, step, round);
+            let parity = check_parity(&models, &training, &rows(&mut mix, dim, claims));
             prop_assert!(parity.is_ok(), "after {:?}: {}", &steps[..=round], parity.unwrap_err());
         }
     }

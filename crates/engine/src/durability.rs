@@ -54,21 +54,25 @@
 //! ## Snapshot blobs stream
 //!
 //! A model blob is as large as the model (142 MB at paper scale), so it
-//! never exists in memory: `write_models` streams each classifier's
-//! feature-major blocks through the atomic write one tile of class rows
-//! at a time, and `read_models` fills fresh blocks from the file the
-//! same way, building each classifier on the label and dim scaffold of a
-//! model set already in hand rather than on a clone of its weights.
-//! Publishing or restarting therefore needs one tile (~1.5 MB) beyond
-//! the models themselves.
+//! never exists in memory. It joins the two owners of the learned state:
+//! the published snapshot's [`SystemModels`] (weights, biases, labels)
+//! and the trainer's [`TrainingState`] (AdaGrad accumulators, fit counts,
+//! rehearsal log). `write_models` streams each classifier's weight block
+//! from the first and its accumulator block from the second through the
+//! atomic write one tile of class rows at a time, and `read_models` fills
+//! fresh blocks from the file the same way, each into its owner, building
+//! each classifier on the label and dim scaffold of a model set already
+//! in hand rather than on a clone of its weights. Publishing or
+//! restarting therefore needs one tile (~1.5 MB) beyond the models and
+//! training state themselves.
 
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
-use scrutinizer_core::{FeatureStore, PropertyKind, SystemConfig, SystemModels};
+use scrutinizer_core::{FeatureStore, PropertyKind, SystemConfig, SystemModels, TrainingState};
 use scrutinizer_corpus::Corpus;
 use scrutinizer_learn::softmax::{feature_major_from_tiles, Block};
-use scrutinizer_learn::{PropertyClassifier, SoftmaxClassifier};
+use scrutinizer_learn::{PropertyClassifier, SoftmaxClassifier, SoftmaxTraining};
 use scrutinizer_sim::{SimEnv, Storage};
 use scrutinizer_wal::{Wal, WalOptions};
 
@@ -480,13 +484,18 @@ fn write_f32s(out: &mut dyn Write, values: &[f32]) -> io::Result<()> {
     Ok(())
 }
 
-/// Streams one published epoch's models into `out` as a `SCRMDLv1`
-/// blob, straight from each classifier's feature-major blocks one tile
-/// of class rows at a time: no row-major copy and no encoded blob is
-/// ever held in memory.
+/// Streams one published epoch into `out` as a `SCRMDLv1` blob,
+/// straight from each classifier's feature-major blocks one tile of class
+/// rows at a time — the weights from `models`, the accumulators, fit
+/// counts and rehearsal log from their `training` state: no row-major
+/// copy and no encoded blob is ever held in memory.
+///
+/// # Panics
+/// Panics if `training` is not the training state of `models`.
 pub(crate) fn write_models(
     epoch: u64,
     models: &SystemModels,
+    training: &TrainingState,
     out: &mut dyn Write,
 ) -> io::Result<()> {
     out.write_all(MODEL_MAGIC)?;
@@ -503,26 +512,30 @@ pub(crate) fn write_models(
             out.write_all(&[0])?;
             continue;
         };
+        let state = training
+            .classifier(kind)
+            .filter(|state| (state.n_classes(), state.dim()) == (model.n_classes(), model.dim()))
+            .unwrap_or_else(|| panic!("{}: no training state of its shape", kind.name()));
         out.write_all(&[1])?;
-        for (block, biases) in [
-            (Block::Weights, model.biases()),
-            (Block::GradSq, model.grad_sq_biases()),
-        ] {
-            write_u32(out, model.n_classes() * model.dim())?;
-            model.row_tiles(block, |tile| write_f32s(out, tile))?;
-            write_u32(out, biases.len())?;
-            write_f32s(out, biases)?;
-        }
-        for value in [model.dim() as u64, model.n_classes() as u64, model.fits()] {
+        let cells = model.n_classes() * model.dim();
+        write_u32(out, cells)?;
+        model.row_tiles(|tile| write_f32s(out, tile))?;
+        write_u32(out, model.n_classes())?;
+        write_f32s(out, model.biases())?;
+        write_u32(out, cells)?;
+        state.row_tiles(|tile| write_f32s(out, tile))?;
+        write_u32(out, model.n_classes())?;
+        write_f32s(out, state.grad_sq_biases())?;
+        for value in [model.dim() as u64, model.n_classes() as u64, state.fits()] {
             out.write_all(&value.to_le_bytes())?;
         }
     }
-    let replay = models.replay_log();
+    let replay = training.replay_log();
     write_u32(out, replay.len())?;
     for &id in replay {
         out.write_all(&(id as u64).to_le_bytes())?;
     }
-    out.write_all(&(models.replay_cursor() as u64).to_le_bytes())
+    out.write_all(&(training.replay_cursor() as u64).to_le_bytes())
 }
 
 /// A length-bounded cursor over a streamed blob. Every read is checked
@@ -624,16 +637,18 @@ impl BlobReader<'_> {
 }
 
 /// Decodes a `SCRMDLv1` blob of `len` bytes from `input` into
-/// `(epoch, models)`. Each classifier is built on its counterpart in
-/// `scaffold` ([`PropertyClassifier::with_learned`]): the scaffold lends
-/// the featurizer, property names, feature dims and training config,
-/// never its weights, and each weight block streams from `input` straight
-/// into a fresh feature-major block one tile at a time.
+/// `(epoch, models, training)`. Each classifier is built on its
+/// counterpart in `scaffold` ([`PropertyClassifier::with_learned`]): the
+/// scaffold lends the featurizer, property names, feature dims and
+/// training config, never its weights, and each block streams from
+/// `input` straight into a fresh feature-major block of its owner — the
+/// weights into the models, the accumulators into the training state —
+/// one tile at a time.
 pub(crate) fn read_models(
     input: &mut dyn Read,
     len: u64,
     scaffold: &SystemModels,
-) -> io::Result<(u64, SystemModels)> {
+) -> io::Result<(u64, SystemModels, TrainingState)> {
     let mut blob = BlobReader {
         input,
         remaining: len,
@@ -646,7 +661,7 @@ pub(crate) fn read_models(
     let epoch = blob.u64()?;
     let [relation, key, attribute, formula] =
         PropertyKind::ALL.map(|kind| scaffold.classifier(kind));
-    let classifiers = [
+    let [(c0, t0), (c1, t1), (c2, t2), (c3, t3)] = [
         read_classifier(&mut blob, relation)?,
         read_classifier(&mut blob, key)?,
         read_classifier(&mut blob, attribute)?,
@@ -661,34 +676,37 @@ pub(crate) fn read_models(
     blob.finish()?;
     Ok((
         epoch,
-        scaffold.with_learned(classifiers, replay, replay_cursor),
+        scaffold.with_learned([c0, c1, c2, c3]),
+        TrainingState::new([t0, t1, t2, t3], replay, replay_cursor),
     ))
 }
 
 fn read_classifier(
     blob: &mut BlobReader<'_>,
     scaffold: &PropertyClassifier,
-) -> io::Result<PropertyClassifier> {
+) -> io::Result<(PropertyClassifier, Option<SoftmaxTraining>)> {
     let n_labels = blob.count(4)?;
     let mut labels = Vec::with_capacity(n_labels);
     for _ in 0..n_labels {
         labels.push(blob.string()?);
     }
-    let model = if blob.bool()? {
-        Some(read_softmax(blob, scaffold)?)
+    let (model, training) = if blob.bool()? {
+        let (model, training) = read_softmax(blob, scaffold)?;
+        (Some(model), Some(training))
     } else {
-        None
+        (None, None)
     };
-    scaffold.with_learned(labels, model).map_err(invalid)
+    let classifier = scaffold.with_learned(labels, model).map_err(invalid)?;
+    Ok((classifier, training))
 }
 
-/// One trained classifier. The blob stores its shape after the weights,
-/// so the scaffold's feature dim sizes the class rows up front and the
-/// stored shape is checked against it once read.
+/// One trained classifier and its training state. The blob stores their
+/// shape after the blocks, so the scaffold's feature dim sizes the class
+/// rows up front and the stored shape is checked against it once read.
 fn read_softmax(
     blob: &mut BlobReader<'_>,
     scaffold: &PropertyClassifier,
-) -> io::Result<SoftmaxClassifier> {
+) -> io::Result<(SoftmaxClassifier, SoftmaxTraining)> {
     let dim = scaffold.dim();
     let cells = blob.count(4)?;
     if dim == 0 || cells % dim != 0 {
@@ -717,17 +735,21 @@ fn read_softmax(
             scaffold.property
         )));
     }
-    SoftmaxClassifier::from_blocks(weights, grad_sq_w, biases, grad_sq_b, dim, n_classes, fits)
-        .map_err(|e| invalid(format!("{}: {e}", scaffold.property)))
+    let corrupt = |e: String| invalid(format!("{}: {e}", scaffold.property));
+    Ok((
+        SoftmaxClassifier::from_blocks(weights, biases, dim, n_classes).map_err(corrupt)?,
+        SoftmaxTraining::from_blocks(grad_sq_w, grad_sq_b, dim, n_classes, fits)
+            .map_err(corrupt)?,
+    ))
 }
 
-/// Loads the models published at `epoch` from their snapshot blob,
-/// decoded onto `scaffold` (see [`read_models`]).
+/// Loads the models published at `epoch` and their training state from
+/// their snapshot blob, decoded onto `scaffold` (see [`read_models`]).
 pub(crate) fn load_models(
     wal: &Wal,
     epoch: u64,
     scaffold: &SystemModels,
-) -> io::Result<SystemModels> {
+) -> io::Result<(SystemModels, TrainingState)> {
     let _span = obs::span!("wal.blob_read");
     let name = snapshot_blob_name(epoch);
     // the publish order (blob → record → checkpoint) guarantees that an
@@ -735,7 +757,7 @@ pub(crate) fn load_models(
     // its blob, so a missing one is corruption or an external deletion;
     // serving other weights while the recovered counters report this
     // epoch would mask it
-    let (stored_epoch, models) = wal
+    let (stored_epoch, models, training) = wal
         .read_blob_with(&name, |input, len| read_models(input, len, scaffold))?
         .ok_or_else(|| {
             invalid(format!(
@@ -747,7 +769,7 @@ pub(crate) fn load_models(
             "snapshot blob {name} claims epoch {stored_epoch}"
         )));
     }
-    Ok(models)
+    Ok((models, training))
 }
 
 // ---- recovery ------------------------------------------------------------
@@ -790,15 +812,18 @@ fn invalid(message: String) -> io::Error {
 /// recovered models. The returned engine records every subsequent
 /// state-changing op to the same WAL.
 ///
-/// `base_models` are the bootstrap models used when no epoch was ever
-/// published, and the scaffold a snapshot decodes onto (featurizer,
-/// feature dims, training config; labels and weights come from the
-/// blob); `corpus`/`features` must describe the same world the log was
-/// written against.
+/// `base_models` and their `base_training` state are the models used
+/// when no epoch was ever published; `base_models` are also the scaffold
+/// a snapshot decodes onto (featurizer, feature dims, training config;
+/// labels, weights and training state come from the blob).
+/// `corpus`/`features` must describe the same world the log was written
+/// against.
+#[allow(clippy::too_many_arguments)]
 pub fn recover_parts(
     corpus: Arc<Corpus>,
     features: Arc<FeatureStore>,
     base_models: SystemModels,
+    base_training: TrainingState,
     config: SystemConfig,
     options: EngineOptions,
     env: SimEnv,
@@ -811,15 +836,19 @@ pub fn recover_parts(
         Some((epoch, payload)) => (*epoch, Some(decode_state_image(payload).map_err(invalid)?)),
         None => (0, None),
     };
-    let models = if checkpoint_epoch > 0 {
+    let (models, training) = if checkpoint_epoch > 0 {
+        // the blob carries the epoch's own training state; free the base
+        // one before decoding it
+        drop(base_training);
         load_models(&wal, checkpoint_epoch, &base_models)?
     } else {
-        base_models
+        (base_models, base_training)
     };
     let engine = Engine::assemble(
         corpus,
         features,
         models,
+        training,
         config,
         options,
         env,
@@ -864,6 +893,7 @@ pub fn recover(
         Arc::new(corpus),
         features,
         models,
+        TrainingState::default(),
         config,
         options,
         SimEnv::production(),
@@ -1031,35 +1061,42 @@ mod tests {
         (out, ends)
     }
 
-    fn streamed(epoch: u64, models: &SystemModels) -> Vec<u8> {
+    fn streamed(epoch: u64, models: &SystemModels, training: &TrainingState) -> Vec<u8> {
         let mut out = Vec::new();
-        write_models(epoch, models, &mut out).expect("writing to a Vec cannot fail");
+        write_models(epoch, models, training, &mut out).expect("writing to a Vec cannot fail");
         out
     }
 
-    fn decode(bytes: &[u8], scaffold: &SystemModels) -> io::Result<(u64, SystemModels)> {
+    fn decode(
+        bytes: &[u8],
+        scaffold: &SystemModels,
+    ) -> io::Result<(u64, SystemModels, TrainingState)> {
         read_models(&mut &bytes[..], bytes.len() as u64, scaffold)
     }
 
+    /// One blob's worth of learned state: models and their training state.
+    type Case = (&'static str, SystemModels, TrainingState);
+
     /// Bootstrap (untrained) models for the small corpus, plus model sets
     /// covering every shape a blob can carry.
-    fn model_cases() -> (SystemModels, Vec<(&'static str, SystemModels)>) {
+    fn model_cases() -> (SystemModels, Vec<Case>) {
         use scrutinizer_corpus::{ClaimRecord, Corpus, CorpusConfig};
         let corpus = Corpus::generate(CorpusConfig::small());
         let scaffold = SystemModels::bootstrap(&corpus, &SystemConfig::test());
         let mut pretrained = scaffold.clone();
+        let mut pretrained_training = TrainingState::default();
         let refs: Vec<&ClaimRecord> = corpus.claims.iter().take(40).collect();
-        pretrained.retrain(&refs);
+        pretrained.retrain(&mut pretrained_training, &refs);
 
-        let mut state = pretrained.export_state();
+        let mut state = pretrained.export_state(&pretrained_training);
         state.classifiers[2].model = None;
         let mut one_untrained = scaffold.clone();
-        one_untrained.restore_state(state).expect("restores");
+        let one_untrained_training = one_untrained.restore_state(state).expect("restores");
 
-        let mut state = pretrained.export_state();
+        let mut state = pretrained.export_state(&pretrained_training);
         state.replay.clear();
         let mut no_replay = scaffold.clone();
-        no_replay.restore_state(state).expect("restores");
+        let no_replay_training = no_replay.restore_state(state).expect("restores");
 
         // eight unseen relations: the class count crosses a multiple of
         // the eight-lane stride, so the relation block is re-strided
@@ -1070,44 +1107,57 @@ mod tests {
         }
         let relations = |m: &SystemModels| m.classifier(PropertyKind::Relation).n_classes();
         let mut grown = pretrained.clone();
-        grown.retrain_incremental(&store, &claims, &(0..8).collect::<Vec<_>>());
+        let mut grown_training = pretrained_training.clone();
+        grown.retrain_incremental(
+            &mut grown_training,
+            &store,
+            &claims,
+            &(0..8).collect::<Vec<_>>(),
+        );
         assert_eq!(relations(&grown), relations(&pretrained).map(|n| n + 8));
 
         let cases = vec![
-            ("pretrained", pretrained),
-            ("one classifier untrained", one_untrained),
-            ("classes grown past the stride", grown),
-            ("empty replay log", no_replay),
-            ("bootstrap", scaffold.clone()),
+            ("pretrained", pretrained, pretrained_training),
+            (
+                "one classifier untrained",
+                one_untrained,
+                one_untrained_training,
+            ),
+            ("classes grown past the stride", grown, grown_training),
+            ("empty replay log", no_replay, no_replay_training),
+            ("bootstrap", scaffold.clone(), TrainingState::default()),
         ];
         (scaffold, cases)
     }
 
     /// The streamed blob is the reference encoder's, byte for byte, and
-    /// decodes back to the same state — from either writer's bytes.
+    /// decodes back to the same state — weights into the models,
+    /// accumulators and rehearsal log into the training state — from
+    /// either writer's bytes.
     #[test]
     fn model_state_round_trips_bit_exactly() {
         let (scaffold, cases) = model_cases();
-        for (case, models) in &cases {
-            let state = models.export_state();
+        for (case, models, training) in &cases {
+            let state = models.export_state(training);
             let (reference, _) = encode_reference(9, &state);
             assert!(
-                streamed(9, models) == reference,
+                streamed(9, models, training) == reference,
                 "{case}: streamed bytes differ"
             );
             // reference bytes are what a data dir written by the
             // whole-model encoder holds
-            let (epoch, decoded) = decode(&reference, &scaffold).expect(case);
+            let (epoch, decoded, decoded_training) = decode(&reference, &scaffold).expect(case);
             assert_eq!(epoch, 9);
             assert!(
-                decoded.export_state() == state,
+                decoded.export_state(&decoded_training) == state,
                 "{case}: decoded state differs"
             );
             // a trained model set works as the scaffold too: it lends
             // dims, never weights
-            let (_, onto_trained) = decode(&reference, &cases[0].1).expect(case);
+            let (_, onto_trained, onto_trained_training) =
+                decode(&reference, &cases[0].1).expect(case);
             assert!(
-                onto_trained.export_state() == state,
+                onto_trained.export_state(&onto_trained_training) == state,
                 "{case}: onto a trained scaffold"
             );
         }
@@ -1116,7 +1166,7 @@ mod tests {
     #[test]
     fn corrupt_and_short_blobs_fail_cleanly() {
         let (scaffold, cases) = model_cases();
-        let state = cases[0].1.export_state();
+        let state = cases[0].1.export_state(&cases[0].2);
         let (bytes, ends) = encode_reference(9, &state);
         let end = |section: &str| {
             ends.iter()

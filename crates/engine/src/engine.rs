@@ -12,8 +12,8 @@ use scrutinizer_core::policy::{
 use scrutinizer_core::report::ClaimOutcome;
 use scrutinizer_core::screens::FinalScreen;
 use scrutinizer_core::{
-    FeatureStore, OrderingStrategy, PlannerCounters, PropertyKind, SystemConfig, SystemModels,
-    Translation,
+    FeatureStore, ModelsState, OrderingStrategy, PlannerCounters, PropertyKind, SystemConfig,
+    SystemModels, TrainingState, Translation,
 };
 use scrutinizer_corpus::{ClaimRecord, Corpus};
 use scrutinizer_crowd::{Worker, WorkerConfig};
@@ -185,13 +185,17 @@ pub struct Engine {
     /// trainer job exists at a time; later threshold crossings fold into
     /// the active drain loop.
     retrain_active: AtomicBool,
-    /// Serializes whole retrain executions (load → train → publish).
+    /// The training state of the published models — the AdaGrad
+    /// accumulators and the rehearsal log — behind the lock that
+    /// serializes whole retrain executions (load → train → publish).
     /// Without it, a synchronous `pretrain` racing the background trainer
     /// would clone the same base snapshot and the later publish would
     /// silently discard the earlier one's training — including drained
-    /// pending examples that exist nowhere else. Readers never touch this
-    /// lock; only trainers do.
-    retrain_serial: Mutex<()>,
+    /// pending examples that exist nowhere else. The state is never
+    /// copied: each retrain advances it in place alongside its clone of
+    /// the snapshot's weights, and publishes before letting go. Readers
+    /// never touch this lock; only trainers (and recovery) do.
+    retrain_serial: Mutex<TrainingState>,
     /// The injected environment: clock, background scheduling, fault
     /// points. Production engines carry the zero-cost passthrough
     /// ([`SimEnv::production`]); the simulation harness injects a virtual
@@ -245,6 +249,7 @@ impl Engine {
             Arc::new(corpus),
             features,
             models,
+            TrainingState::default(),
             config,
             options,
             SimEnv::production(),
@@ -252,20 +257,23 @@ impl Engine {
     }
 
     /// Engine over a pre-built world: a shared corpus, its feature store,
-    /// and (possibly pretrained) models. Constructing an engine this way
-    /// does no model or feature work at all, which is what lets the
-    /// simulation harness stamp out thousands of fresh engines per
-    /// second from one world built once. The models are published as
-    /// epoch 0 of the new engine.
+    /// and (possibly pretrained) models with their training state.
+    /// Constructing an engine this way does no model or feature work at
+    /// all, which is what lets the simulation harness stamp out thousands
+    /// of fresh engines per second from one world built once. The models
+    /// are published as epoch 0 of the new engine.
     pub fn from_parts(
         corpus: Arc<Corpus>,
         features: Arc<FeatureStore>,
         models: SystemModels,
+        training: TrainingState,
         config: SystemConfig,
         options: EngineOptions,
         env: SimEnv,
     ) -> Arc<Self> {
-        Self::assemble(corpus, features, models, config, options, env, 0, None)
+        Self::assemble(
+            corpus, features, models, training, config, options, env, 0, None,
+        )
     }
 
     /// The one real constructor: [`from_parts`](Self::from_parts) with a
@@ -277,6 +285,7 @@ impl Engine {
         corpus: Arc<Corpus>,
         features: Arc<FeatureStore>,
         models: SystemModels,
+        training: TrainingState,
         config: SystemConfig,
         options: EngineOptions,
         env: SimEnv,
@@ -302,7 +311,7 @@ impl Engine {
             }),
             pending: Mutex::new(Vec::new()),
             retrain_active: AtomicBool::new(false),
-            retrain_serial: Mutex::new(()),
+            retrain_serial: Mutex::new(training),
             env,
             wal,
             wal_gate: RwLock::new(()),
@@ -356,6 +365,18 @@ impl Engine {
         self.models.load()
     }
 
+    /// A whole row-major copy of the published models joined with their
+    /// training state (see [`SystemModels::export_state`]) — for tests and
+    /// tools that compare learned state across engines. Waits for a
+    /// running retrain to publish, so the two halves are of one epoch.
+    pub fn export_models_state(&self) -> ModelsState {
+        let training = self
+            .retrain_serial
+            .lock()
+            .expect("retrain serializer poisoned");
+        self.models.load().models.export_state(&training)
+    }
+
     /// Trains the classifiers on the given claims (all claims when
     /// `claim_ids` is `None`) — the warm-start used by the benches, the
     /// serving binary and every simulation, mirroring the paper's
@@ -377,16 +398,19 @@ impl Engine {
     /// The single source of truth for retrain execution and accounting —
     /// shared by [`pretrain`](Self::pretrain) (synchronous, from scratch)
     /// and the verdict path's background trainer (incremental): clone the
-    /// current snapshot's models, train the copy *off* every reader-facing
-    /// lock (timed into `retrain_latency`), publish the next epoch, bump
-    /// the counter. Concurrent trainers serialize on `retrain_serial`, so
-    /// each one bases its copy on the previous one's published snapshot
-    /// and no training is ever lost; readers keep loading snapshots
-    /// throughout. The trainer lets go of the previous snapshot as soon
-    /// as it has its copy, so once readers move on, the previous epoch's
-    /// weights are freed before the new epoch's blob is written.
+    /// current snapshot's models — the weights only; the accumulators stay
+    /// in the one training state — train the copy and advance the
+    /// training state *off* every reader-facing lock (timed into
+    /// `retrain_latency`), publish the next epoch, bump the counter.
+    /// Concurrent trainers serialize on `retrain_serial`, which holds the
+    /// training state, so each one bases its copy on the previous one's
+    /// published snapshot and no training is ever lost; readers keep
+    /// loading snapshots throughout. The trainer lets go of the previous
+    /// snapshot as soon as it has its copy, so once readers move on, the
+    /// previous epoch's weights are freed before the new epoch's blob is
+    /// written.
     fn run_retrain(&self, claim_ids: &[usize], kind: RetrainKind) -> u64 {
-        let _serial = self
+        let mut training = self
             .retrain_serial
             .lock()
             .expect("retrain serializer poisoned");
@@ -404,10 +428,15 @@ impl Engine {
                             .iter()
                             .map(|&id| &self.corpus.claims[id])
                             .collect();
-                        models.retrain(&refs);
+                        models.retrain(&mut training, &refs);
                     }
                     RetrainKind::Incremental => {
-                        models.retrain_incremental(&self.features, &self.corpus.claims, claim_ids);
+                        models.retrain_incremental(
+                            &mut training,
+                            &self.features,
+                            &self.corpus.claims,
+                            claim_ids,
+                        );
                     }
                 }
             });
@@ -421,6 +450,7 @@ impl Engine {
         }
         self.durable_publish(
             epoch,
+            &training,
             claim_ids.len() as u64,
             kind == RetrainKind::Incremental,
         );
@@ -478,11 +508,18 @@ impl Engine {
     /// image (which compacts the log), then pruning of superseded blobs.
     /// Only the record and the checkpoint run under the gate's write
     /// side, so the image is consistent with the cut; the blob is
-    /// streamed from the live snapshot's blocks to disk before it, while
-    /// ops keep acknowledging — nothing references the blob until the
-    /// record is durable. Callers hold `retrain_serial`, so epochs
-    /// checkpoint in order.
-    fn durable_publish(&self, epoch: u64, examples: u64, background: bool) {
+    /// streamed to disk before it — the weights from the live snapshot's
+    /// blocks, the accumulators from `training` — while ops keep
+    /// acknowledging: nothing references the blob until the record is
+    /// durable. Callers hold `retrain_serial` (and pass the training state
+    /// it guards), so epochs checkpoint in order.
+    fn durable_publish(
+        &self,
+        epoch: u64,
+        training: &TrainingState,
+        examples: u64,
+        background: bool,
+    ) {
         if !self.recording() {
             return;
         }
@@ -492,7 +529,7 @@ impl Engine {
             let snapshot = self.models.load();
             wal_io(
                 wal.write_blob_with(&durability::snapshot_blob_name(epoch), &mut |out| {
-                    durability::write_models(epoch, &snapshot.models, out)
+                    durability::write_models(epoch, &snapshot.models, training, out)
                 }),
                 "model snapshot write failed",
             );
@@ -734,11 +771,36 @@ impl Engine {
                 }
                 if *epoch > self.models.epoch() {
                     let wal = self.wal.as_ref().expect("replay requires a wal");
-                    // the live snapshot is only the scaffold: the blob
-                    // decodes into fresh blocks, no trained weight copied
-                    let models = durability::load_models(wal, *epoch, &self.models.load().models)?;
+                    let mut training = self
+                        .retrain_serial
+                        .lock()
+                        .expect("retrain serializer poisoned");
+                    // the superseded accumulators go before the blob's are
+                    // decoded; the live snapshot is only the scaffold: the
+                    // blob decodes into fresh blocks, no trained weight
+                    // copied
+                    *training = TrainingState::default();
+                    let (models, restored) =
+                        durability::load_models(wal, *epoch, &self.models.load().models)?;
                     let published = self.models.publish(models);
                     debug_assert_eq!(published, *epoch, "replayed epochs are contiguous");
+                    *training = restored;
+                    if *background {
+                        // a background epoch trained on exactly the batch
+                        // it drained from the pending log, and
+                        // `retrain_incremental` appended that batch last to
+                        // the rehearsal log: drain it here too
+                        let log = training.replay_log();
+                        let batch: FxHashSet<usize> = log
+                            [log.len().saturating_sub(*examples as usize)..]
+                            .iter()
+                            .copied()
+                            .collect();
+                        self.pending
+                            .lock()
+                            .expect("pending log poisoned")
+                            .retain(|claim| !batch.contains(claim));
+                    }
                 }
             }
         }
@@ -1329,7 +1391,8 @@ impl Engine {
     }
 
     /// The trainer job: drain the pending log, warm-start the classifiers
-    /// on the drained batch against a *copy* of the current snapshot, and
+    /// on the drained batch against a *copy* of the current snapshot's
+    /// weights and the engine's one training state, and
     /// publish the result as the next epoch. Loops while whole new
     /// intervals accumulated during training, then re-arms.
     fn background_retrain(&self) {

@@ -31,7 +31,8 @@
 //!   └─────────────────────────────────────────────┘
 //!        │ verdicts append to the pending-examples log
 //!        ▼
-//!    background trainer: drain log ─▶ partial_fit a COPY ─▶ publish epoch+1
+//!    background trainer: drain log ─▶ partial_fit a COPY of the weights
+//!    with the one TrainingState (AdaGrad + rehearsal log) ─▶ publish epoch+1
 //!    (readers keep the old snapshot; next_batch re-plans on epoch change)
 //! ```
 //!

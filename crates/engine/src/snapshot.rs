@@ -14,6 +14,15 @@
 //!   models and, when done, [`publish`](SnapshotCell::publish)es the result
 //!   as a new snapshot with the epoch advanced — an atomic pointer swap.
 //!
+//! A snapshot holds only the read side of the learned state
+//! ([`SystemModels`]: labels, weights, biases), so that copy is the
+//! weights alone (71 MB at paper scale). The AdaGrad accumulators and the
+//! rehearsal log — the [`TrainingState`](scrutinizer_core::TrainingState),
+//! read only by training and persistence — have a single owner: the
+//! engine keeps them inside the lock that serializes trainers, never
+//! copies them, and each retrain advances them in place with the epoch it
+//! publishes.
+//!
 //! The epoch is the invalidation token for everything derived from the
 //! models (session translations, cached utilities): one monotone counter
 //! is enough because models only ever advance wholesale.
@@ -27,8 +36,9 @@ use scrutinizer_core::SystemModels;
 pub struct ModelSnapshot {
     /// Monotone generation counter; bumped by every publish.
     pub epoch: u64,
-    /// The models themselves. Immutable — retraining clones, trains the
-    /// copy off-lock, and publishes a fresh snapshot.
+    /// The models themselves — weights and labels, no training state.
+    /// Immutable: retraining clones them, trains the copy off-lock, and
+    /// publishes a fresh snapshot.
     pub models: SystemModels,
 }
 

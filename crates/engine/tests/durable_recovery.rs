@@ -17,6 +17,7 @@ use scrutinizer_corpus::{Corpus, CorpusConfig};
 use scrutinizer_crowd::{Worker, WorkerConfig};
 use scrutinizer_engine::engine::{Engine, EngineOptions};
 use scrutinizer_engine::{recover, DurableEnv, RecoveryReport};
+use scrutinizer_learn::softmax::GRAD_SQ_INIT;
 use scrutinizer_sim::{SimStorage, Storage};
 use scrutinizer_wal::WalOptions;
 
@@ -348,8 +349,12 @@ impl Storage for CrashBeforeCheckpoint {
     }
 }
 
-#[test]
-fn crash_between_epoch_record_and_checkpoint_replays_the_epoch_from_its_blob() {
+/// A durable engine over [`CrashBeforeCheckpoint`] storage after two
+/// rounds of verdicts, each flushed into at least one epoch: the last
+/// publish then has a checkpointed epoch before it, and the storage holds
+/// the data dir of a crash between that publish's `EpochPublished`
+/// record and its checkpoint.
+fn engine_after_two_flushed_rounds() -> (Arc<CrashBeforeCheckpoint>, Arc<Engine>) {
     let storage = Arc::new(CrashBeforeCheckpoint {
         inner: SimStorage::new(),
         crashed: Mutex::new(None),
@@ -359,16 +364,23 @@ fn crash_between_epoch_record_and_checkpoint_replays_the_epoch_from_its_blob() {
         dir: "data".to_string(),
         wal: WalOptions::default(),
     });
-    // two rounds of verdicts, each flushed into at least one epoch: the
-    // last publish then has a checkpointed epoch before it
     for round in [0..4, 4..8] {
         for claim_id in round {
             engine.verify_claim_with(claim_id, &mut worker(500 + claim_id as u64));
         }
         engine.flush_retrains();
     }
+    assert!(
+        engine.model_epoch() >= 2,
+        "two flushed rounds publish two epochs"
+    );
+    (storage, engine)
+}
+
+#[test]
+fn crash_between_epoch_record_and_checkpoint_replays_the_epoch_from_its_blob() {
+    let (storage, engine) = engine_after_two_flushed_rounds();
     let epoch = engine.model_epoch();
-    assert!(epoch >= 2, "two flushed rounds publish two epochs");
     let epoch_counters = |engine: &Engine| {
         let s = engine.stats();
         (
@@ -379,7 +391,8 @@ fn crash_between_epoch_record_and_checkpoint_replays_the_epoch_from_its_blob() {
         )
     };
     let acknowledged = epoch_counters(&engine);
-    let trained = engine.models_snapshot().models.export_state();
+    let live_pending = engine.stats().pending_examples;
+    let trained = engine.export_models_state();
     drop(engine);
 
     let crashed = storage
@@ -399,8 +412,93 @@ fn crash_between_epoch_record_and_checkpoint_replays_the_epoch_from_its_blob() {
         "replay published the last epoch"
     );
     assert!(
-        recovered.models_snapshot().models.export_state() == trained,
-        "the replayed epoch's weights are the pre-crash snapshot's, bit for bit"
+        recovered.export_models_state() == trained,
+        "the replayed epoch's weights, accumulators and rehearsal log are the pre-crash ones, bit for bit"
     );
     assert_eq!(epoch_counters(&recovered), acknowledged);
+    // the replayed epoch drained the examples it trained on
+    let stats = recovered.stats();
+    assert_eq!(stats.pending_examples, live_pending);
+    assert_eq!(
+        stats.pending_examples + stats.examples_trained,
+        stats.claims_verified,
+        "every verified claim is pending or trained, once"
+    );
+}
+
+#[test]
+fn training_continues_across_a_restart_from_an_epoch_blob() {
+    let (storage, live) = engine_after_two_flushed_rounds();
+    let epoch = live.model_epoch();
+    let crashed = storage
+        .crashed
+        .lock()
+        .unwrap()
+        .take()
+        .expect("checkpointed");
+    let (recovered, report) = recover_engine(&crashed);
+    assert_eq!(
+        report.resumed_epoch, epoch,
+        "the recovered engine replayed the last epoch from its blob"
+    );
+    let before = live.export_models_state();
+    assert!(
+        before.classifiers.iter().any(|c| c
+            .model
+            .as_ref()
+            .is_some_and(|m| m.grad_sq_w.iter().any(|&g| g != GRAD_SQ_INIT))),
+        "the published epochs advanced the accumulators past their initial value"
+    );
+    assert!(recovered.export_models_state() == before);
+
+    // the same next verdict batch on the engine that never stopped and on
+    // the recovered one
+    for engine in [&live, &recovered] {
+        for claim_id in 8..12 {
+            engine.verify_claim_with(claim_id, &mut worker(500 + claim_id as u64));
+        }
+        engine.flush_retrains();
+    }
+    let next = live.model_epoch();
+    assert!(next > epoch, "the batch published a new epoch");
+    assert_eq!(recovered.model_epoch(), next);
+
+    let (want, got) = (live.export_models_state(), recovered.export_models_state());
+    let same_bits = |want: &[f32], got: &[f32]| {
+        want.len() == got.len()
+            && want
+                .iter()
+                .zip(got)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    };
+    for (kind, (want, got)) in PropertyKind::ALL
+        .iter()
+        .zip(want.classifiers.iter().zip(&got.classifiers))
+    {
+        assert_eq!(want.labels, got.labels, "{}", kind.name());
+        let (Some(want), Some(got)) = (&want.model, &got.model) else {
+            assert_eq!(want.model.is_some(), got.model.is_some(), "{}", kind.name());
+            continue;
+        };
+        for (block, want, got) in [
+            ("weights", &want.weights, &got.weights),
+            ("biases", &want.biases, &got.biases),
+            ("grad_sq_w", &want.grad_sq_w, &got.grad_sq_w),
+            ("grad_sq_b", &want.grad_sq_b, &got.grad_sq_b),
+        ] {
+            assert!(same_bits(want, got), "{} {block} differ", kind.name());
+        }
+        assert_eq!(want.fits, got.fits, "{} fits", kind.name());
+    }
+    assert!(want == got, "the rehearsal logs and cursors agree too");
+
+    let blob = format!("data/epoch-{next:010}.snap");
+    let (live_blob, recovered_blob) = (
+        storage.inner.read(&blob).expect("the live epoch's blob"),
+        crashed.read(&blob).expect("the recovered epoch's blob"),
+    );
+    assert!(
+        live_blob == recovered_blob,
+        "the next epoch's blobs are identical"
+    );
 }

@@ -56,7 +56,7 @@ mod tests {
                 )
             })
             .collect();
-        trained.retrain(&examples);
+        trained.retrain(&mut None, &examples);
         let untrained = PropertyClassifier::new(
             "row",
             LabelDict::from_labels(["x", "y"]),

@@ -2,20 +2,22 @@
 
 use crate::labels::LabelDict;
 use crate::metrics::entropy;
-use crate::softmax::{SoftmaxClassifier, SoftmaxState, TrainConfig};
+use crate::softmax::{SoftmaxClassifier, SoftmaxState, SoftmaxTraining, TrainConfig};
 use scrutinizer_text::{FeatureMatrix, SparseVector, SparseView};
 
-/// The serializable *learned* state of a [`PropertyClassifier`]: the
-/// label space (which grows as checkers suggest new answers) and the
-/// trained model, if any. Structural fields — property name, feature
-/// dimensionality, train config — are rebuilt from configuration at
-/// bootstrap and the state restored on top, so a snapshot stays valid
-/// across code changes that only touch configuration defaults.
+/// The serializable *learned* state of a [`PropertyClassifier`] and its
+/// training state: the label space (which grows as checkers suggest new
+/// answers) and the trained model with its AdaGrad state, if any.
+/// Structural fields — property name, feature dimensionality, train
+/// config — are rebuilt from configuration at bootstrap and the state
+/// restored on top, so a snapshot stays valid across code changes that
+/// only touch configuration defaults.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClassifierState {
     /// Label names in interned-id order.
     pub labels: Vec<String>,
-    /// The trained model (`None` = untrained / uniform fallback).
+    /// The trained model and its training state (`None` = untrained /
+    /// uniform fallback).
     pub model: Option<SoftmaxState>,
 }
 
@@ -27,6 +29,11 @@ pub struct ClassifierState {
 /// only; the string-returning APIs ([`top_k`](Self::top_k),
 /// [`predict`](Self::predict)) are thin adapters kept for the session
 /// boundary, where checkers read label text.
+///
+/// A classifier is the read side of its learned state: the label space
+/// and the [`SoftmaxClassifier`]. The AdaGrad half, a
+/// [`SoftmaxTraining`], is kept by the trainer and handed to the training
+/// calls — `Some` exactly when this classifier is trained.
 ///
 /// Supports the cold-start protocol of §3: before any training data exists,
 /// predictions fall back to the uniform distribution over the known label
@@ -64,33 +71,51 @@ impl PropertyClassifier {
         &self.labels
     }
 
-    /// A whole copy of the learned state (snapshots stream the model
-    /// instead; see [`softmax`](Self::softmax)).
-    pub fn export_state(&self) -> ClassifierState {
+    /// A whole copy of the learned state joined with its `training`
+    /// state (snapshots stream both halves instead; see
+    /// [`softmax`](Self::softmax)).
+    ///
+    /// # Panics
+    /// Panics if `training` is not this classifier's (see
+    /// [`partial_fit_encoded`](Self::partial_fit_encoded)).
+    pub fn export_state(&self, training: Option<&SoftmaxTraining>) -> ClassifierState {
         ClassifierState {
             labels: self.labels.names().to_vec(),
-            model: self.model.as_ref().map(SoftmaxClassifier::export_state),
+            model: self
+                .model
+                .as_ref()
+                .map(|model| model.export_state(self.own_training(training))),
         }
     }
 
-    /// Replaces the learned state from a whole-model snapshot. The
-    /// model's feature dimensionality must match this classifier's (a
-    /// mismatch means the snapshot came from a different
-    /// corpus/featurizer).
-    pub fn restore_state(&mut self, state: ClassifierState) -> Result<(), String> {
-        *self = self.with_state(state)?;
-        Ok(())
+    /// Replaces the learned state from a whole-model snapshot, returning
+    /// its training state. The model's feature dimensionality must match
+    /// this classifier's (a mismatch means the snapshot came from a
+    /// different corpus/featurizer).
+    pub fn restore_state(
+        &mut self,
+        state: ClassifierState,
+    ) -> Result<Option<SoftmaxTraining>, String> {
+        let (restored, training) = self.with_state(state)?;
+        *self = restored;
+        Ok(training)
     }
 
     /// [`restore_state`](Self::restore_state) into a new classifier built
     /// on this one's scaffold (see [`with_learned`](Self::with_learned)).
-    pub fn with_state(&self, state: ClassifierState) -> Result<Self, String> {
-        let model = state
-            .model
-            .map(SoftmaxClassifier::from_state)
-            .transpose()
-            .map_err(|e| format!("{}: {e}", self.property))?;
-        self.with_learned(state.labels, model)
+    pub fn with_state(
+        &self,
+        state: ClassifierState,
+    ) -> Result<(Self, Option<SoftmaxTraining>), String> {
+        let (model, training) = match state.model {
+            Some(model) => {
+                let (model, training) = SoftmaxClassifier::from_state(model)
+                    .map_err(|e| format!("{}: {e}", self.property))?;
+                (Some(model), Some(training))
+            }
+            None => (None, None),
+        };
+        Ok((self.with_learned(state.labels, model)?, training))
     }
 
     /// A classifier with this one's property, feature dimensionality and
@@ -154,45 +179,78 @@ impl PropertyClassifier {
 
     /// Retrains from scratch on borrowed `(features, label id)` pairs —
     /// the `Retrain(N, A)` step of Algorithm 1, with zero feature clones
-    /// and zero label strings in the loop.
-    pub fn retrain_encoded(&mut self, examples: &[(SparseView<'_>, u32)]) {
+    /// and zero label strings in the loop. `training` is replaced by the
+    /// new model's training state.
+    pub fn retrain_encoded(
+        &mut self,
+        training: &mut Option<SoftmaxTraining>,
+        examples: &[(SparseView<'_>, u32)],
+    ) {
         if examples.is_empty() {
             self.model = None;
+            *training = None;
             return;
         }
-        self.model = Some(SoftmaxClassifier::train(
-            examples,
-            self.labels.len(),
-            self.dim,
-            self.config,
-        ));
+        let (model, fresh) =
+            SoftmaxClassifier::train(examples, self.labels.len(), self.dim, self.config);
+        self.model = Some(model);
+        *training = Some(fresh);
     }
 
     /// Warm-start incremental training on one new example batch: resumes
-    /// from the current weights (or a zero model when untrained) instead of
-    /// replaying the whole verified history. Label ids past the current
-    /// class count grow the model in place, so labels interned since the
-    /// last call are legal.
-    pub fn partial_fit_encoded(&mut self, examples: &[(SparseView<'_>, u32)]) {
+    /// from the current weights and `training` state (or a zero model with
+    /// fresh accumulators when untrained) instead of replaying the whole
+    /// verified history. Label ids past the current class count grow both
+    /// in place, so labels interned since the last call are legal.
+    ///
+    /// # Panics
+    /// Panics if `training` is not this classifier's: `None` for a
+    /// trained classifier, `Some` for an untrained one, or of another
+    /// shape.
+    pub fn partial_fit_encoded(
+        &mut self,
+        training: &mut Option<SoftmaxTraining>,
+        examples: &[(SparseView<'_>, u32)],
+    ) {
         if examples.is_empty() {
             return;
         }
-        let model = self
-            .model
-            .get_or_insert_with(|| SoftmaxClassifier::untrained(self.labels.len(), self.dim));
-        model.partial_fit(examples, self.config);
+        if self.model.is_none() {
+            assert!(
+                training.is_none(),
+                "{}: training state without a model",
+                self.property
+            );
+            let n_classes = self.labels.len();
+            self.model = Some(SoftmaxClassifier::untrained(n_classes, self.dim));
+            *training = Some(SoftmaxTraining::untrained(n_classes, self.dim));
+        }
+        let training = self.own_training(training.as_mut());
+        let model = self.model.as_mut().expect("trained above");
+        model.partial_fit(training, examples, self.config);
+    }
+
+    /// `training` as this trained classifier's state, or a panic naming
+    /// the property when the trainer lost it.
+    fn own_training<T>(&self, training: Option<T>) -> T {
+        training
+            .unwrap_or_else(|| panic!("{}: trained model without training state", self.property))
     }
 
     /// String-boundary adapter over [`retrain_encoded`]: interns the labels
     /// and borrows the features (no clones).
     ///
     /// [`retrain_encoded`]: Self::retrain_encoded
-    pub fn retrain(&mut self, examples: &[(SparseVector, String)]) {
+    pub fn retrain(
+        &mut self,
+        training: &mut Option<SoftmaxTraining>,
+        examples: &[(SparseVector, String)],
+    ) {
         let encoded: Vec<(SparseView<'_>, u32)> = examples
             .iter()
             .map(|(x, label)| (x.view(), self.labels.intern(label)))
             .collect();
-        self.retrain_encoded(&encoded);
+        self.retrain_encoded(training, &encoded);
     }
 
     /// Ranked `(label id, probability)` predictions, descending, length ≤
@@ -317,6 +375,10 @@ mod tests {
     }
 
     fn trained() -> PropertyClassifier {
+        trained_with_state().0
+    }
+
+    fn trained_with_state() -> (PropertyClassifier, Option<SoftmaxTraining>) {
         let labels = LabelDict::from_labels(["GED", "TFC", "CO2"]);
         let mut c = PropertyClassifier::new("relation", labels, 8, TrainConfig::default());
         let examples: Vec<(SparseVector, String)> = (0..30)
@@ -328,8 +390,9 @@ mod tests {
                 )
             })
             .collect();
-        c.retrain(&examples);
-        c
+        let mut training = None;
+        c.retrain(&mut training, &examples);
+        (c, training)
     }
 
     #[test]
@@ -375,16 +438,16 @@ mod tests {
 
     #[test]
     fn new_labels_interned_on_retrain() {
-        let mut c = trained();
+        let (mut c, mut training) = trained_with_state();
         let examples = vec![(features(3), "NEW_REL".to_string()); 10];
-        c.retrain(&examples);
+        c.retrain(&mut training, &examples);
         assert!(c.labels().get("NEW_REL").is_some());
         assert_eq!(c.predict(&features(3)).unwrap(), "NEW_REL");
     }
 
     #[test]
     fn partial_fit_handles_label_growth_mid_stream() {
-        let mut c = trained();
+        let (mut c, mut training) = trained_with_state();
         let before = c.prediction_entropy(&features(0));
         // a new label arrives: intern it, then warm-start on the new batch
         // (a realistic verified batch mixes the new label with known ones)
@@ -398,7 +461,11 @@ mod tests {
                 batch.push((x.view(), class as u32));
             }
         }
-        c.partial_fit_encoded(&batch);
+        c.partial_fit_encoded(&mut training, &batch);
+        assert_eq!(
+            c.n_classes(),
+            training.as_ref().map(SoftmaxTraining::n_classes)
+        );
         assert_eq!(c.predict(&novel).unwrap(), "NEW_REL");
         // old knowledge survives the warm start and the class growth
         assert_eq!(c.predict(&features(0)).unwrap(), "GED");
@@ -412,8 +479,9 @@ mod tests {
         let (a, b) = (features(0), features(1));
         let batch = vec![(a.view(), 0u32), (b.view(), 1u32)];
         let batch: Vec<_> = batch.into_iter().cycle().take(20).collect();
-        c.partial_fit_encoded(&batch);
-        assert!(c.is_trained());
+        let mut training = None;
+        c.partial_fit_encoded(&mut training, &batch);
+        assert!(c.is_trained() && training.is_some());
         assert_eq!(c.predict(&a).unwrap(), "x");
         assert_eq!(c.predict(&b).unwrap(), "y");
     }
@@ -438,37 +506,51 @@ mod tests {
 
     #[test]
     fn classifier_state_round_trips_labels_and_model() {
-        let original = trained();
+        let (original, training) = trained_with_state();
+        let state = original.export_state(training.as_ref());
         let labels = LabelDict::from_labels(["GED", "TFC", "CO2"]);
         let mut restored = PropertyClassifier::new("relation", labels, 8, TrainConfig::default());
-        restored.restore_state(original.export_state()).unwrap();
+        let restored_training = restored.restore_state(state.clone()).unwrap();
         assert!(restored.is_trained());
+        assert!(restored.export_state(restored_training.as_ref()) == state);
         for idx in 0..3 {
             let x = features(idx);
             assert_eq!(original.top_k(&x, 3), restored.top_k(&x, 3));
         }
         // grown label spaces survive the round trip
-        let mut grown = trained();
+        let (mut grown, training) = trained_with_state();
         grown.intern_label("LATE_ARRIVAL");
         let mut restored =
             PropertyClassifier::new("relation", LabelDict::new(), 8, TrainConfig::default());
-        restored.restore_state(grown.export_state()).unwrap();
+        restored
+            .restore_state(grown.export_state(training.as_ref()))
+            .unwrap();
         assert_eq!(restored.labels().names(), grown.labels().names());
     }
 
     #[test]
     fn restore_state_rejects_dim_mismatch() {
-        let original = trained();
+        let (original, training) = trained_with_state();
         let mut other =
             PropertyClassifier::new("relation", LabelDict::new(), 16, TrainConfig::default());
-        assert!(other.restore_state(original.export_state()).is_err());
+        assert!(other
+            .restore_state(original.export_state(training.as_ref()))
+            .is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "relation: trained model without training state")]
+    fn partial_fit_refuses_a_trained_model_without_its_training_state() {
+        let mut c = trained();
+        let x = features(0);
+        c.partial_fit_encoded(&mut None, &[(x.view(), 0)]);
     }
 
     #[test]
     fn empty_retrain_resets() {
-        let mut c = trained();
-        c.retrain(&[]);
-        assert!(!c.is_trained());
+        let (mut c, mut training) = trained_with_state();
+        c.retrain(&mut training, &[]);
+        assert!(!c.is_trained() && training.is_none());
     }
 
     #[test]

@@ -274,7 +274,7 @@ mod tests {
                 )
             })
             .collect();
-        c.retrain(&examples);
+        c.retrain(&mut None, &examples);
         c
     }
 

@@ -30,4 +30,6 @@ pub use classifier::{ClassifierState, PropertyClassifier};
 pub use fused::FusedEntropy;
 pub use labels::LabelDict;
 pub use metrics::{accuracy, entropy, top_k_accuracy};
-pub use softmax::{entropy_from_scores, SoftmaxClassifier, SoftmaxState, TrainConfig};
+pub use softmax::{
+    entropy_from_scores, SoftmaxClassifier, SoftmaxState, SoftmaxTraining, TrainConfig,
+};

@@ -5,22 +5,34 @@
 //! sparse dot products (only touched coordinates update), per-coordinate
 //! AdaGrad learning rates (robust across the wildly different scales of the
 //! embedding and TF-IDF blocks), and — since PR 4 — **warm-start
-//! incremental training**: the AdaGrad accumulators persist inside the
-//! model, so [`SoftmaxClassifier::partial_fit`] resumes from the previous
-//! weights on just the newly verified examples instead of replaying the
-//! whole history from scratch. The class count can grow mid-stream
-//! (checkers suggest new answers); new classes join as zero columns.
+//! incremental training**: [`SoftmaxClassifier::partial_fit`] resumes from
+//! the previous weights and AdaGrad accumulators on just the newly verified
+//! examples instead of replaying the whole history from scratch. The class
+//! count can grow mid-stream (checkers suggest new answers); new classes
+//! join as zero columns.
 //!
-//! Each weight is stored once, in one **feature-major** layout: a
+//! A classifier's learned state has two owners:
+//!
+//! * [`SoftmaxClassifier`] — the **read side**: the weights and biases
+//!   that inference, translation and the utility pass read;
+//! * [`SoftmaxTraining`] — the **training state**: the AdaGrad weight and
+//!   bias accumulators and the fit count, which only training reads.
+//!
+//! Training takes `&mut` of both halves; everything else needs only the
+//! read side, so a published model carries no accumulators and copying
+//! one for the next retrain copies the weights alone.
+//!
+//! Each half stores its values once, in one **feature-major** layout: a
 //! `dim × stride` block (`stride` = the class count rounded up to a
 //! multiple of eight lanes) in which feature `i`'s class columns sit
-//! contiguously at `weights[i * stride..][..n_classes]`; the pad columns
-//! stay 0.0. The AdaGrad accumulators share the layout. Every consumer
-//! reads the block in place:
+//! contiguously at `block[i * stride..][..n_classes]`. The weights' pad
+//! columns stay 0.0; the accumulators use the same layout with pad columns
+//! at the initial accumulator, and class growth re-strides both halves in
+//! step. Every consumer reads the weight block in place:
 //!
 //! * training scores an example with one contiguous sweep per stored
-//!   feature, then updates the touched `(feature, class)` slots
-//!   elementwise;
+//!   feature, then updates the touched `(feature, class)` slots of both
+//!   blocks elementwise;
 //! * per-claim inference (`predict_proba`, [`top_k_view`], and through
 //!   them `PropertyClassifier::top_k_ids`, `predict_id` and accuracy
 //!   traces) runs the same kernel;
@@ -34,16 +46,17 @@
 //! multiply-adds.
 //!
 //! Persistence is row-major (one `dim`-long row per class) and never
-//! materializes a whole row-major copy: [`row_tiles`] streams a block
-//! out as tiles of 64 class rows, and
+//! materializes a whole row-major copy: each half's `row_tiles`
+//! ([`SoftmaxClassifier::row_tiles`], [`SoftmaxTraining::row_tiles`])
+//! streams its block out as tiles of 64 class rows, and
 //! [`feature_major_from_tiles`] fills a fresh padded block from such
 //! tiles, so a snapshot writer or reader holds at most one tile (~1.5 MB
-//! at paper scale) beside the block itself. The whole-model
-//! [`SoftmaxState`] ([`export_state`], [`from_state`]) remains as the
-//! reference the tests hold the streamed form to.
+//! at paper scale) beside the blocks themselves. The whole-model
+//! [`SoftmaxState`] ([`export_state`], [`from_state`]) joins both halves
+//! and remains the reference the tests hold the split and streamed forms
+//! to.
 //!
 //! [`top_k_view`]: SoftmaxClassifier::top_k_view
-//! [`row_tiles`]: SoftmaxClassifier::row_tiles
 //! [`export_state`]: SoftmaxClassifier::export_state
 //! [`from_state`]: SoftmaxClassifier::from_state
 //! [`FusedEntropy`]: crate::FusedEntropy
@@ -86,12 +99,14 @@ impl Default for TrainConfig {
     }
 }
 
-/// The whole training state of a [`SoftmaxClassifier`] in one value:
-/// everything needed to reconstruct it exactly, row-major (one
+/// The whole learned state of a classifier — its
+/// [`SoftmaxClassifier`] and [`SoftmaxTraining`] halves — in one value:
+/// everything needed to reconstruct both exactly, row-major (one
 /// `dim`-long row per class) like the on-disk snapshot. Persistence
 /// streams the same rows tile by tile ([`SoftmaxClassifier::row_tiles`],
-/// [`feature_major_from_tiles`]); this whole-model copy is the reference
-/// the tests check that stream against.
+/// [`SoftmaxTraining::row_tiles`], [`feature_major_from_tiles`]); this
+/// whole-model copy is the reference the tests check that stream
+/// against.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SoftmaxState {
     /// Row-major `n_classes × dim` weights.
@@ -118,20 +133,21 @@ pub(crate) const LANES: usize = 8;
 
 /// The initial AdaGrad accumulator of every weight and bias (keeps the
 /// first step's `1 / sqrt` finite).
-const GRAD_SQ_INIT: f32 = 1e-8;
+pub const GRAD_SQ_INIT: f32 = 1e-8;
 
-/// Class rows per tile of the row-major stream
-/// ([`SoftmaxClassifier::row_tiles`], [`feature_major_from_tiles`]): a
-/// tile is `TILE_CLASSES × dim` floats, about 1.5 MB at paper scale.
+/// Class rows per tile of the row-major stream (`row_tiles`,
+/// [`feature_major_from_tiles`]): a tile is `TILE_CLASSES × dim` floats,
+/// about 1.5 MB at paper scale.
 pub(crate) const TILE_CLASSES: usize = 64;
 
 /// One of a classifier's two feature-major `dim × stride` blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Block {
-    /// The weights (pad columns 0.0).
+    /// The weights, on the read side (pad columns 0.0).
     Weights,
-    /// The AdaGrad weight accumulators (pad columns at the initial
-    /// accumulator, so a class growing into one starts fresh).
+    /// The AdaGrad weight accumulators, in the training state (pad
+    /// columns at [`GRAD_SQ_INIT`], so a class growing into one starts
+    /// fresh).
     GradSq,
 }
 
@@ -144,21 +160,32 @@ impl Block {
     }
 }
 
-/// A trained softmax classifier over `n_classes` classes and `dim` features.
+/// The read side of a trained softmax classifier over `n_classes` classes
+/// and `dim` features: the weights and biases every prediction reads.
 #[derive(Debug, Clone)]
 pub struct SoftmaxClassifier {
     /// Feature-major weights, `dim × stride`: feature `i`'s class columns
     /// at `weights[i * stride..][..n_classes]`, pad columns 0.0.
     weights: Vec<f32>,
-    /// AdaGrad weight accumulators in the layout of `weights` (pad
-    /// columns at [`GRAD_SQ_INIT`], so a class growing into one starts
-    /// fresh) — the warm-start state.
-    grad_sq_w: Vec<f32>,
     /// Per-class biases padded to `stride` (pad lanes 0.0).
     biases: Vec<f32>,
+    /// Row stride of `weights`: `n_classes` rounded up to [`LANES`].
+    stride: usize,
+    dim: usize,
+    n_classes: usize,
+}
+
+/// The training state of a [`SoftmaxClassifier`]: the AdaGrad
+/// accumulators in the layout of its blocks, and the fit count. Only
+/// [`SoftmaxClassifier::partial_fit`] and persistence read it; it grows
+/// with its classifier, in step.
+#[derive(Debug, Clone)]
+pub struct SoftmaxTraining {
+    /// AdaGrad weight accumulators, feature-major `dim × stride` like the
+    /// classifier's weights (pad columns at [`GRAD_SQ_INIT`]).
+    grad_sq_w: Vec<f32>,
     /// AdaGrad bias accumulators padded to `stride`.
     grad_sq_b: Vec<f32>,
-    /// Row stride of `weights`: `n_classes` rounded up to [`LANES`].
     stride: usize,
     dim: usize,
     n_classes: usize,
@@ -167,17 +194,13 @@ pub struct SoftmaxClassifier {
     fits: u64,
 }
 
-impl SoftmaxClassifier {
-    /// A zero-weight model over a fixed shape, ready for [`partial_fit`].
-    ///
-    /// [`partial_fit`]: SoftmaxClassifier::partial_fit
+impl SoftmaxTraining {
+    /// Fresh accumulators for an untrained classifier of this shape.
     pub fn untrained(n_classes: usize, dim: usize) -> Self {
         assert!(n_classes > 0, "need at least one class");
         let stride = n_classes.next_multiple_of(LANES);
-        SoftmaxClassifier {
-            weights: vec![0.0; dim * stride],
+        SoftmaxTraining {
             grad_sq_w: vec![GRAD_SQ_INIT; dim * stride],
-            biases: vec![0.0; stride],
             grad_sq_b: vec![GRAD_SQ_INIT; stride],
             stride,
             dim,
@@ -186,8 +209,94 @@ impl SoftmaxClassifier {
         }
     }
 
-    /// Trains from scratch on `(features, class)` examples. Features are
-    /// borrowed views — training never clones a vector.
+    /// Assembles a training state from streamed parts: `grad_sq_w` is a
+    /// padded block from [`feature_major_from_tiles`] over `n_classes`
+    /// classes and `dim` features, `grad_sq_b` holds one value per class.
+    /// Rejects inconsistent shapes (a corrupt snapshot) rather than
+    /// panicking later.
+    pub fn from_blocks(
+        grad_sq_w: Vec<f32>,
+        mut grad_sq_b: Vec<f32>,
+        dim: usize,
+        n_classes: usize,
+        fits: u64,
+    ) -> Result<Self, String> {
+        let stride = check_shape(grad_sq_w.len(), grad_sq_b.len(), dim, n_classes)?;
+        grad_sq_b.resize(stride, GRAD_SQ_INIT);
+        Ok(SoftmaxTraining {
+            grad_sq_w,
+            grad_sq_b,
+            stride,
+            dim,
+            n_classes,
+            fits,
+        })
+    }
+
+    /// Streams the accumulator block out row-major, one tile at a time
+    /// (see [`SoftmaxClassifier::row_tiles`]); concatenated, the tiles are
+    /// [`SoftmaxState::grad_sq_w`].
+    pub fn row_tiles<E>(&self, emit: impl FnMut(&[f32]) -> Result<(), E>) -> Result<(), E> {
+        stream_row_tiles(&self.grad_sq_w, self.n_classes, self.dim, self.stride, emit)
+    }
+
+    /// Number of classes.
+    pub fn n_classes(&self) -> usize {
+        self.n_classes
+    }
+
+    /// Feature dimensionality.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Row stride of [`grad_sq_block`](Self::grad_sq_block).
+    pub fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// The padded feature-major accumulator block, `dim × stride`.
+    pub fn grad_sq_block(&self) -> &[f32] {
+        &self.grad_sq_w
+    }
+
+    /// The per-class AdaGrad bias accumulators.
+    pub fn grad_sq_biases(&self) -> &[f32] {
+        &self.grad_sq_b[..self.n_classes]
+    }
+
+    /// The bias accumulators padded to `stride` (pad lanes at
+    /// [`GRAD_SQ_INIT`]).
+    pub fn padded_grad_sq_biases(&self) -> &[f32] {
+        &self.grad_sq_b
+    }
+
+    /// Completed training calls (salts the shuffle seed).
+    pub fn fits(&self) -> u64 {
+        self.fits
+    }
+}
+
+impl SoftmaxClassifier {
+    /// A zero-weight model over a fixed shape; pair it with
+    /// [`SoftmaxTraining::untrained`] for [`partial_fit`].
+    ///
+    /// [`partial_fit`]: SoftmaxClassifier::partial_fit
+    pub fn untrained(n_classes: usize, dim: usize) -> Self {
+        assert!(n_classes > 0, "need at least one class");
+        let stride = n_classes.next_multiple_of(LANES);
+        SoftmaxClassifier {
+            weights: vec![0.0; dim * stride],
+            biases: vec![0.0; stride],
+            stride,
+            dim,
+            n_classes,
+        }
+    }
+
+    /// Trains from scratch on `(features, class)` examples, returning the
+    /// model and its training state. Features are borrowed views —
+    /// training never clones a vector.
     ///
     /// # Panics
     /// Panics if any class id is ≥ `n_classes` (caller builds the label
@@ -197,14 +306,15 @@ impl SoftmaxClassifier {
         n_classes: usize,
         dim: usize,
         config: TrainConfig,
-    ) -> Self {
+    ) -> (Self, SoftmaxTraining) {
         for (_, y) in examples {
             assert!((*y as usize) < n_classes, "class id {y} out of range");
         }
         let mut model = SoftmaxClassifier::untrained(n_classes, dim);
-        model.fit_epochs(examples, config, config.seed);
-        model.fits = 1;
-        model
+        let mut training = SoftmaxTraining::untrained(n_classes, dim);
+        model.fit_epochs(&mut training, examples, config, config.seed);
+        training.fits = 1;
+        (model, training)
     }
 
     /// Convenience adapter over owned vectors (tests, notebooks); the hot
@@ -214,54 +324,77 @@ impl SoftmaxClassifier {
         n_classes: usize,
         dim: usize,
         config: TrainConfig,
-    ) -> Self {
+    ) -> (Self, SoftmaxTraining) {
         let views: Vec<(SparseView<'_>, u32)> =
             examples.iter().map(|(x, y)| (x.view(), *y)).collect();
         Self::train(&views, n_classes, dim, config)
     }
 
     /// Resumes training on a new example batch — the warm start of the
-    /// incremental retrain path. Weights, biases and AdaGrad accumulators
-    /// continue from where the last call left them, so the effective step
-    /// sizes keep shrinking as if the stream had been one long training
-    /// run; class ids beyond the current shape grow the model first.
-    pub fn partial_fit(&mut self, examples: &[(SparseView<'_>, u32)], config: TrainConfig) {
+    /// incremental retrain path. Weights, biases and the AdaGrad
+    /// accumulators in `training` continue from where the last call left
+    /// them, so the effective step sizes keep shrinking as if the stream
+    /// had been one long training run; class ids beyond the current shape
+    /// grow both halves first.
+    ///
+    /// # Panics
+    /// Panics if `training` does not have this model's shape (it belongs
+    /// to another model).
+    pub fn partial_fit(
+        &mut self,
+        training: &mut SoftmaxTraining,
+        examples: &[(SparseView<'_>, u32)],
+        config: TrainConfig,
+    ) {
+        assert_eq!(
+            (training.n_classes, training.dim),
+            (self.n_classes, self.dim),
+            "the training state belongs to another model"
+        );
         if examples.is_empty() {
             return;
         }
         let max_class = examples.iter().map(|(_, y)| *y).max().unwrap_or(0) as usize;
         if max_class >= self.n_classes {
-            self.grow_classes(max_class + 1);
+            self.grow_classes(training, max_class + 1);
         }
         // salt the shuffle so batch k does not replay batch 0's order, while
         // staying deterministic for a given call sequence
         let seed = config
             .seed
-            .wrapping_add(self.fits.wrapping_mul(0x9E37_79B9));
-        self.fit_epochs(examples, config, seed);
-        self.fits += 1;
+            .wrapping_add(training.fits.wrapping_mul(0x9E37_79B9));
+        self.fit_epochs(training, examples, config, seed);
+        training.fits += 1;
     }
 
-    /// Adds zero-weight classes. Within the current stride they take over
-    /// pad columns, which already hold a zero weight and a fresh
-    /// accumulator; past it, this classifier's arrays are re-strided once.
-    fn grow_classes(&mut self, n_classes: usize) {
+    /// Adds zero-weight classes to both halves. Within the current stride
+    /// they take over pad columns, which already hold a zero weight and a
+    /// fresh accumulator; past it, both blocks are re-strided once.
+    fn grow_classes(&mut self, training: &mut SoftmaxTraining, n_classes: usize) {
         debug_assert!(n_classes > self.n_classes);
         let stride = n_classes.next_multiple_of(LANES);
         if stride > self.stride {
             self.weights = restride(&self.weights, self.stride, stride, 0.0);
-            self.grad_sq_w = restride(&self.grad_sq_w, self.stride, stride, GRAD_SQ_INIT);
             self.biases.resize(stride, 0.0);
-            self.grad_sq_b.resize(stride, GRAD_SQ_INIT);
+            training.grad_sq_w = restride(&training.grad_sq_w, self.stride, stride, GRAD_SQ_INIT);
+            training.grad_sq_b.resize(stride, GRAD_SQ_INIT);
             self.stride = stride;
+            training.stride = stride;
         }
         self.n_classes = n_classes;
+        training.n_classes = n_classes;
     }
 
     /// The AdaGrad inner loop: `config.epochs` shuffled passes over
     /// `examples`, updating the true class plus the top-probability
-    /// classes in place in the feature-major block.
-    fn fit_epochs(&mut self, examples: &[(SparseView<'_>, u32)], config: TrainConfig, seed: u64) {
+    /// classes in place in the feature-major blocks of both halves.
+    fn fit_epochs(
+        &mut self,
+        training: &mut SoftmaxTraining,
+        examples: &[(SparseView<'_>, u32)],
+        config: TrainConfig,
+        seed: u64,
+    ) {
         let (n_classes, dim, stride) = (self.n_classes, self.dim, self.stride);
         let mut order: Vec<usize> = (0..examples.len()).collect();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -300,8 +433,8 @@ impl SoftmaxClassifier {
                     if g == 0.0 {
                         continue;
                     }
-                    self.grad_sq_b[c] += g * g;
-                    self.biases[c] -= config.learning_rate * g / self.grad_sq_b[c].sqrt();
+                    training.grad_sq_b[c] += g * g;
+                    self.biases[c] -= config.learning_rate * g / training.grad_sq_b[c].sqrt();
                     steps.push((c, g));
                 }
                 for (i, v) in x.iter() {
@@ -310,7 +443,7 @@ impl SoftmaxClassifier {
                         continue;
                     }
                     let weights = &mut self.weights[i * stride..][..stride];
-                    let grad_sq = &mut self.grad_sq_w[i * stride..][..stride];
+                    let grad_sq = &mut training.grad_sq_w[i * stride..][..stride];
                     for &(c, g) in &steps {
                         let gw = g * v + config.l2 * weights[c];
                         grad_sq[c] += gw * gw;
@@ -321,11 +454,19 @@ impl SoftmaxClassifier {
         }
     }
 
-    /// A whole copy of the training state, transposed to the row-major
-    /// [`SoftmaxState`] layout (persistence streams the same rows with
-    /// [`row_tiles`](Self::row_tiles) instead).
-    pub fn export_state(&self) -> SoftmaxState {
+    /// A whole copy of this model and its `training` state, transposed to
+    /// the row-major [`SoftmaxState`] layout (persistence streams the
+    /// same rows with `row_tiles` instead).
+    ///
+    /// # Panics
+    /// Panics if `training` does not have this model's shape.
+    pub fn export_state(&self, training: &SoftmaxTraining) -> SoftmaxState {
         let (n_classes, dim) = (self.n_classes, self.dim);
+        assert_eq!(
+            (training.n_classes, training.dim),
+            (n_classes, dim),
+            "the training state belongs to another model"
+        );
         let row_major = |block: &[f32]| {
             let mut out = vec![0.0; n_classes * dim];
             transpose_into(block, dim, n_classes, self.stride, &mut out, dim);
@@ -334,18 +475,19 @@ impl SoftmaxClassifier {
         SoftmaxState {
             weights: row_major(&self.weights),
             biases: self.biases[..n_classes].to_vec(),
-            grad_sq_w: row_major(&self.grad_sq_w),
-            grad_sq_b: self.grad_sq_b[..n_classes].to_vec(),
+            grad_sq_w: row_major(&training.grad_sq_w),
+            grad_sq_b: training.grad_sq_b[..n_classes].to_vec(),
             dim,
             n_classes,
-            fits: self.fits,
+            fits: training.fits,
         }
     }
 
-    /// Reconstructs a classifier from a whole [`SoftmaxState`],
-    /// transposing it to the feature-major block. Rejects shape-inconsistent state (a
-    /// corrupt or truncated snapshot) rather than panicking later.
-    pub fn from_state(state: SoftmaxState) -> Result<Self, String> {
+    /// Reconstructs a classifier and its training state from a whole
+    /// [`SoftmaxState`], transposing each to its feature-major block.
+    /// Rejects shape-inconsistent state (a corrupt or truncated snapshot)
+    /// rather than panicking later.
+    pub fn from_state(state: SoftmaxState) -> Result<(Self, SoftmaxTraining), String> {
         if state.n_classes == 0 {
             return Err("snapshot has zero classes".to_string());
         }
@@ -365,95 +507,55 @@ impl SoftmaxClassifier {
         }
         let (n_classes, dim) = (state.n_classes, state.dim);
         let stride = n_classes.next_multiple_of(LANES);
-        let feature_major = |rows: &[f32], pad: f32| {
-            let mut out = vec![pad; dim * stride];
+        let feature_major = |rows: &[f32], block: Block| {
+            let mut out = vec![block.pad(); dim * stride];
             transpose_into(rows, n_classes, dim, dim, &mut out, stride);
             out
         };
-        let mut biases = state.biases;
-        biases.resize(stride, 0.0);
-        let mut grad_sq_b = state.grad_sq_b;
-        grad_sq_b.resize(stride, GRAD_SQ_INIT);
-        Ok(SoftmaxClassifier {
-            weights: feature_major(&state.weights, 0.0),
-            grad_sq_w: feature_major(&state.grad_sq_w, GRAD_SQ_INIT),
-            biases,
-            grad_sq_b,
-            stride,
+        let model = SoftmaxClassifier::from_blocks(
+            feature_major(&state.weights, Block::Weights),
+            state.biases,
             dim,
             n_classes,
-            fits: state.fits,
-        })
+        )?;
+        let training = SoftmaxTraining::from_blocks(
+            feature_major(&state.grad_sq_w, Block::GradSq),
+            state.grad_sq_b,
+            dim,
+            n_classes,
+            state.fits,
+        )?;
+        Ok((model, training))
     }
 
-    /// Streams `block` out row-major, one tile at a time: `emit` gets
-    /// consecutive tiles of up to 64 classes in id order,
-    /// each `rows × dim` floats with class rows contiguous. Concatenated,
-    /// the tiles are [`export_state`](Self::export_state)'s `weights` (or
-    /// `grad_sq_w`); at most one tile is allocated. Stops at the first
-    /// error `emit` returns.
-    pub fn row_tiles<E>(
-        &self,
-        block: Block,
-        mut emit: impl FnMut(&[f32]) -> Result<(), E>,
-    ) -> Result<(), E> {
-        let (n_classes, dim, stride) = (self.n_classes, self.dim, self.stride);
-        if dim == 0 {
-            return Ok(());
-        }
-        let src = match block {
-            Block::Weights => &self.weights,
-            Block::GradSq => &self.grad_sq_w,
-        };
-        let mut tile = vec![0.0; TILE_CLASSES.min(n_classes) * dim];
-        for c0 in (0..n_classes).step_by(TILE_CLASSES) {
-            let tile = &mut tile[..TILE_CLASSES.min(n_classes - c0) * dim];
-            transpose_into(&src[c0..], dim, tile.len() / dim, stride, tile, dim);
-            emit(tile)?;
-        }
-        Ok(())
+    /// Streams the weight block out row-major, one tile at a time: `emit`
+    /// gets consecutive tiles of up to 64 classes in id order, each
+    /// `rows × dim` floats with class rows contiguous. Concatenated, the
+    /// tiles are [`SoftmaxState::weights`]; at most one tile is
+    /// allocated. Stops at the first error `emit` returns.
+    pub fn row_tiles<E>(&self, emit: impl FnMut(&[f32]) -> Result<(), E>) -> Result<(), E> {
+        stream_row_tiles(&self.weights, self.n_classes, self.dim, self.stride, emit)
     }
 
-    /// Assembles a classifier from streamed parts: `weights` and
-    /// `grad_sq_w` are padded blocks from [`feature_major_from_tiles`]
-    /// over `n_classes` classes and `dim` features, `biases` and
-    /// `grad_sq_b` hold one value per class. Rejects inconsistent shapes
-    /// (a corrupt snapshot) rather than panicking later.
+    /// Assembles a classifier from streamed parts: `weights` is a padded
+    /// block from [`feature_major_from_tiles`] over `n_classes` classes
+    /// and `dim` features, `biases` holds one value per class. Rejects
+    /// inconsistent shapes (a corrupt snapshot) rather than panicking
+    /// later.
     pub fn from_blocks(
         weights: Vec<f32>,
-        grad_sq_w: Vec<f32>,
         mut biases: Vec<f32>,
-        mut grad_sq_b: Vec<f32>,
         dim: usize,
         n_classes: usize,
-        fits: u64,
     ) -> Result<Self, String> {
-        if n_classes == 0 {
-            return Err("snapshot has zero classes".to_string());
-        }
-        let stride = n_classes.next_multiple_of(LANES);
-        if weights.len() != dim * stride
-            || grad_sq_w.len() != dim * stride
-            || biases.len() != n_classes
-            || grad_sq_b.len() != n_classes
-        {
-            return Err(format!(
-                "snapshot shape mismatch: {n_classes} classes × {dim} dims vs {} padded weights / {} biases",
-                weights.len(),
-                biases.len()
-            ));
-        }
+        let stride = check_shape(weights.len(), biases.len(), dim, n_classes)?;
         biases.resize(stride, 0.0);
-        grad_sq_b.resize(stride, GRAD_SQ_INIT);
         Ok(SoftmaxClassifier {
             weights,
-            grad_sq_w,
             biases,
-            grad_sq_b,
             stride,
             dim,
             n_classes,
-            fits,
         })
     }
 
@@ -467,9 +569,14 @@ impl SoftmaxClassifier {
         self.dim
     }
 
-    /// Length of one score row: the class count rounded up to [`LANES`].
-    pub(crate) fn stride(&self) -> usize {
+    /// Length of one score row: the class count rounded up to eight lanes.
+    pub fn stride(&self) -> usize {
         self.stride
+    }
+
+    /// The padded feature-major weight block, `dim × stride`.
+    pub fn weight_block(&self) -> &[f32] {
+        &self.weights
     }
 
     /// Feature `i`'s weight for every class (`i < dim`).
@@ -480,16 +587,6 @@ impl SoftmaxClassifier {
     /// The per-class biases.
     pub fn biases(&self) -> &[f32] {
         &self.biases[..self.n_classes]
-    }
-
-    /// The per-class AdaGrad bias accumulators.
-    pub fn grad_sq_biases(&self) -> &[f32] {
-        &self.grad_sq_b[..self.n_classes]
-    }
-
-    /// Completed training calls (salts the shuffle seed).
-    pub fn fits(&self) -> u64 {
-        self.fits
     }
 
     /// Class probabilities for `x` (softmax over linear scores).
@@ -632,7 +729,7 @@ impl SoftmaxClassifier {
 
     /// The per-class biases padded to `stride` (pad lanes 0.0): the
     /// starting score row of the entropy kernels.
-    pub(crate) fn padded_biases(&self) -> &[f32] {
+    pub fn padded_biases(&self) -> &[f32] {
         &self.biases
     }
 
@@ -724,7 +821,7 @@ pub(crate) fn feature_groups(
 
 /// Builds a padded feature-major block for `n_classes` classes over
 /// `dim` features from row-major tiles — the inverse of
-/// [`SoftmaxClassifier::row_tiles`]. `fill` is handed one buffer per tile
+/// [`SoftmaxClassifier::row_tiles`] and [`SoftmaxTraining::row_tiles`]. `fill` is handed one buffer per tile
 /// (up to 64 classes in id order, `rows × dim` floats) to
 /// fill with those classes' rows; pad columns hold the block's pad value.
 /// Allocates the block plus one tile, and stops at the first error
@@ -747,6 +844,49 @@ pub fn feature_major_from_tiles<E>(
         transpose_into(tile, tile.len() / dim, dim, dim, &mut out[c0..], stride);
     }
     Ok(out)
+}
+
+/// The stream behind both halves' `row_tiles`: `block` (feature-major,
+/// `dim × stride`) out row-major as tiles of up to [`TILE_CLASSES`]
+/// class rows, through one reused tile.
+fn stream_row_tiles<E>(
+    block: &[f32],
+    n_classes: usize,
+    dim: usize,
+    stride: usize,
+    mut emit: impl FnMut(&[f32]) -> Result<(), E>,
+) -> Result<(), E> {
+    if dim == 0 {
+        return Ok(());
+    }
+    let mut tile = vec![0.0; TILE_CLASSES.min(n_classes) * dim];
+    for c0 in (0..n_classes).step_by(TILE_CLASSES) {
+        let tile = &mut tile[..TILE_CLASSES.min(n_classes - c0) * dim];
+        transpose_into(&block[c0..], dim, tile.len() / dim, stride, tile, dim);
+        emit(tile)?;
+    }
+    Ok(())
+}
+
+/// The stride of a streamed half over `n_classes` classes and `dim`
+/// features, if its padded `block` and its per-class row (`per_class`
+/// values) have that shape.
+fn check_shape(
+    block: usize,
+    per_class: usize,
+    dim: usize,
+    n_classes: usize,
+) -> Result<usize, String> {
+    if n_classes == 0 {
+        return Err("snapshot has zero classes".to_string());
+    }
+    let stride = n_classes.next_multiple_of(LANES);
+    if block != dim * stride || per_class != n_classes {
+        return Err(format!(
+            "snapshot shape mismatch: {n_classes} classes × {dim} dims vs {block} padded block values / {per_class} per-class values"
+        ));
+    }
+    Ok(stride)
 }
 
 /// Copies a block of `from`-long rows into `to`-long rows (`to ≥ from`),
@@ -953,7 +1093,7 @@ mod tests {
     #[test]
     fn learns_separable_data() {
         let (examples, dim) = separable();
-        let model = SoftmaxClassifier::train_owned(&examples, 3, dim, TrainConfig::default());
+        let (model, _) = SoftmaxClassifier::train_owned(&examples, 3, dim, TrainConfig::default());
         for (x, y) in &examples {
             assert_eq!(model.predict(x), *y);
         }
@@ -962,7 +1102,7 @@ mod tests {
     #[test]
     fn probabilities_sum_to_one() {
         let (examples, dim) = separable();
-        let model = SoftmaxClassifier::train_owned(&examples, 3, dim, TrainConfig::default());
+        let (model, _) = SoftmaxClassifier::train_owned(&examples, 3, dim, TrainConfig::default());
         let p = model.predict_proba(&examples[0].0);
         let total: f32 = p.iter().sum();
         assert!((total - 1.0).abs() < 1e-5);
@@ -972,7 +1112,7 @@ mod tests {
     #[test]
     fn top_k_is_sorted_and_truncated() {
         let (examples, dim) = separable();
-        let model = SoftmaxClassifier::train_owned(&examples, 3, dim, TrainConfig::default());
+        let (model, _) = SoftmaxClassifier::train_owned(&examples, 3, dim, TrainConfig::default());
         let top = model.top_k(&examples[0].0, 2);
         assert_eq!(top.len(), 2);
         assert!(top[0].1 >= top[1].1);
@@ -995,7 +1135,8 @@ mod tests {
             n_classes: n,
             fits: 1,
         })
-        .unwrap();
+        .unwrap()
+        .0;
         let x = SparseVector::from_pairs(vec![(0, 1.0)]);
         let ids = |k| -> Vec<u32> { model.top_k(&x, k).iter().map(|&(id, _)| id).collect() };
         assert_eq!(ids(0), Vec::<u32>::new());
@@ -1013,8 +1154,8 @@ mod tests {
     #[test]
     fn deterministic_training() {
         let (examples, dim) = separable();
-        let m1 = SoftmaxClassifier::train_owned(&examples, 3, dim, TrainConfig::default());
-        let m2 = SoftmaxClassifier::train_owned(&examples, 3, dim, TrainConfig::default());
+        let (m1, _) = SoftmaxClassifier::train_owned(&examples, 3, dim, TrainConfig::default());
+        let (m2, _) = SoftmaxClassifier::train_owned(&examples, 3, dim, TrainConfig::default());
         assert_eq!(
             m1.predict_proba(&examples[5].0),
             m2.predict_proba(&examples[5].0)
@@ -1024,7 +1165,7 @@ mod tests {
     #[test]
     fn unseen_features_are_ignored() {
         let (examples, dim) = separable();
-        let model = SoftmaxClassifier::train_owned(&examples, 3, dim, TrainConfig::default());
+        let (model, _) = SoftmaxClassifier::train_owned(&examples, 3, dim, TrainConfig::default());
         // feature index 100 is beyond dim: must not panic, must not matter
         let x = SparseVector::from_pairs(vec![(0, 1.0), (100, 5.0)]);
         assert_eq!(model.predict(&x), 0);
@@ -1033,7 +1174,7 @@ mod tests {
     #[test]
     fn single_class_degenerates_gracefully() {
         let examples = vec![(SparseVector::from_pairs(vec![(0, 1.0)]), 0u32); 4];
-        let model = SoftmaxClassifier::train_owned(&examples, 1, 2, TrainConfig::default());
+        let (model, _) = SoftmaxClassifier::train_owned(&examples, 1, 2, TrainConfig::default());
         let p = model.predict_proba(&examples[0].0);
         assert_eq!(p, vec![1.0]);
     }
@@ -1120,8 +1261,9 @@ mod tests {
         let views: Vec<(SparseView<'_>, u32)> =
             examples.iter().map(|(x, y)| (x.view(), *y)).collect();
         let mut model = SoftmaxClassifier::untrained(3, dim);
+        let mut training = SoftmaxTraining::untrained(3, dim);
         for chunk in views.chunks(12) {
-            model.partial_fit(chunk, TrainConfig::default());
+            model.partial_fit(&mut training, chunk, TrainConfig::default());
         }
         for (x, y) in &examples {
             assert_eq!(model.predict(x), *y, "warm-started stream must classify");
@@ -1131,13 +1273,14 @@ mod tests {
     #[test]
     fn partial_fit_grows_classes_in_place() {
         let (examples, dim) = separable();
-        let mut model = SoftmaxClassifier::train_owned(&examples, 3, dim, TrainConfig::default());
+        let (mut model, mut training) =
+            SoftmaxClassifier::train_owned(&examples, 3, dim, TrainConfig::default());
         assert_eq!(model.n_classes(), 3);
         // a brand-new class arrives mid-stream on its own feature
         let novel = SparseVector::from_pairs(vec![(3, 2.0)]);
         let batch = vec![(novel.view(), 3u32); 12];
-        model.partial_fit(&batch, TrainConfig::default());
-        assert_eq!(model.n_classes(), 4);
+        model.partial_fit(&mut training, &batch, TrainConfig::default());
+        assert_eq!((model.n_classes(), training.n_classes()), (4, 4));
         assert_eq!(model.predict(&novel), 3);
         // the old classes survive the growth
         assert_eq!(model.predict(&examples[0].0), 0);
@@ -1150,21 +1293,24 @@ mod tests {
         let views: Vec<(SparseView<'_>, u32)> =
             examples.iter().map(|(x, y)| (x.view(), *y)).collect();
         let mut original = SoftmaxClassifier::untrained(3, dim);
-        original.partial_fit(&views[..20], TrainConfig::default());
-        let restored = SoftmaxClassifier::from_state(original.export_state()).unwrap();
+        let mut original_training = SoftmaxTraining::untrained(3, dim);
+        original.partial_fit(&mut original_training, &views[..20], TrainConfig::default());
+        let (mut restored, mut restored_training) =
+            SoftmaxClassifier::from_state(original.export_state(&original_training)).unwrap();
         // bit-identical inference after the round trip
         for (x, _) in &examples {
             assert_eq!(original.predict_proba(x), restored.predict_proba(x));
         }
         // and bit-identical *continued training*: the AdaGrad state and
         // fit counter survived, so the streams stay in lockstep
-        let mut a = original.clone();
-        let mut b = restored;
-        a.partial_fit(&views[20..], TrainConfig::default());
-        b.partial_fit(&views[20..], TrainConfig::default());
+        original.partial_fit(&mut original_training, &views[20..], TrainConfig::default());
+        restored.partial_fit(&mut restored_training, &views[20..], TrainConfig::default());
         for (x, _) in &examples {
-            assert_eq!(a.predict_proba(x), b.predict_proba(x));
+            assert_eq!(original.predict_proba(x), restored.predict_proba(x));
         }
+        assert!(
+            original.export_state(&original_training) == restored.export_state(&restored_training)
+        );
     }
 
     #[test]
@@ -1177,29 +1323,35 @@ mod tests {
             (SparseVector::from_pairs(x), c)
         };
         let first: Vec<(SparseVector, u32)> = (0..140).map(example).collect();
-        let mut model = SoftmaxClassifier::train_owned(&first, 140, dim, TrainConfig::default());
+        let (mut model, mut training) =
+            SoftmaxClassifier::train_owned(&first, 140, dim, TrainConfig::default());
         let grown: Vec<(SparseVector, u32)> = (130..150).map(example).collect();
         let views: Vec<(SparseView<'_>, u32)> = grown.iter().map(|(x, y)| (x.view(), *y)).collect();
-        model.partial_fit(&views, TrainConfig::default());
+        model.partial_fit(&mut training, &views, TrainConfig::default());
         let n = model.n_classes();
         assert_eq!(n, 150);
         let bits = |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
 
-        let state = model.export_state();
-        for (block, rows) in [
-            (Block::Weights, &state.weights),
-            (Block::GradSq, &state.grad_sq_w),
-        ] {
-            let mut streamed = Vec::new();
-            model
-                .row_tiles(block, |tile| {
-                    assert!(tile.len() <= TILE_CLASSES * dim && tile.len() % dim == 0);
-                    streamed.extend_from_slice(tile);
-                    Ok::<_, ()>(())
-                })
-                .unwrap();
-            assert_eq!(bits(&streamed), bits(rows), "{block:?}");
-        }
+        let state = model.export_state(&training);
+        let (mut weights, mut grad_sq) = (Vec::new(), Vec::new());
+        let tile_shape =
+            |tile: &[f32]| tile.len() <= TILE_CLASSES * dim && tile.len().is_multiple_of(dim);
+        model
+            .row_tiles(|tile| {
+                assert!(tile_shape(tile));
+                weights.extend_from_slice(tile);
+                Ok::<_, ()>(())
+            })
+            .unwrap();
+        training
+            .row_tiles(|tile| {
+                assert!(tile_shape(tile));
+                grad_sq.extend_from_slice(tile);
+                Ok::<_, ()>(())
+            })
+            .unwrap();
+        assert_eq!(bits(&weights), bits(&state.weights));
+        assert_eq!(bits(&grad_sq), bits(&state.grad_sq_w));
 
         let from_rows = |block: Block, rows: &[f32]| {
             let mut at = 0;
@@ -1212,8 +1364,13 @@ mod tests {
         };
         let rebuilt = SoftmaxClassifier::from_blocks(
             from_rows(Block::Weights, &state.weights),
-            from_rows(Block::GradSq, &state.grad_sq_w),
             state.biases.clone(),
+            dim,
+            n,
+        )
+        .unwrap();
+        let rebuilt_training = SoftmaxTraining::from_blocks(
+            from_rows(Block::GradSq, &state.grad_sq_w),
             state.grad_sq_b.clone(),
             dim,
             n,
@@ -1222,56 +1379,46 @@ mod tests {
         .unwrap();
         // the same blocks, pad columns included
         assert_eq!(bits(&rebuilt.weights), bits(&model.weights));
-        assert_eq!(bits(&rebuilt.grad_sq_w), bits(&model.grad_sq_w));
         assert_eq!(bits(&rebuilt.biases), bits(&model.biases));
-        assert_eq!(bits(&rebuilt.grad_sq_b), bits(&model.grad_sq_b));
-        assert_eq!((rebuilt.stride, rebuilt.fits), (model.stride, model.fits));
+        assert_eq!(bits(&rebuilt_training.grad_sq_w), bits(&training.grad_sq_w));
+        assert_eq!(bits(&rebuilt_training.grad_sq_b), bits(&training.grad_sq_b));
+        assert_eq!(
+            (
+                rebuilt.stride,
+                rebuilt_training.stride,
+                rebuilt_training.fits
+            ),
+            (model.stride, training.stride, training.fits)
+        );
 
         // an error stops either stream at once
         let mut calls = 0;
-        let stopped = model.row_tiles(Block::Weights, |_| {
+        let stopped = model.row_tiles(|_| {
             calls += 1;
             Err("stop")
         });
         assert_eq!((stopped, calls), (Err("stop"), 1));
         assert!(feature_major_from_tiles(Block::GradSq, n, dim, |_| Err("stop")).is_err());
         // and shapes that do not fit are rejected
-        let blocks = || {
-            (
-                from_rows(Block::Weights, &state.weights),
-                from_rows(Block::GradSq, &state.grad_sq_w),
-            )
-        };
-        let (w, g) = blocks();
-        assert!(
-            SoftmaxClassifier::from_blocks(w, g, vec![0.0; n - 1], vec![0.0; n], dim, n, 1)
-                .is_err()
-        );
-        let (w, g) = blocks();
-        assert!(
-            SoftmaxClassifier::from_blocks(w, g, vec![0.0; n], vec![0.0; n], dim + 1, n, 1)
-                .is_err()
-        );
-        assert!(SoftmaxClassifier::from_blocks(
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
-            dim,
-            0,
-            1
-        )
-        .is_err());
+        let w = || from_rows(Block::Weights, &state.weights);
+        let g = || from_rows(Block::GradSq, &state.grad_sq_w);
+        assert!(SoftmaxClassifier::from_blocks(w(), vec![0.0; n - 1], dim, n).is_err());
+        assert!(SoftmaxClassifier::from_blocks(w(), vec![0.0; n], dim + 1, n).is_err());
+        assert!(SoftmaxTraining::from_blocks(g(), vec![0.0; n - 1], dim, n, 1).is_err());
+        assert!(SoftmaxTraining::from_blocks(g(), vec![0.0; n], dim + 1, n, 1).is_err());
+        assert!(SoftmaxClassifier::from_blocks(Vec::new(), Vec::new(), dim, 0).is_err());
+        assert!(SoftmaxTraining::from_blocks(Vec::new(), Vec::new(), dim, 0, 1).is_err());
     }
 
     #[test]
     fn from_state_rejects_corrupt_shapes() {
         let (examples, dim) = separable();
-        let model = SoftmaxClassifier::train_owned(&examples, 3, dim, TrainConfig::default());
-        let mut state = model.export_state();
+        let (model, training) =
+            SoftmaxClassifier::train_owned(&examples, 3, dim, TrainConfig::default());
+        let mut state = model.export_state(&training);
         state.weights.pop();
         assert!(SoftmaxClassifier::from_state(state).is_err());
-        let mut state = model.export_state();
+        let mut state = model.export_state(&training);
         state.n_classes = 0;
         assert!(SoftmaxClassifier::from_state(state).is_err());
     }
@@ -1279,7 +1426,7 @@ mod tests {
     #[test]
     fn batch_inference_matches_scalar_path() {
         let (examples, dim) = separable();
-        let model = SoftmaxClassifier::train_owned(&examples, 3, dim, TrainConfig::default());
+        let (model, _) = SoftmaxClassifier::train_owned(&examples, 3, dim, TrainConfig::default());
         let rows = FeatureMatrix::from_rows(examples.iter().map(|(x, _)| x.clone()));
         let batch = model.predict_proba_batch(&rows);
         let mut entropies = Vec::new();

@@ -25,7 +25,7 @@ proptest! {
 
     #[test]
     fn probabilities_form_distribution(examples in examples_strategy()) {
-        let model = SoftmaxClassifier::train_owned(&examples, 4, 16, TrainConfig::default());
+        let (model, _) = SoftmaxClassifier::train_owned(&examples, 4, 16, TrainConfig::default());
         for (x, _) in examples.iter().take(5) {
             let p = model.predict_proba(x);
             let total: f32 = p.iter().sum();
@@ -36,7 +36,7 @@ proptest! {
 
     #[test]
     fn top_k_consistent_with_probabilities(examples in examples_strategy()) {
-        let model = SoftmaxClassifier::train_owned(&examples, 4, 16, TrainConfig::default());
+        let (model, _) = SoftmaxClassifier::train_owned(&examples, 4, 16, TrainConfig::default());
         let x = &examples[0].0;
         let probs = model.predict_proba(x);
         let top = model.top_k(x, 4);
@@ -53,8 +53,8 @@ proptest! {
 
     #[test]
     fn training_is_seed_deterministic(examples in examples_strategy()) {
-        let a = SoftmaxClassifier::train_owned(&examples, 4, 16, TrainConfig::default());
-        let b = SoftmaxClassifier::train_owned(&examples, 4, 16, TrainConfig::default());
+        let (a, _) = SoftmaxClassifier::train_owned(&examples, 4, 16, TrainConfig::default());
+        let (b, _) = SoftmaxClassifier::train_owned(&examples, 4, 16, TrainConfig::default());
         prop_assert_eq!(
             a.predict_proba(&examples[0].0),
             b.predict_proba(&examples[0].0)

@@ -83,10 +83,11 @@ proptest! {
                 (e.features.view(), id)
             })
             .collect();
-        cold.retrain_encoded(&cold_encoded);
+        cold.retrain_encoded(&mut None, &cold_encoded);
 
         // ---- warm: the same stream in batches through partial_fit ----
         let mut warm = PropertyClassifier::new("relation", LabelDict::new(), DIM, config);
+        let mut warm_training = None;
         for batch in examples.chunks(10) {
             let encoded: Vec<(SparseView<'_>, u32)> = batch
                 .iter()
@@ -95,7 +96,7 @@ proptest! {
                     (e.features.view(), id)
                 })
                 .collect();
-            warm.partial_fit_encoded(&encoded);
+            warm.partial_fit_encoded(&mut warm_training, &encoded);
         }
 
         // both saw the same labels (growth mid-stream included)
@@ -123,6 +124,7 @@ proptest! {
         let config = TrainConfig::default();
         let run = || {
             let mut clf = PropertyClassifier::new("row", LabelDict::new(), DIM, config);
+            let mut training = None;
             for batch in examples.chunks(7) {
                 let encoded: Vec<(SparseView<'_>, u32)> = batch
                     .iter()
@@ -131,7 +133,7 @@ proptest! {
                         (e.features.view(), id)
                     })
                     .collect();
-                clf.partial_fit_encoded(&encoded);
+                clf.partial_fit_encoded(&mut training, &encoded);
             }
             examples
                 .iter()

@@ -1,22 +1,26 @@
 //! Bit-identity property test for training in the feature-major layout.
 //!
-//! `SoftmaxClassifier` trains in place in its feature-major block (one
-//! `dim × stride` array, class columns contiguous per feature). The
-//! reference here is the row-major AdaGrad loop it replaced, kept
-//! verbatim: one `dim`-long weight row per class, scores as
-//! `bias + x.dot_dense(row)`, class growth as a tail `resize`. After
-//! every step of a random `train` → `partial_fit` sequence — with
-//! mid-stream class growth inside and past the padded stride, and
-//! `export_state` → `from_state` round trips — the classifier's exported
-//! weights, biases and both AdaGrad accumulators must equal the
-//! reference's bit for bit, and so must its probabilities.
+//! `SoftmaxClassifier` (the weights and biases) and its `SoftmaxTraining`
+//! (the AdaGrad accumulators) train in place in their feature-major
+//! blocks (one `dim × stride` array each, class columns contiguous per
+//! feature). The reference here is the row-major AdaGrad loop they
+//! replaced, kept verbatim over the unsplit `SoftmaxState`: one
+//! `dim`-long weight row per class, scores as `bias + x.dot_dense(row)`,
+//! class growth as a tail `resize`. After every step of a random
+//! `train` → `partial_fit` sequence — with mid-stream class growth inside
+//! and past the padded stride, and `export_state` → `from_state` round
+//! trips — the two halves' exported weights, biases and both AdaGrad
+//! accumulators must equal the reference's bit for bit, and so must the
+//! probabilities. A fixed case grows 140 classes to 150 past the stride
+//! and streams both re-strided halves through the row-major blob layout
+//! and back.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use scrutinizer_learn::softmax::softmax_in_place;
-use scrutinizer_learn::{SoftmaxClassifier, SoftmaxState, TrainConfig};
+use scrutinizer_learn::softmax::{feature_major_from_tiles, softmax_in_place, Block, GRAD_SQ_INIT};
+use scrutinizer_learn::{SoftmaxClassifier, SoftmaxState, SoftmaxTraining, TrainConfig};
 use scrutinizer_text::{SparseVector, SparseView};
 
 /// The row-major AdaGrad trainer: the reference implementation.
@@ -226,10 +230,11 @@ fn bits(values: &[f32]) -> Vec<u32> {
 /// The comparison: exported state and probabilities, bit for bit.
 fn check(
     model: &SoftmaxClassifier,
+    training: &SoftmaxTraining,
     reference: &RowMajor,
     probe: &[(SparseVector, u32)],
 ) -> Result<(), String> {
-    let got = model.export_state();
+    let got = model.export_state(training);
     let want = &reference.state;
     let shape = |s: &SoftmaxState| (s.dim, s.n_classes, s.fits);
     if shape(&got) != shape(want) {
@@ -278,6 +283,7 @@ proptest! {
     ) {
         let mut mix = Mix(seed);
         let mut model = SoftmaxClassifier::untrained(classes, dim);
+        let mut training = SoftmaxTraining::untrained(classes, dim);
         let mut reference = RowMajor::untrained(classes, dim);
         for (round, &step) in steps.iter().enumerate() {
             let probe = examples(&mut mix, dim, 1);
@@ -287,7 +293,8 @@ proptest! {
                     let n_classes = model.n_classes() + mix.below(6) as usize;
                     let data = examples(&mut mix, dim, n_classes);
                     let config = config(&mut mix);
-                    model = SoftmaxClassifier::train(&views(&data), n_classes, dim, config);
+                    (model, training) =
+                        SoftmaxClassifier::train(&views(&data), n_classes, dim, config);
                     reference = RowMajor::train(&views(&data), n_classes, dim, config);
                 }
                 Step::PartialFit(seed) => {
@@ -295,16 +302,131 @@ proptest! {
                     let reach = model.n_classes() + mix.below(12) as usize;
                     let data = examples(&mut mix, dim, reach);
                     let config = config(&mut mix);
-                    model.partial_fit(&views(&data), config);
+                    model.partial_fit(&mut training, &views(&data), config);
                     reference.partial_fit(&views(&data), config);
                 }
                 Step::RoundTrip => {
-                    model = SoftmaxClassifier::from_state(model.export_state())
-                        .expect("an exported state restores");
+                    (model, training) =
+                        SoftmaxClassifier::from_state(model.export_state(&training))
+                            .expect("an exported state restores");
                 }
             }
-            let parity = check(&model, &reference, &probe);
+            let parity = check(&model, &training, &reference, &probe);
             prop_assert!(parity.is_ok(), "after {:?}: {}", &steps[..=round], parity.unwrap_err());
         }
     }
+}
+
+/// Streams one half's block the way a snapshot blob stores it —
+/// row-major class rows as little-endian f32 bytes, one tile at a time —
+/// and returns the bytes.
+fn to_blob(row_tiles: impl FnOnce(&mut dyn FnMut(&[f32]) -> Result<(), ()>)) -> Vec<u8> {
+    let mut blob = Vec::new();
+    row_tiles(&mut |tile| {
+        blob.extend(tile.iter().flat_map(|v| v.to_le_bytes()));
+        Ok(())
+    });
+    blob
+}
+
+/// Decodes [`to_blob`]'s bytes into a fresh padded block of `block`'s kind.
+fn from_blob(blob: &[u8], block: Block, n_classes: usize, dim: usize) -> Vec<f32> {
+    let mut values = blob
+        .chunks_exact(4)
+        .map(|raw| f32::from_le_bytes(raw.try_into().expect("4 bytes")));
+    let filled = feature_major_from_tiles(block, n_classes, dim, |tile| {
+        for slot in tile.iter_mut() {
+            *slot = values.next().ok_or(())?;
+        }
+        Ok::<_, ()>(())
+    })
+    .expect("the blob holds every row");
+    assert!(values.next().is_none(), "the blob holds only these rows");
+    filled
+}
+
+#[test]
+fn class_growth_past_the_stride_restrides_both_halves() {
+    let dim = 7;
+    let config = TrainConfig::default();
+    let example = |c: u32| {
+        let x = vec![(c % 7, 1.0 + c as f32 * 0.01), ((c + 3) % 9, -0.5)];
+        (SparseVector::from_pairs(x), c)
+    };
+    let first: Vec<(SparseVector, u32)> = (0..140).map(example).collect();
+    let (mut model, mut training) = SoftmaxClassifier::train(&views(&first), 140, dim, config);
+    let mut reference = RowMajor::train(&views(&first), 140, dim, config);
+    assert_eq!((model.stride(), training.stride()), (144, 144));
+
+    // the batch's new label 149 lies past the 144-column stride
+    let grown: Vec<(SparseVector, u32)> = (125..150).map(example).collect();
+    model.partial_fit(&mut training, &views(&grown), config);
+    reference.partial_fit(&views(&grown), config);
+    assert_eq!((model.n_classes(), training.n_classes()), (150, 150));
+    assert_eq!((model.stride(), training.stride()), (152, 152));
+    let probe: Vec<(SparseVector, u32)> = (0..150).step_by(7).map(example).collect();
+    let parity = check(&model, &training, &reference, &probe);
+    assert!(parity.is_ok(), "{}", parity.unwrap_err());
+
+    // both halves re-strided, pad columns at their initial values
+    let pads = |block: &[f32], stride: usize| -> Vec<u32> {
+        block
+            .chunks_exact(stride)
+            .flat_map(|column| column[150..].iter().map(|v| v.to_bits()))
+            .collect()
+    };
+    let all = |value: f32, n: usize| vec![value.to_bits(); n];
+    assert_eq!(model.weight_block().len(), dim * 152);
+    assert_eq!(training.grad_sq_block().len(), dim * 152);
+    assert_eq!(pads(model.weight_block(), 152), all(0.0, dim * 2));
+    assert_eq!(
+        pads(training.grad_sq_block(), 152),
+        all(GRAD_SQ_INIT, dim * 2)
+    );
+    assert_eq!(pads(model.padded_biases(), 152), all(0.0, 2));
+    assert_eq!(
+        pads(training.padded_grad_sq_biases(), 152),
+        all(GRAD_SQ_INIT, 2)
+    );
+
+    // streamed to blob bytes, each half is the unsplit reference's rows
+    let want = &reference.state;
+    let weights_blob = to_blob(|emit| model.row_tiles(emit).expect("a Vec sink"));
+    let grad_sq_blob = to_blob(|emit| training.row_tiles(emit).expect("a Vec sink"));
+    let le = |values: &[f32]| -> Vec<u8> { values.iter().flat_map(|v| v.to_le_bytes()).collect() };
+    assert!(weights_blob == le(&want.weights), "streamed weights differ");
+    assert!(
+        grad_sq_blob == le(&want.grad_sq_w),
+        "streamed accumulators differ"
+    );
+
+    // and back: the same blocks, pad columns included
+    let weights = from_blob(&weights_blob, Block::Weights, 150, dim);
+    let grad_sq = from_blob(&grad_sq_blob, Block::GradSq, 150, dim);
+    assert_eq!(bits(&weights), bits(model.weight_block()));
+    assert_eq!(bits(&grad_sq), bits(training.grad_sq_block()));
+    let rebuilt = SoftmaxClassifier::from_blocks(weights, want.biases.clone(), dim, 150)
+        .expect("the streamed weights fit");
+    let rebuilt_training =
+        SoftmaxTraining::from_blocks(grad_sq, want.grad_sq_b.clone(), dim, 150, want.fits)
+            .expect("the streamed accumulators fit");
+    assert_eq!(bits(rebuilt.padded_biases()), bits(model.padded_biases()));
+    assert_eq!(
+        bits(rebuilt_training.padded_grad_sq_biases()),
+        bits(training.padded_grad_sq_biases())
+    );
+    let parity = check(&rebuilt, &rebuilt_training, &reference, &probe);
+    assert!(
+        parity.is_ok(),
+        "after the blob round trip: {}",
+        parity.unwrap_err()
+    );
+
+    // the rebuilt halves keep training in lockstep with the reference
+    let (mut model, mut training) = (rebuilt, rebuilt_training);
+    let more: Vec<(SparseVector, u32)> = (100..150).rev().map(example).collect();
+    model.partial_fit(&mut training, &views(&more), config);
+    reference.partial_fit(&views(&more), config);
+    let parity = check(&model, &training, &reference, &probe);
+    assert!(parity.is_ok(), "after resuming: {}", parity.unwrap_err());
 }

@@ -5,14 +5,14 @@
 //! log, epoch counter) but nothing about the *data* differs between
 //! runs. Featurization and pretraining are by far the expensive part of
 //! engine construction, so the harness pays them once here and spawns
-//! per-schedule engines through [`Engine::from_parts`], cloning only the
-//! model weights. That is what makes ten-thousand-schedule CI scopes
-//! affordable.
+//! per-schedule engines through [`recover_parts`], cloning only the
+//! model weights and their training state. That is what makes
+//! ten-thousand-schedule CI scopes affordable.
 
 use std::sync::Arc;
 
-use scrutinizer_core::{FeatureStore, OrderingStrategy, SystemConfig, SystemModels};
-use scrutinizer_corpus::{Corpus, CorpusConfig};
+use scrutinizer_core::{FeatureStore, OrderingStrategy, SystemConfig, SystemModels, TrainingState};
+use scrutinizer_corpus::{ClaimRecord, Corpus, CorpusConfig};
 use scrutinizer_engine::engine::{Engine, EngineOptions};
 use scrutinizer_engine::{recover_parts, DurableEnv, RecoveryReport};
 use scrutinizer_sim::{FaultPlan, SimEnv, SimScheduler, Storage, VirtualClock};
@@ -40,11 +40,13 @@ pub type SpawnedEngine = (
 );
 
 /// Everything schedule runs share: the corpus, its features, pretrained
-/// model weights, the config, and a pool of valid SQL statements.
+/// model weights and their training state, the config, and a pool of
+/// valid SQL statements.
 pub struct SharedWorld {
     corpus: Arc<Corpus>,
     features: Arc<FeatureStore>,
     models: SystemModels,
+    training: TrainingState,
     config: SystemConfig,
     /// Claims in the corpus; op generation indexes into this range.
     pub n_claims: usize,
@@ -70,20 +72,13 @@ impl SharedWorld {
         let mut config = SystemConfig::test();
         // bound Algorithm 2's enumeration: schedule runs must be fast
         config.max_assignments = 2_000;
-        let bootstrap = Engine::with_options(
-            Corpus::generate(corpus_config),
-            config,
-            EngineOptions {
-                threads: 1,
-                queue_capacity: 16,
-                cache_capacity: CACHE_CAPACITY,
-                cache_shards: 1,
-                retrain_interval: None,
-                ordering: OrderingStrategy::Sequential,
-            },
-        );
-        bootstrap.pretrain(None);
-        let corpus = bootstrap.corpus_handle();
+        // what `Engine::pretrain(None)` does to a fresh engine's models
+        let corpus = Corpus::generate(corpus_config);
+        let mut models = SystemModels::bootstrap(&corpus, &config);
+        let features = FeatureStore::build(&corpus, &models);
+        let mut training = TrainingState::default();
+        let all: Vec<&ClaimRecord> = corpus.claims.iter().collect();
+        models.retrain(&mut training, &all);
         let sql_pool = corpus
             .claims
             .iter()
@@ -98,10 +93,11 @@ impl SharedWorld {
         SharedWorld {
             n_claims: corpus.claims.len(),
             sql_pool,
-            features: bootstrap.features_handle(),
-            models: bootstrap.models_snapshot().models.clone(),
+            features: Arc::new(features),
+            models,
+            training,
             config,
-            corpus,
+            corpus: Arc::new(corpus),
         }
     }
 
@@ -117,6 +113,7 @@ impl SharedWorld {
             Arc::clone(&self.corpus),
             Arc::clone(&self.features),
             self.models.clone(),
+            self.training.clone(),
             self.config,
             EngineOptions {
                 threads: 1,

@@ -3,7 +3,7 @@
 //! each crate cannot see.
 
 use scrutinizer::core::planner::{plan_claim, CROWD_PROPERTIES};
-use scrutinizer::core::{PropertyKind, SystemConfig, SystemModels, Translation};
+use scrutinizer::core::{PropertyKind, SystemConfig, SystemModels, TrainingState, Translation};
 use scrutinizer::corpus::annotations::{annotate, AnnotationStyle};
 use scrutinizer::corpus::{Corpus, CorpusConfig};
 use scrutinizer::crowd::CostModel;
@@ -91,7 +91,7 @@ fn corollary2_option_order_after_retraining() {
     let config = SystemConfig::test();
     let mut models = SystemModels::bootstrap(&corpus, &config);
     let refs: Vec<&scrutinizer::corpus::ClaimRecord> = corpus.claims.iter().collect();
-    models.retrain(&refs);
+    models.retrain(&mut TrainingState::default(), &refs);
     for claim in corpus.claims.iter().take(20) {
         let features = models.features(claim);
         let translation: Translation = models.translate(&features, 10);
