@@ -96,7 +96,11 @@ fn setup_scaled(config: CorpusConfig) -> (Corpus, SystemModels, FeatureStore) {
 }
 
 /// The pre-PR4 engine behavior: after each verified batch, retrain from
-/// scratch on everything verified so far.
+/// scratch on everything verified so far. It stands for a background
+/// epoch built from scratch, and background epochs run on the one
+/// trainer thread, so its fits get a budget of one: on more threads the
+/// replay would borrow cores the warm path never gets, and the ≥ 3×
+/// floor would stop comparing the two ways of building an epoch.
 fn cold_replay_stream(base: &SystemModels, corpus: &Corpus, batches: &[&[usize]]) -> SystemModels {
     let mut models = base.clone();
     let mut training = TrainingState::default();
@@ -104,7 +108,7 @@ fn cold_replay_stream(base: &SystemModels, corpus: &Corpus, batches: &[&[usize]]
     for batch in batches {
         union.extend_from_slice(batch);
         let refs: Vec<&ClaimRecord> = union.iter().map(|&id| &corpus.claims[id]).collect();
-        models.retrain(&mut training, &refs);
+        models.retrain(&mut training, &refs, 1);
     }
     models
 }
@@ -204,7 +208,7 @@ fn bench_retrain(c: &mut Criterion) {
 fn bench_utilities(c: &mut Criterion) {
     let (corpus, mut models, store) = setup_scaled(utility_corpus());
     let refs: Vec<&ClaimRecord> = corpus.claims.iter().collect();
-    models.retrain(&mut TrainingState::default(), &refs);
+    models.retrain(&mut TrainingState::default(), &refs, 1);
 
     // 10 000 open claims, cycling the corpus
     let n = if quick_mode() { 1_000 } else { 10_000 };
@@ -404,7 +408,7 @@ fn bench_translation(c: &mut Criterion) {
     let (corpus, mut models, store) = setup_scaled(utility_corpus());
     let refs: Vec<&ClaimRecord> = corpus.claims.iter().collect();
     let mut training = TrainingState::default();
-    models.retrain(&mut training, &refs);
+    models.retrain(&mut training, &refs, 1);
     let k = SystemConfig::default().options_per_screen;
     let claims = corpus.claims.len();
     let state = models.export_state(&training);

@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use scrutinizer_core::{FeatureStore, OrderingStrategy, SystemConfig, SystemModels, TrainingState};
-use scrutinizer_corpus::{ClaimRecord, Corpus, CorpusConfig};
+use scrutinizer_corpus::{Corpus, CorpusConfig};
 use scrutinizer_crowd::{Worker, WorkerConfig};
 use scrutinizer_engine::engine::{Engine, EngineOptions};
 use scrutinizer_engine::{recover_parts, DurableEnv, RecoveryReport};
@@ -69,8 +69,8 @@ fn world() -> World {
     let mut models = SystemModels::bootstrap(&corpus, &config);
     let features = FeatureStore::build(&corpus, &models);
     let mut training = TrainingState::default();
-    let all: Vec<&ClaimRecord> = corpus.claims.iter().collect();
-    models.retrain(&mut training, &all);
+    let all: Vec<usize> = (0..corpus.claims.len()).collect();
+    models.retrain_from_store(&mut training, &features, &corpus.claims, &all, 1);
     World {
         corpus: Arc::new(corpus),
         features: Arc::new(features),

@@ -8,6 +8,13 @@ use scrutinizer_learn::{
 };
 use scrutinizer_text::{ClaimFeaturizer, FeatureMatrix, SparseVector, SparseView};
 
+/// The thread budget of a from-scratch retrain that has the machine to
+/// itself (a cold start, a simulation): the available parallelism, or 1
+/// when it cannot be queried.
+pub fn available_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// The four query properties the classifiers predict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PropertyKind {
@@ -325,6 +332,15 @@ impl SystemModels {
     /// of Algorithm 1. Each claim contributes one example per property value
     /// (a claim with two attributes yields two attribute examples). Claims
     /// are featurized once into a CSR batch; every example borrows its row.
+    /// Callers holding a [`FeatureStore`] skip the featurization through
+    /// [`retrain_from_store`](Self::retrain_from_store).
+    ///
+    /// The four fits share nothing they write, so they run concurrently on
+    /// up to `threads` threads, the calling one included (largest fit
+    /// first; `threads <= 1` fits inline and spawns nothing). The result is
+    /// bit-identical for every budget. The background trainer never comes
+    /// through here: its warm-start epochs stay on one thread, where a
+    /// second fitting thread would take a core from the checkers it serves.
     ///
     /// `training` is replaced by the fresh models' training state, and
     /// its rehearsal log resets to exactly these claims: everything the
@@ -332,7 +348,12 @@ impl SystemModels {
     /// [`retrain_incremental`](Self::retrain_incremental) batch rehearses
     /// against it from the first increment (a pretrain followed by a
     /// skewed verdict batch is precisely the drift case the log guards).
-    pub fn retrain(&mut self, training: &mut TrainingState, verified: &[&ClaimRecord]) {
+    pub fn retrain(
+        &mut self,
+        training: &mut TrainingState,
+        verified: &[&ClaimRecord],
+        threads: usize,
+    ) {
         if verified.is_empty() {
             return;
         }
@@ -341,8 +362,30 @@ impl SystemModels {
                 .iter()
                 .map(|c| (c.claim_text.as_str(), c.sentence_text.as_str())),
         );
-        self.fit_rows(training, &rows, verified, false);
+        self.fit_rows(training, &rows, verified, false, threads);
         training.replay = verified.iter().map(|c| c.id).collect();
+        training.replay_cursor = 0;
+    }
+
+    /// [`retrain`](Self::retrain) on the claims `ids` (indexing both
+    /// `claims` and the store), with their rows gathered from `store`
+    /// instead of featurized again — bit-identical to `retrain` on the
+    /// same claims.
+    pub fn retrain_from_store(
+        &mut self,
+        training: &mut TrainingState,
+        store: &FeatureStore,
+        claims: &[ClaimRecord],
+        ids: &[usize],
+        threads: usize,
+    ) {
+        if ids.is_empty() {
+            return;
+        }
+        let rows = store.gather(ids);
+        let records: Vec<&ClaimRecord> = ids.iter().map(|&id| &claims[id]).collect();
+        self.fit_rows(training, &rows, &records, false, threads);
+        training.replay = ids.to_vec();
         training.replay_cursor = 0;
     }
 
@@ -381,62 +424,43 @@ impl SystemModels {
         }
         let rows = store.gather(&batch);
         let records: Vec<&ClaimRecord> = batch.iter().map(|&id| &claims[id]).collect();
-        self.fit_rows(training, &rows, &records, true);
+        self.fit_rows(training, &rows, &records, true, 1);
         training.replay.extend_from_slice(new_ids);
     }
 
     /// Shared example assembly for both retrain flavors: row `r` of `rows`
     /// must hold the features of `verified[r]`. `incremental` selects
-    /// `partial_fit` (resume) over `train` (from scratch).
+    /// `partial_fit` (resume) over `train` (from scratch). The example
+    /// lists are built one classifier after another (interning a label
+    /// mutates its classifier); the fits then run on up to `threads`
+    /// workers, see [`run_fits`].
     fn fit_rows(
         &mut self,
         training: &mut TrainingState,
         rows: &FeatureMatrix,
         verified: &[&ClaimRecord],
         incremental: bool,
+        threads: usize,
     ) {
         debug_assert_eq!(rows.rows(), verified.len());
-        let [relation, key, attribute, formula] = &mut self.classifiers;
-        let [relation_training, key_training, attribute_training, formula_training] =
-            &mut training.classifiers;
-        let fit = |classifier: &mut PropertyClassifier,
-                   training: &mut Option<SoftmaxTraining>,
-                   examples: &[(SparseView<'_>, u32)]| {
-            if incremental {
-                classifier.partial_fit_encoded(training, examples);
-            } else {
-                classifier.retrain_encoded(training, examples);
-            }
-        };
-
-        let relation_examples: Vec<(SparseView<'_>, u32)> = verified
-            .iter()
-            .enumerate()
-            .map(|(r, c)| (rows.row(r), relation.intern_label(&c.relation)))
+        let fits: Vec<Fit<'_, '_>> = PropertyKind::ALL
+            .into_iter()
+            .zip(self.classifiers.iter_mut().zip(&mut training.classifiers))
+            .map(|(kind, (classifier, training))| {
+                let mut examples = Vec::with_capacity(verified.len());
+                for (r, claim) in verified.iter().enumerate() {
+                    for label in ground_truth(kind, claim) {
+                        examples.push((rows.row(r), classifier.intern_label(label)));
+                    }
+                }
+                Fit {
+                    classifier,
+                    training,
+                    examples,
+                }
+            })
             .collect();
-        fit(relation, relation_training, &relation_examples);
-
-        let key_examples: Vec<(SparseView<'_>, u32)> = verified
-            .iter()
-            .enumerate()
-            .map(|(r, c)| (rows.row(r), key.intern_label(&c.key)))
-            .collect();
-        fit(key, key_training, &key_examples);
-
-        let mut attribute_examples: Vec<(SparseView<'_>, u32)> = Vec::new();
-        for (r, c) in verified.iter().enumerate() {
-            for attr in &c.attributes {
-                attribute_examples.push((rows.row(r), attribute.intern_label(attr)));
-            }
-        }
-        fit(attribute, attribute_training, &attribute_examples);
-
-        let formula_examples: Vec<(SparseView<'_>, u32)> = verified
-            .iter()
-            .enumerate()
-            .map(|(r, c)| (rows.row(r), formula.intern_label(&c.formula_text)))
-            .collect();
-        fit(formula, formula_training, &formula_examples);
+        run_fits(fits, incremental, threads);
     }
 
     /// Top-1 accuracy of each classifier on a claim set (used for the
@@ -467,42 +491,94 @@ impl SystemModels {
         let mut hits = [0usize; 4];
         for (r, claim) in claims.iter().enumerate() {
             let features = rows.row(r);
-            let hit = |classifier: &PropertyClassifier, truth: &str| -> bool {
-                match (
-                    classifier.predict_id(features),
-                    classifier.labels().get(truth),
-                ) {
-                    (Some(predicted), Some(truth_id)) => predicted == truth_id,
-                    _ => false,
-                }
-            };
-            if hit(&self.classifiers[0], &claim.relation) {
-                hits[0] += 1;
-            }
-            if hit(&self.classifiers[1], &claim.key) {
-                hits[1] += 1;
-            }
-            if let Some(predicted) = self.classifiers[2].predict_id(features) {
-                if claim
-                    .attributes
+            for (hits, (kind, classifier)) in hits
+                .iter_mut()
+                .zip(PropertyKind::ALL.into_iter().zip(&self.classifiers))
+            {
+                let Some(predicted) = classifier.predict_id(features) else {
+                    continue;
+                };
+                if ground_truth(kind, claim)
                     .iter()
-                    .any(|a| self.classifiers[2].labels().get(a) == Some(predicted))
+                    .any(|truth| classifier.labels().get(truth) == Some(predicted))
                 {
-                    hits[2] += 1;
+                    *hits += 1;
                 }
-            }
-            if hit(&self.classifiers[3], &claim.formula_text) {
-                hits[3] += 1;
             }
         }
         let n = claims.len() as f64;
-        [
-            hits[0] as f64 / n,
-            hits[1] as f64 / n,
-            hits[2] as f64 / n,
-            hits[3] as f64 / n,
-        ]
+        hits.map(|hits| hits as f64 / n)
     }
+}
+
+/// The ground-truth labels of one property of a claim: exactly one, except
+/// for attributes.
+fn ground_truth(kind: PropertyKind, claim: &ClaimRecord) -> &[String] {
+    match kind {
+        PropertyKind::Relation => std::slice::from_ref(&claim.relation),
+        PropertyKind::Key => std::slice::from_ref(&claim.key),
+        PropertyKind::Attribute => &claim.attributes,
+        PropertyKind::Formula => std::slice::from_ref(&claim.formula_text),
+    }
+}
+
+/// One classifier's fit: the classifier, its training state and its
+/// examples, which borrow rows of the shared CSR batch.
+struct Fit<'m, 'r> {
+    classifier: &'m mut PropertyClassifier,
+    training: &'m mut Option<SoftmaxTraining>,
+    examples: Vec<(SparseView<'r>, u32)>,
+}
+
+impl Fit<'_, '_> {
+    /// The fit's cost, about `examples × classes`: each example scores
+    /// and updates every class.
+    fn cost(&self) -> usize {
+        self.examples.len() * self.classifier.labels().len()
+    }
+
+    fn run(self, incremental: bool) {
+        if incremental {
+            self.classifier
+                .partial_fit_encoded(self.training, &self.examples);
+        } else {
+            self.classifier
+                .retrain_encoded(self.training, &self.examples);
+        }
+    }
+}
+
+/// Runs the fits on up to `threads` workers, the calling thread among
+/// them, each pulling the largest remaining fit from one shared queue.
+/// A fit reads only the shared rows and writes only its own classifier
+/// and training state, so the models come out bit-identical to running
+/// the fits one after another — which is what a budget of one does,
+/// without spawning a thread.
+fn run_fits(mut fits: Vec<Fit<'_, '_>>, incremental: bool, threads: usize) {
+    let workers = threads.clamp(1, fits.len());
+    if workers == 1 {
+        for fit in fits {
+            fit.run(incremental);
+        }
+        return;
+    }
+    fits.sort_by_key(|fit| std::cmp::Reverse(fit.cost()));
+    let queue = std::sync::Mutex::new(fits.into_iter());
+    let work = || loop {
+        // its own statement, so the guard drops before the fit runs (a
+        // `while let` would hold the queue locked through the fit)
+        let next = queue.lock().expect("fit queue poisoned").next();
+        match next {
+            Some(fit) => fit.run(incremental),
+            None => break,
+        }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
+    });
 }
 
 #[cfg(test)]
@@ -542,7 +618,7 @@ mod tests {
         let refs: Vec<&ClaimRecord> = corpus.claims.iter().collect();
         let before = models.accuracy_on(&refs);
         let u_before = models.training_utility(&models.features(&corpus.claims[0]));
-        models.retrain(&mut TrainingState::default(), &refs);
+        models.retrain(&mut TrainingState::default(), &refs, 1);
         let after = models.accuracy_on(&refs);
         let u_after = models.training_utility(&models.features(&corpus.claims[0]));
         // training accuracy must beat the untrained baseline for every model
@@ -556,11 +632,106 @@ mod tests {
         assert!(u_after < u_before, "entropy must drop after training");
     }
 
+    /// Asserts two exported states are equal bit for bit: labels, every
+    /// weight, bias and accumulator, fit counts and the rehearsal log.
+    fn assert_bit_identical(got: &ModelsState, expected: &ModelsState, what: &str) {
+        assert_eq!(got.replay, expected.replay, "{what}: rehearsal log");
+        assert_eq!(got.replay_cursor, expected.replay_cursor, "{what}: cursor");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for (kind, (g, e)) in PropertyKind::ALL
+            .iter()
+            .zip(got.classifiers.iter().zip(&expected.classifiers))
+        {
+            let name = kind.name();
+            assert_eq!(g.labels, e.labels, "{what}: {name} labels");
+            let g = g.model.as_ref().expect("trained");
+            let e = e.model.as_ref().expect("trained");
+            assert_eq!(
+                (g.dim, g.n_classes, g.fits),
+                (e.dim, e.n_classes, e.fits),
+                "{what}: {name} shape"
+            );
+            for (field, g, e) in [
+                ("weights", &g.weights, &e.weights),
+                ("biases", &g.biases, &e.biases),
+                ("grad_sq_w", &g.grad_sq_w, &e.grad_sq_w),
+                ("grad_sq_b", &g.grad_sq_b, &e.grad_sq_b),
+            ] {
+                assert!(bits(g) == bits(e), "{what}: {name} {field} differ");
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_fit_matches_the_serial_loop_bit_for_bit() {
+        let (corpus, models, _) = setup();
+        let store = FeatureStore::build(&corpus, &models);
+        let refs: Vec<&ClaimRecord> = corpus.claims.iter().collect();
+        let ids: Vec<usize> = (0..corpus.claims.len()).collect();
+
+        // the reference: the four from-scratch fits one after another, in
+        // PropertyKind order, on one thread
+        let mut serial = models.clone();
+        let mut serial_training = TrainingState::default();
+        let rows = serial.featurizer.features_batch(
+            refs.iter()
+                .map(|c| (c.claim_text.as_str(), c.sentence_text.as_str())),
+        );
+        let [relation, key, attribute, formula] = &mut serial.classifiers;
+        let [relation_training, key_training, attribute_training, formula_training] =
+            &mut serial_training.classifiers;
+        let relation_examples: Vec<(SparseView<'_>, u32)> = refs
+            .iter()
+            .enumerate()
+            .map(|(r, c)| (rows.row(r), relation.intern_label(&c.relation)))
+            .collect();
+        relation.retrain_encoded(relation_training, &relation_examples);
+        let key_examples: Vec<(SparseView<'_>, u32)> = refs
+            .iter()
+            .enumerate()
+            .map(|(r, c)| (rows.row(r), key.intern_label(&c.key)))
+            .collect();
+        key.retrain_encoded(key_training, &key_examples);
+        let mut attribute_examples: Vec<(SparseView<'_>, u32)> = Vec::new();
+        for (r, c) in refs.iter().enumerate() {
+            for attr in &c.attributes {
+                attribute_examples.push((rows.row(r), attribute.intern_label(attr)));
+            }
+        }
+        attribute.retrain_encoded(attribute_training, &attribute_examples);
+        let formula_examples: Vec<(SparseView<'_>, u32)> = refs
+            .iter()
+            .enumerate()
+            .map(|(r, c)| (rows.row(r), formula.intern_label(&c.formula_text)))
+            .collect();
+        formula.retrain_encoded(formula_training, &formula_examples);
+        serial_training.replay = refs.iter().map(|c| c.id).collect();
+        let expected = serial.export_state(&serial_training);
+        assert!(
+            expected.classifiers.iter().all(|c| c.model.is_some()),
+            "the corpus must train all four classifiers"
+        );
+
+        for threads in [1, 2, 3, 4, 8] {
+            let mut featurized = models.clone();
+            let mut training = TrainingState::default();
+            featurized.retrain(&mut training, &refs, threads);
+            let what = format!("retrain, {threads} threads");
+            assert_bit_identical(&featurized.export_state(&training), &expected, &what);
+
+            let mut stored = models.clone();
+            let mut training = TrainingState::default();
+            stored.retrain_from_store(&mut training, &store, &corpus.claims, &ids, threads);
+            let what = format!("retrain_from_store, {threads} threads");
+            assert_bit_identical(&stored.export_state(&training), &expected, &what);
+        }
+    }
+
     #[test]
     fn batch_utilities_match_the_per_claim_loop() {
         let (corpus, mut models, _) = setup();
         let refs: Vec<&ClaimRecord> = corpus.claims.iter().collect();
-        models.retrain(&mut TrainingState::default(), &refs);
+        models.retrain(&mut TrainingState::default(), &refs, 1);
         let store = crate::feature_store::FeatureStore::build(&corpus, &models);
         let ids: Vec<usize> = (0..corpus.claims.len().min(12)).collect();
         let batch = models.training_utilities(&store.gather(&ids));
@@ -580,7 +751,7 @@ mod tests {
         let refs: Vec<&ClaimRecord> = corpus.claims.iter().collect();
 
         let mut cold = models.clone();
-        cold.retrain(&mut TrainingState::default(), &refs);
+        cold.retrain(&mut TrainingState::default(), &refs, 1);
 
         let mut warm = models;
         let mut training = TrainingState::default();
@@ -611,7 +782,7 @@ mod tests {
         let store = crate::feature_store::FeatureStore::build(&corpus, &models);
         let refs: Vec<&ClaimRecord> = corpus.claims.iter().collect();
         let mut training = TrainingState::default();
-        models.retrain(&mut training, &refs);
+        models.retrain(&mut training, &refs, 1);
         let before: f64 = models.accuracy_on(&refs).iter().sum();
 
         let skewed = vec![0usize; 12];
@@ -655,7 +826,7 @@ mod tests {
 
         let refs: Vec<&ClaimRecord> = corpus.claims[..n / 2].iter().collect();
         let mut training = TrainingState::default();
-        models.retrain(&mut training, &refs);
+        models.retrain(&mut training, &refs, 1);
         assert_translation_parity(&models, &store, n);
 
         // unseen labels grow the classes mid-stream
@@ -679,7 +850,7 @@ mod tests {
     fn translate_view_is_translate() {
         let (corpus, mut models, _) = setup();
         let refs: Vec<&ClaimRecord> = corpus.claims.iter().collect();
-        models.retrain(&mut TrainingState::default(), &refs);
+        models.retrain(&mut TrainingState::default(), &refs, 1);
         let features = models.features(&corpus.claims[0]);
         let a = models.translate(&features, 5);
         let b = models.translate_view(features.view(), 5);
@@ -690,7 +861,7 @@ mod tests {
     fn translate_returns_ranked_candidates() {
         let (corpus, mut models, _) = setup();
         let refs: Vec<&ClaimRecord> = corpus.claims.iter().collect();
-        models.retrain(&mut TrainingState::default(), &refs);
+        models.retrain(&mut TrainingState::default(), &refs, 1);
         let features = models.features(&corpus.claims[0]);
         let t = models.translate(&features, 5);
         for kind in PropertyKind::ALL {

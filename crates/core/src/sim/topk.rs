@@ -1,7 +1,7 @@
 //! Top-k accuracy of the classifiers (Figure 10).
 
 use crate::config::SystemConfig;
-use crate::models::{PropertyKind, SystemModels, TrainingState};
+use crate::models::{available_threads, PropertyKind, SystemModels, TrainingState};
 use scrutinizer_corpus::{ClaimRecord, Corpus};
 use scrutinizer_learn::split::train_test_split;
 
@@ -21,7 +21,7 @@ pub fn run_topk(corpus: &Corpus, config: SystemConfig, ks: &[usize], seed: u64) 
     let (train_idx, test_idx) = train_test_split(corpus.claims.len(), 0.25, seed);
     let mut models = SystemModels::bootstrap(corpus, &config);
     let train: Vec<&ClaimRecord> = train_idx.iter().map(|&i| &corpus.claims[i]).collect();
-    models.retrain(&mut TrainingState::default(), &train);
+    models.retrain(&mut TrainingState::default(), &train, available_threads());
 
     let max_k = ks.iter().copied().max().unwrap_or(1);
     let mut per_classifier = vec![[0.0f64; 4]; ks.len()];

@@ -3,7 +3,7 @@
 
 use crate::config::SystemConfig;
 use crate::feature_store::FeatureStore;
-use crate::models::{PropertyKind, SystemModels, TrainingState};
+use crate::models::{available_threads, PropertyKind, SystemModels, TrainingState};
 use crate::ordering::{select_batch, ClaimChoice, OrderingStrategy};
 use crate::policy::{
     claim_outcome, opt_batch, translate_and_plan, validated_slot, QueryContext, SimulatedCheck,
@@ -45,7 +45,8 @@ impl Verifier {
     /// user study) — the same `Retrain(N, A)` step [`run`](Self::run)
     /// takes after every batch.
     pub fn pretrain(&mut self, claims: &[&ClaimRecord]) {
-        self.models.retrain(&mut self.training, claims);
+        self.models
+            .retrain(&mut self.training, claims, available_threads());
     }
 
     /// The configuration.
@@ -204,8 +205,13 @@ impl Verifier {
             remaining.retain(|id| !batch.contains(id));
             verified.extend(batch.iter().copied());
             let retrain_start = std::time::Instant::now();
-            let training: Vec<&ClaimRecord> = verified.iter().map(|&id| &claims[id]).collect();
-            self.models.retrain(&mut self.training, &training);
+            self.models.retrain_from_store(
+                &mut self.training,
+                &store,
+                claims,
+                &verified,
+                available_threads(),
+            );
             report.computation_seconds += retrain_start.elapsed().as_secs_f64();
         }
         report

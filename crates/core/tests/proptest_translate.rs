@@ -256,7 +256,7 @@ fn apply(models: &mut SystemModels, training: &mut TrainingState, step: Step, ro
             let ids = subset(&mut mix, claims, 24);
             let refs: Vec<&ClaimRecord> =
                 ids.iter().map(|&id| &fixture.corpus.claims[id]).collect();
-            models.retrain(training, &refs);
+            models.retrain(training, &refs, 2);
         }
         Step::Incremental(seed) => {
             let mut mix = Mix(seed);

@@ -1086,7 +1086,7 @@ mod tests {
         let mut pretrained = scaffold.clone();
         let mut pretrained_training = TrainingState::default();
         let refs: Vec<&ClaimRecord> = corpus.claims.iter().take(40).collect();
-        pretrained.retrain(&mut pretrained_training, &refs);
+        pretrained.retrain(&mut pretrained_training, &refs, 1);
 
         let mut state = pretrained.export_state(&pretrained_training);
         state.classifiers[2].model = None;

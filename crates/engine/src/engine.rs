@@ -4,6 +4,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, Weak};
 
+use scrutinizer_core::models::available_threads;
 use scrutinizer_core::ordering::ClaimChoice;
 use scrutinizer_core::planner::ClaimPlan;
 use scrutinizer_core::policy::{
@@ -15,7 +16,7 @@ use scrutinizer_core::{
     FeatureStore, ModelsState, OrderingStrategy, PlannerCounters, PropertyKind, SystemConfig,
     SystemModels, TrainingState, Translation,
 };
-use scrutinizer_corpus::{ClaimRecord, Corpus};
+use scrutinizer_corpus::Corpus;
 use scrutinizer_crowd::{Worker, WorkerConfig};
 use scrutinizer_data::hash::{FxHashMap, FxHashSet};
 use scrutinizer_query::FunctionRegistry;
@@ -383,6 +384,14 @@ impl Engine {
     /// pre-trained user-study condition. Synchronous: the new epoch is
     /// published when this returns; concurrent readers keep serving the
     /// previous snapshot while it runs.
+    ///
+    /// The claims' rows come from the engine's [`FeatureStore`], and the
+    /// four classifiers fit concurrently on up to
+    /// [`available_threads`] threads
+    /// ([`SystemModels::retrain_from_store`]): a cold start runs before
+    /// the server binds, so nothing else wants the cores, and the
+    /// resulting epoch is bit-identical to a one-thread fit. Background
+    /// epochs stay on the one trainer thread.
     pub fn pretrain(&self, claim_ids: Option<&[usize]>) {
         let ids: Vec<usize> = match claim_ids {
             Some(ids) => ids
@@ -424,11 +433,13 @@ impl Engine {
                 let _span = obs::span!("retrain.fit");
                 match kind {
                     RetrainKind::FromScratch => {
-                        let refs: Vec<&ClaimRecord> = claim_ids
-                            .iter()
-                            .map(|&id| &self.corpus.claims[id])
-                            .collect();
-                        models.retrain(&mut training, &refs);
+                        models.retrain_from_store(
+                            &mut training,
+                            &self.features,
+                            &self.corpus.claims,
+                            claim_ids,
+                            available_threads(),
+                        );
                     }
                     RetrainKind::Incremental => {
                         models.retrain_incremental(

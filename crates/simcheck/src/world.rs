@@ -11,8 +11,9 @@
 
 use std::sync::Arc;
 
+use scrutinizer_core::models::available_threads;
 use scrutinizer_core::{FeatureStore, OrderingStrategy, SystemConfig, SystemModels, TrainingState};
-use scrutinizer_corpus::{ClaimRecord, Corpus, CorpusConfig};
+use scrutinizer_corpus::{Corpus, CorpusConfig};
 use scrutinizer_engine::engine::{Engine, EngineOptions};
 use scrutinizer_engine::{recover_parts, DurableEnv, RecoveryReport};
 use scrutinizer_sim::{FaultPlan, SimEnv, SimScheduler, Storage, VirtualClock};
@@ -77,8 +78,14 @@ impl SharedWorld {
         let mut models = SystemModels::bootstrap(&corpus, &config);
         let features = FeatureStore::build(&corpus, &models);
         let mut training = TrainingState::default();
-        let all: Vec<&ClaimRecord> = corpus.claims.iter().collect();
-        models.retrain(&mut training, &all);
+        let all: Vec<usize> = (0..corpus.claims.len()).collect();
+        models.retrain_from_store(
+            &mut training,
+            &features,
+            &corpus.claims,
+            &all,
+            available_threads(),
+        );
         let sql_pool = corpus
             .claims
             .iter()

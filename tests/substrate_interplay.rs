@@ -91,7 +91,7 @@ fn corollary2_option_order_after_retraining() {
     let config = SystemConfig::test();
     let mut models = SystemModels::bootstrap(&corpus, &config);
     let refs: Vec<&scrutinizer::corpus::ClaimRecord> = corpus.claims.iter().collect();
-    models.retrain(&mut TrainingState::default(), &refs);
+    models.retrain(&mut TrainingState::default(), &refs, 1);
     for claim in corpus.claims.iter().take(20) {
         let features = models.features(claim);
         let translation: Translation = models.translate(&features, 10);
