@@ -277,31 +277,35 @@ fn shape(value: &Json) -> String {
 fn typed_dispatch_matches_legacy_oracle_over_a_scripted_session() {
     let typed = frozen_engine();
     let legacy = frozen_engine();
-    let claim = typed.corpus().claims[0].clone();
+    scripted_session(&typed, |line| pin(&typed, &legacy, line));
+}
+
+/// The scripted mixed-initiative session: the happy path op by op, then
+/// every error class, then close. `send` answers one request line with
+/// its parsed response; the script reads the session id and the first
+/// batch's screens back out of those responses.
+fn scripted_session(engine: &Engine, mut send: impl FnMut(&str) -> Json) {
+    let claim = engine.corpus().claims[0].clone();
 
     // -- happy path: open → submit → screens → answers → suggest →
     //    verdict → next_batch → sql → verify_batch → stats → close
-    let open = pin(&typed, &legacy, r#"{"op":"open","checker":"diff"}"#);
+    let open = send(r#"{"op":"open","checker":"diff"}"#);
     let session = open
         .get("session")
         .and_then(Json::as_usize)
-        .expect("both engines assign the same first session id");
+        .expect("a fresh engine assigns a session id");
 
-    let submit = pin(
-        &typed,
-        &legacy,
-        &format!(r#"{{"op":"submit","session":{session},"claims":[0,1,2]}}"#),
-    );
+    let submit = send(&format!(
+        r#"{{"op":"submit","session":{session},"claims":[0,1,2]}}"#
+    ));
     let screens = submit.get("batch").and_then(Json::as_arr).unwrap()[0]
         .get("screens")
         .and_then(Json::as_arr)
         .unwrap()
         .to_vec();
-    pin(
-        &typed,
-        &legacy,
-        &format!(r#"{{"op":"screens","session":{session},"claim":0}}"#),
-    );
+    send(&format!(
+        r#"{{"op":"screens","session":{session},"claim":0}}"#
+    ));
     for screen in &screens {
         let kind = screen.get("kind").and_then(Json::as_str).unwrap();
         let truth = match kind {
@@ -318,47 +322,31 @@ fn typed_dispatch_matches_legacy_oracle_over_a_scripted_session() {
             ("answer".into(), Json::Str(truth)),
         ])
         .render();
-        pin(&typed, &legacy, &line);
+        send(&line);
     }
-    pin(
-        &typed,
-        &legacy,
-        &format!(r#"{{"op":"suggest","session":{session},"claim":0}}"#),
-    );
-    pin(
-        &typed,
-        &legacy,
-        &format!(
-            r#"{{"op":"verdict","session":{session},"claim":0,"correct":{}}}"#,
-            claim.is_correct
-        ),
-    );
-    pin(
-        &typed,
-        &legacy,
-        &format!(r#"{{"op":"next_batch","session":{session}}}"#),
-    );
+    send(&format!(
+        r#"{{"op":"suggest","session":{session},"claim":0}}"#
+    ));
+    send(&format!(
+        r#"{{"op":"verdict","session":{session},"claim":0,"correct":{}}}"#,
+        claim.is_correct
+    ));
+    send(&format!(r#"{{"op":"next_batch","session":{session}}}"#));
 
     let lookup = &claim.lookups[0];
     let sql = format!(
         "SELECT a.{} FROM {} a WHERE a.Index = '{}'",
         lookup.attribute, lookup.relation, lookup.key
     );
-    pin(
-        &typed,
-        &legacy,
+    send(
         &Json::Obj(vec![
             ("op".into(), Json::Str("sql".into())),
             ("query".into(), Json::Str(sql)),
         ])
         .render(),
     );
-    pin(
-        &typed,
-        &legacy,
-        r#"{"op":"verify_batch","claims":[3,4],"seed":5}"#,
-    );
-    pin(&typed, &legacy, r#"{"op":"stats"}"#);
+    send(r#"{"op":"verify_batch","claims":[3,4],"seed":5}"#);
+    send(r#"{"op":"stats"}"#);
 
     // -- every error class, op for op
     let error_lines = [
@@ -385,20 +373,123 @@ fn typed_dispatch_matches_legacy_oracle_over_a_scripted_session() {
         r#"{"op":"close","session":9999}"#.to_string(), // unknown session
     ];
     for line in &error_lines {
-        pin(&typed, &legacy, line);
+        send(line);
     }
 
     // -- close last so the session survives the error probes above
-    pin(
-        &typed,
-        &legacy,
-        &format!(r#"{{"op":"close","session":{session}}}"#),
-    );
-    pin(
-        &typed,
-        &legacy,
-        &format!(r#"{{"op":"close","session":{session}}}"#), // double close
-    );
+    send(&format!(r#"{{"op":"close","session":{session}}}"#));
+    send(&format!(r#"{{"op":"close","session":{session}}}"#)); // double close
+}
+
+// ---- 3b. the scripted session ≡ its recorded golden fixture -----------
+
+const PROTOCOL_FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/protocol_session.jsonl"
+);
+
+/// Every key path of a JSON value in document order (`a.b.c`; array
+/// items as `[]`), scalars erased — the recorded form of the `stats`
+/// response, whose latencies are wall-clock.
+fn key_paths(value: &Json, prefix: &str, out: &mut Vec<Json>) {
+    match value {
+        Json::Obj(fields) => {
+            for (key, inner) in fields {
+                let path = if prefix.is_empty() {
+                    key.clone()
+                } else {
+                    format!("{prefix}.{key}")
+                };
+                key_paths(inner, &path, out);
+            }
+        }
+        Json::Arr(items) => {
+            for item in items {
+                key_paths(item, &format!("{prefix}[]"), out);
+            }
+        }
+        _ => out.push(Json::Str(prefix.to_string())),
+    }
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Answers one scripted line twice, in lockstep — as a JSON line on
+/// `json_engine` and, when the line decodes to a typed request, as a
+/// binary frame (id and trace pinned to `seq`) on `bin_engine` — and
+/// records both as one fixture line. Returns the JSON response.
+fn record(
+    json_engine: &Arc<Engine>,
+    bin_engine: &Arc<Engine>,
+    seq: u64,
+    line: &str,
+    out: &mut String,
+) -> Json {
+    use scrutinizer_engine::codec::{decode_response, encode_request};
+    use scrutinizer_engine::wire::{handle_frame, split_frame};
+
+    let response = strip_trace(Json::parse(&handle_request(json_engine, line)).expect("JSON"));
+    let frame = Json::parse(line)
+        .ok()
+        .and_then(|value| Request::from_json(&value).ok())
+        .map(|request| {
+            let mut payload = Vec::new();
+            encode_request(&mut payload, &request, Some(seq), Some(seq));
+            let mut frame = Vec::new();
+            handle_frame(bin_engine, &payload, &mut frame);
+            let (body, consumed) = split_frame(&frame).expect("one whole response frame");
+            assert_eq!(consumed, frame.len(), "exactly one frame per request");
+            (frame.clone(), decode_response(body).expect("frame decodes"))
+        });
+    let mut fields = vec![("request".to_string(), Json::Str(line.to_string()))];
+    if response.get("stats").is_some() {
+        let mut paths = Vec::new();
+        key_paths(&response, "", &mut paths);
+        fields.push(("response_shape".to_string(), Json::Arr(paths)));
+        let mut paths = Vec::new();
+        if let Some((_, decoded)) = &frame {
+            key_paths(decoded, "", &mut paths);
+        }
+        fields.push(("frame_shape".to_string(), Json::Arr(paths)));
+    } else {
+        fields.push(("response".to_string(), response.clone()));
+        let frame = frame.map_or(Json::Null, |(bytes, _)| Json::Str(hex(&bytes)));
+        fields.push(("frame".to_string(), frame));
+    }
+    out.push_str(&Json::Obj(fields).render());
+    out.push('\n');
+    response
+}
+
+/// The scripted session's responses, recorded one request per line: the
+/// JSON response (trace stripped) and the binary response frame in hex,
+/// or — for `stats` — both responses' key paths. Regenerate after an
+/// intended wire change with `BLESS_GOLDEN=1 cargo test -p
+/// scrutinizer-engine --test proptest_protocol
+/// scripted_session_matches_the_protocol_golden_fixture` and review the
+/// diff.
+#[test]
+fn scripted_session_matches_the_protocol_golden_fixture() {
+    let json_engine = frozen_engine();
+    let bin_engine = frozen_engine();
+    let mut actual = String::new();
+    let mut seq = 0;
+    scripted_session(&json_engine, |line| {
+        seq += 1;
+        record(&json_engine, &bin_engine, seq, line, &mut actual)
+    });
+
+    if std::env::var_os("BLESS_GOLDEN").is_some() {
+        std::fs::write(PROTOCOL_FIXTURE, &actual).expect("fixture is writable");
+        return;
+    }
+    let expected = std::fs::read_to_string(PROTOCOL_FIXTURE).expect("golden fixture exists");
+    for (line, (want, got)) in expected.lines().zip(actual.lines()).enumerate() {
+        assert_eq!(want, got, "fixture line {} differs", line + 1);
+    }
+    assert_eq!(expected.lines().count(), actual.lines().count());
 }
 
 // ---- 4. binary codec ≡ JSON codec ---------------------------------------
