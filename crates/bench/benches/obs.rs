@@ -93,7 +93,7 @@ fn bench_obs(c: &mut Criterion) {
     assert!(disabled_ok > 0, "the workload must produce suggestions");
 
     // ---- the ≤5% overhead claim, asserted before criterion runs ----
-    // warm-up (also warms the query cache), then interleave the two
+    // warm-up, then interleave the two
     // modes so drift is shared
     for _ in 0..3 {
         obs::set_tracing(false);

@@ -516,9 +516,10 @@ fn bench_serve(c: &mut Criterion) {
 
     // the suggest workload: one session with the first 32 corpus claims
     // submitted and their property screens answered with ground truth, so
-    // every suggest returns a real ranked candidate list; the engine's
-    // per-claim cache then makes the repeated rounds codec-bound rather
-    // than scoring-bound.
+    // every suggest returns a real ranked candidate list; each claim task
+    // memoizes its suggestion list (keyed by model epoch and screen
+    // state), so the repeated rounds are codec-bound rather than
+    // scoring-bound.
     let session = engine.open_session("serve-bench");
     engine
         .submit_report(session, &(0..REQUESTS).collect::<Vec<_>>())

@@ -526,7 +526,8 @@ fn bench_retrain_storm(_c: &mut Criterion) {
 
     let claims: Vec<usize> = (0..8).collect();
     let passes = if quick_mode() { 2 } else { 25 };
-    // warm the query cache so idle and storm runs see the same cache state
+    // one untimed suggest per claim first, so idle and storm runs both
+    // start warm
     for &id in &claims {
         timed_suggest(&engine, id);
     }

@@ -29,9 +29,12 @@
 //! are rewritten into [`SelectStmt`]s. Every assignment is evaluated
 //! directly, in the library and the serving engine alike: a compiled
 //! program is ~10 postfix instructions over `f64`s, cheaper than a
-//! shared result cache's hash, lock and LRU relink (the engine's `cache`
-//! module docs give the measurements). The pre-refactor
-//! string-resolving implementation survives as
+//! shared result cache's hash, lock and LRU relink. Measured when the
+//! engine still had such a cache, on the checker-loop benchmark's
+//! `small_binary` workload (2-core container): it answered 96 % of
+//! ~8,800 lookups per suggest, yet evaluating every assignment directly
+//! cut the per-suggest `execute` stage from 4.3 ms to 0.23 ms. The
+//! pre-refactor string-resolving implementation survives as
 //! [`generate_queries_unprepared`], the differential-testing and
 //! benchmarking baseline.
 

@@ -157,8 +157,9 @@ mod tests {
         let scrutinizer = &sim.runs[2];
         // headline: both system variants save vs manual. On this tiny test
         // corpus (80 claims) the cold-start warmup dominates, so the margin
-        // is thinner than the paper-scale factor two — the full-scale shape
-        // is asserted by the repro harness (EXPERIMENTS.md).
+        // is thinner than the paper-scale factor two. `repro` prints the
+        // full-scale shape beside the paper's numbers; README's "Known
+        // deviations" records where it falls short.
         assert!(
             sequential.crowd_seconds < manual.crowd_seconds,
             "sequential {} vs manual {}",

@@ -29,8 +29,7 @@ impl std::fmt::Display for TableId {
 
 /// A fully resolved cell address: table handle, row position, column
 /// position. This is the numeric form of a `(relation, key, attribute)`
-/// lookup triple — what prepared plans bind and what the engine's
-/// query-result cache keys on instead of cloned strings.
+/// lookup triple — what prepared plans bind instead of cloned strings.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CellRef {
     /// The table.

@@ -648,7 +648,7 @@ fn append_payload(fields: &mut Vec<(String, Json)>, response: &Response) {
 // ---- shared value → JSON renderers -------------------------------------
 
 /// Parses a wire property-kind label.
-pub(crate) fn property_kind(name: &str) -> Option<PropertyKind> {
+fn property_kind(name: &str) -> Option<PropertyKind> {
     match name {
         "relation" => Some(PropertyKind::Relation),
         "key" => Some(PropertyKind::Key),
@@ -669,7 +669,7 @@ pub(crate) fn kind_label(kind: PropertyKind) -> &'static str {
 }
 
 /// The wire name of a verdict.
-pub(crate) fn verdict_name(verdict: &Verdict) -> &'static str {
+fn verdict_name(verdict: &Verdict) -> &'static str {
     match verdict {
         Verdict::Correct { .. } => "correct",
         Verdict::Incorrect { .. } => "incorrect",
@@ -677,7 +677,7 @@ pub(crate) fn verdict_name(verdict: &Verdict) -> &'static str {
     }
 }
 
-pub(crate) fn questions_json(questions: &ClaimQuestions) -> Json {
+fn questions_json(questions: &ClaimQuestions) -> Json {
     obj(vec![
         ("claim", Json::Num(questions.claim_id as f64)),
         ("expected_cost", Json::Num(questions.expected_cost)),
@@ -702,7 +702,7 @@ pub(crate) fn questions_json(questions: &ClaimQuestions) -> Json {
     ])
 }
 
-pub(crate) fn suggestion_json(suggestion: &Suggestion) -> Json {
+fn suggestion_json(suggestion: &Suggestion) -> Json {
     obj(vec![
         ("rank", Json::Num(suggestion.rank as f64)),
         ("sql", Json::Str(suggestion.sql.clone())),
@@ -715,7 +715,7 @@ pub(crate) fn suggestion_json(suggestion: &Suggestion) -> Json {
     ])
 }
 
-pub(crate) fn outcome_json(outcome: &ClaimOutcome) -> Json {
+fn outcome_json(outcome: &ClaimOutcome) -> Json {
     obj(vec![
         ("claim", Json::Num(outcome.claim_id as f64)),
         (
@@ -785,10 +785,12 @@ pub(crate) fn stats_json(snapshot: &StatsSnapshot) -> Json {
                 None => Json::Null,
             },
         ),
-        ("cache_hits", count(snapshot.cache_hits)),
-        ("cache_misses", count(snapshot.cache_misses)),
-        ("cache_hit_rate", Json::Num(snapshot.cache_hit_rate)),
-        ("cache_entries", count(snapshot.cache_entries as u64)),
+        // v1 fields are append-only: the raw-SQL result cache these
+        // described is gone, so they stay as constant zeros
+        ("cache_hits", count(0)),
+        ("cache_misses", count(0)),
+        ("cache_hit_rate", Json::Num(0.0)),
+        ("cache_entries", count(0)),
         ("queue_depth", count(snapshot.queue_depth as u64)),
         ("in_flight", count(snapshot.in_flight as u64)),
         ("plan_latency", histogram_json(&snapshot.plan_latency)),

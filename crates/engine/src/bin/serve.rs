@@ -8,7 +8,7 @@
 //! pipelined arbitrarily deep per connection (responses echo the request
 //! `id` and `trace`), different connections' requests execute
 //! concurrently on a worker pool, and all of them share one engine —
-//! sessions, models, cache and metrics are global.
+//! sessions, models and metrics are global.
 //!
 //! ```text
 //! scrutinizer-serve [ADDR] [--scale small|paper] [--seed N]
@@ -22,8 +22,9 @@
 //! ADDR defaults to 127.0.0.1:7878.
 //! ```
 //!
-//! `--cache-capacity N` sizes the raw-SQL result cache (the `sql` op's
-//! results only; `suggest` evaluates every assignment directly).
+//! `--cache-capacity N` is accepted and ignored: the raw-SQL result
+//! cache it sized is gone (`sql` evaluates every statement directly), and
+//! existing launch scripts still pass it.
 //!
 //! `--data-dir DIR` makes the server durable: every state-changing op is
 //! appended to a checksummed write-ahead log under `DIR` before it is
@@ -78,7 +79,6 @@ struct Args {
     scale: &'static str,
     seed: u64,
     threads: Option<usize>,
-    cache_capacity: Option<usize>,
     pretrain: bool,
     max_connections: Option<usize>,
     workers: Option<usize>,
@@ -95,7 +95,6 @@ fn parse_args() -> Args {
         scale: "small",
         seed: 17,
         threads: None,
-        cache_capacity: None,
         pretrain: true,
         max_connections: None,
         workers: None,
@@ -141,8 +140,7 @@ fn parse_args() -> Args {
                 args.threads = Some(int_value("--threads", value));
             }
             "--cache-capacity" => {
-                let value = value_of("--cache-capacity");
-                args.cache_capacity = Some(int_value("--cache-capacity", value));
+                value_of("--cache-capacity");
             }
             "--max-conns" => {
                 let value = value_of("--max-conns");
@@ -263,9 +261,6 @@ fn main() {
     let mut options = EngineOptions::default();
     if let Some(threads) = args.threads {
         options.threads = threads;
-    }
-    if let Some(capacity) = args.cache_capacity {
-        options.cache_capacity = capacity;
     }
     if let Some(interval) = args.retrain_interval {
         options.retrain_interval = (interval > 0).then_some(interval);

@@ -18,7 +18,7 @@
 //! (`sessions_opened/closed`, `claims_verified`, `answers_posted`,
 //! `retrains`, `background_retrains`, `examples_trained`), and the
 //! published model epoch with its trained weights. Derived state —
-//! translations, plans, cached suggestions, query-cache contents — is
+//! translations, plans, cached suggestions — is
 //! deliberately *not* logged: recovery rebuilds it once from the
 //! recovered models at the end of replay, which is why replay is
 //! an order of magnitude faster than re-executing the same operations

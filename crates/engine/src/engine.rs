@@ -24,7 +24,6 @@ use scrutinizer_query::FunctionRegistry;
 use scrutinizer_sim::{SimEnv, Spawner};
 use scrutinizer_wal::{Wal, WalMetrics};
 
-use crate::cache::{normalize_sql, CachedResult, QueryCache};
 use crate::durability::{self, ClaimImage, SessionImage, StateImage, WalRecord};
 use crate::executor::ThreadPool;
 use crate::session::{ClaimPhase, ClaimQuestions, ClaimTask, SessionId, SessionState, Suggestion};
@@ -40,10 +39,6 @@ pub struct EngineOptions {
     /// Bounded executor queue length; submissions beyond it block
     /// (backpressure).
     pub queue_capacity: usize,
-    /// Raw-SQL result cache capacity, in entries.
-    pub cache_capacity: usize,
-    /// Raw-SQL cache shard count (rounded up to a power of two).
-    pub cache_shards: usize,
     /// Schedule a background incremental retrain once this many newly
     /// verified claims sit in the pending-examples log; `None` freezes the
     /// models (deterministic serving). Retraining happens off the read
@@ -61,8 +56,6 @@ impl Default for EngineOptions {
                 .map_or(2, |n| n.get())
                 .max(2),
             queue_capacity: 256,
-            cache_capacity: 1 << 16,
-            cache_shards: 16,
             retrain_interval: Some(50),
             ordering: OrderingStrategy::Ilp,
         }
@@ -152,7 +145,7 @@ struct VerifiedSet {
 /// The long-lived, concurrent verification engine.
 ///
 /// One engine owns the corpus (catalog + claims + document), the four
-/// property classifiers, the raw-SQL result cache and the executor; any
+/// property classifiers and the executors; any
 /// number of threads may drive sessions against it concurrently. See the
 /// [crate docs](crate) for the full tour.
 pub struct Engine {
@@ -167,8 +160,6 @@ pub struct Engine {
     /// Every claim featurized exactly once at construction; shared by
     /// translation, utility scoring and the background trainer.
     features: Arc<FeatureStore>,
-    /// Raw-SQL results, keyed by [`normalize_sql`] text.
-    cache: QueryCache,
     pool: ThreadPool,
     /// Dedicated single-thread executor for background retraining, so
     /// learning can never compete with (or deadlock against) the serving
@@ -300,7 +291,6 @@ impl Engine {
             registry: FunctionRegistry::standard(),
             models: SnapshotCell::with_epoch(models, epoch),
             features,
-            cache: QueryCache::new(options.cache_capacity, options.cache_shards),
             pool: ThreadPool::new(options.threads, options.queue_capacity),
             trainer: ThreadPool::new(1, 2),
             stats: EngineStats::default(),
@@ -1574,30 +1564,23 @@ impl Engine {
 
     // ---- raw SQL ----------------------------------------------------------
 
-    /// Executes one SQL statement against the shared catalog through the
-    /// query-result cache. This is the one place [`normalize_sql`]
-    /// survives — the TCP endpoint boundary, where the input *is* text;
-    /// on a miss the statement is parsed and runs through the prepared
-    /// executor like every internal evaluation.
+    /// Executes one SQL statement against the shared catalog. A trailing
+    /// `;` is stripped; the lexer is case-insensitive and
+    /// whitespace-agnostic, so every other spelling of one statement
+    /// parses to the same query and evaluates to the same value.
     pub fn run_sql(&self, sql: &str) -> Result<f64, EngineError> {
         self.stats.bump(&self.stats.sql_executed);
         let _span = obs::span!("sql");
-        let normalized = normalize_sql(sql);
-        let result = self.cache.get_or_insert_with(&normalized, || {
-            // evaluate the *normalized* text so the cached outcome always
-            // agrees with the key (e.g. a trailing `;` is stripped by
-            // normalization and must not fail the parse)
-            match scrutinizer_query::run_sql(&self.corpus.catalog, &normalized) {
-                Ok(value) => match value.as_f64() {
-                    Some(v) if v.is_finite() => CachedResult::Value(v),
-                    _ => CachedResult::Failed,
-                },
-                Err(_) => CachedResult::Failed,
-            }
-        });
-        result
-            .value()
-            .ok_or_else(|| EngineError::Sql(format!("evaluation failed for `{normalized}`")))
+        let statement = sql.trim().trim_end_matches(';').trim();
+        match scrutinizer_query::run_sql(&self.corpus.catalog, statement)
+            .ok()
+            .and_then(|value| value.as_f64())
+        {
+            Some(v) if v.is_finite() => Ok(v),
+            _ => Err(EngineError::Sql(format!(
+                "evaluation failed for `{statement}`"
+            ))),
+        }
     }
 
     // ---- observability -----------------------------------------------------
@@ -1613,7 +1596,7 @@ impl Engine {
 
     /// Renders the unified metrics registry to Prometheus text exposition
     /// format, refreshing the mirrored gauges (live sessions, model epoch,
-    /// cache and pool levels) first so the output reports the same values
+    /// pool levels) first so the output reports the same values
     /// as [`stats`](Self::stats) for every shared series.
     pub fn render_metrics(&self) -> String {
         let stats = &self.stats;
@@ -1622,9 +1605,6 @@ impl Engine {
         stats
             .pending_examples
             .set(self.pending.lock().expect("pending log poisoned").len() as u64);
-        stats.cache_hits.store(self.cache.hits());
-        stats.cache_misses.store(self.cache.misses());
-        stats.cache_entries.set(self.cache.len() as u64);
         stats.queue_depth.set(self.pool.queue_depth() as u64);
         stats.jobs_in_flight.set(self.pool.in_flight() as u64);
         if let Some(wal) = self.wal_metrics() {
@@ -1685,10 +1665,6 @@ impl Engine {
             requests_by_codec: self.stats.requests_by_codec.each_ref().map(Counter::get),
             requests_ok_by_codec: self.stats.requests_ok_by_codec.each_ref().map(Counter::get),
             wire_errors_by_codec: self.stats.wire_errors_by_codec.each_ref().map(Counter::get),
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
-            cache_hit_rate: self.cache.hit_rate(),
-            cache_entries: self.cache.len(),
             queue_depth: self.pool.queue_depth(),
             in_flight: self.pool.in_flight(),
             plan_latency: self.stats.plan_latency.snapshot(),

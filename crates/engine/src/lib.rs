@@ -23,8 +23,7 @@
 //!   │             Arc<ModelSnapshot> swaps)       │    (readers never block)
 //!   │   features: Arc<FeatureStore> (CSR, built   │──▶ batch utility scoring
 //!   │             once at bootstrap)              │
-//!   │   corpus:   Arc<Corpus>       (catalog)     │──▶ Algorithm 2 (qgen)
-//!   │   cache:    sharded LRU (raw-SQL text)      │──▶ `sql` op results
+//!   │   corpus:   Arc<Corpus>       (catalog)     │──▶ Algorithm 2 (qgen), `sql` op
 //!   │   pool:     bounded-queue thread pool       │──▶ verify_batch fan-out
 //!   │   trainer:  1-thread background executor    │──▶ warm-start retrains
 //!   │   stats:    counters + latency histograms   │──▶ `stats` endpoint
@@ -58,14 +57,14 @@
 //! checkers ([`scrutinizer_crowd::Worker`]) concurrently over the thread
 //! pool — the high-throughput batch path used by the benches and tests.
 //!
-//! ## The raw-SQL result cache
+//! ## Direct evaluation
 //!
-//! [`cache::QueryCache`] is a sharded LRU over the `sql` op's results,
-//! keyed by [`cache::normalize_sql`]'d statement text; cached entries
-//! include failures. Algorithm 2's assignments are **not** cached: each
-//! is a few postfix instructions over `f64`s, cheaper to evaluate than to
-//! probe a shared cache for (the [`cache`] module docs give the
-//! measurements). The `cache_*` stats fields describe this cache only.
+//! Nothing caches query results. Algorithm 2's assignments are a few
+//! postfix instructions over `f64`s each, cheaper to evaluate than to
+//! probe a shared cache for, and [`Engine::run_sql`] parses and evaluates
+//! each raw `sql` statement afresh. The `stats` op's `cache_*` fields
+//! outlived the raw-SQL result cache they described; they stay in the v1
+//! layout as constant zeros.
 //!
 //! ## The typed API and the server
 //!
@@ -99,7 +98,6 @@
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod cache;
 pub mod codec;
 pub mod durability;
 pub mod engine;
@@ -113,7 +111,6 @@ pub mod stats;
 pub mod wire;
 
 pub use api::{dispatch, ApiError, ErrorCode, Request, Response};
-pub use cache::{normalize_sql, CachedResult, QueryCache};
 pub use codec::RequestRef;
 pub use durability::{recover, recover_parts, DurableEnv, RecoveryReport, WalRecord};
 pub use engine::{Engine, EngineError, EngineOptions, VerdictRecord};

@@ -11,20 +11,10 @@
 //! (current: `1`) and a client-chosen `"id"` that is echoed in the
 //! response — see the [`crate::api`] docs for the op table, versioning
 //! rules and the `batch` op.
-//!
-//! The pre-v1 stringly dispatcher survives one release as
-//! [`legacy_handle_request`], kept only as the oracle for the
-//! typed-vs-legacy differential tests.
 
 use std::sync::Arc;
 
-use scrutinizer_crowd::WorkerConfig;
-
-use crate::api::{
-    outcome_json, property_kind, questions_json, stats_json, suggestion_json, verdict_name,
-};
 use crate::engine::Engine;
-use crate::session::SessionId;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -474,214 +464,6 @@ pub(crate) fn respond_panicked(
         ("error", Json::Str(format!("internal error: {detail}"))),
     ])
     .render()
-}
-
-// ---- the pre-v1 stringly dispatcher (differential-test oracle) ---------
-
-fn ok(mut fields: Vec<(&str, Json)>) -> Json {
-    fields.insert(0, ("ok", Json::Bool(true)));
-    obj(fields)
-}
-
-fn err(message: impl std::fmt::Display) -> Json {
-    obj(vec![
-        ("ok", Json::Bool(false)),
-        ("error", Json::Str(message.to_string())),
-    ])
-}
-
-fn require_session(request: &Json) -> Result<SessionId, Json> {
-    request
-        .get("session")
-        .and_then(Json::as_usize)
-        .map(|id| SessionId(id as u64))
-        .ok_or_else(|| err("missing `session`"))
-}
-
-fn require_claim(request: &Json) -> Result<usize, Json> {
-    request
-        .get("claim")
-        .and_then(Json::as_usize)
-        .ok_or_else(|| err("missing `claim`"))
-}
-
-fn claim_list(request: &Json) -> Result<Vec<usize>, Json> {
-    let items = request
-        .get("claims")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| err("missing `claims`"))?;
-    items
-        .iter()
-        .map(|item| {
-            item.as_usize()
-                .ok_or_else(|| err(format!("invalid claim id {}", item.render())))
-        })
-        .collect()
-}
-
-/// The pre-v1 request handler, kept **one release** purely as the oracle
-/// for the typed-vs-legacy differential tests: same entry contract as
-/// [`handle_request`], but per-op ad-hoc field plucking, no `code` on
-/// errors, no `v`/`id`/`batch` support. Do not build new clients on it.
-pub fn legacy_handle_request(engine: &Arc<Engine>, line: &str) -> String {
-    let response = match Json::parse(line.trim()) {
-        Err(error) => err(format!("bad json: {error}")),
-        Ok(request) => legacy_dispatch(engine, &request),
-    };
-    response.render()
-}
-
-/// The pre-v1 dispatcher behind [`legacy_handle_request`] — the
-/// differential-test oracle. Scheduled for removal next release.
-pub fn legacy_dispatch(engine: &Arc<Engine>, request: &Json) -> Json {
-    let Some(op) = request.get("op").and_then(Json::as_str) else {
-        return err("missing `op`");
-    };
-    match op {
-        "open" => {
-            let checker = request
-                .get("checker")
-                .and_then(Json::as_str)
-                .unwrap_or("anonymous");
-            let session = engine.open_session(checker);
-            ok(vec![("session", Json::Num(session.0 as f64))])
-        }
-        "submit" | "next_batch" => {
-            let session = match require_session(request) {
-                Ok(s) => s,
-                Err(e) => return e,
-            };
-            let result = if op == "submit" {
-                let claims = match claim_list(request) {
-                    Ok(c) => c,
-                    Err(e) => return e,
-                };
-                engine.submit_report(session, &claims)
-            } else {
-                engine.next_batch(session)
-            };
-            match result {
-                Ok(batch) => ok(vec![(
-                    "batch",
-                    Json::Arr(batch.iter().map(questions_json).collect()),
-                )]),
-                Err(error) => err(error),
-            }
-        }
-        "screens" => {
-            let (session, claim) = match (require_session(request), require_claim(request)) {
-                (Ok(s), Ok(c)) => (s, c),
-                (Err(e), _) | (_, Err(e)) => return e,
-            };
-            match engine.screens(session, claim) {
-                Ok(questions) => ok(vec![("questions", questions_json(&questions))]),
-                Err(error) => err(error),
-            }
-        }
-        "answer" => {
-            let (session, claim) = match (require_session(request), require_claim(request)) {
-                (Ok(s), Ok(c)) => (s, c),
-                (Err(e), _) | (_, Err(e)) => return e,
-            };
-            let Some(kind) = request
-                .get("kind")
-                .and_then(Json::as_str)
-                .and_then(property_kind)
-            else {
-                return err("missing or invalid `kind`");
-            };
-            let Some(answer) = request.get("answer").and_then(Json::as_str) else {
-                return err("missing `answer`");
-            };
-            match engine.post_answer(session, claim, kind, answer) {
-                Ok(remaining) => ok(vec![("remaining", Json::Num(remaining as f64))]),
-                Err(error) => err(error),
-            }
-        }
-        "suggest" => {
-            let (session, claim) = match (require_session(request), require_claim(request)) {
-                (Ok(s), Ok(c)) => (s, c),
-                (Err(e), _) | (_, Err(e)) => return e,
-            };
-            match engine.suggest(session, claim) {
-                Ok(suggestions) => ok(vec![(
-                    "suggestions",
-                    Json::Arr(suggestions.iter().map(suggestion_json).collect()),
-                )]),
-                Err(error) => err(error),
-            }
-        }
-        "verdict" => {
-            let (session, claim) = match (require_session(request), require_claim(request)) {
-                (Ok(s), Ok(c)) => (s, c),
-                (Err(e), _) | (_, Err(e)) => return e,
-            };
-            let Some(correct) = request.get("correct").and_then(Json::as_bool) else {
-                return err("missing `correct`");
-            };
-            let chosen = request.get("chosen").and_then(Json::as_usize);
-            match engine.post_verdict(session, claim, correct, chosen) {
-                Ok(record) => {
-                    let verdict = verdict_name(&record.outcome.verdict);
-                    ok(vec![
-                        ("verdict", Json::Str(verdict.to_string())),
-                        (
-                            "matches_truth",
-                            Json::Bool(record.outcome.verdict_matches_truth),
-                        ),
-                        ("retrained", Json::Bool(record.retrained)),
-                    ])
-                }
-                Err(error) => err(error),
-            }
-        }
-        "sql" => {
-            let Some(query) = request.get("query").and_then(Json::as_str) else {
-                return err("missing `query`");
-            };
-            match engine.run_sql(query) {
-                Ok(value) => ok(vec![("value", Json::Num(value))]),
-                Err(error) => err(error),
-            }
-        }
-        "verify_batch" => {
-            let claims = match claim_list(request) {
-                Ok(c) => c,
-                Err(e) => return e,
-            };
-            let seed = request
-                .get("seed")
-                .and_then(Json::as_f64)
-                .map(|s| s as u64)
-                .unwrap_or(1);
-            let config = WorkerConfig {
-                seed,
-                ..WorkerConfig::default()
-            };
-            match engine.verify_batch(&claims, config) {
-                Ok(outcomes) => ok(vec![(
-                    "outcomes",
-                    Json::Arr(outcomes.iter().map(outcome_json).collect()),
-                )]),
-                Err(error) => err(error),
-            }
-        }
-        "stats" => ok(vec![("stats", stats_json(&engine.stats()))]),
-        "close" => {
-            let session = match require_session(request) {
-                Ok(s) => s,
-                Err(e) => return e,
-            };
-            match engine.close_session(session) {
-                Ok(verified) => ok(vec![(
-                    "verified",
-                    Json::Arr(verified.iter().map(|&id| Json::Num(id as f64)).collect()),
-                )]),
-                Err(error) => err(error),
-            }
-        }
-        other => err(format!("unknown op `{other}`")),
-    }
 }
 
 #[cfg(test)]

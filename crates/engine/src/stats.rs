@@ -151,12 +151,6 @@ pub struct EngineStats {
     pub model_epoch: Gauge,
     /// Verified claims awaiting the next retrain (mirrored for exposition).
     pub pending_examples: Gauge,
-    /// Raw-SQL result cache hits (mirrored from the cache for exposition).
-    pub cache_hits: Counter,
-    /// Raw-SQL result cache misses (mirrored from the cache for exposition).
-    pub cache_misses: Counter,
-    /// Entries resident in the raw-SQL result cache (mirrored).
-    pub cache_entries: Gauge,
     /// Jobs waiting in the executor queue (mirrored).
     pub queue_depth: Gauge,
     /// Jobs currently executing on the pool (mirrored).
@@ -340,15 +334,6 @@ impl EngineStats {
                 "scrutinizer_pending_examples",
                 "Verified claims awaiting the next retrain.",
             ),
-            cache_hits: r.counter("scrutinizer_cache_hits_total", "Raw-SQL result cache hits."),
-            cache_misses: r.counter(
-                "scrutinizer_cache_misses_total",
-                "Raw-SQL result cache misses.",
-            ),
-            cache_entries: r.gauge(
-                "scrutinizer_cache_entries",
-                "Entries resident in the raw-SQL result cache.",
-            ),
             queue_depth: r.gauge(
                 "scrutinizer_queue_depth",
                 "Jobs waiting in the executor queue.",
@@ -379,7 +364,7 @@ impl EngineStats {
     }
 
     /// The registry backing every series — render it for the `metrics`
-    /// endpoint. Mirrored gauges (`sessions_live`, cache and pool levels)
+    /// endpoint. Mirrored gauges (`sessions_live`, pool levels)
     /// are refreshed by [`Engine::render_metrics`](crate::Engine::render_metrics)
     /// just before rendering.
     pub fn registry(&self) -> &MetricsRegistry {
@@ -496,15 +481,6 @@ pub struct StatsSnapshot {
     pub requests_ok_by_codec: [u64; WireCodec::COUNT],
     /// Error responses per wire codec (aggregated across codes).
     pub wire_errors_by_codec: [u64; WireCodec::COUNT],
-    /// Raw-SQL result cache hits (`sql` op only; `suggest` evaluates
-    /// every assignment and never touches the cache).
-    pub cache_hits: u64,
-    /// Raw-SQL result cache misses.
-    pub cache_misses: u64,
-    /// Raw-SQL result cache hit rate in `[0, 1]`.
-    pub cache_hit_rate: f64,
-    /// Entries resident in the raw-SQL result cache.
-    pub cache_entries: usize,
     /// Jobs waiting in the executor queue.
     pub queue_depth: usize,
     /// Jobs currently executing.

@@ -1,7 +1,7 @@
 //! Integration test: many checker sessions drive one shared engine from
 //! separate threads. Verdicts must be independent of thread scheduling
 //! (workers are seeded per claim), and suggest/verify traffic evaluates
-//! Algorithm 2 directly: it never probes the raw-SQL result cache.
+//! Algorithm 2 directly.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -96,14 +96,6 @@ fn concurrent_sessions_are_deterministic_and_evaluate_directly() {
     let verdicts_a = drive_concurrently(&first);
     let stats = first.stats();
 
-    // ---- direct evaluation: suggest and verify never probe the cache ----
-    assert_eq!(
-        stats.cache_hits + stats.cache_misses,
-        0,
-        "suggest/verify traffic probed the raw-SQL cache"
-    );
-    assert_eq!(stats.cache_entries, 0);
-
     // ---- bookkeeping: 8 explicit sessions plus one ephemeral session
     // per simulated claim drive ----
     assert_eq!(
@@ -173,13 +165,6 @@ fn batch_mode_matches_sequential_results() {
         );
         assert_eq!(a.verdict_matches_truth, b.verdict_matches_truth);
     }
-    let stats = engine.stats();
-    assert_eq!(
-        stats.cache_hits + stats.cache_misses,
-        0,
-        "verify_batch probed the raw-SQL cache"
-    );
-    assert_eq!(stats.cache_entries, 0);
 }
 
 #[test]

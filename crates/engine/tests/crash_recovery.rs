@@ -51,7 +51,8 @@ struct ServerProc {
 impl ServerProc {
     /// Spawns the serve binary against `data_dir`, waits for the port
     /// file, and returns the handle. `--retrain-interval 2` keeps a
-    /// retrain storm running behind the verdict storm.
+    /// retrain storm running behind the verdict storm; `--cache-capacity`
+    /// is accepted and ignored, and launch scripts still pass it.
     fn spawn(scratch: &Scratch, run: usize) -> ServerProc {
         let port_file = scratch.path(&format!("port-{run}"));
         let _ = std::fs::remove_file(&port_file);
@@ -67,6 +68,8 @@ impl ServerProc {
                 "2",
                 "--log-level",
                 "error",
+                "--cache-capacity",
+                "1048576",
             ])
             .stdin(Stdio::null())
             .stdout(Stdio::null())

@@ -106,8 +106,6 @@ fn metrics_op_round_trips_the_stats_op_and_lints_clean() {
         ("sessions_closed", "scrutinizer_sessions_closed_total"),
         ("sessions_live", "scrutinizer_sessions_live"),
         ("sql_executed", "scrutinizer_sql_executed_total"),
-        ("cache_hits", "scrutinizer_cache_hits_total"),
-        ("cache_misses", "scrutinizer_cache_misses_total"),
         ("model_epoch", "scrutinizer_model_epoch"),
     ] {
         assert_eq!(

@@ -5,9 +5,11 @@
 //! 2. **Total parsing** — random malformed lines (arbitrary printable
 //!    strings and truncated valid requests) always yield a structured
 //!    response line with a stable error code; never a panic.
-//! 3. **Differential oracle** — the typed dispatch path answers a
-//!    scripted mixed-initiative session (happy path + every error
-//!    class) exactly like the pre-v1 stringly dispatcher it replaced.
+//! 3. **Golden session** — a scripted mixed-initiative session (happy
+//!    path + every error class) answers, over JSON lines and binary
+//!    frames, exactly as recorded in `tests/golden/protocol_session.jsonl`.
+//! 4. **Binary codec ≡ JSON codec** — random requests and dispatched
+//!    sessions decode to the same canonical JSON over either codec.
 
 use std::sync::{Arc, OnceLock};
 
@@ -16,7 +18,7 @@ use scrutinizer_core::{OrderingStrategy, PropertyKind, SystemConfig};
 use scrutinizer_corpus::{Corpus, CorpusConfig};
 use scrutinizer_engine::api::{ErrorCode, Request};
 use scrutinizer_engine::engine::{Engine, EngineOptions};
-use scrutinizer_engine::protocol::{handle_request, legacy_handle_request, Json};
+use scrutinizer_engine::protocol::{handle_request, Json};
 
 fn frozen_engine() -> Arc<Engine> {
     let corpus = Corpus::generate(CorpusConfig::small());
@@ -197,56 +199,10 @@ proptest! {
     }
 }
 
-// ---- 3. typed dispatch ≡ legacy oracle ---------------------------------
+// ---- 3. the scripted session ≡ its recorded golden fixture -----------
 
-/// Runs one line against both engines and pins the responses together:
-/// byte-identical on success (modulo the volatile `stats` payload, where
-/// only the shape is compared), same `error` message on failure — with
-/// the typed path additionally carrying a stable `code`.
-fn pin(typed: &Arc<Engine>, legacy: &Arc<Engine>, line: &str) -> Json {
-    let typed_response = handle_request(typed, line);
-    let legacy_response = legacy_handle_request(legacy, line);
-    let typed_json = strip_trace(Json::parse(&typed_response).expect("typed response is JSON"));
-    // the v1 path appends a `trace` envelope field the pre-v1 oracle never
-    // emits; compare with it stripped
-    let typed_response = typed_json.render();
-    let legacy_json = Json::parse(&legacy_response).expect("legacy response is JSON");
-    let ok = typed_json.get("ok").and_then(Json::as_bool);
-    assert_eq!(
-        ok,
-        legacy_json.get("ok").and_then(Json::as_bool),
-        "ok flag diverged for {line}: typed={typed_response} legacy={legacy_response}"
-    );
-    if ok == Some(true) {
-        if typed_json.get("stats").is_some() {
-            // latency histograms differ between two engines; pin the shape
-            assert_eq!(
-                shape(&typed_json),
-                shape(&legacy_json),
-                "stats shape diverged for {line}"
-            );
-        } else {
-            assert_eq!(
-                typed_response, legacy_response,
-                "success response diverged for {line}"
-            );
-        }
-    } else {
-        assert_eq!(
-            typed_json.get("error").and_then(Json::as_str),
-            legacy_json.get("error").and_then(Json::as_str),
-            "error message diverged for {line}"
-        );
-        assert!(
-            typed_json.get("code").and_then(Json::as_str).is_some(),
-            "typed error for {line} carries no code: {typed_response}"
-        );
-    }
-    typed_json
-}
-
-/// Drops the generated top-level `trace` envelope field, which has no
-/// counterpart in the legacy oracle's responses.
+/// Drops the generated top-level `trace` envelope field: JSON requests
+/// carry no trace id, so the server draws a fresh one per request.
 fn strip_trace(value: Json) -> Json {
     match value {
         Json::Obj(fields) => Json::Obj(fields.into_iter().filter(|(k, _)| k != "trace").collect()),
@@ -271,13 +227,6 @@ fn shape(value: &Json) -> String {
         ),
         _ => "_".to_string(),
     }
-}
-
-#[test]
-fn typed_dispatch_matches_legacy_oracle_over_a_scripted_session() {
-    let typed = frozen_engine();
-    let legacy = frozen_engine();
-    scripted_session(&typed, |line| pin(&typed, &legacy, line));
 }
 
 /// The scripted mixed-initiative session: the happy path op by op, then
@@ -380,8 +329,6 @@ fn scripted_session(engine: &Engine, mut send: impl FnMut(&str) -> Json) {
     send(&format!(r#"{{"op":"close","session":{session}}}"#));
     send(&format!(r#"{{"op":"close","session":{session}}}"#)); // double close
 }
-
-// ---- 3b. the scripted session ≡ its recorded golden fixture -----------
 
 const PROTOCOL_FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),

@@ -1,13 +1,13 @@
-//! The raw-SQL boundary: normalization is the cache key *and* the text
-//! that gets evaluated, so every spelling of one statement shares one
-//! entry and one outcome.
+//! The raw-SQL boundary: spellings of one statement that differ only in
+//! whitespace, keyword case or a trailing `;` evaluate to one value, and
+//! a bad statement fails without poisoning later ones.
 
 use scrutinizer_core::SystemConfig;
 use scrutinizer_corpus::{Corpus, CorpusConfig};
 use scrutinizer_engine::engine::{Engine, EngineOptions};
 
 #[test]
-fn normalized_spellings_share_one_cache_entry() {
+fn statement_spellings_evaluate_alike() {
     let corpus = Corpus::generate(CorpusConfig::small());
     // grab a real cell so the query evaluates
     let claim = &corpus.claims[0];
@@ -39,18 +39,10 @@ fn normalized_spellings_share_one_cache_entry() {
         values.push(engine.run_sql(sql).expect("valid statement evaluates"));
     }
     assert!(values.windows(2).all(|w| w[0] == w[1]));
-    let stats = engine.stats();
-    assert_eq!(
-        stats.cache_entries, 1,
-        "one normalized key for all spellings"
-    );
-    assert_eq!(stats.cache_misses, 1);
-    assert_eq!(stats.cache_hits, 2);
-    assert_eq!(stats.sql_executed, 3);
+    assert_eq!(engine.stats().sql_executed, 3);
 
-    // failures are remembered under their own key and never poison others
+    // a failure never poisons a later statement
     assert!(engine.run_sql("SELECT nope").is_err());
     assert!(engine.run_sql("SELECT nope ;").is_err());
-    assert_eq!(engine.stats().cache_entries, 2);
     assert_eq!(engine.run_sql(&spellings[0]).unwrap(), values[0]);
 }

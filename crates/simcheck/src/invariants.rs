@@ -19,9 +19,9 @@ pub enum InvariantKind {
     /// unique claims ever verified — a crashed trainer may not lose
     /// drained examples.
     VerdictLoss,
-    /// One query, one answer: repeated SQL returns bit-identical values,
-    /// hit/miss counters are monotone, residency never exceeds capacity.
-    CacheCoherence,
+    /// One query, one answer: repeated SQL returns bit-identical values
+    /// (or the same structured failure).
+    SqlStability,
     /// `requests_total == requests_ok + Σ wire_errors`, at every step —
     /// in aggregate, within each wire codec, and with per-codec counters
     /// summing back to the aggregates.
@@ -43,7 +43,7 @@ impl fmt::Display for InvariantKind {
         let name = match self {
             InvariantKind::EpochAccounting => "epoch-accounting",
             InvariantKind::VerdictLoss => "verdict-loss",
-            InvariantKind::CacheCoherence => "cache-coherence",
+            InvariantKind::SqlStability => "sql-stability",
             InvariantKind::Conservation => "conservation",
             InvariantKind::TraceStitching => "trace-stitching",
             InvariantKind::Delivery => "delivery",
@@ -81,12 +81,8 @@ pub struct Mirror {
     /// value, `None` for a structured `sql` failure. Later runs of the
     /// same query must match exactly.
     pub sql_outcomes: BTreeMap<usize, Option<u64>>,
-    /// High-water marks for monotonicity checks.
+    /// High-water mark of the model epoch, for the monotonicity check.
     pub last_epoch: u64,
-    /// Last observed cache-hit counter.
-    pub last_hits: u64,
-    /// Last observed cache-miss counter.
-    pub last_misses: u64,
 }
 
 /// The durable subset of the stats snapshot: every counter backed by an
@@ -155,11 +151,10 @@ pub fn check_durability(
 }
 
 /// Runs the stats-derived invariant checks (epoch accounting, verdict
-/// loss, cache monotonicity/residency, conservation) against one
-/// snapshot, updating the mirror's high-water marks.
+/// loss, conservation) against one snapshot, updating the mirror's
+/// epoch high-water mark.
 pub fn check_stats(
     snapshot: &StatsSnapshot,
-    cache_capacity: usize,
     mirror: &mut Mirror,
     step: usize,
 ) -> Result<(), Violation> {
@@ -194,29 +189,6 @@ pub fn check_stats(
             detail: format!(
                 "examples_trained {} + pending {} != unique verified {}",
                 snapshot.examples_trained, snapshot.pending_examples, verified
-            ),
-        });
-    }
-
-    if snapshot.cache_hits < mirror.last_hits || snapshot.cache_misses < mirror.last_misses {
-        return Err(Violation {
-            kind: InvariantKind::CacheCoherence,
-            step,
-            detail: format!(
-                "cache counters regressed: hits {} (was {}), misses {} (was {})",
-                snapshot.cache_hits, mirror.last_hits, snapshot.cache_misses, mirror.last_misses
-            ),
-        });
-    }
-    mirror.last_hits = snapshot.cache_hits;
-    mirror.last_misses = snapshot.cache_misses;
-    if snapshot.cache_entries > cache_capacity {
-        return Err(Violation {
-            kind: InvariantKind::CacheCoherence,
-            step,
-            detail: format!(
-                "cache holds {} entries over capacity {}",
-                snapshot.cache_entries, cache_capacity
             ),
         });
     }
@@ -259,7 +231,7 @@ pub fn check_sql_outcome(
 ) -> Result<(), Violation> {
     match mirror.sql_outcomes.get(&query) {
         Some(first) if *first != outcome => Err(Violation {
-            kind: InvariantKind::CacheCoherence,
+            kind: InvariantKind::SqlStability,
             step,
             detail: format!(
                 "query {query} changed outcome: first {:?}, now {:?}",

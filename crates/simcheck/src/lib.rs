@@ -1,7 +1,7 @@
 //! # scrutinizer-simcheck
 //!
 //! The deterministic simulation harness: model-checks the whole serving
-//! system — sessions, planning, the raw-SQL cache, the wire protocol, the
+//! system — sessions, planning, raw SQL, the wire protocol, the
 //! background trainer — by driving thousands of seeded random op
 //! schedules with fault injection against global invariants, and
 //! shrinking any failure to a minimal reproduction.
@@ -28,8 +28,8 @@
 //!    the unique claims ever verified; a crashed trainer may not lose
 //!    drained examples. (The `--canary` mode deliberately breaks exactly
 //!    this, proving the harness catches real interleaving bugs.)
-//! 3. **Cache coherence** — repeated SQL returns bit-identical values,
-//!    hit/miss counters are monotone, residency respects capacity.
+//! 3. **SQL stability** — one query, one answer: repeated SQL returns
+//!    bit-identical values, or the same structured failure.
 //! 4. **Conservation** — `requests_total == requests_ok + Σ errors` at
 //!    every step, and surviving connections receive exactly their
 //!    responses, in order.

@@ -34,7 +34,7 @@ use crate::invariants::{
     Violation,
 };
 use crate::schedule::{SimOp, N_SLOTS};
-use crate::world::{SharedWorld, CACHE_CAPACITY};
+use crate::world::SharedWorld;
 
 /// The dedicated binary-codec connection slot: `binframe` ops send
 /// length-prefixed frames here after negotiating with the magic byte,
@@ -170,7 +170,7 @@ impl Harness<'_> {
             }
             self.pump()?;
             let snapshot = self.engine.stats();
-            check_stats(&snapshot, CACHE_CAPACITY, &mut self.mirror, self.step)?;
+            check_stats(&snapshot, &mut self.mirror, self.step)?;
         }
         self.step = ops.len();
         self.quiesce()
@@ -362,10 +362,6 @@ impl Harness<'_> {
         self.clock = clock;
         self.scheduler = scheduler;
         self.faults = faults;
-        // the query cache restarted empty: reset its monotone watermarks
-        // (the durable counters keep theirs — they must not regress)
-        self.mirror.last_hits = 0;
-        self.mirror.last_misses = 0;
         let recovered = DurableSnapshot::capture(&self.engine.stats());
         check_durability(&expected, &recovered, self.step)
     }
@@ -768,7 +764,7 @@ impl Harness<'_> {
         }
 
         let snapshot = self.engine.stats();
-        check_stats(&snapshot, CACHE_CAPACITY, &mut self.mirror, self.step)?;
+        check_stats(&snapshot, &mut self.mirror, self.step)?;
         if snapshot.pending_examples != 0 {
             return Err(Violation {
                 kind: InvariantKind::VerdictLoss,
@@ -800,9 +796,6 @@ impl Harness<'_> {
             snapshot.sql_executed,
             snapshot.requests_total,
             snapshot.requests_ok,
-            snapshot.cache_hits,
-            snapshot.cache_misses,
-            snapshot.cache_entries as u64,
         ] {
             self.fold(&value.to_le_bytes());
         }

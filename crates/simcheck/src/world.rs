@@ -1,7 +1,7 @@
 //! The shared world: one corpus, one feature store, one set of
 //! pretrained models — built once, shared by every simulated engine.
 //!
-//! A schedule run needs a fresh engine (fresh sessions, cache, pending
+//! A schedule run needs a fresh engine (fresh sessions, pending
 //! log, epoch counter) but nothing about the *data* differs between
 //! runs. Featurization and pretraining are by far the expensive part of
 //! engine construction, so the harness pays them once here and spawns
@@ -22,11 +22,6 @@ use scrutinizer_wal::WalOptions;
 /// Background-retrain interval for simulated engines — deliberately tiny
 /// so a few verdicts already exercise the drain → train → publish path.
 pub const RETRAIN_INTERVAL: usize = 2;
-
-/// Raw-SQL result cache capacity for simulated engines — small enough that
-/// schedules actually evict, exercising the LRU under the coherence
-/// invariant.
-pub const CACHE_CAPACITY: usize = 64;
 
 /// A freshly spawned simulated engine and its simulation handles: the
 /// engine itself, the virtual clock, the single-lane scheduler, the
@@ -125,8 +120,6 @@ impl SharedWorld {
             EngineOptions {
                 threads: 1,
                 queue_capacity: 16,
-                cache_capacity: CACHE_CAPACITY,
-                cache_shards: 1,
                 retrain_interval: Some(RETRAIN_INTERVAL),
                 ordering: OrderingStrategy::Sequential,
             },
