@@ -1567,18 +1567,19 @@ impl Engine {
     /// Executes one SQL statement against the shared catalog. A trailing
     /// `;` is stripped; the lexer is case-insensitive and
     /// whitespace-agnostic, so every other spelling of one statement
-    /// parses to the same query and evaluates to the same value.
+    /// parses to the same query and evaluates to the same value. A
+    /// failure carries the query error (an unknown relation, a parse
+    /// error, …); a result that is not a finite number fails too.
     pub fn run_sql(&self, sql: &str) -> Result<f64, EngineError> {
         self.stats.bump(&self.stats.sql_executed);
         let _span = obs::span!("sql");
         let statement = sql.trim().trim_end_matches(';').trim();
-        match scrutinizer_query::run_sql(&self.corpus.catalog, statement)
-            .ok()
-            .and_then(|value| value.as_f64())
-        {
+        let value = scrutinizer_query::run_sql(&self.corpus.catalog, statement)
+            .map_err(|error| EngineError::Sql(format!("`{statement}`: {error}")))?;
+        match value.as_f64() {
             Some(v) if v.is_finite() => Ok(v),
             _ => Err(EngineError::Sql(format!(
-                "evaluation failed for `{statement}`"
+                "`{statement}` did not evaluate to a finite number"
             ))),
         }
     }

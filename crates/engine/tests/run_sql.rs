@@ -1,6 +1,6 @@
 //! The raw-SQL boundary: spellings of one statement that differ only in
 //! whitespace, keyword case or a trailing `;` evaluate to one value, and
-//! a bad statement fails without poisoning later ones.
+//! a bad statement fails, says why, and does not poison later ones.
 
 use scrutinizer_core::SystemConfig;
 use scrutinizer_corpus::{Corpus, CorpusConfig};
@@ -26,6 +26,10 @@ fn statement_spellings_evaluate_alike() {
             lookup.attribute, lookup.relation, lookup.key
         ),
     ];
+    let unknown = format!(
+        "SELECT a.{} FROM NoSuchRelation a WHERE a.Index = '{}'",
+        lookup.attribute, lookup.key
+    );
     let engine = Engine::with_options(
         corpus,
         SystemConfig::test(),
@@ -45,4 +49,11 @@ fn statement_spellings_evaluate_alike() {
     assert!(engine.run_sql("SELECT nope").is_err());
     assert!(engine.run_sql("SELECT nope ;").is_err());
     assert_eq!(engine.run_sql(&spellings[0]).unwrap(), values[0]);
+
+    // and it says why: the query error travels with the statement
+    let message = engine.run_sql(&unknown).unwrap_err().to_string();
+    assert!(
+        message.contains("unknown table `NoSuchRelation`"),
+        "sql error lost its reason: {message}"
+    );
 }
