@@ -145,9 +145,9 @@ struct VerifiedSet {
 /// The long-lived, concurrent verification engine.
 ///
 /// One engine owns the corpus (catalog + claims + document), the four
-/// property classifiers and the executors; any
-/// number of threads may drive sessions against it concurrently. See the
-/// [crate docs](crate) for the full tour.
+/// property classifiers and the executors; any number of threads may
+/// drive sessions against it concurrently. See the [crate docs](crate)
+/// for the full tour.
 pub struct Engine {
     corpus: Arc<Corpus>,
     config: SystemConfig,
@@ -1597,8 +1597,8 @@ impl Engine {
 
     /// Renders the unified metrics registry to Prometheus text exposition
     /// format, refreshing the mirrored gauges (live sessions, model epoch,
-    /// pool levels) first so the output reports the same values
-    /// as [`stats`](Self::stats) for every shared series.
+    /// pool levels) first so the output reports the same values as
+    /// [`stats`](Self::stats) for every shared series.
     pub fn render_metrics(&self) -> String {
         let stats = &self.stats;
         stats.sessions_live.set(self.session_count() as u64);
