@@ -1,5 +1,6 @@
 //! Golden outcomes of Algorithm 1's per-claim policy, pinned bit for bit
-//! on the small corpus: `Verifier::run` (three checkers, document order),
+//! on the small corpus: `Verifier::run` (three checkers) under Sequential,
+//! Greedy and Ilp with its time and accuracy traces,
 //! the simulated user study at its test config, a frozen pretrained
 //! engine's `verify_batch` over every claim, and the engine's first
 //! `submit_report` batch for claims 0..40 under Sequential, Greedy and
@@ -37,14 +38,24 @@ fn outcome_line(out: &mut String, o: &ClaimOutcome) {
     writeln!(out, "{} {variant} {matches} {bits:016x}", o.claim_id).unwrap();
 }
 
-fn verifier_run(out: &mut String) {
-    out.push_str("# Verifier::run, Sequential, Panel::new(3, default, 5)\n");
+fn verifier_run(out: &mut String, strategy: OrderingStrategy) {
+    writeln!(out, "# Verifier::run, {strategy:?}, Panel::new(3, default, 5)").unwrap();
     let corpus = Corpus::generate(CorpusConfig::small());
     let mut verifier = Verifier::new(&corpus, SystemConfig::test());
     let mut panel = Panel::new(3, WorkerConfig::default(), 5);
-    let report = verifier.run(&corpus, &mut panel, OrderingStrategy::Sequential);
+    let report = verifier.run(&corpus, &mut panel, strategy);
     report.outcomes.iter().for_each(|o| outcome_line(out, o));
     writeln!(out, "total {:016x}", report.total_crowd_seconds.to_bits()).unwrap();
+    for seconds in &report.time_trace {
+        writeln!(out, "time {:016x}", seconds.to_bits()).unwrap();
+    }
+    for (verified, accuracies) in &report.accuracy_trace {
+        write!(out, "accuracy {verified}").unwrap();
+        for a in accuracies {
+            write!(out, " {:016x}", a.to_bits()).unwrap();
+        }
+        out.push('\n');
+    }
 }
 
 fn user_study(out: &mut String) {
@@ -99,7 +110,13 @@ fn first_batch(out: &mut String, engine: &Engine, label: &str) {
 #[test]
 fn algorithm1_outcomes_match_the_golden_fixture() {
     let mut actual = String::new();
-    verifier_run(&mut actual);
+    for strategy in [
+        OrderingStrategy::Sequential,
+        OrderingStrategy::Greedy,
+        OrderingStrategy::Ilp,
+    ] {
+        verifier_run(&mut actual, strategy);
+    }
     user_study(&mut actual);
     let engine = frozen_engine(OrderingStrategy::Sequential);
     first_batch(&mut actual, &engine, "Sequential");
