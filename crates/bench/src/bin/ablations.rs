@@ -13,9 +13,10 @@
 //!    accuracy (Figure 4's design).
 
 use scrutinizer_core::sim::topk::run_topk;
-use scrutinizer_core::{OrderingStrategy, SystemConfig, Verifier};
+use scrutinizer_core::{OrderingStrategy, SystemConfig};
 use scrutinizer_corpus::{Corpus, CorpusConfig};
 use scrutinizer_crowd::{Panel, WorkerConfig};
+use scrutinizer_engine::experiments::report::run_report;
 
 fn corpus() -> Corpus {
     let mut cfg = CorpusConfig::small();
@@ -24,9 +25,8 @@ fn corpus() -> Corpus {
 }
 
 fn run(corpus: &Corpus, config: SystemConfig, strategy: OrderingStrategy) -> (f64, f64, f64) {
-    let mut verifier = Verifier::new(corpus, config);
     let mut panel = Panel::new(3, WorkerConfig::default(), 31);
-    let report = verifier.run(corpus, &mut panel, strategy);
+    let report = run_report(corpus, config, &mut panel, strategy);
     (
         report.total_crowd_seconds / 3600.0,
         report.max_classifier_accuracy(),

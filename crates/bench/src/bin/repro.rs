@@ -9,13 +9,13 @@
 //! substrate is a simulator over a synthetic corpus; see DESIGN.md §3) —
 //! the shape is what must hold.
 
-use scrutinizer_core::sim::report::{run_report_simulation, ReportSimulation};
 use scrutinizer_core::sim::topk::run_topk;
-use scrutinizer_core::sim::user_study::{run_user_study, StudyConfig};
 use scrutinizer_core::SystemConfig;
 use scrutinizer_corpus::distributions::{percentiles, TABLE1_POINTS};
 use scrutinizer_corpus::{ClaimKind, Corpus, CorpusConfig};
 use scrutinizer_data::hash::FxHashMap;
+use scrutinizer_engine::experiments::report::{run_report_simulation, ReportSimulation};
+use scrutinizer_engine::experiments::user_study::{run_user_study, StudyConfig};
 use std::env;
 
 fn corpus_config(scale: &str) -> CorpusConfig {

@@ -27,10 +27,13 @@
 //! * [`incremental`] — cached re-planning: repair the last batch after a
 //!   retrain instead of re-solving Definition 9 cold,
 //! * [`policy`] — Algorithm 1's per-claim rules (context, simulated
-//!   checker, verdict, OptBatch budget), shared by every driver,
-//! * [`verify`] — the main loop, producing a [`report::VerificationReport`],
-//! * [`sim`] — the paper's experiments: user study (Figures 5–6), report
-//!   simulation (Table 2, Figures 7–9), top-k accuracy (Figure 10).
+//!   checker, verdict, OptBatch budget), which the engine
+//!   (`scrutinizer-engine`) drives, the paper's experiments included,
+//! * [`report`] — per-claim outcomes and the [`report::VerificationReport`]
+//!   a report run produces,
+//! * [`verify`] — the explicit claim parameter (Definition 2),
+//! * [`sim`] — top-k accuracy (Figure 10); the user study, Table 2 and
+//!   Figures 7–9 live in `scrutinizer_engine::experiments`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

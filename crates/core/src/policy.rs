@@ -1,9 +1,9 @@
 //! Algorithm 1's per-claim policy, written once: translation and screen
 //! planning, the query-generation context, the simulated checker's
 //! screens and final-screen judgment, the recorded verdict, and the
-//! OptBatch budget. The one-shot [`Verifier`] (and the paper's
-//! simulations on top of it) and the serving engine both call these
-//! rules, so cost figures and served behaviour share one source.
+//! OptBatch budget. The serving engine calls these rules, and the
+//! paper's experiments run on the engine, so cost figures and served
+//! behaviour share one source.
 
 use crate::config::SystemConfig;
 use crate::models::{PropertyKind, SystemModels, Translation};

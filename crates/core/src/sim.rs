@@ -1,5 +1,4 @@
-//! The paper's experiments as runnable simulations.
+//! Top-k accuracy of the classifiers (Figure 10). The paper's other
+//! experiments run on the engine (`scrutinizer_engine::experiments`).
 
-pub mod report;
 pub mod topk;
-pub mod user_study;

@@ -371,7 +371,9 @@ impl Engine {
     /// Trains the classifiers on the given claims (all claims when
     /// `claim_ids` is `None`) — the warm-start used by the benches, the
     /// serving binary and every simulation, mirroring the paper's
-    /// pre-trained user-study condition. Synchronous: the new epoch is
+    /// pre-trained user-study condition, and the report run's per-batch
+    /// `Retrain` step ([`crate::experiments::report::run_report`]).
+    /// Synchronous: the new epoch is
     /// published when this returns; concurrent readers keep serving the
     /// previous snapshot while it runs.
     ///
@@ -1481,8 +1483,10 @@ impl Engine {
     /// Drives one claim end to end with a simulated checker, through the
     /// same session machinery an interactive client uses: plan → answer
     /// every screen → suggest → final-screen judgment → verdict. The
-    /// checker is core's [`SimulatedCheck`], the one `Verifier` uses, so
-    /// both charge the same crowd seconds for the same answers.
+    /// checker is core's [`SimulatedCheck`], which charges the crowd
+    /// seconds; [`verify_batch`](Self::verify_batch) and the paper's
+    /// experiments ([`crate::experiments`]) verify every claim through
+    /// here.
     pub fn verify_claim_with(&self, claim_id: usize, worker: &mut Worker) -> ClaimOutcome {
         self.stats
             .verify_latency

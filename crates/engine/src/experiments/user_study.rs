@@ -3,15 +3,17 @@
 //! Seven checkers, 43 claims drawn from the ten most frequent formulas, 25 %
 //! injected errors, three training claims, a 20-minute budget, fixed claim
 //! order. M1–M3 verify manually; S1–S4 use the system (whose classifiers are
-//! pre-trained on the rest of the corpus, as in the paper).
+//! pre-trained on the rest of the corpus, as in the paper) and verify
+//! through a frozen engine.
 
-use crate::config::SystemConfig;
-use crate::report::Verdict;
-use crate::stats::grouped_mean;
-use crate::verify::Verifier;
+use scrutinizer_core::report::Verdict;
+use scrutinizer_core::stats::grouped_mean;
+use scrutinizer_core::{OrderingStrategy, SystemConfig};
 use scrutinizer_corpus::{ClaimRecord, Corpus};
 use scrutinizer_crowd::{Worker, WorkerConfig};
 use scrutinizer_data::hash::FxHashMap;
+
+use super::frozen_engine;
 
 /// Per-checker tally (one bar of Figure 5).
 #[derive(Debug, Clone)]
@@ -109,15 +111,15 @@ pub fn run_user_study(corpus: &Corpus, config: SystemConfig, study: StudyConfig)
     let claims = select_study_claims(corpus, &study);
     let measured = &claims[study.n_training.min(claims.len())..];
 
-    // pre-train on everything that is not in the study set
-    let mut verifier = Verifier::new(corpus, config);
+    // pre-train on everything that is not in the study set; every
+    // checker sees the same models. Each verification is a one-claim
+    // report, so the ordering strategy does not matter.
+    let engine = frozen_engine(corpus, config, OrderingStrategy::Ilp);
     let study_ids: Vec<usize> = claims.iter().map(|c| c.id).collect();
-    let training: Vec<&ClaimRecord> = corpus
-        .claims
-        .iter()
-        .filter(|c| !study_ids.contains(&c.id))
+    let training: Vec<usize> = (0..corpus.claims.len())
+        .filter(|id| !study_ids.contains(id))
         .collect();
-    verifier.pretrain(&training);
+    engine.pretrain(Some(&training));
 
     let mut checkers = Vec::new();
     // ---- manual group ----
@@ -180,8 +182,7 @@ pub fn run_user_study(corpus: &Corpus, config: SystemConfig, study: StudyConfig)
             if elapsed >= study.budget_seconds {
                 break;
             }
-            let features = verifier.models().features(claim);
-            let outcome = verifier.verify_claim(corpus, claim, features.view(), &mut worker);
+            let outcome = engine.verify_claim_with(claim.id, &mut worker);
             if matches!(outcome.verdict, Verdict::Skipped) {
                 result.skipped += 1;
                 continue;
@@ -221,7 +222,72 @@ pub fn run_user_study(corpus: &Corpus, config: SystemConfig, study: StudyConfig)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scrutinizer_core::report::ClaimOutcome;
     use scrutinizer_corpus::CorpusConfig;
+
+    /// An engine pretrained on every claim of the small corpus.
+    fn trained_engine() -> std::sync::Arc<crate::Engine> {
+        let corpus = Corpus::generate(CorpusConfig::small());
+        let engine = frozen_engine(&corpus, SystemConfig::test(), OrderingStrategy::Ilp);
+        engine.pretrain(None);
+        engine
+    }
+
+    fn perfect_worker(seed: u64) -> Worker {
+        let config = WorkerConfig {
+            accuracy: 1.0,
+            skip_probability: 0.0,
+            seed,
+            ..Default::default()
+        };
+        Worker::new("S1", config)
+    }
+
+    #[test]
+    fn trained_verifier_confirms_correct_claims_fast() {
+        let engine = trained_engine();
+        let mut worker = perfect_worker(3);
+        let sample: Vec<ClaimOutcome> = (0..20)
+            .map(|id| engine.verify_claim_with(id, &mut worker))
+            .collect();
+        let matched = sample.iter().filter(|o| o.verdict_matches_truth).count();
+        let total_seconds: f64 = sample.iter().map(|o| o.crowd_seconds).sum();
+        // a perfect worker with trained models should match truth mostly
+        assert!(matched >= 16, "only {matched}/20 verdicts matched truth");
+        // and be far cheaper than manual verification (~complexity·18s each)
+        let avg = total_seconds / sample.len() as f64;
+        assert!(avg < 160.0, "avg {avg}s per claim is no better than manual");
+    }
+
+    #[test]
+    fn incorrect_claims_get_suggestions() {
+        let engine = trained_engine();
+        let mut worker = perfect_worker(9);
+        let incorrect: Vec<usize> = engine
+            .corpus()
+            .claims
+            .iter()
+            .filter(|c| !c.is_correct)
+            .take(10)
+            .map(|c| c.id)
+            .collect();
+        let mut suggestions = 0;
+        for id in incorrect {
+            let outcome = engine.verify_claim_with(id, &mut worker);
+            if let Verdict::Incorrect {
+                suggested_value, ..
+            } = outcome.verdict
+            {
+                if suggested_value.is_some() {
+                    suggestions += 1;
+                }
+            }
+        }
+        assert!(
+            suggestions >= 5,
+            "only {suggestions}/10 incorrect claims got suggestions"
+        );
+    }
 
     fn study_corpus() -> Corpus {
         // the paper pre-trains on the full annotated corpus (~1.5k claims);

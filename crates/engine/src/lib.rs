@@ -57,6 +57,15 @@
 //! checkers ([`scrutinizer_crowd::Worker`]) concurrently over the thread
 //! pool — the high-throughput batch path used by the benches and tests.
 //!
+//! ## The paper's experiments
+//!
+//! [`experiments`] runs Algorithm 1 for the paper's evaluation on this
+//! same session path: [`experiments::report::run_report`] plans each
+//! batch with [`Engine::submit_report`], has every panel member verify
+//! each claim with [`Engine::verify_claim_with`] and retrains with
+//! [`Engine::pretrain`] between batches (Table 2, Figures 7–9); the user
+//! study (Figures 5–6) verifies on a pretrained, frozen engine.
+//!
 //! ## Direct evaluation
 //!
 //! Nothing caches query results. Algorithm 2's assignments are a few
@@ -102,6 +111,7 @@ pub mod codec;
 pub mod durability;
 pub mod engine;
 pub mod executor;
+pub mod experiments;
 pub mod protocol;
 pub mod serve_core;
 pub mod server;

@@ -1,6 +1,6 @@
-//! Golden outcomes of Algorithm 1's per-claim policy, pinned bit for bit
-//! on the small corpus: `Verifier::run` (three checkers) under Sequential,
-//! Greedy and Ilp with its time and accuracy traces,
+//! Golden outcomes of Algorithm 1 on the engine, pinned bit for bit on
+//! the small corpus: the report run (`run_report`, three checkers) under
+//! Sequential, Greedy and Ilp with its time and accuracy traces,
 //! the simulated user study at its test config, a frozen pretrained
 //! engine's `verify_batch` over every claim, and the engine's first
 //! `submit_report` batch for claims 0..40 under Sequential, Greedy and
@@ -16,11 +16,12 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use scrutinizer_core::report::{ClaimOutcome, Verdict};
-use scrutinizer_core::sim::user_study::{run_user_study, StudyConfig};
-use scrutinizer_core::{OrderingStrategy, SystemConfig, Verifier};
+use scrutinizer_core::{OrderingStrategy, SystemConfig};
 use scrutinizer_corpus::{Corpus, CorpusConfig};
 use scrutinizer_crowd::{Panel, WorkerConfig};
 use scrutinizer_engine::engine::{Engine, EngineOptions};
+use scrutinizer_engine::experiments::report::run_report;
+use scrutinizer_engine::experiments::user_study::{run_user_study, StudyConfig};
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -38,12 +39,11 @@ fn outcome_line(out: &mut String, o: &ClaimOutcome) {
     writeln!(out, "{} {variant} {matches} {bits:016x}", o.claim_id).unwrap();
 }
 
-fn verifier_run(out: &mut String, strategy: OrderingStrategy) {
-    writeln!(out, "# Verifier::run, {strategy:?}, Panel::new(3, default, 5)").unwrap();
+fn report_run(out: &mut String, strategy: OrderingStrategy) {
+    writeln!(out, "# run_report, {strategy:?}, Panel::new(3, default, 5)").unwrap();
     let corpus = Corpus::generate(CorpusConfig::small());
-    let mut verifier = Verifier::new(&corpus, SystemConfig::test());
     let mut panel = Panel::new(3, WorkerConfig::default(), 5);
-    let report = verifier.run(&corpus, &mut panel, strategy);
+    let report = run_report(&corpus, SystemConfig::test(), &mut panel, strategy);
     report.outcomes.iter().for_each(|o| outcome_line(out, o));
     writeln!(out, "total {:016x}", report.total_crowd_seconds.to_bits()).unwrap();
     for seconds in &report.time_trace {
@@ -115,7 +115,7 @@ fn algorithm1_outcomes_match_the_golden_fixture() {
         OrderingStrategy::Greedy,
         OrderingStrategy::Ilp,
     ] {
-        verifier_run(&mut actual, strategy);
+        report_run(&mut actual, strategy);
     }
     user_study(&mut actual);
     let engine = frozen_engine(OrderingStrategy::Sequential);

@@ -8,14 +8,14 @@
 //! Compares ILP claim ordering (uncertainty-driven) against document order
 //! on the same corpus and prints both learning curves side by side.
 
-use scrutinizer::core::{OrderingStrategy, SystemConfig, Verifier};
+use scrutinizer::core::{OrderingStrategy, SystemConfig};
 use scrutinizer::corpus::{Corpus, CorpusConfig};
 use scrutinizer::crowd::{Panel, WorkerConfig};
+use scrutinizer::engine::experiments::report::run_report;
 
 fn learning_curve(corpus: &Corpus, strategy: OrderingStrategy) -> Vec<(usize, f64)> {
-    let mut verifier = Verifier::new(corpus, SystemConfig::default());
     let mut panel = Panel::new(3, WorkerConfig::default(), 7);
-    let report = verifier.run(corpus, &mut panel, strategy);
+    let report = run_report(corpus, SystemConfig::default(), &mut panel, strategy);
     report
         .accuracy_trace
         .iter()

@@ -6,12 +6,13 @@
 //!
 //! Generates a small World-Energy-Outlook-like corpus (tables + sectioned
 //! document + claims, ~25% injected errors), runs the full Algorithm 1 loop
-//! with ILP claim ordering against a three-person simulated crowd, and
-//! prints the verification report with suggested corrections.
+//! on the engine with ILP claim ordering against a three-person simulated
+//! crowd, and prints the verification report with suggested corrections.
 
-use scrutinizer::core::{OrderingStrategy, SystemConfig, Verdict, Verifier};
+use scrutinizer::core::{OrderingStrategy, SystemConfig, Verdict};
 use scrutinizer::corpus::{Corpus, CorpusConfig};
 use scrutinizer::crowd::{Panel, WorkCalendar, WorkerConfig};
+use scrutinizer::engine::experiments::report::run_report;
 
 fn main() {
     let mut corpus_config = CorpusConfig::small();
@@ -26,10 +27,13 @@ fn main() {
         corpus.document.total_sentences
     );
 
-    let config = SystemConfig::default();
-    let mut verifier = Verifier::new(&corpus, config);
     let mut panel = Panel::new(3, WorkerConfig::default(), 42);
-    let report = verifier.run(&corpus, &mut panel, OrderingStrategy::Ilp);
+    let report = run_report(
+        &corpus,
+        SystemConfig::default(),
+        &mut panel,
+        OrderingStrategy::Ilp,
+    );
 
     println!("{report}");
     let calendar = WorkCalendar::default();

@@ -5,6 +5,7 @@ use scrutinizer::core::{generate_queries, OrderingStrategy, SystemConfig, Verdic
 use scrutinizer::corpus::{ClaimKind, Corpus, CorpusConfig};
 use scrutinizer::crowd::{Panel, WorkerConfig};
 use scrutinizer::data::{Catalog, TableBuilder};
+use scrutinizer::engine::experiments::report::run_report;
 use scrutinizer::formula::{generalize, instantiate, parse_formula};
 use scrutinizer::query::{execute, parse, FunctionRegistry};
 
@@ -66,14 +67,19 @@ fn paper_running_example() {
     assert!((candidates[0].value - 0.0298).abs() < 1e-3, "suggests 3%");
 }
 
-/// Full Algorithm 1 run on a generated corpus: every claim resolved, most
-/// verdicts right, corrections offered for false claims.
+/// Full Algorithm 1 run on the engine over a generated corpus: every
+/// claim resolved, most verdicts right, corrections offered for false
+/// claims.
 #[test]
 fn full_document_verification() {
     let corpus = Corpus::generate(CorpusConfig::small());
-    let mut verifier = Verifier::new(&corpus, SystemConfig::test());
     let mut panel = Panel::new(3, WorkerConfig::default(), 11);
-    let report = verifier.run(&corpus, &mut panel, OrderingStrategy::Ilp);
+    let report = run_report(
+        &corpus,
+        SystemConfig::test(),
+        &mut panel,
+        OrderingStrategy::Ilp,
+    );
 
     assert_eq!(report.outcomes.len(), corpus.claims.len());
     assert!(
@@ -115,9 +121,13 @@ fn full_document_verification() {
 fn runs_are_reproducible() {
     let corpus = Corpus::generate(CorpusConfig::small());
     let run = || {
-        let mut verifier = Verifier::new(&corpus, SystemConfig::test());
         let mut panel = Panel::new(3, WorkerConfig::default(), 23);
-        let report = verifier.run(&corpus, &mut panel, OrderingStrategy::Greedy);
+        let report = run_report(
+            &corpus,
+            SystemConfig::test(),
+            &mut panel,
+            OrderingStrategy::Greedy,
+        );
         (
             report.total_crowd_seconds,
             report.outcomes.len(),
