@@ -1162,7 +1162,7 @@ impl Engine {
     /// validated context, answered screens first, classifier candidates as
     /// fallback), ranked the way the final screen shows them. Callable
     /// once screening finished (remaining screens are auto-padded by
-    /// classifier predictions, matching the one-shot verifier).
+    /// classifier predictions).
     ///
     /// The result is a shared slice cached on the claim task, keyed by
     /// `(translated_epoch, next_screen)` — candidate generation is a pure

@@ -7,8 +7,9 @@
 //! The paper's system is explicitly *mixed-initiative*: fact checkers
 //! open sessions, the system proposes top-k query translations, checker
 //! answers feed back into the planner, and the loop repeats. The rest of
-//! the workspace exposes that loop as one-shot library calls; this crate
-//! turns it into a serving system.
+//! the workspace provides the loop's steps as library calls; this crate
+//! drives them as a serving system, and runs the paper's experiments on
+//! it.
 //!
 //! ```text
 //!        checkers (threads / TCP clients)
