@@ -335,27 +335,39 @@ const PROTOCOL_FIXTURE: &str = concat!(
     "/tests/golden/protocol_session.jsonl"
 );
 
-/// Every key path of a JSON value in document order (`a.b.c`; array
-/// items as `[]`), scalars erased — the recorded form of the `stats`
-/// response, whose latencies are wall-clock.
-fn key_paths(value: &Json, prefix: &str, out: &mut Vec<Json>) {
+/// The `stats` fields whose values are not deterministic: the six
+/// wall-clock fields of every latency histogram (each `count` stays
+/// pinned), and `in_flight`, which a `verify_batch` worker decrements only
+/// after it has sent its result.
+const VOLATILE_STATS: [&str; 7] = [
+    "mean_micros",
+    "p50_micros",
+    "p99_micros",
+    "p50_est_micros",
+    "p95_est_micros",
+    "p99_est_micros",
+    "in_flight",
+];
+
+/// A `stats` response with every [`VOLATILE_STATS`] value replaced by
+/// `"masked"`; keys, their order and every other value stay as they are.
+fn mask_volatile(value: Json) -> Json {
     match value {
-        Json::Obj(fields) => {
-            for (key, inner) in fields {
-                let path = if prefix.is_empty() {
-                    key.clone()
-                } else {
-                    format!("{prefix}.{key}")
-                };
-                key_paths(inner, &path, out);
-            }
-        }
-        Json::Arr(items) => {
-            for item in items {
-                key_paths(item, &format!("{prefix}[]"), out);
-            }
-        }
-        _ => out.push(Json::Str(prefix.to_string())),
+        Json::Obj(fields) => Json::Obj(
+            fields
+                .into_iter()
+                .map(|(key, inner)| {
+                    let inner = if VOLATILE_STATS.contains(&key.as_str()) {
+                        Json::Str("masked".to_string())
+                    } else {
+                        mask_volatile(inner)
+                    };
+                    (key, inner)
+                })
+                .collect(),
+        ),
+        Json::Arr(items) => Json::Arr(items.into_iter().map(mask_volatile).collect()),
+        other => other,
     }
 }
 
@@ -392,14 +404,9 @@ fn record(
         });
     let mut fields = vec![("request".to_string(), Json::Str(line.to_string()))];
     if response.get("stats").is_some() {
-        let mut paths = Vec::new();
-        key_paths(&response, "", &mut paths);
-        fields.push(("response_shape".to_string(), Json::Arr(paths)));
-        let mut paths = Vec::new();
-        if let Some((_, decoded)) = &frame {
-            key_paths(decoded, "", &mut paths);
-        }
-        fields.push(("frame_shape".to_string(), Json::Arr(paths)));
+        fields.push(("response".to_string(), mask_volatile(response.clone())));
+        let decoded = frame.map_or(Json::Null, |(_, decoded)| mask_volatile(decoded));
+        fields.push(("frame".to_string(), decoded));
     } else {
         fields.push(("response".to_string(), response.clone()));
         let frame = frame.map_or(Json::Null, |(bytes, _)| Json::Str(hex(&bytes)));
@@ -412,7 +419,8 @@ fn record(
 
 /// The scripted session's responses, recorded one request per line: the
 /// JSON response (trace stripped) and the binary response frame in hex,
-/// or — for `stats` — both responses' key paths. Regenerate after an
+/// or — for `stats` — the JSON response and the decoded binary frame,
+/// with the wall-clock values masked. Regenerate after an
 /// intended wire change with `BLESS_GOLDEN=1 cargo test -p
 /// scrutinizer-engine --test proptest_protocol
 /// scripted_session_matches_the_protocol_golden_fixture` and review the
