@@ -690,7 +690,9 @@ fn bench_serve(c: &mut Criterion) {
     let stats = engine.stats();
     println!(
         "server saw pipeline depth {} with {} connection(s) open; codec split {:?}",
-        stats.pipeline_depth, stats.connections_open, stats.requests_by_codec
+        stats.pipeline_depth.get(),
+        stats.connections_open.get(),
+        stats.requests_by_codec.each_ref().map(|c| c.get())
     );
     drop(wire);
     drop(bin);

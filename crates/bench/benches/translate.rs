@@ -567,7 +567,7 @@ fn bench_retrain_storm(_c: &mut Criterion) {
 
     let idle_p99 = p99_micros(idle);
     let storm_p99 = p99_micros(storm);
-    let retrain_mean = engine.stats().retrain_latency.mean_micros();
+    let retrain_mean = engine.stats().retrain_latency.snapshot().mean_micros();
     println!(
         "suggest under retrain storm: idle p99 {:.0} µs | storm p99 {:.0} µs ({:.2}x) | \
          {published} retrains published ({epochs_advanced} epochs), mean retrain {:.0} µs",

@@ -146,20 +146,20 @@ fn recover_dir(world: &World, dir: &str) -> (Arc<Engine>, RecoveryReport) {
     .expect("recovery over a healthy directory cannot fail")
 }
 
-/// The durable subset of the stats snapshot — what recovery promises to
+/// The durable subset of the engine's stats — what recovery promises to
 /// restore exactly.
 fn durable_subset(engine: &Engine) -> (u64, u64, u64, u64, u64, u64, u64, u64, u64) {
     let s = engine.stats();
     (
-        s.sessions_opened,
-        s.sessions_closed,
-        s.claims_verified,
-        s.answers_posted,
-        s.retrains,
-        s.background_retrains,
-        s.examples_trained,
-        s.model_epoch,
-        s.pending_examples,
+        s.sessions_opened.get(),
+        s.sessions_closed.get(),
+        s.claims_verified.get(),
+        s.answers_posted.get(),
+        s.retrains.get(),
+        s.background_retrains.get(),
+        s.examples_trained.get(),
+        s.model_epoch.get(),
+        s.pending_examples.get(),
     )
 }
 
@@ -199,7 +199,7 @@ fn bench_wal_recovery(c: &mut Criterion) {
     let mut group = c.benchmark_group("wal_recovery");
     group.sample_size(10);
     group.bench_function("reexecute_ops", |b| {
-        b.iter(|| reexecute(&world).stats().claims_verified)
+        b.iter(|| reexecute(&world).stats().claims_verified.get())
     });
     group.bench_function("replay_wal", |b| {
         b.iter(|| recover_dir(&world, &dir).1.records_replayed)
@@ -211,7 +211,7 @@ fn bench_wal_recovery(c: &mut Criterion) {
     let rounds = if quick_mode() { 3 } else { 9 };
     let reexec = median_secs(rounds, || {
         let engine = reexecute(&world);
-        assert_eq!(engine.stats().claims_verified, CLAIMS as u64);
+        assert_eq!(engine.stats().claims_verified.get(), CLAIMS as u64);
     });
     let replay = median_secs(rounds, || {
         let (engine, _) = recover_dir(&world, &dir);

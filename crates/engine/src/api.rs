@@ -21,7 +21,7 @@
 //! | `verdict`      | `session`, `claim`, `correct`, `chosen?`| `verdict`, `matches_truth`, `retrained` | `wrong_phase` |
 //! | `sql`          | `query`                                 | `value`         | `sql` |
 //! | `verify_batch` | `claims: [id]`, `seed?`                 | `outcomes`      | `unknown_claim` |
-//! | `stats`        | —                                       | `stats` ([`StatsSnapshot`]) | — |
+//! | `stats`        | —                                       | `stats` (every [`EngineStats`] series, read live) | — |
 //! | `metrics`      | —                                       | `metrics` (Prometheus text exposition) | — |
 //! | `close`        | `session`                               | `verified: [id]`| `unknown_session` |
 //! | `batch`        | `requests: [sub-request]`               | `results: [per-item response]` | `invalid_argument` |
@@ -62,7 +62,7 @@ use scrutinizer_crowd::WorkerConfig;
 use crate::engine::{Engine, EngineError, VerdictRecord};
 use crate::protocol::{obj, Json};
 use crate::session::{ClaimQuestions, SessionId, Suggestion};
-use crate::stats::{HistogramSnapshot, StatsSnapshot, WireCodec};
+use crate::stats::{EngineStats, LatencyHistogram, WireCodec};
 use scrutinizer_obs::{self as obs, TraceId};
 
 /// The protocol version this server speaks.
@@ -272,7 +272,7 @@ pub enum Request {
         /// Base worker seed (default 1).
         seed: Option<u64>,
     },
-    /// Fetch the engine-wide metrics snapshot.
+    /// Fetch the engine-wide metrics.
     Stats,
     /// Fetch every metric in Prometheus text exposition format.
     Metrics,
@@ -330,8 +330,9 @@ pub enum Response {
     },
     /// `stats` succeeded.
     Stats {
-        /// The metrics snapshot.
-        stats: Box<StatsSnapshot>,
+        /// The engine's metrics, rendered when the request was dispatched
+        /// (before its own response is counted).
+        stats: Json,
     },
     /// `metrics` succeeded.
     Metrics {
@@ -636,7 +637,7 @@ fn append_payload(fields: &mut Vec<(String, Json)>, response: &Response) {
             "outcomes",
             Json::Arr(outcomes.iter().map(outcome_json).collect()),
         ),
-        Response::Stats { stats } => push("stats", stats_json(stats)),
+        Response::Stats { stats } => push("stats", stats.clone()),
         Response::Metrics { exposition } => push("metrics", Json::Str(exposition.clone())),
         Response::Closed { verified } => push(
             "verified",
@@ -727,7 +728,8 @@ fn outcome_json(outcome: &ClaimOutcome) -> Json {
     ])
 }
 
-fn histogram_json(snapshot: &HistogramSnapshot) -> Json {
+fn histogram_json(histogram: &LatencyHistogram) -> Json {
+    let snapshot = histogram.snapshot();
     obj(vec![
         ("count", Json::Num(snapshot.count as f64)),
         ("mean_micros", Json::Num(snapshot.mean_micros())),
@@ -747,43 +749,52 @@ fn histogram_json(snapshot: &HistogramSnapshot) -> Json {
     ])
 }
 
-pub(crate) fn stats_json(snapshot: &StatsSnapshot) -> Json {
+/// The v1 `stats` object, read straight from the live handles.
+fn stats_json(stats: &EngineStats) -> Json {
     let count = |n: u64| Json::Num(n as f64);
+    let last_fallback = stats
+        .planner_last_fallback
+        .lock()
+        .expect("fallback slot poisoned")
+        .clone();
     obj(vec![
-        ("sessions_opened", count(snapshot.sessions_opened)),
-        ("sessions_closed", count(snapshot.sessions_closed)),
-        ("sessions_live", count(snapshot.sessions_live)),
-        ("claims_verified", count(snapshot.claims_verified)),
-        ("answers_posted", count(snapshot.answers_posted)),
-        ("suggestions_served", count(snapshot.suggestions_served)),
-        ("retrains", count(snapshot.retrains)),
-        ("background_retrains", count(snapshot.background_retrains)),
-        ("model_epoch", count(snapshot.model_epoch)),
-        ("pending_examples", count(snapshot.pending_examples)),
-        ("sql_executed", count(snapshot.sql_executed)),
-        ("planner_plans", count(snapshot.planner_plans)),
-        ("planner_cold_solves", count(snapshot.planner_cold_solves)),
+        ("sessions_opened", count(stats.sessions_opened.get())),
+        ("sessions_closed", count(stats.sessions_closed.get())),
+        ("sessions_live", count(stats.sessions_live.get())),
+        ("claims_verified", count(stats.claims_verified.get())),
+        ("answers_posted", count(stats.answers_posted.get())),
+        ("suggestions_served", count(stats.suggestions_served.get())),
+        ("retrains", count(stats.retrains.get())),
+        (
+            "background_retrains",
+            count(stats.background_retrains.get()),
+        ),
+        ("model_epoch", count(stats.model_epoch.get())),
+        ("pending_examples", count(stats.pending_examples.get())),
+        ("sql_executed", count(stats.sql_executed.get())),
+        ("planner_plans", count(stats.planner_plans.get())),
+        (
+            "planner_cold_solves",
+            count(stats.planner_cold_solves.get()),
+        ),
         (
             "planner_incremental_repairs",
-            count(snapshot.planner_incremental_repairs),
+            count(stats.planner_incremental_repairs.get()),
         ),
         (
             "planner_repair_rejections",
-            count(snapshot.planner_repair_rejections),
+            count(stats.planner_repair_rejections.get()),
         ),
-        ("planner_fallbacks", count(snapshot.planner_fallbacks)),
-        ("planner_nodes", count(snapshot.planner_nodes)),
+        ("planner_fallbacks", count(stats.planner_fallbacks.get())),
+        ("planner_nodes", count(stats.planner_nodes.get())),
         (
             "planner_warm_start_hits",
-            count(snapshot.planner_warm_start_hits),
+            count(stats.planner_warm_start_hits.get()),
         ),
-        ("planner_lp_solves", count(snapshot.planner_lp_solves)),
+        ("planner_lp_solves", count(stats.planner_lp_solves.get())),
         (
             "planner_last_fallback",
-            match &snapshot.planner_last_fallback {
-                Some(reason) => Json::Str(reason.clone()),
-                None => Json::Null,
-            },
+            last_fallback.map_or(Json::Null, Json::Str),
         ),
         // v1 fields are append-only: the raw-SQL result cache these
         // described is gone, so they stay as constant zeros
@@ -791,30 +802,30 @@ pub(crate) fn stats_json(snapshot: &StatsSnapshot) -> Json {
         ("cache_misses", count(0)),
         ("cache_hit_rate", Json::Num(0.0)),
         ("cache_entries", count(0)),
-        ("queue_depth", count(snapshot.queue_depth as u64)),
-        ("in_flight", count(snapshot.in_flight as u64)),
-        ("plan_latency", histogram_json(&snapshot.plan_latency)),
-        ("suggest_latency", histogram_json(&snapshot.suggest_latency)),
-        ("verify_latency", histogram_json(&snapshot.verify_latency)),
-        ("retrain_latency", histogram_json(&snapshot.retrain_latency)),
+        ("queue_depth", count(stats.queue_depth.get())),
+        ("in_flight", count(stats.jobs_in_flight.get())),
+        ("plan_latency", histogram_json(&stats.plan_latency)),
+        ("suggest_latency", histogram_json(&stats.suggest_latency)),
+        ("verify_latency", histogram_json(&stats.verify_latency)),
+        ("retrain_latency", histogram_json(&stats.retrain_latency)),
         // v1 fields are append-only: the serving-layer gauges and the
         // per-code error counters extend the object at the end
-        ("connections_open", count(snapshot.connections_open)),
-        ("requests_in_flight", count(snapshot.requests_in_flight)),
-        ("pipeline_depth", count(snapshot.pipeline_depth)),
+        ("connections_open", count(stats.connections_open.get())),
+        ("requests_in_flight", count(stats.requests_in_flight.get())),
+        ("pipeline_depth", count(stats.pipeline_depth.get())),
         (
             "errors",
             obj(ErrorCode::ALL
                 .iter()
-                .map(|&code| (code.name(), count(snapshot.wire_errors[code.index()])))
+                .map(|&code| (code.name(), count(stats.wire_error(code))))
                 .collect()),
         ),
         // append-only: the conservation pair — requests_total equals
         // requests_ok plus the sum of every per-code error counter
-        ("requests_total", count(snapshot.requests_total)),
-        ("requests_ok", count(snapshot.requests_ok)),
+        ("requests_total", count(stats.requests_total.get())),
+        ("requests_ok", count(stats.requests_ok.get())),
         // append-only: the verdict-loss invariant's trained-examples side
-        ("examples_trained", count(snapshot.examples_trained)),
+        ("examples_trained", count(stats.examples_trained.get())),
         // append-only: per-codec counters so operators can watch a
         // JSON→binary migration; conservation holds within each codec
         // (total == ok + errors) and the per-codec totals sum to
@@ -829,15 +840,15 @@ pub(crate) fn stats_json(snapshot: &StatsSnapshot) -> Json {
                         obj(vec![
                             (
                                 "requests_total",
-                                count(snapshot.requests_by_codec[codec.index()]),
+                                count(stats.requests_by_codec[codec.index()].get()),
                             ),
                             (
                                 "requests_ok",
-                                count(snapshot.requests_ok_by_codec[codec.index()]),
+                                count(stats.requests_ok_by_codec[codec.index()].get()),
                             ),
                             (
                                 "errors",
-                                count(snapshot.wire_errors_by_codec[codec.index()]),
+                                count(stats.wire_errors_by_codec[codec.index()].get()),
                             ),
                         ]),
                     )
@@ -852,13 +863,13 @@ pub(crate) fn stats_json(snapshot: &StatsSnapshot) -> Json {
         (
             "wal",
             obj(vec![
-                ("appends", count(snapshot.wal_appends)),
-                ("bytes_written", count(snapshot.wal_bytes_written)),
-                ("fsyncs", count(snapshot.wal_fsyncs)),
-                ("segments", count(snapshot.wal_segments)),
+                ("appends", count(stats.wal_appends.get())),
+                ("bytes_written", count(stats.wal_bytes_written.get())),
+                ("fsyncs", count(stats.wal_fsyncs.get())),
+                ("segments", count(stats.wal_segments.get())),
                 (
                     "last_checkpoint_epoch",
-                    count(snapshot.wal_last_checkpoint_epoch),
+                    count(stats.wal_last_checkpoint_epoch.get()),
                 ),
             ]),
         ),
@@ -938,7 +949,7 @@ pub fn dispatch(engine: &Arc<Engine>, request: &Request) -> Result<Response, Api
             })
         }
         Request::Stats => Ok(Response::Stats {
-            stats: Box::new(engine.stats()),
+            stats: stats_json(engine.stats()),
         }),
         Request::Metrics => Ok(Response::Metrics {
             exposition: engine.render_metrics(),
@@ -956,7 +967,7 @@ pub fn dispatch(engine: &Arc<Engine>, request: &Request) -> Result<Response, Api
 /// Counts the response toward the conservation invariant
 /// (`requests_total`/`requests_ok`).
 fn render_ok(engine: &Arc<Engine>, id: Option<&Json>, trace: &str, response: &Response) -> Json {
-    engine.stats_ref().note_ok();
+    engine.stats_ref().note_ok(WireCodec::Json);
     let mut fields = vec![("ok".to_string(), Json::Bool(true))];
     if let Some(id) = id {
         fields.push(("id".to_string(), id.clone()));
@@ -970,7 +981,9 @@ fn render_ok(engine: &Arc<Engine>, id: Option<&Json>, trace: &str, response: &Re
 /// human `error`) and bumps the engine's per-code wire-error counter
 /// (which also counts the response toward `requests_total`).
 fn render_error(engine: &Arc<Engine>, id: Option<&Json>, trace: &str, error: &ApiError) -> Json {
-    engine.stats_ref().note_wire_error(error.code);
+    engine
+        .stats_ref()
+        .note_wire_error(error.code, WireCodec::Json);
     let mut fields = vec![("ok".to_string(), Json::Bool(false))];
     if let Some(id) = id {
         fields.push(("id".to_string(), id.clone()));
@@ -1080,7 +1093,7 @@ fn handle_envelope(engine: &Arc<Engine>, value: &Json, inherited: Option<&str>) 
             .iter()
             .map(|item| handle_envelope(engine, item, Some(&trace)))
             .collect();
-        engine.stats_ref().note_ok();
+        engine.stats_ref().note_ok(WireCodec::Json);
         let mut fields = vec![("ok".to_string(), Json::Bool(true))];
         if let Some(id) = id {
             fields.push(("id".to_string(), id.clone()));
@@ -1243,10 +1256,10 @@ mod tests {
         handle_line(&engine, r#"{"op":"warp"}"#);
         handle_line(&engine, r#"{"op":"close","session":404}"#);
         let stats = engine.stats();
-        assert_eq!(stats.wire_errors[ErrorCode::ParseError.index()], 1);
-        assert_eq!(stats.wire_errors[ErrorCode::UnknownOp.index()], 1);
-        assert_eq!(stats.wire_errors[ErrorCode::UnknownSession.index()], 1);
-        assert_eq!(stats.wire_errors[ErrorCode::Sql.index()], 0);
+        assert_eq!(stats.wire_error(ErrorCode::ParseError), 1);
+        assert_eq!(stats.wire_error(ErrorCode::UnknownOp), 1);
+        assert_eq!(stats.wire_error(ErrorCode::UnknownSession), 1);
+        assert_eq!(stats.wire_error(ErrorCode::Sql), 0);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 use scrutinizer_core::report::{ClaimOutcome, Verdict};
 use scrutinizer_core::PropertyKind;
 
-use crate::api::{kind_label, stats_json, ApiError, ErrorCode, Request, Response};
+use crate::api::{kind_label, ApiError, ErrorCode, Request, Response};
 use crate::protocol::Json;
 use crate::session::{ClaimQuestions, Suggestion};
 
@@ -670,7 +670,7 @@ pub fn encode_ok_response(out: &mut Vec<u8>, id: Option<u64>, trace: u64, respon
         }
         Response::Stats { stats } => {
             put_u8(out, RESP_STATS);
-            put_str(out, &stats_json(stats).render());
+            put_str(out, &stats.render());
         }
         Response::Metrics { exposition } => {
             put_u8(out, RESP_METRICS);

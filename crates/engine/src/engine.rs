@@ -28,7 +28,7 @@ use crate::durability::{self, ClaimImage, SessionImage, StateImage, WalRecord};
 use crate::executor::ThreadPool;
 use crate::session::{ClaimPhase, ClaimQuestions, ClaimTask, SessionId, SessionState, Suggestion};
 use crate::snapshot::{ModelSnapshot, SnapshotCell};
-use crate::stats::{Counter, EngineStats, StatsSnapshot};
+use crate::stats::{Counter, EngineStats};
 use scrutinizer_obs as obs;
 
 /// Engine sizing and behavior knobs.
@@ -446,9 +446,9 @@ impl Engine {
             models
         };
         let epoch = self.models.publish(models);
-        self.stats.bump(&self.stats.retrains);
+        self.stats.retrains.inc();
         if kind == RetrainKind::Incremental {
-            self.stats.bump(&self.stats.background_retrains);
+            self.stats.background_retrains.inc();
             self.stats.examples_trained.add(claim_ids.len() as u64);
         }
         self.durable_publish(
@@ -702,7 +702,7 @@ impl Engine {
                         Arc::new(Mutex::new(SessionState::new(checker.as_str()))),
                     );
                 self.next_session.fetch_max(*id + 1, Ordering::Relaxed);
-                self.stats.bump(&self.stats.sessions_opened);
+                self.stats.sessions_opened.inc();
             }
             WalRecord::ReportSubmitted { session, claims } => {
                 if let Ok(handle) = self.session(SessionId(*session)) {
@@ -732,7 +732,7 @@ impl Engine {
                         }
                     }
                 }
-                self.stats.bump(&self.stats.answers_posted);
+                self.stats.answers_posted.inc();
             }
             WalRecord::VerdictPosted { session, claim, .. } => {
                 if let Ok(handle) = self.session(SessionId(*session)) {
@@ -742,7 +742,7 @@ impl Engine {
                     }
                     state.verified.push(*claim);
                 }
-                self.stats.bump(&self.stats.claims_verified);
+                self.stats.claims_verified.inc();
                 let mut verified = self.verified.lock().expect("verified set poisoned");
                 if verified.seen.insert(*claim) {
                     verified.order.push(*claim);
@@ -760,16 +760,16 @@ impl Engine {
                     .lock()
                     .expect("session registry poisoned")
                     .remove(id);
-                self.stats.bump(&self.stats.sessions_closed);
+                self.stats.sessions_closed.inc();
             }
             WalRecord::EpochPublished {
                 epoch,
                 examples,
                 background,
             } => {
-                self.stats.bump(&self.stats.retrains);
+                self.stats.retrains.inc();
                 if *background {
-                    self.stats.bump(&self.stats.background_retrains);
+                    self.stats.background_retrains.inc();
                     self.stats.examples_trained.add(*examples);
                 }
                 if *epoch > self.models.epoch() {
@@ -883,7 +883,7 @@ impl Engine {
             .lock()
             .expect("session registry poisoned")
             .insert(id, Arc::new(Mutex::new(SessionState::new(checker))));
-        self.stats.bump(&self.stats.sessions_opened);
+        self.stats.sessions_opened.inc();
         if self.recording() {
             self.log_record(&WalRecord::SessionOpened {
                 id,
@@ -902,7 +902,7 @@ impl Engine {
             .expect("session registry poisoned")
             .remove(&session.0)
             .ok_or(EngineError::UnknownSession(session.0))?;
-        self.stats.bump(&self.stats.sessions_closed);
+        self.stats.sessions_closed.inc();
         if self.recording() {
             self.log_record(&WalRecord::SessionClosed { id: session.0 });
         }
@@ -1142,7 +1142,7 @@ impl Engine {
         let slot = validated_slot(kind).ok_or(EngineError::UnexpectedAnswer(kind))?;
         task.validated[slot] = Some(answer.to_string());
         task.next_screen += 1;
-        self.stats.bump(&self.stats.answers_posted);
+        self.stats.answers_posted.inc();
         let remaining = task.plan.screens.len() - task.next_screen;
         if remaining == 0 {
             task.phase = ClaimPhase::Suggesting;
@@ -1191,7 +1191,7 @@ impl Engine {
         task.phase = ClaimPhase::Suggesting;
         if let Some((epoch, screen, cached)) = &task.suggested {
             if *epoch == task.translated_epoch && *screen == task.next_screen {
-                self.stats.bump(&self.stats.suggestions_served);
+                self.stats.suggestions_served.inc();
                 return Ok(Arc::clone(cached));
             }
         }
@@ -1212,7 +1212,7 @@ impl Engine {
             )
         });
         task.candidates = screen.candidates;
-        self.stats.bump(&self.stats.suggestions_served);
+        self.stats.suggestions_served.inc();
         let suggestions: Arc<[Suggestion]> = task
             .candidates
             .iter()
@@ -1268,7 +1268,7 @@ impl Engine {
             chosen,
         });
         drop(state);
-        self.stats.bump(&self.stats.claims_verified);
+        self.stats.claims_verified.inc();
         self.commit_record(lsn);
         let retrained = self.note_verified(claim_id);
         Ok(VerdictRecord { outcome, retrained })
@@ -1575,7 +1575,7 @@ impl Engine {
     /// failure carries the query error (an unknown relation, a parse
     /// error, …); a result that is not a finite number fails too.
     pub fn run_sql(&self, sql: &str) -> Result<f64, EngineError> {
-        self.stats.bump(&self.stats.sql_executed);
+        self.stats.sql_executed.inc();
         let _span = obs::span!("sql");
         let statement = sql.trim().trim_end_matches(';').trim();
         let value = scrutinizer_query::run_sql(&self.corpus.catalog, statement)
@@ -1592,18 +1592,19 @@ impl Engine {
 
     /// The live counter block, shared with the serving layer (the TCP
     /// server's connection gauges and the wire layer's per-code error
-    /// counters live here so the `stats` op sees one coherent snapshot).
-    /// Public because alternate serving loops — the simulation harness —
-    /// drive [`service_conn`](crate::serve_core::service_conn) with it.
+    /// counters live here so the `stats` op reads them all in one place).
+    /// Unlike [`stats`](Self::stats) it refreshes nothing: this is the
+    /// hot-path handle. Public because alternate serving loops — the
+    /// simulation harness — drive
+    /// [`service_conn`](crate::serve_core::service_conn) with it.
     pub fn stats_ref(&self) -> &EngineStats {
         &self.stats
     }
 
-    /// Renders the unified metrics registry to Prometheus text exposition
-    /// format, refreshing the mirrored gauges (live sessions, model epoch,
-    /// pool levels) first so the output reports the same values as
-    /// [`stats`](Self::stats) for every shared series.
-    pub fn render_metrics(&self) -> String {
+    /// Copies the state the engine keeps outside the registry — live
+    /// sessions, model epoch, pending examples, pool levels and the WAL
+    /// counters — into its mirrored series.
+    fn refresh_mirrored(&self) {
         let stats = &self.stats;
         stats.sessions_live.set(self.session_count() as u64);
         stats.model_epoch.set(self.models.epoch());
@@ -1621,66 +1622,20 @@ impl Engine {
                 .wal_last_checkpoint_epoch
                 .set(wal.last_checkpoint_epoch);
         }
-        stats.registry().render()
     }
 
-    /// Point-in-time metrics.
-    pub fn stats(&self) -> StatsSnapshot {
-        let load = |c: &Counter| c.get();
-        let wal = self.wal_metrics().unwrap_or_default();
-        StatsSnapshot {
-            sessions_opened: load(&self.stats.sessions_opened),
-            sessions_closed: load(&self.stats.sessions_closed),
-            sessions_live: self.session_count() as u64,
-            claims_verified: load(&self.stats.claims_verified),
-            answers_posted: load(&self.stats.answers_posted),
-            suggestions_served: load(&self.stats.suggestions_served),
-            retrains: load(&self.stats.retrains),
-            background_retrains: load(&self.stats.background_retrains),
-            examples_trained: load(&self.stats.examples_trained),
-            model_epoch: self.models.epoch(),
-            pending_examples: self.pending.lock().expect("pending log poisoned").len() as u64,
-            sql_executed: load(&self.stats.sql_executed),
-            planner_plans: load(&self.stats.planner_plans),
-            planner_cold_solves: load(&self.stats.planner_cold_solves),
-            planner_incremental_repairs: load(&self.stats.planner_incremental_repairs),
-            planner_repair_rejections: load(&self.stats.planner_repair_rejections),
-            planner_fallbacks: load(&self.stats.planner_fallbacks),
-            planner_nodes: load(&self.stats.planner_nodes),
-            planner_warm_start_hits: load(&self.stats.planner_warm_start_hits),
-            planner_lp_solves: load(&self.stats.planner_lp_solves),
-            planner_last_fallback: self
-                .stats
-                .planner_last_fallback
-                .lock()
-                .expect("fallback slot poisoned")
-                .clone(),
-            requests_total: load(&self.stats.requests_total),
-            requests_ok: load(&self.stats.requests_ok),
-            connections_open: self.stats.connections_open.get(),
-            requests_in_flight: self.stats.requests_in_flight.get(),
-            pipeline_depth: self.stats.pipeline_depth.get(),
-            wire_errors: {
-                let mut counts = [0u64; crate::api::ErrorCode::COUNT];
-                for (slot, counter) in counts.iter_mut().zip(&self.stats.wire_errors) {
-                    *slot = counter.get();
-                }
-                counts
-            },
-            requests_by_codec: self.stats.requests_by_codec.each_ref().map(Counter::get),
-            requests_ok_by_codec: self.stats.requests_ok_by_codec.each_ref().map(Counter::get),
-            wire_errors_by_codec: self.stats.wire_errors_by_codec.each_ref().map(Counter::get),
-            queue_depth: self.pool.queue_depth(),
-            in_flight: self.pool.in_flight(),
-            plan_latency: self.stats.plan_latency.snapshot(),
-            suggest_latency: self.stats.suggest_latency.snapshot(),
-            verify_latency: self.stats.verify_latency.snapshot(),
-            retrain_latency: self.stats.retrain_latency.snapshot(),
-            wal_appends: wal.appends,
-            wal_bytes_written: wal.bytes_written,
-            wal_fsyncs: wal.fsyncs,
-            wal_segments: wal.segments,
-            wal_last_checkpoint_epoch: wal.last_checkpoint_epoch,
-        }
+    /// Renders the unified metrics registry to Prometheus text exposition
+    /// format, refreshing the mirrored series first so the output reports
+    /// the same values as [`stats`](Self::stats) for every shared series.
+    pub fn render_metrics(&self) -> String {
+        self.refresh_mirrored();
+        self.stats.registry().render()
+    }
+
+    /// The live counter block with its mirrored series refreshed — the
+    /// engine's metrics at this point.
+    pub fn stats(&self) -> &EngineStats {
+        self.refresh_mirrored();
+        &self.stats
     }
 }

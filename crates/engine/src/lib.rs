@@ -130,5 +130,5 @@ pub use serve_core::{service_conn, ConnState, ServiceLimits};
 pub use server::{Server, ServerHandle, ServerOptions};
 pub use session::{ClaimQuestions, ScreenView, SessionId, Suggestion};
 pub use snapshot::{ModelSnapshot, SnapshotCell};
-pub use stats::{EngineStats, HistogramSnapshot, LatencyHistogram, StatsSnapshot, WireCodec};
+pub use stats::{EngineStats, HistogramSnapshot, LatencyHistogram, WireCodec};
 pub use wire::BINARY_MAGIC;

@@ -15,6 +15,7 @@
 use std::sync::Arc;
 
 use crate::engine::Engine;
+use crate::stats::WireCodec;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -422,14 +423,9 @@ pub fn handle_request(engine: &Arc<Engine>, line: &str) -> String {
 /// newline, or one binary frame — to `out`. Both serving loops (the TCP
 /// server and the simulation harness) execute through this one entry
 /// point, so neither codec's dispatch behavior can drift between them.
-pub fn handle_payload(
-    engine: &Arc<Engine>,
-    codec: crate::stats::WireCodec,
-    payload: &[u8],
-    out: &mut Vec<u8>,
-) {
+pub fn handle_payload(engine: &Arc<Engine>, codec: WireCodec, payload: &[u8], out: &mut Vec<u8>) {
     match codec {
-        crate::stats::WireCodec::Json => {
+        WireCodec::Json => {
             // invalid UTF-8 decodes lossily and fails JSON parsing,
             // producing a structured parse_error like any other bad line
             let line = String::from_utf8_lossy(payload);
@@ -437,8 +433,28 @@ pub fn handle_payload(
             out.extend_from_slice(response.as_bytes());
             out.push(b'\n');
         }
-        crate::stats::WireCodec::Binary => crate::wire::handle_frame(engine, payload, out),
+        WireCodec::Binary => crate::wire::handle_frame(engine, payload, out),
     }
+}
+
+/// Counts a caught dispatch panic as one `internal` wire error under
+/// `codec`, logs it, and returns its payload as the human-readable
+/// detail — the one panic path both codecs share.
+pub(crate) fn note_panic(
+    engine: &Engine,
+    codec: WireCodec,
+    payload: &(dyn std::any::Any + Send),
+) -> String {
+    let detail = payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "request handler panicked".to_string());
+    engine
+        .stats_ref()
+        .note_wire_error(crate::api::ErrorCode::Internal, codec);
+    scrutinizer_obs::log_error!("request handler panicked", detail = detail.clone());
+    detail
 }
 
 /// Renders the `internal` error line for a caught dispatch panic and
@@ -449,15 +465,7 @@ pub(crate) fn respond_panicked(
     engine: &Arc<Engine>,
     payload: Box<dyn std::any::Any + Send>,
 ) -> String {
-    let detail = payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "request handler panicked".to_string());
-    engine
-        .stats_ref()
-        .note_wire_error(crate::api::ErrorCode::Internal);
-    scrutinizer_obs::log_error!("request handler panicked", detail = detail.clone());
+    let detail = note_panic(engine, WireCodec::Json, &*payload);
     obj(vec![
         ("ok", Json::Bool(false)),
         ("code", Json::Str("internal".to_string())),

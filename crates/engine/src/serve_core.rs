@@ -248,7 +248,7 @@ fn split_lines<S>(conn: &mut ConnState<S>, limits: &ServiceLimits, stats: &Engin
     if !residual_has_newline && conn.read_buf.len() >= limits.max_line_bytes {
         // an unterminated line longer than the cap can never
         // resynchronize: answer once, stop reading, close after the flush
-        stats.note_wire_error(ErrorCode::ParseError);
+        stats.note_wire_error(ErrorCode::ParseError, WireCodec::Json);
         conn.push_response(&format!(
             "{{\"ok\":false,\"code\":\"parse_error\",\"error\":\"request line exceeds {} bytes\"}}",
             limits.max_line_bytes
@@ -284,7 +284,7 @@ fn split_frames<S>(conn: &mut ConnState<S>, limits: &ServiceLimits, stats: &Engi
     while conn.queue.len() < limits.max_pipeline {
         if let Some(announced) = wire::announced_len(&conn.read_buf) {
             if wire::FRAME_HEADER_BYTES + announced > limits.max_line_bytes {
-                stats.note_wire_error_as(ErrorCode::ParseError, WireCodec::Binary);
+                stats.note_wire_error(ErrorCode::ParseError, WireCodec::Binary);
                 wire::error_frame(
                     &mut conn.write_buf,
                     ErrorCode::ParseError,
@@ -310,7 +310,7 @@ fn split_frames<S>(conn: &mut ConnState<S>, limits: &ServiceLimits, stats: &Engi
 
     if conn.eof && !conn.read_buf.is_empty() && conn.queue.len() < limits.max_pipeline {
         // eof with a partial frame buffered: it can never complete
-        stats.note_wire_error_as(ErrorCode::ParseError, WireCodec::Binary);
+        stats.note_wire_error(ErrorCode::ParseError, WireCodec::Binary);
         wire::error_frame(
             &mut conn.write_buf,
             ErrorCode::ParseError,

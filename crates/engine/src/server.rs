@@ -306,7 +306,7 @@ impl Server {
     fn reject(&self, stream: TcpStream) {
         self.engine
             .stats_ref()
-            .note_wire_error(ErrorCode::Overloaded);
+            .note_wire_error(ErrorCode::Overloaded, WireCodec::Json);
         scrutinizer_obs::log_warn!(
             "connection rejected at limit",
             max_connections = self.options.max_connections,

@@ -1,22 +1,23 @@
 //! The engine's metrics surface: registry-backed counters, gauges, and
-//! per-stage latency histograms, snapshotted on demand for the `stats`
-//! endpoint and rendered to Prometheus text exposition for the `metrics`
-//! endpoint.
+//! per-stage latency histograms, read live by the `stats` endpoint and
+//! rendered to Prometheus text exposition for the `metrics` endpoint.
 //!
-//! Since the observability PR every series lives on one
-//! [`MetricsRegistry`] owned by [`EngineStats`] — the same atomics back
-//! the `stats` JSON, the `metrics` exposition, and the benches, so the
-//! two endpoints can never disagree. The histogram type itself
-//! ([`LatencyHistogram`]) is re-exported from `scrutinizer-obs`, which
-//! keeps the exact log₂ bucketing this module always used.
+//! Every series lives on one [`MetricsRegistry`] owned by
+//! [`EngineStats`]: a metric is its handle, its one registration in
+//! [`EngineStats::new`], and — if it is a v1 `stats` field — one line of
+//! the `stats` JSON renderer, which reads the handles directly. The same
+//! atomics back the `stats` JSON, the `metrics` exposition, and the
+//! benches, so the two endpoints can never disagree. The histogram type
+//! itself ([`LatencyHistogram`]) is re-exported from `scrutinizer-obs`,
+//! which keeps the exact log₂ bucketing this module always used.
 //!
-//! **Conservation invariant**: every response line the service emits is
+//! **Conservation invariant**: every response the service emits is
 //! counted exactly once — [`EngineStats::note_ok`] on success,
-//! [`EngineStats::note_wire_error`] on error — so
-//! `requests_total == requests_ok + Σ wire_errors[code]` holds at any
-//! quiescent point. Batch sub-requests count individually (their
-//! per-item responses are real responses); the enclosing batch envelope
-//! counts once as its own success or failure.
+//! [`EngineStats::note_wire_error`] on error, each under its
+//! [`WireCodec`] — so `requests_total == requests_ok + Σ wire_errors[code]`
+//! holds at any quiescent point. Batch sub-requests count individually
+//! (their per-item responses are real responses); the enclosing batch
+//! envelope counts once as its own success or failure.
 
 use std::sync::Mutex;
 
@@ -68,6 +69,7 @@ impl WireCodec {
 
 /// Everything the engine counts: cheap cloneable handles onto series
 /// registered once in the engine's [`MetricsRegistry`].
+#[derive(Debug)]
 pub struct EngineStats {
     registry: MetricsRegistry,
     /// Sessions ever opened.
@@ -145,11 +147,13 @@ pub struct EngineStats {
     pub verify_latency: LatencyHistogram,
     /// Latency of model retraining.
     pub retrain_latency: LatencyHistogram,
-    /// Sessions currently live (mirrored for exposition).
+    // The mirrored series below copy state the engine keeps elsewhere;
+    // `Engine::stats` and `Engine::render_metrics` refresh them first.
+    /// Sessions currently live (mirrored).
     pub sessions_live: Gauge,
-    /// Published model generation (mirrored for exposition).
+    /// Published model generation (mirrored).
     pub model_epoch: Gauge,
-    /// Verified claims awaiting the next retrain (mirrored for exposition).
+    /// Verified claims awaiting the next retrain (mirrored).
     pub pending_examples: Gauge,
     /// Jobs waiting in the executor queue (mirrored).
     pub queue_depth: Gauge,
@@ -364,43 +368,26 @@ impl EngineStats {
     }
 
     /// The registry backing every series — render it for the `metrics`
-    /// endpoint. Mirrored gauges (`sessions_live`, pool levels)
-    /// are refreshed by [`Engine::render_metrics`](crate::Engine::render_metrics)
-    /// just before rendering.
+    /// endpoint. Mirrored series (`sessions_live`, pool levels, the WAL
+    /// block) are refreshed by
+    /// [`Engine::render_metrics`](crate::Engine::render_metrics) just
+    /// before rendering.
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
     }
 
-    /// Bumps a counter by one.
-    pub fn bump(&self, counter: &Counter) {
-        counter.inc();
-    }
-
-    /// Counts one successfully emitted response (conservation: also bumps
-    /// the total). JSON-codec shorthand for [`EngineStats::note_ok_as`].
-    pub fn note_ok(&self) {
-        self.note_ok_as(WireCodec::Json);
-    }
-
     /// Counts one successfully emitted response under `codec`
     /// (conservation: also bumps the aggregate and per-codec totals).
-    pub fn note_ok_as(&self, codec: WireCodec) {
+    pub fn note_ok(&self, codec: WireCodec) {
         self.requests_total.inc();
         self.requests_ok.inc();
         self.requests_by_codec[codec.index()].inc();
         self.requests_ok_by_codec[codec.index()].inc();
     }
 
-    /// Counts one emitted error response under `code` (conservation: also
-    /// bumps the total). JSON-codec shorthand for
-    /// [`EngineStats::note_wire_error_as`].
-    pub fn note_wire_error(&self, code: ErrorCode) {
-        self.note_wire_error_as(code, WireCodec::Json);
-    }
-
     /// Counts one emitted error response under `code` and `codec`
     /// (conservation: also bumps the aggregate and per-codec totals).
-    pub fn note_wire_error_as(&self, code: ErrorCode, codec: WireCodec) {
+    pub fn note_wire_error(&self, code: ErrorCode, codec: WireCodec) {
         self.requests_total.inc();
         self.wire_errors[code.index()].inc();
         self.requests_by_codec[codec.index()].inc();
@@ -411,129 +398,37 @@ impl EngineStats {
     pub fn note_pipeline_depth(&self, depth: u64) {
         self.pipeline_depth.record_max(depth);
     }
-}
 
-/// Point-in-time view of the whole engine, as returned by
-/// [`Engine::stats`](crate::Engine::stats).
-#[derive(Debug, Clone)]
-pub struct StatsSnapshot {
-    /// Sessions ever opened.
-    pub sessions_opened: u64,
-    /// Sessions closed.
-    pub sessions_closed: u64,
-    /// Sessions currently live.
-    pub sessions_live: u64,
-    /// Claims whose verdict has been recorded.
-    pub claims_verified: u64,
-    /// Property-screen answers posted.
-    pub answers_posted: u64,
-    /// Suggestion batches produced.
-    pub suggestions_served: u64,
-    /// Model retrains.
-    pub retrains: u64,
-    /// Retrains executed by the background trainer.
-    pub background_retrains: u64,
-    /// Pending examples folded into a published model epoch by the
-    /// background trainer (see the verdict-loss invariant on
-    /// [`EngineStats::examples_trained`]).
-    pub examples_trained: u64,
-    /// The published model generation (bumped by every retrain; readers
-    /// serve whichever snapshot was current when they started).
-    pub model_epoch: u64,
-    /// Verified claims sitting in the pending-examples log, not yet
-    /// folded into a published epoch.
-    pub pending_examples: u64,
-    /// Raw SQL statements executed.
-    pub sql_executed: u64,
-    /// Batch-selection plans requested.
-    pub planner_plans: u64,
-    /// Full ILP solves behind those plans.
-    pub planner_cold_solves: u64,
-    /// Plans answered by incremental repair (no solve).
-    pub planner_incremental_repairs: u64,
-    /// Repairs rejected by the bound test.
-    pub planner_repair_rejections: u64,
-    /// ILP failures that degraded to greedy.
-    pub planner_fallbacks: u64,
-    /// Branch & bound nodes explored while planning.
-    pub planner_nodes: u64,
-    /// Warm-started planning LP solves.
-    pub planner_warm_start_hits: u64,
-    /// Total planning LP solves.
-    pub planner_lp_solves: u64,
-    /// The most recent planner fallback reason, if any ILP ever failed.
-    pub planner_last_fallback: Option<String>,
-    /// Responses emitted, success or error.
-    pub requests_total: u64,
-    /// Responses emitted successfully.
-    pub requests_ok: u64,
-    /// TCP connections currently open on the serving loop.
-    pub connections_open: u64,
-    /// Requests handed to the serving workers and not yet answered.
-    pub requests_in_flight: u64,
-    /// High-water mark of one connection's queued + in-flight requests.
-    pub pipeline_depth: u64,
-    /// Wire errors by [`ErrorCode`] (indexed by [`ErrorCode::index`]).
-    pub wire_errors: [u64; ErrorCode::COUNT],
-    /// Responses emitted per wire codec (indexed by [`WireCodec::index`]).
-    pub requests_by_codec: [u64; WireCodec::COUNT],
-    /// Successful responses per wire codec.
-    pub requests_ok_by_codec: [u64; WireCodec::COUNT],
-    /// Error responses per wire codec (aggregated across codes).
-    pub wire_errors_by_codec: [u64; WireCodec::COUNT],
-    /// Jobs waiting in the executor queue.
-    pub queue_depth: usize,
-    /// Jobs currently executing.
-    pub in_flight: usize,
-    /// Planning latency.
-    pub plan_latency: HistogramSnapshot,
-    /// Suggestion (Algorithm 2) latency.
-    pub suggest_latency: HistogramSnapshot,
-    /// Single-claim verification latency.
-    pub verify_latency: HistogramSnapshot,
-    /// Retrain latency.
-    pub retrain_latency: HistogramSnapshot,
-    /// WAL records appended (0 when the engine is not durable).
-    pub wal_appends: u64,
-    /// Framed WAL bytes written.
-    pub wal_bytes_written: u64,
-    /// WAL fsync batches issued.
-    pub wal_fsyncs: u64,
-    /// Live WAL segment files.
-    pub wal_segments: u64,
-    /// Epoch of the last durable checkpoint.
-    pub wal_last_checkpoint_epoch: u64,
-}
-
-impl StatsSnapshot {
     /// The number of wire errors recorded under `code`.
     pub fn wire_error(&self, code: ErrorCode) -> u64 {
-        self.wire_errors[code.index()]
+        self.wire_errors[code.index()].get()
     }
 
     /// Total wire errors across every code.
     pub fn wire_errors_total(&self) -> u64 {
-        self.wire_errors.iter().sum()
+        self.wire_errors.iter().map(Counter::get).sum()
     }
 
     /// Verifies the conservation invariant at a quiescent point:
     /// `requests_total == requests_ok + Σ wire_errors`.
     pub fn requests_are_conserved(&self) -> bool {
-        self.requests_total == self.requests_ok + self.wire_errors_total()
+        self.requests_total.get() == self.requests_ok.get() + self.wire_errors_total()
     }
 
     /// Verifies the per-codec conservation invariant at a quiescent
     /// point: within each codec, `total == ok + errors`; across codecs,
     /// the per-codec totals, oks, and errors sum to their aggregates.
     pub fn requests_are_conserved_per_codec(&self) -> bool {
+        let sum = |counters: &[Counter]| counters.iter().map(Counter::get).sum::<u64>();
         let per_codec = WireCodec::ALL.iter().all(|codec| {
             let i = codec.index();
-            self.requests_by_codec[i] == self.requests_ok_by_codec[i] + self.wire_errors_by_codec[i]
+            self.requests_by_codec[i].get()
+                == self.requests_ok_by_codec[i].get() + self.wire_errors_by_codec[i].get()
         });
         per_codec
-            && self.requests_by_codec.iter().sum::<u64>() == self.requests_total
-            && self.requests_ok_by_codec.iter().sum::<u64>() == self.requests_ok
-            && self.wire_errors_by_codec.iter().sum::<u64>() == self.wire_errors_total()
+            && sum(&self.requests_by_codec) == self.requests_total.get()
+            && sum(&self.requests_ok_by_codec) == self.requests_ok.get()
+            && sum(&self.wire_errors_by_codec) == self.wire_errors_total()
     }
 }
 
@@ -588,10 +483,10 @@ mod tests {
     #[test]
     fn conservation_counts_every_response_once() {
         let stats = EngineStats::default();
-        stats.note_ok();
-        stats.note_ok();
-        stats.note_wire_error(ErrorCode::ParseError);
-        stats.note_wire_error(ErrorCode::Overloaded);
+        stats.note_ok(WireCodec::Json);
+        stats.note_ok(WireCodec::Json);
+        stats.note_wire_error(ErrorCode::ParseError, WireCodec::Json);
+        stats.note_wire_error(ErrorCode::Overloaded, WireCodec::Json);
         assert_eq!(stats.requests_total.get(), 4);
         assert_eq!(stats.requests_ok.get(), 2);
         assert_eq!(stats.wire_errors[ErrorCode::ParseError.index()].get(), 1);
@@ -603,11 +498,11 @@ mod tests {
     #[test]
     fn per_codec_counters_split_the_aggregate() {
         let stats = EngineStats::default();
-        stats.note_ok(); // JSON shorthand
-        stats.note_ok_as(WireCodec::Binary);
-        stats.note_ok_as(WireCodec::Binary);
-        stats.note_wire_error(ErrorCode::ParseError); // JSON shorthand
-        stats.note_wire_error_as(ErrorCode::UnknownOp, WireCodec::Binary);
+        stats.note_ok(WireCodec::Json);
+        stats.note_ok(WireCodec::Binary);
+        stats.note_ok(WireCodec::Binary);
+        stats.note_wire_error(ErrorCode::ParseError, WireCodec::Json);
+        stats.note_wire_error(ErrorCode::UnknownOp, WireCodec::Binary);
         assert_eq!(stats.requests_total.get(), 5);
         assert_eq!(stats.requests_by_codec[WireCodec::Json.index()].get(), 2);
         assert_eq!(stats.requests_by_codec[WireCodec::Binary.index()].get(), 3);
@@ -639,9 +534,9 @@ mod tests {
     #[test]
     fn registry_exposition_carries_engine_series_and_lints() {
         let stats = EngineStats::default();
-        stats.bump(&stats.sessions_opened);
-        stats.note_ok();
-        stats.note_wire_error(ErrorCode::UnknownOp);
+        stats.sessions_opened.inc();
+        stats.note_ok(WireCodec::Json);
+        stats.note_wire_error(ErrorCode::UnknownOp, WireCodec::Json);
         stats.plan_latency.record(Duration::from_micros(7));
         stats.note_pipeline_depth(3);
         let text = stats.registry().render();

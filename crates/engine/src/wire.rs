@@ -116,18 +116,10 @@ pub fn handle_frame(engine: &Arc<Engine>, payload: &[u8], out: &mut Vec<u8>) {
         handle_frame_inner(engine, payload, out);
     }));
     if let Err(panic) = outcome {
-        let detail = panic
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| panic.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "request handler panicked".to_string());
         // the frame may have been partially encoded when the panic
         // unwound; drop those bytes so the wire stays framed
         out.truncate(mark);
-        engine
-            .stats_ref()
-            .note_wire_error_as(ErrorCode::Internal, WireCodec::Binary);
-        scrutinizer_obs::log_error!("request handler panicked", detail = detail.clone());
+        let detail = crate::protocol::note_panic(engine, WireCodec::Binary, &*panic);
         frame_into(out, |buf| {
             codec::encode_err_response(
                 buf,
@@ -147,7 +139,7 @@ fn handle_frame_inner(engine: &Arc<Engine>, payload: &[u8], out: &mut Vec<u8>) {
     let (envelope, mut reader) = match codec::decode_envelope(payload) {
         Ok(pair) => pair,
         Err(error) => {
-            stats.note_wire_error_as(error.code, WireCodec::Binary);
+            stats.note_wire_error(error.code, WireCodec::Binary);
             frame_into(out, |buf| {
                 codec::encode_err_response(
                     buf,
@@ -166,7 +158,7 @@ fn handle_frame_inner(engine: &Arc<Engine>, payload: &[u8], out: &mut Vec<u8>) {
     };
     let mut span = obs::root_span("server.request", trace);
     let emit_error = |error: &ApiError, out: &mut Vec<u8>| {
-        stats.note_wire_error_as(error.code, WireCodec::Binary);
+        stats.note_wire_error(error.code, WireCodec::Binary);
         frame_into(out, |buf| {
             codec::encode_err_response(buf, envelope.id, trace.raw(), error.code, &error.message);
         });
@@ -194,7 +186,7 @@ fn handle_frame_inner(engine: &Arc<Engine>, payload: &[u8], out: &mut Vec<u8>) {
     span.add_field("op", request.op_name());
     match dispatch(engine, &request) {
         Ok(response) => {
-            stats.note_ok_as(WireCodec::Binary);
+            stats.note_ok(WireCodec::Binary);
             frame_into(out, |buf| {
                 codec::encode_ok_response(buf, envelope.id, trace.raw(), &response);
             });

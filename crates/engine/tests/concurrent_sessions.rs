@@ -99,13 +99,16 @@ fn concurrent_sessions_are_deterministic_and_evaluate_directly() {
     // ---- bookkeeping: 8 explicit sessions plus one ephemeral session
     // per simulated claim drive ----
     assert_eq!(
-        stats.sessions_opened as usize,
+        stats.sessions_opened.get() as usize,
         THREADS + THREADS * CLAIMS_PER_THREAD
     );
-    assert_eq!(stats.sessions_live, 0, "every session was closed");
-    assert_eq!(stats.claims_verified as usize, THREADS * CLAIMS_PER_THREAD);
-    assert!(stats.suggestions_served as usize >= THREADS * CLAIMS_PER_THREAD);
-    assert!(stats.verify_latency.count >= (THREADS * CLAIMS_PER_THREAD) as u64);
+    assert_eq!(stats.sessions_live.get(), 0, "every session was closed");
+    assert_eq!(
+        stats.claims_verified.get() as usize,
+        THREADS * CLAIMS_PER_THREAD
+    );
+    assert!(stats.suggestions_served.get() as usize >= THREADS * CLAIMS_PER_THREAD);
+    assert!(stats.verify_latency.snapshot().count >= (THREADS * CLAIMS_PER_THREAD) as u64);
 
     // ---- determinism: a fresh engine re-derives identical verdicts ----
     let second = fresh_engine();

@@ -61,21 +61,21 @@ fn worker(seed: u64) -> Worker {
     )
 }
 
-/// The durable subset of the stats snapshot: everything recovery promises
+/// The durable subset of the engine's stats: everything recovery promises
 /// to restore exactly. (Suggestions, cache, and latency series are
 /// read-path observability and deliberately volatile.)
 fn durable_subset(engine: &Engine) -> (u64, u64, u64, u64, u64, u64, u64, u64, u64) {
     let s = engine.stats();
     (
-        s.sessions_opened,
-        s.sessions_closed,
-        s.claims_verified,
-        s.answers_posted,
-        s.retrains,
-        s.background_retrains,
-        s.examples_trained,
-        s.model_epoch,
-        s.pending_examples,
+        s.sessions_opened.get(),
+        s.sessions_closed.get(),
+        s.claims_verified.get(),
+        s.answers_posted.get(),
+        s.retrains.get(),
+        s.background_retrains.get(),
+        s.examples_trained.get(),
+        s.model_epoch.get(),
+        s.pending_examples.get(),
     )
 }
 
@@ -96,13 +96,13 @@ fn fresh_directory_starts_fresh_and_every_acked_op_hits_the_wal() {
     // verify_claim_with drives exactly one open, one submit, its answers,
     // one verdict, and one close; every published epoch appends one more.
     let stats = engine.stats();
-    let submits = stats.sessions_opened; // one report per session here
-    let expected = stats.sessions_opened
-        + stats.sessions_closed
+    let submits = stats.sessions_opened.get(); // one report per session here
+    let expected = stats.sessions_opened.get()
+        + stats.sessions_closed.get()
         + submits
-        + stats.answers_posted
-        + stats.claims_verified
-        + stats.retrains;
+        + stats.answers_posted.get()
+        + stats.claims_verified.get()
+        + stats.retrains.get();
     let wal = engine.wal_metrics().expect("durable engine has a WAL");
     assert_eq!(
         wal.appends, expected,
@@ -115,7 +115,8 @@ fn fresh_directory_starts_fresh_and_every_acked_op_hits_the_wal() {
         "a batch never fsyncs more than once per record"
     );
     assert_eq!(
-        wal.last_checkpoint_epoch, stats.model_epoch,
+        wal.last_checkpoint_epoch,
+        stats.model_epoch.get(),
         "every publish checkpoints"
     );
 }
@@ -282,7 +283,7 @@ fn open_sessions_survive_a_crash_and_finish_after_recovery() {
         .expect("verdict on the restored session");
     recovered.close_session(session).expect("close");
     assert_eq!(recovered.session_count(), 0);
-    assert_eq!(recovered.stats().claims_verified, 1);
+    assert_eq!(recovered.stats().claims_verified.get(), 1);
 }
 
 /// Storage that, each time the checkpoint file is about to be written,
@@ -384,14 +385,14 @@ fn crash_between_epoch_record_and_checkpoint_replays_the_epoch_from_its_blob() {
     let epoch_counters = |engine: &Engine| {
         let s = engine.stats();
         (
-            s.model_epoch,
-            s.retrains,
-            s.background_retrains,
-            s.examples_trained,
+            s.model_epoch.get(),
+            s.retrains.get(),
+            s.background_retrains.get(),
+            s.examples_trained.get(),
         )
     };
     let acknowledged = epoch_counters(&engine);
-    let live_pending = engine.stats().pending_examples;
+    let live_pending = engine.stats().pending_examples.get();
     let trained = engine.export_models_state();
     drop(engine);
 
@@ -418,10 +419,10 @@ fn crash_between_epoch_record_and_checkpoint_replays_the_epoch_from_its_blob() {
     assert_eq!(epoch_counters(&recovered), acknowledged);
     // the replayed epoch drained the examples it trained on
     let stats = recovered.stats();
-    assert_eq!(stats.pending_examples, live_pending);
+    assert_eq!(stats.pending_examples.get(), live_pending);
     assert_eq!(
-        stats.pending_examples + stats.examples_trained,
-        stats.claims_verified,
+        stats.pending_examples.get() + stats.examples_trained.get(),
+        stats.claims_verified.get(),
         "every verified claim is pending or trained, once"
     );
 }

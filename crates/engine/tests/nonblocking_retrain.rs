@@ -81,23 +81,25 @@ fn verdicts_schedule_background_retrains_that_advance_the_epoch() {
 
     let stats = engine.stats();
     assert!(
-        stats.model_epoch >= 1,
+        stats.model_epoch.get() >= 1,
         "background retrains must publish new epochs: {stats:?}"
     );
     assert!(
-        stats.background_retrains >= 1,
+        stats.background_retrains.get() >= 1,
         "the trainer executor must have run: {stats:?}"
     );
     assert_eq!(
-        stats.pending_examples, 0,
+        stats.pending_examples.get(),
+        0,
         "flush drains the pending-examples log"
     );
     assert_eq!(
-        stats.retrains, stats.background_retrains,
+        stats.retrains.get(),
+        stats.background_retrains.get(),
         "no pretrain happened, so every retrain was a background one"
     );
-    assert_eq!(engine.model_epoch(), stats.model_epoch);
-    assert!(stats.retrain_latency.count >= stats.retrains);
+    assert_eq!(engine.model_epoch(), stats.model_epoch.get());
+    assert!(stats.retrain_latency.snapshot().count >= stats.retrains.get());
 }
 
 #[test]

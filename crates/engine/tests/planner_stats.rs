@@ -1,6 +1,6 @@
 //! The engine's planner counters: session re-planning runs through the
 //! incremental planner, and its solver/repair/fallback activity is visible
-//! in [`scrutinizer_engine::StatsSnapshot`].
+//! in [`scrutinizer_engine::EngineStats`].
 
 use scrutinizer_core::{OrderingStrategy, SystemConfig};
 use scrutinizer_corpus::{Corpus, CorpusConfig};
@@ -29,18 +29,33 @@ fn planner_counters_surface_in_stats() {
     let _second = engine.next_batch(session).expect("re-plan");
 
     let stats = engine.stats();
-    assert!(stats.planner_plans >= 2, "submit + next_batch both plan");
-    assert!(stats.planner_cold_solves >= 1, "the first plan solves cold");
+    assert!(
+        stats.planner_plans.get() >= 2,
+        "submit + next_batch both plan"
+    );
+    assert!(
+        stats.planner_cold_solves.get() >= 1,
+        "the first plan solves cold"
+    );
     assert_eq!(
-        stats.planner_plans,
-        stats.planner_cold_solves + stats.planner_incremental_repairs + stats.planner_fallbacks,
+        stats.planner_plans.get(),
+        stats.planner_cold_solves.get()
+            + stats.planner_incremental_repairs.get()
+            + stats.planner_fallbacks.get(),
         "every ILP plan is a cold solve, a repair, or a fallback"
     );
-    assert!(stats.planner_lp_solves >= 1, "the solver reports LP work");
-    assert_eq!(stats.planner_fallbacks, 0, "no ILP failure expected here");
-    assert!(stats.planner_last_fallback.is_none());
     assert!(
-        stats.planner_incremental_repairs >= 1,
+        stats.planner_lp_solves.get() >= 1,
+        "the solver reports LP work"
+    );
+    assert_eq!(
+        stats.planner_fallbacks.get(),
+        0,
+        "no ILP failure expected here"
+    );
+    assert!(stats.planner_last_fallback.lock().unwrap().is_none());
+    assert!(
+        stats.planner_incremental_repairs.get() >= 1,
         "an unchanged model re-plan must repair, not re-solve: {stats:?}"
     );
 }
@@ -64,7 +79,7 @@ fn sequential_ordering_plans_without_solver_activity() {
         .submit_report(session, &[0, 1, 2, 3])
         .expect("submit");
     let stats = engine.stats();
-    assert!(stats.planner_plans >= 1);
-    assert_eq!(stats.planner_cold_solves, 0);
-    assert_eq!(stats.planner_nodes, 0);
+    assert!(stats.planner_plans.get() >= 1);
+    assert_eq!(stats.planner_cold_solves.get(), 0);
+    assert_eq!(stats.planner_nodes.get(), 0);
 }

@@ -43,7 +43,7 @@ fn statement_spellings_evaluate_alike() {
         values.push(engine.run_sql(sql).expect("valid statement evaluates"));
     }
     assert!(values.windows(2).all(|w| w[0] == w[1]));
-    assert_eq!(engine.stats().sql_executed, 3);
+    assert_eq!(engine.stats().sql_executed.get(), 3);
 
     // a failure never poisons a later statement
     assert!(engine.run_sql("SELECT nope").is_err());

@@ -65,8 +65,8 @@ fn assert_requests_conserved(engine: &Engine) {
     assert!(
         stats.requests_are_conserved(),
         "requests_total {} != requests_ok {} + wire errors {}",
-        stats.requests_total,
-        stats.requests_ok,
+        stats.requests_total.get(),
+        stats.requests_ok.get(),
         stats.wire_errors_total()
     );
 }
@@ -131,11 +131,11 @@ fn sustains_64_concurrent_connections() {
     handle.shutdown();
     join.join().expect("server thread").expect("clean shutdown");
     assert_eq!(
-        engine.stats().connections_open,
+        engine.stats().connections_open.get(),
         0,
         "every connection must be unregistered after shutdown"
     );
-    assert_eq!(engine.stats().requests_in_flight, 0);
+    assert_eq!(engine.stats().requests_in_flight.get(), 0);
     assert_requests_conserved(&engine);
 }
 
@@ -201,9 +201,9 @@ fn pipelined_requests_are_answered_in_order_and_matched_by_id() {
     // and the server observed a real pipeline, not one-at-a-time
     assert_eq!(seen, (0..DEPTH).collect::<Vec<_>>());
     assert!(
-        engine.stats().pipeline_depth >= 2,
+        engine.stats().pipeline_depth.get() >= 2,
         "pipeline depth high-water {} never exceeded 1",
-        engine.stats().pipeline_depth
+        engine.stats().pipeline_depth.get()
     );
 
     handle.shutdown();
@@ -264,8 +264,8 @@ fn batch_op_round_trips_over_tcp() {
     // the four sub-responses (one of them an error) and the batch
     // envelope are all individually conserved
     let stats = engine.stats();
-    assert_eq!(stats.requests_total, 5);
-    assert_eq!(stats.requests_ok, 4);
+    assert_eq!(stats.requests_total.get(), 5);
+    assert_eq!(stats.requests_ok.get(), 4);
     assert_eq!(stats.wire_errors_total(), 1);
     assert_requests_conserved(&engine);
 }
@@ -349,7 +349,7 @@ fn connection_limit_rejects_with_overloaded() {
     );
     let mut rest = String::new();
     assert_eq!(r3.read_line(&mut rest).expect("EOF after rejection"), 0);
-    assert!(engine.stats().wire_errors.iter().sum::<u64>() >= 1);
+    assert!(engine.stats().wire_errors_total() >= 1);
 
     drop((s1, r1, s2, r2));
     handle.shutdown();
@@ -445,7 +445,7 @@ fn pipeline_cap_bounds_queue_depth() {
         assert_eq!(parsed.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(parsed.get("id").and_then(Json::as_usize), Some(i));
     }
-    let depth = engine.stats().pipeline_depth;
+    let depth = engine.stats().pipeline_depth.get();
     assert!(
         depth as usize <= CAP + 1,
         "queue depth {depth} overshot the pipeline cap {CAP}"
@@ -488,7 +488,7 @@ fn shutdown_grace_force_closes_clients_that_stop_reading() {
          period, not wait on it forever (took {:?})",
         asked.elapsed()
     );
-    assert_eq!(engine.stats().connections_open, 0);
+    assert_eq!(engine.stats().connections_open.get(), 0);
 }
 
 #[test]
@@ -504,7 +504,7 @@ fn graceful_shutdown_drains_and_returns() {
     let mut rest = String::new();
     assert_eq!(reader.read_line(&mut rest).expect("EOF on shutdown"), 0);
     join.join().expect("server thread").expect("clean shutdown");
-    assert_eq!(engine.stats().connections_open, 0);
+    assert_eq!(engine.stats().connections_open.get(), 0);
     assert_requests_conserved(&engine);
 
     // new connections are refused once the listener is gone

@@ -135,17 +135,22 @@ fn shutdown_mid_retrain_never_deadlocks_or_loses_examples() {
         engine.flush_retrains();
         let stats = engine.stats();
         assert_eq!(
-            stats.model_epoch, stats.retrains,
+            stats.model_epoch.get(),
+            stats.retrains.get(),
             "round {round}: a retrain published non-atomically"
         );
-        assert_eq!(stats.pending_examples, 0, "round {round}: flush drains");
         assert_eq!(
-            stats.examples_trained,
+            stats.pending_examples.get(),
+            0,
+            "round {round}: flush drains"
+        );
+        assert_eq!(
+            stats.examples_trained.get(),
             unique.len() as u64,
             "round {round}: pending examples were lost across shutdown"
         );
         assert!(
-            stats.model_epoch >= 1,
+            stats.model_epoch.get() >= 1,
             "round {round}: at least the flush retrain published"
         );
     }

@@ -8,7 +8,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use scrutinizer_engine::StatsSnapshot;
+use scrutinizer_engine::stats::{Counter, EngineStats};
 
 /// Which invariant a violation broke.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,7 +85,7 @@ pub struct Mirror {
     pub last_epoch: u64,
 }
 
-/// The durable subset of the stats snapshot: every counter backed by an
+/// The durable subset of the engine's stats: every counter backed by an
 /// acknowledged WAL record (or the checkpoint image). Captured at a
 /// simulated kill, compared field-for-field after recovery.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,19 +113,19 @@ pub struct DurableSnapshot {
 }
 
 impl DurableSnapshot {
-    /// Extracts the durable subset from a full stats snapshot.
-    pub fn capture(snapshot: &StatsSnapshot) -> DurableSnapshot {
+    /// Extracts the durable subset from the engine's stats.
+    pub fn capture(stats: &EngineStats) -> DurableSnapshot {
         DurableSnapshot {
-            sessions_opened: snapshot.sessions_opened,
-            sessions_closed: snapshot.sessions_closed,
-            sessions_live: snapshot.sessions_live,
-            claims_verified: snapshot.claims_verified,
-            answers_posted: snapshot.answers_posted,
-            retrains: snapshot.retrains,
-            background_retrains: snapshot.background_retrains,
-            examples_trained: snapshot.examples_trained,
-            model_epoch: snapshot.model_epoch,
-            pending_examples: snapshot.pending_examples,
+            sessions_opened: stats.sessions_opened.get(),
+            sessions_closed: stats.sessions_closed.get(),
+            sessions_live: stats.sessions_live.get(),
+            claims_verified: stats.claims_verified.get(),
+            answers_posted: stats.answers_posted.get(),
+            retrains: stats.retrains.get(),
+            background_retrains: stats.background_retrains.get(),
+            examples_trained: stats.examples_trained.get(),
+            model_epoch: stats.model_epoch.get(),
+            pending_examples: stats.pending_examples.get(),
         }
     }
 }
@@ -151,36 +151,33 @@ pub fn check_durability(
 }
 
 /// Runs the stats-derived invariant checks (epoch accounting, verdict
-/// loss, conservation) against one snapshot, updating the mirror's
+/// loss, conservation) against the engine's stats, updating the mirror's
 /// epoch high-water mark.
-pub fn check_stats(
-    snapshot: &StatsSnapshot,
-    mirror: &mut Mirror,
-    step: usize,
-) -> Result<(), Violation> {
-    if snapshot.model_epoch < mirror.last_epoch {
+pub fn check_stats(stats: &EngineStats, mirror: &mut Mirror, step: usize) -> Result<(), Violation> {
+    let model_epoch = stats.model_epoch.get();
+    if model_epoch < mirror.last_epoch {
         return Err(Violation {
             kind: InvariantKind::EpochAccounting,
             step,
             detail: format!(
                 "model epoch went backwards: {} after {}",
-                snapshot.model_epoch, mirror.last_epoch
+                model_epoch, mirror.last_epoch
             ),
         });
     }
-    if snapshot.model_epoch != snapshot.retrains {
+    let retrains = stats.retrains.get();
+    if model_epoch != retrains {
         return Err(Violation {
             kind: InvariantKind::EpochAccounting,
             step,
-            detail: format!(
-                "model epoch {} != retrains {}",
-                snapshot.model_epoch, snapshot.retrains
-            ),
+            detail: format!("model epoch {} != retrains {}", model_epoch, retrains),
         });
     }
-    mirror.last_epoch = snapshot.model_epoch;
+    mirror.last_epoch = model_epoch;
 
-    let accounted = snapshot.examples_trained + snapshot.pending_examples;
+    let examples_trained = stats.examples_trained.get();
+    let pending_examples = stats.pending_examples.get();
+    let accounted = examples_trained + pending_examples;
     let verified = mirror.verified.len() as u64;
     if accounted != verified {
         return Err(Violation {
@@ -188,33 +185,33 @@ pub fn check_stats(
             step,
             detail: format!(
                 "examples_trained {} + pending {} != unique verified {}",
-                snapshot.examples_trained, snapshot.pending_examples, verified
+                examples_trained, pending_examples, verified
             ),
         });
     }
 
-    if !snapshot.requests_are_conserved() {
+    if !stats.requests_are_conserved() {
         return Err(Violation {
             kind: InvariantKind::Conservation,
             step,
             detail: format!(
                 "requests_total {} != requests_ok {} + wire_errors {}",
-                snapshot.requests_total,
-                snapshot.requests_ok,
-                snapshot.wire_errors_total()
+                stats.requests_total.get(),
+                stats.requests_ok.get(),
+                stats.wire_errors_total()
             ),
         });
     }
-    if !snapshot.requests_are_conserved_per_codec() {
+    if !stats.requests_are_conserved_per_codec() {
         return Err(Violation {
             kind: InvariantKind::Conservation,
             step,
             detail: format!(
                 "per-codec conservation broke: totals {:?}, oks {:?}, errors {:?} (aggregate total {})",
-                snapshot.requests_by_codec,
-                snapshot.requests_ok_by_codec,
-                snapshot.wire_errors_by_codec,
-                snapshot.requests_total
+                stats.requests_by_codec.each_ref().map(Counter::get),
+                stats.requests_ok_by_codec.each_ref().map(Counter::get),
+                stats.wire_errors_by_codec.each_ref().map(Counter::get),
+                stats.requests_total.get()
             ),
         });
     }

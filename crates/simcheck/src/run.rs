@@ -23,7 +23,7 @@ use std::sync::Arc;
 use scrutinizer_engine::engine::Engine;
 use scrutinizer_engine::protocol::{handle_payload, Json};
 use scrutinizer_engine::{codec, service_conn, wire, ConnState, ServiceLimits};
-use scrutinizer_engine::{Request, WireCodec, BINARY_MAGIC};
+use scrutinizer_engine::{EngineStats, Request, WireCodec, BINARY_MAGIC};
 use scrutinizer_sim::storage::FAULT_CRASH_TORN;
 use scrutinizer_sim::{
     FaultPlan, SimEndpoint, SimScheduler, SimStorage, SimStream, Spawner, VirtualClock,
@@ -125,12 +125,14 @@ pub fn run_schedule(world: &SharedWorld, ops: &[SimOp], canary: bool) -> RunResu
         digest: 0xCBF2_9CE4_8422_2325,
     };
     let violation = harness.run(ops).err();
-    let snapshot = harness.engine.stats();
-    harness.fold_final_stats(&snapshot);
+    // a clone, so the stats borrow does not pin the harness
+    let engine = Arc::clone(&harness.engine);
+    let stats = engine.stats();
+    harness.fold_final_stats(stats);
     RunResult {
         violation,
         digest: harness.digest,
-        requests: snapshot.requests_total,
+        requests: stats.requests_total.get(),
     }
 }
 
@@ -169,8 +171,7 @@ impl Harness<'_> {
                 continue;
             }
             self.pump()?;
-            let snapshot = self.engine.stats();
-            check_stats(&snapshot, &mut self.mirror, self.step)?;
+            check_stats(self.engine.stats(), &mut self.mirror, self.step)?;
         }
         self.step = ops.len();
         self.quiesce()
@@ -304,7 +305,7 @@ impl Harness<'_> {
                 // what the WAL guaranteed at this instant: every op the
                 // harness saw acknowledged (requests execute inline, so
                 // post-pump counters are all-acked counters)
-                self.crashed = Some(DurableSnapshot::capture(&self.engine.stats()));
+                self.crashed = Some(DurableSnapshot::capture(self.engine.stats()));
                 if *torn {
                     self.storage_faults.arm(FAULT_CRASH_TORN, 1);
                 }
@@ -362,7 +363,7 @@ impl Harness<'_> {
         self.clock = clock;
         self.scheduler = scheduler;
         self.faults = faults;
-        let recovered = DurableSnapshot::capture(&self.engine.stats());
+        let recovered = DurableSnapshot::capture(self.engine.stats());
         check_durability(&expected, &recovered, self.step)
     }
 
@@ -763,16 +764,14 @@ impl Harness<'_> {
             }
         }
 
-        let snapshot = self.engine.stats();
-        check_stats(&snapshot, &mut self.mirror, self.step)?;
-        if snapshot.pending_examples != 0 {
+        let stats = self.engine.stats();
+        check_stats(stats, &mut self.mirror, self.step)?;
+        let pending = stats.pending_examples.get();
+        if pending != 0 {
             return Err(Violation {
                 kind: InvariantKind::VerdictLoss,
                 step: self.step,
-                detail: format!(
-                    "{} examples still pending after flush_retrains",
-                    snapshot.pending_examples
-                ),
+                detail: format!("{pending} examples still pending after flush_retrains"),
             });
         }
         Ok(())
@@ -781,26 +780,26 @@ impl Harness<'_> {
     /// Folds the deterministic subset of the final counters into the
     /// digest, so two runs must also agree on ending state — not just on
     /// response bytes.
-    fn fold_final_stats(&mut self, snapshot: &scrutinizer_engine::StatsSnapshot) {
+    fn fold_final_stats(&mut self, stats: &EngineStats) {
         for value in [
-            snapshot.sessions_opened,
-            snapshot.sessions_closed,
-            snapshot.claims_verified,
-            snapshot.answers_posted,
-            snapshot.suggestions_served,
-            snapshot.retrains,
-            snapshot.background_retrains,
-            snapshot.examples_trained,
-            snapshot.model_epoch,
-            snapshot.pending_examples,
-            snapshot.sql_executed,
-            snapshot.requests_total,
-            snapshot.requests_ok,
+            stats.sessions_opened.get(),
+            stats.sessions_closed.get(),
+            stats.claims_verified.get(),
+            stats.answers_posted.get(),
+            stats.suggestions_served.get(),
+            stats.retrains.get(),
+            stats.background_retrains.get(),
+            stats.examples_trained.get(),
+            stats.model_epoch.get(),
+            stats.pending_examples.get(),
+            stats.sql_executed.get(),
+            stats.requests_total.get(),
+            stats.requests_ok.get(),
         ] {
             self.fold(&value.to_le_bytes());
         }
-        for errors in snapshot.wire_errors {
-            self.fold(&errors.to_le_bytes());
+        for errors in &stats.wire_errors {
+            self.fold(&errors.get().to_le_bytes());
         }
     }
 

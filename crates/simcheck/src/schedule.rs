@@ -69,7 +69,7 @@ pub enum SimOp {
         /// Index into the world's SQL pool for the SQL sub-request.
         query: usize,
     },
-    /// Fetch the stats snapshot over the wire.
+    /// Fetch the stats over the wire.
     Stats {
         /// Target connection slot.
         slot: usize,

@@ -151,11 +151,15 @@ mod tests {
         let storage_b = scrutinizer_sim::SimStorage::new();
         let (a, _, _, _, _) = world.spawn_engine(storage_a).expect("spawn a");
         let (b, _, _, _, _) = world.spawn_engine(storage_b).expect("spawn b");
-        assert_eq!(a.stats().model_epoch, 0, "fresh engines start at epoch 0");
+        assert_eq!(
+            a.stats().model_epoch.get(),
+            0,
+            "fresh engines start at epoch 0"
+        );
         assert!(a.is_durable(), "sim engines carry a WAL");
         a.open_session("sim");
-        assert_eq!(a.stats().sessions_opened, 1);
-        assert_eq!(b.stats().sessions_opened, 0, "stats are per-engine");
+        assert_eq!(a.stats().sessions_opened.get(), 1);
+        assert_eq!(b.stats().sessions_opened.get(), 0, "stats are per-engine");
         assert_eq!(world.sql_pool.len(), world.n_claims);
     }
 }

@@ -135,15 +135,20 @@ fn main() {
     println!("\nengine stats:");
     println!(
         "  sessions opened/closed: {}/{}",
-        stats.sessions_opened, stats.sessions_closed
+        stats.sessions_opened.get(),
+        stats.sessions_closed.get()
     );
-    println!("  claims verified:        {}", stats.claims_verified);
-    println!("  suggestions served:     {}", stats.suggestions_served);
+    println!("  claims verified:        {}", stats.claims_verified.get());
+    println!(
+        "  suggestions served:     {}",
+        stats.suggestions_served.get()
+    );
+    let suggest = stats.suggest_latency.snapshot();
     println!(
         "  suggest latency:        mean {:.0}µs, p99 ≤ {}µs over {} runs",
-        stats.suggest_latency.mean_micros(),
-        stats.suggest_latency.quantile_micros(0.99),
-        stats.suggest_latency.count
+        suggest.mean_micros(),
+        suggest.quantile_micros(0.99),
+        suggest.count
     );
-    println!("  retrains:               {}", stats.retrains);
+    println!("  retrains:               {}", stats.retrains.get());
 }
