@@ -28,15 +28,22 @@
 //!   row-major state (per classifier, a gathered dot product per class,
 //!   then a ranking). Bit-identical output is asserted on every claim
 //!   before timing; acceptance target: fused ≥ 4× per-classifier.
+//! * `report/*` — a submitted report's work over 10-claim reports:
+//!   `one_sweep` translates each claim and keeps the training utility its
+//!   sweep returns; `two_sweeps` translates each claim, then scores the
+//!   report's utilities in one `training_utilities` batch, the way the
+//!   engine did before translation returned the utility. Both outputs are
+//!   asserted bit-identical before timing; the ratio is printed, not
+//!   gated.
 //! * the **retrain storm** — suggest latency on a live engine while a
 //!   writer thread publishes back-to-back model epochs. With snapshot
 //!   swaps readers never wait on the trainer; the p99 must stay near the
 //!   idle p99 instead of absorbing whole retrain latencies.
 //!
 //! The warm≡cold model-equivalence assertion (accuracy parity on the full
-//! stream), the batched≡scalar utility parity and the fused≡per-classifier
-//! translation parity run **before** anything
-//! is timed, in `--quick` smoke mode too. The latency-ratio assertions
+//! stream), the batched≡scalar utility parity, the fused≡per-classifier
+//! translation parity and the one-sweep≡two-sweeps report parity run
+//! **before** anything is timed, in `--quick` smoke mode too. The latency-ratio assertions
 //! run only in full mode: a one-shot smoke iteration has no stable tail.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -46,7 +53,7 @@ use std::time::Instant;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use scrutinizer_core::{
     FeatureStore, ModelsState, OrderingStrategy, PropertyKind, SystemConfig, SystemModels,
-    TrainingState,
+    TrainingState, Translation,
 };
 use scrutinizer_corpus::{ClaimRecord, Corpus, CorpusConfig};
 use scrutinizer_engine::engine::{Engine, EngineOptions};
@@ -416,7 +423,7 @@ fn bench_translation(c: &mut Criterion) {
     // ---- fused ≡ per-classifier, bit for bit, every claim --------------
     for id in 0..claims {
         let features = store.features(id);
-        let fused = models.translate_view(features, k);
+        let (fused, _) = models.translate_view(features, k);
         let expected = translate_per_classifier(&state, features, k);
         for (kind, (got, want)) in PropertyKind::ALL
             .iter()
@@ -489,6 +496,111 @@ fn bench_translation(c: &mut Criterion) {
             per_classifier_s * 1e6
         );
     }
+
+    bench_report(c, &models, &store, k);
+}
+
+/// A 10-claim report translated with the utility each claim's sweep
+/// returns.
+fn report_one_sweep(
+    models: &SystemModels,
+    store: &FeatureStore,
+    report: &[usize],
+    k: usize,
+) -> Vec<(Translation, f64)> {
+    report
+        .iter()
+        .map(|&id| models.translate_view(store.features(id), k))
+        .collect()
+}
+
+/// The same report translated claim by claim, then its utilities scored
+/// in a second, batched sweep of the weights.
+fn report_two_sweeps(
+    models: &SystemModels,
+    store: &FeatureStore,
+    report: &[usize],
+    k: usize,
+) -> (Vec<Translation>, Vec<f64>) {
+    let translations = report
+        .iter()
+        .map(|&id| models.translate_view(store.features(id), k).0)
+        .collect();
+    (
+        translations,
+        models.training_utilities(&store.gather(report)),
+    )
+}
+
+fn bench_report(c: &mut Criterion, models: &SystemModels, store: &FeatureStore, k: usize) {
+    let ids: Vec<usize> = (0..store.len()).collect();
+    let reports: Vec<&[usize]> = ids.chunks(10).collect();
+
+    // ---- one sweep ≡ two sweeps, bit for bit, every report -------------
+    let bits = |t: &Translation| -> Vec<Vec<(String, u32)>> {
+        t.candidates
+            .iter()
+            .map(|v| v.iter().map(|(l, p)| (l.clone(), p.to_bits())).collect())
+            .collect()
+    };
+    for report in &reports {
+        let one = report_one_sweep(models, store, report, k);
+        let (translations, utilities) = report_two_sweeps(models, store, report, k);
+        for (i, ((t, u), (want_t, want_u))) in one
+            .iter()
+            .zip(translations.iter().zip(&utilities))
+            .enumerate()
+        {
+            let id = report[i];
+            assert_eq!(bits(t), bits(want_t), "claim {id}: translation diverged");
+            assert_eq!(u.to_bits(), want_u.to_bits(), "claim {id}: {u} vs {want_u}");
+        }
+    }
+
+    // ---- criterion timings ---------------------------------------------
+    let mut group = c.benchmark_group("report");
+    group.sample_size(10);
+    group.bench_function("one_sweep", |b| {
+        b.iter(|| {
+            for report in &reports {
+                black_box(report_one_sweep(models, store, report, k));
+            }
+        })
+    });
+    group.bench_function("two_sweeps", |b| {
+        b.iter(|| {
+            for report in &reports {
+                black_box(report_two_sweeps(models, store, report, k));
+            }
+        })
+    });
+    group.finish();
+
+    // ---- headline ratio ------------------------------------------------
+    let rounds = if quick_mode() { 1 } else { 20 };
+    let timed = |f: &dyn Fn(&[usize])| {
+        let start = Instant::now();
+        for _ in 0..rounds {
+            for report in &reports {
+                f(report);
+            }
+        }
+        start.elapsed().as_secs_f64() / (rounds * ids.len()) as f64
+    };
+    let one_s = timed(&|report| {
+        black_box(report_one_sweep(models, store, report, k));
+    });
+    let two_s = timed(&|report| {
+        black_box(report_two_sweeps(models, store, report, k));
+    });
+    println!(
+        "report translation ({} claims in 10-claim reports): two sweeps {:.1} µs | \
+         one sweep {:.1} µs per claim ({:.2}x)",
+        ids.len(),
+        two_s * 1e6,
+        one_s * 1e6,
+        two_s / one_s,
+    );
 }
 
 /// p99 of a set of measured latencies, in microseconds.

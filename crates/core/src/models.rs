@@ -263,19 +263,21 @@ impl SystemModels {
 
     /// Translates a claim: top-k candidates per property (§3.1).
     pub fn translate(&self, features: &SparseVector, k: usize) -> Translation {
-        self.translate_view(features.view(), k)
+        self.translate_view(features.view(), k).0
     }
 
     /// [`translate`](Self::translate) over borrowed features (a
-    /// [`FeatureStore`] row); label strings materialize only here, at the
-    /// screen boundary.
+    /// [`FeatureStore`] row), with the claim's training utility;
+    /// label strings materialize only here, at the screen boundary.
     ///
     /// The trained classifiers are ranked through
     /// [`FusedEntropy::top_k_ids_each`], one sweep of each classifier's
     /// feature-major block, bit-identical to each classifier's own
     /// [`top_k_ids`](PropertyClassifier::top_k_ids); untrained ones keep
-    /// their uniform answer in label-id order.
-    pub fn translate_view(&self, features: SparseView<'_>, k: usize) -> Translation {
+    /// their uniform answer in label-id order. The same sweep scores the
+    /// utility, bit-identical to
+    /// [`training_utilities`](Self::training_utilities) on this row.
+    pub fn translate_view(&self, features: SparseView<'_>, k: usize) -> (Translation, f64) {
         let named = |c: &PropertyClassifier, ranked: &[(u32, f32)]| -> Vec<(String, f32)> {
             ranked
                 .iter()
@@ -283,7 +285,7 @@ impl SystemModels {
                 .collect()
         };
         let mut candidates: [Vec<(String, f32)>; 4] = Default::default();
-        self.fused().top_k_ids_each(features, k, |model, ranked| {
+        let utility = self.fused().top_k_ids_each(features, k, |model, ranked| {
             candidates[model] = named(&self.classifiers[model], ranked);
         });
         for (slot, c) in candidates.iter_mut().zip(&self.classifiers) {
@@ -291,7 +293,7 @@ impl SystemModels {
                 *slot = named(c, &c.top_k_ids(features, k));
             }
         }
-        Translation { candidates }
+        (Translation { candidates }, utility)
     }
 
     /// Training utility `u(c)` of Definition 7 (summed prediction entropy).
@@ -310,7 +312,8 @@ impl SystemModels {
     /// [`FusedEntropy::utilities_into`]: per row and trained classifier,
     /// every stored feature is one contiguous multiply-add sweep of that
     /// classifier's classes, with a single reused scratch row and no
-    /// per-claim allocation.
+    /// per-claim allocation. A claim being translated gets the same
+    /// value from [`translate_view`](Self::translate_view) instead.
     pub fn training_utilities(&self, rows: &FeatureMatrix) -> Vec<f64> {
         let mut out = Vec::new();
         self.fused().utilities_into(rows, &mut out);
@@ -800,7 +803,7 @@ mod tests {
         for id in 0..claims {
             let features = store.features(id);
             for k in [0, 1, 5, 10_000] {
-                let fused = models.translate_view(features, k);
+                let (fused, _) = models.translate_view(features, k);
                 for (kind, got) in PropertyKind::ALL.iter().zip(&fused.candidates) {
                     let c = models.classifier(*kind);
                     let expected: Vec<(&str, u32)> = c
@@ -853,7 +856,7 @@ mod tests {
         models.retrain(&mut TrainingState::default(), &refs, 1);
         let features = models.features(&corpus.claims[0]);
         let a = models.translate(&features, 5);
-        let b = models.translate_view(features.view(), 5);
+        let (b, _) = models.translate_view(features.view(), 5);
         assert_eq!(a.candidates, b.candidates);
     }
 

@@ -22,22 +22,24 @@ use scrutinizer_query::FunctionRegistry;
 use scrutinizer_text::SparseView;
 
 /// Translates a claim with `models` and plans its property screens
-/// (OptQuestions). `stage` is entered around each step — `"translate"`,
-/// then `"plan"` — and its guard dropped when the step ends, so a caller
-/// can trace the two separately; `|_| ()` traces nothing.
+/// (OptQuestions), returning the claim's training utility (Definition 7)
+/// from the translation's sweep as well. `stage` is entered around each
+/// step — `"translate"`, then `"plan"` — and its guard dropped when the
+/// step ends, so a caller can trace the two separately; `|_| ()` traces
+/// nothing.
 pub fn translate_and_plan<G>(
     models: &SystemModels,
     features: SparseView<'_>,
     config: &SystemConfig,
     stage: impl Fn(&'static str) -> G,
-) -> (Translation, ClaimPlan) {
-    let translation = {
+) -> (Translation, ClaimPlan, f64) {
+    let (translation, utility) = {
         let _stage = stage("translate");
         models.translate_view(features, config.options_per_screen)
     };
     let _stage = stage("plan");
     let plan = plan_claim(&translation, config);
-    (translation, plan)
+    (translation, plan, utility)
 }
 
 /// Slot of a crowd-validated property in a claim's

@@ -8,6 +8,10 @@
 //! `SoftmaxState` (`bias + x.dot_dense(row)` per class, the libm
 //! softmax, then probability descending with ties by id).
 //!
+//! The same sweep returns the claim's training utility, which the
+//! engine caches in place of the batched pass's: it must equal
+//! `SystemModels::training_utilities` on the same row bit for bit.
+//!
 //! Models come two ways: arbitrary learned state injected through
 //! `restore_state` (untrained classifiers, class counts below the label
 //! count, all-zero weights whose exact ties break by id, quantized
@@ -24,7 +28,7 @@ use scrutinizer_core::{FeatureStore, PropertyKind, SystemConfig, SystemModels, T
 use scrutinizer_corpus::{ClaimRecord, Corpus, CorpusConfig};
 use scrutinizer_learn::softmax::softmax_in_place;
 use scrutinizer_learn::{ClassifierState, SoftmaxState};
-use scrutinizer_text::{SparseVector, SparseView};
+use scrutinizer_text::{FeatureMatrix, SparseVector, SparseView};
 
 struct Fixture {
     corpus: Corpus,
@@ -142,7 +146,8 @@ fn expected_ranking(state: &ClassifierState, x: SparseView<'_>, k: usize) -> Vec
 
 /// The comparison: fused translation ≡ the exported-state oracle, as
 /// `(label, prob.to_bits())`, at `k` ∈ {0, 1, n−1, n, n+5} for every
-/// classifier's label count `n`.
+/// classifier's label count `n`; and the translation's utility ≡ the
+/// batched `training_utilities` of the row, as `to_bits`.
 fn check_parity(
     models: &SystemModels,
     training: &TrainingState,
@@ -154,9 +159,16 @@ fn check_parity(
         ks.extend([n.saturating_sub(1), n, n + 5]);
     }
     let states = models.export_state(training).classifiers;
+    let batched = models.training_utilities(&FeatureMatrix::from_rows(rows.iter().cloned()));
     for (r, row) in rows.iter().enumerate() {
         for &k in &ks {
-            let fused = models.translate_view(row.view(), k);
+            let (fused, utility) = models.translate_view(row.view(), k);
+            if utility.to_bits() != batched[r].to_bits() {
+                return Err(format!(
+                    "row {r}, k {k}: one-sweep utility {utility} != batched {}",
+                    batched[r]
+                ));
+            }
             for kind in PropertyKind::ALL {
                 let state = &states[kind as usize];
                 let expected: Vec<(&str, u32)> = expected_ranking(state, row.view(), k)

@@ -827,16 +827,18 @@ impl Engine {
                 .map(|(&id, _)| id)
                 .collect();
             for claim_id in open {
-                let task = state
-                    .tasks
-                    .get_mut(&claim_id)
-                    .expect("open claim has a task");
-                (task.translation, task.plan) = translate_and_plan(
+                let (translation, plan, utility) = translate_and_plan(
                     &snapshot.models,
                     self.features.features(claim_id),
                     &self.config,
                     |_| (),
                 );
+                state.utilities_at(snapshot.epoch).insert(claim_id, utility);
+                let task = state
+                    .tasks
+                    .get_mut(&claim_id)
+                    .expect("open claim has a task");
+                (task.translation, task.plan) = (translation, plan);
                 task.translated_epoch = snapshot.epoch;
                 let mut next = 0;
                 for screen in &task.plan.screens {
@@ -964,14 +966,14 @@ impl Engine {
                 if state.tasks.contains_key(&claim_id) {
                     continue;
                 }
-                let task = self.stats.plan_latency.time(|| {
-                    let (translation, plan) = translate_and_plan(
+                let (task, utility) = self.stats.plan_latency.time(|| {
+                    let (translation, plan, utility) = translate_and_plan(
                         &snapshot.models,
                         self.features.features(claim_id),
                         &self.config,
                         |stage| obs::span!(stage, claim = claim_id),
                     );
-                    ClaimTask {
+                    let task = ClaimTask {
                         translation,
                         plan,
                         translated_epoch: snapshot.epoch,
@@ -980,10 +982,12 @@ impl Engine {
                         candidates: Vec::new(),
                         suggested: None,
                         phase: ClaimPhase::Screening,
-                    }
+                    };
+                    (task, utility)
                 });
                 state.tasks.insert(claim_id, task);
                 state.pending.push(claim_id);
+                state.utilities_at(snapshot.epoch).insert(claim_id, utility);
             }
             // append while the session lock is still held so the record's
             // log position matches its apply order against concurrent ops
@@ -1023,7 +1027,8 @@ impl Engine {
         }
         // re-plan claims whose screens have not started yet — but only when
         // the model epoch moved since their translation was computed; the
-        // epoch is the invalidation token
+        // epoch is the invalidation token. The same sweep scores the
+        // claim's utility into the session's per-epoch cache.
         for &claim_id in &open {
             let task = state
                 .tasks
@@ -1033,33 +1038,30 @@ impl Engine {
                 && task.phase == ClaimPhase::Screening
                 && task.translated_epoch != snapshot.epoch
             {
-                (task.translation, task.plan) = translate_and_plan(
+                let utility;
+                (task.translation, task.plan, utility) = translate_and_plan(
                     &snapshot.models,
                     self.features.features(claim_id),
                     &self.config,
                     |_| (),
                 );
                 task.translated_epoch = snapshot.epoch;
+                state.utilities_at(snapshot.epoch).insert(claim_id, utility);
             }
         }
-        // utilities for the open pool, scored as one CSR batch per model
-        // epoch: cached per session, invalidated when the epoch advances
-        if state.utilities_epoch != snapshot.epoch {
-            state.utilities.clear();
-            state.utilities_epoch = snapshot.epoch;
-        }
+        // the open claims whose translation was kept (their screens had
+        // started when the epoch moved) are scored as one CSR batch
+        let utilities = state.utilities_at(snapshot.epoch);
         let missing: Vec<usize> = open
             .iter()
             .copied()
-            .filter(|id| !state.utilities.contains_key(id))
+            .filter(|id| !utilities.contains_key(id))
             .collect();
         if !missing.is_empty() {
             let scored = snapshot
                 .models
                 .training_utilities(&self.features.gather(&missing));
-            for (id, utility) in missing.into_iter().zip(scored) {
-                state.utilities.insert(id, utility);
-            }
+            utilities.extend(missing.into_iter().zip(scored));
         }
         let choices: Vec<ClaimChoice> = open
             .iter()
@@ -1637,5 +1639,84 @@ impl Engine {
     pub fn stats(&self) -> &EngineStats {
         self.refresh_mirrored();
         &self.stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use scrutinizer_corpus::CorpusConfig;
+
+    /// The session's cached utilities of `ids`, as bits, and its cache epoch.
+    fn cached(engine: &Engine, session: SessionId, ids: &[usize]) -> (Vec<u64>, u64) {
+        let handle = engine.session(session).expect("open session");
+        let state = handle.lock().expect("session poisoned");
+        let bits = ids.iter().map(|id| state.utilities[id].to_bits()).collect();
+        (bits, state.utilities_epoch)
+    }
+
+    /// What the batched pass scores for `ids` under the published models.
+    fn batched(engine: &Engine, ids: &[usize]) -> Vec<u64> {
+        let rows = engine.feature_store().gather(ids);
+        let utilities = engine.models_snapshot().models.training_utilities(&rows);
+        utilities.into_iter().map(f64::to_bits).collect()
+    }
+
+    #[test]
+    fn translation_sweeps_cache_the_batched_utilities_bit_for_bit() {
+        let engine = Engine::with_options(
+            Corpus::generate(CorpusConfig::small()),
+            SystemConfig::test(),
+            EngineOptions {
+                retrain_interval: None,
+                ..EngineOptions::default()
+            },
+        );
+        let claims = engine.corpus().claims.len();
+        let first_half: Vec<usize> = (0..claims / 2).collect();
+        engine.pretrain(Some(&first_half));
+        let session = engine.open_session("cache");
+        let ids: Vec<usize> = (0..12).collect();
+        engine.submit_report(session, &ids).expect("submit");
+        let before = engine.model_epoch();
+        let scored_before = batched(&engine, &ids);
+        assert_eq!(
+            cached(&engine, session, &ids),
+            (scored_before.clone(), before)
+        );
+
+        // start one claim's screens, so the next epoch keeps its translation
+        let started = ids
+            .iter()
+            .copied()
+            .find(|&id| !engine.screens(session, id).unwrap().screens.is_empty())
+            .expect("some claim has a screen");
+        let screen = engine.screens(session, started).unwrap().screens[0].clone();
+        engine
+            .post_answer(session, started, screen.kind, &screen.options[0])
+            .expect("answer");
+
+        engine.pretrain(None);
+        let after = engine.model_epoch();
+        assert!(after > before);
+        engine.next_batch(session).expect("next batch");
+        {
+            let handle = engine.session(session).unwrap();
+            let state = handle.lock().unwrap();
+            assert_eq!(state.tasks[&started].translated_epoch, before);
+            assert!(ids
+                .iter()
+                .filter(|&&id| id != started)
+                .all(|id| state.tasks[id].translated_epoch == after));
+        }
+        // the re-translated claims and the started one alike carry the
+        // new epoch's utility
+        let scored_after = batched(&engine, &ids);
+        let slot = ids.iter().position(|&id| id == started).unwrap();
+        assert_ne!(
+            scored_after[slot], scored_before[slot],
+            "the retrain moved it"
+        );
+        assert_eq!(cached(&engine, session, &ids), (scored_after, after));
     }
 }

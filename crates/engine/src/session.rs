@@ -127,9 +127,12 @@ pub(crate) struct SessionState {
     /// The session's batch planner: caches the last selection and repairs
     /// it across re-plans instead of re-solving Definition 9 cold.
     pub planner: IncrementalPlanner,
-    /// Training utilities of open claims, cached per model epoch: scored
-    /// in one CSR batch on first use, invalidated when the published epoch
-    /// moves past `utilities_epoch`.
+    /// Training utilities of open claims, cached per model epoch: a
+    /// claim's utility is stored by the sweep that translates it (submit,
+    /// re-translation, recovery); open claims whose translation was kept
+    /// from an older epoch are scored in one CSR batch on first use. The
+    /// cache is emptied when the published epoch moves past
+    /// `utilities_epoch` ([`utilities_at`](Self::utilities_at)).
     pub utilities: FxHashMap<usize, f64>,
     /// The model epoch `utilities` was scored under.
     pub utilities_epoch: u64,
@@ -146,5 +149,15 @@ impl SessionState {
             utilities: FxHashMap::default(),
             utilities_epoch: 0,
         }
+    }
+
+    /// The utility cache for model epoch `epoch`, emptied first if it was
+    /// scored under another epoch.
+    pub(crate) fn utilities_at(&mut self, epoch: u64) -> &mut FxHashMap<usize, f64> {
+        if self.utilities_epoch != epoch {
+            self.utilities.clear();
+            self.utilities_epoch = epoch;
+        }
+        &mut self.utilities
     }
 }

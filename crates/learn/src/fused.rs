@@ -9,19 +9,27 @@
 //! kernels walk a claim's stored features once, eight at a time, and
 //! sweep each group through every trained classifier's own
 //! feature-major block in place — per feature, one contiguous segment
-//! of class columns per classifier — into one reused scratch row.
+//! of class columns per classifier — into reused scratch rows.
 //! Untrained classifiers fold in as their constant uniform entropy.
 //!
 //! Translation ([`FusedEntropy::top_k_ids_each`]) must be
 //! **bit-identical** to the row-major per-classifier path it replaced
 //! (`bias + dot_dense` per class, then the libm softmax), because every
 //! screen, plan, verdict and golden fixture downstream depends on the
-//! exact ranking. It runs the classifier's exact kernel, which keeps
-//! that path's per-class summation order: each lane starts at `+0.0`,
-//! adds `v · w` for the in-range stored features in CSR order with an
-//! unfused multiply then add (`mul_add` rounds once and changes bits),
-//! and adds the bias last. The entropy kernel has no such constraint and
-//! uses fused multiply-adds.
+//! exact ranking. Its ranking lanes run the classifier's exact kernel,
+//! which keeps that path's per-class summation order: each lane starts
+//! at `+0.0`, adds `v · w` for the in-range stored features in CSR order
+//! with an unfused multiply then add (`mul_add` rounds once and changes
+//! bits), and adds the bias last. The entropy kernel has no such
+//! constraint and uses fused multiply-adds from the biases.
+//!
+//! Translation also returns the claim's utility, from the same sweep:
+//! each weight column is loaded once and feeds both an exact lane and an
+//! entropy lane, each in its own kernel's order, so the ranking is the
+//! exact kernel's and the utility is [`FusedEntropy::utilities_into`]'s,
+//! bit for bit. A claim is translated and scored in one pass over the
+//! weights; the batched pass scores only claims whose translation is
+//! kept from an older model.
 
 use std::cell::RefCell;
 
@@ -35,8 +43,10 @@ use scrutinizer_text::{FeatureMatrix, SparseView};
 /// Per-thread translation scratch, reused across calls, so ranking
 /// allocates nothing once a thread has seen the widest classifier.
 struct RankScratch {
-    /// The score row: every trained classifier's lanes, end to end.
+    /// The exact score row: every trained classifier's lanes, end to end.
     scores: Vec<f32>,
+    /// The entropy kernel's score row, in the same layout.
+    fma: Vec<f32>,
     /// `(class id, probability)` pairs of the classifier being ranked.
     ranked: Vec<(u32, f32)>,
 }
@@ -45,6 +55,7 @@ thread_local! {
     static RANK_SCRATCH: RefCell<RankScratch> = const {
         RefCell::new(RankScratch {
             scores: Vec::new(),
+            fma: Vec::new(),
             ranked: Vec::new(),
         })
     };
@@ -123,36 +134,52 @@ impl<'a> FusedEntropy<'a> {
     /// Ranks every trained classifier's classes for one claim, calling
     /// `emit(model, ranked)` once per trained classifier, in input order:
     /// `model` indexes the `fuse` input, `ranked` holds at most `k`
-    /// `(class id, probability)` pairs.
+    /// `(class id, probability)` pairs. Returns the claim's summed
+    /// prediction entropy (Definition 7's `u(c)`), bit-identical to what
+    /// [`utilities_into`](Self::utilities_into) computes for the same row.
     ///
     /// One walk over the claim's features: each group of eight is swept
-    /// through every member's block in turn (the classifiers' exact
-    /// kernel, so each lane keeps the summation order in the module doc),
-    /// then each member adds its biases, takes the same libm softmax, and
-    /// ranks by the same total order — probability descending by
-    /// `total_cmp`, then id ascending — found by partial selection. The
-    /// score row and ranking buffer are per-thread scratch, so `emit`
-    /// must not translate again on the same thread.
+    /// through every member's block in turn, each weight loaded once into
+    /// two lanes — the classifiers' exact kernel (so each ranking lane
+    /// keeps the summation order in the module doc) and the entropy
+    /// kernel's fused multiply-adds from the biases. Then each member
+    /// adds its biases to the exact lanes, takes the same libm softmax,
+    /// and ranks by the same total order — probability descending by
+    /// `total_cmp`, then id ascending — found by partial selection; its
+    /// entropy lanes give its entropy term. The score rows and ranking
+    /// buffer are per-thread scratch, so `emit` must not translate again
+    /// on the same thread.
     pub fn top_k_ids_each(
         &self,
         x: SparseView<'_>,
         k: usize,
         mut emit: impl FnMut(usize, &[(u32, f32)]),
-    ) {
+    ) -> f64 {
         if self.members.is_empty() {
-            return;
+            return self.constant;
         }
-        RANK_SCRATCH.with_borrow_mut(|RankScratch { scores, ranked }| {
+        RANK_SCRATCH.with_borrow_mut(|scratch| {
+            let RankScratch {
+                scores,
+                fma,
+                ranked,
+            } = scratch;
             if scores.len() < self.width {
                 scores.resize(self.width, 0.0);
+                fma.resize(self.width, 0.0);
             }
             scores[..self.width].fill(0.0);
+            for m in &self.members {
+                m.lanes(fma).copy_from_slice(m.model.padded_biases());
+            }
             feature_groups(x, self.dim, |group| {
                 for m in &self.members {
-                    m.model.add_columns(group, m.lanes(scores));
+                    m.model.dual_columns(group, m.lanes(scores), m.lanes(fma));
                 }
             });
+            let mut utility = self.constant;
             for m in &self.members {
+                utility += entropy_from_scores(&m.lanes(fma)[..m.model.n_classes()]);
                 let lanes = m.lanes(scores);
                 m.model.add_biases(lanes);
                 let probs = &mut lanes[..m.model.n_classes()];
@@ -162,7 +189,8 @@ impl<'a> FusedEntropy<'a> {
                 let taken = rank_top_k(ranked, k);
                 emit(m.index, &ranked[..taken]);
             }
-        });
+            utility
+        })
     }
 
     /// Appends the summed prediction entropy (Definition 7's `u(c)`) of
@@ -250,8 +278,9 @@ impl<'a> FusedEntropy<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classifier::ClassifierState;
     use crate::labels::LabelDict;
-    use crate::softmax::TrainConfig;
+    use crate::softmax::{SoftmaxState, TrainConfig};
     use scrutinizer_text::SparseVector;
 
     fn features(idx: u32, extra: u32) -> SparseVector {
@@ -365,6 +394,99 @@ mod tests {
         }
     }
 
+    /// Irregular values, so a lane summed in another order rounds apart.
+    fn irregular(i: usize) -> f32 {
+        ((i as f32 + 1.0) * 1.618_034).fract() * 2.0 - 0.7
+    }
+
+    /// A classifier over 12 features whose every weight and bias is
+    /// nonzero and irregular.
+    fn dense_weights(n_classes: usize, salt: usize) -> PropertyClassifier {
+        let labels: Vec<String> = (0..n_classes).map(|c| format!("c{c}")).collect();
+        let state = ClassifierState {
+            labels: labels.clone(),
+            model: Some(SoftmaxState {
+                weights: (0..n_classes * 12).map(|i| irregular(i + salt)).collect(),
+                biases: (0..n_classes).map(|c| irregular(c + salt + 500)).collect(),
+                grad_sq_w: vec![1e-8; n_classes * 12],
+                grad_sq_b: vec![1e-8; n_classes],
+                dim: 12,
+                n_classes,
+                fits: 1,
+            }),
+        };
+        let scaffold = PropertyClassifier::new(
+            "d",
+            LabelDict::from_labels(labels.iter().map(String::as_str)),
+            12,
+            TrainConfig::default(),
+        );
+        scaffold.with_state(state).expect("fits the scaffold").0
+    }
+
+    #[test]
+    fn one_sweep_translation_scores_the_utility_bit_for_bit() {
+        // 11 classes: a stride of 16 with pad lanes
+        let a = dense_weights(11, 0);
+        let untrained = PropertyClassifier::new(
+            "u",
+            LabelDict::from_labels(["m", "n"]),
+            12,
+            TrainConfig::default(),
+        );
+        let b = dense_weights(3, 7);
+        let models = [&a, &untrained, &b];
+        let fused = FusedEntropy::fuse(&models);
+        let dense = |n: u32| (0..n).map(|i| (i, irregular(i as usize + 90))).collect();
+        let rows = [
+            // exactly one full group of eight
+            SparseVector::from_pairs(dense(8)),
+            // a full group and a three-feature tail
+            SparseVector::from_pairs(dense(11)),
+            // a tail only
+            SparseVector::from_pairs(dense(5)),
+            SparseVector::from_pairs(vec![]),
+            // an out-of-dim index is skipped by both lanes
+            SparseVector::from_pairs(vec![(2, 1.5), (100, 9.0)]),
+        ];
+        let matrix = FeatureMatrix::from_rows(rows.iter().cloned());
+        let mut batched = Vec::new();
+        fused.utilities_into(&matrix, &mut batched);
+        for (r, row) in rows.iter().enumerate() {
+            for k in [0, 1, 3] {
+                let utility = fused.top_k_ids_each(row.view(), k, |model, ranked| {
+                    let bits = |v: &[(u32, f32)]| -> Vec<(u32, u32)> {
+                        v.iter().map(|&(id, p)| (id, p.to_bits())).collect()
+                    };
+                    let expected = models[model].top_k_ids(row.view(), k);
+                    assert_eq!(bits(ranked), bits(&expected), "row {r}, model {model}");
+                });
+                assert_eq!(
+                    utility.to_bits(),
+                    batched[r].to_bits(),
+                    "row {r}, k {k}: one sweep {utility} vs batched {}",
+                    batched[r]
+                );
+            }
+        }
+
+        // the kernel itself: both lanes equal their own kernel's sweep
+        let model = a.softmax().expect("trained");
+        let stride = model.stride();
+        for n in [8, 5] {
+            let group: Vec<(usize, f32)> = (0..n).map(|i| (i, irregular(i + 90))).collect();
+            let start: Vec<f32> = (0..stride).map(|j| irregular(j + 40)).collect();
+            let (mut exact, mut fma) = (start.clone(), start.clone());
+            model.dual_columns(&group, &mut exact, &mut fma);
+            let (mut want_exact, mut want_fma) = (start.clone(), start);
+            model.add_columns(&group, &mut want_exact);
+            model.fma_columns(&group, &mut want_fma);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&exact), bits(&want_exact), "exact lanes, {n} columns");
+            assert_eq!(bits(&fma), bits(&want_fma), "fma lanes, {n} columns");
+        }
+    }
+
     #[test]
     fn all_untrained_is_the_constant() {
         let u1 = PropertyClassifier::new(
@@ -385,5 +507,7 @@ mod tests {
         fused.utilities_into(&rows, &mut got);
         let expected = (2.0f64).ln() + (3.0f64).ln();
         assert!(got.iter().all(|u| (u - expected).abs() < 1e-12), "{got:?}");
+        let translated = fused.top_k_ids_each(rows.row(0), 3, |_, _| panic!("nothing is trained"));
+        assert_eq!(translated.to_bits(), got[0].to_bits());
     }
 }

@@ -37,12 +37,13 @@
 //!   them `PropertyClassifier::top_k_ids`, `predict_id` and accuracy
 //!   traces) runs the same kernel;
 //! * [`FusedEntropy`] ranks all four classifiers for translation and sums
-//!   their Definition 7 entropies by sweeping each classifier's block.
+//!   their Definition 7 entropies by sweeping each classifier's block —
+//!   both at once when translating a claim (`dual_columns`).
 //!
 //! The exact scoring kernel keeps the per-lane order of the row-major
 //! `bias + x.dot_dense(row)` it replaced (see `scores_into`), so every
 //! ranking, screen, plan and verdict is bit-identical to that path; the
-//! batched entropy kernels carry no such constraint and use fused
+//! entropy kernels carry no such constraint and use fused
 //! multiply-adds.
 //!
 //! Persistence is row-major (one `dim`-long row per class) and never
@@ -724,6 +725,62 @@ impl SoftmaxClassifier {
             b = v7.mul_add(c7[j], b);
             a = v3.mul_add(c3[j], a);
             scratch[j] = a + b;
+        }
+    }
+
+    /// Both sweeps from one read of the weights: folds a group of
+    /// `(feature, value)` columns into `exact[..stride]` as
+    /// [`add_columns`](Self::add_columns) does and into `fma[..stride]`
+    /// as [`fma_columns`](Self::fma_columns) does. Each lane keeps its own
+    /// kernel's operation order, so both rows are bit-identical to the
+    /// two separate sweeps; only the weight loads are shared.
+    #[inline]
+    pub(crate) fn dual_columns(&self, group: &[(usize, f32)], exact: &mut [f32], fma: &mut [f32]) {
+        let stride = self.stride;
+        let (exact, fma) = (&mut exact[..stride], &mut fma[..stride]);
+        let Ok(&[(i0, v0), (i1, v1), (i2, v2), (i3, v3), (i4, v4), (i5, v5), (i6, v6), (i7, v7)]) =
+            <&[(usize, f32); 8]>::try_from(group)
+        else {
+            for &(i, v) in group {
+                let column = &self.weights[i * stride..][..stride];
+                for ((e, f), &w) in exact.iter_mut().zip(fma.iter_mut()).zip(column) {
+                    *e += v * w;
+                    *f = v.mul_add(w, *f);
+                }
+            }
+            return;
+        };
+        let c0 = &self.weights[i0 * stride..][..stride];
+        let c1 = &self.weights[i1 * stride..][..stride];
+        let c2 = &self.weights[i2 * stride..][..stride];
+        let c3 = &self.weights[i3 * stride..][..stride];
+        let c4 = &self.weights[i4 * stride..][..stride];
+        let c5 = &self.weights[i5 * stride..][..stride];
+        let c6 = &self.weights[i6 * stride..][..stride];
+        let c7 = &self.weights[i7 * stride..][..stride];
+        for j in 0..stride {
+            let (w0, w1, w2, w3) = (c0[j], c1[j], c2[j], c3[j]);
+            let (w4, w5, w6, w7) = (c4[j], c5[j], c6[j], c7[j]);
+            let mut e = exact[j];
+            e += v0 * w0;
+            e += v1 * w1;
+            e += v2 * w2;
+            e += v3 * w3;
+            e += v4 * w4;
+            e += v5 * w5;
+            e += v6 * w6;
+            e += v7 * w7;
+            exact[j] = e;
+            let mut a = fma[j];
+            let mut b = v4 * w4;
+            a = v0.mul_add(w0, a);
+            b = v5.mul_add(w5, b);
+            a = v1.mul_add(w1, a);
+            b = v6.mul_add(w6, b);
+            a = v2.mul_add(w2, a);
+            b = v7.mul_add(w7, b);
+            a = v3.mul_add(w3, a);
+            fma[j] = a + b;
         }
     }
 
