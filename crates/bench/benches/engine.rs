@@ -15,7 +15,7 @@ use scrutinizer_engine::engine::{Engine, EngineOptions};
 
 fn engine() -> Arc<Engine> {
     let corpus = Corpus::generate(CorpusConfig::small());
-    let engine = Engine::with_options(
+    let engine = Engine::new(
         corpus,
         SystemConfig::test(),
         EngineOptions {

@@ -32,7 +32,7 @@ const ROUNDS: usize = 15;
 const ABS_EPSILON: f64 = 100e-6;
 
 fn bench_engine() -> Arc<Engine> {
-    let engine = Engine::with_options(
+    let engine = Engine::new(
         Corpus::generate(CorpusConfig::small()),
         SystemConfig::test(),
         EngineOptions {

@@ -491,7 +491,7 @@ fn median_secs(rounds: usize, mut routine: impl FnMut()) -> f64 {
 }
 
 fn bench_serve(c: &mut Criterion) {
-    let engine = Engine::with_options(
+    let engine = Engine::new(
         Corpus::generate(CorpusConfig::small()),
         SystemConfig::test(),
         EngineOptions {

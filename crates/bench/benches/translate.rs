@@ -625,7 +625,7 @@ fn timed_suggest(engine: &Arc<Engine>, claim_id: usize) -> f64 {
 
 fn bench_retrain_storm(_c: &mut Criterion) {
     let corpus = Corpus::generate(CorpusConfig::small());
-    let engine = Engine::with_options(
+    let engine = Engine::new(
         corpus,
         SystemConfig::test(),
         EngineOptions {

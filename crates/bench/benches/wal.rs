@@ -8,8 +8,9 @@
 //! * **`reexecute_ops`** — a fresh engine re-runs every verification
 //!   end-to-end (planning, screening, verdicts, retrains): the cost a
 //!   system without recovery pays after every restart;
-//! * **`replay_wal`** — [`recover_parts`] loads the checkpoint image and
-//!   epoch blob and replays the record tail, with no planning at all.
+//! * **`replay_wal`** — [`Engine::open`] with a [`DurableEnv`] loads the
+//!   checkpoint image and epoch blob and replays the record tail, with no
+//!   planning at all.
 //!
 //! Before anything is timed, parity is asserted: the recovered engine
 //! reports exactly the durable stats the original earned. The headline
@@ -21,11 +22,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use scrutinizer_core::{FeatureStore, OrderingStrategy, SystemConfig, SystemModels, TrainingState};
+use scrutinizer_core::{OrderingStrategy, SystemConfig};
 use scrutinizer_corpus::{Corpus, CorpusConfig};
 use scrutinizer_crowd::{Worker, WorkerConfig};
-use scrutinizer_engine::engine::{Engine, EngineOptions};
-use scrutinizer_engine::{recover_parts, DurableEnv, RecoveryReport};
+use scrutinizer_engine::engine::{Engine, EngineOptions, EngineParts};
+use scrutinizer_engine::{DurableEnv, RecoveryReport};
 use scrutinizer_sim::{FsStorage, SimEnv, Storage};
 use scrutinizer_wal::WalOptions;
 
@@ -55,29 +56,18 @@ fn median_secs(rounds: usize, mut routine: impl FnMut()) -> f64 {
 /// corpus, features, pretrained weights and their training state.
 /// Re-execution and replay both start from here, so the comparison
 /// isolates *state reconstruction*.
-struct World {
-    corpus: Arc<Corpus>,
-    features: Arc<FeatureStore>,
-    models: SystemModels,
-    training: TrainingState,
-    config: SystemConfig,
-}
-
-fn world() -> World {
+fn world() -> EngineParts {
     let corpus = Corpus::generate(CorpusConfig::small());
-    let config = SystemConfig::test();
-    let mut models = SystemModels::bootstrap(&corpus, &config);
-    let features = FeatureStore::build(&corpus, &models);
-    let mut training = TrainingState::default();
-    let all: Vec<usize> = (0..corpus.claims.len()).collect();
-    models.retrain_from_store(&mut training, &features, &corpus.claims, &all, 1);
-    World {
-        corpus: Arc::new(corpus),
-        features: Arc::new(features),
-        models,
-        training,
-        config,
-    }
+    let mut parts = EngineParts::bootstrap(corpus, &SystemConfig::test());
+    let all: Vec<usize> = (0..parts.corpus.claims.len()).collect();
+    parts.models.retrain_from_store(
+        &mut parts.training,
+        &parts.features,
+        &parts.corpus.claims,
+        &all,
+        1,
+    );
+    parts
 }
 
 fn options() -> EngineOptions {
@@ -85,7 +75,6 @@ fn options() -> EngineOptions {
         retrain_interval: Some(RETRAIN_INTERVAL),
         ordering: OrderingStrategy::Sequential,
         threads: 2,
-        ..EngineOptions::default()
     }
 }
 
@@ -113,37 +102,28 @@ fn drive(engine: &Arc<Engine>) {
 /// A fresh *non-durable* engine re-running the whole workload — the
 /// baseline deliberately pays no WAL appends or fsyncs, so the measured
 /// gap understates what replay saves a durable deployment.
-fn reexecute(world: &World) -> Arc<Engine> {
-    let engine = Engine::from_parts(
-        Arc::clone(&world.corpus),
-        Arc::clone(&world.features),
-        world.models.clone(),
-        world.training.clone(),
-        world.config,
-        options(),
-        SimEnv::production(),
-    );
+fn reexecute(world: &EngineParts) -> Arc<Engine> {
+    let (engine, _) = open(world, None);
     drive(&engine);
     engine
 }
 
-/// Opens (or recovers) a durable engine over `dir` on the real fs.
-fn recover_dir(world: &World, dir: &str) -> (Arc<Engine>, RecoveryReport) {
-    recover_parts(
-        Arc::clone(&world.corpus),
-        Arc::clone(&world.features),
-        world.models.clone(),
-        world.training.clone(),
-        world.config,
+/// An engine over the world; with `dir`, durable over (or recovered
+/// from) that directory on the real fs.
+fn open(world: &EngineParts, dir: Option<&str>) -> (Arc<Engine>, RecoveryReport) {
+    let durable = dir.map(|dir| DurableEnv {
+        storage: Arc::new(FsStorage::new()) as Arc<dyn Storage>,
+        dir: dir.to_string(),
+        wal: WalOptions::default(),
+    });
+    Engine::open(
+        world.clone(),
+        SystemConfig::test(),
         options(),
         SimEnv::production(),
-        DurableEnv {
-            storage: Arc::new(FsStorage::new()) as Arc<dyn Storage>,
-            dir: dir.to_string(),
-            wal: WalOptions::default(),
-        },
+        durable,
     )
-    .expect("recovery over a healthy directory cannot fail")
+    .expect("opening over a healthy directory cannot fail")
 }
 
 /// The durable subset of the engine's stats — what recovery promises to
@@ -172,7 +152,7 @@ fn bench_wal_recovery(c: &mut Criterion) {
 
     // ---- write the log once: the state every restart strategy must
     // reproduce ----
-    let (origin, fresh) = recover_dir(&world, &dir);
+    let (origin, fresh) = open(&world, Some(&dir));
     assert_eq!(
         fresh,
         RecoveryReport::default(),
@@ -187,7 +167,7 @@ fn bench_wal_recovery(c: &mut Criterion) {
 
     // ---- parity before timing: recovery rebuilds the durable stats
     // exactly, resuming the published epoch ----
-    let (recovered, report) = recover_dir(&world, &dir);
+    let (recovered, report) = open(&world, Some(&dir));
     assert_eq!(
         durable_subset(&recovered),
         expected,
@@ -202,7 +182,7 @@ fn bench_wal_recovery(c: &mut Criterion) {
         b.iter(|| reexecute(&world).stats().claims_verified.get())
     });
     group.bench_function("replay_wal", |b| {
-        b.iter(|| recover_dir(&world, &dir).1.records_replayed)
+        b.iter(|| open(&world, Some(&dir)).1.records_replayed)
     });
     group.finish();
 
@@ -214,7 +194,7 @@ fn bench_wal_recovery(c: &mut Criterion) {
         assert_eq!(engine.stats().claims_verified.get(), CLAIMS as u64);
     });
     let replay = median_secs(rounds, || {
-        let (engine, _) = recover_dir(&world, &dir);
+        let (engine, _) = open(&world, Some(&dir));
         assert_eq!(durable_subset(&engine), expected);
     });
     println!(

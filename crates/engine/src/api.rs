@@ -1121,7 +1121,7 @@ mod tests {
 
     fn tiny_engine() -> Arc<Engine> {
         // no pretrain: these tests never reach translation/suggestion
-        Engine::with_options(
+        Engine::new(
             Corpus::generate(CorpusConfig::small()),
             SystemConfig::test(),
             EngineOptions {

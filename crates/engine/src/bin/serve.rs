@@ -66,12 +66,12 @@ use std::sync::Arc;
 
 use scrutinizer_core::SystemConfig;
 use scrutinizer_corpus::{Corpus, CorpusConfig};
-use scrutinizer_engine::engine::{Engine, EngineOptions};
+use scrutinizer_engine::engine::{Engine, EngineOptions, EngineParts};
 use scrutinizer_engine::server::{Server, ServerOptions};
-use scrutinizer_engine::{recover, DurableEnv};
+use scrutinizer_engine::DurableEnv;
 use scrutinizer_obs::log::LogLevel;
 use scrutinizer_obs::{self as obs, log_error, log_info, log_warn};
-use scrutinizer_sim::{FsStorage, Storage};
+use scrutinizer_sim::{FsStorage, SimEnv, Storage};
 use scrutinizer_wal::WalOptions;
 
 struct Args {
@@ -265,48 +265,39 @@ fn main() {
     if let Some(interval) = args.retrain_interval {
         options.retrain_interval = (interval > 0).then_some(interval);
     }
-    let engine = match &args.data_dir {
-        Some(dir) => {
-            let durable = DurableEnv {
-                storage: Arc::new(FsStorage::new()) as Arc<dyn Storage>,
-                dir: dir.clone(),
-                wal: WalOptions::default(),
-            };
-            let (engine, report) = recover(corpus, SystemConfig::default(), options, durable)
-                .unwrap_or_else(|error| {
-                    log_error!(
-                        "recovery failed",
-                        data_dir = dir.as_str(),
-                        error = error.to_string(),
-                    );
-                    exit(1);
-                });
-            log_info!(
-                "durable state recovered",
-                data_dir = dir.as_str(),
-                resumed_epoch = report.resumed_epoch,
-                checkpoint_epoch = report.checkpoint_epoch,
-                records_replayed = report.records_replayed as u64,
-                sessions_restored = report.sessions_restored as u64,
-                truncated_bytes = report.truncated_bytes as u64,
+    let durable = args.data_dir.as_ref().map(|dir| DurableEnv {
+        storage: Arc::new(FsStorage::new()) as Arc<dyn Storage>,
+        dir: dir.clone(),
+        wal: WalOptions::default(),
+    });
+    let config = SystemConfig::default();
+    let parts = EngineParts::bootstrap(corpus, &config);
+    let (engine, report) = Engine::open(parts, config, options, SimEnv::production(), durable)
+        .unwrap_or_else(|error| {
+            log_error!(
+                "recovery failed",
+                data_dir = args.data_dir.as_deref().unwrap_or_default(),
+                error = error.to_string(),
             );
-            // a resumed epoch means the trained models came back from
-            // disk — re-pretraining would discard them for no gain
-            if args.pretrain && report.resumed_epoch == 0 {
-                log_info!("pre-training classifiers on the full corpus");
-                engine.pretrain(None);
-            }
-            engine
-        }
-        None => {
-            let engine = Engine::with_options(corpus, SystemConfig::default(), options);
-            if args.pretrain {
-                log_info!("pre-training classifiers on the full corpus");
-                engine.pretrain(None);
-            }
-            engine
-        }
-    };
+            exit(1);
+        });
+    if let Some(dir) = &args.data_dir {
+        log_info!(
+            "durable state recovered",
+            data_dir = dir.as_str(),
+            resumed_epoch = report.resumed_epoch,
+            checkpoint_epoch = report.checkpoint_epoch,
+            records_replayed = report.records_replayed as u64,
+            sessions_restored = report.sessions_restored as u64,
+            truncated_bytes = report.truncated_bytes as u64,
+        );
+    }
+    // a resumed epoch means the trained models came back from disk —
+    // re-pretraining would discard them for no gain
+    if args.pretrain && report.resumed_epoch == 0 {
+        log_info!("pre-training classifiers on the full corpus");
+        engine.pretrain(None);
+    }
 
     let mut server_options = ServerOptions::default();
     if let Some(max_connections) = args.max_connections {

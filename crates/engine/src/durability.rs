@@ -69,16 +69,15 @@
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
-use scrutinizer_core::{FeatureStore, PropertyKind, SystemConfig, SystemModels, TrainingState};
-use scrutinizer_corpus::Corpus;
+use scrutinizer_core::{PropertyKind, SystemModels, TrainingState};
 use scrutinizer_learn::softmax::{feature_major_from_tiles, Block};
 use scrutinizer_learn::{PropertyClassifier, SoftmaxClassifier, SoftmaxTraining};
-use scrutinizer_sim::{SimEnv, Storage};
+use scrutinizer_sim::Storage;
 use scrutinizer_wal::{Wal, WalOptions};
 
 use crate::api::ApiError;
 use crate::codec::{kind_byte, kind_from_byte, put_str, put_u32, put_u64, put_u8, Reader};
-use crate::engine::{Engine, EngineOptions};
+use crate::engine::{Engine, EngineParts};
 use scrutinizer_obs as obs;
 
 // ---- typed WAL records ---------------------------------------------------
@@ -805,106 +804,73 @@ fn invalid(message: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message)
 }
 
-/// Opens (or creates) the durable state under `durable.dir` and builds an
-/// engine resumed from it: the checkpoint image is applied, the tail of
-/// the WAL is replayed, the last published epoch's models are loaded from
-/// their snapshot blob, and open claims are re-planned once with the
-/// recovered models. The returned engine records every subsequent
-/// state-changing op to the same WAL.
-///
-/// `base_models` and their `base_training` state are the models used
-/// when no epoch was ever published; `base_models` are also the scaffold
-/// a snapshot decodes onto (featurizer, feature dims, training config;
-/// labels, weights and training state come from the blob).
-/// `corpus`/`features` must describe the same world the log was written
-/// against.
-#[allow(clippy::too_many_arguments)]
-pub fn recover_parts(
-    corpus: Arc<Corpus>,
-    features: Arc<FeatureStore>,
-    base_models: SystemModels,
-    base_training: TrainingState,
-    config: SystemConfig,
-    options: EngineOptions,
-    env: SimEnv,
+/// A durable directory opened by [`open_log`]: what [`Engine::open`]
+/// replays into the engine it builds on top.
+pub(crate) struct Recovery {
+    /// The model epoch the engine starts at before replay.
+    pub(crate) checkpoint_epoch: u64,
+    image: Option<StateImage>,
+    records: Vec<Vec<u8>>,
+    truncated_bytes: usize,
+}
+
+/// Opens (or creates) the WAL under `durable.dir` and decodes its
+/// checkpoint. When the checkpoint names a published epoch, that epoch's
+/// snapshot blob replaces `parts`' models and training state; the
+/// models in hand are the scaffold it decodes onto.
+pub(crate) fn open_log(
     durable: DurableEnv,
-) -> io::Result<(Arc<Engine>, RecoveryReport)> {
-    let _span = obs::span!("wal.replay");
+    parts: &mut EngineParts,
+) -> io::Result<(Wal, Recovery)> {
     durable.storage.create_dir_all(&durable.dir)?;
     let (wal, recovered) = Wal::open(Arc::clone(&durable.storage), &durable.dir, durable.wal)?;
     let (checkpoint_epoch, image) = match &recovered.checkpoint {
         Some((epoch, payload)) => (*epoch, Some(decode_state_image(payload).map_err(invalid)?)),
         None => (0, None),
     };
-    let (models, training) = if checkpoint_epoch > 0 {
+    if checkpoint_epoch > 0 {
         // the blob carries the epoch's own training state; free the base
         // one before decoding it
-        drop(base_training);
-        load_models(&wal, checkpoint_epoch, &base_models)?
-    } else {
-        (base_models, base_training)
-    };
-    let engine = Engine::assemble(
-        corpus,
-        features,
-        models,
-        training,
-        config,
-        options,
-        env,
-        checkpoint_epoch,
-        Some(wal),
-    );
-    engine.begin_replay();
-    if let Some(image) = image {
-        engine.apply_state_image(&image);
+        parts.training = TrainingState::default();
+        (parts.models, parts.training) = load_models(&wal, checkpoint_epoch, &parts.models)?;
     }
-    let mut records_replayed = 0;
-    for payload in &recovered.records {
-        let record = WalRecord::decode(payload).map_err(invalid)?;
-        engine.replay_record(&record)?;
-        records_replayed += 1;
-    }
-    engine.replay_finalize();
-    engine.end_replay();
-    let sessions_restored = engine.session_count();
-    let report = RecoveryReport {
-        resumed_epoch: engine.model_epoch(),
+    let recovery = Recovery {
         checkpoint_epoch,
-        records_replayed,
-        sessions_restored,
+        image,
+        records: recovered.records,
         truncated_bytes: recovered.truncated_bytes,
     };
-    Ok((engine, report))
+    Ok((wal, recovery))
 }
 
-/// Convenience wrapper over [`recover_parts`] for production callers
-/// (the serving binary): bootstraps fresh models and features for the
-/// corpus, then recovers on top of them.
-pub fn recover(
-    corpus: Corpus,
-    config: SystemConfig,
-    options: EngineOptions,
-    durable: DurableEnv,
-) -> io::Result<(Arc<Engine>, RecoveryReport)> {
-    let models = SystemModels::bootstrap(&corpus, &config);
-    let features = Arc::new(FeatureStore::build(&corpus, &models));
-    recover_parts(
-        Arc::new(corpus),
-        features,
-        models,
-        TrainingState::default(),
-        config,
-        options,
-        SimEnv::production(),
-        durable,
-    )
+impl Recovery {
+    /// Applies the checkpoint image to `engine`, replays the WAL tail and
+    /// re-plans open claims once with the recovered models.
+    pub(crate) fn replay(self, engine: &Engine) -> io::Result<RecoveryReport> {
+        engine.begin_replay();
+        if let Some(image) = &self.image {
+            engine.apply_state_image(image);
+        }
+        for payload in &self.records {
+            let record = WalRecord::decode(payload).map_err(invalid)?;
+            engine.replay_record(&record)?;
+        }
+        engine.replay_finalize();
+        engine.end_replay();
+        Ok(RecoveryReport {
+            resumed_epoch: engine.model_epoch(),
+            checkpoint_epoch: self.checkpoint_epoch,
+            records_replayed: self.records.len(),
+            sessions_restored: engine.session_count(),
+            truncated_bytes: self.truncated_bytes,
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scrutinizer_core::ModelsState;
+    use scrutinizer_core::{FeatureStore, ModelsState, SystemConfig};
 
     #[test]
     fn wal_records_round_trip() {

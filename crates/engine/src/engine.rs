@@ -24,21 +24,24 @@ use scrutinizer_query::FunctionRegistry;
 use scrutinizer_sim::{SimEnv, Spawner};
 use scrutinizer_wal::{Wal, WalMetrics};
 
-use crate::durability::{self, ClaimImage, SessionImage, StateImage, WalRecord};
+use crate::durability::{
+    self, ClaimImage, DurableEnv, RecoveryReport, SessionImage, StateImage, WalRecord,
+};
 use crate::executor::ThreadPool;
 use crate::session::{ClaimPhase, ClaimQuestions, ClaimTask, SessionId, SessionState, Suggestion};
 use crate::snapshot::{ModelSnapshot, SnapshotCell};
 use crate::stats::{Counter, EngineStats};
 use scrutinizer_obs as obs;
 
+/// Bounded queue length of the `verify_batch` executor; submissions
+/// beyond it block (backpressure).
+const QUEUE_CAPACITY: usize = 256;
+
 /// Engine sizing and behavior knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineOptions {
     /// Executor threads (default: available parallelism, min 2).
     pub threads: usize,
-    /// Bounded executor queue length; submissions beyond it block
-    /// (backpressure).
-    pub queue_capacity: usize,
     /// Schedule a background incremental retrain once this many newly
     /// verified claims sit in the pending-examples log; `None` freezes the
     /// models (deterministic serving). Retraining happens off the read
@@ -55,7 +58,6 @@ impl Default for EngineOptions {
             threads: std::thread::available_parallelism()
                 .map_or(2, |n| n.get())
                 .max(2),
-            queue_capacity: 256,
             retrain_interval: Some(50),
             ordering: OrderingStrategy::Ilp,
         }
@@ -224,74 +226,89 @@ enum RetrainKind {
     Incremental,
 }
 
-impl Engine {
-    /// Engine with default [`EngineOptions`].
-    pub fn new(corpus: Corpus, config: SystemConfig) -> Arc<Self> {
-        Self::with_options(corpus, config, EngineOptions::default())
-    }
+/// The world an engine serves: the shared corpus, its feature store, and
+/// the models with their training state. The corpus and features sit
+/// behind `Arc`s, so many engines can serve one world without copying
+/// it; the models are published as the engine's starting epoch.
+#[derive(Clone)]
+pub struct EngineParts {
+    /// The corpus (catalog + claims + document).
+    pub corpus: Arc<Corpus>,
+    /// Every claim featurized once, against `models`' featurizer.
+    pub features: Arc<FeatureStore>,
+    /// The property classifiers; a durable engine also decodes its
+    /// recovered snapshot onto them.
+    pub models: SystemModels,
+    /// The training state of `models`.
+    pub training: TrainingState,
+}
 
-    /// Engine with explicit sizing (production environment) —
-    /// bootstraps fresh models and featurizes the corpus. The simulation
-    /// harness injects its environment through
-    /// [`from_parts`](Self::from_parts) instead.
-    pub fn with_options(corpus: Corpus, config: SystemConfig, options: EngineOptions) -> Arc<Self> {
-        let models = SystemModels::bootstrap(&corpus, &config);
+impl EngineParts {
+    /// Fresh, untrained models for `corpus`, and the corpus featurized
+    /// against them.
+    pub fn bootstrap(corpus: Corpus, config: &SystemConfig) -> EngineParts {
+        let models = SystemModels::bootstrap(&corpus, config);
         let features = Arc::new(FeatureStore::build(&corpus, &models));
-        Self::from_parts(
-            Arc::new(corpus),
+        EngineParts {
+            corpus: Arc::new(corpus),
             features,
             models,
-            TrainingState::default(),
-            config,
-            options,
-            SimEnv::production(),
-        )
+            training: TrainingState::default(),
+        }
+    }
+}
+
+impl Engine {
+    /// An in-memory engine in the production environment: bootstraps
+    /// fresh models, featurizes the corpus and attaches no WAL.
+    pub fn new(corpus: Corpus, config: SystemConfig, options: EngineOptions) -> Arc<Self> {
+        let parts = EngineParts::bootstrap(corpus, &config);
+        let (engine, _) = Self::open(parts, config, options, SimEnv::production(), None)
+            .expect("an engine without a WAL does no I/O");
+        engine
     }
 
-    /// Engine over a pre-built world: a shared corpus, its feature store,
-    /// and (possibly pretrained) models with their training state.
-    /// Constructing an engine this way does no model or feature work at
-    /// all, which is what lets the simulation harness stamp out thousands
-    /// of fresh engines per second from one world built once. The models
-    /// are published as epoch 0 of the new engine.
-    pub fn from_parts(
-        corpus: Arc<Corpus>,
-        features: Arc<FeatureStore>,
-        models: SystemModels,
-        training: TrainingState,
+    /// An engine over pre-built `parts` in the environment `env`. It does
+    /// no model or feature work, which is what lets the simulation
+    /// harness stamp out thousands of engines from one world built once.
+    ///
+    /// With `durable: None` the engine is in-memory: it does no I/O and
+    /// publishes `parts.models` as epoch 0. With `Some`, it opens (or
+    /// creates) the durable state under `durable.dir` and resumes from
+    /// it: the checkpoint image is applied, the last published epoch's
+    /// models are loaded from their snapshot blob (decoded onto
+    /// `parts.models` as the scaffold), the tail of the WAL is replayed,
+    /// and open claims are re-planned once with the recovered models.
+    /// `parts.models` serve as they are when no epoch was ever published.
+    /// The engine then records every state-changing op to the same WAL.
+    /// `parts` must describe the world the log was written against.
+    pub fn open(
+        mut parts: EngineParts,
         config: SystemConfig,
         options: EngineOptions,
         env: SimEnv,
-    ) -> Arc<Self> {
-        Self::assemble(
-            corpus, features, models, training, config, options, env, 0, None,
-        )
-    }
-
-    /// The one real constructor: [`from_parts`](Self::from_parts) with a
-    /// starting model epoch and an optional WAL attached — the recovery
-    /// path ([`crate::durability::recover_parts`]) builds resumed engines
-    /// through this.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn assemble(
-        corpus: Arc<Corpus>,
-        features: Arc<FeatureStore>,
-        models: SystemModels,
-        training: TrainingState,
-        config: SystemConfig,
-        options: EngineOptions,
-        env: SimEnv,
-        epoch: u64,
-        wal: Option<Wal>,
-    ) -> Arc<Self> {
-        Arc::new_cyclic(|self_ref| Engine {
+        durable: Option<DurableEnv>,
+    ) -> std::io::Result<(Arc<Self>, RecoveryReport)> {
+        let _span = durable.is_some().then(|| obs::span!("wal.replay"));
+        let (wal, recovery) = durable
+            .map(|durable| durability::open_log(durable, &mut parts))
+            .transpose()?
+            .unzip();
+        let epoch = recovery.as_ref().map_or(0, |r| r.checkpoint_epoch);
+        let EngineParts {
+            corpus,
+            features,
+            models,
+            training,
+        } = parts;
+        let engine = Arc::new_cyclic(|self_ref| Engine {
             corpus,
             config,
             options,
             registry: FunctionRegistry::standard(),
             models: SnapshotCell::with_epoch(models, epoch),
             features,
-            pool: ThreadPool::new(options.threads, options.queue_capacity),
+            pool: ThreadPool::new(options.threads, QUEUE_CAPACITY),
             trainer: ThreadPool::new(1, 2),
             stats: EngineStats::default(),
             sessions: Mutex::new(FxHashMap::default()),
@@ -308,7 +325,12 @@ impl Engine {
             wal_gate: RwLock::new(()),
             wal_replaying: AtomicBool::new(false),
             self_ref: self_ref.clone(),
-        })
+        });
+        let report = match recovery {
+            Some(recovery) => recovery.replay(&engine)?,
+            None => RecoveryReport::default(),
+        };
+        Ok((engine, report))
     }
 
     /// The corpus the engine serves.
@@ -324,19 +346,6 @@ impl Engine {
     /// The corpus-wide feature store (claims featurized once at startup).
     pub fn feature_store(&self) -> &FeatureStore {
         &self.features
-    }
-
-    /// A shared handle to the corpus — pairs with
-    /// [`from_parts`](Self::from_parts) so many engines can serve one
-    /// world without copying it.
-    pub fn corpus_handle(&self) -> Arc<Corpus> {
-        Arc::clone(&self.corpus)
-    }
-
-    /// A shared handle to the feature store (see
-    /// [`corpus_handle`](Self::corpus_handle)).
-    pub fn features_handle(&self) -> Arc<FeatureStore> {
-        Arc::clone(&self.features)
     }
 
     /// The injected environment this engine runs in.
@@ -486,8 +495,8 @@ impl Engine {
     /// records in the same order the live ops applied their effects —
     /// otherwise an `AnswerPosted` could land in the log ahead of the
     /// `ReportSubmitted` that created its task and be silently dropped
-    /// on replay. Only the fsync ([`commit_record`]) runs outside the
-    /// lock.
+    /// on replay. Only the fsync ([`commit_record`](Self::commit_record))
+    /// runs outside the lock.
     fn append_record(&self, record: &WalRecord) -> Option<u64> {
         if !self.recording() {
             return None;
@@ -866,9 +875,10 @@ impl Engine {
     /// ```
     /// use scrutinizer_core::SystemConfig;
     /// use scrutinizer_corpus::{Corpus, CorpusConfig};
-    /// use scrutinizer_engine::Engine;
+    /// use scrutinizer_engine::{Engine, EngineOptions};
     ///
-    /// let engine = Engine::new(Corpus::generate(CorpusConfig::small()), SystemConfig::test());
+    /// let corpus = Corpus::generate(CorpusConfig::small());
+    /// let engine = Engine::new(corpus, SystemConfig::test(), EngineOptions::default());
     /// let session = engine.open_session("alice");
     /// assert_eq!(engine.session_checker(session).unwrap(), "alice");
     /// assert_eq!(engine.session_count(), 1);
@@ -1664,7 +1674,7 @@ mod tests {
 
     #[test]
     fn translation_sweeps_cache_the_batched_utilities_bit_for_bit() {
-        let engine = Engine::with_options(
+        let engine = Engine::new(
             Corpus::generate(CorpusConfig::small()),
             SystemConfig::test(),
             EngineOptions {

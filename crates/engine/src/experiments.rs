@@ -24,5 +24,5 @@ fn frozen_engine(corpus: &Corpus, config: SystemConfig, ordering: OrderingStrate
         ordering,
         ..EngineOptions::default()
     };
-    Engine::with_options(corpus.clone(), config, options)
+    Engine::new(corpus.clone(), config, options)
 }

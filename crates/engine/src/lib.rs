@@ -94,8 +94,11 @@
 //!
 //! ## Durability
 //!
-//! With `--data-dir` (library: [`recover`] / [`recover_parts`] with a
-//! [`DurableEnv`]) the engine writes every state-changing op as a typed
+//! There are two ways to build an engine: [`Engine::new`] bootstraps an
+//! in-memory one, and [`Engine::open`] builds one over pre-built
+//! [`EngineParts`], durable when given a [`DurableEnv`]. With
+//! `--data-dir` (library: [`Engine::open`] with a [`DurableEnv`]) the
+//! engine writes every state-changing op as a typed
 //! [`WalRecord`] to a checksummed write-ahead log and commits it before
 //! the op is acknowledged; each published model epoch persists its
 //! trained weights as a blob and checkpoints a full state image, which
@@ -123,8 +126,8 @@ pub mod wire;
 
 pub use api::{dispatch, ApiError, ErrorCode, Request, Response};
 pub use codec::RequestRef;
-pub use durability::{recover, recover_parts, DurableEnv, RecoveryReport, WalRecord};
-pub use engine::{Engine, EngineError, EngineOptions, VerdictRecord};
+pub use durability::{DurableEnv, RecoveryReport, WalRecord};
+pub use engine::{Engine, EngineError, EngineOptions, EngineParts, VerdictRecord};
 pub use executor::ThreadPool;
 pub use serve_core::{service_conn, ConnState, ServiceLimits};
 pub use server::{Server, ServerHandle, ServerOptions};

@@ -122,9 +122,10 @@ impl ServerOptions {
 /// ```no_run
 /// use scrutinizer_core::SystemConfig;
 /// use scrutinizer_corpus::{Corpus, CorpusConfig};
-/// use scrutinizer_engine::{Engine, Server, ServerOptions};
+/// use scrutinizer_engine::{Engine, EngineOptions, Server, ServerOptions};
 ///
-/// let engine = Engine::new(Corpus::generate(CorpusConfig::small()), SystemConfig::test());
+/// let corpus = Corpus::generate(CorpusConfig::small());
+/// let engine = Engine::new(corpus, SystemConfig::test(), EngineOptions::default());
 /// let server = Server::bind(engine, "127.0.0.1:0", ServerOptions::default()).unwrap();
 /// let handle = server.handle();          // for graceful shutdown
 /// let addr = server.local_addr().unwrap();

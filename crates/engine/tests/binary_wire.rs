@@ -33,7 +33,7 @@ use scrutinizer_engine::wire::{request_frame, BINARY_MAGIC, FRAME_HEADER_BYTES};
 use scrutinizer_engine::Request;
 
 fn spawn_server() -> (Arc<Engine>, SocketAddr, impl FnOnce()) {
-    let engine = Engine::with_options(
+    let engine = Engine::new(
         Corpus::generate(CorpusConfig::small()),
         SystemConfig::test(),
         EngineOptions {

@@ -18,7 +18,7 @@ const CLAIMS_PER_THREAD: usize = 10;
 
 fn fresh_engine() -> Arc<Engine> {
     let corpus = Corpus::generate(CorpusConfig::small());
-    let engine = Engine::with_options(
+    let engine = Engine::new(
         corpus,
         SystemConfig::test(),
         EngineOptions {

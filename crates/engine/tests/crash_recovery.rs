@@ -53,7 +53,8 @@ impl ServerProc {
     /// file, and returns the handle. `--retrain-interval 2` keeps a
     /// retrain storm running behind the verdict storm; `--cache-capacity`
     /// is accepted and ignored, and launch scripts still pass it.
-    fn spawn(scratch: &Scratch, run: usize) -> ServerProc {
+    /// Without `pretrain` the server starts with `--no-pretrain`.
+    fn spawn(scratch: &Scratch, run: usize, pretrain: bool) -> ServerProc {
         let port_file = scratch.path(&format!("port-{run}"));
         let _ = std::fs::remove_file(&port_file);
         let child = Command::new(env!("CARGO_BIN_EXE_scrutinizer-serve"))
@@ -63,7 +64,6 @@ impl ServerProc {
                 scratch.path("data").to_str().expect("utf-8 scratch path"),
                 "--port-file",
                 port_file.to_str().expect("utf-8 port path"),
-                "--no-pretrain",
                 "--retrain-interval",
                 "2",
                 "--log-level",
@@ -71,6 +71,7 @@ impl ServerProc {
                 "--cache-capacity",
                 "1048576",
             ])
+            .args((!pretrain).then_some("--no-pretrain"))
             .stdin(Stdio::null())
             .stdout(Stdio::null())
             .stderr(Stdio::inherit())
@@ -181,7 +182,7 @@ fn durable_subset(stats: &Json) -> String {
 #[test]
 fn kill_nine_mid_storm_loses_no_acknowledged_op() {
     let scratch = Scratch::new("kill9");
-    let server = ServerProc::spawn(&scratch, 0);
+    let server = ServerProc::spawn(&scratch, 0, false);
     let (mut stream, mut reader) = server.connect();
 
     // a verdict storm: verdicts are legal straight after submit (a
@@ -204,7 +205,7 @@ fn kill_nine_mid_storm_loses_no_acknowledged_op() {
     }
     server.kill_nine();
 
-    let restarted = ServerProc::spawn(&scratch, 1);
+    let restarted = ServerProc::spawn(&scratch, 1, false);
     let (mut stream, mut reader) = restarted.connect();
     let recovered = stats(&mut stream, &mut reader);
     // every acked op is back; nothing was invented
@@ -232,7 +233,7 @@ fn kill_nine_mid_storm_loses_no_acknowledged_op() {
 #[test]
 fn restarts_reproduce_identical_durable_stats() {
     let scratch = Scratch::new("restart");
-    let server = ServerProc::spawn(&scratch, 0);
+    let server = ServerProc::spawn(&scratch, 0, false);
     let (mut stream, mut reader) = server.connect();
 
     roundtrip(&mut stream, &mut reader, r#"{"op":"open","checker":"a"}"#);
@@ -271,7 +272,7 @@ fn restarts_reproduce_identical_durable_stats() {
     // report the identical durable subset — recovery is exact and
     // idempotent
     for run in 1..=2 {
-        let restarted = ServerProc::spawn(&scratch, run);
+        let restarted = ServerProc::spawn(&scratch, run, false);
         let (mut stream, mut reader) = restarted.connect();
         let after = durable_subset(&stats(&mut stream, &mut reader));
         assert_eq!(
@@ -280,4 +281,32 @@ fn restarts_reproduce_identical_durable_stats() {
         );
         restarted.kill_nine();
     }
+}
+
+#[test]
+fn restart_on_a_pretrained_data_dir_does_not_pretrain_again() {
+    let scratch = Scratch::new("pretrained");
+    let server = ServerProc::spawn(&scratch, 0, true);
+    let (mut stream, mut reader) = server.connect();
+    let first = stats(&mut stream, &mut reader);
+    // pretraining publishes (and checkpoints) its epoch before the server
+    // binds, and no op follows, so nothing is in flight when it stops
+    assert!(
+        stat_u64(&first, "model_epoch") >= 1,
+        "the first start pretrains: {first:?}"
+    );
+    drop((stream, reader));
+    server.kill_nine();
+
+    let restarted = ServerProc::spawn(&scratch, 1, true);
+    let (mut stream, mut reader) = restarted.connect();
+    let second = stats(&mut stream, &mut reader);
+    for key in ["model_epoch", "retrains"] {
+        assert_eq!(
+            stat_u64(&second, key),
+            stat_u64(&first, key),
+            "{key}: the restart must resume the pretrained epoch, not pretrain again"
+        );
+    }
+    restarted.kill_nine();
 }

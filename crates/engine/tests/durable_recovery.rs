@@ -15,10 +15,10 @@ use std::sync::{Arc, Mutex};
 use scrutinizer_core::{OrderingStrategy, PropertyKind, SystemConfig};
 use scrutinizer_corpus::{Corpus, CorpusConfig};
 use scrutinizer_crowd::{Worker, WorkerConfig};
-use scrutinizer_engine::engine::{Engine, EngineOptions};
-use scrutinizer_engine::{recover, DurableEnv, RecoveryReport};
+use scrutinizer_engine::engine::{Engine, EngineOptions, EngineParts};
+use scrutinizer_engine::{DurableEnv, RecoveryReport};
 use scrutinizer_learn::softmax::GRAD_SQ_INIT;
-use scrutinizer_sim::{SimStorage, Storage};
+use scrutinizer_sim::{SimEnv, SimStorage, Storage};
 use scrutinizer_wal::WalOptions;
 
 fn durable_env(storage: &Arc<SimStorage>) -> DurableEnv {
@@ -30,23 +30,18 @@ fn durable_env(storage: &Arc<SimStorage>) -> DurableEnv {
 }
 
 fn recover_engine(storage: &Arc<SimStorage>) -> (Arc<Engine>, RecoveryReport) {
-    recover_on(durable_env(storage))
+    recover_on(durable_env(storage)).expect("recovery over healthy storage cannot fail")
 }
 
-fn recover_on(durable: DurableEnv) -> (Arc<Engine>, RecoveryReport) {
-    let corpus = Corpus::generate(CorpusConfig::small());
-    recover(
-        corpus,
-        SystemConfig::test(),
-        EngineOptions {
-            retrain_interval: Some(4),
-            ordering: OrderingStrategy::Sequential,
-            threads: 2,
-            ..EngineOptions::default()
-        },
-        durable,
-    )
-    .expect("recovery over healthy storage cannot fail")
+fn recover_on(durable: DurableEnv) -> io::Result<(Arc<Engine>, RecoveryReport)> {
+    let config = SystemConfig::test();
+    let parts = EngineParts::bootstrap(Corpus::generate(CorpusConfig::small()), &config);
+    let options = EngineOptions {
+        retrain_interval: Some(4),
+        ordering: OrderingStrategy::Sequential,
+        threads: 2,
+    };
+    Engine::open(parts, config, options, SimEnv::production(), Some(durable))
 }
 
 fn worker(seed: u64) -> Worker {
@@ -187,18 +182,7 @@ fn missing_snapshot_blob_fails_recovery_instead_of_serving_bootstrap_models() {
     storage
         .remove(&format!("data/epoch-{epoch:010}.snap"))
         .expect("the checkpointed epoch's blob exists");
-    let result = recover(
-        Corpus::generate(CorpusConfig::small()),
-        SystemConfig::test(),
-        EngineOptions {
-            retrain_interval: Some(4),
-            ordering: OrderingStrategy::Sequential,
-            threads: 2,
-            ..EngineOptions::default()
-        },
-        durable_env(&storage),
-    );
-    match result {
+    match recover_on(durable_env(&storage)) {
         Ok(_) => panic!("a checkpoint without its snapshot blob must fail recovery"),
         Err(error) => assert_eq!(error.kind(), std::io::ErrorKind::InvalidData),
     }
@@ -364,7 +348,8 @@ fn engine_after_two_flushed_rounds() -> (Arc<CrashBeforeCheckpoint>, Arc<Engine>
         storage: Arc::clone(&storage) as Arc<dyn Storage>,
         dir: "data".to_string(),
         wal: WalOptions::default(),
-    });
+    })
+    .expect("recovery over healthy storage cannot fail");
     for round in [0..4, 4..8] {
         for claim_id in round {
             engine.verify_claim_with(claim_id, &mut worker(500 + claim_id as u64));

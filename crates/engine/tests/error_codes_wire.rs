@@ -149,7 +149,7 @@ fn every_error_code_is_wire_reachable_and_stable() {
     // untrained bootstrap models: classifier confidence stays low, so
     // property screens are never skipped and the mismatch probe has a
     // screen to answer wrongly
-    let engine = Engine::with_options(
+    let engine = Engine::new(
         Corpus::generate(CorpusConfig::small()),
         SystemConfig::test(),
         EngineOptions {

@@ -88,7 +88,7 @@ fn frozen_engine(ordering: OrderingStrategy) -> Arc<Engine> {
         ..EngineOptions::default()
     };
     let corpus = Corpus::generate(CorpusConfig::small());
-    let engine = Engine::with_options(corpus, SystemConfig::test(), options);
+    let engine = Engine::new(corpus, SystemConfig::test(), options);
     engine.pretrain(None);
     engine
 }

@@ -17,7 +17,7 @@ use scrutinizer_engine::server::{Server, ServerHandle, ServerOptions};
 use scrutinizer_obs::expo::{lint_exposition, Exposition};
 
 fn cheap_engine() -> Arc<Engine> {
-    Engine::with_options(
+    Engine::new(
         Corpus::generate(CorpusConfig::small()),
         SystemConfig::test(),
         EngineOptions {

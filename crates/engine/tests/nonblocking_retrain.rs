@@ -19,14 +19,13 @@ use scrutinizer_engine::engine::{Engine, EngineOptions};
 
 fn engine_with_interval(retrain_interval: Option<usize>) -> Arc<Engine> {
     let corpus = Corpus::generate(CorpusConfig::small());
-    Engine::with_options(
+    Engine::new(
         corpus,
         SystemConfig::test(),
         EngineOptions {
             retrain_interval,
             ordering: OrderingStrategy::Sequential,
             threads: 2,
-            ..EngineOptions::default()
         },
     )
 }

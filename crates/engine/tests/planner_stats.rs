@@ -10,14 +10,13 @@ use scrutinizer_engine::{Engine, EngineOptions};
 fn planner_counters_surface_in_stats() {
     let corpus = Corpus::generate(CorpusConfig::small());
     let config = SystemConfig::test();
-    let engine = Engine::with_options(
+    let engine = Engine::new(
         corpus,
         config,
         EngineOptions {
             ordering: OrderingStrategy::Ilp,
             retrain_interval: None,
             threads: 2,
-            ..Default::default()
         },
     );
     engine.pretrain(None);
@@ -64,14 +63,13 @@ fn planner_counters_surface_in_stats() {
 fn sequential_ordering_plans_without_solver_activity() {
     let corpus = Corpus::generate(CorpusConfig::small());
     let config = SystemConfig::test();
-    let engine = Engine::with_options(
+    let engine = Engine::new(
         corpus,
         config,
         EngineOptions {
             ordering: OrderingStrategy::Sequential,
             retrain_interval: None,
             threads: 2,
-            ..Default::default()
         },
     );
     let session = engine.open_session("sequential");

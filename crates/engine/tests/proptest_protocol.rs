@@ -22,7 +22,7 @@ use scrutinizer_engine::protocol::{handle_request, Json};
 
 fn frozen_engine() -> Arc<Engine> {
     let corpus = Corpus::generate(CorpusConfig::small());
-    let engine = Engine::with_options(
+    let engine = Engine::new(
         corpus,
         SystemConfig::test(),
         EngineOptions {
@@ -40,7 +40,7 @@ fn frozen_engine() -> Arc<Engine> {
 fn shared_engine() -> &'static Arc<Engine> {
     static ENGINE: OnceLock<Arc<Engine>> = OnceLock::new();
     ENGINE.get_or_init(|| {
-        Engine::with_options(
+        Engine::new(
             Corpus::generate(CorpusConfig::small()),
             SystemConfig::test(),
             EngineOptions {
@@ -556,7 +556,7 @@ proptest! {
 fn differential_engines() -> (&'static Arc<Engine>, &'static Arc<Engine>) {
     static ENGINES: OnceLock<(Arc<Engine>, Arc<Engine>)> = OnceLock::new();
     let build = || {
-        Engine::with_options(
+        Engine::new(
             Corpus::generate(CorpusConfig::small()),
             SystemConfig::test(),
             EngineOptions {

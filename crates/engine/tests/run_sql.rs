@@ -30,7 +30,7 @@ fn statement_spellings_evaluate_alike() {
         "SELECT a.{} FROM NoSuchRelation a WHERE a.Index = '{}'",
         lookup.attribute, lookup.key
     );
-    let engine = Engine::with_options(
+    let engine = Engine::new(
         corpus,
         SystemConfig::test(),
         EngineOptions {

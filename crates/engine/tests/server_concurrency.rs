@@ -19,7 +19,7 @@ use scrutinizer_engine::server::{Server, ServerHandle, ServerOptions};
 /// Cheap engine: the ops these tests exercise (open/close/sql/stats/
 /// batch) never need trained classifiers.
 fn cheap_engine() -> Arc<Engine> {
-    Engine::with_options(
+    Engine::new(
         Corpus::generate(CorpusConfig::small()),
         SystemConfig::test(),
         EngineOptions {

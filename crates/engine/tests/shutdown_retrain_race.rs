@@ -24,7 +24,7 @@ use scrutinizer_engine::protocol::Json;
 use scrutinizer_engine::server::{Server, ServerOptions};
 
 fn retraining_engine() -> Arc<Engine> {
-    let engine = Engine::with_options(
+    let engine = Engine::new(
         Corpus::generate(CorpusConfig::small()),
         SystemConfig::test(),
         EngineOptions {

@@ -18,7 +18,7 @@ use scrutinizer_engine::server::{Server, ServerHandle, ServerOptions};
 use scrutinizer_obs as obs;
 
 fn cheap_engine() -> Arc<Engine> {
-    Engine::with_options(
+    Engine::new(
         Corpus::generate(CorpusConfig::small()),
         SystemConfig::test(),
         EngineOptions {

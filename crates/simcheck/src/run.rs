@@ -417,10 +417,8 @@ impl Harness<'_> {
     }
 
     /// Assigns the next request id and its trace id (the id in 16 hex
-    /// digits, so [`TraceId::from_wire`] round-trips it and responses
-    /// must echo it byte-for-byte).
-    ///
-    /// [`TraceId::from_wire`]: scrutinizer_obs::TraceId::from_wire
+    /// digits, so `scrutinizer_obs::TraceId::from_wire` round-trips it
+    /// and responses must echo it byte-for-byte).
     fn fresh_id(&mut self) -> (u64, String) {
         let id = self.next_id;
         self.next_id += 1;

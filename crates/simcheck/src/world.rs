@@ -5,17 +5,18 @@
 //! log, epoch counter) but nothing about the *data* differs between
 //! runs. Featurization and pretraining are by far the expensive part of
 //! engine construction, so the harness pays them once here and spawns
-//! per-schedule engines through [`recover_parts`], cloning only the
-//! model weights and their training state. That is what makes
+//! per-schedule engines through [`Engine::open`] on a clone of the
+//! [`EngineParts`], which copies only the model weights and their
+//! training state. That is what makes
 //! ten-thousand-schedule CI scopes affordable.
 
 use std::sync::Arc;
 
 use scrutinizer_core::models::available_threads;
-use scrutinizer_core::{FeatureStore, OrderingStrategy, SystemConfig, SystemModels, TrainingState};
+use scrutinizer_core::{OrderingStrategy, SystemConfig};
 use scrutinizer_corpus::{Corpus, CorpusConfig};
-use scrutinizer_engine::engine::{Engine, EngineOptions};
-use scrutinizer_engine::{recover_parts, DurableEnv, RecoveryReport};
+use scrutinizer_engine::engine::{Engine, EngineOptions, EngineParts};
+use scrutinizer_engine::{DurableEnv, RecoveryReport};
 use scrutinizer_sim::{FaultPlan, SimEnv, SimScheduler, Storage, VirtualClock};
 use scrutinizer_wal::WalOptions;
 
@@ -39,10 +40,7 @@ pub type SpawnedEngine = (
 /// model weights and their training state, the config, and a pool of
 /// valid SQL statements.
 pub struct SharedWorld {
-    corpus: Arc<Corpus>,
-    features: Arc<FeatureStore>,
-    models: SystemModels,
-    training: TrainingState,
+    parts: EngineParts,
     config: SystemConfig,
     /// Claims in the corpus; op generation indexes into this range.
     pub n_claims: usize,
@@ -69,19 +67,17 @@ impl SharedWorld {
         // bound Algorithm 2's enumeration: schedule runs must be fast
         config.max_assignments = 2_000;
         // what `Engine::pretrain(None)` does to a fresh engine's models
-        let corpus = Corpus::generate(corpus_config);
-        let mut models = SystemModels::bootstrap(&corpus, &config);
-        let features = FeatureStore::build(&corpus, &models);
-        let mut training = TrainingState::default();
-        let all: Vec<usize> = (0..corpus.claims.len()).collect();
-        models.retrain_from_store(
-            &mut training,
-            &features,
-            &corpus.claims,
+        let mut parts = EngineParts::bootstrap(Corpus::generate(corpus_config), &config);
+        let all: Vec<usize> = (0..parts.corpus.claims.len()).collect();
+        parts.models.retrain_from_store(
+            &mut parts.training,
+            &parts.features,
+            &parts.corpus.claims,
             &all,
             available_threads(),
         );
-        let sql_pool = corpus
+        let sql_pool = parts
+            .corpus
             .claims
             .iter()
             .map(|claim| {
@@ -93,13 +89,10 @@ impl SharedWorld {
             })
             .collect();
         SharedWorld {
-            n_claims: corpus.claims.len(),
+            n_claims: parts.corpus.claims.len(),
             sql_pool,
-            features: Arc::new(features),
-            models,
-            training,
+            parts,
             config,
-            corpus: Arc::new(corpus),
         }
     }
 
@@ -111,24 +104,20 @@ impl SharedWorld {
     /// run therefore also model-checks the WAL record/replay path.
     pub fn spawn_engine(&self, storage: Arc<dyn Storage>) -> std::io::Result<SpawnedEngine> {
         let (env, clock, scheduler, faults) = SimEnv::simulated();
-        let (engine, report) = recover_parts(
-            Arc::clone(&self.corpus),
-            Arc::clone(&self.features),
-            self.models.clone(),
-            self.training.clone(),
+        let (engine, report) = Engine::open(
+            self.parts.clone(),
             self.config,
             EngineOptions {
                 threads: 1,
-                queue_capacity: 16,
                 retrain_interval: Some(RETRAIN_INTERVAL),
                 ordering: OrderingStrategy::Sequential,
             },
             env,
-            DurableEnv {
+            Some(DurableEnv {
                 storage,
                 dir: "wal".to_string(),
                 wal: WalOptions::default(),
-            },
+            }),
         )?;
         Ok((engine, clock, scheduler, faults, report))
     }
@@ -136,7 +125,7 @@ impl SharedWorld {
     /// Ground-truth relation text for a claim — the harness answers
     /// property screens with it.
     pub fn relation_of(&self, claim: usize) -> &str {
-        &self.corpus.claims[claim].relation
+        &self.parts.corpus.claims[claim].relation
     }
 }
 

@@ -18,7 +18,7 @@ use scrutinizer::engine::engine::{Engine, EngineOptions};
 fn main() {
     // ---- one shared engine ----
     let corpus = Corpus::generate(CorpusConfig::small());
-    let engine = Engine::with_options(
+    let engine = Engine::new(
         corpus,
         SystemConfig::test(),
         EngineOptions {
