@@ -6,8 +6,10 @@
 //!    strings and truncated valid requests) always yield a structured
 //!    response line with a stable error code; never a panic.
 //! 3. **Golden session** — a scripted mixed-initiative session (happy
-//!    path + every error class) answers, over JSON lines and binary
-//!    frames, exactly as recorded in `tests/golden/protocol_session.jsonl`.
+//!    path, every error class and the parse leniencies) decodes to the
+//!    same typed requests and binary request bytes, and answers over JSON
+//!    lines and binary frames, exactly as recorded in
+//!    `tests/golden/protocol_session.jsonl`.
 //! 4. **Binary codec ≡ JSON codec** — random requests and dispatched
 //!    sessions decode to the same canonical JSON over either codec.
 
@@ -320,6 +322,12 @@ fn scripted_session(engine: &Engine, mut send: impl FnMut(&str) -> Json) {
         r#"{"op":"sql","query":"SELECT nope"}"#.to_string(), // sql failure
         r#"{"op":"verify_batch","claims":[999999]}"#.to_string(), // unknown claim, engine-validated
         r#"{"op":"close","session":9999}"#.to_string(), // unknown session
+        // -- the parse paths' leniencies and their remaining messages
+        r#"{"op":"open"}"#.to_string(), // checker defaults to "anonymous"
+        format!(r#"{{"op":"screens","session":{session}}}"#), // missing claim
+        format!(r#"{{"op":"answer","session":{session},"claim":1,"kind":3,"answer":"x"}}"#), // non-string kind
+        format!(r#"{{"op":"verdict","session":{session},"claim":1,"correct":true,"chosen":"x"}}"#), // malformed chosen reads as none
+        r#"{"op":"verify_batch","claims":[3],"seed":2.5}"#.to_string(), // a fractional seed truncates
     ];
     for line in &error_lines {
         send(line);
@@ -378,7 +386,9 @@ fn hex(bytes: &[u8]) -> String {
 /// Answers one scripted line twice, in lockstep — as a JSON line on
 /// `json_engine` and, when the line decodes to a typed request, as a
 /// binary frame (id and trace pinned to `seq`) on `bin_engine` — and
-/// records both as one fixture line. Returns the JSON response.
+/// records both as one fixture line, together with the typed request
+/// rendered back to JSON and its binary request payload in hex (both
+/// null when the line does not decode). Returns the JSON response.
 fn record(
     json_engine: &Arc<Engine>,
     bin_engine: &Arc<Engine>,
@@ -390,19 +400,32 @@ fn record(
     use scrutinizer_engine::wire::{handle_frame, split_frame};
 
     let response = strip_trace(Json::parse(&handle_request(json_engine, line)).expect("JSON"));
-    let frame = Json::parse(line)
+    let request = Json::parse(line)
         .ok()
-        .and_then(|value| Request::from_json(&value).ok())
-        .map(|request| {
-            let mut payload = Vec::new();
-            encode_request(&mut payload, &request, Some(seq), Some(seq));
-            let mut frame = Vec::new();
-            handle_frame(bin_engine, &payload, &mut frame);
-            let (body, consumed) = split_frame(&frame).expect("one whole response frame");
-            assert_eq!(consumed, frame.len(), "exactly one frame per request");
-            (frame.clone(), decode_response(body).expect("frame decodes"))
-        });
-    let mut fields = vec![("request".to_string(), Json::Str(line.to_string()))];
+        .and_then(|value| Request::from_json(&value).ok());
+    let payload = request.as_ref().map(|request| {
+        let mut payload = Vec::new();
+        encode_request(&mut payload, request, Some(seq), Some(seq));
+        payload
+    });
+    let frame = payload.as_ref().map(|payload| {
+        let mut frame = Vec::new();
+        handle_frame(bin_engine, payload, &mut frame);
+        let (body, consumed) = split_frame(&frame).expect("one whole response frame");
+        assert_eq!(consumed, frame.len(), "exactly one frame per request");
+        (frame.clone(), decode_response(body).expect("frame decodes"))
+    });
+    let mut fields = vec![
+        ("request".to_string(), Json::Str(line.to_string())),
+        (
+            "typed".to_string(),
+            request.map_or(Json::Null, |request| Json::Str(request.to_json().render())),
+        ),
+        (
+            "payload".to_string(),
+            payload.map_or(Json::Null, |payload| Json::Str(hex(&payload))),
+        ),
+    ];
     if response.get("stats").is_some() {
         fields.push(("response".to_string(), mask_volatile(response.clone())));
         let decoded = frame.map_or(Json::Null, |(_, decoded)| mask_volatile(decoded));
@@ -417,10 +440,11 @@ fn record(
     response
 }
 
-/// The scripted session's responses, recorded one request per line: the
-/// JSON response (trace stripped) and the binary response frame in hex,
-/// or — for `stats` — the JSON response and the decoded binary frame,
-/// with the wall-clock values masked. Regenerate after an
+/// The scripted session, recorded one request per line: the typed
+/// request as JSON and as a binary payload in hex, the JSON response
+/// (trace stripped) and the binary response frame in hex, or — for
+/// `stats` — the JSON response and the decoded binary frame, with the
+/// wall-clock values masked. Regenerate after an
 /// intended wire change with `BLESS_GOLDEN=1 cargo test -p
 /// scrutinizer-engine --test proptest_protocol
 /// scripted_session_matches_the_protocol_golden_fixture` and review the
@@ -469,8 +493,9 @@ fn volatile(request: &Request) -> bool {
     matches!(request, Request::Stats | Request::Metrics)
 }
 
-/// `verify_batch` without a seed draws one from process entropy — pin it
-/// so both engines verify identically.
+/// Gives a seedless `verify_batch` the explicit seed 11. `dispatch`
+/// defaults a missing seed to 1, so both engines would agree without the
+/// pin; it keeps every differential case on the explicit-seed path.
 fn pin_seed(request: Request) -> Request {
     match request {
         Request::VerifyBatch { claims, seed: None } => Request::VerifyBatch {
