@@ -872,9 +872,9 @@ mod tests {
     use super::*;
     use scrutinizer_core::{FeatureStore, ModelsState, SystemConfig};
 
-    #[test]
-    fn wal_records_round_trip() {
-        let records = vec![
+    /// One of each record, both `chosen` shapes of a verdict.
+    fn sample_records() -> Vec<WalRecord> {
+        vec![
             WalRecord::SessionOpened {
                 id: 7,
                 checker: "alice \u{1F980}".to_string(),
@@ -907,10 +907,52 @@ mod tests {
                 examples: 50,
                 background: true,
             },
-        ];
-        for record in records {
+        ]
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn unhex(text: &str) -> Vec<u8> {
+        (0..text.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&text[i..i + 2], 16).expect("hex"))
+            .collect()
+    }
+
+    #[test]
+    fn wal_records_round_trip() {
+        for record in sample_records() {
             let bytes = record.encode();
             assert_eq!(WalRecord::decode(&bytes).expect("decodes"), record);
+        }
+    }
+
+    /// The on-disk record layout existing data dirs recover from: each
+    /// sample record's bytes, pinned in both directions.
+    #[test]
+    fn wal_records_encode_to_pinned_bytes() {
+        let pinned = [
+            // tag 1, id u64, checker (u32 length + UTF-8)
+            "0107000000000000000a000000616c69636520f09fa680",
+            // tag 2, session, claim ids (u32 count + u64 each)
+            "02070000000000000003000000000000000000000005000000000000006300000000000000",
+            // tag 3, session, claim, kind byte (`key` = 1), answer
+            "03070000000000000005000000000000000107000000726f7720223322",
+            // tag 4, session, claim, correct, chosen (1 + u64, or 0)
+            "040700000000000000050000000000000001010200000000000000",
+            "04070000000000000063000000000000000000",
+            // tag 5, id
+            "050700000000000000",
+            // tag 6, epoch, examples, background
+            "060300000000000000320000000000000001",
+        ];
+        let records = sample_records();
+        assert_eq!(records.len(), pinned.len());
+        for (record, pinned) in records.iter().zip(pinned) {
+            assert_eq!(hex(&record.encode()), pinned, "{record:?}");
+            assert_eq!(&WalRecord::decode(&unhex(pinned)).expect("decodes"), record);
         }
     }
 
@@ -930,9 +972,8 @@ mod tests {
         assert!(WalRecord::decode(&trailing).is_err());
     }
 
-    #[test]
-    fn state_image_round_trips() {
-        let image = StateImage {
+    fn sample_image() -> StateImage {
+        StateImage {
             next_session: 12,
             sessions_opened: 11,
             sessions_closed: 4,
@@ -961,10 +1002,43 @@ mod tests {
                     },
                 ],
             }],
-        };
+        }
+    }
+
+    #[test]
+    fn state_image_round_trips() {
+        let image = sample_image();
         let bytes = encode_state_image(&image);
         assert_eq!(decode_state_image(&bytes).expect("decodes"), image);
         assert!(decode_state_image(&bytes[..bytes.len() - 1]).is_err());
+    }
+
+    /// The checkpoint image layout existing data dirs recover from,
+    /// pinned in both directions.
+    #[test]
+    fn state_image_encodes_to_pinned_bytes() {
+        let pinned = concat!(
+            "01000000",         // image version 1
+            "0c00000000000000", // next_session
+            // the seven counters, in field order
+            "0b00000000000000040000000000000009000000000000001400000000000000",
+            "030000000000000002000000000000006400000000000000",
+            "03000000040000000000000001000000000000000900000000000000", // verified
+            "010000000900000000000000",                                 // pending
+            "01000000",                                                 // one session
+            "050000000000000003000000626f62",                           // id, checker
+            "0200000004000000000000000600000000000000",                 // its pending ids
+            "010000000400000000000000",                                 // its verified ids
+            "02000000",                                                 // two claims
+            // id, done, then three validated slots (1 + string, or 0)
+            "0400000000000000010101000000720000",
+            "0600000000000000000001010000006b010100000061",
+        );
+        assert_eq!(hex(&encode_state_image(&sample_image())), pinned);
+        assert_eq!(
+            decode_state_image(&unhex(pinned)).expect("decodes"),
+            sample_image()
+        );
     }
 
     #[test]
