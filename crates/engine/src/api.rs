@@ -3,10 +3,13 @@
 //!
 //! [`Request`] and [`Response`] are closed enums with one variant per
 //! operation; [`ApiError`] pairs a stable machine-consumable
-//! [`ErrorCode`] with a human-readable message. The JSON layer is a thin
-//! table-driven codec ([`Request::from_json`] / [`Response::to_json`]);
-//! dispatch ([`dispatch`]) is typed end to end, so validation lives in
-//! the engine and error codes are uniform regardless of entry point.
+//! [`ErrorCode`] with a human-readable message. Each enum is declared by
+//! a table, one row per op or payload, and the rows generate both codecs
+//! (JSON: [`Request::from_json`], [`Request::to_json`]; binary:
+//! [`codec`](crate::codec)) from the field types' wire impls. A new op
+//! is one request-table row plus one arm of [`dispatch`], which is typed
+//! end to end, so validation lives in the engine and error codes are
+//! uniform regardless of entry point.
 //!
 //! ## Op table (protocol v1)
 //!
@@ -55,10 +58,11 @@
 
 use std::sync::Arc;
 
-use scrutinizer_core::report::{ClaimOutcome, Verdict};
+use scrutinizer_core::report::ClaimOutcome;
 use scrutinizer_core::PropertyKind;
 use scrutinizer_crowd::WorkerConfig;
 
+use crate::codec::{put_u8, Field, Reader, Wire};
 use crate::engine::{Engine, EngineError, VerdictRecord};
 use crate::protocol::{obj, Json};
 use crate::session::{ClaimQuestions, SessionId, Suggestion};
@@ -175,8 +179,18 @@ impl ApiError {
         }
     }
 
-    fn invalid(message: impl Into<String>) -> Self {
+    pub(crate) fn invalid(message: impl Into<String>) -> Self {
         ApiError::new(ErrorCode::InvalidArgument, message)
+    }
+
+    /// The `unsupported_version` error for a request claiming `version`.
+    pub(crate) fn unsupported_version(version: impl std::fmt::Display) -> Self {
+        ApiError::new(
+            ErrorCode::UnsupportedVersion,
+            format!(
+                "unsupported protocol version {version} (this server speaks v{PROTOCOL_VERSION})"
+            ),
+        )
     }
 }
 
@@ -202,531 +216,364 @@ impl From<EngineError> for ApiError {
     }
 }
 
-/// One typed request — one variant per v1 operation. The wire-level
-/// `batch` envelope is not a `Request`: it is unwrapped by
-/// [`handle_value`] into a sequence of these.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Open a session for a named checker (`"anonymous"` when omitted).
-    Open {
-        /// Checker name, if given.
-        checker: Option<String>,
-    },
-    /// Submit a report of corpus claims to a session.
-    Submit {
-        /// Target session.
-        session: u64,
-        /// Corpus claim ids.
-        claims: Vec<usize>,
-    },
-    /// Re-plan the session's open claims with the current models.
-    NextBatch {
-        /// Target session.
-        session: u64,
-    },
-    /// Fetch one claim's outstanding screens.
-    Screens {
-        /// Target session.
-        session: u64,
-        /// Corpus claim id.
-        claim: usize,
-    },
-    /// Post a checker's answer to the claim's next screen.
-    Answer {
-        /// Target session.
-        session: u64,
-        /// Corpus claim id.
-        claim: usize,
-        /// The property the answer validates.
-        kind: PropertyKind,
-        /// The chosen option.
-        answer: String,
-    },
-    /// Generate the claim's ranked candidate queries.
-    Suggest {
-        /// Target session.
-        session: u64,
-        /// Corpus claim id.
-        claim: usize,
-    },
-    /// Record the checker's verdict for a claim.
-    Verdict {
-        /// Target session.
-        session: u64,
-        /// Corpus claim id.
-        claim: usize,
-        /// The checker's judgment.
-        correct: bool,
-        /// Rank of the confirming suggestion, if one was accepted.
-        chosen: Option<usize>,
-    },
-    /// Execute one raw SQL statement against the shared catalog.
-    Sql {
-        /// The statement text.
-        query: String,
-    },
-    /// Verify a batch of claims with simulated checkers.
-    VerifyBatch {
-        /// Corpus claim ids.
-        claims: Vec<usize>,
-        /// Base worker seed (default 1).
-        seed: Option<u64>,
-    },
-    /// Fetch the engine-wide metrics.
-    Stats,
-    /// Fetch every metric in Prometheus text exposition format.
-    Metrics,
-    /// Close a session.
-    Close {
-        /// Target session.
-        session: u64,
-    },
-}
+// ---- the op tables -------------------------------------------------------
 
-/// One typed response — the success payload of the matching [`Request`].
-#[derive(Debug, Clone)]
-pub enum Response {
-    /// `open` succeeded.
-    Session {
-        /// The new session id.
-        session: u64,
-    },
-    /// `submit` / `next_batch` succeeded.
-    Batch {
-        /// The planned question batch, in presentation order.
-        batch: Vec<ClaimQuestions>,
-    },
-    /// `screens` succeeded.
-    Questions {
-        /// The claim's outstanding screens.
-        questions: ClaimQuestions,
-    },
-    /// `answer` succeeded.
-    Remaining {
-        /// Screens still outstanding for the claim.
-        remaining: usize,
-    },
-    /// `suggest` succeeded.
-    Suggestions {
-        /// Ranked candidate queries, shared with the engine's per-claim
-        /// cache — repeated suggests on unchanged claim state clone the
-        /// `Arc`, not the suggestions.
-        suggestions: Arc<[Suggestion]>,
-    },
-    /// `verdict` succeeded.
-    Verdict {
-        /// The recorded verdict.
-        record: VerdictRecord,
-    },
-    /// `sql` succeeded.
-    Value {
-        /// The statement's value.
-        value: f64,
-    },
-    /// `verify_batch` succeeded.
-    Outcomes {
-        /// Per-claim outcomes, in input order.
-        outcomes: Vec<ClaimOutcome>,
-    },
-    /// `stats` succeeded.
-    Stats {
-        /// The engine's metrics, rendered when the request was dispatched
-        /// (before its own response is counted).
-        stats: Json,
-    },
-    /// `metrics` succeeded.
-    Metrics {
-        /// The registry rendered as Prometheus text exposition.
-        exposition: String,
-    },
-    /// `close` succeeded.
-    Closed {
-        /// Ids of claims the session verified.
-        verified: Vec<usize>,
-    },
-}
+/// Declares [`Request`] from its op table: one row per v1 op, giving its
+/// binary op byte (append-only), its JSON wire name, its variant and the
+/// variant's fields in wire order. Each field's type brings its JSON and
+/// binary forms (its [`Field`] impl); a field written `name: Type as f`
+/// reads its JSON member with `f` instead. From the rows come the enum,
+/// [`Request::op_name`], both JSON directions, and the binary body
+/// encoder and decoder behind
+/// [`encode_request`](crate::codec::encode_request) and
+/// [`decode_body`](crate::codec::decode_body). A new op is one row plus
+/// one [`dispatch`] arm; a new field is one line on its row.
+macro_rules! request_table {
+    (
+        $(#[$meta:meta])*
+        pub enum Request {$(
+            $(#[$vmeta:meta])*
+            $op:literal $name:literal $variant:ident $({$(
+                $(#[$fmeta:meta])*
+                $field:ident: $ty:ty $(as $json:path)?
+            ),* $(,)?})?
+        ),* $(,)?}
+    ) => {
+        $(#[$meta])*
+        pub enum Request {$(
+            $(#[$vmeta])*
+            $variant $({$($(#[$fmeta])* $field: $ty),*})?,
+        )*}
 
-// ---- the table-driven codec --------------------------------------------
-
-type OpParser = fn(&Json) -> Result<Request, ApiError>;
-
-/// One row per v1 operation: wire name → typed parser.
-const OPS: &[(&str, OpParser)] = &[
-    ("open", parse_open),
-    ("submit", parse_submit),
-    ("next_batch", parse_next_batch),
-    ("screens", parse_screens),
-    ("answer", parse_answer),
-    ("suggest", parse_suggest),
-    ("verdict", parse_verdict),
-    ("sql", parse_sql),
-    ("verify_batch", parse_verify_batch),
-    ("stats", parse_stats),
-    ("metrics", parse_metrics),
-    ("close", parse_close),
-];
-
-fn field_session(request: &Json) -> Result<u64, ApiError> {
-    request
-        .get("session")
-        .and_then(Json::as_usize)
-        .map(|id| id as u64)
-        .ok_or_else(|| ApiError::invalid("missing `session`"))
-}
-
-fn field_claim(request: &Json) -> Result<usize, ApiError> {
-    request
-        .get("claim")
-        .and_then(Json::as_usize)
-        .ok_or_else(|| ApiError::invalid("missing `claim`"))
-}
-
-fn field_claims(request: &Json) -> Result<Vec<usize>, ApiError> {
-    let items = request
-        .get("claims")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| ApiError::invalid("missing `claims`"))?;
-    items
-        .iter()
-        .map(|item| {
-            item.as_usize()
-                .ok_or_else(|| ApiError::invalid(format!("invalid claim id {}", item.render())))
-        })
-        .collect()
-}
-
-fn field_str(request: &Json, name: &str) -> Result<String, ApiError> {
-    request
-        .get(name)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| ApiError::invalid(format!("missing `{name}`")))
-}
-
-fn parse_open(request: &Json) -> Result<Request, ApiError> {
-    Ok(Request::Open {
-        checker: request
-            .get("checker")
-            .and_then(Json::as_str)
-            .map(str::to_string),
-    })
-}
-
-fn parse_submit(request: &Json) -> Result<Request, ApiError> {
-    Ok(Request::Submit {
-        session: field_session(request)?,
-        claims: field_claims(request)?,
-    })
-}
-
-fn parse_next_batch(request: &Json) -> Result<Request, ApiError> {
-    Ok(Request::NextBatch {
-        session: field_session(request)?,
-    })
-}
-
-fn parse_screens(request: &Json) -> Result<Request, ApiError> {
-    Ok(Request::Screens {
-        session: field_session(request)?,
-        claim: field_claim(request)?,
-    })
-}
-
-fn parse_answer(request: &Json) -> Result<Request, ApiError> {
-    let session = field_session(request)?;
-    let claim = field_claim(request)?;
-    let kind = request
-        .get("kind")
-        .and_then(Json::as_str)
-        .and_then(property_kind)
-        .ok_or_else(|| ApiError::invalid("missing or invalid `kind`"))?;
-    let answer = field_str(request, "answer")?;
-    Ok(Request::Answer {
-        session,
-        claim,
-        kind,
-        answer,
-    })
-}
-
-fn parse_suggest(request: &Json) -> Result<Request, ApiError> {
-    Ok(Request::Suggest {
-        session: field_session(request)?,
-        claim: field_claim(request)?,
-    })
-}
-
-fn parse_verdict(request: &Json) -> Result<Request, ApiError> {
-    Ok(Request::Verdict {
-        session: field_session(request)?,
-        claim: field_claim(request)?,
-        correct: request
-            .get("correct")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| ApiError::invalid("missing `correct`"))?,
-        // lenient on purpose, matching the pre-v1 contract: a malformed
-        // `chosen` falls back to "no suggestion accepted"
-        chosen: request.get("chosen").and_then(Json::as_usize),
-    })
-}
-
-fn parse_sql(request: &Json) -> Result<Request, ApiError> {
-    Ok(Request::Sql {
-        query: field_str(request, "query")?,
-    })
-}
-
-fn parse_verify_batch(request: &Json) -> Result<Request, ApiError> {
-    Ok(Request::VerifyBatch {
-        claims: field_claims(request)?,
-        seed: request.get("seed").and_then(Json::as_f64).map(|s| s as u64),
-    })
-}
-
-fn parse_stats(_request: &Json) -> Result<Request, ApiError> {
-    Ok(Request::Stats)
-}
-
-fn parse_metrics(_request: &Json) -> Result<Request, ApiError> {
-    Ok(Request::Metrics)
-}
-
-fn parse_close(request: &Json) -> Result<Request, ApiError> {
-    Ok(Request::Close {
-        session: field_session(request)?,
-    })
-}
-
-impl Request {
-    /// The wire name of this request's op.
-    pub fn op_name(&self) -> &'static str {
-        match self {
-            Request::Open { .. } => "open",
-            Request::Submit { .. } => "submit",
-            Request::NextBatch { .. } => "next_batch",
-            Request::Screens { .. } => "screens",
-            Request::Answer { .. } => "answer",
-            Request::Suggest { .. } => "suggest",
-            Request::Verdict { .. } => "verdict",
-            Request::Sql { .. } => "sql",
-            Request::VerifyBatch { .. } => "verify_batch",
-            Request::Stats => "stats",
-            Request::Metrics => "metrics",
-            Request::Close { .. } => "close",
-        }
-    }
-
-    /// Decodes one request object. The error carries
-    /// [`ErrorCode::InvalidArgument`] for missing/mistyped fields and
-    /// [`ErrorCode::UnknownOp`] for ops outside the v1 table.
-    pub fn from_json(value: &Json) -> Result<Request, ApiError> {
-        let Some(op) = value.get("op").and_then(Json::as_str) else {
-            return Err(ApiError::invalid("missing `op`"));
-        };
-        match OPS.iter().find(|(name, _)| *name == op) {
-            Some((_, parser)) => parser(value),
-            None => Err(ApiError::new(
-                ErrorCode::UnknownOp,
-                format!("unknown op `{op}`"),
-            )),
-        }
-    }
-
-    /// Encodes this request as its wire object (no `v`/`id` envelope
-    /// fields; add those separately if needed — absent `v` means v1).
-    pub fn to_json(&self) -> Json {
-        let mut fields: Vec<(&str, Json)> = vec![("op", Json::Str(self.op_name().to_string()))];
-        match self {
-            Request::Open { checker } => {
-                if let Some(checker) = checker {
-                    fields.push(("checker", Json::Str(checker.clone())));
+        impl Request {
+            /// The wire name of this request's op.
+            pub fn op_name(&self) -> &'static str {
+                match self {
+                    $(Request::$variant { .. } => $name,)*
                 }
             }
-            Request::Submit { session, claims } => {
-                fields.push(("session", Json::Num(*session as f64)));
-                fields.push(("claims", claim_array(claims)));
+
+            /// Decodes one request object. The error carries
+            /// [`ErrorCode::InvalidArgument`] for missing/mistyped fields
+            /// and [`ErrorCode::UnknownOp`] for ops outside the v1 table.
+            pub fn from_json(value: &Json) -> Result<Request, ApiError> {
+                let Some(op) = value.get("op").and_then(Json::as_str) else {
+                    return Err(ApiError::invalid("missing `op`"));
+                };
+                Ok(match op {
+                    $($name => Request::$variant {
+                        $($($field: json_member!(value, $field: $ty $(as $json)?),)*)?
+                    },)*
+                    _ => {
+                        return Err(ApiError::new(
+                            ErrorCode::UnknownOp,
+                            format!("unknown op `{op}`"),
+                        ))
+                    }
+                })
             }
-            Request::NextBatch { session } | Request::Close { session } => {
-                fields.push(("session", Json::Num(*session as f64)));
+
+            /// Encodes this request as its wire object (no `v`/`id`
+            /// envelope fields; add those separately if needed — absent
+            /// `v` means v1).
+            pub fn to_json(&self) -> Json {
+                let mut object = vec![("op".to_string(), Json::Str(self.op_name().to_string()))];
+                match self {
+                    $(Request::$variant { $($($field),*)? } => {
+                        $($($field.push_json(stringify!($field), &mut object);)*)?
+                    })*
+                }
+                Json::Obj(object)
             }
-            Request::Screens { session, claim } | Request::Suggest { session, claim } => {
-                fields.push(("session", Json::Num(*session as f64)));
-                fields.push(("claim", Json::Num(*claim as f64)));
-            }
-            Request::Answer {
-                session,
-                claim,
-                kind,
-                answer,
-            } => {
-                fields.push(("session", Json::Num(*session as f64)));
-                fields.push(("claim", Json::Num(*claim as f64)));
-                fields.push(("kind", Json::Str(kind_label(*kind).to_string())));
-                fields.push(("answer", Json::Str(answer.clone())));
-            }
-            Request::Verdict {
-                session,
-                claim,
-                correct,
-                chosen,
-            } => {
-                fields.push(("session", Json::Num(*session as f64)));
-                fields.push(("claim", Json::Num(*claim as f64)));
-                fields.push(("correct", Json::Bool(*correct)));
-                if let Some(chosen) = chosen {
-                    fields.push(("chosen", Json::Num(*chosen as f64)));
+
+            /// Appends the binary body: the op byte, then each field.
+            pub(crate) fn put_body(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(Request::$variant { $($($field),*)? } => {
+                        put_u8(out, $op);
+                        $($($field.put(out);)*)?
+                    })*
                 }
             }
-            Request::Sql { query } => {
-                fields.push(("query", Json::Str(query.clone())));
+
+            /// Reads the binary body: the op byte, then each field.
+            pub(crate) fn read_body(reader: &mut Reader<'_>) -> Result<Request, ApiError> {
+                Ok(match reader.u8()? {
+                    $($op => Request::$variant {
+                        $($($field: <$ty as Field>::read(reader)?,)*)?
+                    },)*
+                    other => {
+                        return Err(ApiError::new(
+                            ErrorCode::UnknownOp,
+                            format!("unknown binary op byte {other}"),
+                        ))
+                    }
+                })
             }
-            Request::VerifyBatch { claims, seed } => {
-                fields.push(("claims", claim_array(claims)));
-                if let Some(seed) = seed {
-                    fields.push(("seed", Json::Num(*seed as f64)));
+
+            /// Tags the dispatch span with the request's `session` and
+            /// `claim` fields, where it has them.
+            fn tag_span(&self, span: &mut obs::Span) {
+                match self {
+                    $(Request::$variant { $($($field),*)? } => {
+                        $($(tag_span!(span, $field, $field);)*)?
+                    })*
                 }
             }
-            Request::Stats | Request::Metrics => {}
         }
-        obj(fields)
+    };
+}
+
+/// One request member, read from its JSON object through its type's
+/// [`Field`] impl, or through the reader its row names.
+macro_rules! json_member {
+    ($object:ident, $field:ident: $ty:ty) => {
+        <$ty as Field>::from_json($object.get(stringify!($field)), stringify!($field))?
+    };
+    ($object:ident, $field:ident: $ty:ty as $read:path) => {
+        $read($object.get(stringify!($field)))
+    };
+}
+
+/// Adds a `session` or `claim` field to the span; ignores the rest.
+macro_rules! tag_span {
+    ($span:ident, session, $value:ident) => {
+        $span.add_field("session", *$value)
+    };
+    ($span:ident, claim, $value:ident) => {
+        $span.add_field("claim", *$value)
+    };
+    ($span:ident, $field:ident, $value:ident) => {
+        let _ = $value;
+    };
+}
+
+request_table! {
+    /// One typed request — one variant per v1 operation. The wire-level
+    /// `batch` envelope is not a `Request`: it is unwrapped by
+    /// [`handle_value`] into a sequence of these.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Request {
+        /// Open a session for a named checker (`"anonymous"` when omitted).
+        0 "open" Open {
+            /// Checker name, if given.
+            checker: Option<String>,
+        },
+        /// Submit a report of corpus claims to a session.
+        1 "submit" Submit {
+            /// Target session.
+            session: u64,
+            /// Corpus claim ids.
+            claims: Vec<usize>,
+        },
+        /// Re-plan the session's open claims with the current models.
+        2 "next_batch" NextBatch {
+            /// Target session.
+            session: u64,
+        },
+        /// Fetch one claim's outstanding screens.
+        3 "screens" Screens {
+            /// Target session.
+            session: u64,
+            /// Corpus claim id.
+            claim: usize,
+        },
+        /// Post a checker's answer to the claim's next screen.
+        4 "answer" Answer {
+            /// Target session.
+            session: u64,
+            /// Corpus claim id.
+            claim: usize,
+            /// The property the answer validates.
+            kind: PropertyKind,
+            /// The chosen option.
+            answer: String,
+        },
+        /// Generate the claim's ranked candidate queries.
+        5 "suggest" Suggest {
+            /// Target session.
+            session: u64,
+            /// Corpus claim id.
+            claim: usize,
+        },
+        /// Record the checker's verdict for a claim.
+        6 "verdict" Verdict {
+            /// Target session.
+            session: u64,
+            /// Corpus claim id.
+            claim: usize,
+            /// The checker's judgment.
+            correct: bool,
+            /// Rank of the confirming suggestion, if one was accepted (a
+            /// malformed JSON `chosen` reads as none, as before v1).
+            chosen: Option<usize>,
+        },
+        /// Execute one raw SQL statement against the shared catalog.
+        7 "sql" Sql {
+            /// The statement text.
+            query: String,
+        },
+        /// Verify a batch of claims with simulated checkers.
+        8 "verify_batch" VerifyBatch {
+            /// Corpus claim ids.
+            claims: Vec<usize>,
+            /// Base worker seed (default 1).
+            seed: Option<u64> as truncated_seed,
+        },
+        /// Fetch the engine-wide metrics.
+        9 "stats" Stats,
+        /// Fetch every metric in Prometheus text exposition format.
+        10 "metrics" Metrics,
+        /// Close a session.
+        11 "close" Close {
+            /// Target session.
+            session: u64,
+        },
     }
 }
 
-fn claim_array(claims: &[usize]) -> Json {
-    Json::Arr(claims.iter().map(|&id| Json::Num(id as f64)).collect())
+/// `verify_batch`'s JSON `seed`: any number, truncated toward zero (so
+/// `2.5` reads as 2), unlike every other integer field; a non-number
+/// reads as none.
+fn truncated_seed(value: Option<&Json>) -> Option<u64> {
+    value.and_then(Json::as_f64).map(|seed| seed as u64)
 }
 
-impl Response {
-    /// Encodes this response as its wire object, `{"ok":true, ...payload}`
-    /// (no `id` echo; the envelope layer adds it).
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![("ok".to_string(), Json::Bool(true))];
-        append_payload(&mut fields, self);
-        Json::Obj(fields)
-    }
-}
+/// Declares [`Response`] from its table: one row per success payload,
+/// giving its binary kind byte (append-only), its variant and the
+/// variant's fields, each the JSON member of its own name, in wire order
+/// (v1 payloads are append-only). Each field's type brings its JSON and
+/// binary forms (its [`Wire`] impl). From the rows come the enum, the
+/// JSON payload, and the binary body encoder and decoder behind
+/// [`encode_ok_response`](crate::codec::encode_ok_response) and
+/// [`decode_response`](crate::codec::decode_response).
+macro_rules! response_table {
+    (
+        $(#[$meta:meta])*
+        pub enum Response {$(
+            $(#[$vmeta:meta])*
+            $kind:literal $variant:ident {$(
+                $(#[$fmeta:meta])*
+                $field:ident: $ty:ty
+            ),* $(,)?}
+        ),* $(,)?}
+    ) => {
+        $(#[$meta])*
+        pub enum Response {$(
+            $(#[$vmeta])*
+            $variant {$($(#[$fmeta])* $field: $ty),*},
+        )*}
 
-/// Appends the response's payload fields (everything after `ok`/`id`).
-fn append_payload(fields: &mut Vec<(String, Json)>, response: &Response) {
-    let mut push = |name: &str, value: Json| fields.push((name.to_string(), value));
-    match response {
-        Response::Session { session } => push("session", Json::Num(*session as f64)),
-        Response::Batch { batch } => push(
-            "batch",
-            Json::Arr(batch.iter().map(questions_json).collect()),
-        ),
-        Response::Questions { questions } => push("questions", questions_json(questions)),
-        Response::Remaining { remaining } => push("remaining", Json::Num(*remaining as f64)),
-        Response::Suggestions { suggestions } => push(
-            "suggestions",
-            Json::Arr(suggestions.iter().map(suggestion_json).collect()),
-        ),
-        Response::Verdict { record } => {
-            push(
-                "verdict",
-                Json::Str(verdict_name(&record.outcome.verdict).to_string()),
-            );
-            push(
-                "matches_truth",
-                Json::Bool(record.outcome.verdict_matches_truth),
-            );
-            push("retrained", Json::Bool(record.retrained));
+        impl Response {
+            /// Appends the payload members (everything after the envelope).
+            fn push_payload(&self, object: &mut Vec<(String, Json)>) {
+                match self {
+                    $(Response::$variant { $($field),* } => {
+                        $($field.push_json(stringify!($field), object);)*
+                    })*
+                }
+            }
+
+            /// Appends the binary body: the kind byte, then each field.
+            pub(crate) fn put_body(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(Response::$variant { $($field),* } => {
+                        put_u8(out, $kind);
+                        $($field.put(out);)*
+                    })*
+                }
+            }
+
+            /// Reads a binary body into the payload members its JSON form
+            /// has.
+            pub(crate) fn read_body(
+                reader: &mut Reader<'_>,
+                object: &mut Vec<(String, Json)>,
+            ) -> Result<(), ApiError> {
+                match reader.u8()? {
+                    $($kind => {
+                        $(<$ty as Wire>::read_member(reader, stringify!($field), object)?;)*
+                    })*
+                    other => {
+                        return Err(ApiError::new(
+                            ErrorCode::ParseError,
+                            format!("invalid response kind byte {other}"),
+                        ))
+                    }
+                }
+                Ok(())
+            }
         }
-        Response::Value { value } => push("value", Json::Num(*value)),
-        Response::Outcomes { outcomes } => push(
-            "outcomes",
-            Json::Arr(outcomes.iter().map(outcome_json).collect()),
-        ),
-        Response::Stats { stats } => push("stats", stats.clone()),
-        Response::Metrics { exposition } => push("metrics", Json::Str(exposition.clone())),
-        Response::Closed { verified } => push(
-            "verified",
-            Json::Arr(verified.iter().map(|&id| Json::Num(id as f64)).collect()),
-        ),
+    };
+}
+
+response_table! {
+    /// One typed response — the success payload of the matching [`Request`].
+    #[derive(Debug, Clone)]
+    pub enum Response {
+        /// `open` succeeded.
+        0 Session {
+            /// The new session id.
+            session: u64,
+        },
+        /// `submit` / `next_batch` succeeded.
+        1 Batch {
+            /// The planned question batch, in presentation order.
+            batch: Vec<ClaimQuestions>,
+        },
+        /// `screens` succeeded.
+        2 Questions {
+            /// The claim's outstanding screens.
+            questions: ClaimQuestions,
+        },
+        /// `answer` succeeded.
+        3 Remaining {
+            /// Screens still outstanding for the claim.
+            remaining: usize,
+        },
+        /// `suggest` succeeded.
+        4 Suggestions {
+            /// Ranked candidate queries, shared with the engine's per-claim
+            /// cache — repeated suggests on unchanged claim state clone the
+            /// `Arc`, not the suggestions.
+            suggestions: Arc<[Suggestion]>,
+        },
+        /// `verdict` succeeded.
+        5 Verdict {
+            /// The recorded verdict; its members (`verdict`,
+            /// `matches_truth`, `retrained`) sit in the payload itself.
+            record: VerdictRecord,
+        },
+        /// `sql` succeeded.
+        6 Value {
+            /// The statement's value.
+            value: f64,
+        },
+        /// `verify_batch` succeeded.
+        7 Outcomes {
+            /// Per-claim outcomes, in input order.
+            outcomes: Vec<ClaimOutcome>,
+        },
+        /// `stats` succeeded.
+        8 Stats {
+            /// The engine's metrics, rendered when the request was
+            /// dispatched (before its own response is counted).
+            stats: Json,
+        },
+        /// `metrics` succeeded.
+        9 Metrics {
+            /// The registry rendered as Prometheus text exposition.
+            metrics: String,
+        },
+        /// `close` succeeded.
+        10 Closed {
+            /// Ids of claims the session verified.
+            verified: Vec<usize>,
+        },
     }
 }
 
-// ---- shared value → JSON renderers -------------------------------------
-
-/// Parses a wire property-kind label.
-fn property_kind(name: &str) -> Option<PropertyKind> {
-    match name {
-        "relation" => Some(PropertyKind::Relation),
-        "key" => Some(PropertyKind::Key),
-        "attribute" => Some(PropertyKind::Attribute),
-        "formula" => Some(PropertyKind::Formula),
-        _ => None,
-    }
-}
-
-/// The wire label of a property kind (inverse of [`property_kind`]).
-pub(crate) fn kind_label(kind: PropertyKind) -> &'static str {
-    match kind {
-        PropertyKind::Relation => "relation",
-        PropertyKind::Key => "key",
-        PropertyKind::Attribute => "attribute",
-        PropertyKind::Formula => "formula",
-    }
-}
-
-/// The wire name of a verdict.
-fn verdict_name(verdict: &Verdict) -> &'static str {
-    match verdict {
-        Verdict::Correct { .. } => "correct",
-        Verdict::Incorrect { .. } => "incorrect",
-        Verdict::Skipped => "skipped",
-    }
-}
-
-fn questions_json(questions: &ClaimQuestions) -> Json {
-    obj(vec![
-        ("claim", Json::Num(questions.claim_id as f64)),
-        ("expected_cost", Json::Num(questions.expected_cost)),
-        (
-            "screens",
-            Json::Arr(
-                questions
-                    .screens
-                    .iter()
-                    .map(|s| {
-                        obj(vec![
-                            ("kind", Json::Str(kind_label(s.kind).to_string())),
-                            (
-                                "options",
-                                Json::Arr(s.options.iter().map(|o| Json::Str(o.clone())).collect()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn suggestion_json(suggestion: &Suggestion) -> Json {
-    obj(vec![
-        ("rank", Json::Num(suggestion.rank as f64)),
-        ("sql", Json::Str(suggestion.sql.clone())),
-        ("formula", Json::Str(suggestion.formula.clone())),
-        ("value", Json::Num(suggestion.value)),
-        (
-            "matches_parameter",
-            Json::Bool(suggestion.matches_parameter),
-        ),
-    ])
-}
-
-fn outcome_json(outcome: &ClaimOutcome) -> Json {
-    obj(vec![
-        ("claim", Json::Num(outcome.claim_id as f64)),
-        (
-            "verdict",
-            Json::Str(verdict_name(&outcome.verdict).to_string()),
-        ),
-        ("matches_truth", Json::Bool(outcome.verdict_matches_truth)),
-        ("crowd_seconds", Json::Num(outcome.crowd_seconds)),
-    ])
-}
+// ---- the v1 `stats` object ---------------------------------------------
 
 fn histogram_json(histogram: &LatencyHistogram) -> Json {
     let snapshot = histogram.snapshot();
@@ -883,84 +730,96 @@ fn stats_json(stats: &EngineStats) -> Json {
 /// whatever the entry point — TCP line, in-process call, or `batch`
 /// sub-request.
 pub fn dispatch(engine: &Arc<Engine>, request: &Request) -> Result<Response, ApiError> {
-    let mut _span = obs::span("dispatch");
-    _span.add_field("op", request.op_name());
-    match request {
-        Request::Submit { session, .. }
-        | Request::NextBatch { session }
-        | Request::Screens { session, .. }
-        | Request::Answer { session, .. }
-        | Request::Suggest { session, .. }
-        | Request::Verdict { session, .. }
-        | Request::Close { session } => _span.add_field("session", *session),
-        _ => {}
-    }
-    match request {
-        Request::Screens { claim, .. }
-        | Request::Answer { claim, .. }
-        | Request::Suggest { claim, .. }
-        | Request::Verdict { claim, .. } => _span.add_field("claim", *claim),
-        _ => {}
-    }
-    match request {
-        Request::Open { checker } => Ok(Response::Session {
+    let mut span = obs::span("dispatch");
+    span.add_field("op", request.op_name());
+    request.tag_span(&mut span);
+    Ok(match request {
+        Request::Open { checker } => Response::Session {
             session: engine
                 .open_session(checker.as_deref().unwrap_or("anonymous"))
                 .0,
-        }),
-        Request::Submit { session, claims } => Ok(Response::Batch {
+        },
+        Request::Submit { session, claims } => Response::Batch {
             batch: engine.submit_report(SessionId(*session), claims)?,
-        }),
-        Request::NextBatch { session } => Ok(Response::Batch {
+        },
+        Request::NextBatch { session } => Response::Batch {
             batch: engine.next_batch(SessionId(*session))?,
-        }),
-        Request::Screens { session, claim } => Ok(Response::Questions {
+        },
+        Request::Screens { session, claim } => Response::Questions {
             questions: engine.screens(SessionId(*session), *claim)?,
-        }),
+        },
         Request::Answer {
             session,
             claim,
             kind,
             answer,
-        } => Ok(Response::Remaining {
+        } => Response::Remaining {
             remaining: engine.post_answer(SessionId(*session), *claim, *kind, answer)?,
-        }),
-        Request::Suggest { session, claim } => Ok(Response::Suggestions {
+        },
+        Request::Suggest { session, claim } => Response::Suggestions {
             suggestions: engine.suggest(SessionId(*session), *claim)?,
-        }),
+        },
         Request::Verdict {
             session,
             claim,
             correct,
             chosen,
-        } => Ok(Response::Verdict {
+        } => Response::Verdict {
             record: engine.post_verdict(SessionId(*session), *claim, *correct, *chosen)?,
-        }),
-        Request::Sql { query } => Ok(Response::Value {
+        },
+        Request::Sql { query } => Response::Value {
             value: engine.run_sql(query)?,
-        }),
+        },
         Request::VerifyBatch { claims, seed } => {
             let config = WorkerConfig {
                 seed: seed.unwrap_or(1),
                 ..WorkerConfig::default()
             };
-            Ok(Response::Outcomes {
+            Response::Outcomes {
                 outcomes: engine.verify_batch(claims, config)?,
-            })
+            }
         }
-        Request::Stats => Ok(Response::Stats {
+        Request::Stats => Response::Stats {
             stats: stats_json(engine.stats()),
-        }),
-        Request::Metrics => Ok(Response::Metrics {
-            exposition: engine.render_metrics(),
-        }),
-        Request::Close { session } => Ok(Response::Closed {
+        },
+        Request::Metrics => Response::Metrics {
+            metrics: engine.render_metrics(),
+        },
+        Request::Close { session } => Response::Closed {
             verified: engine.close_session(SessionId(*session))?,
-        }),
-    }
+        },
+    })
 }
 
 // ---- the wire envelope (version, id echo, trace, batch) -----------------
+
+/// The members every JSON response starts with: `ok`, then the echoed
+/// `id` and the `trace` id, each when known.
+pub(crate) fn envelope(ok: bool, id: Option<&Json>, trace: Option<&str>) -> Vec<(String, Json)> {
+    let mut object = vec![("ok".to_string(), Json::Bool(ok))];
+    if let Some(id) = id {
+        object.push(("id".to_string(), id.clone()));
+    }
+    if let Some(trace) = trace {
+        object.push(("trace".to_string(), Json::Str(trace.to_string())));
+    }
+    object
+}
+
+/// A JSON error response: the [`envelope`], the stable `code`, and the
+/// human-readable `error`. Without an id or trace it is the line the
+/// serving loop answers transport failures and caught panics with.
+pub(crate) fn error_json(
+    id: Option<&Json>,
+    trace: Option<&str>,
+    code: ErrorCode,
+    message: &str,
+) -> Json {
+    let mut object = envelope(false, id, trace);
+    object.push(("code".to_string(), Json::Str(code.name().to_string())));
+    object.push(("error".to_string(), Json::Str(message.to_string())));
+    Json::Obj(object)
+}
 
 /// Renders a success response with the envelope fields: `ok`, the echoed
 /// `id` (when the request carried one), the `trace` id, then the payload.
@@ -968,13 +827,9 @@ pub fn dispatch(engine: &Arc<Engine>, request: &Request) -> Result<Response, Api
 /// (`requests_total`/`requests_ok`).
 fn render_ok(engine: &Arc<Engine>, id: Option<&Json>, trace: &str, response: &Response) -> Json {
     engine.stats_ref().note_ok(WireCodec::Json);
-    let mut fields = vec![("ok".to_string(), Json::Bool(true))];
-    if let Some(id) = id {
-        fields.push(("id".to_string(), id.clone()));
-    }
-    fields.push(("trace".to_string(), Json::Str(trace.to_string())));
-    append_payload(&mut fields, response);
-    Json::Obj(fields)
+    let mut object = envelope(true, id, Some(trace));
+    response.push_payload(&mut object);
+    Json::Obj(object)
 }
 
 /// Renders an error response (`ok`, echoed `id`, `trace`, stable `code`,
@@ -984,27 +839,14 @@ fn render_error(engine: &Arc<Engine>, id: Option<&Json>, trace: &str, error: &Ap
     engine
         .stats_ref()
         .note_wire_error(error.code, WireCodec::Json);
-    let mut fields = vec![("ok".to_string(), Json::Bool(false))];
-    if let Some(id) = id {
-        fields.push(("id".to_string(), id.clone()));
-    }
-    fields.push(("trace".to_string(), Json::Str(trace.to_string())));
-    fields.push(("code".to_string(), Json::Str(error.code.name().to_string())));
-    fields.push(("error".to_string(), Json::Str(error.message.clone())));
-    Json::Obj(fields)
+    error_json(id, Some(trace), error.code, &error.message)
 }
 
 fn check_version(value: &Json) -> Result<(), ApiError> {
     match value.get("v") {
         None => Ok(()),
         Some(v) if v.as_usize().map(|n| n as u64) == Some(PROTOCOL_VERSION) => Ok(()),
-        Some(v) => Err(ApiError::new(
-            ErrorCode::UnsupportedVersion,
-            format!(
-                "unsupported protocol version {} (this server speaks v{PROTOCOL_VERSION})",
-                v.render()
-            ),
-        )),
+        Some(v) => Err(ApiError::unsupported_version(v.render())),
     }
 }
 
@@ -1094,13 +936,9 @@ fn handle_envelope(engine: &Arc<Engine>, value: &Json, inherited: Option<&str>) 
             .map(|item| handle_envelope(engine, item, Some(&trace)))
             .collect();
         engine.stats_ref().note_ok(WireCodec::Json);
-        let mut fields = vec![("ok".to_string(), Json::Bool(true))];
-        if let Some(id) = id {
-            fields.push(("id".to_string(), id.clone()));
-        }
-        fields.push(("trace".to_string(), Json::Str(trace.clone())));
-        fields.push(("results".to_string(), Json::Arr(results)));
-        return Json::Obj(fields);
+        let mut object = envelope(true, id, Some(&trace));
+        object.push(("results".to_string(), Json::Arr(results)));
+        return Json::Obj(object);
     }
     match Request::from_json(value) {
         Err(error) => render_error(engine, id, &trace, &error),

@@ -1,22 +1,28 @@
-//! The binary value codec: little-endian, length-delimited encodings of
-//! [`Request`] and [`Response`] used by the binary wire framing
-//! ([`wire`](crate::wire)).
+//! The wire codec: each value's JSON form and little-endian binary form,
+//! declared once per type in a `Wire` impl, and the binary payload
+//! entry points the framing in [`wire`](crate::wire) calls. The op
+//! tables in [`api`](crate::api) build [`Request`] and [`Response`] from
+//! these impls, and the WAL's records and checkpoint image
+//! ([`durability`](crate::durability)) write their ids, strings and flags
+//! through them too.
 //!
 //! Design rules, mirroring the JSON contract they sit beside:
 //!
-//! * **Zero-copy decode.** A request payload decodes to
-//!   [`RequestRef`], which borrows every string straight from the frame
-//!   buffer. The owned-conversion seam ([`RequestRef::to_owned`])
-//!   allocates only for the ops that actually carry strings (`open`,
-//!   `answer`, `sql`) — `suggest`, `screens`, `verdict`, `stats` and
-//!   friends decode and convert without touching the heap.
+//! * **Requests decode straight into [`Request`].** Ids and claim lists
+//!   are read directly into the request's fields, and each string is
+//!   copied once, out of the frame. The string-free ops (`suggest`,
+//!   `screens`, `verdict`, `stats`, …) decode without touching the heap,
+//!   so a warm binary `suggest` allocates nothing from frame to frame.
 //! * **Fixed-width primitives.** `u8`/`u32`/`u64` and `f64` are
-//!   little-endian; strings and lists are `u32` count + items. No
-//!   varints: predictable layout beats a few bytes on a local wire.
-//! * **Op bytes follow the v1 op table.** The byte for each op is its
-//!   row index in `api::OPS` — append-only, like error codes. There is
-//!   deliberately no binary `batch` op: binary clients pipeline frames
-//!   instead, which the multiplexed server already executes in order.
+//!   little-endian; strings and lists are `u32` count + items; an option
+//!   is a `0`/`1` byte, then the value when it is `1`. No varints:
+//!   predictable layout beats a few bytes on a local wire.
+//! * **Op and kind bytes follow the op tables.** Each op's byte is
+//!   declared on its row of the request table and each response kind's
+//!   on its row of the response table — append-only, like error codes.
+//!   There is deliberately no binary `batch` op: binary clients pipeline
+//!   frames instead, which the multiplexed server already executes in
+//!   order.
 //! * **Responses decode to the canonical JSON shape.**
 //!   [`decode_response`] returns the same [`Json`] object the JSON
 //!   codec would have produced for the same response (`ok`, echoed
@@ -26,12 +32,15 @@
 //!   string for the same reason — the snapshot is an operator surface,
 //!   not a hot path.
 
+use std::sync::Arc;
+
 use scrutinizer_core::report::{ClaimOutcome, Verdict};
 use scrutinizer_core::PropertyKind;
 
-use crate::api::{kind_label, ApiError, ErrorCode, Request, Response};
-use crate::protocol::Json;
-use crate::session::{ClaimQuestions, Suggestion};
+use crate::api::{envelope, error_json, ApiError, ErrorCode, Request, Response};
+use crate::engine::VerdictRecord;
+use crate::protocol::{obj, Json};
+use crate::session::{ClaimQuestions, ScreenView, Suggestion};
 
 /// Envelope flag: the request carries a `u64` request id.
 pub const FLAG_HAS_ID: u8 = 1;
@@ -52,147 +61,7 @@ pub struct BinEnvelope {
     pub trace: Option<u64>,
 }
 
-/// A [`Request`] decoded without copying: every string borrows from the
-/// frame buffer. Claims lists are materialized (dispatch needs a slice),
-/// strings are not.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RequestRef<'a> {
-    /// `open`
-    Open {
-        /// Checker name, if given.
-        checker: Option<&'a str>,
-    },
-    /// `submit`
-    Submit {
-        /// Target session.
-        session: u64,
-        /// Corpus claim ids.
-        claims: Vec<usize>,
-    },
-    /// `next_batch`
-    NextBatch {
-        /// Target session.
-        session: u64,
-    },
-    /// `screens`
-    Screens {
-        /// Target session.
-        session: u64,
-        /// Corpus claim id.
-        claim: usize,
-    },
-    /// `answer`
-    Answer {
-        /// Target session.
-        session: u64,
-        /// Corpus claim id.
-        claim: usize,
-        /// The property the answer validates.
-        kind: PropertyKind,
-        /// The chosen option (borrowed from the frame).
-        answer: &'a str,
-    },
-    /// `suggest`
-    Suggest {
-        /// Target session.
-        session: u64,
-        /// Corpus claim id.
-        claim: usize,
-    },
-    /// `verdict`
-    Verdict {
-        /// Target session.
-        session: u64,
-        /// Corpus claim id.
-        claim: usize,
-        /// The checker's judgment.
-        correct: bool,
-        /// Rank of the confirming suggestion, if accepted.
-        chosen: Option<usize>,
-    },
-    /// `sql`
-    Sql {
-        /// The statement text (borrowed from the frame).
-        query: &'a str,
-    },
-    /// `verify_batch`
-    VerifyBatch {
-        /// Corpus claim ids.
-        claims: Vec<usize>,
-        /// Base worker seed.
-        seed: Option<u64>,
-    },
-    /// `stats`
-    Stats,
-    /// `metrics`
-    Metrics,
-    /// `close`
-    Close {
-        /// Target session.
-        session: u64,
-    },
-}
-
-impl RequestRef<'_> {
-    /// The owned-conversion seam: materializes the borrowed request.
-    /// Allocates only where the op carries strings or lists; the
-    /// string-free ops (`suggest`, `screens`, `stats`, …) convert
-    /// without heap traffic.
-    pub fn to_owned(&self) -> Request {
-        match self {
-            RequestRef::Open { checker } => Request::Open {
-                checker: checker.map(str::to_string),
-            },
-            RequestRef::Submit { session, claims } => Request::Submit {
-                session: *session,
-                claims: claims.clone(),
-            },
-            RequestRef::NextBatch { session } => Request::NextBatch { session: *session },
-            RequestRef::Screens { session, claim } => Request::Screens {
-                session: *session,
-                claim: *claim,
-            },
-            RequestRef::Answer {
-                session,
-                claim,
-                kind,
-                answer,
-            } => Request::Answer {
-                session: *session,
-                claim: *claim,
-                kind: *kind,
-                answer: (*answer).to_string(),
-            },
-            RequestRef::Suggest { session, claim } => Request::Suggest {
-                session: *session,
-                claim: *claim,
-            },
-            RequestRef::Verdict {
-                session,
-                claim,
-                correct,
-                chosen,
-            } => Request::Verdict {
-                session: *session,
-                claim: *claim,
-                correct: *correct,
-                chosen: *chosen,
-            },
-            RequestRef::Sql { query } => Request::Sql {
-                query: (*query).to_string(),
-            },
-            RequestRef::VerifyBatch { claims, seed } => Request::VerifyBatch {
-                claims: claims.clone(),
-                seed: *seed,
-            },
-            RequestRef::Stats => Request::Stats,
-            RequestRef::Metrics => Request::Metrics,
-            RequestRef::Close { session } => Request::Close { session: *session },
-        }
-    }
-}
-
-// ---- primitive writers --------------------------------------------------
+// ---- primitive writers and reader ----------------------------------------
 
 pub(crate) fn put_u8(out: &mut Vec<u8>, value: u8) {
     out.push(value);
@@ -202,20 +71,10 @@ pub(crate) fn put_u32(out: &mut Vec<u8>, value: u32) {
     out.extend_from_slice(&value.to_le_bytes());
 }
 
-pub(crate) fn put_u64(out: &mut Vec<u8>, value: u64) {
-    out.extend_from_slice(&value.to_le_bytes());
-}
-
-pub(crate) fn put_f64(out: &mut Vec<u8>, value: f64) {
-    out.extend_from_slice(&value.to_le_bytes());
-}
-
 pub(crate) fn put_str(out: &mut Vec<u8>, value: &str) {
     put_u32(out, value.len() as u32);
     out.extend_from_slice(value.as_bytes());
 }
-
-// ---- primitive reader ---------------------------------------------------
 
 /// Cursor over a frame payload. Every read is bounds-checked; running
 /// off the end is a structural `parse_error`, mirroring bad JSON.
@@ -261,10 +120,6 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
     }
 
-    pub(crate) fn f64(&mut self) -> Result<f64, ApiError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
     pub(crate) fn bool(&mut self) -> Result<bool, ApiError> {
         match self.u8()? {
             0 => Ok(false),
@@ -276,60 +131,435 @@ impl<'a> Reader<'a> {
         }
     }
 
-    pub(crate) fn str(&mut self) -> Result<&'a str, ApiError> {
+    fn str(&mut self) -> Result<&'a str, ApiError> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
         std::str::from_utf8(bytes)
             .map_err(|_| ApiError::new(ErrorCode::ParseError, "string field is not UTF-8"))
     }
 
-    fn claims(&mut self) -> Result<Vec<usize>, ApiError> {
+    /// Reads a `u32` count, then that many items. The pre-allocation is
+    /// capped by what the rest of the payload could hold at 8 bytes per
+    /// item, so a lying count cannot balloon memory.
+    pub(crate) fn list<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, ApiError>,
+    ) -> Result<Vec<T>, ApiError> {
         let count = self.u32()? as usize;
-        // cap pre-allocation by what the payload can actually hold (8
-        // bytes per id), so a lying count cannot balloon memory
         let mut out = Vec::with_capacity(count.min((self.buf.len() - self.pos) / 8 + 1));
         for _ in 0..count {
-            out.push(self.u64()? as usize);
+            out.push(item(self)?);
         }
         Ok(out)
     }
 }
 
-// ---- op bytes -----------------------------------------------------------
+// ---- one value, two forms ------------------------------------------------
 
-const OP_OPEN: u8 = 0;
-const OP_SUBMIT: u8 = 1;
-const OP_NEXT_BATCH: u8 = 2;
-const OP_SCREENS: u8 = 3;
-const OP_ANSWER: u8 = 4;
-const OP_SUGGEST: u8 = 5;
-const OP_VERDICT: u8 = 6;
-const OP_SQL: u8 = 7;
-const OP_VERIFY_BATCH: u8 = 8;
-const OP_STATS: u8 = 9;
-const OP_METRICS: u8 = 10;
-const OP_CLOSE: u8 = 11;
+/// One value's two wire forms, declared once: its JSON value and its
+/// binary layout. Requests, responses, both codecs and the WAL all go
+/// through these impls, so a field's encoding cannot differ between them.
+pub(crate) trait Wire {
+    /// The JSON form.
+    fn to_json(&self) -> Json;
 
-pub(crate) fn kind_byte(kind: PropertyKind) -> u8 {
-    match kind {
-        PropertyKind::Relation => 0,
-        PropertyKind::Key => 1,
-        PropertyKind::Attribute => 2,
-        PropertyKind::Formula => 3,
+    /// Appends the binary form.
+    fn put(&self, out: &mut Vec<u8>);
+
+    /// Reads the binary form into the JSON form [`Wire::to_json`] gives —
+    /// how a client turns a binary response into the canonical JSON one.
+    fn read_json(reader: &mut Reader<'_>) -> Result<Json, ApiError>;
+
+    /// Sets this value as the member `key` of a JSON object.
+    fn push_json(&self, key: &str, object: &mut Vec<(String, Json)>) {
+        object.push((key.to_string(), self.to_json()));
+    }
+
+    /// Reads the binary form into the member `key` of a JSON object, as
+    /// [`Wire::push_json`] would have set it.
+    fn read_member(
+        reader: &mut Reader<'_>,
+        key: &str,
+        object: &mut Vec<(String, Json)>,
+    ) -> Result<(), ApiError> {
+        object.push((key.to_string(), Self::read_json(reader)?));
+        Ok(())
     }
 }
 
-pub(crate) fn kind_from_byte(byte: u8) -> Option<PropertyKind> {
-    match byte {
-        0 => Some(PropertyKind::Relation),
-        1 => Some(PropertyKind::Key),
-        2 => Some(PropertyKind::Attribute),
-        3 => Some(PropertyKind::Formula),
-        _ => None,
+/// A request field: a [`Wire`] value the server reads back from either
+/// form.
+pub(crate) trait Field: Wire + Sized {
+    /// Parses the member `key` of a request object (`None` when absent).
+    /// A missing or mistyped member is an `invalid_argument` error.
+    fn from_json(value: Option<&Json>, key: &str) -> Result<Self, ApiError>;
+
+    /// Reads the binary form.
+    fn read(reader: &mut Reader<'_>) -> Result<Self, ApiError>;
+}
+
+/// A required member, read by `read` or reported missing.
+fn required<'j, T>(
+    value: Option<&'j Json>,
+    key: &str,
+    read: impl FnOnce(&'j Json) -> Option<T>,
+) -> Result<T, ApiError> {
+    value
+        .and_then(read)
+        .ok_or_else(|| ApiError::invalid(format!("missing `{key}`")))
+}
+
+impl Wire for u64 {
+    fn to_json(&self) -> Json {
+        Json::Num(*self as f64)
+    }
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+    fn read_json(reader: &mut Reader<'_>) -> Result<Json, ApiError> {
+        Ok(Self::read(reader)?.to_json())
     }
 }
 
-// ---- request encode (client side) ---------------------------------------
+impl Field for u64 {
+    fn from_json(value: Option<&Json>, key: &str) -> Result<Self, ApiError> {
+        required(value, key, |v| v.as_usize().map(|n| n as u64))
+    }
+    fn read(reader: &mut Reader<'_>) -> Result<Self, ApiError> {
+        reader.u64()
+    }
+}
+
+/// Sent as a `u64`.
+impl Wire for usize {
+    fn to_json(&self) -> Json {
+        Json::Num(*self as f64)
+    }
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64).put(out);
+    }
+    fn read_json(reader: &mut Reader<'_>) -> Result<Json, ApiError> {
+        Ok(Self::read(reader)?.to_json())
+    }
+}
+
+impl Field for usize {
+    fn from_json(value: Option<&Json>, key: &str) -> Result<Self, ApiError> {
+        required(value, key, Json::as_usize)
+    }
+    fn read(reader: &mut Reader<'_>) -> Result<Self, ApiError> {
+        Ok(reader.u64()? as usize)
+    }
+}
+
+/// Sent as a `0`/`1` byte; any other byte is a `parse_error`.
+impl Wire for bool {
+    fn to_json(&self) -> Json {
+        Json::Bool(*self)
+    }
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u8(out, u8::from(*self));
+    }
+    fn read_json(reader: &mut Reader<'_>) -> Result<Json, ApiError> {
+        Ok(Self::read(reader)?.to_json())
+    }
+}
+
+impl Field for bool {
+    fn from_json(value: Option<&Json>, key: &str) -> Result<Self, ApiError> {
+        required(value, key, Json::as_bool)
+    }
+    fn read(reader: &mut Reader<'_>) -> Result<Self, ApiError> {
+        reader.bool()
+    }
+}
+
+impl Wire for f64 {
+    fn to_json(&self) -> Json {
+        Json::Num(*self)
+    }
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+    fn read_json(reader: &mut Reader<'_>) -> Result<Json, ApiError> {
+        Ok(Json::Num(f64::from_bits(reader.u64()?)))
+    }
+}
+
+/// A `u32` byte length, then UTF-8.
+impl Wire for String {
+    fn to_json(&self) -> Json {
+        Json::Str(self.clone())
+    }
+    fn put(&self, out: &mut Vec<u8>) {
+        put_str(out, self);
+    }
+    fn read_json(reader: &mut Reader<'_>) -> Result<Json, ApiError> {
+        Ok(Self::read(reader)?.to_json())
+    }
+}
+
+impl Field for String {
+    fn from_json(value: Option<&Json>, key: &str) -> Result<Self, ApiError> {
+        required(value, key, |v| v.as_str().map(str::to_string))
+    }
+    fn read(reader: &mut Reader<'_>) -> Result<Self, ApiError> {
+        Ok(reader.str()?.to_string())
+    }
+}
+
+/// The property kinds' wire labels; a kind's binary byte is its row.
+const KINDS: [(PropertyKind, &str); 4] = [
+    (PropertyKind::Relation, "relation"),
+    (PropertyKind::Key, "key"),
+    (PropertyKind::Attribute, "attribute"),
+    (PropertyKind::Formula, "formula"),
+];
+
+fn kind_row(kind: PropertyKind) -> usize {
+    KINDS
+        .iter()
+        .position(|(row, _)| *row == kind)
+        .expect("every kind has a row")
+}
+
+impl Wire for PropertyKind {
+    fn to_json(&self) -> Json {
+        Json::Str(KINDS[kind_row(*self)].1.to_string())
+    }
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u8(out, kind_row(*self) as u8);
+    }
+    fn read_json(reader: &mut Reader<'_>) -> Result<Json, ApiError> {
+        Ok(Self::read(reader)?.to_json())
+    }
+}
+
+impl Field for PropertyKind {
+    fn from_json(value: Option<&Json>, key: &str) -> Result<Self, ApiError> {
+        value
+            .and_then(Json::as_str)
+            .and_then(|label| KINDS.iter().find(|(_, row)| *row == label))
+            .map(|(kind, _)| *kind)
+            .ok_or_else(|| ApiError::invalid(format!("missing or invalid `{key}`")))
+    }
+    fn read(reader: &mut Reader<'_>) -> Result<Self, ApiError> {
+        let byte = reader.u8()?;
+        KINDS
+            .get(usize::from(byte))
+            .map(|(kind, _)| *kind)
+            .ok_or_else(|| {
+                ApiError::new(
+                    ErrorCode::InvalidArgument,
+                    format!("invalid property kind byte {byte}"),
+                )
+            })
+    }
+}
+
+/// Absent: a `0` byte, and no JSON member at all. Present: a `1` byte,
+/// then the value.
+impl<T: Field> Wire for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, Wire::to_json)
+    }
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Some(value) => {
+                put_u8(out, 1);
+                value.put(out);
+            }
+            None => put_u8(out, 0),
+        }
+    }
+    fn read_json(reader: &mut Reader<'_>) -> Result<Json, ApiError> {
+        Ok(Self::read(reader)?.to_json())
+    }
+    fn push_json(&self, key: &str, object: &mut Vec<(String, Json)>) {
+        if let Some(value) = self {
+            value.push_json(key, object);
+        }
+    }
+    fn read_member(
+        reader: &mut Reader<'_>,
+        key: &str,
+        object: &mut Vec<(String, Json)>,
+    ) -> Result<(), ApiError> {
+        match reader.bool()? {
+            true => T::read_member(reader, key, object),
+            false => Ok(()),
+        }
+    }
+}
+
+/// Lenient in JSON: a mistyped member reads as absent.
+impl<T: Field> Field for Option<T> {
+    fn from_json(value: Option<&Json>, key: &str) -> Result<Self, ApiError> {
+        Ok(value.and_then(|value| T::from_json(Some(value), key).ok()))
+    }
+    fn read(reader: &mut Reader<'_>) -> Result<Self, ApiError> {
+        match reader.bool()? {
+            true => T::read(reader).map(Some),
+            false => Ok(None),
+        }
+    }
+}
+
+/// A list is a `u32` count, then each item; in JSON, an array.
+macro_rules! wire_list {
+    ($($list:ty),*) => {$(
+        impl<T: Wire> Wire for $list {
+            fn to_json(&self) -> Json {
+                Json::Arr(self.iter().map(Wire::to_json).collect())
+            }
+            fn put(&self, out: &mut Vec<u8>) {
+                put_u32(out, self.len() as u32);
+                for item in self.iter() {
+                    item.put(out);
+                }
+            }
+            fn read_json(reader: &mut Reader<'_>) -> Result<Json, ApiError> {
+                reader.list(T::read_json).map(Json::Arr)
+            }
+        }
+    )*};
+}
+
+wire_list!(Vec<T>, Arc<[T]>);
+
+/// A claim-id list.
+impl Field for Vec<usize> {
+    fn from_json(value: Option<&Json>, key: &str) -> Result<Self, ApiError> {
+        required(value, key, Json::as_arr)?
+            .iter()
+            .map(|item| {
+                item.as_usize()
+                    .ok_or_else(|| ApiError::invalid(format!("invalid claim id {}", item.render())))
+            })
+            .collect()
+    }
+    fn read(reader: &mut Reader<'_>) -> Result<Self, ApiError> {
+        reader.list(usize::read)
+    }
+}
+
+/// The `stats` body: its rendering, as a string.
+impl Wire for Json {
+    fn to_json(&self) -> Json {
+        self.clone()
+    }
+    fn put(&self, out: &mut Vec<u8>) {
+        put_str(out, &self.render());
+    }
+    fn read_json(reader: &mut Reader<'_>) -> Result<Json, ApiError> {
+        Json::parse(reader.str()?).map_err(|error| {
+            ApiError::new(
+                ErrorCode::ParseError,
+                format!("embedded JSON body does not parse: {error}"),
+            )
+        })
+    }
+}
+
+/// The verdicts' wire names; a verdict's binary byte is its row.
+const VERDICTS: [&str; 3] = ["correct", "incorrect", "skipped"];
+
+fn verdict_row(verdict: &Verdict) -> usize {
+    match verdict {
+        Verdict::Correct { .. } => 0,
+        Verdict::Incorrect { .. } => 1,
+        Verdict::Skipped => 2,
+    }
+}
+
+/// Only the verdict's name crosses the wire.
+impl Wire for Verdict {
+    fn to_json(&self) -> Json {
+        Json::Str(VERDICTS[verdict_row(self)].to_string())
+    }
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u8(out, verdict_row(self) as u8);
+    }
+    fn read_json(reader: &mut Reader<'_>) -> Result<Json, ApiError> {
+        let byte = reader.u8()?;
+        let name = VERDICTS.get(usize::from(byte)).ok_or_else(|| {
+            ApiError::new(
+                ErrorCode::ParseError,
+                format!("invalid verdict byte {byte}"),
+            )
+        })?;
+        Ok(Json::Str(name.to_string()))
+    }
+}
+
+/// Implements [`Wire`] for a struct sent as one JSON object. Each row
+/// names the JSON member, the field it holds and the field's type; the
+/// binary form is the fields in row order. Trailing tokens join the impl.
+macro_rules! wire_object {
+    ($ty:ty { $($key:literal: $($field:ident).+ => $fty:ty),* $(,)? } $($extra:tt)*) => {
+        impl Wire for $ty {
+            fn to_json(&self) -> Json {
+                obj(vec![$(($key, self.$($field).+.to_json())),*])
+            }
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$($field).+.put(out);)*
+            }
+            fn read_json(reader: &mut Reader<'_>) -> Result<Json, ApiError> {
+                Ok(obj(vec![$(($key, <$fty as Wire>::read_json(reader)?)),*]))
+            }
+            $($extra)*
+        }
+    };
+}
+
+wire_object!(ScreenView {
+    "kind": kind => PropertyKind,
+    "options": options => Vec<String>,
+});
+
+wire_object!(ClaimQuestions {
+    "claim": claim_id => usize,
+    "expected_cost": expected_cost => f64,
+    "screens": screens => Vec<ScreenView>,
+});
+
+wire_object!(Suggestion {
+    "rank": rank => usize,
+    "sql": sql => String,
+    "formula": formula => String,
+    "value": value => f64,
+    "matches_parameter": matches_parameter => bool,
+});
+
+wire_object!(ClaimOutcome {
+    "claim": claim_id => usize,
+    "verdict": verdict => Verdict,
+    "matches_truth": verdict_matches_truth => bool,
+    "crowd_seconds": crowd_seconds => f64,
+});
+
+// A recorded verdict's members sit directly in its response object.
+wire_object!(VerdictRecord {
+    "verdict": outcome.verdict => Verdict,
+    "matches_truth": outcome.verdict_matches_truth => bool,
+    "retrained": retrained => bool,
+} fn push_json(&self, _key: &str, object: &mut Vec<(String, Json)>) {
+    if let Json::Obj(members) = self.to_json() {
+        object.extend(members);
+    }
+}
+fn read_member(
+    reader: &mut Reader<'_>,
+    _key: &str,
+    object: &mut Vec<(String, Json)>,
+) -> Result<(), ApiError> {
+    if let Json::Obj(members) = Self::read_json(reader)? {
+        object.extend(members);
+    }
+    Ok(())
+});
+
+// ---- requests ------------------------------------------------------------
 
 /// Encodes one request payload (envelope + op + body), without the frame
 /// length prefix — [`wire::frame_into`](crate::wire::frame_into) adds
@@ -344,104 +574,11 @@ pub fn encode_request(out: &mut Vec<u8>, request: &Request, id: Option<u64>, tra
         flags |= FLAG_HAS_TRACE;
     }
     put_u8(out, flags);
-    if let Some(id) = id {
-        put_u64(out, id);
+    for value in [id, trace].into_iter().flatten() {
+        value.put(out);
     }
-    if let Some(trace) = trace {
-        put_u64(out, trace);
-    }
-    match request {
-        Request::Open { checker } => {
-            put_u8(out, OP_OPEN);
-            match checker {
-                Some(name) => {
-                    put_u8(out, 1);
-                    put_str(out, name);
-                }
-                None => put_u8(out, 0),
-            }
-        }
-        Request::Submit { session, claims } => {
-            put_u8(out, OP_SUBMIT);
-            put_u64(out, *session);
-            put_claims(out, claims);
-        }
-        Request::NextBatch { session } => {
-            put_u8(out, OP_NEXT_BATCH);
-            put_u64(out, *session);
-        }
-        Request::Screens { session, claim } => {
-            put_u8(out, OP_SCREENS);
-            put_u64(out, *session);
-            put_u64(out, *claim as u64);
-        }
-        Request::Answer {
-            session,
-            claim,
-            kind,
-            answer,
-        } => {
-            put_u8(out, OP_ANSWER);
-            put_u64(out, *session);
-            put_u64(out, *claim as u64);
-            put_u8(out, kind_byte(*kind));
-            put_str(out, answer);
-        }
-        Request::Suggest { session, claim } => {
-            put_u8(out, OP_SUGGEST);
-            put_u64(out, *session);
-            put_u64(out, *claim as u64);
-        }
-        Request::Verdict {
-            session,
-            claim,
-            correct,
-            chosen,
-        } => {
-            put_u8(out, OP_VERDICT);
-            put_u64(out, *session);
-            put_u64(out, *claim as u64);
-            put_u8(out, u8::from(*correct));
-            match chosen {
-                Some(rank) => {
-                    put_u8(out, 1);
-                    put_u64(out, *rank as u64);
-                }
-                None => put_u8(out, 0),
-            }
-        }
-        Request::Sql { query } => {
-            put_u8(out, OP_SQL);
-            put_str(out, query);
-        }
-        Request::VerifyBatch { claims, seed } => {
-            put_u8(out, OP_VERIFY_BATCH);
-            put_claims(out, claims);
-            match seed {
-                Some(seed) => {
-                    put_u8(out, 1);
-                    put_u64(out, *seed);
-                }
-                None => put_u8(out, 0),
-            }
-        }
-        Request::Stats => put_u8(out, OP_STATS),
-        Request::Metrics => put_u8(out, OP_METRICS),
-        Request::Close { session } => {
-            put_u8(out, OP_CLOSE);
-            put_u64(out, *session);
-        }
-    }
+    request.put_body(out);
 }
-
-fn put_claims(out: &mut Vec<u8>, claims: &[usize]) {
-    put_u32(out, claims.len() as u32);
-    for &claim in claims {
-        put_u64(out, claim as u64);
-    }
-}
-
-// ---- request decode (server side, zero-copy) ----------------------------
 
 /// Decodes the envelope fields off the front of a frame payload,
 /// returning the envelope and a reader positioned at the op byte. Split
@@ -465,79 +602,9 @@ pub fn decode_envelope(payload: &[u8]) -> Result<(BinEnvelope, Reader<'_>), ApiE
 }
 
 /// Decodes the op byte and body from a reader positioned past the
-/// envelope (see [`decode_envelope`]). Strings borrow from the payload.
-pub fn decode_body<'a>(reader: &mut Reader<'a>) -> Result<RequestRef<'a>, ApiError> {
-    let op = reader.u8()?;
-    let request = match op {
-        OP_OPEN => RequestRef::Open {
-            checker: if reader.bool()? {
-                Some(reader.str()?)
-            } else {
-                None
-            },
-        },
-        OP_SUBMIT => RequestRef::Submit {
-            session: reader.u64()?,
-            claims: reader.claims()?,
-        },
-        OP_NEXT_BATCH => RequestRef::NextBatch {
-            session: reader.u64()?,
-        },
-        OP_SCREENS => RequestRef::Screens {
-            session: reader.u64()?,
-            claim: reader.u64()? as usize,
-        },
-        OP_ANSWER => RequestRef::Answer {
-            session: reader.u64()?,
-            claim: reader.u64()? as usize,
-            kind: {
-                let byte = reader.u8()?;
-                kind_from_byte(byte).ok_or_else(|| {
-                    ApiError::new(
-                        ErrorCode::InvalidArgument,
-                        format!("invalid property kind byte {byte}"),
-                    )
-                })?
-            },
-            answer: reader.str()?,
-        },
-        OP_SUGGEST => RequestRef::Suggest {
-            session: reader.u64()?,
-            claim: reader.u64()? as usize,
-        },
-        OP_VERDICT => RequestRef::Verdict {
-            session: reader.u64()?,
-            claim: reader.u64()? as usize,
-            correct: reader.bool()?,
-            chosen: if reader.bool()? {
-                Some(reader.u64()? as usize)
-            } else {
-                None
-            },
-        },
-        OP_SQL => RequestRef::Sql {
-            query: reader.str()?,
-        },
-        OP_VERIFY_BATCH => RequestRef::VerifyBatch {
-            claims: reader.claims()?,
-            seed: if reader.bool()? {
-                Some(reader.u64()?)
-            } else {
-                None
-            },
-        },
-        OP_STATS => RequestRef::Stats,
-        OP_METRICS => RequestRef::Metrics,
-        OP_CLOSE => RequestRef::Close {
-            session: reader.u64()?,
-        },
-        other => {
-            return Err(ApiError::new(
-                ErrorCode::UnknownOp,
-                format!("unknown binary op byte {other}"),
-            ))
-        }
-    };
+/// envelope (see [`decode_envelope`]) straight into a [`Request`].
+pub fn decode_body(reader: &mut Reader<'_>) -> Result<Request, ApiError> {
+    let request = Request::read_body(reader)?;
     if !reader.is_empty() {
         return Err(ApiError::new(
             ErrorCode::ParseError,
@@ -547,82 +614,16 @@ pub fn decode_body<'a>(reader: &mut Reader<'a>) -> Result<RequestRef<'a>, ApiErr
     Ok(request)
 }
 
-// ---- response encode (server side) --------------------------------------
-
-const RESP_SESSION: u8 = 0;
-const RESP_BATCH: u8 = 1;
-const RESP_QUESTIONS: u8 = 2;
-const RESP_REMAINING: u8 = 3;
-const RESP_SUGGESTIONS: u8 = 4;
-const RESP_VERDICT: u8 = 5;
-const RESP_VALUE: u8 = 6;
-const RESP_OUTCOMES: u8 = 7;
-const RESP_STATS: u8 = 8;
-const RESP_METRICS: u8 = 9;
-const RESP_CLOSED: u8 = 10;
-
-fn verdict_byte(verdict: &Verdict) -> u8 {
-    match verdict {
-        Verdict::Correct { .. } => 0,
-        Verdict::Incorrect { .. } => 1,
-        Verdict::Skipped => 2,
-    }
-}
-
-fn verdict_wire_name(byte: u8) -> Result<&'static str, ApiError> {
-    match byte {
-        0 => Ok("correct"),
-        1 => Ok("incorrect"),
-        2 => Ok("skipped"),
-        other => Err(ApiError::new(
-            ErrorCode::ParseError,
-            format!("invalid verdict byte {other}"),
-        )),
-    }
-}
+// ---- responses -----------------------------------------------------------
 
 fn put_response_envelope(out: &mut Vec<u8>, ok: bool, id: Option<u64>, trace: u64) {
     put_u8(out, u8::from(ok));
     let flags = if id.is_some() { FLAG_HAS_ID } else { 0 };
     put_u8(out, flags);
     if let Some(id) = id {
-        put_u64(out, id);
+        id.put(out);
     }
-    put_u64(out, trace);
-}
-
-fn put_questions(out: &mut Vec<u8>, questions: &ClaimQuestions) {
-    put_u64(out, questions.claim_id as u64);
-    put_f64(out, questions.expected_cost);
-    put_u32(out, questions.screens.len() as u32);
-    for screen in &questions.screens {
-        put_u8(out, kind_byte(screen.kind));
-        put_u32(out, screen.options.len() as u32);
-        for option in &screen.options {
-            put_str(out, option);
-        }
-    }
-}
-
-fn put_suggestions(out: &mut Vec<u8>, suggestions: &[Suggestion]) {
-    put_u32(out, suggestions.len() as u32);
-    for suggestion in suggestions {
-        put_u64(out, suggestion.rank as u64);
-        put_str(out, &suggestion.sql);
-        put_str(out, &suggestion.formula);
-        put_f64(out, suggestion.value);
-        put_u8(out, u8::from(suggestion.matches_parameter));
-    }
-}
-
-fn put_outcomes(out: &mut Vec<u8>, outcomes: &[ClaimOutcome]) {
-    put_u32(out, outcomes.len() as u32);
-    for outcome in outcomes {
-        put_u64(out, outcome.claim_id as u64);
-        put_u8(out, verdict_byte(&outcome.verdict));
-        put_u8(out, u8::from(outcome.verdict_matches_truth));
-        put_f64(out, outcome.crowd_seconds);
-    }
+    trace.put(out);
 }
 
 /// Encodes one success response payload (without the frame length
@@ -630,57 +631,7 @@ fn put_outcomes(out: &mut Vec<u8>, outcomes: &[ClaimOutcome]) {
 /// same order the JSON payload lists them.
 pub fn encode_ok_response(out: &mut Vec<u8>, id: Option<u64>, trace: u64, response: &Response) {
     put_response_envelope(out, true, id, trace);
-    match response {
-        Response::Session { session } => {
-            put_u8(out, RESP_SESSION);
-            put_u64(out, *session);
-        }
-        Response::Batch { batch } => {
-            put_u8(out, RESP_BATCH);
-            put_u32(out, batch.len() as u32);
-            for questions in batch {
-                put_questions(out, questions);
-            }
-        }
-        Response::Questions { questions } => {
-            put_u8(out, RESP_QUESTIONS);
-            put_questions(out, questions);
-        }
-        Response::Remaining { remaining } => {
-            put_u8(out, RESP_REMAINING);
-            put_u64(out, *remaining as u64);
-        }
-        Response::Suggestions { suggestions } => {
-            put_u8(out, RESP_SUGGESTIONS);
-            put_suggestions(out, suggestions);
-        }
-        Response::Verdict { record } => {
-            put_u8(out, RESP_VERDICT);
-            put_u8(out, verdict_byte(&record.outcome.verdict));
-            put_u8(out, u8::from(record.outcome.verdict_matches_truth));
-            put_u8(out, u8::from(record.retrained));
-        }
-        Response::Value { value } => {
-            put_u8(out, RESP_VALUE);
-            put_f64(out, *value);
-        }
-        Response::Outcomes { outcomes } => {
-            put_u8(out, RESP_OUTCOMES);
-            put_outcomes(out, outcomes);
-        }
-        Response::Stats { stats } => {
-            put_u8(out, RESP_STATS);
-            put_str(out, &stats.render());
-        }
-        Response::Metrics { exposition } => {
-            put_u8(out, RESP_METRICS);
-            put_str(out, exposition);
-        }
-        Response::Closed { verified } => {
-            put_u8(out, RESP_CLOSED);
-            put_claims(out, verified);
-        }
-    }
+    response.put_body(out);
 }
 
 /// Encodes one error response payload (without the frame length prefix):
@@ -698,33 +649,6 @@ pub fn encode_err_response(
     put_str(out, message);
 }
 
-// ---- response decode (client side) --------------------------------------
-
-fn read_questions(reader: &mut Reader<'_>) -> Result<Json, ApiError> {
-    let claim = reader.u64()?;
-    let cost = reader.f64()?;
-    let n_screens = reader.u32()? as usize;
-    let mut screens = Vec::with_capacity(n_screens.min(1024));
-    for _ in 0..n_screens {
-        let kind = kind_from_byte(reader.u8()?)
-            .ok_or_else(|| ApiError::new(ErrorCode::ParseError, "invalid screen kind byte"))?;
-        let n_options = reader.u32()? as usize;
-        let mut options = Vec::with_capacity(n_options.min(1024));
-        for _ in 0..n_options {
-            options.push(Json::Str(reader.str()?.to_string()));
-        }
-        screens.push(crate::protocol::obj(vec![
-            ("kind", Json::Str(kind_label(kind).to_string())),
-            ("options", Json::Arr(options)),
-        ]));
-    }
-    Ok(crate::protocol::obj(vec![
-        ("claim", Json::Num(claim as f64)),
-        ("expected_cost", Json::Num(cost)),
-        ("screens", Json::Arr(screens)),
-    ]))
-}
-
 /// Decodes one binary response payload into the canonical JSON response
 /// object — the exact shape the JSON codec emits for the same response
 /// (`ok`, echoed `id`, `trace` as 16 hex digits, then the payload).
@@ -735,16 +659,11 @@ pub fn decode_response(payload: &[u8]) -> Result<Json, ApiError> {
     let ok = reader.bool()?;
     let flags = reader.u8()?;
     let id = if flags & FLAG_HAS_ID != 0 {
-        Some(reader.u64()?)
+        Some(u64::read_json(&mut reader)?)
     } else {
         None
     };
-    let trace = reader.u64()?;
-    let mut fields: Vec<(String, Json)> = vec![("ok".to_string(), Json::Bool(ok))];
-    if let Some(id) = id {
-        fields.push(("id".to_string(), Json::Num(id as f64)));
-    }
-    fields.push(("trace".to_string(), Json::Str(format!("{trace:016x}"))));
+    let trace = format!("{:016x}", reader.u64()?);
     if !ok {
         let code_byte = reader.u8()? as usize;
         let code = *ErrorCode::ALL.get(code_byte).ok_or_else(|| {
@@ -753,102 +672,17 @@ pub fn decode_response(payload: &[u8]) -> Result<Json, ApiError> {
                 format!("invalid error code byte {code_byte}"),
             )
         })?;
-        let message = reader.str()?.to_string();
-        fields.push(("code".to_string(), Json::Str(code.name().to_string())));
-        fields.push(("error".to_string(), Json::Str(message)));
-        return Ok(Json::Obj(fields));
+        return Ok(error_json(id.as_ref(), Some(&trace), code, reader.str()?));
     }
-    let kind = reader.u8()?;
-    match kind {
-        RESP_SESSION => fields.push(("session".to_string(), Json::Num(reader.u64()? as f64))),
-        RESP_BATCH => {
-            let count = reader.u32()? as usize;
-            let mut batch = Vec::with_capacity(count.min(1024));
-            for _ in 0..count {
-                batch.push(read_questions(&mut reader)?);
-            }
-            fields.push(("batch".to_string(), Json::Arr(batch)));
-        }
-        RESP_QUESTIONS => fields.push(("questions".to_string(), read_questions(&mut reader)?)),
-        RESP_REMAINING => fields.push(("remaining".to_string(), Json::Num(reader.u64()? as f64))),
-        RESP_SUGGESTIONS => {
-            let count = reader.u32()? as usize;
-            let mut suggestions = Vec::with_capacity(count.min(1024));
-            for _ in 0..count {
-                let rank = reader.u64()?;
-                let sql = reader.str()?.to_string();
-                let formula = reader.str()?.to_string();
-                let value = reader.f64()?;
-                let matches = reader.bool()?;
-                suggestions.push(crate::protocol::obj(vec![
-                    ("rank", Json::Num(rank as f64)),
-                    ("sql", Json::Str(sql)),
-                    ("formula", Json::Str(formula)),
-                    ("value", Json::Num(value)),
-                    ("matches_parameter", Json::Bool(matches)),
-                ]));
-            }
-            fields.push(("suggestions".to_string(), Json::Arr(suggestions)));
-        }
-        RESP_VERDICT => {
-            let verdict = verdict_wire_name(reader.u8()?)?;
-            let matches = reader.bool()?;
-            let retrained = reader.bool()?;
-            fields.push(("verdict".to_string(), Json::Str(verdict.to_string())));
-            fields.push(("matches_truth".to_string(), Json::Bool(matches)));
-            fields.push(("retrained".to_string(), Json::Bool(retrained)));
-        }
-        RESP_VALUE => fields.push(("value".to_string(), Json::Num(reader.f64()?))),
-        RESP_OUTCOMES => {
-            let count = reader.u32()? as usize;
-            let mut outcomes = Vec::with_capacity(count.min(1024));
-            for _ in 0..count {
-                let claim = reader.u64()?;
-                let verdict = verdict_wire_name(reader.u8()?)?;
-                let matches = reader.bool()?;
-                let seconds = reader.f64()?;
-                outcomes.push(crate::protocol::obj(vec![
-                    ("claim", Json::Num(claim as f64)),
-                    ("verdict", Json::Str(verdict.to_string())),
-                    ("matches_truth", Json::Bool(matches)),
-                    ("crowd_seconds", Json::Num(seconds)),
-                ]));
-            }
-            fields.push(("outcomes".to_string(), Json::Arr(outcomes)));
-        }
-        RESP_STATS => {
-            let body = reader.str()?;
-            let stats = Json::parse(body).map_err(|error| {
-                ApiError::new(
-                    ErrorCode::ParseError,
-                    format!("embedded stats body is not JSON: {error}"),
-                )
-            })?;
-            fields.push(("stats".to_string(), stats));
-        }
-        RESP_METRICS => fields.push(("metrics".to_string(), Json::Str(reader.str()?.to_string()))),
-        RESP_CLOSED => {
-            let count = reader.u32()? as usize;
-            let mut verified = Vec::with_capacity(count.min(1024));
-            for _ in 0..count {
-                verified.push(Json::Num(reader.u64()? as f64));
-            }
-            fields.push(("verified".to_string(), Json::Arr(verified)));
-        }
-        other => {
-            return Err(ApiError::new(
-                ErrorCode::ParseError,
-                format!("invalid response kind byte {other}"),
-            ))
-        }
-    }
+    let mut object = envelope(true, id.as_ref(), Some(&trace));
+    Response::read_body(&mut reader, &mut object)?;
     if !reader.is_empty() {
         return Err(ApiError::new(
             ErrorCode::ParseError,
             "trailing bytes after binary response body",
         ));
     }
-    Ok(Json::Obj(fields))
+    Ok(Json::Obj(object))
 }
 
 #[cfg(test)]
@@ -863,7 +697,7 @@ mod tests {
         assert_eq!(envelope.id, Some(7));
         assert_eq!(envelope.trace, Some(0xAB));
         let decoded = decode_body(&mut reader).expect("body decodes");
-        assert_eq!(decoded.to_owned(), request);
+        assert_eq!(decoded, request);
     }
 
     #[test]
@@ -916,7 +750,7 @@ mod tests {
         let (envelope, mut reader) = decode_envelope(&payload).unwrap();
         assert_eq!(envelope.id, None);
         assert_eq!(envelope.trace, None);
-        assert_eq!(decode_body(&mut reader).unwrap(), RequestRef::Stats);
+        assert_eq!(decode_body(&mut reader).unwrap(), Request::Stats);
     }
 
     #[test]

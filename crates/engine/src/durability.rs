@@ -75,8 +75,8 @@ use scrutinizer_learn::{PropertyClassifier, SoftmaxClassifier, SoftmaxTraining};
 use scrutinizer_sim::Storage;
 use scrutinizer_wal::{Wal, WalOptions};
 
-use crate::api::ApiError;
-use crate::codec::{kind_byte, kind_from_byte, put_str, put_u32, put_u64, put_u8, Reader};
+use crate::api::{ApiError, ErrorCode};
+use crate::codec::{put_u32, put_u8, Field, Reader, Wire};
 use crate::engine::{Engine, EngineParts};
 use scrutinizer_obs as obs;
 
@@ -155,16 +155,13 @@ impl WalRecord {
         match self {
             WalRecord::SessionOpened { id, checker } => {
                 put_u8(&mut out, REC_SESSION_OPENED);
-                put_u64(&mut out, *id);
-                put_str(&mut out, checker);
+                id.put(&mut out);
+                checker.put(&mut out);
             }
             WalRecord::ReportSubmitted { session, claims } => {
                 put_u8(&mut out, REC_REPORT_SUBMITTED);
-                put_u64(&mut out, *session);
-                put_u32(&mut out, claims.len() as u32);
-                for &claim in claims {
-                    put_u64(&mut out, claim as u64);
-                }
+                session.put(&mut out);
+                claims.put(&mut out);
             }
             WalRecord::AnswerPosted {
                 session,
@@ -173,10 +170,10 @@ impl WalRecord {
                 answer,
             } => {
                 put_u8(&mut out, REC_ANSWER_POSTED);
-                put_u64(&mut out, *session);
-                put_u64(&mut out, *claim as u64);
-                put_u8(&mut out, kind_byte(*kind));
-                put_str(&mut out, answer);
+                session.put(&mut out);
+                claim.put(&mut out);
+                kind.put(&mut out);
+                answer.put(&mut out);
             }
             WalRecord::VerdictPosted {
                 session,
@@ -185,20 +182,14 @@ impl WalRecord {
                 chosen,
             } => {
                 put_u8(&mut out, REC_VERDICT_POSTED);
-                put_u64(&mut out, *session);
-                put_u64(&mut out, *claim as u64);
-                put_u8(&mut out, u8::from(*correct));
-                match chosen {
-                    Some(rank) => {
-                        put_u8(&mut out, 1);
-                        put_u64(&mut out, *rank as u64);
-                    }
-                    None => put_u8(&mut out, 0),
-                }
+                session.put(&mut out);
+                claim.put(&mut out);
+                correct.put(&mut out);
+                chosen.put(&mut out);
             }
             WalRecord::SessionClosed { id } => {
                 put_u8(&mut out, REC_SESSION_CLOSED);
-                put_u64(&mut out, *id);
+                id.put(&mut out);
             }
             WalRecord::EpochPublished {
                 epoch,
@@ -206,9 +197,9 @@ impl WalRecord {
                 background,
             } => {
                 put_u8(&mut out, REC_EPOCH_PUBLISHED);
-                put_u64(&mut out, *epoch);
-                put_u64(&mut out, *examples);
-                put_u8(&mut out, u8::from(*background));
+                epoch.put(&mut out);
+                examples.put(&mut out);
+                background.put(&mut out);
             }
         }
         out
@@ -227,49 +218,41 @@ impl WalRecord {
     }
 
     fn decode_from(reader: &mut Reader<'_>) -> Result<WalRecord, ApiError> {
-        let bad = |message: String| ApiError::new(crate::api::ErrorCode::ParseError, message);
-        let tag = reader.u8()?;
-        Ok(match tag {
+        Ok(match reader.u8()? {
             REC_SESSION_OPENED => WalRecord::SessionOpened {
-                id: reader.u64()?,
-                checker: reader.str()?.to_string(),
+                id: Field::read(reader)?,
+                checker: Field::read(reader)?,
             },
-            REC_REPORT_SUBMITTED => {
-                let session = reader.u64()?;
-                let count = reader.u32()? as usize;
-                let mut claims = Vec::with_capacity(count.min(4096));
-                for _ in 0..count {
-                    claims.push(reader.u64()? as usize);
-                }
-                WalRecord::ReportSubmitted { session, claims }
-            }
+            REC_REPORT_SUBMITTED => WalRecord::ReportSubmitted {
+                session: Field::read(reader)?,
+                claims: Field::read(reader)?,
+            },
             REC_ANSWER_POSTED => WalRecord::AnswerPosted {
-                session: reader.u64()?,
-                claim: reader.u64()? as usize,
-                kind: {
-                    let byte = reader.u8()?;
-                    kind_from_byte(byte)
-                        .ok_or_else(|| bad(format!("invalid property kind byte {byte}")))?
-                },
-                answer: reader.str()?.to_string(),
+                session: Field::read(reader)?,
+                claim: Field::read(reader)?,
+                kind: Field::read(reader)?,
+                answer: Field::read(reader)?,
             },
             REC_VERDICT_POSTED => WalRecord::VerdictPosted {
-                session: reader.u64()?,
-                claim: reader.u64()? as usize,
-                correct: reader.bool()?,
-                chosen: if reader.bool()? {
-                    Some(reader.u64()? as usize)
-                } else {
-                    None
-                },
+                session: Field::read(reader)?,
+                claim: Field::read(reader)?,
+                correct: Field::read(reader)?,
+                chosen: Field::read(reader)?,
             },
-            REC_SESSION_CLOSED => WalRecord::SessionClosed { id: reader.u64()? },
+            REC_SESSION_CLOSED => WalRecord::SessionClosed {
+                id: Field::read(reader)?,
+            },
             REC_EPOCH_PUBLISHED => WalRecord::EpochPublished {
-                epoch: reader.u64()?,
-                examples: reader.u64()?,
-                background: reader.bool()?,
+                epoch: Field::read(reader)?,
+                examples: Field::read(reader)?,
+                background: Field::read(reader)?,
             },
-            other => return Err(bad(format!("unknown WAL record tag {other}"))),
+            other => {
+                return Err(ApiError::new(
+                    ErrorCode::ParseError,
+                    format!("unknown WAL record tag {other}"),
+                ))
+            }
         })
     }
 }
@@ -314,27 +297,11 @@ pub(crate) struct StateImage {
 
 const IMAGE_VERSION: u32 = 1;
 
-fn put_ids(out: &mut Vec<u8>, ids: &[usize]) {
-    put_u32(out, ids.len() as u32);
-    for &id in ids {
-        put_u64(out, id as u64);
-    }
-}
-
-fn read_ids(reader: &mut Reader<'_>) -> Result<Vec<usize>, ApiError> {
-    let count = reader.u32()? as usize;
-    let mut out = Vec::with_capacity(count.min(1 << 16));
-    for _ in 0..count {
-        out.push(reader.u64()? as usize);
-    }
-    Ok(out)
-}
-
 pub(crate) fn encode_state_image(image: &StateImage) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
     put_u32(&mut out, IMAGE_VERSION);
-    put_u64(&mut out, image.next_session);
     for value in [
+        image.next_session,
         image.sessions_opened,
         image.sessions_closed,
         image.claims_verified,
@@ -343,28 +310,22 @@ pub(crate) fn encode_state_image(image: &StateImage) -> Vec<u8> {
         image.background_retrains,
         image.examples_trained,
     ] {
-        put_u64(&mut out, value);
+        value.put(&mut out);
     }
-    put_ids(&mut out, &image.verified);
-    put_ids(&mut out, &image.pending);
+    image.verified.put(&mut out);
+    image.pending.put(&mut out);
     put_u32(&mut out, image.sessions.len() as u32);
     for session in &image.sessions {
-        put_u64(&mut out, session.id);
-        put_str(&mut out, &session.checker);
-        put_ids(&mut out, &session.pending);
-        put_ids(&mut out, &session.verified);
+        session.id.put(&mut out);
+        session.checker.put(&mut out);
+        session.pending.put(&mut out);
+        session.verified.put(&mut out);
         put_u32(&mut out, session.claims.len() as u32);
         for claim in &session.claims {
-            put_u64(&mut out, claim.id as u64);
-            put_u8(&mut out, u8::from(claim.done));
+            claim.id.put(&mut out);
+            claim.done.put(&mut out);
             for slot in &claim.validated {
-                match slot {
-                    Some(answer) => {
-                        put_u8(&mut out, 1);
-                        put_str(&mut out, answer);
-                    }
-                    None => put_u8(&mut out, 0),
-                }
+                slot.put(&mut out);
             }
         }
     }
@@ -380,61 +341,41 @@ fn decode_state_image_inner(payload: &[u8]) -> Result<StateImage, ApiError> {
     let version = reader.u32()?;
     if version != IMAGE_VERSION {
         return Err(ApiError::new(
-            crate::api::ErrorCode::ParseError,
+            ErrorCode::ParseError,
             format!("unsupported checkpoint image version {version}"),
         ));
     }
-    let next_session = reader.u64()?;
-    let mut counters = [0u64; 7];
-    for slot in &mut counters {
-        *slot = reader.u64()?;
-    }
-    let verified = read_ids(&mut reader)?;
-    let pending = read_ids(&mut reader)?;
-    let n_sessions = reader.u32()? as usize;
-    let mut sessions = Vec::with_capacity(n_sessions.min(1 << 16));
-    for _ in 0..n_sessions {
-        let id = reader.u64()?;
-        let checker = reader.str()?.to_string();
-        let session_pending = read_ids(&mut reader)?;
-        let session_verified = read_ids(&mut reader)?;
-        let n_claims = reader.u32()? as usize;
-        let mut claims = Vec::with_capacity(n_claims.min(1 << 16));
-        for _ in 0..n_claims {
-            let claim_id = reader.u64()? as usize;
-            let done = reader.bool()?;
-            let mut validated: [Option<String>; 3] = [None, None, None];
-            for slot in &mut validated {
-                if reader.bool()? {
-                    *slot = Some(reader.str()?.to_string());
-                }
-            }
-            claims.push(ClaimImage {
-                id: claim_id,
-                done,
-                validated,
-            });
-        }
-        sessions.push(SessionImage {
-            id,
-            checker,
-            pending: session_pending,
-            verified: session_verified,
-            claims,
-        });
-    }
+    let reader = &mut reader;
     Ok(StateImage {
-        next_session,
-        sessions_opened: counters[0],
-        sessions_closed: counters[1],
-        claims_verified: counters[2],
-        answers_posted: counters[3],
-        retrains: counters[4],
-        background_retrains: counters[5],
-        examples_trained: counters[6],
-        verified,
-        pending,
-        sessions,
+        next_session: Field::read(reader)?,
+        sessions_opened: Field::read(reader)?,
+        sessions_closed: Field::read(reader)?,
+        claims_verified: Field::read(reader)?,
+        answers_posted: Field::read(reader)?,
+        retrains: Field::read(reader)?,
+        background_retrains: Field::read(reader)?,
+        examples_trained: Field::read(reader)?,
+        verified: Field::read(reader)?,
+        pending: Field::read(reader)?,
+        sessions: reader.list(|reader| {
+            Ok(SessionImage {
+                id: Field::read(reader)?,
+                checker: Field::read(reader)?,
+                pending: Field::read(reader)?,
+                verified: Field::read(reader)?,
+                claims: reader.list(|reader| {
+                    Ok(ClaimImage {
+                        id: Field::read(reader)?,
+                        done: Field::read(reader)?,
+                        validated: [
+                            Field::read(reader)?,
+                            Field::read(reader)?,
+                            Field::read(reader)?,
+                        ],
+                    })
+                })?,
+            })
+        })?,
     })
 }
 
@@ -1058,12 +999,12 @@ mod tests {
         let mut mark = |out: &Vec<u8>, section: String| ends.push((section, out.len()));
         out.extend_from_slice(MODEL_MAGIC);
         mark(&out, "magic".to_string());
-        put_u64(&mut out, epoch);
+        epoch.put(&mut out);
         mark(&out, "epoch".to_string());
         for (k, classifier) in state.classifiers.iter().enumerate() {
             put_u32(&mut out, classifier.labels.len() as u32);
             for label in &classifier.labels {
-                put_str(&mut out, label);
+                label.put(&mut out);
             }
             mark(&out, format!("{k}.labels"));
             let Some(model) = &classifier.model else {
@@ -1090,13 +1031,13 @@ mod tests {
                 ("n_classes", model.n_classes as u64),
                 ("fits", model.fits),
             ] {
-                put_u64(&mut out, value);
+                value.put(&mut out);
                 mark(&out, format!("{k}.{section}"));
             }
         }
-        put_ids(&mut out, &state.replay);
+        state.replay.put(&mut out);
         mark(&out, "replay".to_string());
-        put_u64(&mut out, state.replay_cursor as u64);
+        (state.replay_cursor as u64).put(&mut out);
         mark(&out, "cursor".to_string());
         (out, ends)
     }

@@ -125,7 +125,6 @@ pub mod stats;
 pub mod wire;
 
 pub use api::{dispatch, ApiError, ErrorCode, Request, Response};
-pub use codec::RequestRef;
 pub use durability::{DurableEnv, RecoveryReport, WalRecord};
 pub use engine::{Engine, EngineError, EngineOptions, EngineParts, VerdictRecord};
 pub use executor::ThreadPool;

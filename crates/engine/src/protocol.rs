@@ -466,11 +466,12 @@ pub(crate) fn respond_panicked(
     payload: Box<dyn std::any::Any + Send>,
 ) -> String {
     let detail = note_panic(engine, WireCodec::Json, &*payload);
-    obj(vec![
-        ("ok", Json::Bool(false)),
-        ("code", Json::Str("internal".to_string())),
-        ("error", Json::Str(format!("internal error: {detail}"))),
-    ])
+    crate::api::error_json(
+        None,
+        None,
+        crate::api::ErrorCode::Internal,
+        &format!("internal error: {detail}"),
+    )
     .render()
 }
 

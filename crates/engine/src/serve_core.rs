@@ -14,15 +14,9 @@ use std::collections::VecDeque;
 
 use scrutinizer_sim::{ByteStream, IoPoll};
 
-use crate::api::ErrorCode;
+use crate::api::{error_json, ErrorCode};
 use crate::stats::{EngineStats, WireCodec};
 use crate::wire;
-
-/// The response line sent to a connection rejected at the connection
-/// limit, newline included (shared by the TCP accept path and the
-/// simulated one so the wire contract cannot drift).
-pub const OVERLOAD_LINE: &[u8] =
-    b"{\"ok\":false,\"code\":\"overloaded\",\"error\":\"connection limit reached\"}\n";
 
 /// The per-connection buffer limits [`service_conn`] enforces — the
 /// transport-independent subset of
@@ -249,10 +243,15 @@ fn split_lines<S>(conn: &mut ConnState<S>, limits: &ServiceLimits, stats: &Engin
         // an unterminated line longer than the cap can never
         // resynchronize: answer once, stop reading, close after the flush
         stats.note_wire_error(ErrorCode::ParseError, WireCodec::Json);
-        conn.push_response(&format!(
-            "{{\"ok\":false,\"code\":\"parse_error\",\"error\":\"request line exceeds {} bytes\"}}",
-            limits.max_line_bytes
-        ));
+        conn.push_response(
+            &error_json(
+                None,
+                None,
+                ErrorCode::ParseError,
+                &format!("request line exceeds {} bytes", limits.max_line_bytes),
+            )
+            .render(),
+        );
         conn.read_buf.clear();
         conn.eof = true;
         progress = true;

@@ -40,11 +40,11 @@ use std::time::Duration;
 
 use scrutinizer_data::hash::FxHashMap;
 
-use crate::api::ErrorCode;
+use crate::api::{error_json, ErrorCode};
 use crate::engine::Engine;
 use crate::executor::ThreadPool;
 use crate::protocol::handle_payload;
-use crate::serve_core::{service_conn, ConnState, ServiceLimits, OVERLOAD_LINE};
+use crate::serve_core::{service_conn, ConnState, ServiceLimits};
 use crate::stats::WireCodec;
 
 /// Serving-loop sizing and behavior knobs.
@@ -313,7 +313,15 @@ impl Server {
             max_connections = self.options.max_connections,
         );
         let _ = stream.set_nonblocking(true);
+        let mut line = error_json(
+            None,
+            None,
+            ErrorCode::Overloaded,
+            "connection limit reached",
+        )
+        .render();
+        line.push('\n');
         let mut stream = stream;
-        let _ = stream.write_all(OVERLOAD_LINE);
+        let _ = stream.write_all(line.as_bytes());
     }
 }

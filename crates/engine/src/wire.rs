@@ -103,7 +103,7 @@ pub fn error_frame(out: &mut Vec<u8>, code: ErrorCode, message: &str) {
     });
 }
 
-/// Handles one binary frame end to end: zero-copy decode, version gate,
+/// Handles one binary frame end to end: decode, version gate,
 /// typed dispatch, and the response encoded straight into `out` as one
 /// frame. Never panics on malformed input; a panic inside dispatch is
 /// caught, any partial output is truncated, and a framed `internal`
@@ -164,25 +164,16 @@ fn handle_frame_inner(engine: &Arc<Engine>, payload: &[u8], out: &mut Vec<u8>) {
         });
     };
     if u64::from(envelope.version) != PROTOCOL_VERSION {
-        let error = ApiError::new(
-            ErrorCode::UnsupportedVersion,
-            format!(
-                "unsupported protocol version {} (this server speaks v{PROTOCOL_VERSION})",
-                envelope.version
-            ),
-        );
-        emit_error(&error, out);
+        emit_error(&ApiError::unsupported_version(envelope.version), out);
         return;
     }
-    let request_ref = match codec::decode_body(&mut reader) {
-        Ok(request_ref) => request_ref,
+    let request = match codec::decode_body(&mut reader) {
+        Ok(request) => request,
         Err(error) => {
             emit_error(&error, out);
             return;
         }
     };
-    // the owned-conversion seam: only string-carrying ops allocate here
-    let request = request_ref.to_owned();
     span.add_field("op", request.op_name());
     match dispatch(engine, &request) {
         Ok(response) => {
