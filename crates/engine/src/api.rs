@@ -807,8 +807,7 @@ pub(crate) fn envelope(ok: bool, id: Option<&Json>, trace: Option<&str>) -> Vec<
 }
 
 /// A JSON error response: the [`envelope`], the stable `code`, and the
-/// human-readable `error`. Without an id or trace it is the line the
-/// serving loop answers transport failures and caught panics with.
+/// human-readable `error`.
 pub(crate) fn error_json(
     id: Option<&Json>,
     trace: Option<&str>,
@@ -819,6 +818,13 @@ pub(crate) fn error_json(
     object.push(("code".to_string(), Json::Str(code.name().to_string())));
     object.push(("error".to_string(), Json::Str(message.to_string())));
     Json::Obj(object)
+}
+
+/// The trace-less error line (without its newline) the serving loop
+/// answers caught panics, oversized lines and over-limit connections
+/// with: there is no request to take an id or trace from.
+pub(crate) fn error_line(code: ErrorCode, message: &str) -> String {
+    error_json(None, None, code, message).render()
 }
 
 /// Renders a success response with the envelope fields: `ok`, the echoed

@@ -466,13 +466,10 @@ pub(crate) fn respond_panicked(
     payload: Box<dyn std::any::Any + Send>,
 ) -> String {
     let detail = note_panic(engine, WireCodec::Json, &*payload);
-    crate::api::error_json(
-        None,
-        None,
+    crate::api::error_line(
         crate::api::ErrorCode::Internal,
         &format!("internal error: {detail}"),
     )
-    .render()
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 
 use scrutinizer_sim::{ByteStream, IoPoll};
 
-use crate::api::{error_json, ErrorCode};
+use crate::api::{error_line, ErrorCode};
 use crate::stats::{EngineStats, WireCodec};
 use crate::wire;
 
@@ -243,15 +243,10 @@ fn split_lines<S>(conn: &mut ConnState<S>, limits: &ServiceLimits, stats: &Engin
         // an unterminated line longer than the cap can never
         // resynchronize: answer once, stop reading, close after the flush
         stats.note_wire_error(ErrorCode::ParseError, WireCodec::Json);
-        conn.push_response(
-            &error_json(
-                None,
-                None,
-                ErrorCode::ParseError,
-                &format!("request line exceeds {} bytes", limits.max_line_bytes),
-            )
-            .render(),
-        );
+        conn.push_response(&error_line(
+            ErrorCode::ParseError,
+            &format!("request line exceeds {} bytes", limits.max_line_bytes),
+        ));
         conn.read_buf.clear();
         conn.eof = true;
         progress = true;

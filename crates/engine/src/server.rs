@@ -40,7 +40,7 @@ use std::time::Duration;
 
 use scrutinizer_data::hash::FxHashMap;
 
-use crate::api::{error_json, ErrorCode};
+use crate::api::{error_line, ErrorCode};
 use crate::engine::Engine;
 use crate::executor::ThreadPool;
 use crate::protocol::handle_payload;
@@ -313,14 +313,7 @@ impl Server {
             max_connections = self.options.max_connections,
         );
         let _ = stream.set_nonblocking(true);
-        let mut line = error_json(
-            None,
-            None,
-            ErrorCode::Overloaded,
-            "connection limit reached",
-        )
-        .render();
-        line.push('\n');
+        let line = error_line(ErrorCode::Overloaded, "connection limit reached") + "\n";
         let mut stream = stream;
         let _ = stream.write_all(line.as_bytes());
     }
