@@ -1,6 +1,6 @@
-//! Batch-selection planner benchmarks: what greedy and prior-batch hints
-//! plus the incremental re-planner buy over a cold solve, swept from 100
-//! to 10 000 unverified claims.
+//! Batch-selection planner benchmarks: what the greedy hint and the warm
+//! starts buy over a cold solve, swept from 100 to 10 000 unverified
+//! claims.
 //!
 //! * `planner_cold/*` — one cold batch selection per call:
 //!   `cold_baseline` is [`select_batch_serial_baseline`] (the one branch &
@@ -10,23 +10,17 @@
 //!   budget, 1 % gap, dual-simplex LP warm starts), `greedy` the heuristic
 //!   floor. Acceptance target: ≥ 3× at 10 000 claims with equal or better
 //!   objective.
-//! * `planner_replan/*` — the re-plan after a retrain shifts utilities:
-//!   `incremental_repair` reuses the cached batch through
-//!   [`IncrementalPlanner`], `cold_resolve` solves from scratch.
-//!   Acceptance target: ≥ 2×.
 //!
-//! Objective parity (ILP ≥ greedy, ILP ≥ 0.99 × the cold baseline,
-//! repair within the configured gap of a cold solve) is asserted before
-//! anything is timed. The `--quick` smoke mode (used by CI) runs every routine once
+//! Objective parity (ILP ≥ greedy, ILP ≥ 0.99 × the cold baseline) is
+//! asserted before anything is timed. The `--quick` smoke mode (used by CI) runs every routine once
 //! just to prove the bench still drives the APIs — and still runs the
 //! parity asserts.
 
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use scrutinizer_core::incremental::IncrementalPlanner;
 use scrutinizer_core::ordering::{
-    batch_utility, select_batch_detailed, select_batch_serial_baseline, ClaimChoice,
+    batch_utility, select_batch, select_batch_serial_baseline, ClaimChoice,
 };
 use scrutinizer_core::policy::batch_budget;
 use scrutinizer_core::{OrderingStrategy, SystemConfig};
@@ -73,33 +67,19 @@ fn instance(n_claims: usize, n_sections: usize, seed: u64) -> (Document, Vec<Cla
     (document, choices)
 }
 
-/// Utilities after a simulated retrain: a few percent of drift, the
-/// Definition-7 re-estimate the mixed-initiative loop produces.
-fn retrained(choices: &[ClaimChoice], seed: u64) -> Vec<ClaimChoice> {
-    let mut state = seed;
-    choices
-        .iter()
-        .map(|c| ClaimChoice {
-            utility: c.utility * (0.95 + lcg(&mut state) * 0.1),
-            ..c.clone()
-        })
-        .collect()
-}
-
 fn bench_planner(c: &mut Criterion) {
     let config = SystemConfig::default();
     let mut cold_group = c.benchmark_group("planner_cold");
     cold_group.sample_size(10);
-    let mut summaries: Vec<(usize, f64, f64, f64, f64, f64)> = Vec::new();
+    let mut summaries: Vec<(usize, f64, f64, f64, f64)> = Vec::new();
 
     for n in [100usize, 1_000, 10_000] {
         let (document, choices) = instance(n, 8 + n / 250, 41 * n as u64 + 1);
         let budget = batch_budget(&choices, &config);
 
         // ---- objective parity, asserted before anything is timed --------
-        let ilp =
-            select_batch_detailed(&choices, &document, OrderingStrategy::Ilp, budget, &config);
-        let greedy = select_batch_detailed(
+        let ilp = select_batch(&choices, &document, OrderingStrategy::Ilp, budget, &config);
+        let greedy = select_batch(
             &choices,
             &document,
             OrderingStrategy::Greedy,
@@ -127,22 +107,6 @@ fn bench_planner(c: &mut Criterion) {
             serial_utility
         );
 
-        // repair parity: after a utility shift, an accepted repair stays
-        // within the configured gap of a cold solve on the same input
-        let shifted = retrained(&choices, 7 * n as u64 + 3);
-        let mut planner = IncrementalPlanner::new();
-        planner.plan(&choices, &document, OrderingStrategy::Ilp, budget, &config);
-        let repair = planner.plan(&shifted, &document, OrderingStrategy::Ilp, budget, &config);
-        let cold_shifted =
-            select_batch_detailed(&shifted, &document, OrderingStrategy::Ilp, budget, &config);
-        assert!(
-            repair.utility >= (1.0 - config.replan_gap) * cold_shifted.utility - 1e-9,
-            "{n} claims: repair {} vs cold {} exceeds the {} gap",
-            repair.utility,
-            cold_shifted.utility,
-            config.replan_gap
-        );
-
         // ---- criterion timings ------------------------------------------
         cold_group.bench_with_input(BenchmarkId::new("cold_baseline", n), &n, |b, _| {
             b.iter(|| {
@@ -156,7 +120,7 @@ fn bench_planner(c: &mut Criterion) {
         });
         cold_group.bench_with_input(BenchmarkId::new("seeded_warm", n), &n, |b, _| {
             b.iter(|| {
-                black_box(select_batch_detailed(
+                black_box(select_batch(
                     black_box(&choices),
                     &document,
                     OrderingStrategy::Ilp,
@@ -167,7 +131,7 @@ fn bench_planner(c: &mut Criterion) {
         });
         cold_group.bench_with_input(BenchmarkId::new("greedy", n), &n, |b, _| {
             b.iter(|| {
-                black_box(select_batch_detailed(
+                black_box(select_batch(
                     black_box(&choices),
                     &document,
                     OrderingStrategy::Greedy,
@@ -192,7 +156,7 @@ fn bench_planner(c: &mut Criterion) {
             ));
         });
         let seeded_s = timed(&mut || {
-            black_box(select_batch_detailed(
+            black_box(select_batch(
                 &choices,
                 &document,
                 OrderingStrategy::Ilp,
@@ -200,96 +164,27 @@ fn bench_planner(c: &mut Criterion) {
                 &config,
             ));
         });
-        let mut warm_planner = IncrementalPlanner::new();
-        warm_planner.plan(&choices, &document, OrderingStrategy::Ilp, budget, &config);
-        let variants = [
-            retrained(&choices, 11 * n as u64 + 5),
-            retrained(&choices, 13 * n as u64 + 7),
-        ];
-        let mut flip = 0usize;
-        let replan_s = timed(&mut || {
-            flip += 1;
-            black_box(warm_planner.plan(
-                &variants[flip % 2],
-                &document,
-                OrderingStrategy::Ilp,
-                budget,
-                &config,
-            ));
-        });
-        let repairs = warm_planner.counters().incremental_repairs;
-        assert!(
-            repairs >= rounds as u64,
-            "{n} claims: the timed re-plans must take the repair path ({repairs}/{rounds})"
-        );
-        summaries.push((n, serial_s, seeded_s, replan_s, ilp.utility, serial_utility));
+        summaries.push((n, serial_s, seeded_s, ilp.utility, serial_utility));
     }
     cold_group.finish();
 
-    println!("planner: cold baseline vs seeded solve vs incremental re-plan");
-    for (n, serial_s, seeded_s, replan_s, ilp_u, serial_u) in &summaries {
+    println!("planner: cold baseline vs seeded solve");
+    for (n, serial_s, seeded_s, ilp_u, serial_u) in &summaries {
         println!(
             "  {n:>6} claims: baseline {:>8.2} ms | seeded+warm {:>8.2} ms ({:.2}x) | \
-             incremental re-plan {:>8.2} ms ({:.2}x vs cold) | objective {:.1} vs baseline {:.1}",
+             objective {:.1} vs baseline {:.1}",
             serial_s * 1e3,
             seeded_s * 1e3,
             serial_s / seeded_s,
-            replan_s * 1e3,
-            seeded_s / replan_s,
             ilp_u,
             serial_u,
         );
     }
 }
 
-fn bench_replan(c: &mut Criterion) {
-    // the re-plan benches live in their own group so `planner_replan/...`
-    // lines read as one comparison in criterion output
-    let config = SystemConfig::default();
-    let mut group = c.benchmark_group("planner_replan");
-    group.sample_size(10);
-    for n in [1_000usize, 10_000] {
-        let (document, choices) = instance(n, 8 + n / 250, 17 * n as u64 + 9);
-        let budget = batch_budget(&choices, &config);
-        let variants = [
-            retrained(&choices, n as u64 + 1),
-            retrained(&choices, n as u64 + 2),
-        ];
-        group.bench_with_input(BenchmarkId::new("incremental_repair", n), &n, |b, _| {
-            let mut planner = IncrementalPlanner::new();
-            planner.plan(&choices, &document, OrderingStrategy::Ilp, budget, &config);
-            let mut flip = 0usize;
-            b.iter(|| {
-                flip += 1;
-                black_box(planner.plan(
-                    &variants[flip % 2],
-                    &document,
-                    OrderingStrategy::Ilp,
-                    budget,
-                    &config,
-                ))
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("cold_resolve", n), &n, |b, _| {
-            let mut flip = 0usize;
-            b.iter(|| {
-                flip += 1;
-                black_box(select_batch_detailed(
-                    &variants[flip % 2],
-                    &document,
-                    OrderingStrategy::Ilp,
-                    budget,
-                    &config,
-                ))
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default();
-    targets = bench_planner, bench_replan
+    targets = bench_planner
 }
 criterion_main!(benches);

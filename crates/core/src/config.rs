@@ -40,11 +40,6 @@ pub struct SystemConfig {
     /// to verify the proposed translation". The skipped property's top
     /// prediction enters the context unasked.
     pub screen_skip_confidence: f32,
-    /// Relative gap at which the incremental planner accepts a repaired
-    /// batch instead of re-solving cold: a repair is kept while its utility
-    /// stays within `replan_gap` of an optimistic bound on the achievable
-    /// optimum (see `incremental`).
-    pub replan_gap: f64,
     /// Master seed for the crowd and any tie-breaking.
     pub seed: u64,
 }
@@ -64,7 +59,6 @@ impl Default for SystemConfig {
             read_seconds_per_sentence: 1.5,
             utility_weight: 60.0,
             screen_skip_confidence: 0.85,
-            replan_gap: 0.15,
             seed: 17,
         }
     }

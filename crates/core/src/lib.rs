@@ -24,8 +24,6 @@
 //! * [`screens`] / [`planner`] / [`pruning`] — single-claim question
 //!   planning (Theorems 1–6),
 //! * [`ordering`] — claim-batch selection (Definitions 7–9, ILP),
-//! * [`incremental`] — cached re-planning: repair the last batch after a
-//!   retrain instead of re-solving Definition 9 cold,
 //! * [`policy`] — Algorithm 1's per-claim rules (context, simulated
 //!   checker, verdict, OptBatch budget), which the engine
 //!   (`scrutinizer-engine`) drives, the paper's experiments included,
@@ -40,7 +38,6 @@
 
 pub mod config;
 pub mod feature_store;
-pub mod incremental;
 pub mod models;
 pub mod ordering;
 pub mod planner;
@@ -55,11 +52,8 @@ pub mod verify;
 
 pub use config::SystemConfig;
 pub use feature_store::FeatureStore;
-pub use incremental::{IncrementalPlanner, PlannerCounters};
 pub use models::{ModelsState, PropertyKind, SystemModels, TrainingState, Translation};
-pub use ordering::{
-    select_batch, select_batch_detailed, BatchMethod, BatchSelection, OrderingStrategy,
-};
+pub use ordering::{select_batch, BatchMethod, BatchSelection, OrderingStrategy};
 pub use planner::ClaimPlan;
 pub use qgen::{generate_queries, generate_queries_unprepared, QueryCandidate};
 pub use report::{ClaimOutcome, Verdict, VerificationReport};

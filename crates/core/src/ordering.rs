@@ -7,15 +7,16 @@
 //! branch & bound; a utility-density greedy serves as the fallback when
 //! the solver fails and as an ablation baseline.
 //!
-//! [`select_batch`] returns just the claim ids; [`select_batch_detailed`]
-//! additionally reports the achieved utility, the method that produced the
-//! batch, the solver's search counters, and — when the ILP could not answer
-//! — the [`IlpError`] that forced the greedy fallback, so callers can log
-//! it instead of losing it.
+//! [`select_batch`] is the one entry point. A batch is a pure function of
+//! the claim choices, the document, the strategy, the budget and the
+//! config. The returned [`BatchSelection`] carries the claim ids, the
+//! achieved utility, the method that produced the batch, the solver's
+//! search counters and — when the ILP could not answer — the [`IlpError`]
+//! that forced the greedy fallback, so callers can log it instead of
+//! losing it.
 
 use crate::config::SystemConfig;
 use scrutinizer_corpus::Document;
-use scrutinizer_ilp::simplex::solve_lp;
 use scrutinizer_ilp::{solve_ilp, BranchConfig, IlpError, Model, Sense, SolveStats};
 
 /// Node budget of the planning solver. The incumbent is seeded with the
@@ -77,9 +78,6 @@ pub enum BatchMethod {
     GreedyOverWindow,
     /// Greedy was the requested strategy.
     Greedy,
-    /// The incremental planner repaired a cached solution instead of
-    /// solving cold (see [`crate::incremental::IncrementalPlanner`]).
-    IncrementalRepair,
 }
 
 /// The outcome of one batch selection.
@@ -105,11 +103,9 @@ impl BatchSelection {
     }
 }
 
-/// The canonical candidate order: utility-per-cost density descending,
-/// ties broken by claim id. The ILP's candidate window, the greedy seed
-/// ordering and the incremental planner's repair pool all sort with this
-/// one comparator so they can never drift apart.
-pub fn density_cmp(a: &ClaimChoice, b: &ClaimChoice) -> std::cmp::Ordering {
+/// The candidate order of the ILP's window: utility-per-cost density
+/// descending, ties broken by claim id.
+fn density_cmp(a: &ClaimChoice, b: &ClaimChoice) -> std::cmp::Ordering {
     let da = a.utility / a.cost.max(1e-9);
     let db = b.utility / b.cost.max(1e-9);
     db.total_cmp(&da).then(a.id.cmp(&b.id))
@@ -128,11 +124,10 @@ pub fn batch_utility(batch: &[usize], choices: &[ClaimChoice]) -> f64 {
         .sum()
 }
 
-/// Selects the next batch of claim ids.
+/// Selects the next batch of claims.
 ///
 /// `budget_seconds` is `t_m` of Definition 9; the batch size is bounded by
-/// `[1, config.batch_size]`. This is the thin wrapper over
-/// [`select_batch_detailed`] for callers that only need the ids.
+/// `[1, config.batch_size]`.
 ///
 /// ```
 /// use scrutinizer_core::ordering::{select_batch, ClaimChoice, OrderingStrategy};
@@ -153,14 +148,14 @@ pub fn batch_utility(batch: &[usize], choices: &[ClaimChoice]) -> f64 {
 ///     ClaimChoice { id: 1, section: 0, cost: 45.0, utility: 5.0 },
 /// ];
 /// let config = SystemConfig::test();
-/// let batch = select_batch(
+/// let selection = select_batch(
 ///     &choices,
 ///     &document,
 ///     OrderingStrategy::Ilp,
 ///     1_000.0,
 ///     &config,
 /// );
-/// assert!(batch.contains(&1), "the high-utility claim is selected");
+/// assert!(selection.batch.contains(&1), "the high-utility claim is selected");
 /// ```
 pub fn select_batch(
     choices: &[ClaimChoice],
@@ -168,30 +163,6 @@ pub fn select_batch(
     strategy: OrderingStrategy,
     budget_seconds: f64,
     config: &SystemConfig,
-) -> Vec<usize> {
-    select_batch_detailed(choices, document, strategy, budget_seconds, config).batch
-}
-
-/// [`select_batch`] with the full [`BatchSelection`] report.
-pub fn select_batch_detailed(
-    choices: &[ClaimChoice],
-    document: &Document,
-    strategy: OrderingStrategy,
-    budget_seconds: f64,
-    config: &SystemConfig,
-) -> BatchSelection {
-    select_batch_with_hint(choices, document, strategy, budget_seconds, config, None)
-}
-
-/// [`select_batch_detailed`] with an optional prior batch whose claims seed
-/// the solver's incumbent (the incremental planner's warm start).
-pub fn select_batch_with_hint(
-    choices: &[ClaimChoice],
-    document: &Document,
-    strategy: OrderingStrategy,
-    budget_seconds: f64,
-    config: &SystemConfig,
-    prior_batch: Option<&[usize]>,
 ) -> BatchSelection {
     if choices.is_empty() {
         return BatchSelection {
@@ -224,7 +195,7 @@ pub fn select_batch_with_hint(
             .with_utility(choices)
         }
         OrderingStrategy::Greedy => BatchSelection {
-            batch: greedy_fill(&[], choices, document, budget_seconds, config),
+            batch: greedy_fill(choices, document, budget_seconds, config),
             utility: 0.0,
             method: BatchMethod::Greedy,
             fallback: None,
@@ -232,8 +203,8 @@ pub fn select_batch_with_hint(
         }
         .with_utility(choices),
         OrderingStrategy::Ilp => {
-            let greedy = greedy_fill(&[], choices, document, budget_seconds, config);
-            match ilp_batch(choices, document, budget_seconds, config, prior_batch) {
+            let greedy = greedy_fill(choices, document, budget_seconds, config);
+            match ilp_batch(choices, document, budget_seconds, config) {
                 Ok((batch, method, solver)) => {
                     let selection = BatchSelection {
                         batch,
@@ -273,7 +244,7 @@ pub fn select_batch_with_hint(
 }
 
 /// The benchmark baseline and ablation: the planning solver run cold — no
-/// greedy or prior-batch hints, a 40-node budget, the default gap — with
+/// greedy hint, a 40-node budget, the default gap — with
 /// greedy on failure. It keeps the seed's budget and fallback but is no
 /// longer the seed's code verbatim: it runs the one warm-started branch &
 /// bound, rounding-heuristic incumbent included.
@@ -287,16 +258,12 @@ pub fn select_batch_serial_baseline(
         return Vec::new();
     }
     serial_ilp_batch(choices, document, budget_seconds, config)
-        .unwrap_or_else(|| greedy_fill(&[], choices, document, budget_seconds, config))
+        .unwrap_or_else(|| greedy_fill(choices, document, budget_seconds, config))
 }
 
-/// Greedy utility-per-marginal-cost selection, optionally seeded with prior
-/// picks: `seed` claims are admitted first (in density order, while they
-/// fit), then the standard greedy loop fills the remainder. The marginal
-/// cost of a claim includes the section skim the first time its section is
-/// touched. `greedy_fill(&[], ..)` is the plain greedy baseline.
-pub fn greedy_fill(
-    seed: &[usize],
+/// Greedy utility-per-marginal-cost selection. The marginal cost of a
+/// claim includes the section skim the first time its section is touched.
+fn greedy_fill(
     choices: &[ClaimChoice],
     document: &Document,
     budget_seconds: f64,
@@ -306,31 +273,6 @@ pub fn greedy_fill(
     let mut touched_sections: Vec<usize> = Vec::new();
     let mut batch = Vec::new();
     let mut spent = 0.0;
-
-    // admit the seed first, best density first, while it fits
-    let mut seeded: Vec<&ClaimChoice> = choices.iter().filter(|c| seed.contains(&c.id)).collect();
-    seeded.sort_by(|a, b| density_cmp(a, b));
-    for c in seeded {
-        if batch.len() >= config.batch_size {
-            break;
-        }
-        let read = if touched_sections.contains(&c.section) {
-            0.0
-        } else {
-            section_read_cost(document, c.section, config)
-        };
-        let marginal = c.cost + read;
-        if spent + marginal > budget_seconds && !batch.is_empty() {
-            continue;
-        }
-        spent += marginal;
-        if !touched_sections.contains(&c.section) {
-            touched_sections.push(c.section);
-        }
-        batch.push(c.id);
-        remaining.retain(|r| r.id != c.id);
-    }
-
     while batch.len() < config.batch_size && !remaining.is_empty() {
         let mut best: Option<(usize, f64, f64)> = None; // (idx, density, marginal)
         for (i, c) in remaining.iter().enumerate() {
@@ -454,36 +396,28 @@ fn hint_values(wm: &WindowModel<'_>, batch: &[usize]) -> Vec<f64> {
 }
 
 /// Solves Definition 9 with the warm-started branch & bound. The greedy
-/// heuristic's answer always seeds the incumbent (so the ILP can only
-/// match or beat it); a prior batch from the incremental planner seeds it
-/// too. Errors — no longer swallowed — bubble up so the caller records the
+/// heuristic's answer over the window seeds the incumbent, so the ILP can
+/// only match or beat it. Errors bubble up so the caller records the
 /// fallback reason.
 fn ilp_batch(
     choices: &[ClaimChoice],
     document: &Document,
     budget_seconds: f64,
     config: &SystemConfig,
-    prior_batch: Option<&[usize]>,
 ) -> Result<(Vec<usize>, BatchMethod, Option<SolveStats>), IlpError> {
     let wm = build_window_model(choices, document, budget_seconds, config)
         .ok_or(IlpError::Infeasible)?;
 
-    // incumbent seeds: greedy over the window, plus the prior batch
     let window_choices: Vec<ClaimChoice> = wm.window.iter().map(|&c| c.clone()).collect();
-    let greedy_seed = greedy_fill(&[], &window_choices, document, budget_seconds, config);
+    let greedy_seed = greedy_fill(&window_choices, document, budget_seconds, config);
     let greedy_hint = hint_values(&wm, &greedy_seed);
-    let prior_hint = prior_batch.map(|prior| hint_values(&wm, prior));
-    let mut hints: Vec<&[f64]> = vec![&greedy_hint];
-    if let Some(prior) = &prior_hint {
-        hints.push(prior);
-    }
 
     let planning = BranchConfig {
         node_limit: PLANNING_NODE_LIMIT,
         gap: PLANNING_GAP,
         ..Default::default()
     };
-    let solve = solve_ilp(&wm.model, planning, &hints)?;
+    let solve = solve_ilp(&wm.model, planning, &[&greedy_hint])?;
     let method = if solve.stats.node_limit_hit {
         BatchMethod::IlpIncumbent
     } else {
@@ -500,25 +434,6 @@ fn ilp_batch(
         return Err(IlpError::Infeasible);
     }
     Ok((batch, method, Some(solve.stats)))
-}
-
-/// The LP-relaxation value of the Definition-9 window model — a tight
-/// upper bound on the achievable batch utility (the same bound the branch
-/// & bound prunes against at its root). One warm-free LP solve: an order
-/// of magnitude cheaper than a full solve, which is what makes it usable
-/// as the incremental planner's repair-acceptance test.
-pub fn window_lp_bound(
-    choices: &[ClaimChoice],
-    document: &Document,
-    budget_seconds: f64,
-    config: &SystemConfig,
-) -> Option<f64> {
-    let wm = build_window_model(choices, document, budget_seconds, config)?;
-    let lower: Vec<f64> = vec![0.0; wm.model.num_variables()];
-    let upper: Vec<f64> = vec![1.0; wm.model.num_variables()];
-    solve_lp(&wm.model, &lower, &upper)
-        .ok()
-        .map(|s| s.objective)
 }
 
 /// The baseline's solve: no hints, 40-node budget, default gap, incumbent
@@ -586,7 +501,8 @@ mod tests {
             OrderingStrategy::Sequential,
             1e9,
             &config,
-        );
+        )
+        .batch;
         assert_eq!(batch.len(), config.batch_size);
         assert_eq!(batch[0], 0);
         assert!(batch.windows(2).all(|w| w[0] < w[1]));
@@ -596,7 +512,7 @@ mod tests {
     fn ilp_respects_budget_and_cardinality() {
         let (document, choices, config) = setup();
         let budget = 600.0;
-        let batch = select_batch(&choices, &document, OrderingStrategy::Ilp, budget, &config);
+        let batch = select_batch(&choices, &document, OrderingStrategy::Ilp, budget, &config).batch;
         assert!(!batch.is_empty());
         assert!(batch.len() <= config.batch_size);
         // recompute total cost incl. section reads
@@ -620,9 +536,8 @@ mod tests {
     fn ilp_beats_or_matches_greedy_utility() {
         let (document, choices, config) = setup();
         let budget = 900.0;
-        let ilp =
-            select_batch_detailed(&choices, &document, OrderingStrategy::Ilp, budget, &config);
-        let greedy = select_batch_detailed(
+        let ilp = select_batch(&choices, &document, OrderingStrategy::Ilp, budget, &config);
+        let greedy = select_batch(
             &choices,
             &document,
             OrderingStrategy::Greedy,
@@ -649,12 +564,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial_baseline_objective() {
-        // the hint-seeded production solve against the cold baseline solve
+    fn planning_solve_matches_serial_baseline_objective() {
+        // the greedy-seeded production solve against the cold baseline solve
         let (document, choices, config) = setup();
         for budget in [500.0, 900.0, 2000.0] {
-            let seeded =
-                select_batch_detailed(&choices, &document, OrderingStrategy::Ilp, budget, &config);
+            let seeded = select_batch(&choices, &document, OrderingStrategy::Ilp, budget, &config);
             let serial = select_batch_serial_baseline(&choices, &document, budget, &config);
             let serial_utility = batch_utility(&serial, &choices);
             // the planning solver legitimately trades up to PLANNING_GAP of
@@ -679,7 +593,8 @@ mod tests {
             OrderingStrategy::Greedy,
             500.0,
             &config,
-        );
+        )
+        .batch;
         assert!(!batch.is_empty());
         let mut sections: Vec<usize> = batch
             .iter()
@@ -693,7 +608,11 @@ mod tests {
     #[test]
     fn empty_input_yields_empty_batch() {
         let (document, _, config) = setup();
-        assert!(select_batch(&[], &document, OrderingStrategy::Ilp, 100.0, &config).is_empty());
+        assert!(
+            select_batch(&[], &document, OrderingStrategy::Ilp, 100.0, &config)
+                .batch
+                .is_empty()
+        );
     }
 
     #[test]
@@ -702,49 +621,12 @@ mod tests {
         // (cardinality demands ≥ 1 claim); greedy still answers, and the
         // reason is returned instead of dropped
         let (document, choices, config) = setup();
-        let selection =
-            select_batch_detailed(&choices, &document, OrderingStrategy::Ilp, 1.0, &config);
+        let selection = select_batch(&choices, &document, OrderingStrategy::Ilp, 1.0, &config);
         assert_eq!(selection.method, BatchMethod::GreedyFallback);
         assert!(matches!(selection.fallback, Some(IlpError::Infeasible)));
         assert!(
             !selection.batch.is_empty(),
             "greedy admits the first claim even over budget"
         );
-    }
-
-    #[test]
-    fn hint_never_hurts() {
-        let (document, choices, config) = setup();
-        let budget = 900.0;
-        let cold =
-            select_batch_detailed(&choices, &document, OrderingStrategy::Ilp, budget, &config);
-        let hinted = select_batch_with_hint(
-            &choices,
-            &document,
-            OrderingStrategy::Ilp,
-            budget,
-            &config,
-            Some(&cold.batch),
-        );
-        // the hint seeds the incumbent with the cold batch, so the hinted
-        // solve can only match or improve it (it may legitimately improve
-        // by up to the gap the cold run pruned away — exact equality is
-        // not guaranteed under gap pruning)
-        assert!(
-            hinted.utility >= cold.utility - 1e-9,
-            "hinted {} < cold {}",
-            hinted.utility,
-            cold.utility
-        );
-    }
-
-    #[test]
-    fn greedy_fill_seeds_survive() {
-        let (document, choices, config) = setup();
-        let seed = [choices[3].id, choices[10].id];
-        let batch = greedy_fill(&seed, &choices, &document, 1e9, &config);
-        for id in seed {
-            assert!(batch.contains(&id), "seed {id} must survive a loose budget");
-        }
     }
 }

@@ -624,14 +624,10 @@ fn stats_json(stats: &EngineStats) -> Json {
             "planner_cold_solves",
             count(stats.planner_cold_solves.get()),
         ),
-        (
-            "planner_incremental_repairs",
-            count(stats.planner_incremental_repairs.get()),
-        ),
-        (
-            "planner_repair_rejections",
-            count(stats.planner_repair_rejections.get()),
-        ),
+        // v1 fields are append-only: the incremental planner these
+        // described is gone, so they stay as constant zeros
+        ("planner_incremental_repairs", count(0)),
+        ("planner_repair_rejections", count(0)),
         ("planner_fallbacks", count(stats.planner_fallbacks.get())),
         ("planner_nodes", count(stats.planner_nodes.get())),
         (

@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, Weak};
 
 use scrutinizer_core::models::available_threads;
-use scrutinizer_core::ordering::ClaimChoice;
+use scrutinizer_core::ordering::{select_batch, BatchMethod, BatchSelection, ClaimChoice};
 use scrutinizer_core::planner::ClaimPlan;
 use scrutinizer_core::policy::{
     claim_outcome, opt_batch, translate_and_plan, validated_slot, QueryContext, SimulatedCheck,
@@ -13,8 +13,8 @@ use scrutinizer_core::policy::{
 use scrutinizer_core::report::ClaimOutcome;
 use scrutinizer_core::screens::FinalScreen;
 use scrutinizer_core::{
-    FeatureStore, ModelsState, OrderingStrategy, PlannerCounters, PropertyKind, SystemConfig,
-    SystemModels, TrainingState, Translation,
+    FeatureStore, ModelsState, OrderingStrategy, PropertyKind, SystemConfig, SystemModels,
+    TrainingState, Translation,
 };
 use scrutinizer_corpus::Corpus;
 use scrutinizer_crowd::{Worker, WorkerConfig};
@@ -30,7 +30,7 @@ use crate::durability::{
 use crate::executor::ThreadPool;
 use crate::session::{ClaimPhase, ClaimQuestions, ClaimTask, SessionId, SessionState, Suggestion};
 use crate::snapshot::{ModelSnapshot, SnapshotCell};
-use crate::stats::{Counter, EngineStats};
+use crate::stats::EngineStats;
 use scrutinizer_obs as obs;
 
 /// Bounded queue length of the `verify_batch` executor; submissions
@@ -1083,10 +1083,9 @@ impl Engine {
             })
             .collect();
         let batch = opt_batch(&choices, &self.config, |budget| {
-            let before = state.planner.counters();
             let selection = {
                 let _span = obs::span!("plan_batch", open = open.len());
-                state.planner.plan(
+                select_batch(
                     &choices,
                     &self.corpus.document,
                     self.options.ordering,
@@ -1094,9 +1093,7 @@ impl Engine {
                     &self.config,
                 )
             };
-            let after = state.planner.counters();
-            let fallback = state.planner.last_fallback().map(|e| e.to_string());
-            self.note_planned(before, after, fallback);
+            self.note_planned(&selection);
             selection.batch
         });
         Ok(batch
@@ -1286,59 +1283,31 @@ impl Engine {
         Ok(VerdictRecord { outcome, retrained })
     }
 
-    /// Folds one plan's [`PlannerCounters`] delta into the engine-wide
-    /// atomics — the session planner is the single source of truth; the
-    /// engine only aggregates. The last fallback reason is kept too,
-    /// satisfying the "don't swallow `IlpError`" contract at the metrics
-    /// surface.
-    fn note_planned(
-        &self,
-        before: PlannerCounters,
-        after: PlannerCounters,
-        fallback: Option<String>,
-    ) {
-        let add = |counter: &Counter, delta: u64| {
-            if delta > 0 {
-                counter.add(delta);
+    /// Counts one plan into the engine-wide planner counters. A greedy
+    /// fallback's reason is kept too, satisfying the "don't swallow
+    /// `IlpError`" contract at the metrics surface.
+    fn note_planned(&self, selection: &BatchSelection) {
+        let stats = &self.stats;
+        stats.planner_plans.inc();
+        if self.options.ordering == OrderingStrategy::Ilp {
+            if selection.method == BatchMethod::GreedyFallback {
+                stats.planner_fallbacks.inc();
+                if let Some(error) = &selection.fallback {
+                    *stats
+                        .planner_last_fallback
+                        .lock()
+                        .expect("fallback slot poisoned") = Some(error.to_string());
+                }
+            } else {
+                stats.planner_cold_solves.inc();
             }
-        };
-        add(&self.stats.planner_plans, after.plans - before.plans);
-        add(
-            &self.stats.planner_cold_solves,
-            after.cold_solves - before.cold_solves,
-        );
-        add(
-            &self.stats.planner_incremental_repairs,
-            after.incremental_repairs - before.incremental_repairs,
-        );
-        add(
-            &self.stats.planner_repair_rejections,
-            after.repair_rejections - before.repair_rejections,
-        );
-        add(
-            &self.stats.planner_fallbacks,
-            after.fallbacks - before.fallbacks,
-        );
-        add(
-            &self.stats.planner_nodes,
-            after.nodes_explored - before.nodes_explored,
-        );
-        add(
-            &self.stats.planner_warm_start_hits,
-            after.warm_start_hits - before.warm_start_hits,
-        );
-        add(
-            &self.stats.planner_lp_solves,
-            after.lp_solves - before.lp_solves,
-        );
-        if after.fallbacks > before.fallbacks {
-            if let Some(reason) = fallback {
-                *self
-                    .stats
-                    .planner_last_fallback
-                    .lock()
-                    .expect("fallback slot poisoned") = Some(reason);
-            }
+        }
+        if let Some(solver) = &selection.solver {
+            stats.planner_nodes.add(solver.nodes_explored as u64);
+            stats
+                .planner_warm_start_hits
+                .add(solver.warm_start_hits as u64);
+            stats.planner_lp_solves.add(solver.lp_solves as u64);
         }
     }
 

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use scrutinizer_core::planner::ClaimPlan;
 use scrutinizer_core::qgen::QueryCandidate;
-use scrutinizer_core::{IncrementalPlanner, PropertyKind, Translation};
+use scrutinizer_core::{PropertyKind, Translation};
 use scrutinizer_data::hash::FxHashMap;
 
 /// Opaque session handle.
@@ -124,9 +124,6 @@ pub(crate) struct SessionState {
     pub pending: Vec<usize>,
     /// Claims with recorded verdicts, in verdict order.
     pub verified: Vec<usize>,
-    /// The session's batch planner: caches the last selection and repairs
-    /// it across re-plans instead of re-solving Definition 9 cold.
-    pub planner: IncrementalPlanner,
     /// Training utilities of open claims, cached per model epoch: a
     /// claim's utility is stored by the sweep that translates it (submit,
     /// re-translation, recovery); open claims whose translation was kept
@@ -145,7 +142,6 @@ impl SessionState {
             tasks: FxHashMap::default(),
             pending: Vec::new(),
             verified: Vec::new(),
-            planner: IncrementalPlanner::new(),
             utilities: FxHashMap::default(),
             utilities_epoch: 0,
         }

@@ -97,12 +97,8 @@ pub struct EngineStats {
     pub sql_executed: Counter,
     /// Batch-selection plans requested (all strategies).
     pub planner_plans: Counter,
-    /// Full ILP solves (cold or incumbent-seeded) behind those plans.
+    /// ILP plans the solver answered: every ILP plan but a greedy fallback.
     pub planner_cold_solves: Counter,
-    /// Plans answered by repairing a cached batch — no ILP solve.
-    pub planner_incremental_repairs: Counter,
-    /// Repairs rejected by the bound test (each followed by a full solve).
-    pub planner_repair_rejections: Counter,
     /// ILP failures that degraded to the greedy heuristic.
     pub planner_fallbacks: Counter,
     /// Branch & bound nodes explored across all planning solves.
@@ -262,15 +258,7 @@ impl EngineStats {
             ),
             planner_cold_solves: r.counter(
                 "scrutinizer_planner_cold_solves_total",
-                "Full ILP solves (cold or incumbent-seeded).",
-            ),
-            planner_incremental_repairs: r.counter(
-                "scrutinizer_planner_incremental_repairs_total",
-                "Plans answered by repairing a cached batch, no ILP solve.",
-            ),
-            planner_repair_rejections: r.counter(
-                "scrutinizer_planner_repair_rejections_total",
-                "Repairs rejected by the bound test.",
+                "ILP plans the solver answered, fallbacks excluded.",
             ),
             planner_fallbacks: r.counter(
                 "scrutinizer_planner_fallbacks_total",

@@ -16,7 +16,7 @@ use scrutinizer_core::{OrderingStrategy, PropertyKind, SystemConfig};
 use scrutinizer_corpus::{Corpus, CorpusConfig};
 use scrutinizer_crowd::{Worker, WorkerConfig};
 use scrutinizer_engine::engine::{Engine, EngineOptions, EngineParts};
-use scrutinizer_engine::{DurableEnv, RecoveryReport};
+use scrutinizer_engine::{ClaimQuestions, DurableEnv, RecoveryReport};
 use scrutinizer_learn::softmax::GRAD_SQ_INIT;
 use scrutinizer_sim::{SimEnv, SimStorage, Storage};
 use scrutinizer_wal::WalOptions;
@@ -30,15 +30,29 @@ fn durable_env(storage: &Arc<SimStorage>) -> DurableEnv {
 }
 
 fn recover_engine(storage: &Arc<SimStorage>) -> (Arc<Engine>, RecoveryReport) {
-    recover_on(durable_env(storage)).expect("recovery over healthy storage cannot fail")
+    recover_ordered(storage, OrderingStrategy::Sequential)
+}
+
+fn recover_ordered(
+    storage: &Arc<SimStorage>,
+    ordering: OrderingStrategy,
+) -> (Arc<Engine>, RecoveryReport) {
+    recover_with(durable_env(storage), ordering).expect("recovery over healthy storage cannot fail")
 }
 
 fn recover_on(durable: DurableEnv) -> io::Result<(Arc<Engine>, RecoveryReport)> {
+    recover_with(durable, OrderingStrategy::Sequential)
+}
+
+fn recover_with(
+    durable: DurableEnv,
+    ordering: OrderingStrategy,
+) -> io::Result<(Arc<Engine>, RecoveryReport)> {
     let config = SystemConfig::test();
     let parts = EngineParts::bootstrap(Corpus::generate(CorpusConfig::small()), &config);
     let options = EngineOptions {
         retrain_interval: Some(4),
-        ordering: OrderingStrategy::Sequential,
+        ordering,
         threads: 2,
     };
     Engine::open(parts, config, options, SimEnv::production(), Some(durable))
@@ -268,6 +282,45 @@ fn open_sessions_survive_a_crash_and_finish_after_recovery() {
     recovered.close_session(session).expect("close");
     assert_eq!(recovered.session_count(), 0);
     assert_eq!(recovered.stats().claims_verified.get(), 1);
+
+    // an ILP session past its first batch, on pretrained models: a batch
+    // is a function of the open claims, the model snapshot and the budget,
+    // so the recovered engine plans the next batch exactly as the
+    // uninterrupted one does
+    let storage = SimStorage::new();
+    let (engine, _) = recover_ordered(&storage, OrderingStrategy::Ilp);
+    engine.pretrain(None);
+    let session = engine.open_session("ilp-checker");
+    let report: Vec<usize> = (0..60).collect();
+    let first = engine.submit_report(session, &report).expect("submit");
+    assert!(
+        !first.is_empty() && first.len() < report.len(),
+        "the first batch covers part of the report: {} of {}",
+        first.len(),
+        report.len()
+    );
+    for questions in &first {
+        engine
+            .post_verdict(session, questions.claim_id, true, None)
+            .expect("verdict");
+    }
+    engine.flush_retrains();
+    let ids =
+        |batch: Vec<ClaimQuestions>| -> Vec<usize> { batch.iter().map(|q| q.claim_id).collect() };
+    let uninterrupted = ids(engine.next_batch(session).expect("re-plan"));
+    assert!(!uninterrupted.is_empty(), "open claims remain");
+    drop(engine);
+    storage.crash();
+
+    let (recovered, report) = recover_ordered(&storage, OrderingStrategy::Ilp);
+    assert_eq!(report.sessions_restored, 1);
+    assert_eq!(
+        ids(recovered
+            .next_batch(session)
+            .expect("re-plan after recovery")),
+        uninterrupted,
+        "recovery must reproduce the uninterrupted engine's next batch"
+    );
 }
 
 /// Storage that, each time the checkpoint file is about to be written,

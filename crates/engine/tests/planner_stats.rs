@@ -1,10 +1,10 @@
-//! The engine's planner counters: session re-planning runs through the
-//! incremental planner, and its solver/repair/fallback activity is visible
-//! in [`scrutinizer_engine::EngineStats`].
+//! The engine's planner counters: every session plan is one batch
+//! selection, and its solver and fallback activity is visible in
+//! [`scrutinizer_engine::EngineStats`].
 
 use scrutinizer_core::{OrderingStrategy, SystemConfig};
 use scrutinizer_corpus::{Corpus, CorpusConfig};
-use scrutinizer_engine::{Engine, EngineOptions};
+use scrutinizer_engine::{dispatch, Engine, EngineOptions, Request, Response};
 
 #[test]
 fn planner_counters_surface_in_stats() {
@@ -38,10 +38,8 @@ fn planner_counters_surface_in_stats() {
     );
     assert_eq!(
         stats.planner_plans.get(),
-        stats.planner_cold_solves.get()
-            + stats.planner_incremental_repairs.get()
-            + stats.planner_fallbacks.get(),
-        "every ILP plan is a cold solve, a repair, or a fallback"
+        stats.planner_cold_solves.get() + stats.planner_fallbacks.get(),
+        "every ILP plan is a cold solve or a fallback"
     );
     assert!(
         stats.planner_lp_solves.get() >= 1,
@@ -53,10 +51,18 @@ fn planner_counters_surface_in_stats() {
         "no ILP failure expected here"
     );
     assert!(stats.planner_last_fallback.lock().unwrap().is_none());
-    assert!(
-        stats.planner_incremental_repairs.get() >= 1,
-        "an unchanged model re-plan must repair, not re-solve: {stats:?}"
-    );
+
+    // the v1 fields of the deleted repair path stay on the wire as zeros
+    let Ok(Response::Stats { stats }) = dispatch(&engine, &Request::Stats) else {
+        panic!("the stats op answers");
+    };
+    for field in ["planner_incremental_repairs", "planner_repair_rejections"] {
+        assert_eq!(
+            stats.get(field).and_then(|v| v.as_f64()),
+            Some(0.0),
+            "{field}"
+        );
+    }
 }
 
 #[test]
