@@ -221,8 +221,7 @@ impl From<EngineError> for ApiError {
 /// Declares [`Request`] from its op table: one row per v1 op, giving its
 /// binary op byte (append-only), its JSON wire name, its variant and the
 /// variant's fields in wire order. Each field's type brings its JSON and
-/// binary forms (its [`Field`] impl); a field written `name: Type as f`
-/// reads its JSON member with `f` instead. From the rows come the enum,
+/// binary forms (its [`Field`] impl). From the rows come the enum,
 /// [`Request::op_name`], both JSON directions, and the binary body
 /// encoder and decoder behind
 /// [`encode_request`](crate::codec::encode_request) and
@@ -235,7 +234,7 @@ macro_rules! request_table {
             $(#[$vmeta:meta])*
             $op:literal $name:literal $variant:ident $({$(
                 $(#[$fmeta:meta])*
-                $field:ident: $ty:ty $(as $json:path)?
+                $field:ident: $ty:ty
             ),* $(,)?})?
         ),* $(,)?}
     ) => {
@@ -262,7 +261,10 @@ macro_rules! request_table {
                 };
                 Ok(match op {
                     $($name => Request::$variant {
-                        $($($field: json_member!(value, $field: $ty $(as $json)?),)*)?
+                        $($($field: <$ty as Field>::from_json(
+                            value.get(stringify!($field)),
+                            stringify!($field),
+                        )?,)*)?
                     },)*
                     _ => {
                         return Err(ApiError::new(
@@ -321,17 +323,6 @@ macro_rules! request_table {
                 }
             }
         }
-    };
-}
-
-/// One request member, read from its JSON object through its type's
-/// [`Field`] impl, or through the reader its row names.
-macro_rules! json_member {
-    ($object:ident, $field:ident: $ty:ty) => {
-        <$ty as Field>::from_json($object.get(stringify!($field)), stringify!($field))?
-    };
-    ($object:ident, $field:ident: $ty:ty as $read:path) => {
-        $read($object.get(stringify!($field)))
     };
 }
 
@@ -417,8 +408,9 @@ request_table! {
         8 "verify_batch" VerifyBatch {
             /// Corpus claim ids.
             claims: Vec<usize>,
-            /// Base worker seed (default 1).
-            seed: Option<u64> as truncated_seed,
+            /// Base worker seed (default 1; a malformed JSON `seed`
+            /// reads as none).
+            seed: Option<u64>,
         },
         /// Fetch the engine-wide metrics.
         9 "stats" Stats,
@@ -430,13 +422,6 @@ request_table! {
             session: u64,
         },
     }
-}
-
-/// `verify_batch`'s JSON `seed`: any number, truncated toward zero (so
-/// `2.5` reads as 2), unlike every other integer field; a non-number
-/// reads as none.
-fn truncated_seed(value: Option<&Json>) -> Option<u64> {
-    value.and_then(Json::as_f64).map(|seed| seed as u64)
 }
 
 /// Declares [`Response`] from its table: one row per success payload,

@@ -327,7 +327,7 @@ fn scripted_session(engine: &Engine, mut send: impl FnMut(&str) -> Json) {
         format!(r#"{{"op":"screens","session":{session}}}"#), // missing claim
         format!(r#"{{"op":"answer","session":{session},"claim":1,"kind":3,"answer":"x"}}"#), // non-string kind
         format!(r#"{{"op":"verdict","session":{session},"claim":1,"correct":true,"chosen":"x"}}"#), // malformed chosen reads as none
-        r#"{"op":"verify_batch","claims":[3],"seed":2.5}"#.to_string(), // a fractional seed truncates
+        r#"{"op":"verify_batch","claims":[3],"seed":2.5}"#.to_string(), // a fractional seed reads as none
     ];
     for line in &error_lines {
         send(line);
