@@ -4,7 +4,7 @@
 //! below every other Scrutinizer crate and must never pull the serving
 //! stack along. It provides three cooperating facilities:
 //!
-//! * [`trace`] — structured spans and events with process-unique ids,
+//! * [`trace`] — structured spans with process-unique ids,
 //!   parent links, and monotonic timestamps, recorded into a bounded
 //!   per-thread ring buffer (the *flight recorder*). Recording never
 //!   blocks the thread that owns the span: the ring is taken with

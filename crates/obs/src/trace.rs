@@ -1,4 +1,4 @@
-//! Structured tracing: spans, events, and the flight recorder.
+//! Structured tracing: spans and the flight recorder.
 //!
 //! A [`Span`] is an RAII guard: creating one records the start time and
 //! installs the span as the thread's *current* context; dropping it
@@ -23,12 +23,6 @@
 //!
 //! When tracing is disabled via [`set_tracing`], span construction is a
 //! single relaxed atomic load and a branch — no allocation, no clock read.
-//!
-//! # The slow-request log
-//!
-//! Root spans (one per wire request) additionally collect their child
-//! records; on drop the tree is offered to a best-effort "worst N
-//! requests" log readable via [`slow_requests`].
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -37,13 +31,6 @@ use std::time::Instant;
 
 /// Capacity of each per-thread flight-recorder ring buffer.
 pub const RING_CAPACITY: usize = 4096;
-
-/// Maximum number of child records collected per root span for the
-/// slow-request log (the ring buffers themselves still see every record).
-pub const MAX_COLLECTED: usize = 1024;
-
-/// Number of worst-request entries kept by the slow-request log.
-pub const SLOW_LOG_CAPACITY: usize = 8;
 
 static TRACING: AtomicBool = AtomicBool::new(true);
 static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
@@ -148,7 +135,7 @@ impl SpanId {
     }
 }
 
-/// A typed span/event field value.
+/// A typed span field value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FieldValue {
     /// Unsigned integer (counts, ids, sizes).
@@ -203,20 +190,9 @@ impl From<String> for FieldValue {
     }
 }
 
-/// Whether a record came from a timed span or an instantaneous event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecordKind {
-    /// A timed region with a duration.
-    Span,
-    /// A point-in-time event (duration zero).
-    Event,
-}
-
-/// One finished span or event, as stored in the flight recorder.
+/// One finished span, as stored in the flight recorder.
 #[derive(Debug, Clone)]
 pub struct SpanRecord {
-    /// Span or event.
-    pub kind: RecordKind,
     /// The trace this record belongs to.
     pub trace: TraceId,
     /// This record's own id.
@@ -227,7 +203,7 @@ pub struct SpanRecord {
     pub name: &'static str,
     /// Start time in monotonic nanoseconds (see [`now_ns`]).
     pub start_ns: u64,
-    /// Wall duration in nanoseconds (zero for events).
+    /// Wall duration in nanoseconds.
     pub duration_ns: u64,
     /// Typed key/value fields attached while the span was live.
     pub fields: Vec<(&'static str, FieldValue)>,
@@ -275,12 +251,7 @@ impl SpanRecord {
         let mut out = String::with_capacity(128);
         out.push_str("{\"name\":\"");
         json_escape_into(&mut out, self.name);
-        out.push_str("\",\"kind\":\"");
-        out.push_str(match self.kind {
-            RecordKind::Span => "span",
-            RecordKind::Event => "event",
-        });
-        out.push_str("\",\"trace\":\"");
+        out.push_str("\",\"kind\":\"span\",\"trace\":\"");
         out.push_str(&self.trace.to_wire());
         out.push_str("\",\"span\":");
         out.push_str(&self.id.raw().to_string());
@@ -341,8 +312,6 @@ thread_local! {
     };
     static CURRENT: std::cell::Cell<Option<(TraceId, SpanId)>> =
         const { std::cell::Cell::new(None) };
-    static COLLECTOR: std::cell::RefCell<Option<Vec<SpanRecord>>> =
-        const { std::cell::RefCell::new(None) };
 }
 
 fn push_record(record: SpanRecord) {
@@ -394,54 +363,6 @@ pub fn dropped_records() -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Slow-request log
-// ---------------------------------------------------------------------------
-
-/// One entry of the slow-request log: a root span and the child records
-/// collected while it was live.
-#[derive(Debug, Clone)]
-pub struct SlowRequest {
-    /// The request's root span.
-    pub root: SpanRecord,
-    /// Child spans/events recorded under the root, in completion order
-    /// (capped at [`MAX_COLLECTED`]).
-    pub children: Vec<SpanRecord>,
-}
-
-fn slow_log() -> &'static Mutex<Vec<SlowRequest>> {
-    static SLOW: OnceLock<Mutex<Vec<SlowRequest>>> = OnceLock::new();
-    SLOW.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-fn offer_slow(entry: SlowRequest) {
-    // Best effort: never block the request thread on the slow log either.
-    let Ok(mut log) = slow_log().try_lock() else {
-        return;
-    };
-    if log.len() < SLOW_LOG_CAPACITY {
-        log.push(entry);
-        return;
-    }
-    if let Some(min_index) = (0..log.len()).min_by_key(|&i| log[i].root.duration_ns) {
-        if log[min_index].root.duration_ns < entry.root.duration_ns {
-            log[min_index] = entry;
-        }
-    }
-}
-
-/// The current worst-requests log, worst first.
-pub fn slow_requests() -> Vec<SlowRequest> {
-    let mut entries = slow_log().lock().expect("slow log poisoned").clone();
-    entries.sort_by_key(|entry| std::cmp::Reverse(entry.root.duration_ns));
-    entries
-}
-
-/// Clears the slow-request log (tests and operator tooling).
-pub fn clear_slow_log() {
-    slow_log().lock().expect("slow log poisoned").clear();
-}
-
-// ---------------------------------------------------------------------------
 // Span guards
 // ---------------------------------------------------------------------------
 
@@ -453,7 +374,6 @@ struct ActiveSpan {
     start_ns: u64,
     fields: Vec<(&'static str, FieldValue)>,
     prev: Option<(TraceId, SpanId)>,
-    is_root: bool,
 }
 
 /// RAII span guard: records a [`SpanRecord`] on drop. Obtained from
@@ -470,7 +390,7 @@ impl std::fmt::Debug for Span {
     }
 }
 
-fn activate(name: &'static str, trace: TraceId, parent: Option<SpanId>, is_root: bool) -> Span {
+fn activate(name: &'static str, trace: TraceId, parent: Option<SpanId>) -> Span {
     let id = SpanId::next();
     let prev = CURRENT.with(|current| current.replace(Some((trace, id))));
     Span(Some(ActiveSpan {
@@ -481,13 +401,12 @@ fn activate(name: &'static str, trace: TraceId, parent: Option<SpanId>, is_root:
         start_ns: now_ns(),
         fields: Vec::new(),
         prev,
-        is_root,
     }))
 }
 
 /// Opens a child span under the thread's current context. Outside any
 /// context (e.g. worker-pool internals reached without a request) a fresh
-/// trace id is generated; such spans never enter the slow-request log.
+/// trace id is generated.
 pub fn span(name: &'static str) -> Span {
     if !tracing_enabled() {
         return Span(None);
@@ -496,18 +415,16 @@ pub fn span(name: &'static str) -> Span {
         Some((trace, span_id)) => (trace, Some(span_id)),
         None => (TraceId::generate(), None),
     };
-    activate(name, trace, parent, false)
+    activate(name, trace, parent)
 }
 
 /// Opens a *root* span for the given trace: the anchor of one request's
-/// span tree. Child records completed while it is live are collected for
-/// the slow-request log. One root at a time per thread.
+/// span tree.
 pub fn root_span(name: &'static str, trace: TraceId) -> Span {
     if !tracing_enabled() {
         return Span(None);
     }
-    COLLECTOR.with(|collector| *collector.borrow_mut() = Some(Vec::new()));
-    activate(name, trace, None, true)
+    activate(name, trace, None)
 }
 
 /// The trace id of the thread's current span context, if any. Capture
@@ -546,8 +463,7 @@ impl Drop for Span {
         };
         let duration_ns = now_ns().saturating_sub(active.start_ns);
         CURRENT.with(|current| current.set(active.prev));
-        let record = SpanRecord {
-            kind: RecordKind::Span,
+        push_record(SpanRecord {
             trace: active.trace,
             id: active.id,
             parent: active.parent,
@@ -555,60 +471,8 @@ impl Drop for Span {
             start_ns: active.start_ns,
             duration_ns,
             fields: active.fields,
-        };
-        if active.is_root {
-            let children = COLLECTOR
-                .with(|collector| collector.borrow_mut().take())
-                .unwrap_or_default();
-            offer_slow(SlowRequest {
-                root: record.clone(),
-                children,
-            });
-        } else {
-            COLLECTOR.with(|collector| {
-                if let Some(list) = collector.borrow_mut().as_mut() {
-                    if list.len() < MAX_COLLECTED {
-                        list.push(record.clone());
-                    }
-                }
-            });
-        }
-        push_record(record);
+        });
     }
-}
-
-/// Records an instantaneous event under the current span context.
-pub fn event(name: &'static str) {
-    event_with(name, Vec::new())
-}
-
-/// Records an instantaneous event with fields under the current context.
-pub fn event_with(name: &'static str, fields: Vec<(&'static str, FieldValue)>) {
-    if !tracing_enabled() {
-        return;
-    }
-    let (trace, parent) = match CURRENT.with(|current| current.get()) {
-        Some((trace, span_id)) => (trace, Some(span_id)),
-        None => (TraceId::generate(), None),
-    };
-    let record = SpanRecord {
-        kind: RecordKind::Event,
-        trace,
-        id: SpanId::next(),
-        parent,
-        name,
-        start_ns: now_ns(),
-        duration_ns: 0,
-        fields,
-    };
-    COLLECTOR.with(|collector| {
-        if let Some(list) = collector.borrow_mut().as_mut() {
-            if list.len() < MAX_COLLECTED {
-                list.push(record.clone());
-            }
-        }
-    });
-    push_record(record);
 }
 
 /// Opens a child span with optional `key = value` fields:
@@ -632,7 +496,7 @@ macro_rules! span {
 mod tests {
     use super::*;
 
-    // The flight recorder and slow log are process-global; serialize the
+    // The flight recorder is process-global; serialize the
     // tests that touch them so snapshots and drains do not interleave.
     fn test_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -723,34 +587,8 @@ mod tests {
     }
 
     #[test]
-    fn slow_log_keeps_span_trees() {
-        let _guard = test_lock();
-        set_tracing(true);
-        clear_slow_log();
-        let trace = TraceId::generate();
-        {
-            let _root = root_span("test_slow_root", trace);
-            let _a = span("test_slow_child_a");
-            drop(_a);
-            event("test_slow_event");
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        let entries = slow_requests();
-        let entry = entries
-            .iter()
-            .find(|e| e.root.trace == trace)
-            .expect("root offered to slow log");
-        assert_eq!(entry.root.name, "test_slow_root");
-        let names: Vec<&str> = entry.children.iter().map(|c| c.name).collect();
-        assert!(names.contains(&"test_slow_child_a"));
-        assert!(names.contains(&"test_slow_event"));
-        assert!(entry.root.duration_ns >= 1_000_000);
-    }
-
-    #[test]
     fn json_line_is_well_formed() {
         let record = SpanRecord {
-            kind: RecordKind::Span,
             trace: TraceId::from_wire("00000000000000ab"),
             id: SpanId(42),
             parent: Some(SpanId(41)),
