@@ -30,21 +30,11 @@ fn durable_env(storage: &Arc<SimStorage>) -> DurableEnv {
 }
 
 fn recover_engine(storage: &Arc<SimStorage>) -> (Arc<Engine>, RecoveryReport) {
-    recover_ordered(storage, OrderingStrategy::Sequential)
+    recover_on(durable_env(storage), OrderingStrategy::Sequential)
+        .expect("recovery over healthy storage cannot fail")
 }
 
-fn recover_ordered(
-    storage: &Arc<SimStorage>,
-    ordering: OrderingStrategy,
-) -> (Arc<Engine>, RecoveryReport) {
-    recover_with(durable_env(storage), ordering).expect("recovery over healthy storage cannot fail")
-}
-
-fn recover_on(durable: DurableEnv) -> io::Result<(Arc<Engine>, RecoveryReport)> {
-    recover_with(durable, OrderingStrategy::Sequential)
-}
-
-fn recover_with(
+fn recover_on(
     durable: DurableEnv,
     ordering: OrderingStrategy,
 ) -> io::Result<(Arc<Engine>, RecoveryReport)> {
@@ -196,7 +186,7 @@ fn missing_snapshot_blob_fails_recovery_instead_of_serving_bootstrap_models() {
     storage
         .remove(&format!("data/epoch-{epoch:010}.snap"))
         .expect("the checkpointed epoch's blob exists");
-    match recover_on(durable_env(&storage)) {
+    match recover_on(durable_env(&storage), OrderingStrategy::Sequential) {
         Ok(_) => panic!("a checkpoint without its snapshot blob must fail recovery"),
         Err(error) => assert_eq!(error.kind(), std::io::ErrorKind::InvalidData),
     }
@@ -288,7 +278,7 @@ fn open_sessions_survive_a_crash_and_finish_after_recovery() {
     // so the recovered engine plans the next batch exactly as the
     // uninterrupted one does
     let storage = SimStorage::new();
-    let (engine, _) = recover_ordered(&storage, OrderingStrategy::Ilp);
+    let (engine, _) = recover_on(durable_env(&storage), OrderingStrategy::Ilp).expect("recovery");
     engine.pretrain(None);
     let session = engine.open_session("ilp-checker");
     let report: Vec<usize> = (0..60).collect();
@@ -312,7 +302,8 @@ fn open_sessions_survive_a_crash_and_finish_after_recovery() {
     drop(engine);
     storage.crash();
 
-    let (recovered, report) = recover_ordered(&storage, OrderingStrategy::Ilp);
+    let (recovered, report) =
+        recover_on(durable_env(&storage), OrderingStrategy::Ilp).expect("recovery");
     assert_eq!(report.sessions_restored, 1);
     assert_eq!(
         ids(recovered
@@ -397,11 +388,14 @@ fn engine_after_two_flushed_rounds() -> (Arc<CrashBeforeCheckpoint>, Arc<Engine>
         inner: SimStorage::new(),
         crashed: Mutex::new(None),
     });
-    let (engine, _) = recover_on(DurableEnv {
-        storage: Arc::clone(&storage) as Arc<dyn Storage>,
-        dir: "data".to_string(),
-        wal: WalOptions::default(),
-    })
+    let (engine, _) = recover_on(
+        DurableEnv {
+            storage: Arc::clone(&storage) as Arc<dyn Storage>,
+            dir: "data".to_string(),
+            wal: WalOptions::default(),
+        },
+        OrderingStrategy::Sequential,
+    )
     .expect("recovery over healthy storage cannot fail");
     for round in [0..4, 4..8] {
         for claim_id in round {
