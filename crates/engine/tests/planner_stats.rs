@@ -52,7 +52,7 @@ fn planner_counters_surface_in_stats() {
     );
     assert!(stats.planner_last_fallback.lock().unwrap().is_none());
 
-    // the v1 fields of the deleted repair path stay on the wire as zeros
+    // v1 stats fields are append-only: the repair counters read zero
     let Ok(Response::Stats { stats }) = dispatch(&engine, &Request::Stats) else {
         panic!("the stats op answers");
     };
