@@ -17,9 +17,10 @@
 //!   weight columns per claim, so past the point where the sweep is
 //!   L2-fill-bound the twin ratio compresses — the per-claim ratio is
 //!   the headroom measure); and the classifier batch path the aligned
-//!   layout exists for (`entropy_batch_into`'s fused-multiply-add sweep
-//!   of the feature-major block) ≥ 2× the scalar per-row
-//!   `predict_proba` + `Σ −p ln p` loop.
+//!   layout exists for (`entropy_batch_into`: the exact kernel's sweep of
+//!   the feature-major block into one reused row, entropy folded out of
+//!   the raw scores) ≥ 2× the scalar per-row `predict_proba` +
+//!   `Σ −p ln p` loop.
 //! * `translate/*` — claim translation (§3.1, top-k per property) over
 //!   the utility corpus's label spaces: `per_claim` is
 //!   `SystemModels::translate_view`, which ranks all four classifiers
@@ -325,11 +326,11 @@ fn bench_utilities(c: &mut Criterion) {
         );
     }
 
-    // ---- classifier batch paths: aligned FMA sweep vs per-row scalar ----
+    // ---- classifier batch paths: one reused row vs per-row scalar -----
     // `entropy_batch_into` is the kernel Definition 7 leans on when the
-    // fusion is bypassed (single-classifier callers): fused
-    // multiply-adds over the feature-major block, one reused scratch row,
-    // entropy folded out of raw scores with one `ln` per row. The scalar
+    // fusion is bypassed (single-classifier callers): the exact sweep of
+    // the feature-major block into one reused scratch row, entropy
+    // folded out of raw scores with one `ln` per row. The scalar
     // baseline is what every caller did before the batch path existed:
     // `prediction_entropy` per row (the exact scoring kernel, a fresh Vec
     // of probabilities, libm softmax, then `Σ −p ln p`).

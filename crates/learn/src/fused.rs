@@ -5,31 +5,31 @@
 //! Definition 7 sums the prediction entropy of *four* classifiers per
 //! claim, and translation ranks all four per claim. [`FusedEntropy`] is
 //! a borrowed view of the classifiers: it owns no weights and is built
-//! in O(classifiers), so it can never go stale after a retrain. Both
-//! kernels walk a claim's stored features once, eight at a time, and
-//! sweep each group through every trained classifier's own
+//! in O(classifiers), so it can never go stale after a retrain. Its one
+//! sweep walks a claim's stored features once, eight at a time, and
+//! folds each group through every trained classifier's own
 //! feature-major block in place — per feature, one contiguous segment
-//! of class columns per classifier — into reused scratch rows.
+//! of class columns per classifier — into a reused scratch row.
 //! Untrained classifiers fold in as their constant uniform entropy.
 //!
 //! Translation ([`FusedEntropy::top_k_ids_each`]) must be
 //! **bit-identical** to the row-major per-classifier path it replaced
 //! (`bias + dot_dense` per class, then the libm softmax), because every
 //! screen, plan, verdict and golden fixture downstream depends on the
-//! exact ranking. Its ranking lanes run the classifier's exact kernel,
+//! exact ranking. Every lane runs the classifier's one scoring kernel,
 //! which keeps that path's per-class summation order: each lane starts
 //! at `+0.0`, adds `v · w` for the in-range stored features in CSR order
 //! with an unfused multiply then add (`mul_add` rounds once and changes
-//! bits), and adds the bias last. The entropy kernel has no such
-//! constraint and uses fused multiply-adds from the biases.
+//! bits), and adds the bias last.
 //!
-//! Translation also returns the claim's utility, from the same sweep:
-//! each weight column is loaded once and feeds both an exact lane and an
-//! entropy lane, each in its own kernel's order, so the ranking is the
-//! exact kernel's and the utility is [`FusedEntropy::utilities_into`]'s,
-//! bit for bit. A claim is translated and scored in one pass over the
-//! weights; the batched pass scores only claims whose translation is
-//! kept from an older model.
+//! Translation and [`FusedEntropy::utilities_into`] share one per-row
+//! sweep, which builds that score row and returns the claim's utility:
+//! the entropy of each member's lanes, taken before translation softmaxes
+//! them in place. So the ranking and the utility read the same scores,
+//! and translation's utility is the batched pass's, bit for bit. A claim
+//! is translated and scored in one pass over the weights; the batched
+//! pass scores only claims whose translation is kept from an older
+//! model.
 
 use std::cell::RefCell;
 
@@ -43,10 +43,8 @@ use scrutinizer_text::{FeatureMatrix, SparseView};
 /// Per-thread translation scratch, reused across calls, so ranking
 /// allocates nothing once a thread has seen the widest classifier.
 struct RankScratch {
-    /// The exact score row: every trained classifier's lanes, end to end.
+    /// The score row: every trained classifier's lanes, end to end.
     scores: Vec<f32>,
-    /// The entropy kernel's score row, in the same layout.
-    fma: Vec<f32>,
     /// `(class id, probability)` pairs of the classifier being ranked.
     ranked: Vec<(u32, f32)>,
 }
@@ -55,7 +53,6 @@ thread_local! {
     static RANK_SCRATCH: RefCell<RankScratch> = const {
         RefCell::new(RankScratch {
             scores: Vec::new(),
-            fma: Vec::new(),
             ranked: Vec::new(),
         })
     };
@@ -131,6 +128,29 @@ impl<'a> FusedEntropy<'a> {
         }
     }
 
+    /// Scores one row into `scores[..width]`, each member's lanes by the
+    /// classifiers' one kernel: one walk over the row's features, each
+    /// group of eight swept through every member's block in turn, then
+    /// each member's biases added. Returns the row's summed prediction
+    /// entropy (Definition 7's `u(c)`): the untrained constant plus each
+    /// member's [`entropy_from_scores`] of its own lanes, in member
+    /// order.
+    fn sweep_row(&self, x: SparseView<'_>, scores: &mut [f32]) -> f64 {
+        scores[..self.width].fill(0.0);
+        feature_groups(x, self.dim, |group| {
+            for m in &self.members {
+                m.model.add_columns(group, m.lanes(scores));
+            }
+        });
+        let mut utility = self.constant;
+        for m in &self.members {
+            let lanes = m.lanes(scores);
+            m.model.add_biases(lanes);
+            utility += entropy_from_scores(&lanes[..m.model.n_classes()]);
+        }
+        utility
+    }
+
     /// Ranks every trained classifier's classes for one claim, calling
     /// `emit(model, ranked)` once per trained classifier, in input order:
     /// `model` indexes the `fuse` input, `ranked` holds at most `k`
@@ -138,51 +158,26 @@ impl<'a> FusedEntropy<'a> {
     /// prediction entropy (Definition 7's `u(c)`), bit-identical to what
     /// [`utilities_into`](Self::utilities_into) computes for the same row.
     ///
-    /// One walk over the claim's features: each group of eight is swept
-    /// through every member's block in turn, each weight loaded once into
-    /// two lanes — the classifiers' exact kernel (so each ranking lane
-    /// keeps the summation order in the module doc) and the entropy
-    /// kernel's fused multiply-adds from the biases. Then each member
-    /// adds its biases to the exact lanes, takes the same libm softmax,
-    /// and ranks by the same total order — probability descending by
-    /// `total_cmp`, then id ascending — found by partial selection; its
-    /// entropy lanes give its entropy term. The score rows and ranking
-    /// buffer are per-thread scratch, so `emit` must not translate again
-    /// on the same thread.
+    /// Both run the one per-row sweep, which takes the utility from the
+    /// score row before ranking touches it. Then each member takes the
+    /// same libm softmax of its lanes and ranks by the same total order —
+    /// probability descending by `total_cmp`, then id ascending — found
+    /// by partial selection. The score row and ranking buffer are
+    /// per-thread scratch, so `emit` must not translate again on the same
+    /// thread.
     pub fn top_k_ids_each(
         &self,
         x: SparseView<'_>,
         k: usize,
         mut emit: impl FnMut(usize, &[(u32, f32)]),
     ) -> f64 {
-        if self.members.is_empty() {
-            return self.constant;
-        }
-        RANK_SCRATCH.with_borrow_mut(|scratch| {
-            let RankScratch {
-                scores,
-                fma,
-                ranked,
-            } = scratch;
+        RANK_SCRATCH.with_borrow_mut(|RankScratch { scores, ranked }| {
             if scores.len() < self.width {
                 scores.resize(self.width, 0.0);
-                fma.resize(self.width, 0.0);
             }
-            scores[..self.width].fill(0.0);
+            let utility = self.sweep_row(x, scores);
             for m in &self.members {
-                m.lanes(fma).copy_from_slice(m.model.padded_biases());
-            }
-            feature_groups(x, self.dim, |group| {
-                for m in &self.members {
-                    m.model.dual_columns(group, m.lanes(scores), m.lanes(fma));
-                }
-            });
-            let mut utility = self.constant;
-            for m in &self.members {
-                utility += entropy_from_scores(&m.lanes(fma)[..m.model.n_classes()]);
-                let lanes = m.lanes(scores);
-                m.model.add_biases(lanes);
-                let probs = &mut lanes[..m.model.n_classes()];
+                let probs = &mut m.lanes(scores)[..m.model.n_classes()];
                 softmax_in_place(probs);
                 ranked.clear();
                 ranked.extend(probs.iter().enumerate().map(|(id, &p)| (id as u32, p)));
@@ -194,36 +189,18 @@ impl<'a> FusedEntropy<'a> {
     }
 
     /// Appends the summed prediction entropy (Definition 7's `u(c)`) of
-    /// every CSR row to `out`: one walk over the row's features, each
-    /// group of eight swept through every member's block with fused
-    /// multiply-adds (two accumulator chains per contiguous sweep), then
-    /// one softmax-entropy per member through the branch-free
-    /// [`exp_approx`], plus the untrained constant. The
-    /// [`utilities_into_reference`] scalar twin is the parity oracle and
-    /// the throughput baseline the `translate` bench holds this kernel
-    /// to.
+    /// every CSR row to `out`, each from the one per-row sweep
+    /// translation runs, through the branch-free [`exp_approx`] entropy.
+    /// The [`utilities_into_reference`] scalar twin is the parity oracle
+    /// and the throughput baseline the `translate` bench holds this
+    /// kernel to.
     ///
     /// [`exp_approx`]: crate::softmax::exp_approx
     /// [`utilities_into_reference`]: Self::utilities_into_reference
     pub fn utilities_into(&self, rows: &FeatureMatrix, out: &mut Vec<f64>) {
         out.reserve(rows.rows());
         let mut scratch = vec![0.0f32; self.width];
-        for row in rows.iter() {
-            for m in &self.members {
-                m.lanes(&mut scratch)
-                    .copy_from_slice(m.model.padded_biases());
-            }
-            feature_groups(row, self.dim, |group| {
-                for m in &self.members {
-                    m.model.fma_columns(group, m.lanes(&mut scratch));
-                }
-            });
-            let mut utility = self.constant;
-            for m in &self.members {
-                utility += entropy_from_scores(&m.lanes(&mut scratch)[..m.model.n_classes()]);
-            }
-            out.push(utility);
-        }
+        out.extend(rows.iter().map(|row| self.sweep_row(row, &mut scratch)));
     }
 
     /// The pre-alignment scalar kernel, kept as the parity oracle and the
@@ -446,13 +423,27 @@ mod tests {
             // a tail only
             SparseVector::from_pairs(dense(5)),
             SparseVector::from_pairs(vec![]),
-            // an out-of-dim index is skipped by both lanes
+            // an out-of-dim index is skipped
             SparseVector::from_pairs(vec![(2, 1.5), (100, 9.0)]),
         ];
         let matrix = FeatureMatrix::from_rows(rows.iter().cloned());
         let mut batched = Vec::new();
         fused.utilities_into(&matrix, &mut batched);
         for (r, row) in rows.iter().enumerate() {
+            // the untrained constant, then each trained member's entropy
+            // of its own exact score row, in member order
+            let expected = [&a, &b].iter().fold(untrained.uniform_entropy(), |u, c| {
+                let model = c.softmax().expect("trained");
+                let mut scores = vec![0.0; model.stride()];
+                model.scores_into(row.view(), &mut scores);
+                u + entropy_from_scores(&scores[..model.n_classes()])
+            });
+            assert_eq!(
+                batched[r].to_bits(),
+                expected.to_bits(),
+                "row {r}: batched {} vs the exact rows' {expected}",
+                batched[r]
+            );
             for k in [0, 1, 3] {
                 let utility = fused.top_k_ids_each(row.view(), k, |model, ranked| {
                     let bits = |v: &[(u32, f32)]| -> Vec<(u32, u32)> {
@@ -468,22 +459,6 @@ mod tests {
                     batched[r]
                 );
             }
-        }
-
-        // the kernel itself: both lanes equal their own kernel's sweep
-        let model = a.softmax().expect("trained");
-        let stride = model.stride();
-        for n in [8, 5] {
-            let group: Vec<(usize, f32)> = (0..n).map(|i| (i, irregular(i + 90))).collect();
-            let start: Vec<f32> = (0..stride).map(|j| irregular(j + 40)).collect();
-            let (mut exact, mut fma) = (start.clone(), start.clone());
-            model.dual_columns(&group, &mut exact, &mut fma);
-            let (mut want_exact, mut want_fma) = (start.clone(), start);
-            model.add_columns(&group, &mut want_exact);
-            model.fma_columns(&group, &mut want_fma);
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&exact), bits(&want_exact), "exact lanes, {n} columns");
-            assert_eq!(bits(&fma), bits(&want_fma), "fma lanes, {n} columns");
         }
     }
 

@@ -37,14 +37,14 @@
 //!   them `PropertyClassifier::top_k_ids`, `predict_id` and accuracy
 //!   traces) runs the same kernel;
 //! * [`FusedEntropy`] ranks all four classifiers for translation and sums
-//!   their Definition 7 entropies by sweeping each classifier's block —
-//!   both at once when translating a claim (`dual_columns`).
+//!   their Definition 7 entropies from the same score row, one sweep of
+//!   each classifier's block per claim.
 //!
-//! The exact scoring kernel keeps the per-lane order of the row-major
+//! That one scoring kernel keeps the per-lane order of the row-major
 //! `bias + x.dot_dense(row)` it replaced (see `scores_into`), so every
-//! ranking, screen, plan and verdict is bit-identical to that path; the
-//! entropy kernels carry no such constraint and use fused
-//! multiply-adds.
+//! ranking, screen, plan and verdict is bit-identical to that path, and
+//! a claim's utility is the entropy of the very scores its ranking
+//! reads.
 //!
 //! Persistence is row-major (one `dim`-long row per class) and never
 //! materializes a whole row-major copy: each half's `row_tiles`
@@ -606,8 +606,8 @@ impl SoftmaxClassifier {
 
     /// Linear scores of `x` against every class, into `scores[..stride]`
     /// (`scores[..n_classes]` are the real scores; the pad lanes end at
-    /// 0.0) — the one exact scoring kernel: training, per-claim inference
-    /// and fused translation all run it.
+    /// 0.0) — the one scoring kernel: training, per-claim inference,
+    /// fused translation and the Definition 7 utility pass all run it.
     ///
     /// Bit-identical to the row-major `bias + x.dot_dense(row)` of each
     /// class: every lane accumulates from `+0.0` with an unfused
@@ -674,150 +674,23 @@ impl SoftmaxClassifier {
         }
     }
 
-    /// Linear scores for the entropy kernels, into `scores[..stride]`:
-    /// from the biases, one fused-multiply-add sweep per group of eight
-    /// stored features ([`fma_columns`](Self::fma_columns)). Not
-    /// bit-identical to [`scores_into`](Self::scores_into) (an FMA rounds
-    /// once), and no ranking reads it.
-    pub(crate) fn fma_scores_into(&self, x: SparseView<'_>, scores: &mut [f32]) {
-        scores[..self.stride].copy_from_slice(&self.biases);
-        feature_groups(x, self.dim, |group| self.fma_columns(group, scores));
-    }
-
-    /// The entropy kernels' sweep: folds a group of `(feature, value)`
-    /// columns into `scores[..stride]` with fused multiply-adds. A full
-    /// group of eight runs as one contiguous pass split across two
-    /// accumulator chains (`a`/`b`), so the FMAs pipeline instead of
-    /// serializing on one dependency chain; eight columns per pass is the
-    /// lever because the sweep is otherwise bound on scratch traffic. A
-    /// remainder group sweeps one column at a time.
-    #[inline]
-    pub(crate) fn fma_columns(&self, group: &[(usize, f32)], scores: &mut [f32]) {
-        let stride = self.stride;
-        let scratch = &mut scores[..stride];
-        let Ok(&[(i0, v0), (i1, v1), (i2, v2), (i3, v3), (i4, v4), (i5, v5), (i6, v6), (i7, v7)]) =
-            <&[(usize, f32); 8]>::try_from(group)
-        else {
-            for &(i, v) in group {
-                let column = &self.weights[i * stride..][..stride];
-                for (s, &w) in scratch.iter_mut().zip(column) {
-                    *s = v.mul_add(w, *s);
-                }
-            }
-            return;
-        };
-        let c0 = &self.weights[i0 * stride..][..stride];
-        let c1 = &self.weights[i1 * stride..][..stride];
-        let c2 = &self.weights[i2 * stride..][..stride];
-        let c3 = &self.weights[i3 * stride..][..stride];
-        let c4 = &self.weights[i4 * stride..][..stride];
-        let c5 = &self.weights[i5 * stride..][..stride];
-        let c6 = &self.weights[i6 * stride..][..stride];
-        let c7 = &self.weights[i7 * stride..][..stride];
-        for j in 0..stride {
-            let mut a = scratch[j];
-            let mut b = v4 * c4[j];
-            a = v0.mul_add(c0[j], a);
-            b = v5.mul_add(c5[j], b);
-            a = v1.mul_add(c1[j], a);
-            b = v6.mul_add(c6[j], b);
-            a = v2.mul_add(c2[j], a);
-            b = v7.mul_add(c7[j], b);
-            a = v3.mul_add(c3[j], a);
-            scratch[j] = a + b;
-        }
-    }
-
-    /// Both sweeps from one read of the weights: folds a group of
-    /// `(feature, value)` columns into `exact[..stride]` as
-    /// [`add_columns`](Self::add_columns) does and into `fma[..stride]`
-    /// as [`fma_columns`](Self::fma_columns) does. Each lane keeps its own
-    /// kernel's operation order, so both rows are bit-identical to the
-    /// two separate sweeps; only the weight loads are shared.
-    #[inline]
-    pub(crate) fn dual_columns(&self, group: &[(usize, f32)], exact: &mut [f32], fma: &mut [f32]) {
-        let stride = self.stride;
-        let (exact, fma) = (&mut exact[..stride], &mut fma[..stride]);
-        let Ok(&[(i0, v0), (i1, v1), (i2, v2), (i3, v3), (i4, v4), (i5, v5), (i6, v6), (i7, v7)]) =
-            <&[(usize, f32); 8]>::try_from(group)
-        else {
-            for &(i, v) in group {
-                let column = &self.weights[i * stride..][..stride];
-                for ((e, f), &w) in exact.iter_mut().zip(fma.iter_mut()).zip(column) {
-                    *e += v * w;
-                    *f = v.mul_add(w, *f);
-                }
-            }
-            return;
-        };
-        let c0 = &self.weights[i0 * stride..][..stride];
-        let c1 = &self.weights[i1 * stride..][..stride];
-        let c2 = &self.weights[i2 * stride..][..stride];
-        let c3 = &self.weights[i3 * stride..][..stride];
-        let c4 = &self.weights[i4 * stride..][..stride];
-        let c5 = &self.weights[i5 * stride..][..stride];
-        let c6 = &self.weights[i6 * stride..][..stride];
-        let c7 = &self.weights[i7 * stride..][..stride];
-        for j in 0..stride {
-            let (w0, w1, w2, w3) = (c0[j], c1[j], c2[j], c3[j]);
-            let (w4, w5, w6, w7) = (c4[j], c5[j], c6[j], c7[j]);
-            let mut e = exact[j];
-            e += v0 * w0;
-            e += v1 * w1;
-            e += v2 * w2;
-            e += v3 * w3;
-            e += v4 * w4;
-            e += v5 * w5;
-            e += v6 * w6;
-            e += v7 * w7;
-            exact[j] = e;
-            let mut a = fma[j];
-            let mut b = v4 * w4;
-            a = v0.mul_add(w0, a);
-            b = v5.mul_add(w5, b);
-            a = v1.mul_add(w1, a);
-            b = v6.mul_add(w6, b);
-            a = v2.mul_add(w2, a);
-            b = v7.mul_add(w7, b);
-            a = v3.mul_add(w3, a);
-            fma[j] = a + b;
-        }
-    }
-
-    /// The per-class biases padded to `stride` (pad lanes 0.0): the
-    /// starting score row of the entropy kernels.
+    /// The per-class biases padded to `stride` (pad lanes 0.0), as the
+    /// exact kernel adds them to a score row.
     pub fn padded_biases(&self) -> &[f32] {
         &self.biases
-    }
-
-    /// Class probabilities for every row of a CSR batch, returned as one
-    /// row-major `rows × n_classes` block. Scores run through the
-    /// fused-multiply-add kernel with a single reused scratch row — no
-    /// per-claim allocation, no scattered weight gathers.
-    pub fn predict_proba_batch(&self, rows: &FeatureMatrix) -> Vec<f32> {
-        let nc = self.n_classes;
-        let mut scratch = vec![0.0f32; self.stride];
-        let mut out = vec![0.0f32; rows.rows() * nc];
-        for (r, row) in rows.iter().enumerate() {
-            self.fma_scores_into(row, &mut scratch);
-            let slot = &mut out[r * nc..(r + 1) * nc];
-            slot.copy_from_slice(&scratch[..nc]);
-            softmax_in_place(slot);
-        }
-        out
     }
 
     /// Appends the prediction entropy of every row of a CSR batch to `out`
     /// — the bulk kernel behind batched training-utility scoring
     /// (Definition 7). Equivalent to `entropy(&predict_proba(row))` per
-    /// row, but with one reused scratch buffer, the fused-multiply-add
-    /// kernel, and entropy folded out of the raw scores with a single
-    /// `ln` per row (`H = ln Z − Σ eᶜ·sᶜ / Z`) instead of one per class.
+    /// row, but with one reused scratch buffer, the exact kernel's score
+    /// row, and entropy folded out of the raw scores with a single `ln`
+    /// per row (`H = ln Z − Σ eᶜ·sᶜ / Z`) instead of one per class.
     pub fn entropy_batch_into(&self, rows: &FeatureMatrix, out: &mut Vec<f64>) {
         let mut scratch = vec![0.0f32; self.stride];
         out.reserve(rows.rows());
         for row in rows.iter() {
-            self.fma_scores_into(row, &mut scratch);
+            self.scores_into(row, &mut scratch);
             out.push(entropy_from_scores(&scratch[..self.n_classes]));
         }
     }
@@ -846,10 +719,10 @@ impl SoftmaxClassifier {
     }
 }
 
-/// The feature walk shared by every scoring kernel: hands the stored
-/// features of `x` with index < `dim` to `sweep` in CSR order, eight per
-/// call, then the remainder (fewer than eight) in one last call. Indices
-/// ≥ `dim` (never produced by the shared featurizer) are skipped, as the
+/// The scoring kernel's feature walk: hands the stored features of `x`
+/// with index < `dim` to `sweep` in CSR order, eight per call, then the
+/// remainder (fewer than eight) in one last call. Indices ≥ `dim`
+/// (never produced by the shared featurizer) are skipped, as the
 /// row-major `dot_dense` skips them.
 #[inline]
 pub(crate) fn feature_groups(
@@ -1485,16 +1358,11 @@ mod tests {
         let (examples, dim) = separable();
         let (model, _) = SoftmaxClassifier::train_owned(&examples, 3, dim, TrainConfig::default());
         let rows = FeatureMatrix::from_rows(examples.iter().map(|(x, _)| x.clone()));
-        let batch = model.predict_proba_batch(&rows);
         let mut entropies = Vec::new();
         model.entropy_batch_into(&rows, &mut entropies);
         assert_eq!(entropies.len(), examples.len());
         for (r, (x, _)) in examples.iter().enumerate() {
             let scalar = model.predict_proba(x);
-            let row = &batch[r * 3..(r + 1) * 3];
-            for (a, b) in scalar.iter().zip(row) {
-                assert!((a - b).abs() < 1e-5, "row {r}: {a} vs {b}");
-            }
             let h = crate::metrics::entropy(&scalar);
             assert!((entropies[r] - h).abs() < 1e-6, "row {r} entropy");
         }
