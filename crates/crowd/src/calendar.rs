@@ -36,11 +36,6 @@ impl WorkCalendar {
     pub fn weeks(&self, person_seconds: f64) -> f64 {
         person_seconds / self.seconds_per_week()
     }
-
-    /// Calendar days for `person_seconds`.
-    pub fn days(&self, person_seconds: f64) -> f64 {
-        self.weeks(person_seconds) * self.days_per_week
-    }
 }
 
 #[cfg(test)]
@@ -59,7 +54,6 @@ mod tests {
         let c = WorkCalendar::default();
         assert!((c.weeks(432_000.0) - 1.0).abs() < 1e-12);
         assert!((c.weeks(216_000.0) - 0.5).abs() < 1e-12);
-        assert!((c.days(432_000.0) - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! This crate provides the AST ([`Formula`]), a parser, **generalization**
 //! from concrete queries ([`generalize()`]), **instantiation** back into
 //! executable queries ([`instantiate()`]), direct evaluation against a catalog
-//! ([`eval_formula`]) used by Algorithm 2's inner loop, canonical signatures
-//! for deduplication, and the claim-complexity measure of Figure 6.
+//! ([`eval_formula`]) used by Algorithm 2's inner loop, and the
+//! claim-complexity measure of Figure 6.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +32,6 @@ pub mod eval;
 pub mod generalize;
 pub mod instantiate;
 pub mod parser;
-pub mod signature;
 
 pub use ast::{Formula, Lookup};
 pub use complexity::claim_complexity;

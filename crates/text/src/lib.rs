@@ -15,8 +15,7 @@
 //! see [`embed`]) — same interface, same role (documented in DESIGN.md §3).
 //!
 //! The crate also extracts **explicit parameters** from claim text
-//! ([`numbers`]): `3%`, `nine-fold`, `22 200 TWh` — the `p` of Definition 2 —
-//! and provides a light check-worthiness [`spotter`] for raw documents.
+//! ([`numbers`]): `3%`, `nine-fold`, `22 200 TWh` — the `p` of Definition 2.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,7 +26,6 @@ pub mod matrix;
 pub mod ngram;
 pub mod numbers;
 pub mod sparse;
-pub mod spotter;
 pub mod tfidf;
 pub mod tokenize;
 
