@@ -1,15 +1,15 @@
-//! Batch-selection planner benchmarks: what the greedy hint and the warm
-//! starts buy over a cold solve, swept from 100 to 10 000 unverified
-//! claims.
+//! Batch-selection planner benchmarks: what the greedy hint, the node
+//! budget and the gap buy over the unseeded baseline, swept from 100 to
+//! 10 000 unverified claims.
 //!
 //! * `planner_cold/*` — one cold batch selection per call:
 //!   `cold_baseline` is [`select_batch_serial_baseline`] (the one branch &
 //!   bound run with no hints and the seed's 40-node budget, greedy on
 //!   failure — the seed's budget and fallback, no longer its code),
-//!   `seeded_warm` the production path (greedy-seeded incumbent, 12-node
-//!   budget, 1 % gap, dual-simplex LP warm starts), `greedy` the heuristic
-//!   floor. Acceptance target: ≥ 3× at 10 000 claims with equal or better
-//!   objective.
+//!   `seeded` the production path (greedy-seeded incumbent, 12-node
+//!   budget, 1 % gap), `greedy` the heuristic floor. Both ILP paths solve
+//!   every node's LP cold. Acceptance target: ≥ 3× at 10 000 claims with
+//!   equal or better objective.
 //!
 //! Objective parity (ILP ≥ greedy, ILP ≥ 0.99 × the cold baseline) is
 //! asserted before anything is timed. The `--quick` smoke mode (used by CI) runs every routine once
@@ -118,7 +118,7 @@ fn bench_planner(c: &mut Criterion) {
                 ))
             })
         });
-        cold_group.bench_with_input(BenchmarkId::new("seeded_warm", n), &n, |b, _| {
+        cold_group.bench_with_input(BenchmarkId::new("seeded", n), &n, |b, _| {
             b.iter(|| {
                 black_box(select_batch(
                     black_box(&choices),
@@ -171,7 +171,7 @@ fn bench_planner(c: &mut Criterion) {
     println!("planner: cold baseline vs seeded solve");
     for (n, serial_s, seeded_s, ilp_u, serial_u) in &summaries {
         println!(
-            "  {n:>6} claims: baseline {:>8.2} ms | seeded+warm {:>8.2} ms ({:.2}x) | \
+            "  {n:>6} claims: baseline {:>8.2} ms | seeded {:>8.2} ms ({:.2}x) | \
              objective {:.1} vs baseline {:.1}",
             serial_s * 1e3,
             seeded_s * 1e3,

@@ -3,9 +3,9 @@
 //! Picks the next batch of claims to verify, trading off expected
 //! verification cost (including section skim costs, Definition 8) against
 //! training utility (Definition 7). The selection ILP (Definition 9) is
-//! solved with `scrutinizer-ilp`'s serial, warm-started, hint-seeded
-//! branch & bound; a utility-density greedy serves as the fallback when
-//! the solver fails and as an ablation baseline.
+//! solved with `scrutinizer-ilp`'s serial, hint-seeded branch & bound; a
+//! utility-density greedy serves as the fallback when the solver fails
+//! and as an ablation baseline.
 //!
 //! [`select_batch`] is the one entry point. A batch is a pure function of
 //! the claim choices, the document, the strategy, the budget and the
@@ -21,7 +21,7 @@ use scrutinizer_ilp::{solve_ilp, BranchConfig, IlpError, Model, Sense, SolveStat
 
 /// Node budget of the planning solver. The incumbent is seeded with the
 /// greedy solution before the search starts, so every explored node
-/// strictly *improves* on greedy — a dozen warm-started nodes recoup most
+/// strictly *improves* on greedy — a dozen nodes recoup most
 /// of the ILP's advantage at a fraction of the baseline's 40 nodes.
 const PLANNING_NODE_LIMIT: usize = 12;
 
@@ -246,8 +246,8 @@ pub fn select_batch(
 /// The benchmark baseline and ablation: the planning solver run cold — no
 /// greedy hint, a 40-node budget, the default gap — with
 /// greedy on failure. It keeps the seed's budget and fallback but is no
-/// longer the seed's code verbatim: it runs the one warm-started branch &
-/// bound, rounding-heuristic incumbent included.
+/// longer the seed's code verbatim: it runs the one branch & bound,
+/// rounding-heuristic incumbent included.
 pub fn select_batch_serial_baseline(
     choices: &[ClaimChoice],
     document: &Document,
@@ -395,7 +395,7 @@ fn hint_values(wm: &WindowModel<'_>, batch: &[usize]) -> Vec<f64> {
     values
 }
 
-/// Solves Definition 9 with the warm-started branch & bound. The greedy
+/// Solves Definition 9 with the branch & bound. The greedy
 /// heuristic's answer over the window seeds the incumbent, so the ILP can
 /// only match or beat it. Errors bubble up so the caller records the
 /// fallback reason.

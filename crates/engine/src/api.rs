@@ -615,10 +615,9 @@ fn stats_json(stats: &EngineStats) -> Json {
         ("planner_repair_rejections", count(0)),
         ("planner_fallbacks", count(stats.planner_fallbacks.get())),
         ("planner_nodes", count(stats.planner_nodes.get())),
-        (
-            "planner_warm_start_hits",
-            count(stats.planner_warm_start_hits.get()),
-        ),
+        // v1 fields are append-only: every planning LP is a cold solve,
+        // so this stays a constant zero
+        ("planner_warm_start_hits", count(0)),
         ("planner_lp_solves", count(stats.planner_lp_solves.get())),
         (
             "planner_last_fallback",

@@ -1304,9 +1304,6 @@ impl Engine {
         }
         if let Some(solver) = &selection.solver {
             stats.planner_nodes.add(solver.nodes_explored as u64);
-            stats
-                .planner_warm_start_hits
-                .add(solver.warm_start_hits as u64);
             stats.planner_lp_solves.add(solver.lp_solves as u64);
         }
     }

@@ -103,8 +103,6 @@ pub struct EngineStats {
     pub planner_fallbacks: Counter,
     /// Branch & bound nodes explored across all planning solves.
     pub planner_nodes: Counter,
-    /// Planning LP solves that reused a prior basis (phase 1 skipped).
-    pub planner_warm_start_hits: Counter,
     /// Total LP relaxations solved while planning.
     pub planner_lp_solves: Counter,
     /// Human-readable reason of the most recent planner fallback.
@@ -267,10 +265,6 @@ impl EngineStats {
             planner_nodes: r.counter(
                 "scrutinizer_planner_nodes_total",
                 "Branch & bound nodes explored across all planning solves.",
-            ),
-            planner_warm_start_hits: r.counter(
-                "scrutinizer_planner_warm_start_hits_total",
-                "Planning LP solves that reused a prior basis.",
             ),
             planner_lp_solves: r.counter(
                 "scrutinizer_planner_lp_solves_total",

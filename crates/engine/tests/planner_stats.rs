@@ -66,6 +66,55 @@ fn planner_counters_surface_in_stats() {
 }
 
 #[test]
+fn branching_plans_solve_every_node_cold() {
+    // 240 relations spread the claims over several sections, and a long
+    // document makes their read costs bind the budget, so the LP
+    // relaxations are fractional and branch & bound explores nodes
+    let corpus = Corpus::generate(CorpusConfig {
+        n_relations: 240,
+        n_sentences: 4_800,
+        ..CorpusConfig::small()
+    });
+    let n = corpus.claims.len();
+    let engine = Engine::new(
+        corpus,
+        SystemConfig::test(),
+        EngineOptions {
+            ordering: OrderingStrategy::Ilp,
+            retrain_interval: None,
+            threads: 2,
+        },
+    );
+    for stride in 1..=3 {
+        for offset in 0..stride {
+            let session = engine.open_session("branching");
+            let claims: Vec<usize> = (offset..n).step_by(stride).collect();
+            engine.submit_report(session, &claims).expect("submit");
+        }
+    }
+
+    let stats = engine.stats();
+    let plans = stats.planner_plans.get();
+    assert_eq!(stats.planner_fallbacks.get(), 0, "every plan is solved");
+    assert!(
+        stats.planner_nodes.get() > plans,
+        "the solver branches: {} nodes over {plans} plans",
+        stats.planner_nodes.get()
+    );
+
+    let Ok(Response::Stats { stats }) = dispatch(&engine, &Request::Stats) else {
+        panic!("the stats op answers");
+    };
+    let field = |name: &str| stats.get(name).and_then(|v| v.as_f64()).expect(name);
+    // every node's LP is a cold solve: nothing is ever warm-started
+    assert_eq!(field("planner_warm_start_hits"), 0.0);
+    assert!(
+        field("planner_lp_solves") >= field("planner_cold_solves"),
+        "each solved plan solves at least its root LP"
+    );
+}
+
+#[test]
 fn sequential_ordering_plans_without_solver_activity() {
     let corpus = Corpus::generate(CorpusConfig::small());
     let config = SystemConfig::test();

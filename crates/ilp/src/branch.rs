@@ -1,12 +1,11 @@
 //! Best-first branch & bound for 0/1 integer programs.
 //!
-//! One serial search, built to be re-entered cheaply by a planner that
-//! re-solves a small ILP after every retrain:
+//! One serial search over a planner's small ILP, re-solved after every
+//! retrain:
 //!
-//! * **LP warm starts** — every child node carries its parent's optimal
-//!   [`LpBasis`] and re-installs it, repairing the usual primal
-//!   infeasibility (the fixed branching variable) with dual simplex pivots
-//!   instead of re-running phase 1 from scratch;
+//! * **cold LP relaxations** — the root and every node solve their
+//!   relaxation with [`solve_lp`] under the node's tightened bounds, so a
+//!   node's bound depends on the model and its bounds alone;
 //! * **incumbent seeding** — caller hints (known feasible assignments) are
 //!   offered first, then the root relaxation is rounded
 //!   ([`crate::heuristic::round_to_incumbent`]) into a feasible incumbent,
@@ -22,7 +21,7 @@
 use crate::error::IlpError;
 use crate::heuristic::round_to_incumbent;
 use crate::model::{Direction, Model, Solution, SolveStatus};
-use crate::simplex::{solve_lp_warm, LpBasis};
+use crate::simplex::solve_lp;
 use crate::Result;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -57,8 +56,6 @@ pub struct SolveStats {
     pub nodes_explored: usize,
     /// LP relaxations solved, the root included.
     pub lp_solves: usize,
-    /// LP solves that reused a parent basis and skipped phase 1.
-    pub warm_start_hits: usize,
     /// Whether the rounding heuristic produced a seed incumbent.
     pub heuristic_seeded: bool,
     /// Whether the node budget ran out (the solution is the best incumbent,
@@ -80,8 +77,6 @@ struct Node {
     bound: f64,
     lower: Vec<f64>,
     upper: Vec<f64>,
-    /// Parent's optimal basis, installed to warm-start this node's LP.
-    basis: LpBasis,
 }
 
 impl PartialEq for Node {
@@ -179,7 +174,7 @@ pub fn solve_ilp(model: &Model, config: BranchConfig, hints: &[&[f64]]) -> Resul
 
     let root_lower: Vec<f64> = model.variables.iter().map(|v| v.lower).collect();
     let root_upper: Vec<f64> = model.variables.iter().map(|v| v.upper).collect();
-    let root = solve_lp_warm(model, &root_lower, &root_upper, None)?;
+    let root = solve_lp(model, &root_lower, &root_upper)?;
     let mut stats = SolveStats {
         lp_solves: 1,
         ..SolveStats::default()
@@ -197,21 +192,19 @@ pub fn solve_ilp(model: &Model, config: BranchConfig, hints: &[&[f64]]) -> Resul
             incumbent.offer(values.to_vec());
         }
     }
-    if let Some(seed) = round_to_incumbent(model, &root.solution) {
+    if let Some(seed) = round_to_incumbent(model, &root) {
         stats.heuristic_seeded = true;
         incumbent.offer(seed.values);
     }
 
     // the root is handled inline: an integral root never enters the heap
     let mut heap = BinaryHeap::new();
-    let root_bound = sign * root.solution.objective;
-    match most_fractional(&binaries, &root.solution.values, config.int_tol) {
-        None => incumbent.offer_rounded(root.solution.values, &binaries),
+    let root_bound = sign * root.objective;
+    match most_fractional(&binaries, &root.values, config.int_tol) {
+        None => incumbent.offer_rounded(root.values, &binaries),
         Some(var) if incumbent.improves(root_bound) => {
             stats.nodes_explored += 1;
-            push_children(
-                &mut heap, var, root_bound, root_lower, root_upper, root.basis,
-            );
+            push_children(&mut heap, var, root_bound, root_lower, root_upper);
         }
         // the seeds already meet the root bound within the gap
         Some(_) => {}
@@ -226,25 +219,19 @@ pub fn solve_ilp(model: &Model, config: BranchConfig, hints: &[&[f64]]) -> Resul
             stats.node_limit_hit = true;
             break;
         }
-        let warm = (!node.basis.is_empty()).then_some(&node.basis);
         stats.lp_solves += 1;
-        let relaxed = match solve_lp_warm(model, &node.lower, &node.upper, warm) {
+        let relaxed = match solve_lp(model, &node.lower, &node.upper) {
             Ok(relaxed) => relaxed,
             Err(IlpError::Infeasible) => continue,
             Err(error) => return Err(error),
         };
-        if relaxed.warm_start_used {
-            stats.warm_start_hits += 1;
-        }
-        let bound = sign * relaxed.solution.objective;
+        let bound = sign * relaxed.objective;
         if !incumbent.improves(bound) {
             continue;
         }
-        match most_fractional(&binaries, &relaxed.solution.values, config.int_tol) {
-            None => incumbent.offer_rounded(relaxed.solution.values, &binaries),
-            Some(var) => {
-                push_children(&mut heap, var, bound, node.lower, node.upper, relaxed.basis)
-            }
+        match most_fractional(&binaries, &relaxed.values, config.int_tol) {
+            None => incumbent.offer_rounded(relaxed.values, &binaries),
+            Some(var) => push_children(&mut heap, var, bound, node.lower, node.upper),
         }
     }
 
@@ -272,14 +259,13 @@ fn most_fractional(binaries: &[usize], values: &[f64], int_tol: f64) -> Option<u
 }
 
 /// Queues both children of a node branched on `var`: down (`var = 0`)
-/// first, then up (`var = 1`), each warm-started from `basis`.
+/// first, then up (`var = 1`).
 fn push_children(
     heap: &mut BinaryHeap<Node>,
     var: usize,
     bound: f64,
     lower: Vec<f64>,
     upper: Vec<f64>,
-    basis: LpBasis,
 ) {
     let mut down_upper = upper.clone();
     down_upper[var] = 0.0;
@@ -289,13 +275,11 @@ fn push_children(
         bound,
         lower,
         upper: down_upper,
-        basis: basis.clone(),
     });
     heap.push(Node {
         bound,
         lower: up_lower,
         upper,
-        basis,
     });
 }
 
@@ -511,9 +495,5 @@ mod tests {
         let solve = solve_ilp(&m, BranchConfig::default(), &[]).unwrap();
         assert!(solve.stats.lp_solves >= 1);
         assert!(solve.stats.heuristic_seeded);
-        // warm starts only happen once children are explored
-        if solve.stats.nodes_explored > 1 {
-            assert!(solve.stats.warm_start_hits > 0, "{:?}", solve.stats);
-        }
     }
 }

@@ -5,11 +5,11 @@
 //!
 //! * [`model`] — a Gurobi-like model builder: variables (continuous or
 //!   binary), linear constraints, minimize/maximize objective;
-//! * [`simplex`] — dense two-phase primal simplex for the LP relaxation,
-//!   with optional basis warm-starting ([`simplex::solve_lp_warm`]);
+//! * [`simplex`] — dense two-phase primal simplex for the LP relaxation;
+//!   [`simplex::solve_lp`] is the one LP entry point;
 //! * [`branch`] — the one solver: serial best-first branch & bound over
-//!   the binary variables, with per-node LP warm starts, hint and
-//!   [`heuristic`] incumbent seeding, node and gap limits, and
+//!   the binary variables that solves every node's relaxation cold, with
+//!   hint and [`heuristic`] incumbent seeding, node and gap limits, and
 //!   [`SolveStats`] counters;
 //! * [`heuristic`] — LP-relaxation rounding that turns the root relaxation
 //!   into a feasible incumbent so the gap test prunes early;
@@ -19,8 +19,9 @@
 //!
 //! The batch-selection ILPs are small — `O(claims + sections)` variables and
 //! constraints (Theorem 8) — but the mixed-initiative loop re-solves one
-//! after *every* retrain over thousands of claims, so the solver is built to
-//! be re-entered cheaply rather than merely to finish once.
+//! after *every* retrain over thousands of claims, so each solve must stay
+//! cheap: the caller bounds it with a node budget and a gap, and seeds its
+//! incumbent with a known feasible hint.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

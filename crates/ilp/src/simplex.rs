@@ -1,5 +1,4 @@
-//! Dense two-phase primal simplex with bounded variables and basis
-//! warm-starting.
+//! Dense two-phase primal simplex with bounded variables.
 //!
 //! Batch-selection LPs are small (Theorem 8: `O(claims + sections)`), so a
 //! dense tableau with Bland's anti-cycling rule is fast enough and — more
@@ -7,12 +6,10 @@
 //! trust. Variable bounds are handled by shifting to `[0, u−l]` and adding
 //! explicit upper-bound rows.
 //!
-//! Branch & bound re-solves near-identical LPs thousands of times: a child
-//! node differs from its parent by one fixed binary. [`solve_lp_warm`]
-//! exploits that by re-installing the parent's optimal [`LpBasis`] before
-//! running phase 2 — when the old basis is still primal feasible the
-//! expensive phase-1 artificial elimination is skipped entirely, and phase 2
-//! starts next to the new optimum.
+//! [`solve_lp`] is the only entry point, and every solve is cold: branch &
+//! bound passes each node's tightened bounds and the tableau is built from
+//! scratch, so a node's relaxation depends on the model and its bounds
+//! alone.
 
 use crate::error::IlpError;
 use crate::model::{Direction, Model, Sense};
@@ -29,59 +26,6 @@ pub struct LpSolution {
 
 const TOL: f64 = 1e-9;
 
-/// Identity of a tableau row, stable across re-solves of the same model
-/// under different bound overrides (fixing a binary removes its bound row,
-/// so raw row indices shift between solves — identities do not).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RowId {
-    /// The k-th model constraint.
-    Constraint(usize),
-    /// The upper-bound row of structural variable `i`.
-    Bound(usize),
-}
-
-/// One basic column, identified structurally rather than positionally.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BasisEntry {
-    /// Structural variable `i`.
-    Structural(usize),
-    /// The slack/surplus column of the identified row.
-    Slack(RowId),
-}
-
-/// Snapshot of an optimal simplex basis, reusable to warm-start a related
-/// solve (same model, different bound overrides). Opaque: produced by
-/// [`solve_lp_warm`], consumed by the next [`solve_lp_warm`].
-#[derive(Debug, Clone, Default)]
-pub struct LpBasis {
-    entries: Vec<BasisEntry>,
-}
-
-impl LpBasis {
-    /// Number of recorded basic columns.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the basis is empty (a cold start).
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-/// Result of a warm-startable LP solve: the solution, the optimal basis
-/// (for the *next* warm start), and whether the supplied basis was usable.
-#[derive(Debug, Clone)]
-pub struct WarmLp {
-    /// The relaxed optimum.
-    pub solution: LpSolution,
-    /// The optimal basis, to seed a subsequent related solve.
-    pub basis: LpBasis,
-    /// `true` when the supplied prior basis was primal feasible and phase 1
-    /// was skipped.
-    pub warm_start_used: bool,
-}
-
 /// The assembled tableau plus everything needed to run and read it.
 struct Prepared {
     n: usize,
@@ -90,7 +34,6 @@ struct Prepared {
     tableau: Vec<Vec<f64>>,
     basis: Vec<usize>,
     artificial_cols: Vec<usize>,
-    row_ids: Vec<RowId>,
     costs: Vec<f64>,
     width: Vec<f64>,
     max_iterations: usize,
@@ -100,22 +43,6 @@ struct Prepared {
 /// (`lower[i]`, `upper[i]` replace the model's bounds — branch & bound
 /// tightens binaries this way). Integrality is ignored.
 pub fn solve_lp(model: &Model, lower: &[f64], upper: &[f64]) -> Result<LpSolution> {
-    solve_lp_warm(model, lower, upper, None).map(|warm| warm.solution)
-}
-
-/// [`solve_lp`] with optional basis warm-starting.
-///
-/// When `warm` holds the optimal basis of a related solve (same model,
-/// slightly different bounds), the solver first re-installs it; if the
-/// resulting basic solution is primal feasible, phase 1 is skipped and
-/// phase 2 starts from the prior optimum. An unusable basis degrades
-/// gracefully to the cold two-phase path.
-pub fn solve_lp_warm(
-    model: &Model,
-    lower: &[f64],
-    upper: &[f64],
-    warm: Option<&LpBasis>,
-) -> Result<WarmLp> {
     let n = model.num_variables();
     assert_eq!(lower.len(), n, "bounds arity");
     assert_eq!(upper.len(), n, "bounds arity");
@@ -126,21 +53,9 @@ pub fn solve_lp_warm(
     }
 
     let mut prep = build_tableau(model, lower, upper);
-    let mut warm_start_used = false;
-    if let Some(basis) = warm {
-        match warm_solve(&mut prep, basis) {
-            Ok(true) => warm_start_used = true,
-            Ok(false) => {
-                // the prior basis is unusable here — rebuild and fall
-                // through to the cold two-phase path
-                prep = build_tableau(model, lower, upper);
-            }
-            Err(error) => return Err(error),
-        }
-    }
 
-    // ---- phase 1: minimize sum of artificials (skipped on warm start) ----
-    if !warm_start_used && !prep.artificial_cols.is_empty() {
+    // ---- phase 1: minimize sum of artificials ----
+    if !prep.artificial_cols.is_empty() {
         let mut phase1 = vec![0.0; prep.total];
         for &c in &prep.artificial_cols {
             phase1[c] = 1.0;
@@ -164,7 +79,12 @@ pub fn solve_lp_warm(
                 // else: redundant row; harmless to leave (rhs ~ 0)
             }
         }
-        freeze_artificials(&mut prep);
+        // zero the artificial columns so phase 2 can never pivot them back in
+        for row in prep.tableau.iter_mut() {
+            for &c in &prep.artificial_cols {
+                row[c] = 0.0;
+            }
+        }
     }
 
     // ---- phase 2: original objective ----
@@ -196,12 +116,7 @@ pub fn solve_lp_warm(
         })
         .collect();
     let objective = model.objective_value(&values);
-    let basis = extract_basis(&prep);
-    Ok(WarmLp {
-        solution: LpSolution { values, objective },
-        basis,
-        warm_start_used,
-    })
+    Ok(LpSolution { values, objective })
 }
 
 /// Builds the phase-1-ready tableau: shifted bounds, normalized rhs, slack
@@ -238,10 +153,9 @@ fn build_tableau(model: &Model, lower: &[f64], upper: &[f64]) -> Prepared {
         coeffs: Vec<f64>, // length n (structural only)
         sense: Sense,
         rhs: f64,
-        id: RowId,
     }
     let mut rows: Vec<Row> = Vec::with_capacity(model.num_constraints() + n);
-    for (k, c) in model.constraints.iter().enumerate() {
+    for c in &model.constraints {
         let mut coeffs = vec![0.0; n];
         let mut rhs = c.rhs;
         for (var, coeff) in &c.terms {
@@ -257,7 +171,6 @@ fn build_tableau(model: &Model, lower: &[f64], upper: &[f64]) -> Prepared {
             coeffs,
             sense: c.sense,
             rhs,
-            id: RowId::Constraint(k),
         });
     }
     for i in 0..n {
@@ -268,7 +181,6 @@ fn build_tableau(model: &Model, lower: &[f64], upper: &[f64]) -> Prepared {
                 coeffs,
                 sense: Sense::Le,
                 rhs: width[i],
-                id: RowId::Bound(i),
             });
         }
     }
@@ -300,7 +212,6 @@ fn build_tableau(model: &Model, lower: &[f64], upper: &[f64]) -> Prepared {
     let mut tableau: Vec<Vec<f64>> = Vec::with_capacity(m);
     let mut basis: Vec<usize> = Vec::with_capacity(m);
     let mut artificial_cols: Vec<usize> = Vec::with_capacity(n_artificial);
-    let mut row_ids: Vec<RowId> = Vec::with_capacity(m);
     let mut next_artificial = n + m;
     for (r, row) in rows.iter().enumerate() {
         let mut line = vec![0.0; total + 1];
@@ -325,7 +236,6 @@ fn build_tableau(model: &Model, lower: &[f64], upper: &[f64]) -> Prepared {
                 next_artificial += 1;
             }
         }
-        row_ids.push(row.id);
         tableau.push(line);
     }
 
@@ -338,179 +248,10 @@ fn build_tableau(model: &Model, lower: &[f64], upper: &[f64]) -> Prepared {
         tableau,
         basis,
         artificial_cols,
-        row_ids,
         costs,
         width,
         max_iterations,
     }
-}
-
-/// Attempts to restart from a prior optimal basis: install it, clean up
-/// violated artificial rows, and — when the restart is primal infeasible
-/// but dual feasible, the normal state after a branch & bound bound change
-/// — repair it with dual simplex pivots.
-///
-/// Returns `Ok(true)` when the tableau is left primal feasible and ready
-/// for phase 2, `Ok(false)` when the basis is unusable (caller rebuilds
-/// and solves cold), and `Err(Infeasible)` when the dual ratio test proves
-/// the LP has no feasible point at all.
-fn warm_solve(prep: &mut Prepared, warm: &LpBasis) -> Result<bool> {
-    // map stable identities to this tableau's columns
-    let mut target_cols: Vec<usize> = Vec::with_capacity(warm.entries.len());
-    for entry in &warm.entries {
-        match *entry {
-            BasisEntry::Structural(i) => {
-                if i < prep.n && prep.width[i] > TOL {
-                    target_cols.push(i);
-                }
-            }
-            BasisEntry::Slack(id) => {
-                if let Some(r) = prep.row_ids.iter().position(|&rid| rid == id) {
-                    target_cols.push(prep.n + r);
-                }
-            }
-        }
-    }
-    let mut used_rows = vec![false; prep.m];
-    for &col in &target_cols {
-        if let Some(r) = prep.basis.iter().position(|&b| b == col) {
-            used_rows[r] = true; // already basic (its own slack row)
-            continue;
-        }
-        // pick the free row where this column has the strongest pivot
-        let mut best: Option<(usize, f64)> = None;
-        for (r, used) in used_rows.iter().enumerate() {
-            if *used {
-                continue;
-            }
-            let a = prep.tableau[r][col].abs();
-            if a > 1e-7 && best.is_none_or(|(_, b)| a > b) {
-                best = Some((r, a));
-            }
-        }
-        if let Some((r, _)) = best {
-            pivot(&mut prep.tableau, &mut prep.basis, r, col, prep.total);
-            used_rows[r] = true;
-        }
-        // unmappable entries are skipped; their rows keep the default basis
-    }
-    // Rows still basic in an artificial must not survive the freeze with
-    // their constraint silently dropped. Unlike the cold path — where
-    // phase-1 optimality proves such rows redundant — an installed basis
-    // gives no guarantee, whatever the rhs: a frozen artificial on a live
-    // row lets phase 2 violate the constraint through the row's negative
-    // coefficients (the ratio test only bounds positive ones). Pivot a
-    // real column in (the row's own slack when the rhs is clearly
-    // nonzero, any nonzero column otherwise); only a row whose real
-    // coefficients are all ~0 is genuinely redundant and safe to freeze.
-    for r in 0..prep.m {
-        if !prep.artificial_cols.contains(&prep.basis[r]) {
-            continue;
-        }
-        let rhs = prep.tableau[r][prep.total];
-        if rhs.abs() > 1e-6 {
-            let slack = prep.n + r;
-            if prep.tableau[r][slack].abs() > 1e-7 {
-                pivot(&mut prep.tableau, &mut prep.basis, r, slack, prep.total);
-            } else {
-                return Ok(false); // e.g. an equality row: no slack to use
-            }
-        } else if let Some(col) = (0..prep.n + prep.m).find(|&c| prep.tableau[r][c].abs() > 1e-7) {
-            pivot(&mut prep.tableau, &mut prep.basis, r, col, prep.total);
-        }
-        // else: every real coefficient is ~0 — the row is redundant
-    }
-    freeze_artificials(prep);
-
-    // phase-2 reduced costs over the installed basis
-    let mut costs = vec![0.0; prep.total];
-    costs[..prep.n].copy_from_slice(&prep.costs);
-    let z = compute_reduced_costs(&prep.tableau, &prep.basis, &costs, prep.total);
-    let primal_feasible = prep.tableau.iter().all(|row| row[prep.total] >= -1e-7);
-    if primal_feasible {
-        return Ok(true); // phase 2 finishes the job
-    }
-    let dual_feasible = (0..prep.total).all(|c| z[c] >= -1e-7);
-    if !dual_feasible {
-        return Ok(false); // neither primal nor dual usable: solve cold
-    }
-    dual_repair(prep, z)
-}
-
-/// Dual simplex: drive negative-rhs rows out of the basis while reduced
-/// costs stay nonnegative. `Ok(true)` on primal feasibility, `Ok(false)`
-/// when the iteration budget runs out, `Err(Infeasible)` when a row proves
-/// the LP empty (negative rhs, no negative coefficient).
-fn dual_repair(prep: &mut Prepared, mut z: Vec<f64>) -> Result<bool> {
-    for _ in 0..prep.max_iterations {
-        // most negative rhs row
-        let mut leaving: Option<(usize, f64)> = None;
-        for (r, row) in prep.tableau.iter().enumerate() {
-            let rhs = row[prep.total];
-            if rhs < -1e-9 && leaving.is_none_or(|(_, worst)| rhs < worst) {
-                leaving = Some((r, rhs));
-            }
-        }
-        let Some((row, _)) = leaving else {
-            return Ok(true);
-        };
-        // dual ratio test: entering column minimizes z_j / −a_rj over
-        // a_rj < 0 (artificials are frozen at zero and never re-enter)
-        let mut entering: Option<(usize, f64)> = None;
-        for (c, &a) in prep.tableau[row].iter().take(prep.total).enumerate() {
-            if a < -TOL {
-                let ratio = z[c].max(0.0) / -a;
-                let better = match entering {
-                    None => true,
-                    Some((ec, eratio)) => ratio < eratio - TOL || (ratio < eratio + TOL && c < ec),
-                };
-                if better {
-                    entering = Some((c, ratio));
-                }
-            }
-        }
-        let Some((col, _)) = entering else {
-            // a row demanding a negative value from nonnegative terms:
-            // the constraint system is empty
-            return Err(IlpError::Infeasible);
-        };
-        pivot_with_z(
-            &mut prep.tableau,
-            &mut prep.basis,
-            &mut z,
-            row,
-            col,
-            prep.total,
-        );
-    }
-    Ok(false)
-}
-
-/// Zeroes artificial columns so phase 2 can never pivot them back in.
-fn freeze_artificials(prep: &mut Prepared) {
-    for row in prep.tableau.iter_mut() {
-        for &c in &prep.artificial_cols {
-            row[c] = 0.0;
-        }
-    }
-}
-
-/// Reads the final basis back out as stable identities.
-fn extract_basis(prep: &Prepared) -> LpBasis {
-    let entries = prep
-        .basis
-        .iter()
-        .filter_map(|&b| {
-            if b < prep.n {
-                Some(BasisEntry::Structural(b))
-            } else if b < prep.n + prep.m {
-                Some(BasisEntry::Slack(prep.row_ids[b - prep.n]))
-            } else {
-                None // artificial at zero: no useful identity
-            }
-        })
-        .collect();
-    LpBasis { entries }
 }
 
 /// Runs minimizing simplex iterations for cost vector `costs`; returns the
@@ -583,7 +324,7 @@ fn pivot_with_z(
     col: usize,
     total: usize,
 ) {
-    normalize_and_eliminate(tableau, basis, row, col, total);
+    pivot(tableau, basis, row, col, total);
     let factor = z[col];
     if factor != 0.0 {
         for c in 0..=total {
@@ -592,17 +333,9 @@ fn pivot_with_z(
     }
 }
 
+/// Makes `col` basic in `row`: scales the row to a unit pivot and
+/// eliminates `col` from every other row.
 fn pivot(tableau: &mut [Vec<f64>], basis: &mut [usize], row: usize, col: usize, total: usize) {
-    normalize_and_eliminate(tableau, basis, row, col, total);
-}
-
-fn normalize_and_eliminate(
-    tableau: &mut [Vec<f64>],
-    basis: &mut [usize],
-    row: usize,
-    col: usize,
-    total: usize,
-) {
     let pivot_value = tableau[row][col];
     debug_assert!(pivot_value.abs() > 1e-12, "zero pivot");
     for cell in tableau[row].iter_mut().take(total + 1) {
@@ -771,119 +504,5 @@ mod tests {
         let (l, u) = bounds(&m);
         let sol = solve_lp(&m, &l, &u).unwrap();
         assert!((sol.objective - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn warm_start_reproduces_cold_optimum() {
-        // knapsack-relaxation shape, like a branch & bound child: solve,
-        // fix one binary, re-solve warm — same optimum as a cold solve
-        let mut m = Model::maximize();
-        let vars: Vec<_> = (0..8)
-            .map(|i| m.add_binary(format!("x{i}"), 1.0 + (i % 3) as f64))
-            .collect();
-        let terms: Vec<_> = vars
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, 1.0 + (i % 4) as f64))
-            .collect();
-        m.add_constraint(terms, Sense::Le, 7.5).unwrap();
-        let (l, u) = bounds(&m);
-        let root = solve_lp_warm(&m, &l, &u, None).unwrap();
-        assert!(!root.warm_start_used);
-        // child: fix x0 = 0
-        let mut child_u = u.clone();
-        child_u[0] = 0.0;
-        let cold = solve_lp(&m, &l, &child_u).unwrap();
-        let warm = solve_lp_warm(&m, &l, &child_u, Some(&root.basis)).unwrap();
-        assert!(
-            (warm.solution.objective - cold.objective).abs() < 1e-6,
-            "warm {} vs cold {}",
-            warm.solution.objective,
-            cold.objective
-        );
-        // child: fix x1 = 1 — reuses the basis the other way
-        let mut child_l = l.clone();
-        child_l[1] = 1.0;
-        let cold_up = solve_lp(&m, &child_l, &u).unwrap();
-        let warm_up = solve_lp_warm(&m, &child_l, &u, Some(&root.basis)).unwrap();
-        assert!((warm_up.solution.objective - cold_up.objective).abs() < 1e-6);
-    }
-
-    #[test]
-    fn stale_basis_degrades_gracefully() {
-        // basis from one model shape, bounds that make it infeasible as a
-        // starting point — the solver must fall back to two-phase and still
-        // find the optimum
-        let mut m = Model::maximize();
-        let x = m.add_binary("x", 2.0);
-        let y = m.add_binary("y", 3.0);
-        m.add_constraint(vec![(x, 1.0), (y, 1.0)], Sense::Ge, 1.0)
-            .unwrap();
-        let (l, u) = bounds(&m);
-        let root = solve_lp_warm(&m, &l, &u, None).unwrap();
-        // fix both to zero: the Ge constraint becomes infeasible
-        let zeroed = vec![0.0, 0.0];
-        assert!(matches!(
-            solve_lp_warm(&m, &zeroed, &zeroed, Some(&root.basis)),
-            Err(IlpError::Infeasible)
-        ));
-        // fix x to one: still feasible; warm or cold, optimum is 5
-        let fixed_l = vec![1.0, 0.0];
-        let warm = solve_lp_warm(&m, &fixed_l, &u, Some(&root.basis)).unwrap();
-        assert!((warm.solution.objective - 5.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn warm_start_must_not_drop_live_zero_rhs_rows() {
-        // regression: max 3·x0 s.t. −3·x0 − 4·x1 ≥ 0, x0 ∈ [0,1],
-        // x1 ∈ [0,2]. The Ge row sits at rhs 0, so its artificial stays
-        // basic at ~0 after installing the root basis in a child; freezing
-        // it without re-covering the row lets phase 2 push x0 to 1 and
-        // report objective 3 — infeasible. The true optimum is 0.
-        let mut m = Model::maximize();
-        let x0 = m.add_continuous("x0", 0.0, 1.0, 3.0).unwrap();
-        let x1 = m.add_continuous("x1", 0.0, 2.0, 0.0).unwrap();
-        m.add_constraint(vec![(x0, -3.0), (x1, -4.0)], Sense::Ge, 0.0)
-            .unwrap();
-        let (l, u) = bounds(&m);
-        let root = solve_lp_warm(&m, &l, &u, None).unwrap();
-        assert!(root.solution.objective.abs() < 1e-6);
-        // child: fix x1 = 0
-        let mut child_u = u.clone();
-        child_u[x1.index()] = 0.0;
-        let cold = solve_lp(&m, &l, &child_u).unwrap();
-        let warm = solve_lp_warm(&m, &l, &child_u, Some(&root.basis)).unwrap();
-        assert!(
-            (warm.solution.objective - cold.objective).abs() < 1e-6,
-            "warm {} vs cold {}",
-            warm.solution.objective,
-            cold.objective
-        );
-        assert!(
-            m.is_feasible(&warm.solution.values, 1e-6),
-            "warm solution violates the Ge row: {:?}",
-            warm.solution.values
-        );
-    }
-
-    #[test]
-    fn basis_roundtrips_through_repeated_solves() {
-        // warm-starting with the same bounds must keep returning the optimum
-        let mut m = Model::maximize();
-        let x = m.add_continuous("x", 0.0, 4.0, 3.0).unwrap();
-        let y = m.add_continuous("y", 0.0, 6.0, 5.0).unwrap();
-        m.add_constraint(vec![(x, 3.0), (y, 2.0)], Sense::Le, 18.0)
-            .unwrap();
-        let (l, u) = bounds(&m);
-        let mut basis = LpBasis::default();
-        for round in 0..3 {
-            let warm = solve_lp_warm(&m, &l, &u, Some(&basis)).unwrap();
-            assert!(
-                (warm.solution.objective - 36.0).abs() < 1e-6,
-                "round {round}"
-            );
-            basis = warm.basis;
-            assert!(!basis.is_empty());
-        }
     }
 }
