@@ -35,15 +35,6 @@ pub struct Document {
     pub total_sentences: usize,
 }
 
-impl Document {
-    /// Section containing a claim.
-    pub fn section_of(&self, claim_id: usize) -> Option<usize> {
-        self.sections
-            .iter()
-            .position(|s| s.claim_ids.contains(&claim_id))
-    }
-}
-
 /// Filler topics for section titles.
 const SECTION_THEMES: &[&str] = &[
     "Global Energy Trends",
@@ -153,10 +144,14 @@ mod tests {
     fn section_of_finds_claims() {
         let (_, document, claims) = build();
         for claim in &claims {
-            let section = document.section_of(claim.id).unwrap();
-            assert!(document.sections[section].claim_ids.contains(&claim.id));
+            assert!(document.sections[claim.section]
+                .claim_ids
+                .contains(&claim.id));
         }
-        assert_eq!(document.section_of(999_999), None);
+        assert!(document
+            .sections
+            .iter()
+            .all(|s| !s.claim_ids.contains(&999_999)));
     }
 
     #[test]

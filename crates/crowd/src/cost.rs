@@ -47,13 +47,6 @@ impl CostModel {
         CostModel { vp, vf, sp, sf }
     }
 
-    /// Theorem 1: worst-case relative verification overhead of Scrutinizer
-    /// vs. the manual baseline, for `nop` answer options per screen and
-    /// `nsc` property screens: `(nop·v_f + nsc·(v_p + s_p)) / s_f`.
-    pub fn overhead_bound(&self, nop: usize, nsc: usize) -> f64 {
-        (nop as f64 * self.vf + nsc as f64 * (self.vp + self.sp)) / self.sf
-    }
-
     /// Corollary 1: the option budget `n_op = s_f / v_f` that bounds
     /// overhead at factor three (together with [`CostModel::max_screens`]).
     pub fn max_options(&self) -> usize {
@@ -110,7 +103,9 @@ mod tests {
     #[test]
     fn corollary1_budgets_bound_overhead_by_three() {
         let c = CostModel::default();
-        let bound = c.overhead_bound(c.max_options(), c.max_screens());
+        // Theorem 1's worst-case overhead (nop·v_f + nsc·(v_p + s_p)) / s_f
+        let (nop, nsc) = (c.max_options() as f64, c.max_screens() as f64);
+        let bound = (nop * c.vf + nsc * (c.vp + c.sp)) / c.sf;
         assert!(bound <= 3.0 + 1e-9, "Corollary 1 violated: {bound}");
         // and the budgets are the stated ratios
         assert_eq!(c.max_options(), (c.sf / c.vf) as usize);

@@ -27,19 +27,6 @@ impl std::fmt::Display for TableId {
     }
 }
 
-/// A fully resolved cell address: table handle, row position, column
-/// position. This is the numeric form of a `(relation, key, attribute)`
-/// lookup triple — what prepared plans bind instead of cloned strings.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CellRef {
-    /// The table.
-    pub table: TableId,
-    /// Row position (primary-key index slot).
-    pub row: u32,
-    /// Column position in schema order.
-    pub col: u32,
-}
-
 /// A named collection of tables.
 ///
 /// The paper's IEA corpus has 1791 relations with nothing but table and
@@ -94,20 +81,6 @@ impl Catalog {
         &self.tables[id.index()]
     }
 
-    /// Resolves a `(relation, key, attribute)` lookup triple to a cell
-    /// handle, or `None` when any component is missing.
-    pub fn resolve_cell(&self, relation: &str, key: &str, attribute: &str) -> Option<CellRef> {
-        let table_id = self.resolve(relation)?;
-        let table = self.table(table_id);
-        let row = table.key_row(key)?;
-        let col = table.schema().column_index(attribute)? as u32;
-        Some(CellRef {
-            table: table_id,
-            row,
-            col,
-        })
-    }
-
     /// Whether a table with this name exists.
     pub fn contains(&self, name: &str) -> bool {
         self.by_name.contains_key(name)
@@ -157,16 +130,6 @@ impl Catalog {
         attrs.sort_unstable();
         attrs.dedup();
         attrs
-    }
-
-    /// Tables that contain `key` as a primary-key value and have all the
-    /// given attributes — the candidate relations of Algorithm 2's
-    /// instantiation loop.
-    pub fn tables_with(&self, key: &str, attributes: &[&str]) -> Vec<&Table> {
-        self.tables
-            .iter()
-            .filter(|t| t.contains_key(key) && attributes.iter().all(|a| t.has_attribute(a)))
-            .collect()
     }
 }
 
@@ -235,38 +198,5 @@ mod tests {
         assert_eq!(cat.table(europe).name(), "GED_Europe");
         assert_eq!(global.index(), 0);
         assert!(cat.resolve("Nope").is_none());
-    }
-
-    #[test]
-    fn resolve_cell_finds_numeric_handles() {
-        let cat = sample();
-        let cell = cat
-            .resolve_cell("GED_Europe", "CapAddTotal_Wind", "2030")
-            .unwrap();
-        assert_eq!(cell.table, cat.resolve("GED_Europe").unwrap());
-        let table = cat.table(cell.table);
-        assert_eq!(table.key_at(cell.row), Some("CapAddTotal_Wind"));
-        assert_eq!(
-            table.numeric_view(cell.col as usize).get(cell.row as usize),
-            Some(30.0)
-        );
-        assert!(cat.resolve_cell("GED_Europe", "Nope", "2030").is_none());
-        assert!(cat
-            .resolve_cell("GED_Europe", "CapAddTotal_Wind", "1999")
-            .is_none());
-        assert!(cat
-            .resolve_cell("Nope", "CapAddTotal_Wind", "2030")
-            .is_none());
-    }
-
-    #[test]
-    fn tables_with_filters_candidates() {
-        let cat = sample();
-        let both = cat.tables_with("PGElecDemand", &["2016", "2017"]);
-        assert_eq!(both.len(), 2);
-        let only_europe = cat.tables_with("PGElecDemand", &["2030"]);
-        assert_eq!(only_europe.len(), 1);
-        assert_eq!(only_europe[0].name(), "GED_Europe");
-        assert!(cat.tables_with("Nothing", &[]).is_empty());
     }
 }

@@ -29,7 +29,7 @@ pub mod table;
 pub mod value;
 
 pub use builder::TableBuilder;
-pub use catalog::{Catalog, CellRef, TableId};
+pub use catalog::{Catalog, TableId};
 pub use error::DataError;
 pub use schema::{Column, DataType, Schema};
 pub use table::{NumericColumn, Table};

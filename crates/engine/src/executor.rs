@@ -2,10 +2,9 @@
 //!
 //! Batch claim verification fans hundreds of independent claim sessions
 //! out over a fixed set of worker threads. The queue is **bounded**:
-//! producers submitting faster than the pool drains either block
-//! ([`ThreadPool::execute`]) or get the job handed back
-//! ([`ThreadPool::try_execute`]) — backpressure instead of unbounded
-//! memory growth when a serving frontend floods the engine.
+//! producers submitting faster than the pool drains block in
+//! [`ThreadPool::execute`] — backpressure instead of unbounded memory
+//! growth when a serving frontend floods the engine.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -36,16 +35,6 @@ struct PoolShared {
 pub struct ThreadPool {
     shared: Arc<PoolShared>,
     workers: Vec<JoinHandle<()>>,
-}
-
-/// Returned by [`ThreadPool::try_execute`] when the queue is full; carries
-/// the rejected job back to the caller.
-pub struct QueueFull(pub Job);
-
-impl std::fmt::Debug for QueueFull {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("QueueFull(..)")
-    }
 }
 
 impl ThreadPool {
@@ -114,22 +103,6 @@ impl ThreadPool {
             .store(state.queue.len(), Ordering::Relaxed);
         drop(state);
         self.shared.job_ready.notify_one();
-    }
-
-    /// Enqueues a job unless the queue is at capacity (or the pool has
-    /// shut down); either way the rejected job is handed back.
-    pub fn try_execute(&self, job: impl FnOnce() + Send + 'static) -> Result<(), QueueFull> {
-        let mut state = self.shared.state.lock().expect("pool state poisoned");
-        if state.shutdown || state.queue.len() >= self.shared.capacity {
-            return Err(QueueFull(Box::new(job)));
-        }
-        state.queue.push_back(Box::new(job));
-        self.shared
-            .depth
-            .store(state.queue.len(), Ordering::Relaxed);
-        drop(state);
-        self.shared.job_ready.notify_one();
-        Ok(())
     }
 
     /// Runs every task on the pool and returns their results in input
@@ -243,35 +216,6 @@ mod tests {
             .collect();
         let results = pool.run_all(tasks);
         assert_eq!(results, (0..50).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn try_execute_reports_backpressure() {
-        let pool = ThreadPool::new(1, 1);
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        // occupy the single worker
-        let worker_gate = Arc::clone(&gate);
-        pool.execute(move || {
-            let (lock, signal) = &*worker_gate;
-            let mut open = lock.lock().unwrap();
-            while !*open {
-                open = signal.wait(open).unwrap();
-            }
-        });
-        // give the worker time to pick the blocking job up, then fill the queue
-        while pool.in_flight() == 0 {
-            std::thread::yield_now();
-        }
-        pool.execute(|| {});
-        let rejected = pool.try_execute(|| {});
-        assert!(
-            rejected.is_err(),
-            "queue of 1 with a busy worker must reject"
-        );
-        assert_eq!(pool.queue_depth(), 1);
-        let (lock, signal) = &*gate;
-        *lock.lock().unwrap() = true;
-        signal.notify_all();
     }
 
     #[test]

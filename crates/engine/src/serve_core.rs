@@ -102,13 +102,6 @@ impl<S> ConnState<S> {
         self.write_buf.extend_from_slice(bytes);
     }
 
-    /// Grants direct access to the write buffer so a response can be
-    /// encoded in place (via [`wire::frame_into`]) instead of being
-    /// assembled elsewhere and copied in. Callers append only.
-    pub fn write_buf_mut(&mut self) -> &mut Vec<u8> {
-        &mut self.write_buf
-    }
-
     /// Returns a spent payload buffer to the connection's scratch pool
     /// so the next split reuses its capacity instead of allocating.
     pub fn recycle(&mut self, mut buf: Vec<u8>) {

@@ -3,7 +3,7 @@
 use crate::labels::LabelDict;
 use crate::metrics::entropy;
 use crate::softmax::{SoftmaxClassifier, SoftmaxState, SoftmaxTraining, TrainConfig};
-use scrutinizer_text::{FeatureMatrix, SparseVector, SparseView};
+use scrutinizer_text::{SparseVector, SparseView};
 
 /// The serializable *learned* state of a [`PropertyClassifier`] and its
 /// training state: the label space (which grows as checkers suggest new
@@ -24,9 +24,9 @@ pub struct ClassifierState {
 /// A classifier for one query property (relation / key / attribute /
 /// formula), operating on interned label ids with a string boundary.
 ///
-/// The hot paths (`retrain_encoded`, `partial_fit_encoded`, `top_k_ids`,
-/// `entropy_batch_into`) move borrowed feature views and `u32` label ids
-/// only; the string-returning APIs ([`top_k`](Self::top_k),
+/// The hot paths (`retrain_encoded`, `partial_fit_encoded`, `top_k_ids`)
+/// move borrowed feature views and `u32` label ids only; the
+/// string-returning APIs ([`top_k`](Self::top_k),
 /// [`predict`](Self::predict)) are thin adapters kept for the session
 /// boundary, where checkers read label text.
 ///
@@ -314,19 +314,6 @@ impl PropertyClassifier {
         }
     }
 
-    /// Appends the prediction entropy of every CSR row to `out` — the bulk
-    /// kernel behind batched utility scoring. Untrained classifiers
-    /// contribute their constant uniform entropy per row.
-    pub fn entropy_batch_into(&self, rows: &FeatureMatrix, out: &mut Vec<f64>) {
-        match &self.model {
-            Some(model) => model.entropy_batch_into(rows, out),
-            None => {
-                let h = self.uniform_entropy();
-                out.extend(std::iter::repeat_n(h, rows.rows()));
-            }
-        }
-    }
-
     /// The trained softmax model, if any (fusion sweeps its
     /// feature-major block in place; snapshots stream it out).
     pub fn softmax(&self) -> Option<&SoftmaxClassifier> {
@@ -341,27 +328,6 @@ impl PropertyClassifier {
             0.0
         } else {
             (n as f64).ln()
-        }
-    }
-
-    /// Probability assigned to a specific label (0 when unknown label).
-    pub fn probability_of(&self, features: &SparseVector, label: &str) -> f32 {
-        let Some(id) = self.labels.get(label) else {
-            return 0.0;
-        };
-        match &self.model {
-            Some(model) => model
-                .predict_proba_view(features.view())
-                .get(id as usize)
-                .copied()
-                .unwrap_or(0.0),
-            None => {
-                if self.labels.is_empty() {
-                    0.0
-                } else {
-                    1.0 / self.labels.len() as f32
-                }
-            }
         }
     }
 }
@@ -406,7 +372,6 @@ mod tests {
         assert!((top[0].1 - 0.25).abs() < 1e-6);
         assert_eq!(top[0].0, "a");
         assert!((c.prediction_entropy(&x) - (4.0f64).ln()).abs() < 1e-9);
-        assert!((c.probability_of(&x, "c") - 0.25).abs() < 1e-6);
     }
 
     #[test]
@@ -416,7 +381,9 @@ mod tests {
         assert_eq!(c.predict(&features(0)).unwrap(), "GED");
         assert_eq!(c.predict(&features(1)).unwrap(), "TFC");
         assert!(c.prediction_entropy(&features(0)) < (3.0f64).ln());
-        assert!(c.probability_of(&features(2), "CO2") > 0.5);
+        let top = c.top_k(&features(2), 1);
+        assert_eq!(top[0].0, "CO2");
+        assert!(top[0].1 > 0.5);
     }
 
     #[test]
@@ -487,24 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_entropies_match_scalar() {
-        let c = trained();
-        let xs: Vec<SparseVector> = (0..4).map(features).collect();
-        let rows = scrutinizer_text::FeatureMatrix::from_rows(xs.iter().cloned());
-        let mut batch = Vec::new();
-        c.entropy_batch_into(&rows, &mut batch);
-        for (i, x) in xs.iter().enumerate() {
-            assert!((batch[i] - c.prediction_entropy(x)).abs() < 1e-6, "row {i}");
-        }
-        // untrained: constant ln(n) per row
-        let untrained =
-            PropertyClassifier::new("row", LabelDict::from_labels(["a", "b"]), 4, c.config);
-        let mut out = Vec::new();
-        untrained.entropy_batch_into(&rows, &mut out);
-        assert!(out.iter().all(|h| (h - (2.0f64).ln()).abs() < 1e-12));
-    }
-
-    #[test]
     fn classifier_state_round_trips_labels_and_model() {
         let (original, training) = trained_with_state();
         let state = original.export_state(training.as_ref());
@@ -555,7 +504,12 @@ mod tests {
 
     #[test]
     fn unknown_label_probability_zero() {
+        // the whole probability mass sits on interned labels
         let c = trained();
-        assert_eq!(c.probability_of(&features(0), "NOPE"), 0.0);
+        assert!(c.labels().get("NOPE").is_none());
+        let ranked = c.top_k(&features(0), c.labels().len() + 1);
+        assert_eq!(ranked.len(), c.labels().len());
+        let mass: f32 = ranked.iter().map(|(_, p)| p).sum();
+        assert!((mass - 1.0).abs() < 1e-5, "{mass}");
     }
 }

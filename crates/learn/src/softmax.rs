@@ -65,7 +65,7 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use scrutinizer_text::{FeatureMatrix, SparseVector, SparseView};
+use scrutinizer_text::{SparseVector, SparseView};
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone, Copy)]
@@ -678,21 +678,6 @@ impl SoftmaxClassifier {
     /// exact kernel adds them to a score row.
     pub fn padded_biases(&self) -> &[f32] {
         &self.biases
-    }
-
-    /// Appends the prediction entropy of every row of a CSR batch to `out`
-    /// — the bulk kernel behind batched training-utility scoring
-    /// (Definition 7). Equivalent to `entropy(&predict_proba(row))` per
-    /// row, but with one reused scratch buffer, the exact kernel's score
-    /// row, and entropy folded out of the raw scores with a single `ln`
-    /// per row (`H = ln Z − Σ eᶜ·sᶜ / Z`) instead of one per class.
-    pub fn entropy_batch_into(&self, rows: &FeatureMatrix, out: &mut Vec<f64>) {
-        let mut scratch = vec![0.0f32; self.stride];
-        out.reserve(rows.rows());
-        for row in rows.iter() {
-            self.scores_into(row, &mut scratch);
-            out.push(entropy_from_scores(&scratch[..self.n_classes]));
-        }
     }
 
     /// The `k` most probable classes with probabilities, descending.
@@ -1351,20 +1336,5 @@ mod tests {
         let mut state = model.export_state(&training);
         state.n_classes = 0;
         assert!(SoftmaxClassifier::from_state(state).is_err());
-    }
-
-    #[test]
-    fn batch_inference_matches_scalar_path() {
-        let (examples, dim) = separable();
-        let (model, _) = SoftmaxClassifier::train_owned(&examples, 3, dim, TrainConfig::default());
-        let rows = FeatureMatrix::from_rows(examples.iter().map(|(x, _)| x.clone()));
-        let mut entropies = Vec::new();
-        model.entropy_batch_into(&rows, &mut entropies);
-        assert_eq!(entropies.len(), examples.len());
-        for (r, (x, _)) in examples.iter().enumerate() {
-            let scalar = model.predict_proba(x);
-            let h = crate::metrics::entropy(&scalar);
-            assert!((entropies[r] - h).abs() < 1e-6, "row {r} entropy");
-        }
     }
 }

@@ -298,16 +298,6 @@ impl SimStorage {
         Ok((data, len))
     }
 
-    /// Total bytes currently held (durable + volatile), for tests.
-    pub fn total_bytes(&self) -> usize {
-        self.files
-            .lock()
-            .unwrap()
-            .values()
-            .map(|f| f.data.len())
-            .sum()
-    }
-
     /// Bytes a crash right now would preserve for `path` (0 if absent).
     pub fn durable_len(&self, path: &str) -> usize {
         self.files

@@ -115,11 +115,6 @@ impl SparseVector {
             values: &self.values,
         }
     }
-
-    /// Consumes the vector into its parallel `(indices, values)` arrays.
-    pub fn into_parts(self) -> (Vec<u32>, Vec<f32>) {
-        (self.indices, self.values)
-    }
 }
 
 /// A borrowed sparse vector: parallel `(index, value)` slices sorted by
