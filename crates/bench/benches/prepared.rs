@@ -9,6 +9,17 @@
 //!   the pure plan-layer speedup; the acceptance target is ≥ 2×.
 //! * `execute_repeat/*` isolates the query executor: one statement run
 //!   512 times, re-resolved from scratch each run vs. prepared once.
+//! * `suggest_screen/*` times what `suggest` does between a claim's
+//!   context and the rows its final screen shows, for general and explicit
+//!   claims at small and paper scale: `string_path` is
+//!   [`generate_queries_unprepared`] followed by `FinalScreen::new` over
+//!   every candidate, `screen_path` the engine's path, which stops a
+//!   general claim once its alternatives are full and instantiates SQL
+//!   only for the rows shown. `all_rows` runs the same loop but
+//!   instantiates every survivor before `FinalScreen::new` picks, so its
+//!   ratio to `screen_path` is what instantiating only the shown rows
+//!   saves. Screen parity is asserted on every context before timing, in
+//!   `--quick` mode too; the ratios are printed, not gated.
 //!
 //! The `--quick` smoke mode (also triggered by `cargo test`'s `--test`
 //! flag, and used by CI) runs every routine once just to prove the bench
@@ -17,8 +28,11 @@
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use scrutinizer_core::{generate_queries, generate_queries_unprepared, SystemConfig};
-use scrutinizer_corpus::{ClaimRecord, Corpus, CorpusConfig};
+use scrutinizer_core::screens::FinalScreen;
+use scrutinizer_core::{
+    generate_queries, generate_queries_unprepared, generate_survivors, SystemConfig, Verifier,
+};
+use scrutinizer_corpus::{ClaimKind, ClaimRecord, Corpus, CorpusConfig};
 use scrutinizer_formula::{parse_formula, Formula};
 use scrutinizer_query::{parse, FunctionRegistry, PreparedQuery};
 
@@ -224,9 +238,236 @@ fn bench_execute_repeat(c: &mut Criterion) {
     group.finish();
 }
 
+fn quick_mode() -> bool {
+    std::env::args().any(|a| a == "--quick" || a == "--test")
+}
+
+/// One claim's final-screen input, shaped the way `QueryContext::new`
+/// shapes the engine's: the ground-truth relation and key plus three more
+/// each and the claim's attributes plus four more (the padding an
+/// unanswered screen gets), fifteen formulas (`final_options * 3`) with
+/// the claim's own first, and a probability-descending classifier
+/// distribution over them.
+struct ScreenContext {
+    sweep: SweepContext,
+    probabilities: Vec<(String, f32)>,
+}
+
+fn screen_contexts(corpus: &Corpus, kind: ClaimKind, count: usize) -> Vec<ScreenContext> {
+    let relation_pool: Vec<String> = corpus.catalog.table_names().map(str::to_string).collect();
+    let key_pool = corpus.catalog.all_keys();
+    let attribute_pool = corpus.catalog.all_attributes();
+    let mut formula_pool: Vec<&str> = Vec::new();
+    for claim in &corpus.claims {
+        if !formula_pool.contains(&claim.formula_text.as_str()) {
+            formula_pool.push(&claim.formula_text);
+        }
+    }
+    let pad = |seed: &[String], pool: &[String], extra: usize| -> Vec<String> {
+        let mut out: Vec<String> = seed.to_vec();
+        for candidate in pool.iter().filter(|c| !seed.contains(c)).take(extra) {
+            out.push(candidate.clone());
+        }
+        out
+    };
+    corpus
+        .claims
+        .iter()
+        .filter(|claim| claim.kind == kind)
+        .take(count)
+        .map(|claim| {
+            let mut texts = vec![claim.formula_text.as_str()];
+            texts.extend(
+                formula_pool
+                    .iter()
+                    .filter(|t| **t != claim.formula_text)
+                    .take(14),
+            );
+            let formulas: Vec<(String, Formula)> = texts
+                .iter()
+                .filter_map(|t| parse_formula(t).ok().map(|f| (t.to_string(), f)))
+                .collect();
+            let probabilities = formulas
+                .iter()
+                .enumerate()
+                .map(|(rank, (text, _))| (text.clone(), 1.0 / (rank + 2) as f32))
+                .collect();
+            ScreenContext {
+                sweep: SweepContext {
+                    relations: pad(std::slice::from_ref(&claim.relation), &relation_pool, 3),
+                    keys: pad(std::slice::from_ref(&claim.key), &key_pool, 3),
+                    attributes: pad(&claim.attributes, &attribute_pool, 4),
+                    formulas,
+                    // the engine's Definition 2 parameter, in formula scale
+                    parameter: match kind {
+                        ClaimKind::Explicit => Verifier::extract_parameter(&claim.claim_text),
+                        ClaimKind::General => None,
+                    },
+                },
+                probabilities,
+            }
+        })
+        .collect()
+}
+
+fn screen_string(
+    corpus: &Corpus,
+    registry: &FunctionRegistry,
+    ctx: &ScreenContext,
+    config: &SystemConfig,
+) -> FinalScreen {
+    let s = &ctx.sweep;
+    FinalScreen::new(
+        generate_queries_unprepared(
+            &corpus.catalog,
+            registry,
+            &s.relations,
+            &s.keys,
+            &s.attributes,
+            &s.formulas,
+            s.parameter,
+            config,
+        ),
+        &ctx.probabilities,
+        config.final_options,
+    )
+}
+
+fn screen_survivors(
+    corpus: &Corpus,
+    registry: &FunctionRegistry,
+    ctx: &ScreenContext,
+    config: &SystemConfig,
+) -> FinalScreen {
+    let s = &ctx.sweep;
+    generate_survivors(
+        &corpus.catalog,
+        registry,
+        &s.relations,
+        &s.keys,
+        &s.attributes,
+        &s.formulas,
+        s.parameter,
+        config,
+    )
+    .final_screen(&ctx.probabilities, config.final_options)
+}
+
+fn screen_all_rows(
+    corpus: &Corpus,
+    registry: &FunctionRegistry,
+    ctx: &ScreenContext,
+    config: &SystemConfig,
+) -> FinalScreen {
+    let s = &ctx.sweep;
+    FinalScreen::new(
+        generate_queries(
+            &corpus.catalog,
+            registry,
+            &s.relations,
+            &s.keys,
+            &s.attributes,
+            &s.formulas,
+            s.parameter,
+            config,
+        ),
+        &ctx.probabilities,
+        config.final_options,
+    )
+}
+
+fn bench_suggest_screen(c: &mut Criterion) {
+    let registry = FunctionRegistry::standard();
+    // the serving engine's configuration: 5 rows, 50 000 assignments
+    let config = SystemConfig::default();
+    let mut group = c.benchmark_group("suggest_screen");
+    group.sample_size(10);
+    let mut ratios = Vec::new();
+    for (scale, corpus_config) in [
+        ("small", CorpusConfig::small()),
+        ("paper", CorpusConfig::paper_scale()),
+    ] {
+        let corpus = Corpus::generate(corpus_config);
+        for (kind_name, kind) in [
+            ("general", ClaimKind::General),
+            ("explicit", ClaimKind::Explicit),
+        ] {
+            let contexts = screen_contexts(&corpus, kind, 12);
+            assert!(
+                !contexts.is_empty(),
+                "{scale} corpus has {kind_name} claims"
+            );
+            // the screen path must show exactly the string path's rows
+            for ctx in &contexts {
+                let expected = screen_string(&corpus, &registry, ctx, &config);
+                for screen in [
+                    screen_survivors(&corpus, &registry, ctx, &config),
+                    screen_all_rows(&corpus, &registry, ctx, &config),
+                ] {
+                    assert_eq!(screen.candidates.len(), expected.candidates.len());
+                    for (a, b) in screen.candidates.iter().zip(&expected.candidates) {
+                        assert_eq!(a.stmt.to_string(), b.stmt.to_string());
+                        assert_eq!(a.formula_text, b.formula_text);
+                        assert_eq!(a.value.to_bits(), b.value.to_bits());
+                        assert_eq!(a.matches_parameter, b.matches_parameter);
+                    }
+                    let bits = |p: &[f32]| p.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&screen.probabilities), bits(&expected.probabilities));
+                }
+            }
+            let sweep = |path: fn(
+                &Corpus,
+                &FunctionRegistry,
+                &ScreenContext,
+                &SystemConfig,
+            ) -> FinalScreen| {
+                let (corpus, registry, contexts, config) = (&corpus, &registry, &contexts, &config);
+                move || -> usize {
+                    contexts
+                        .iter()
+                        .map(|ctx| path(corpus, registry, ctx, config).candidates.len())
+                        .sum()
+                }
+            };
+            let paths: [(&str, _); 3] = [
+                ("string_path", sweep(screen_string)),
+                ("all_rows", sweep(screen_all_rows)),
+                ("screen_path", sweep(screen_survivors)),
+            ];
+            for (name, path) in &paths {
+                group.bench_function(format!("{scale}_{kind_name}/{name}"), |b| b.iter(path));
+            }
+            let rounds = if quick_mode() { 1 } else { 10 };
+            let per_claim = |f: &dyn Fn() -> usize| {
+                let start = Instant::now();
+                for _ in 0..rounds {
+                    black_box(f());
+                }
+                start.elapsed().as_secs_f64() / (rounds * contexts.len()) as f64
+            };
+            let [string_s, all_rows_s, screen_s] = paths.map(|(_, path)| per_claim(&path));
+            ratios.push(format!(
+                "suggest_screen {scale} {kind_name} ({} claims), per claim: string + \
+                 FinalScreen::new {:.1} us, all rows {:.1} us, screen path {:.1} us → \
+                 {:.2}x string, {:.2}x all rows",
+                contexts.len(),
+                string_s * 1e6,
+                all_rows_s * 1e6,
+                screen_s * 1e6,
+                string_s / screen_s,
+                all_rows_s / screen_s
+            ));
+        }
+    }
+    group.finish();
+    for line in ratios {
+        println!("{line}");
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_suggestion_sweep, bench_execute_repeat
+    targets = bench_suggestion_sweep, bench_execute_repeat, bench_suggest_screen
 }
 criterion_main!(benches);

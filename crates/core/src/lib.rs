@@ -55,6 +55,8 @@ pub use feature_store::FeatureStore;
 pub use models::{ModelsState, PropertyKind, SystemModels, TrainingState, Translation};
 pub use ordering::{select_batch, BatchMethod, BatchSelection, OrderingStrategy};
 pub use planner::ClaimPlan;
-pub use qgen::{generate_queries, generate_queries_unprepared, QueryCandidate};
+pub use qgen::{
+    generate_queries, generate_queries_unprepared, generate_survivors, QueryCandidate, Survivors,
+};
 pub use report::{ClaimOutcome, Verdict, VerificationReport};
 pub use verify::Verifier;

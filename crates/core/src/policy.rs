@@ -9,7 +9,7 @@ use crate::config::SystemConfig;
 use crate::models::{PropertyKind, SystemModels, Translation};
 use crate::ordering::ClaimChoice;
 use crate::planner::{plan_claim, ClaimPlan};
-use crate::qgen::{generate_queries, QueryCandidate};
+use crate::qgen::{generate_survivors, QueryCandidate, Survivors};
 use crate::report::{ClaimOutcome, Verdict};
 use crate::screens::FinalScreen;
 use crate::stats::mean;
@@ -111,14 +111,17 @@ impl QueryContext {
         }
     }
 
-    /// Runs Algorithm 2 over this context, evaluating every assignment.
+    /// Runs Algorithm 2 over this context. A general claim stops as soon
+    /// as its alternatives are full, and the ranked survivors stay
+    /// assignments: [`Survivors::final_screen`] instantiates SQL only for
+    /// the rows the final screen shows.
     pub fn generate(
         &self,
         catalog: &Catalog,
         registry: &FunctionRegistry,
         config: &SystemConfig,
-    ) -> Vec<QueryCandidate> {
-        generate_queries(
+    ) -> Survivors<'_> {
+        generate_survivors(
             catalog,
             registry,
             &self.relations,

@@ -2,17 +2,17 @@
 //!
 //! Input: validated/predicted relations `R`, keys `K`, attributes `A`,
 //! ranked formulas `F`, and the explicit parameter `p` when present. The
-//! algorithm collects all data values for `R × K × A` (line 7), tries every
-//! assignment of those values to each formula's variables (lines 9–20),
-//! keeps assignments matching `p` for explicit claims (or all evaluating
-//! assignments otherwise), and rewrites the survivors into SQL (lines
-//! 23–29). The brute force stays sub-second thanks to the pruning power of
-//! the validated context — exactly the paper's observation.
+//! algorithm collects all data values for `R × K × A` (line 7), tries
+//! assignments of those values to each formula's variables (lines 9–20),
+//! keeps assignments matching `p` for explicit claims (or a bounded set
+//! of evaluating alternatives otherwise), and rewrites the survivors into
+//! SQL (lines 23–29). The brute force stays fast thanks to the pruning
+//! power of the validated context — exactly the paper's observation.
 //!
 //! ## Prepared skeletons
 //!
-//! The inner loop runs hundreds of assignments per claim, so everything
-//! name-shaped is resolved **once** before enumeration:
+//! The inner loop runs up to `max_assignments` assignments per claim, so
+//! everything name-shaped is resolved **once** before enumeration:
 //!
 //! * every `(relation, key, attribute)` triple becomes a `ResolvedCell`
 //!   — the cell's `f64`, materialized once from the catalog's cached
@@ -25,20 +25,41 @@
 //!   printing no SQL and parsing nothing (a test pins the SQL parse count
 //!   of this loop at zero).
 //!
-//! Only surviving candidates (a match, or a bounded set of alternatives)
-//! are rewritten into [`SelectStmt`]s. Every assignment is evaluated
-//! directly, in the library and the serving engine alike: a compiled
-//! program is ~10 postfix instructions over `f64`s, cheaper than a
-//! shared result cache's hash, lock and LRU relink. Measured when the
-//! engine still had such a cache, on the checker-loop benchmark's
-//! `small_binary` workload (2-core container): it answered 96 % of
-//! ~8,800 lookups per suggest, yet evaluating every assignment directly
-//! cut the per-suggest `execute` stage from 4.3 ms to 0.23 ms. The
-//! pre-refactor string-resolving implementation survives as
+//! Every assignment is evaluated directly, in the library and the serving
+//! engine alike: a compiled program is ~10 postfix instructions over
+//! `f64`s, cheaper than a shared result cache's hash, lock and LRU
+//! relink.
+//!
+//! ## Only the work the final screen shows
+//!
+//! [`generate_survivors`] is the one enumeration loop, and two rules keep
+//! it to work whose result is shown; both leave every screen bit for bit
+//! unchanged:
+//!
+//! * **A general claim stops when its answer is settled.** Without a
+//!   parameter nothing can match, so once the alternatives hold
+//!   `final_options * 4` candidates no later assignment changes the
+//!   result. The loop stops there instead of running on to the
+//!   `max_assignments` budget, which remains the only stop for explicit
+//!   claims.
+//! * **Survivors stay assignments until the final screen picks its
+//!   rows.** Each match or alternative is recorded as its formula, its
+//!   value indices, its value and its match flag, and ranked as SQL
+//!   candidates would be. [`Survivors::final_screen`] then orders them the
+//!   way `FinalScreen::new` does and instantiates [`SelectStmt`]s only
+//!   for the `final_options` rows shown, which is what the serving
+//!   engine's `suggest` calls; [`generate_queries`] instantiates them all.
+//!   Deferring is exact: `instantiate` fails only on a missing binding or
+//!   an `A<i>` label that does not parse as `f64`, and the compiled
+//!   program already rejects both, so an assignment that evaluated always
+//!   instantiates.
+//!
+//! The pre-refactor string-resolving implementation survives as
 //! [`generate_queries_unprepared`], the differential-testing and
 //! benchmarking baseline.
 
 use crate::config::SystemConfig;
+use crate::screens::{formula_probability, pick_shown, FinalScreen};
 use scrutinizer_data::value::approx_eq_f64;
 use scrutinizer_data::Catalog;
 use scrutinizer_formula::{eval_formula, instantiate, Formula, Lookup};
@@ -231,14 +252,198 @@ fn resolve_context(
     values
 }
 
-/// Runs Algorithm 2.
+/// A matched or alternative candidate kept as its assignment until the
+/// final screen picks it: `bindings[start..start + len]` are the indices
+/// into the resolved values bound to the formula's value variables.
+#[derive(Debug, Clone, Copy)]
+struct Survivor {
+    formula: usize,
+    start: usize,
+    len: usize,
+    value: f64,
+    matches: bool,
+}
+
+/// Algorithm 2's survivors in rank order (lines 23–29), still as
+/// assignments: no SQL exists for them until [`Survivors::into_candidates`]
+/// or [`Survivors::final_screen`] instantiates the ones it returns.
+#[derive(Debug)]
+pub struct Survivors<'f> {
+    formulas: &'f [(String, Formula)],
+    values: Vec<ResolvedCell>,
+    bindings: Vec<usize>,
+    ranked: Vec<Survivor>,
+    evaluated: usize,
+}
+
+impl Survivors<'_> {
+    /// Number of ranked survivors.
+    pub fn len(&self) -> usize {
+        self.ranked.len()
+    }
+
+    /// Whether no assignment survived.
+    pub fn is_empty(&self) -> bool {
+        self.ranked.is_empty()
+    }
+
+    /// Assignments the loop evaluated before it stopped.
+    pub fn evaluated(&self) -> usize {
+        self.evaluated
+    }
+
+    /// Every survivor as a full candidate query, in rank order.
+    pub fn into_candidates(self) -> Vec<QueryCandidate> {
+        self.ranked.iter().map(|s| self.candidate(s)).collect()
+    }
+
+    /// The final screen over the survivors: exactly
+    /// `FinalScreen::new(self.into_candidates(), formula_probabilities,
+    /// budget)`, but only the `budget` rows shown are instantiated.
+    pub fn final_screen(
+        mut self,
+        formula_probabilities: &[(String, f32)],
+        budget: usize,
+    ) -> FinalScreen {
+        let probability: Vec<f32> = self
+            .formulas
+            .iter()
+            .map(|(text, _)| formula_probability(formula_probabilities, text))
+            .collect();
+        let (shown, probabilities) = pick_shown(
+            std::mem::take(&mut self.ranked),
+            |s| s.matches,
+            |s| probability[s.formula],
+            budget,
+        );
+        FinalScreen {
+            candidates: shown.iter().map(|s| self.candidate(s)).collect(),
+            probabilities,
+        }
+    }
+
+    fn candidate(&self, survivor: &Survivor) -> QueryCandidate {
+        let (text, formula) = &self.formulas[survivor.formula];
+        let lookups: Vec<Lookup> = self.bindings[survivor.start..survivor.start + survivor.len]
+            .iter()
+            .map(|&i| self.values[i].lookup.clone())
+            .collect();
+        // `instantiate` fails only on a missing binding or an `A<i>`
+        // label that does not parse as `f64`. The assignment binds every
+        // variable the formula has, and `FormulaProgram::eval` returned
+        // `None` for a label whose `str::parse::<f64>` fails, so an
+        // evaluated assignment always instantiates.
+        let stmt = instantiate(formula, &lookups).expect("an evaluated assignment instantiates");
+        QueryCandidate {
+            stmt,
+            formula_text: text.clone(),
+            lookups,
+            value: survivor.value,
+            matches_parameter: survivor.matches,
+        }
+    }
+}
+
+/// Runs Algorithm 2 and keeps its ranked survivors as assignments.
 ///
 /// `formulas` are `(text, formula)` in rank order; `parameter` is the
 /// explicit claim parameter in *formula scale* (e.g. `0.03` for a growth of
-/// 3 %). Returns matching candidates if any exist, otherwise all evaluating
-/// candidates (line 27's `QA`) ranked by formula order — these are the
-/// alternatives shown to checkers, and the closest one backs the suggested
-/// correction of Example 4.
+/// 3 %). The survivors are the matching candidates if any exist, otherwise
+/// the first `final_options * 4` evaluating candidates (line 27's `QA`),
+/// ranked by closeness to the parameter when explicit. Enumeration stops
+/// when the budget of `max_assignments` runs out, or, for a general claim
+/// (`parameter` is `None`, so nothing can match), as soon as the
+/// alternatives are full: no later assignment could change the result.
+#[allow(clippy::too_many_arguments)] // Algorithm 2's inputs, verbatim
+pub fn generate_survivors<'f>(
+    catalog: &Catalog,
+    registry: &FunctionRegistry,
+    relations: &[String],
+    keys: &[String],
+    attributes: &[String],
+    formulas: &'f [(String, Formula)],
+    parameter: Option<f64>,
+    config: &SystemConfig,
+) -> Survivors<'f> {
+    // lines 5-8: collect and resolve the available data values V = R × K × A
+    let values = resolve_context(catalog, relations, keys, attributes);
+    let mut bindings: Vec<usize> = Vec::new();
+    let mut matched: Vec<Survivor> = Vec::new();
+    let mut alternatives: Vec<Survivor> = Vec::new();
+    let cap = config.final_options * 4;
+    let mut budget = config.max_assignments;
+    let mut stack: Vec<f64> = Vec::new();
+
+    if !values.is_empty() {
+        'formulas: for (index, (_, formula)) in formulas.iter().enumerate() {
+            let n = formula.value_var_count(); // line 11: GetVars(f)
+            if n == 0 {
+                continue;
+            }
+            // the prepared skeleton every assignment of this formula shares
+            let program = FormulaProgram::compile(formula, registry);
+            // line 12-13: iterate assignments (permutations with repetition)
+            let mut assignment = vec![0usize; n];
+            'assignments: loop {
+                if budget == 0 || (parameter.is_none() && alternatives.len() >= cap) {
+                    break 'formulas;
+                }
+                budget -= 1;
+                if let Some(value) = program.eval(&values, &assignment, &mut stack) {
+                    let matches = parameter
+                        .map(|p| approx_eq_f64(value, p, config.tolerance))
+                        .unwrap_or(false);
+                    // line 15-16, then line 17-18 (bounded: we only ever
+                    // show a handful)
+                    let list = if matches {
+                        Some(&mut matched)
+                    } else if matched.is_empty() && alternatives.len() < cap {
+                        Some(&mut alternatives)
+                    } else {
+                        None
+                    };
+                    if let Some(list) = list {
+                        list.push(Survivor {
+                            formula: index,
+                            start: bindings.len(),
+                            len: n,
+                            value,
+                            matches,
+                        });
+                        bindings.extend_from_slice(&assignment);
+                    }
+                }
+                // odometer over value indices
+                let mut d = n;
+                loop {
+                    if d == 0 {
+                        break 'assignments;
+                    }
+                    d -= 1;
+                    assignment[d] += 1;
+                    if assignment[d] < values.len() {
+                        break;
+                    }
+                    assignment[d] = 0;
+                }
+            }
+        }
+    }
+
+    Survivors {
+        formulas,
+        values,
+        bindings,
+        ranked: rank(matched, alternatives, parameter),
+        evaluated: config.max_assignments - budget,
+    }
+}
+
+/// Runs Algorithm 2 and instantiates every survivor of
+/// [`generate_survivors`] as SQL (lines 23–29) — matching candidates if
+/// any exist, otherwise the evaluating alternatives ranked by closeness
+/// to the parameter. These are the alternatives shown to checkers, and
+/// the closest one backs the suggested correction of Example 4.
 #[allow(clippy::too_many_arguments)] // Algorithm 2's inputs, verbatim
 pub fn generate_queries(
     catalog: &Catalog,
@@ -250,87 +455,10 @@ pub fn generate_queries(
     parameter: Option<f64>,
     config: &SystemConfig,
 ) -> Vec<QueryCandidate> {
-    // lines 5-8: collect and resolve the available data values V = R × K × A
-    let values = resolve_context(catalog, relations, keys, attributes);
-    if values.is_empty() {
-        return Vec::new();
-    }
-
-    let mut matched: Vec<QueryCandidate> = Vec::new();
-    let mut alternatives: Vec<QueryCandidate> = Vec::new();
-    let mut budget = config.max_assignments;
-    let mut stack: Vec<f64> = Vec::new();
-
-    for (text, formula) in formulas {
-        let n = formula.value_var_count(); // line 11: GetVars(f)
-        if n == 0 {
-            continue;
-        }
-        // the prepared skeleton every assignment of this formula shares
-        let program = FormulaProgram::compile(formula, registry);
-        // line 12-13: iterate assignments (permutations with repetition)
-        let mut assignment = vec![0usize; n];
-        'assignments: loop {
-            if budget == 0 {
-                break;
-            }
-            budget -= 1;
-            if let Some(value) = program.eval(&values, &assignment, &mut stack) {
-                let matches = parameter
-                    .map(|p| approx_eq_f64(value, p, config.tolerance))
-                    .unwrap_or(false);
-                if matches {
-                    // line 15-16: owned lookups materialize only here
-                    let lookups: Vec<Lookup> = assignment
-                        .iter()
-                        .map(|&i| values[i].lookup.clone())
-                        .collect();
-                    if let Ok(stmt) = instantiate(formula, &lookups) {
-                        matched.push(QueryCandidate {
-                            stmt,
-                            formula_text: text.clone(),
-                            lookups,
-                            value,
-                            matches_parameter: true,
-                        });
-                    }
-                } else if matched.is_empty() && alternatives.len() < config.final_options * 4 {
-                    // line 17-18 (bounded: we only ever show a handful)
-                    let lookups: Vec<Lookup> = assignment
-                        .iter()
-                        .map(|&i| values[i].lookup.clone())
-                        .collect();
-                    if let Ok(stmt) = instantiate(formula, &lookups) {
-                        alternatives.push(QueryCandidate {
-                            stmt,
-                            formula_text: text.clone(),
-                            lookups,
-                            value,
-                            matches_parameter: false,
-                        });
-                    }
-                }
-            }
-            // odometer over value indices
-            let mut d = n;
-            loop {
-                if d == 0 {
-                    break 'assignments;
-                }
-                d -= 1;
-                assignment[d] += 1;
-                if assignment[d] < values.len() {
-                    break;
-                }
-                assignment[d] = 0;
-            }
-        }
-        if budget == 0 {
-            break;
-        }
-    }
-
-    rank(matched, alternatives, parameter)
+    generate_survivors(
+        catalog, registry, relations, keys, attributes, formulas, parameter, config,
+    )
+    .into_candidates()
 }
 
 /// The pre-refactor Algorithm 2: per-assignment `Vec<Lookup>` clones and
@@ -447,20 +575,33 @@ pub fn generate_queries_unprepared(
     rank(matched, alternatives, parameter)
 }
 
+/// What [`rank`] orders by: a candidate's evaluated value.
+trait Valued {
+    fn value(&self) -> f64;
+}
+
+impl Valued for QueryCandidate {
+    fn value(&self) -> f64 {
+        self.value
+    }
+}
+
+impl Valued for Survivor {
+    fn value(&self) -> f64 {
+        self.value
+    }
+}
+
 /// Lines 23-29: matching queries win; otherwise the alternatives, ranked
 /// by closeness to the parameter when explicit.
-fn rank(
-    matched: Vec<QueryCandidate>,
-    mut alternatives: Vec<QueryCandidate>,
-    parameter: Option<f64>,
-) -> Vec<QueryCandidate> {
+fn rank<T: Valued>(matched: Vec<T>, mut alternatives: Vec<T>, parameter: Option<f64>) -> Vec<T> {
     if !matched.is_empty() {
         matched
     } else {
         if let Some(p) = parameter {
             alternatives.sort_by(|a, b| {
-                let da = relative_distance(a.value, p);
-                let db = relative_distance(b.value, p);
+                let da = relative_distance(a.value(), p);
+                let db = relative_distance(b.value(), p);
                 da.total_cmp(&db)
             });
         }
@@ -655,6 +796,40 @@ mod tests {
                 && c.lookups[0].relation == "GED"
                 && c.lookups[1].relation == "GED_EU"
         }));
+    }
+
+    #[test]
+    fn general_claims_stop_once_the_alternatives_are_full() {
+        // 2 keys × 3 attributes = 6 values, so `a + b + c` has 216
+        // assignments and every one evaluates
+        let cat = catalog();
+        let registry = FunctionRegistry::standard();
+        let config = SystemConfig::test();
+        let cap = config.final_options * 4;
+        let formulas = formulas(&["a + b + c", "a - b"]);
+        let run = |parameter| {
+            generate_survivors(
+                &cat,
+                &registry,
+                &strs(&["GED"]),
+                &strs(&["PGElecDemand", "CapAddTotal_Wind"]),
+                &strs(&["2000", "2016", "2017"]),
+                &formulas,
+                parameter,
+                &config,
+            )
+        };
+        let general = run(None);
+        assert_eq!(general.len(), cap);
+        assert_eq!(
+            general.evaluated(),
+            cap,
+            "a general claim's answer is settled by its first {cap} alternatives"
+        );
+        // an explicit claim that matches nothing must try every assignment
+        let explicit = run(Some(-1.0));
+        assert_eq!(explicit.len(), cap);
+        assert_eq!(explicit.evaluated(), 216 + 36);
     }
 
     #[test]

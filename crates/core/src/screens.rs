@@ -58,37 +58,14 @@ impl FinalScreen {
         formula_probabilities: &[(String, f32)],
         budget: usize,
     ) -> Self {
-        let mut scored: Vec<(QueryCandidate, f32)> = candidates
-            .into_iter()
-            .map(|c| {
-                let p = formula_probabilities
-                    .iter()
-                    .find(|(text, _)| *text == c.formula_text)
-                    .map(|(_, p)| *p)
-                    .unwrap_or(0.0);
-                (c, p)
-            })
-            .collect();
-        // stable by descending probability, matching queries first
-        scored.sort_by(|a, b| {
-            b.0.matches_parameter
-                .cmp(&a.0.matches_parameter)
-                .then(b.1.total_cmp(&a.1))
-        });
-        scored.truncate(budget);
-        let total: f32 = scored.iter().map(|(_, p)| *p).sum();
-        let probabilities = scored
-            .iter()
-            .map(|(_, p)| {
-                if total > 0.0 {
-                    p / total
-                } else {
-                    1.0 / scored.len().max(1) as f32
-                }
-            })
-            .collect();
+        let (candidates, probabilities) = pick_shown(
+            candidates,
+            |c| c.matches_parameter,
+            |c| formula_probability(formula_probabilities, &c.formula_text),
+            budget,
+        );
         FinalScreen {
-            candidates: scored.into_iter().map(|(c, _)| c).collect(),
+            candidates,
             probabilities,
         }
     }
@@ -100,6 +77,52 @@ impl FinalScreen {
             .map(|c| format!("{} \u{2192} {:.4}", c.stmt, c.value))
             .collect()
     }
+}
+
+/// The classifier's probability of the formula `text`, or 0 when it is
+/// not among `formula_probabilities`.
+pub(crate) fn formula_probability(formula_probabilities: &[(String, f32)], text: &str) -> f32 {
+    formula_probabilities
+        .iter()
+        .find(|(label, _)| label == text)
+        .map(|(_, p)| *p)
+        .unwrap_or(0.0)
+}
+
+/// The final screen's rows: `items` stably sorted matching queries first,
+/// then by descending formula probability, cut to `budget`, with the
+/// probabilities renormalized over the rows shown.
+pub(crate) fn pick_shown<T>(
+    items: Vec<T>,
+    matches: impl Fn(&T) -> bool,
+    probability: impl Fn(&T) -> f32,
+    budget: usize,
+) -> (Vec<T>, Vec<f32>) {
+    let mut scored: Vec<(T, f32)> = items
+        .into_iter()
+        .map(|item| {
+            let p = probability(&item);
+            (item, p)
+        })
+        .collect();
+    // stable by descending probability, matching queries first
+    scored.sort_by(|a, b| matches(&b.0).cmp(&matches(&a.0)).then(b.1.total_cmp(&a.1)));
+    scored.truncate(budget);
+    let total: f32 = scored.iter().map(|(_, p)| *p).sum();
+    let probabilities = scored
+        .iter()
+        .map(|(_, p)| {
+            if total > 0.0 {
+                p / total
+            } else {
+                1.0 / scored.len().max(1) as f32
+            }
+        })
+        .collect();
+    (
+        scored.into_iter().map(|(item, _)| item).collect(),
+        probabilities,
+    )
 }
 
 #[cfg(test)]

@@ -11,7 +11,6 @@ use scrutinizer_core::policy::{
     claim_outcome, opt_batch, translate_and_plan, validated_slot, QueryContext, SimulatedCheck,
 };
 use scrutinizer_core::report::ClaimOutcome;
-use scrutinizer_core::screens::FinalScreen;
 use scrutinizer_core::{
     FeatureStore, ModelsState, OrderingStrategy, PropertyKind, SystemConfig, SystemModels,
     TrainingState, Translation,
@@ -1206,16 +1205,17 @@ impl Engine {
         }
         let claim = &self.corpus.claims[claim_id];
         let screen = self.stats.suggest_latency.time(|| {
-            let candidates = {
+            let context;
+            let survivors = {
                 let _qgen = obs::span!("qgen", claim = claim_id);
-                let context =
+                context =
                     QueryContext::new(claim, &task.translation, &task.validated, &self.config);
                 let _execute = obs::span!("execute");
                 context.generate(&self.corpus.catalog, &self.registry, &self.config)
             };
+            // ranks the survivors and instantiates only the rows shown
             let _span = obs::span!("score", claim = claim_id);
-            FinalScreen::new(
-                candidates,
+            survivors.final_screen(
                 task.translation.of(PropertyKind::Formula),
                 self.config.final_options,
             )
