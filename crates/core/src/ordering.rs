@@ -180,7 +180,7 @@ pub fn select_batch(
     match strategy {
         OrderingStrategy::Sequential => {
             let mut ordered: Vec<&ClaimChoice> = choices.iter().collect();
-            ordered.sort_by_key(|c| c.id);
+            ordered.sort_by_key(|c| (c.section, c.id));
             BatchSelection {
                 batch: ordered
                     .iter()

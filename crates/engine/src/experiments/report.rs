@@ -259,11 +259,41 @@ mod tests {
 
     #[test]
     fn sequential_strategy_runs_in_document_order() {
-        // Sequential orders by claim id for now; ROADMAP item 1 moves it
-        // to (section, id) order, which changes this expectation.
+        // Sequential verifies in (section, id) order; the small corpus
+        // puts every claim in section 0, so that is id order here
         let (_, report) = small_run(OrderingStrategy::Sequential);
         let first_batch: Vec<usize> = report.outcomes.iter().take(5).map(|o| o.claim_id).collect();
         assert_eq!(first_batch, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn sequential_strategy_reads_section_by_section() {
+        // 240 relations spread the claims over several sections, so id
+        // order and document order differ
+        let corpus = Corpus::generate(CorpusConfig {
+            n_relations: 240,
+            ..CorpusConfig::small()
+        });
+        let mut panel = Panel::new(3, WorkerConfig::default(), 5);
+        let report = run_report(
+            &corpus,
+            SystemConfig::test(),
+            &mut panel,
+            OrderingStrategy::Sequential,
+        );
+        let order: Vec<(usize, usize)> = report
+            .outcomes
+            .iter()
+            .map(|o| (corpus.claims[o.claim_id].section, o.claim_id))
+            .collect();
+        assert_eq!(order.len(), corpus.claims.len());
+        let mut sections: Vec<usize> = order.iter().map(|&(section, _)| section).collect();
+        sections.dedup();
+        assert!(sections.len() >= 2, "claims span sections {sections:?}");
+        assert!(
+            order.windows(2).all(|w| w[0] < w[1]),
+            "claims are verified in (section, id) order: {order:?}"
+        );
     }
 
     #[test]
