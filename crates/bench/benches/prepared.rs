@@ -30,7 +30,8 @@ use std::time::Instant;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use scrutinizer_core::screens::FinalScreen;
 use scrutinizer_core::{
-    generate_queries, generate_queries_unprepared, generate_survivors, SystemConfig, Verifier,
+    generate_queries, generate_queries_unprepared, generate_survivors, Survivors, SystemConfig,
+    Verifier,
 };
 use scrutinizer_corpus::{ClaimKind, ClaimRecord, Corpus, CorpusConfig};
 use scrutinizer_formula::{parse_formula, Formula};
@@ -333,12 +334,12 @@ fn screen_string(
     )
 }
 
-fn screen_survivors(
+fn survivors<'c>(
     corpus: &Corpus,
     registry: &FunctionRegistry,
-    ctx: &ScreenContext,
+    ctx: &'c ScreenContext,
     config: &SystemConfig,
-) -> FinalScreen {
+) -> Survivors<'c> {
     let s = &ctx.sweep;
     generate_survivors(
         &corpus.catalog,
@@ -350,7 +351,15 @@ fn screen_survivors(
         s.parameter,
         config,
     )
-    .final_screen(&ctx.probabilities, config.final_options)
+}
+
+fn screen_survivors(
+    corpus: &Corpus,
+    registry: &FunctionRegistry,
+    ctx: &ScreenContext,
+    config: &SystemConfig,
+) -> FinalScreen {
+    survivors(corpus, registry, ctx, config).final_screen(&ctx.probabilities, config.final_options)
 }
 
 fn screen_all_rows(
@@ -446,11 +455,16 @@ fn bench_suggest_screen(c: &mut Criterion) {
                 start.elapsed().as_secs_f64() / (rounds * contexts.len()) as f64
             };
             let [string_s, all_rows_s, screen_s] = paths.map(|(_, path)| per_claim(&path));
+            let evaluated: usize = contexts
+                .iter()
+                .map(|ctx| survivors(&corpus, &registry, ctx, &config).evaluated())
+                .sum();
             ratios.push(format!(
-                "suggest_screen {scale} {kind_name} ({} claims), per claim: string + \
-                 FinalScreen::new {:.1} us, all rows {:.1} us, screen path {:.1} us → \
-                 {:.2}x string, {:.2}x all rows",
+                "suggest_screen {scale} {kind_name} ({} claims; the loop evaluates {} \
+                 assignments per claim), per claim: string + FinalScreen::new {:.1} us, \
+                 all rows {:.1} us, screen path {:.1} us → {:.2}x string, {:.2}x all rows",
                 contexts.len(),
+                evaluated / contexts.len(),
                 string_s * 1e6,
                 all_rows_s * 1e6,
                 screen_s * 1e6,

@@ -324,7 +324,7 @@ impl SystemModels {
     /// scalar reference kernel
     /// ([`FusedEntropy::utilities_into_reference`]): the parity oracle
     /// and the baseline the `translate` bench holds the vectorized fused
-    /// sweep to (≥ 2× on the aligned CSR layout).
+    /// sweep to (≥ 1.1× on the aligned CSR layout).
     pub fn training_utilities_reference(&self, rows: &FeatureMatrix) -> Vec<f64> {
         let mut out = Vec::new();
         self.fused().utilities_into_reference(rows, &mut out);

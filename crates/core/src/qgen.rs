@@ -255,7 +255,7 @@ fn resolve_context(
 /// A matched or alternative candidate kept as its assignment until the
 /// final screen picks it: `bindings[start..start + len]` are the indices
 /// into the resolved values bound to the formula's value variables.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 struct Survivor {
     formula: usize,
     start: usize,
@@ -277,16 +277,6 @@ pub struct Survivors<'f> {
 }
 
 impl Survivors<'_> {
-    /// Number of ranked survivors.
-    pub fn len(&self) -> usize {
-        self.ranked.len()
-    }
-
-    /// Whether no assignment survived.
-    pub fn is_empty(&self) -> bool {
-        self.ranked.is_empty()
-    }
-
     /// Assignments the loop evaluated before it stopped.
     pub fn evaluated(&self) -> usize {
         self.evaluated
@@ -434,7 +424,7 @@ pub fn generate_survivors<'f>(
         formulas,
         values,
         bindings,
-        ranked: rank(matched, alternatives, parameter),
+        ranked: rank(matched, alternatives, parameter, |s| s.value),
         evaluated: config.max_assignments - budget,
     }
 }
@@ -572,36 +562,24 @@ pub fn generate_queries_unprepared(
         }
     }
 
-    rank(matched, alternatives, parameter)
-}
-
-/// What [`rank`] orders by: a candidate's evaluated value.
-trait Valued {
-    fn value(&self) -> f64;
-}
-
-impl Valued for QueryCandidate {
-    fn value(&self) -> f64 {
-        self.value
-    }
-}
-
-impl Valued for Survivor {
-    fn value(&self) -> f64 {
-        self.value
-    }
+    rank(matched, alternatives, parameter, |c| c.value)
 }
 
 /// Lines 23-29: matching queries win; otherwise the alternatives, ranked
-/// by closeness to the parameter when explicit.
-fn rank<T: Valued>(matched: Vec<T>, mut alternatives: Vec<T>, parameter: Option<f64>) -> Vec<T> {
+/// by closeness (of each one's `value`) to the parameter when explicit.
+fn rank<T>(
+    matched: Vec<T>,
+    mut alternatives: Vec<T>,
+    parameter: Option<f64>,
+    value: impl Fn(&T) -> f64,
+) -> Vec<T> {
     if !matched.is_empty() {
         matched
     } else {
         if let Some(p) = parameter {
             alternatives.sort_by(|a, b| {
-                let da = relative_distance(a.value(), p);
-                let db = relative_distance(b.value(), p);
+                let da = relative_distance(value(a), p);
+                let db = relative_distance(value(b), p);
                 da.total_cmp(&db)
             });
         }
@@ -820,7 +798,7 @@ mod tests {
             )
         };
         let general = run(None);
-        assert_eq!(general.len(), cap);
+        assert_eq!(general.ranked.len(), cap);
         assert_eq!(
             general.evaluated(),
             cap,
@@ -828,7 +806,7 @@ mod tests {
         );
         // an explicit claim that matches nothing must try every assignment
         let explicit = run(Some(-1.0));
-        assert_eq!(explicit.len(), cap);
+        assert_eq!(explicit.ranked.len(), cap);
         assert_eq!(explicit.evaluated(), 216 + 36);
     }
 
