@@ -101,10 +101,13 @@ const STREAM_BUFFER: usize = 1 << 20;
 
 /// Production [`Storage`] over the real file system, with a cache of
 /// append-mode handles keyed by path so the per-record append/fsync
-/// path costs no `open(2)`.
+/// path costs no `open(2)`. The cache's lock covers only the lookup:
+/// one writer's `fsync` never holds up another's append (callers that
+/// need appends ordered, like the WAL's writer lock, order them
+/// themselves).
 #[derive(Default)]
 pub struct FsStorage {
-    handles: Mutex<HashMap<String, std::fs::File>>,
+    handles: Mutex<HashMap<String, Arc<std::fs::File>>>,
 }
 
 impl FsStorage {
@@ -113,20 +116,21 @@ impl FsStorage {
         Self::default()
     }
 
-    fn with_handle<T>(
-        &self,
-        path: &str,
-        f: impl FnOnce(&mut std::fs::File) -> io::Result<T>,
-    ) -> io::Result<T> {
+    /// The cached append handle for `path`, opened on first use. The
+    /// lock is released before the caller's syscall.
+    fn handle(&self, path: &str) -> io::Result<Arc<std::fs::File>> {
         let mut handles = self.handles.lock().unwrap();
-        if !handles.contains_key(path) {
-            let file = std::fs::OpenOptions::new()
+        if let Some(file) = handles.get(path) {
+            return Ok(Arc::clone(file));
+        }
+        let file = Arc::new(
+            std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)
-                .open(path)?;
-            handles.insert(path.to_string(), file);
-        }
-        f(handles.get_mut(path).expect("inserted above"))
+                .open(path)?,
+        );
+        handles.insert(path.to_string(), Arc::clone(&file));
+        Ok(file)
     }
 }
 
@@ -162,11 +166,11 @@ impl Storage for FsStorage {
 
     fn append(&self, path: &str, bytes: &[u8]) -> io::Result<()> {
         use std::io::Write as _;
-        self.with_handle(path, |file| file.write_all(bytes))
+        (&*self.handle(path)?).write_all(bytes)
     }
 
     fn sync(&self, path: &str) -> io::Result<()> {
-        self.with_handle(path, |file| file.sync_data())
+        self.handle(path)?.sync_data()
     }
 
     fn truncate(&self, path: &str, len: u64) -> io::Result<()> {
