@@ -9,7 +9,7 @@
 //! * **codec** — the same 32-suggest pipelined workload driven over
 //!   JSON lines and over the `0x00`-negotiated binary framing, both
 //!   over loopback TCP (end-to-end numbers) and through the production
-//!   serving state machine on the in-memory transport (`service_conn` +
+//!   per-connection step on the in-memory transport (`step_conn` +
 //!   `handle_payload`, the codec-bound measurement). On the latter the
 //!   binary codec must beat JSON by ≥ 2×, and the warm binary suggest
 //!   path must make **zero** per-request heap allocations (proved by
@@ -22,6 +22,7 @@
 //! before anything is timed. `--quick` smoke-runs parity, negotiation,
 //! and the allocation invariant without the timing floors.
 
+use std::convert::Infallible;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -34,9 +35,7 @@ use scrutinizer_corpus::{Corpus, CorpusConfig};
 use scrutinizer_engine::engine::{Engine, EngineOptions};
 use scrutinizer_engine::protocol::{handle_payload, Json};
 use scrutinizer_engine::server::{Server, ServerOptions};
-use scrutinizer_engine::{
-    codec, service_conn, wire, ConnState, Request, ServiceLimits, WireCodec, BINARY_MAGIC,
-};
+use scrutinizer_engine::{codec, step_conn, wire, ConnState, Request, ServiceLimits, BINARY_MAGIC};
 use scrutinizer_obs as obs;
 use scrutinizer_sim::{sim_pair, SimEndpoint, SimStream};
 
@@ -133,9 +132,9 @@ impl BinWire {
     }
 }
 
-/// The production serving state machine over the in-memory transport:
-/// the exact `service_conn` → `handle_payload` pass the TCP workers run,
-/// minus kernel sockets and thread handoff — so a round measures codec,
+/// The production per-connection step over the in-memory transport:
+/// the exact `step_conn` → `handle_payload` pass each TCP connection
+/// thread runs, minus kernel sockets — so a round measures codec,
 /// framing, and dispatch cost rather than scheduler noise. This is where
 /// the binary-vs-JSON floor is asserted; the loopback TCP drivers above
 /// it keep the end-to-end numbers honest.
@@ -144,8 +143,6 @@ struct SimServer {
     conn: ConnState<SimStream>,
     client: SimEndpoint,
     limits: ServiceLimits,
-    /// Reused response-encoding buffer (the worker-loop scratch).
-    response: Vec<u8>,
     /// Reused request-encoding buffer (the client-side scratch).
     send: Vec<u8>,
 }
@@ -162,7 +159,6 @@ impl SimServer {
                 write_buffer_limit: 1 << 20,
                 max_pipeline: 128,
             },
-            response: Vec::new(),
             send: Vec::new(),
         };
         if binary {
@@ -171,21 +167,23 @@ impl SimServer {
         harness
     }
 
-    /// Runs the serving loop until the connection drains: each pass
-    /// flushes, reads, and splits via `service_conn`, then executes the
-    /// queued payloads exactly as the TCP worker does.
+    /// Steps the connection until it drains, exactly as its TCP thread
+    /// does: flush, read, split, execute the queue, flush.
     fn pump(&mut self) {
+        let engine = &self.engine;
         loop {
-            let moved = service_conn(&mut self.conn, &self.limits, false, self.engine.stats_ref());
-            let executed = !self.conn.queue.is_empty();
-            while let Some(payload) = self.conn.queue.pop_front() {
-                let codec = self.conn.codec.unwrap_or(WireCodec::Json);
-                self.response.clear();
-                handle_payload(&self.engine, codec, &payload, &mut self.response);
-                self.conn.recycle(payload);
-                self.conn.push_response_bytes(&self.response);
-            }
-            if !moved && !executed {
+            let stepped = step_conn(
+                &mut self.conn,
+                &self.limits,
+                false,
+                engine.stats_ref(),
+                |codec, payload, out| {
+                    handle_payload(engine, codec, payload, out);
+                    Ok::<(), Infallible>(())
+                },
+            );
+            let Ok(moved) = stepped;
+            if !moved {
                 break;
             }
         }

@@ -3,12 +3,13 @@
 //! JSON lines over TCP, `std::net` only: one request object per line in,
 //! one response object per line out (see `scrutinizer_engine::api` for
 //! the typed v1 op table, error codes, versioning, request/trace ids and
-//! the `batch` op). All connections are served by one nonblocking
-//! readiness loop (`scrutinizer_engine::server`): requests may be
+//! the `batch` op). Each connection is served by its own thread
+//! (`scrutinizer_engine::server`), woken by its socket: requests may be
 //! pipelined arbitrarily deep per connection (responses echo the request
-//! `id` and `trace`), different connections' requests execute
-//! concurrently on a worker pool, and all of them share one engine —
-//! sessions, models and metrics are global.
+//! `id` and `trace`) and execute in order on that thread, different
+//! connections' requests execute concurrently — at most `--workers` at
+//! once (default 4) — and all of them share one engine: sessions, models
+//! and metrics are global.
 //!
 //! ```text
 //! scrutinizer-serve [ADDR] [--scale small|paper] [--seed N]
@@ -170,7 +171,10 @@ fn parse_args() -> Args {
                      [--threads N] [--cache-capacity N] [--no-pretrain] \
                      [--max-conns N] [--workers N] [--retrain-interval N] \
                      [--data-dir DIR] [--port-file FILE] \
-                     [--log-level error|warn|info|debug] [--trace-log FILE]"
+                     [--log-level error|warn|info|debug] [--trace-log FILE]\n\
+                     --workers N: most requests executing at once, across \
+                     all connections (default 4; each connection has its \
+                     own thread)"
                 );
                 exit(0);
             }

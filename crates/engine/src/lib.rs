@@ -82,8 +82,9 @@
 //! [`api::Response`] enums (one variant per op), [`api::ApiError`] with
 //! a stable machine-consumable [`api::ErrorCode`], a thin table-driven
 //! JSON codec, the `v`/`id` envelope and the `batch` op. [`server`]
-//! serves it over TCP from a single nonblocking readiness loop —
-//! per-connection buffers, request pipelining, backpressure, connection
+//! serves it over TCP with one thread per connection, each woken by its
+//! own socket — per-connection buffers, request pipelining,
+//! backpressure, a cap on requests executing at once, connection
 //! limits, graceful shutdown — and `src/bin/serve.rs` (binary
 //! `scrutinizer-serve`) is the thin CLI over it:
 //!
@@ -128,7 +129,7 @@ pub use api::{dispatch, ApiError, ErrorCode, Request, Response};
 pub use durability::{DurableEnv, RecoveryReport, WalRecord};
 pub use engine::{Engine, EngineError, EngineOptions, EngineParts, VerdictRecord};
 pub use executor::ThreadPool;
-pub use serve_core::{service_conn, ConnState, ServiceLimits};
+pub use serve_core::{service_conn, step_conn, ConnState, ServiceLimits};
 pub use server::{Server, ServerHandle, ServerOptions};
 pub use session::{ClaimQuestions, ScreenView, SessionId, Suggestion};
 pub use snapshot::{ModelSnapshot, SnapshotCell};

@@ -1,14 +1,14 @@
-//! The transport-generic half of the serving loop: one connection's
-//! buffers and the flush → read → split state machine, over any
-//! [`ByteStream`].
+//! The transport-generic half of the server: one connection's buffers,
+//! the flush → read → split state machine, and the per-connection step
+//! that executes what it queued, over any [`ByteStream`].
 //!
-//! [`server`](crate::server) instantiates this over real
-//! `TcpStream`s inside its readiness loop; the deterministic simulation
-//! harness (`scrutinizer-simcheck`) instantiates the very same code over
-//! in-memory [`SimStream`](scrutinizer_sim::SimStream)s — so the state
-//! machine being model-checked under injected faults (stalled clients,
-//! partial writes, hard drops) is byte-for-byte the one production runs,
-//! not a reimplementation.
+//! [`server`](crate::server) runs [`step_conn`] over a real `TcpStream`
+//! on each connection's own thread; the deterministic simulation harness
+//! (`scrutinizer-simcheck`) runs the very same step over in-memory
+//! [`SimStream`](scrutinizer_sim::SimStream)s — so the state machine
+//! being model-checked under injected faults (stalled clients, partial
+//! writes, hard drops) is byte-for-byte the one production runs, write
+//! backlog limit included, not a reimplementation.
 
 use std::collections::VecDeque;
 
@@ -27,10 +27,10 @@ pub struct ServiceLimits {
     /// gets a `parse_error` response and is closed (there is no way to
     /// resynchronize on an unterminated line).
     pub max_line_bytes: usize,
-    /// Write-buffer backlog above which the loop stops executing (and
+    /// Write-buffer backlog above which the step stops executing (and
     /// then reading) for that connection until the client drains.
     pub write_buffer_limit: usize,
-    /// Most complete lines queued per connection before the loop stops
+    /// Most complete lines queued per connection before the step stops
     /// reading it (backpressure via transport flow control).
     pub max_pipeline: usize,
 }
@@ -59,8 +59,6 @@ pub struct ConnState<S> {
     /// far the prefix has been flushed.
     write_buf: Vec<u8>,
     write_pos: usize,
-    /// A request of this connection is currently executing.
-    pub in_flight: bool,
     /// Client finished sending (EOF); drain, flush, then close.
     pub eof: bool,
     /// Unrecoverable transport error; discard without draining.
@@ -78,7 +76,6 @@ impl<S> ConnState<S> {
             scratch: Vec::new(),
             write_buf: Vec::new(),
             write_pos: 0,
-            in_flight: false,
             eof: false,
             dead: false,
         }
@@ -112,19 +109,68 @@ impl<S> ConnState<S> {
         }
     }
 
-    /// Fully drained: nothing queued, nothing running, nothing to flush.
-    pub fn idle(&self) -> bool {
-        self.queue.is_empty() && !self.in_flight && self.write_backlog() == 0
+    /// The rendered bytes the transport has not accepted yet.
+    pub fn unflushed(&self) -> &[u8] {
+        &self.write_buf[self.write_pos..]
     }
+
+    /// Marks `written` bytes of [`ConnState::unflushed`] as accepted by
+    /// the transport — for a caller that flushed them itself, as the TCP
+    /// server does with a blocking write once the socket stops taking
+    /// bytes.
+    pub fn mark_flushed(&mut self, written: usize) {
+        self.write_pos += written.min(self.write_backlog());
+    }
+
+    /// Fully drained: nothing queued, nothing to flush. Requests execute
+    /// inside [`step_conn`], so none is ever running between steps.
+    pub fn idle(&self) -> bool {
+        self.queue.is_empty() && self.write_backlog() == 0
+    }
+}
+
+/// One step of a connection: [`service_conn`], then execute the queued
+/// payloads in arrival order while the write backlog stays under
+/// `write_buffer_limit`, then [`service_conn`] again to flush what they
+/// rendered. Returns whether anything moved.
+///
+/// `execute` runs one payload under the connection's codec and appends
+/// exactly one response to the buffer it is handed. An `Err` from it
+/// stops the step at once and is returned (the simulation harness
+/// checks each response there); the TCP server's never fails.
+///
+/// Every executing request counts in `requests_in_flight`, and the
+/// queue depth including it feeds the `pipeline_depth` high-water mark.
+pub fn step_conn<S: ByteStream, E>(
+    conn: &mut ConnState<S>,
+    limits: &ServiceLimits,
+    shutting_down: bool,
+    stats: &EngineStats,
+    mut execute: impl FnMut(WireCodec, &[u8], &mut Vec<u8>) -> Result<(), E>,
+) -> Result<bool, E> {
+    let mut progress = service_conn(conn, limits, shutting_down, stats);
+    while !conn.dead && conn.write_backlog() < limits.write_buffer_limit {
+        let Some(payload) = conn.queue.pop_front() else {
+            break;
+        };
+        stats.note_pipeline_depth(conn.queue.len() as u64 + 1);
+        let codec = conn.codec.unwrap_or(WireCodec::Json);
+        stats.requests_in_flight.inc();
+        let executed = execute(codec, &payload, &mut conn.write_buf);
+        stats.requests_in_flight.dec();
+        conn.recycle(payload);
+        progress = true;
+        executed?;
+    }
+    progress |= service_conn(conn, limits, shutting_down, stats);
+    Ok(progress)
 }
 
 /// Flushes what the transport will take, reads what it has, and splits
 /// complete lines into the queue. Returns whether anything moved.
 ///
-/// This is the serving loop's entire per-connection I/O pass —
-/// executing queued lines and sweeping closed connections stay with the
-/// caller, which owns the scheduling policy (worker pool for the TCP
-/// server, inline execution for the simulation).
+/// This is a connection's entire I/O pass; [`step_conn`] wraps it with
+/// the execution of what it queued.
 pub fn service_conn<S: ByteStream>(
     conn: &mut ConnState<S>,
     limits: &ServiceLimits,

@@ -1,8 +1,9 @@
-//! Integration tests for the multiplexed nonblocking server: many
-//! concurrent connections on one readiness loop, per-connection
-//! pipelining with `id` matching, the `batch` op over real TCP,
-//! backpressure, connection limits, oversized-line handling, and
-//! graceful shutdown.
+//! Integration tests for the thread-per-connection server: many
+//! concurrent connections, per-connection pipelining with `id` matching,
+//! the `workers` cap on concurrent execution, the `batch` op over real
+//! TCP, backpressure, connection limits, oversized-line handling, and
+//! graceful shutdown of busy, idle and mid-line connections. No test
+//! opens more than ~100 connections, since each is a server thread.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -116,7 +117,7 @@ fn sustains_64_concurrent_connections() {
     assert_eq!(
         stats.get("connections_open").and_then(Json::as_usize),
         Some(CLIENTS + 1),
-        "the readiness loop must sustain all concurrent connections"
+        "the server must sustain all concurrent connections"
     );
     assert_eq!(
         stats.get("sessions_opened").and_then(Json::as_usize),
@@ -521,4 +522,123 @@ fn graceful_shutdown_drains_and_returns() {
                 r.read_line(&mut buf).map(|n| n == 0).unwrap_or(true)
             }
     );
+}
+
+#[test]
+fn shutdown_wakes_idle_and_mid_line_connections() {
+    let engine = cheap_engine();
+    // a grace far beyond the assertion below: only waking the parked
+    // connection threads, never the force-close, can make `run` return
+    let (addr, handle, join) = spawn_server(
+        &engine,
+        ServerOptions {
+            shutdown_grace: Duration::from_secs(60),
+            ..ServerOptions::default()
+        },
+    );
+    let (_silent, mut silent_reader) = connect(addr);
+    let (mut partial, mut partial_reader) = connect(addr);
+    partial
+        .write_all(br#"{"op":"stats","id":"#)
+        .expect("write half a line");
+    // accepts are FIFO, so both are registered once this one is answered
+    let (mut observer, mut observer_reader) = connect(addr);
+    let stats = roundtrip(&mut observer, &mut observer_reader, r#"{"op":"stats"}"#);
+    assert_eq!(
+        stats
+            .get("stats")
+            .and_then(|s| s.get("connections_open"))
+            .and_then(Json::as_usize),
+        Some(3)
+    );
+
+    let asked = std::time::Instant::now();
+    handle.shutdown();
+    join.join().expect("server thread").expect("clean shutdown");
+    assert!(
+        asked.elapsed() < Duration::from_secs(3),
+        "shutdown must wake parked connections, not wait out the grace (took {:?})",
+        asked.elapsed()
+    );
+    assert_eq!(engine.stats().connections_open.get(), 0);
+    // both parked clients see an orderly close, and the half line was
+    // never answered
+    let mut rest = String::new();
+    assert_eq!(silent_reader.read_line(&mut rest).expect("EOF"), 0);
+    assert_eq!(partial_reader.read_line(&mut rest).expect("EOF"), 0);
+    assert_requests_conserved(&engine);
+}
+
+#[test]
+fn one_worker_serves_two_pipelining_connections_in_order() {
+    const DEPTH: usize = 40;
+    let engine = cheap_engine();
+    let queries: Vec<String> = (0..DEPTH)
+        .map(|i| {
+            let lookup = &engine.corpus().claims[i].lookups[0];
+            format!(
+                "SELECT a.{} FROM {} a WHERE a.Index = '{}'",
+                lookup.attribute, lookup.relation, lookup.key
+            )
+        })
+        .collect();
+    let expected: Vec<f64> = queries
+        .iter()
+        .map(|q| engine.run_sql(q).expect("lookup evaluates"))
+        .collect();
+    let (addr, handle, join) = spawn_server(
+        &engine,
+        ServerOptions {
+            workers: 1,
+            ..ServerOptions::default()
+        },
+    );
+
+    let start = Arc::new(Barrier::new(2));
+    let clients: Vec<_> = (0..2)
+        .map(|client| {
+            let start = Arc::clone(&start);
+            let queries = queries.clone();
+            let expected = expected.clone();
+            std::thread::spawn(move || {
+                let (mut stream, mut reader) = connect(addr);
+                let mut blob = String::new();
+                for (i, query) in queries.iter().enumerate() {
+                    let line = Json::Obj(vec![
+                        ("op".into(), Json::Str("sql".into())),
+                        ("id".into(), Json::Num((client * DEPTH + i) as f64)),
+                        ("query".into(), Json::Str(query.clone())),
+                    ])
+                    .render();
+                    blob.push_str(&line);
+                    blob.push('\n');
+                }
+                start.wait();
+                stream.write_all(blob.as_bytes()).expect("write pipeline");
+                for (i, value) in expected.iter().enumerate() {
+                    let mut response = String::new();
+                    reader.read_line(&mut response).expect("read response");
+                    let parsed = Json::parse(response.trim()).expect("response is JSON");
+                    assert_eq!(parsed.get("ok").and_then(Json::as_bool), Some(true));
+                    assert_eq!(
+                        parsed.get("id").and_then(Json::as_usize),
+                        Some(client * DEPTH + i),
+                        "responses arrive in request order on each connection"
+                    );
+                    assert_eq!(parsed.get("value").and_then(Json::as_f64), Some(*value));
+                }
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().expect("client thread");
+    }
+
+    handle.shutdown();
+    join.join().expect("server thread").expect("clean shutdown");
+    let stats = engine.stats();
+    assert_eq!(stats.requests_ok.get(), 2 * DEPTH as u64);
+    assert_eq!(stats.requests_in_flight.get(), 0);
+    assert_eq!(stats.connections_open.get(), 0);
+    assert_requests_conserved(&engine);
 }

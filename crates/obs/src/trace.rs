@@ -12,7 +12,10 @@
 //! # The flight recorder
 //!
 //! Every thread that records a span owns a bounded ring buffer (capacity
-//! [`RING_CAPACITY`]) registered in a process-wide list. Two invariants:
+//! [`RING_CAPACITY`]) registered in a process-wide list; a new thread
+//! adopts the ring of one that has exited, so the list grows with the
+//! most threads alive at once, not with every thread ever started. Two
+//! invariants:
 //!
 //! * **Recording never blocks the recording thread.** The ring is guarded
 //!   by a mutex, but the record path only ever `try_lock`s it; if a
@@ -303,12 +306,20 @@ fn ring_registry() -> &'static Mutex<Vec<Arc<Mutex<Ring>>>> {
 
 thread_local! {
     static THREAD_RING: Arc<Mutex<Ring>> = {
-        let ring = Arc::new(Mutex::new(Ring { records: VecDeque::new() }));
-        ring_registry()
+        let mut registry = ring_registry()
             .lock()
-            .expect("flight recorder registry poisoned")
-            .push(Arc::clone(&ring));
-        ring
+            .expect("flight recorder registry poisoned");
+        // a ring only the registry still holds belongs to a thread that
+        // has exited: adopt it, records and all, so threads that come and
+        // go (one per server connection) do not grow the registry
+        match registry.iter().find(|ring| Arc::strong_count(ring) == 1) {
+            Some(ring) => Arc::clone(ring),
+            None => {
+                let ring = Arc::new(Mutex::new(Ring { records: VecDeque::new() }));
+                registry.push(Arc::clone(&ring));
+                ring
+            }
+        }
     };
     static CURRENT: std::cell::Cell<Option<(TraceId, SpanId)>> =
         const { std::cell::Cell::new(None) };
@@ -547,6 +558,29 @@ mod tests {
         assert_eq!(child.trace, trace);
         assert_eq!(child.parent, Some(root_id));
         assert_eq!(child.field("claim"), Some(&FieldValue::U64(7)));
+    }
+
+    #[test]
+    fn exited_threads_rings_are_adopted_not_accumulated() {
+        let _guard = test_lock();
+        set_tracing(true);
+        let registered = || ring_registry().lock().unwrap().len();
+        let before = registered();
+        for _ in 0..32 {
+            std::thread::spawn(|| drop(span("test_short_lived_thread")))
+                .join()
+                .unwrap();
+        }
+        // each thread exits before the next starts, so each adopts its
+        // predecessor's ring; other tests' threads may add a few
+        let grown = registered() - before;
+        assert!(
+            grown < 8,
+            "32 sequential threads grew the registry by {grown}"
+        );
+        assert!(snapshot_records()
+            .iter()
+            .any(|r| r.name == "test_short_lived_thread"));
     }
 
     #[test]

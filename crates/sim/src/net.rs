@@ -1,8 +1,8 @@
 //! Nonblocking byte streams as an injected capability.
 //!
-//! The server's readiness loop only ever needs two operations from a
-//! connection: "read whatever is available without blocking" and "write
-//! as much as fits without blocking". [`ByteStream`] captures exactly
+//! The server's per-connection step only ever needs two operations from
+//! a connection: "read whatever is available without blocking" and
+//! "write as much as fits without blocking". [`ByteStream`] captures exactly
 //! that, with [`IoPoll`] standing in for the `io::Result` /
 //! `ErrorKind::WouldBlock` dance. `std::net::TcpStream` (in nonblocking
 //! mode) implements it for production; [`SimStream`] is an in-memory

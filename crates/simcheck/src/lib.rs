@@ -12,8 +12,8 @@
 //!              │ batch / stats / close  +  drive / jump / drop /
 //!              │ stall / partial / crash  +  kill / recover (--crash)
 //!              ▼
-//!   run: SimStream pairs ──▶ service_conn (the production state
-//!        machine) ──▶ handle_request (the production protocol) ──▶
+//!   run: SimStream pairs ──▶ step_conn (the production connection
+//!        step) ──▶ handle_request (the production protocol) ──▶
 //!        invariants after EVERY step
 //!              │ violation?
 //!              ▼

@@ -3,7 +3,7 @@
 //! The harness plays the client side of [`N_SLOTS`] JSON-lines
 //! connections plus one dedicated binary-codec connection (`BIN_SLOT`)
 //! over in-memory [`SimStream`] pairs, while the *server* side runs the
-//! very same [`service_conn`] state machine production uses — the
+//! very same [`step_conn`] per-connection step production uses — the
 //! simulation model-checks the real serving code, not a stand-in. Requests execute
 //! inline (single-threaded, in slot order), the background trainer runs
 //! only when the schedule says so, and every step ends with the full
@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use scrutinizer_engine::engine::Engine;
 use scrutinizer_engine::protocol::{handle_payload, Json};
-use scrutinizer_engine::{codec, service_conn, wire, ConnState, ServiceLimits};
+use scrutinizer_engine::{codec, step_conn, wire, ConnState, ServiceLimits};
 use scrutinizer_engine::{EngineStats, Request, WireCodec, BINARY_MAGIC};
 use scrutinizer_sim::storage::FAULT_CRASH_TORN;
 use scrutinizer_sim::{
@@ -480,35 +480,40 @@ impl Harness<'_> {
         );
     }
 
-    /// Services every connection in slot order until nothing moves:
-    /// flush → read → split via the production `service_conn`, queued
-    /// payloads executed inline through the production `handle_payload`
-    /// under the connection's negotiated codec, client bytes drained and
-    /// receipted. Single-threaded and ordered, so identical schedules
-    /// take identical paths.
+    /// Steps every connection in slot order until nothing moves, through
+    /// the production `step_conn`: flush → read → split, queued payloads
+    /// executed inline through the production `handle_payload` under the
+    /// connection's negotiated codec while the write backlog is under its
+    /// limit, each response checked as it is rendered, then client bytes
+    /// drained and receipted. Single-threaded and ordered, so identical
+    /// schedules take identical paths.
     fn pump(&mut self) -> Result<(), Violation> {
+        let limits = self.limits;
+        let engine = Arc::clone(&self.engine);
         loop {
             let mut progress = false;
             for slot_index in 0..self.slots.len() {
                 let Some((mut conn, endpoint)) = self.slots[slot_index].conn.take() else {
                     continue;
                 };
-                progress |= service_conn(&mut conn, &self.limits, false, self.engine.stats_ref());
-                while let Some(payload) = conn.queue.pop_front() {
-                    let wire_codec = conn.codec.unwrap_or(WireCodec::Json);
-                    let engine = Arc::clone(&self.engine);
-                    let mut response = Vec::new();
-                    handle_payload(&engine, wire_codec, &payload, &mut response);
-                    conn.recycle(payload);
-                    let outcome = self.note_response(wire_codec, &response);
-                    conn.push_response_bytes(&response);
-                    progress = true;
-                    if let Err(violation) = outcome {
+                let stepped = step_conn(
+                    &mut conn,
+                    &limits,
+                    false,
+                    engine.stats_ref(),
+                    |wire_codec, payload, out| {
+                        let start = out.len();
+                        handle_payload(&engine, wire_codec, payload, out);
+                        self.note_response(wire_codec, &out[start..])
+                    },
+                );
+                match stepped {
+                    Ok(moved) => progress |= moved,
+                    Err(violation) => {
                         self.slots[slot_index].conn = Some((conn, endpoint));
                         return Err(violation);
                     }
                 }
-                progress |= service_conn(&mut conn, &self.limits, false, self.engine.stats_ref());
                 let dead = conn.dead || endpoint.is_dropped();
                 if dead {
                     // the incarnation's delivery ledger dies with it: a
