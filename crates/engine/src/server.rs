@@ -256,8 +256,13 @@ impl Server {
                     continue;
                 }
             };
-            reap_finished(&mut threads);
+            // join the threads of connections that have closed, so the
+            // list tracks the open connections
+            for thread in threads.extract_if(.., |thread| thread.is_finished()) {
+                let _ = thread.join();
+            }
             let conn_id = next_conn;
+            next_conn += 1;
             let mut conns = control.conns();
             if control.shutting_down() {
                 // the wake-up connection, or a client that raced shutdown
@@ -276,7 +281,6 @@ impl Server {
             conns.insert(conn_id, wake);
             let open = conns.len();
             drop(conns);
-            next_conn += 1;
             stats.connections_open.inc();
             scrutinizer_obs::log_debug!("connection accepted", conn = conn_id, open = open);
             let worker = Arc::clone(&shared);
@@ -327,19 +331,6 @@ impl Server {
     }
 }
 
-/// Joins the connection threads that have already exited, so a
-/// long-running server's handle list tracks its open connections.
-fn reap_finished(threads: &mut Vec<JoinHandle<()>>) {
-    let mut index = 0;
-    while index < threads.len() {
-        if threads[index].is_finished() {
-            let _ = threads.swap_remove(index).join();
-        } else {
-            index += 1;
-        }
-    }
-}
-
 /// One connection's thread: step until nothing moves, park on the
 /// socket, repeat — until the client leaves, the connection fails, or
 /// shutdown finds it drained.
@@ -353,13 +344,17 @@ fn serve_conn(shared: &Shared, conn_id: u64, stream: TcpStream) {
     let mut conn = ConnState::new(stream);
     loop {
         let shutting_down = shared.control.shutting_down();
-        let stepped = step_conn(&mut conn, &shared.limits, shutting_down, stats, {
+        let stepped = step_conn(
+            &mut conn,
+            &shared.limits,
+            shutting_down,
+            stats,
             |codec, payload, out| {
                 let _pass = shared.gate.enter();
                 handle_payload(&shared.engine, codec, payload, out);
                 Ok::<(), Infallible>(())
-            }
-        });
+            },
+        );
         let Ok(moved) = stepped;
         if conn.dead || ((conn.eof || shutting_down) && conn.idle()) {
             return;

@@ -20,7 +20,8 @@
 //! * **Recording never blocks the recording thread.** The ring is guarded
 //!   by a mutex, but the record path only ever `try_lock`s it; if a
 //!   concurrent [`drain`]/[`snapshot_records`] holds the lock, the record
-//!   is dropped and counted in [`dropped_records`].
+//!   is dropped and counted in [`dropped_records`] — as is the oldest
+//!   record when a full ring makes room for a new one.
 //! * **Ids are unique per process.** Span ids come from one atomic
 //!   counter; generated trace ids from another.
 //!
@@ -293,7 +294,10 @@ struct Ring {
 impl Ring {
     fn push(&mut self, record: SpanRecord) {
         if self.records.len() == RING_CAPACITY {
+            // the oldest record is lost: count it, or a wrapped ring
+            // would pass for a complete trace
             self.records.pop_front();
+            DROPPED.fetch_add(1, Ordering::Relaxed);
         }
         self.records.push_back(record);
     }
@@ -368,7 +372,8 @@ fn collect_records(take: bool) -> Vec<SpanRecord> {
 }
 
 /// Number of records dropped because the recording thread found its ring
-/// locked by a concurrent drain/snapshot.
+/// locked by a concurrent drain/snapshot, or full (the oldest record
+/// makes room).
 pub fn dropped_records() -> u64 {
     DROPPED.load(Ordering::Relaxed)
 }
@@ -614,6 +619,10 @@ mod tests {
             .filter(|r| r.name == "test_ring_bound")
             .count();
         assert!(count <= RING_CAPACITY, "ring overflowed: {count}");
+        assert!(
+            dropped_records() >= 500,
+            "the overwritten records are counted"
+        );
         assert!(
             count >= RING_CAPACITY / 2,
             "ring suspiciously empty: {count}"
