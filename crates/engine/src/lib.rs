@@ -129,7 +129,7 @@ pub use api::{dispatch, ApiError, ErrorCode, Request, Response};
 pub use durability::{DurableEnv, RecoveryReport, WalRecord};
 pub use engine::{Engine, EngineError, EngineOptions, EngineParts, VerdictRecord};
 pub use executor::ThreadPool;
-pub use serve_core::{service_conn, step_conn, ConnState, ServiceLimits};
+pub use serve_core::{step_conn, ConnState, ServiceLimits};
 pub use server::{Server, ServerHandle, ServerOptions};
 pub use session::{ClaimQuestions, ScreenView, SessionId, Suggestion};
 pub use snapshot::{ModelSnapshot, SnapshotCell};

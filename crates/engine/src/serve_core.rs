@@ -18,7 +18,7 @@ use crate::api::{error_line, ErrorCode};
 use crate::stats::{EngineStats, WireCodec};
 use crate::wire;
 
-/// The per-connection buffer limits [`service_conn`] enforces — the
+/// The per-connection buffer limits [`step_conn`] enforces — the
 /// transport-independent subset of
 /// [`ServerOptions`](crate::server::ServerOptions).
 #[derive(Debug, Clone, Copy)]
@@ -46,12 +46,12 @@ pub struct ConnState<S> {
     /// `None` until the first byte arrives, then fixed for the
     /// connection's lifetime ([`wire::BINARY_MAGIC`] selects binary
     /// framing; anything else is JSON lines).
-    pub codec: Option<WireCodec>,
+    codec: Option<WireCodec>,
     /// Complete request payloads awaiting execution, in arrival order —
     /// JSON line bytes (without the newline) or binary frame payloads
     /// (without the length prefix).
-    pub queue: VecDeque<Vec<u8>>,
-    /// Spent payload buffers awaiting reuse (see [`ConnState::recycle`]):
+    queue: VecDeque<Vec<u8>>,
+    /// Spent payload buffers awaiting reuse (see `ConnState::recycle`):
     /// the per-connection scratch that makes a warmed binary connection
     /// allocation-free per request.
     scratch: Vec<Vec<u8>>,
@@ -87,21 +87,14 @@ impl<S> ConnState<S> {
     }
 
     /// Appends a response line (newline added) to the write buffer.
-    pub fn push_response(&mut self, line: &str) {
+    fn push_response(&mut self, line: &str) {
         self.write_buf.extend_from_slice(line.as_bytes());
         self.write_buf.push(b'\n');
     }
 
-    /// Appends pre-framed response bytes (no delimiter added) to the
-    /// write buffer — the binary counterpart of
-    /// [`ConnState::push_response`].
-    pub fn push_response_bytes(&mut self, bytes: &[u8]) {
-        self.write_buf.extend_from_slice(bytes);
-    }
-
     /// Returns a spent payload buffer to the connection's scratch pool
     /// so the next split reuses its capacity instead of allocating.
-    pub fn recycle(&mut self, mut buf: Vec<u8>) {
+    fn recycle(&mut self, mut buf: Vec<u8>) {
         // bounded pool: one buffer per possible queue slot is plenty
         if self.scratch.len() < 128 {
             buf.clear();
@@ -129,10 +122,10 @@ impl<S> ConnState<S> {
     }
 }
 
-/// One step of a connection: [`service_conn`], then execute the queued
-/// payloads in arrival order while the write backlog stays under
-/// `write_buffer_limit`, then [`service_conn`] again to flush what they
-/// rendered. Returns whether anything moved.
+/// One step of a connection: its I/O pass (flush, read, split), then
+/// execute the queued payloads in arrival order while the write backlog
+/// stays under `write_buffer_limit`, then the I/O pass again to flush
+/// what they rendered. Returns whether anything moved.
 ///
 /// `execute` runs one payload under the connection's codec and appends
 /// exactly one response to the buffer it is handed. An `Err` from it
@@ -171,7 +164,7 @@ pub fn step_conn<S: ByteStream, E>(
 ///
 /// This is a connection's entire I/O pass; [`step_conn`] wraps it with
 /// the execution of what it queued.
-pub fn service_conn<S: ByteStream>(
+fn service_conn<S: ByteStream>(
     conn: &mut ConnState<S>,
     limits: &ServiceLimits,
     shutting_down: bool,

@@ -31,7 +31,7 @@
 //!
 //! The server exports `connections_open`, `requests_in_flight` and
 //! `pipeline_depth` gauges through
-//! [`EngineStats`](crate::stats::EngineStats) and the `stats` op.
+//! [`EngineStats`] and the `stats` op.
 
 use std::convert::Infallible;
 use std::io::{ErrorKind, Write};
