@@ -1572,7 +1572,7 @@ impl Engine {
     /// server's connection gauges and the wire layer's per-code error
     /// counters live here so the `stats` op reads them all in one place).
     /// Unlike [`stats`](Self::stats) it refreshes nothing: this is the
-    /// hot-path handle. Public because alternate drivers of the
+    /// hot-path handle. Public because other callers of the
     /// per-connection step — the simulation harness — call
     /// [`step_conn`](crate::serve_core::step_conn) with it.
     pub fn stats_ref(&self) -> &EngineStats {
