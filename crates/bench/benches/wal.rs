@@ -17,6 +17,13 @@
 //! floor — replay ≥ 10× faster than re-execution — is asserted even
 //! under `--quick` (the CI smoke run); only the criterion timing detail
 //! is scoped to full runs.
+//!
+//! A second block prints what one acknowledged write costs the log:
+//! [`COMMIT_RECORDS`] `append` + `commit` pairs of 80-byte framed records on `FsStorage`
+//! in a temp dir, p50 and p99 µs per record. Each commit is one
+//! `fdatasync` into the segment's zero-filled region; the extension
+//! that preallocates the region shows in the tail. It has no floor:
+//! nothing else in the bench writes that path to compare against.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -28,13 +35,15 @@ use scrutinizer_crowd::{Worker, WorkerConfig};
 use scrutinizer_engine::engine::{Engine, EngineOptions, EngineParts};
 use scrutinizer_engine::{DurableEnv, RecoveryReport};
 use scrutinizer_sim::{FsStorage, SimEnv, Storage};
-use scrutinizer_wal::WalOptions;
+use scrutinizer_wal::{Wal, WalOptions, RECORD_HEADER_BYTES};
 
 /// Claims verified into the log — enough verdicts for several published
 /// epochs at [`RETRAIN_INTERVAL`], so recovery loads a checkpoint *and*
 /// replays a tail.
 const CLAIMS: usize = 32;
 const RETRAIN_INTERVAL: usize = 4;
+/// Append + commit pairs the commit-cost block times.
+const COMMIT_RECORDS: usize = 2_000;
 
 fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick" || a == "--test")
@@ -219,9 +228,38 @@ fn bench_wal_recovery(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// Times [`COMMIT_RECORDS`] 80-byte `append` + `commit` pairs on a real
+/// directory, one record per commit as a lone checker's writes are.
+fn bench_commit_cost(_: &mut Criterion) {
+    let root = std::env::temp_dir().join(format!("scrutinizer-wal-commit-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let storage: Arc<dyn Storage> = Arc::new(FsStorage::new());
+    let (wal, _) = Wal::open(storage, &root.to_string_lossy(), WalOptions::default())
+        .expect("opening a fresh directory cannot fail");
+    let payload = [0x5A; 80 - RECORD_HEADER_BYTES];
+    let mut micros: Vec<f64> = (0..COMMIT_RECORDS)
+        .map(|_| {
+            let start = Instant::now();
+            let lsn = wal.append(&payload).expect("append");
+            wal.commit(lsn).expect("commit");
+            start.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    micros.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    let pct = |q: f64| micros[((micros.len() - 1) as f64 * q).round() as usize];
+    println!(
+        "wal commit ({COMMIT_RECORDS} x 80-byte record append + commit on FsStorage): \
+         p50 {:.1}us, p99 {:.1}us per record",
+        pct(0.50),
+        pct(0.99),
+    );
+    drop(wal);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_wal_recovery
+    targets = bench_wal_recovery, bench_commit_cost
 }
 criterion_main!(benches);

@@ -737,7 +737,9 @@ pub struct RecoveryReport {
     pub records_replayed: usize,
     /// Live sessions restored.
     pub sessions_restored: usize,
-    /// Bytes of torn tail truncated from the last segment.
+    /// Torn bytes truncated from the last segment (0 on a clean
+    /// restart; the zeros preallocation leaves after the last record are
+    /// truncated too but not counted).
     pub truncated_bytes: usize,
 }
 

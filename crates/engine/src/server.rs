@@ -34,7 +34,7 @@
 //! [`EngineStats`] and the `stats` op.
 
 use std::convert::Infallible;
-use std::io::{ErrorKind, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -357,6 +357,9 @@ fn serve_conn(shared: &Shared, conn_id: u64, stream: TcpStream) {
         );
         let Ok(moved) = stepped;
         if conn.dead || ((conn.eof || shutting_down) && conn.idle()) {
+            if shutting_down {
+                discard_unread(&conn.stream);
+            }
             return;
         }
         if !moved {
@@ -386,6 +389,20 @@ fn park(conn: &mut ConnState<TcpStream>) {
     }
     if conn.stream.set_nonblocking(true).is_err() {
         conn.dead = true;
+    }
+}
+
+/// Reads and drops what a client sent that shutdown left unread (a
+/// step does not read once shutdown is requested): closing a socket
+/// with unread bytes answers with a reset instead of the orderly close
+/// a client parked mid-line should see. Bounded, so a client that keeps
+/// sending cannot hold the thread.
+fn discard_unread(stream: &TcpStream) {
+    let mut sink = [0u8; 4096];
+    for _ in 0..16 {
+        if !matches!((&*stream).read(&mut sink), Ok(n) if n > 0) {
+            return;
+        }
     }
 }
 

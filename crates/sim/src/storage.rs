@@ -6,7 +6,9 @@
 //!
 //! - [`FsStorage`] — the production implementation over real files,
 //!   with cached append handles so the hot `append`/`sync` path does
-//!   not reopen the file per record.
+//!   not reopen the file per record, writing into a zero-filled region
+//!   preallocated ahead of the records so a record's `sync` commits no
+//!   file-size change.
 //! - [`SimStorage`] — a deterministic in-memory file system that
 //!   models the *durable vs volatile* distinction real disks have:
 //!   writes land in a volatile tail, `sync` promotes the tail to
@@ -14,7 +16,8 @@
 //!   promoted. Named fault points make the interesting crash shapes
 //!   schedulable: torn writes (a prefix of the tail survives), lucky
 //!   crashes (the tail survives even though `sync` never returned —
-//!   the crash-after-fsync case), and short reads.
+//!   the crash-after-fsync case), the zero-filled tail preallocation
+//!   leaves behind, and short reads.
 //!
 //! Whole files too large to hold twice (model snapshot blobs) stream in
 //! both directions: [`Storage::write_atomic`] hands the caller a writer,
@@ -43,6 +46,14 @@ pub const FAULT_CRASH_TORN: &str = "storage.crash.torn";
 /// the data reached the platter even though `sync` never acknowledged
 /// (crash-after-fsync from the application's point of view).
 pub const FAULT_CRASH_KEEP: &str = "storage.crash.keep";
+/// Fault point: on `crash`, a file written through `append` since it
+/// was created or last truncated gains [`CRASH_ZERO_TAIL_BYTES`] of
+/// zeros after whatever prefix survived — the zero-filled region
+/// [`FsStorage`] preallocates ahead of its appends. Files written with
+/// `write_atomic` never do.
+pub const FAULT_CRASH_ZERO_TAIL: &str = "storage.crash.zero_tail";
+/// Length of the zero run [`FAULT_CRASH_ZERO_TAIL`] leaves.
+pub const CRASH_ZERO_TAIL_BYTES: usize = 4096;
 
 /// Abstract durable byte storage: append-only files plus the handful of
 /// whole-file operations a log manager needs.
@@ -70,6 +81,14 @@ pub trait Storage: Send + Sync {
     fn read_stream(&self, path: &str) -> io::Result<(Box<dyn io::Read>, u64)>;
     /// Appends `bytes` to the file, creating it if absent. Not durable
     /// until [`sync`](Storage::sync).
+    ///
+    /// [`FsStorage`] zero-fills a file ahead of its appends, so after a
+    /// crash or restart the file ends in a run of zeros. The first
+    /// append of a process lands at the file's end, *after* any such
+    /// run: a caller whose format stops at zeros (the WAL's replay does)
+    /// must first [`truncate`](Storage::truncate) the file to its last
+    /// whole record, or the records it appends will sit past a gap that
+    /// replay never crosses.
     fn append(&self, path: &str, bytes: &[u8]) -> io::Result<()>;
     /// Forces all previously appended bytes on `path` to durable
     /// storage.
@@ -99,15 +118,49 @@ pub trait Storage: Send + Sync {
 /// Buffer size of [`FsStorage`]'s streaming reads and atomic writes.
 const STREAM_BUFFER: usize = 1 << 20;
 
+/// Bytes of zeros [`FsStorage`] writes ahead of an append handle's
+/// records at a time. Large enough that one extension (a write plus a
+/// `sync_data`) serves thousands of small log records; small enough
+/// that a cold start, which appends a record or two before its
+/// checkpoint moves the log to a fresh segment, pays little for it.
+const ZERO_CHUNK: usize = 256 << 10;
+
+/// The zeros an extension writes, [`ZERO_CHUNK`] / `ZEROS.len()` times
+/// over; a static, so no extension allocates. It lives in the binary's
+/// read-only data and its pages count toward the process's resident
+/// memory once read, which is why it is a fraction of the chunk.
+static ZEROS: [u8; 16 << 10] = [0; 16 << 10];
+
 /// Production [`Storage`] over the real file system, with a cache of
-/// append-mode handles keyed by path so the per-record append/fsync
-/// path costs no `open(2)`. The cache's lock covers only the lookup:
-/// one writer's `fsync` never holds up another's append (callers that
-/// need appends ordered, like the WAL's writer lock, order them
-/// themselves).
+/// append handles keyed by path so the per-record append/fsync path
+/// costs no `open(2)`. The cache's lock covers only the lookup: one
+/// writer's `fsync` never holds up another's append (callers that need
+/// appends ordered, like the WAL's writer lock, order them themselves).
+///
+/// Appends land in a zero-filled region ahead of the file's logical
+/// end. When a record would pass the zero-filled end, the handle first
+/// writes 256 KiB more zeros and makes the new size durable, so
+/// the `sync` that acknowledges a record flushes data blocks only, not
+/// a file-size change. While a handle is cached, `read` and
+/// `read_stream` stop at the logical end; a file left by an earlier
+/// process carries the zero tail until the caller truncates it (see
+/// [`Storage::append`]).
 #[derive(Default)]
 pub struct FsStorage {
-    handles: Mutex<HashMap<String, Arc<std::fs::File>>>,
+    handles: Mutex<HashMap<String, Arc<AppendHandle>>>,
+}
+
+/// A cached append handle and its two offsets.
+struct AppendHandle {
+    file: std::fs::File,
+    ends: Mutex<Ends>,
+}
+
+struct Ends {
+    /// Where the next record goes.
+    logical: u64,
+    /// Where the durable zero-filled region ends (the file's length).
+    zeroed: u64,
 }
 
 impl FsStorage {
@@ -116,21 +169,36 @@ impl FsStorage {
         Self::default()
     }
 
-    /// The cached append handle for `path`, opened on first use. The
-    /// lock is released before the caller's syscall.
-    fn handle(&self, path: &str) -> io::Result<Arc<std::fs::File>> {
+    /// The cached append handle for `path`, opened on first use at the
+    /// file's current end. The lock is released before the caller's
+    /// syscall.
+    fn handle(&self, path: &str) -> io::Result<Arc<AppendHandle>> {
         let mut handles = self.handles.lock().unwrap();
-        if let Some(file) = handles.get(path) {
-            return Ok(Arc::clone(file));
+        if let Some(handle) = handles.get(path) {
+            return Ok(Arc::clone(handle));
         }
-        let file = Arc::new(
-            std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)?,
-        );
-        handles.insert(path.to_string(), Arc::clone(&file));
-        Ok(file)
+        let file = std::fs::OpenOptions::new()
+            .create(true)
+            .write(true)
+            .truncate(false)
+            .open(path)?;
+        let len = file.metadata()?.len();
+        let handle = Arc::new(AppendHandle {
+            file,
+            ends: Mutex::new(Ends {
+                logical: len,
+                zeroed: len,
+            }),
+        });
+        handles.insert(path.to_string(), Arc::clone(&handle));
+        Ok(handle)
+    }
+
+    /// The logical end of `path`'s cached append handle, if it has one.
+    fn logical_end(&self, path: &str) -> Option<u64> {
+        let handle = self.handles.lock().unwrap().get(path).map(Arc::clone)?;
+        let logical = handle.ends.lock().unwrap().logical;
+        Some(logical)
     }
 }
 
@@ -152,30 +220,57 @@ impl Storage for FsStorage {
     }
 
     fn read(&self, path: &str) -> io::Result<Vec<u8>> {
-        std::fs::read(path)
+        // the end is taken first: bytes appended after it are not part
+        // of this read, and the zeros past it never are
+        let end = self.logical_end(path);
+        let mut bytes = std::fs::read(path)?;
+        if let Some(end) = end {
+            bytes.truncate(end as usize);
+        }
+        Ok(bytes)
     }
 
     fn read_stream(&self, path: &str) -> io::Result<(Box<dyn io::Read>, u64)> {
+        use std::io::Read as _;
+        let end = self.logical_end(path);
         let file = std::fs::File::open(path)?;
-        let len = file.metadata()?.len();
+        let len = file.metadata()?.len().min(end.unwrap_or(u64::MAX));
         Ok((
-            Box::new(io::BufReader::with_capacity(STREAM_BUFFER, file)),
+            Box::new(io::BufReader::with_capacity(STREAM_BUFFER, file.take(len))),
             len,
         ))
     }
 
     fn append(&self, path: &str, bytes: &[u8]) -> io::Result<()> {
-        use std::io::Write as _;
-        (&*self.handle(path)?).write_all(bytes)
+        use std::os::unix::fs::FileExt as _;
+        let handle = self.handle(path)?;
+        let mut ends = handle.ends.lock().unwrap();
+        let end = ends.logical + bytes.len() as u64;
+        if end > ends.zeroed {
+            let chunks = (end - ends.zeroed).div_ceil(ZERO_CHUNK as u64);
+            let grown = ends.zeroed + chunks * ZERO_CHUNK as u64;
+            let mut zeroed = ends.zeroed;
+            while zeroed < grown {
+                handle.file.write_all_at(&ZEROS, zeroed)?;
+                zeroed += ZEROS.len() as u64;
+            }
+            // the new size is durable before any record lands in it, so
+            // a record's own sync never carries a size change
+            handle.file.sync_data()?;
+            ends.zeroed = zeroed;
+        }
+        handle.file.write_all_at(bytes, ends.logical)?;
+        ends.logical = end;
+        Ok(())
     }
 
     fn sync(&self, path: &str) -> io::Result<()> {
-        self.handle(path)?.sync_data()
+        self.handle(path)?.file.sync_data()
     }
 
     fn truncate(&self, path: &str, len: u64) -> io::Result<()> {
-        // drop any cached append handle first: append mode would keep
-        // writing at the old end-of-file on some platforms
+        // drop any cached append handle first: its offsets describe the
+        // old file, and the next append reopens at the truncated end
         self.handles.lock().unwrap().remove(path);
         let file = std::fs::OpenOptions::new().write(true).open(path)?;
         file.set_len(len)?;
@@ -229,6 +324,9 @@ struct SimFile {
     /// promoted by `sync`; the rest is the volatile tail a crash eats.
     data: Vec<u8>,
     durable_len: usize,
+    /// Written through `append` since it was created or last truncated:
+    /// the files [`FAULT_CRASH_ZERO_TAIL`] applies to.
+    appended: bool,
 }
 
 /// Deterministic in-memory [`Storage`] whose files survive
@@ -266,7 +364,10 @@ impl SimStorage {
     /// - [`FAULT_CRASH_KEEP`]: the tail survives intact (the fsync made
     ///   it to the platter before the power died);
     /// - [`FAULT_CRASH_TORN`]: half the tail survives — a torn write
-    ///   recovery must detect via checksum and length framing.
+    ///   recovery must detect via checksum and length framing;
+    /// - [`FAULT_CRASH_ZERO_TAIL`] (only for files written through
+    ///   `append`, whether or not they had a volatile tail): zeros
+    ///   follow whatever survived.
     ///
     /// Files are visited in path order, so which file a single armed
     /// count applies to is deterministic.
@@ -274,15 +375,18 @@ impl SimStorage {
         let mut files = self.files.lock().unwrap();
         for file in files.values_mut() {
             let tail = file.data.len() - file.durable_len;
-            if tail == 0 {
-                continue;
+            if tail > 0 {
+                if self.fire(FAULT_CRASH_KEEP) {
+                    file.durable_len = file.data.len();
+                } else if self.fire(FAULT_CRASH_TORN) {
+                    file.durable_len += tail / 2;
+                }
+                file.data.truncate(file.durable_len);
             }
-            if self.fire(FAULT_CRASH_KEEP) {
+            if file.appended && self.fire(FAULT_CRASH_ZERO_TAIL) {
+                file.data.resize(file.data.len() + CRASH_ZERO_TAIL_BYTES, 0);
                 file.durable_len = file.data.len();
-            } else if self.fire(FAULT_CRASH_TORN) {
-                file.durable_len += tail / 2;
             }
-            file.data.truncate(file.durable_len);
         }
     }
 
@@ -339,11 +443,9 @@ impl Storage for SimStorage {
 
     fn append(&self, path: &str, bytes: &[u8]) -> io::Result<()> {
         let mut files = self.files.lock().unwrap();
-        files
-            .entry(path.to_string())
-            .or_default()
-            .data
-            .extend_from_slice(bytes);
+        let file = files.entry(path.to_string()).or_default();
+        file.data.extend_from_slice(bytes);
+        file.appended = true;
         Ok(())
     }
 
@@ -361,9 +463,11 @@ impl Storage for SimStorage {
             .get_mut(path)
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, path.to_string()))?;
         file.data.truncate(len as usize);
-        file.durable_len = file.durable_len.min(file.data.len());
-        // a truncate in the durable path is followed by sync semantics
+        // a truncate in the durable path is followed by sync semantics,
+        // and trims any preallocated zeros: a crash adds none until the
+        // next append
         file.durable_len = file.data.len();
+        file.appended = false;
         Ok(())
     }
 
@@ -375,10 +479,14 @@ impl Storage for SimStorage {
         let mut data = Vec::new();
         fill(&mut data)?;
         let durable_len = data.len();
-        self.files
-            .lock()
-            .unwrap()
-            .insert(path.to_string(), SimFile { data, durable_len });
+        self.files.lock().unwrap().insert(
+            path.to_string(),
+            SimFile {
+                data,
+                durable_len,
+                appended: false,
+            },
+        );
         Ok(())
     }
 
@@ -427,6 +535,25 @@ mod tests {
         storage.append("wal/a.log", b"abc").unwrap();
         storage.crash();
         assert_eq!(storage.read("wal/a.log").unwrap(), b"abc");
+    }
+
+    #[test]
+    fn zero_tail_crash_pads_only_appended_files() {
+        let faults = Arc::new(FaultPlan::new());
+        faults.arm(FAULT_CRASH_ZERO_TAIL, u32::MAX);
+        let storage = SimStorage::with_faults(faults);
+        storage.append("wal/a.log", b"durable").unwrap();
+        storage.sync("wal/a.log").unwrap();
+        storage.append("wal/a.log", b" volatile").unwrap();
+        storage.append("wal/b.log", b"trimmed").unwrap();
+        storage.truncate("wal/b.log", 4).unwrap();
+        write_all(storage.as_ref(), "wal/CHECKPOINT", b"epoch 3").unwrap();
+        storage.crash();
+        let mut expected = b"durable".to_vec();
+        expected.resize(expected.len() + CRASH_ZERO_TAIL_BYTES, 0);
+        assert_eq!(storage.read("wal/a.log").unwrap(), expected);
+        assert_eq!(storage.read("wal/b.log").unwrap(), b"trim");
+        assert_eq!(storage.read("wal/CHECKPOINT").unwrap(), b"epoch 3");
     }
 
     #[test]

@@ -36,7 +36,8 @@
 //! 5. **Trace stitching** — every response echoes its request's trace
 //!    id; batch sub-responses inherit the batch's.
 //! 6. **Durability** — after a `kill`/`recover` round trip over the
-//!    simulated storage (unsynced tails lost, optionally torn), the
+//!    simulated storage (unsynced tails lost, optionally torn, the
+//!    active segment ending in preallocated zeros), the
 //!    recovered engine reports exactly the durable state captured at
 //!    the kill: no acknowledged op lost, none invented, the model epoch
 //!    resumed. Every sim engine is WAL-backed, so plain schedules also

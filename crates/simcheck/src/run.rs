@@ -24,7 +24,7 @@ use scrutinizer_engine::engine::Engine;
 use scrutinizer_engine::protocol::{handle_payload, Json};
 use scrutinizer_engine::{codec, step_conn, wire, ConnState, ServiceLimits};
 use scrutinizer_engine::{EngineStats, Request, WireCodec, BINARY_MAGIC};
-use scrutinizer_sim::storage::FAULT_CRASH_TORN;
+use scrutinizer_sim::storage::{FAULT_CRASH_TORN, FAULT_CRASH_ZERO_TAIL};
 use scrutinizer_sim::{
     FaultPlan, SimEndpoint, SimScheduler, SimStorage, SimStream, Spawner, VirtualClock,
 };
@@ -309,6 +309,10 @@ impl Harness<'_> {
                 if *torn {
                     self.storage_faults.arm(FAULT_CRASH_TORN, 1);
                 }
+                // production storage zero-fills the active segment ahead
+                // of its records, so every real kill leaves a zero tail
+                // (the only file appended since its last trim)
+                self.storage_faults.arm(FAULT_CRASH_ZERO_TAIL, 1);
                 self.storage.crash();
                 // connections die with the process; sessions are durable
                 // state and survive in the log, so slots keep their

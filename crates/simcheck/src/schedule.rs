@@ -112,7 +112,9 @@ pub enum SimOp {
     CrashTrainer,
     /// Kill the whole process: storage loses every unsynced tail (with
     /// `torn`, one file keeps half of its tail — a torn write recovery
-    /// must detect), every connection dies, and subsequent ops are
+    /// must detect), the active log segment ends in the zeros
+    /// production storage preallocates, every connection dies, and
+    /// subsequent ops are
     /// no-ops until a `Recover`. Rendered as `kill` (`crash` was already
     /// taken by the trainer fault above).
     Crash {

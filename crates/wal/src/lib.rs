@@ -11,8 +11,12 @@
 //!
 //! - **segments** `seg-<seq>.log` — a concatenation of records, each
 //!   `[len: u32 LE][crc32(payload): u32 LE][payload]`. Only the
-//!   highest-numbered segment is ever appended to; rotation fsyncs the
-//!   old segment first, so every non-active segment is fully durable.
+//!   highest-numbered segment is ever appended to. Production storage
+//!   zero-fills the active segment ahead of its records (so a commit's
+//!   fsync flushes data, not a size change), which leaves a run of
+//!   zeros after the last record; rotation truncates the old segment to
+//!   its records and fsyncs it before starting the next, so every
+//!   non-active segment is exactly its records and fully durable.
 //! - **`CHECKPOINT`** — written atomically (temp + fsync + rename), it
 //!   names the epoch, the first segment whose records postdate the
 //!   checkpoint, and an opaque caller payload (the engine's state
@@ -38,11 +42,14 @@
 //!
 //! [`Wal::open`] returns the checkpoint payload plus every record
 //! after it, in order. A torn tail — short frame, CRC mismatch, or
-//! zero-filled region at the end of the last segment — is chopped off
-//! and reported, never an error: by the contract above, torn bytes
-//! were never acknowledged. (Zero-fill is why empty records are
-//! rejected: an empty record's frame is indistinguishable from the
-//! zeros a crashed filesystem can extend a file tail with.)
+//! zero-filled region at the end of the last segment — is chopped off,
+//! never an error: by the contract above, torn bytes were never
+//! acknowledged. Only the torn bytes are reported
+//! ([`Recovered::truncated_bytes`]); the zero run every restart finds
+//! after the last record is truncated silently. The truncation is what
+//! lets the next append land right after the last record. (Zero-fill is
+//! why empty records are rejected: an empty record's frame is
+//! indistinguishable from zeros.)
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -93,7 +100,10 @@ pub struct Recovered {
     pub checkpoint: Option<(u64, Vec<u8>)>,
     /// Every record appended after the checkpoint, oldest first.
     pub records: Vec<Vec<u8>>,
-    /// Bytes chopped off a torn tail (0 on a clean shutdown).
+    /// Torn bytes chopped off the last segment: from the end of its last
+    /// whole record through its last nonzero byte (0 on a clean
+    /// shutdown). The zero-filled run after them is truncated too but
+    /// not counted, since every restart finds one.
     pub truncated_bytes: usize,
 }
 
@@ -227,7 +237,10 @@ impl Wal {
                         segment_name(seq)
                     )));
                 }
-                truncated_bytes = buf.len() - consumed;
+                truncated_bytes = buf[consumed..]
+                    .iter()
+                    .rposition(|&byte| byte != 0)
+                    .map_or(0, |last| last + 1);
                 storage.truncate(&path, consumed as u64)?;
             }
             active_len = consumed;
@@ -291,9 +304,12 @@ impl Wal {
 
         let mut writer = self.writer.lock().unwrap();
         if writer.seg_len >= self.options.segment_bytes && writer.seg_len > 0 {
-            // rotate: fsync the full segment so only the active one
-            // ever carries volatile bytes, then start fresh
-            self.storage.sync(&self.segment_path(writer.seg_seq))?;
+            // rotate: trim the full segment's zero-filled tail and fsync
+            // it (one `truncate`), so only the active one ever carries
+            // volatile bytes or zeros — `open` rejects either anywhere
+            // else — then start fresh
+            self.storage
+                .truncate(&self.segment_path(writer.seg_seq), writer.seg_len as u64)?;
             self.fsyncs.fetch_add(1, Ordering::Relaxed);
             writer.seg_seq += 1;
             writer.seg_len = 0;
@@ -336,8 +352,9 @@ impl Wal {
                 let writer = self.writer.lock().unwrap();
                 (self.segment_path(writer.seg_seq), writer.appended_lsn)
             };
-            // rotation fsyncs segments it retires, so syncing the
-            // active segment covers every record up to `target`
+            // rotation truncates and fsyncs segments it retires, so
+            // syncing the active segment covers every record up to
+            // `target`
             let result = self.storage.sync(&path);
             self.fsyncs.fetch_add(1, Ordering::Relaxed);
 
@@ -550,7 +567,9 @@ fn decode_checkpoint(bytes: &[u8]) -> io::Result<(u64, u64, Vec<u8>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scrutinizer_sim::storage::{FAULT_CRASH_KEEP, FAULT_CRASH_TORN, FAULT_SHORT_READ};
+    use scrutinizer_sim::storage::{
+        FAULT_CRASH_KEEP, FAULT_CRASH_TORN, FAULT_CRASH_ZERO_TAIL, FAULT_SHORT_READ,
+    };
     use scrutinizer_sim::{FaultPlan, SimStorage};
 
     fn sim() -> Arc<SimStorage> {
@@ -647,12 +666,68 @@ mod tests {
         storage.append(&path, &[0u8; 64]).unwrap();
         let (wal, recovered) = open(&storage);
         assert_eq!(recovered.records, vec![b"real".to_vec()]);
-        assert_eq!(recovered.truncated_bytes, 64);
+        // zeros are what preallocation leaves on every restart, not a
+        // tear: truncated, but not reported
+        assert_eq!(recovered.truncated_bytes, 0);
         // the log keeps working after the truncation
         let lsn = wal.append(b"after").unwrap();
         wal.commit(lsn).unwrap();
         let (_, recovered) = open(&storage);
         assert_eq!(recovered.records, vec![b"real".to_vec(), b"after".to_vec()]);
+    }
+
+    #[test]
+    fn only_the_torn_bytes_before_a_zero_tail_are_reported() {
+        let faults = Arc::new(FaultPlan::new());
+        faults.arm(FAULT_CRASH_TORN, 1);
+        faults.arm(FAULT_CRASH_ZERO_TAIL, 1);
+        let storage = SimStorage::with_faults(faults);
+        let (wal, _) = open(&storage);
+        let lsn = wal.append(b"whole record").unwrap();
+        wal.commit(lsn).unwrap();
+        let torn = b"this one tears in half....";
+        wal.append(torn).unwrap();
+        storage.crash();
+        let (wal, recovered) = open(&storage);
+        assert_eq!(recovered.records, vec![b"whole record".to_vec()]);
+        // half the frame survived, then the zeros: only the half counts
+        assert_eq!(
+            recovered.truncated_bytes,
+            (RECORD_HEADER_BYTES + torn.len()) / 2
+        );
+        let lsn = wal.append(b"after recovery").unwrap();
+        wal.commit(lsn).unwrap();
+        let (_, recovered) = open(&storage);
+        assert_eq!(
+            recovered.records,
+            vec![b"whole record".to_vec(), b"after recovery".to_vec()]
+        );
+        assert_eq!(recovered.truncated_bytes, 0);
+    }
+
+    #[test]
+    fn rotation_trims_retired_segments_of_their_zeros() {
+        let faults = Arc::new(FaultPlan::new());
+        let storage = SimStorage::with_faults(faults.clone());
+        let (wal, _) = open_with(
+            &storage,
+            WalOptions {
+                segment_bytes: 64,
+                ..WalOptions::default()
+            },
+        );
+        for i in 0..20u32 {
+            let lsn = wal.append(&i.to_le_bytes()).unwrap();
+            wal.commit(lsn).unwrap();
+        }
+        assert!(wal.metrics().segments > 1, "expected rotation");
+        // only the active segment gains zeros in the crash; a retired
+        // one with zeros would fail the open as corrupt
+        faults.arm(FAULT_CRASH_ZERO_TAIL, u32::MAX);
+        storage.crash();
+        let (_, recovered) = open(&storage);
+        assert_eq!(recovered.records.len(), 20);
+        assert_eq!(recovered.truncated_bytes, 0);
     }
 
     #[test]
