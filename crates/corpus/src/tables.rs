@@ -9,6 +9,7 @@ use crate::CorpusConfig;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use scrutinizer_data::{Catalog, Schema, Table, Value};
+use std::sync::Arc;
 
 /// Region name pool (48 entries).
 pub const REGIONS: &[&str] = &[
@@ -301,25 +302,31 @@ pub fn generate_catalog(config: &CorpusConfig) -> Catalog {
     let extras: Vec<&String> = attrs.iter().filter(|a| a.parse::<i32>().is_err()).collect();
 
     let mut catalog = Catalog::new();
+    // tables with the same extras count share one schema
+    let mut schemas: Vec<Option<Arc<Schema>>> = vec![None; extras.len().min(6) + 1];
     for i in 0..config.n_relations {
         let name = relation_name(i);
         let mut rng = SmallRng::seed_from_u64(config.seed ^ (i as u64).wrapping_mul(0x9E37_79B9));
         // every table carries all year columns plus a few extras
         let n_extras = rng.gen_range(0..=extras.len().min(6));
-        let mut columns: Vec<&str> = years.iter().map(|s| s.as_str()).collect();
-        columns.extend(extras.iter().take(n_extras).map(|s| s.as_str()));
-        let mut table = Table::new(&name, Schema::keyed("Index", &columns));
+        let schema = schemas[n_extras].get_or_insert_with(|| {
+            let mut columns: Vec<&str> = years.iter().map(|s| s.as_str()).collect();
+            columns.extend(extras.iter().take(n_extras).map(|s| s.as_str()));
+            Arc::new(Schema::keyed("Index", &columns))
+        });
+        let mut table = Table::new(&name, Arc::clone(schema));
 
         // a subset of the key pool lives in this table
         let n_table_keys = rng.gen_range(8..=20.min(keys.len()));
         let start = rng.gen_range(0..keys.len());
+        table.reserve(n_table_keys);
         for k in 0..n_table_keys {
             let key = &keys[(start + k * 7) % keys.len()];
             if table.contains_key(key) {
                 continue;
             }
             let row = generate_series(&mut rng, years.len(), n_extras);
-            let mut cells: Vec<Value> = Vec::with_capacity(columns.len() + 1);
+            let mut cells: Vec<Value> = Vec::with_capacity(years.len() + n_extras + 1);
             cells.push(Value::Str(key.clone()));
             cells.extend(row.into_iter().map(Value::Float));
             table

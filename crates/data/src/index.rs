@@ -20,6 +20,11 @@ impl KeyIndex {
         }
     }
 
+    /// Reserves room for `additional` more keys.
+    pub fn reserve(&mut self, additional: usize) {
+        self.slots.reserve(additional);
+    }
+
     /// Registers `key` at `row`. Returns `false` when the key already existed
     /// (the insert is then ignored — first writer wins, caller raises the error).
     pub fn insert(&mut self, key: &str, row: u32) -> bool {

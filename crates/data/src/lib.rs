@@ -10,7 +10,9 @@
 //! * [`Value`] — the scalar value model (null / integer / float / string) with
 //!   tolerant numeric comparison (Definition 2's admissible error rate),
 //! * [`Schema`] / [`Column`] — table schemas,
-//! * [`Table`] — columnar storage with a hash index on the primary key,
+//! * [`Table`] — compact storage: keys beside a hash index on them, and the
+//!   attribute cells in one row-major array of 8-byte words with a kind byte
+//!   per cell,
 //! * [`Catalog`] — a named collection of tables (the corpus `D`),
 //! * [`csv`] — plain CSV import/export used by examples and the corpus crate,
 //! * [`hash`] — a vendored FxHash-style hasher for hot string/interning maps.
@@ -32,7 +34,7 @@ pub use builder::TableBuilder;
 pub use catalog::{Catalog, TableId};
 pub use error::DataError;
 pub use schema::{Column, DataType, Schema};
-pub use table::{NumericColumn, Table};
+pub use table::{NumericView, Table};
 pub use value::Value;
 
 /// Result alias used throughout the crate.

@@ -1,87 +1,114 @@
-//! Columnar table storage.
+//! Compact table storage.
+//!
+//! A table keeps its primary keys in a `Vec<String>` beside the
+//! [`KeyIndex`], and every attribute cell in one row-major array of 8-byte
+//! words with one kind byte per cell: a float cell is its `f64` bits, an
+//! int cell its `i64` bits, a null cell a zero word. The rare text cell (a
+//! non-key string column built through [`Schema::new`]) keeps its string in
+//! a side list ordered by cell position. So a numeric or null cell costs 9
+//! bytes, and [`Table::get`] returns exactly the [`Value`] that
+//! [`Table::push_row`] accepted.
 
 use crate::error::DataError;
 use crate::index::KeyIndex;
-use crate::schema::Schema;
+use crate::schema::{DataType, Schema};
 use crate::value::Value;
 use crate::Result;
+use std::sync::Arc;
 
-/// A materialized numeric view of one column.
-///
-/// `values[row]` is the `f64` cast of the cell (or `NaN` when the cell is
-/// not numeric) and `valid[row]` records whether the cast existed. The view
-/// is maintained on every insert, so prepared-query execution reads plain
-/// `f64` slices instead of going through [`Value::as_f64`] per cell.
-#[derive(Debug, Default, Clone)]
-pub struct NumericColumn {
-    values: Vec<f64>,
-    valid: Vec<bool>,
+/// What the 8-byte word of a cell holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CellKind {
+    /// Missing value; the word is zero.
+    Null,
+    /// The word is the `f64`'s bits.
+    Float,
+    /// The word is the `i64`'s bits.
+    Int,
+    /// The string lives in the table's text side list; the word is zero.
+    Text,
 }
 
-impl NumericColumn {
-    /// The cell's numeric value, `None` when the cell is not numeric.
+/// A borrowed numeric view of one column, returned by
+/// [`Table::numeric_view`].
+///
+/// Prepared-query execution and query generation read cells through it as
+/// `f64` without materializing a [`Value`].
+#[derive(Debug, Clone, Copy)]
+pub struct NumericView<'t> {
+    table: &'t Table,
+    /// Attribute slot of the column; `None` for the key column.
+    slot: Option<usize>,
+}
+
+impl NumericView<'_> {
+    /// The cell's numeric value, `None` when the cell is not numeric or
+    /// `row` is out of range.
     ///
-    /// A stored `Float(NaN)` *is* numeric and comes back as `Some(NaN)`,
-    /// exactly like [`Value::as_f64`] on the underlying cell.
+    /// A float cell comes back as stored (a `NaN` *is* numeric and reads
+    /// `Some(NaN)`), an int cell as `i as f64`: exactly [`Value::as_f64`]
+    /// on the cell. Null and text cells and the key column read `None`.
     #[inline]
     pub fn get(&self, row: usize) -> Option<f64> {
-        if *self.valid.get(row)? {
-            Some(self.values[row])
-        } else {
-            None
+        let slot = self.slot?;
+        if row >= self.table.row_count() {
+            return None;
         }
-    }
-
-    /// The raw cast column; non-numeric cells read as `NaN`.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Per-row validity: whether the cell was numeric.
-    pub fn valid(&self) -> &[bool] {
-        &self.valid
-    }
-
-    fn push(&mut self, value: &Value) {
-        match value.as_f64() {
-            Some(v) => {
-                self.values.push(v);
-                self.valid.push(true);
-            }
-            None => {
-                self.values.push(f64::NAN);
-                self.valid.push(false);
-            }
+        let position = row * self.table.width + slot;
+        let word = self.table.words[position];
+        match self.table.kinds[position] {
+            CellKind::Float => Some(f64::from_bits(word)),
+            CellKind::Int => Some(word as i64 as f64),
+            CellKind::Null | CellKind::Text => None,
         }
     }
 }
 
-/// An in-memory table stored column-major with a primary-key index.
+/// An in-memory table with a primary-key index and row-major attribute
+/// cells.
 ///
-/// Column-major layout matches the access pattern of statistical checks:
-/// a check touches one or two rows but reads specific attributes, and the
-/// corpus crate scans whole attribute columns when synthesizing claims.
+/// A check touches one or two rows through point lookups, so one
+/// contiguous array of cells with a hash index on the key serves it; the
+/// corpus crate fills whole tables row by row.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
-    schema: Schema,
-    columns: Vec<Vec<Value>>,
-    numeric: Vec<NumericColumn>,
+    schema: Arc<Schema>,
+    /// Number of attribute (non-key) columns: the row stride of `words`.
+    width: usize,
+    keys: Vec<String>,
     index: KeyIndex,
+    /// Cell words, indexed by `row * width + slot`.
+    words: Vec<u64>,
+    /// One kind per cell, indexed like `words`.
+    kinds: Vec<CellKind>,
+    /// `(cell position, string)` of every text cell, in position order.
+    texts: Vec<(usize, String)>,
 }
 
 impl Table {
-    /// Creates an empty table.
-    pub fn new(name: impl Into<String>, schema: Schema) -> Self {
-        let columns = vec![Vec::new(); schema.arity()];
-        let numeric = vec![NumericColumn::default(); schema.arity()];
+    /// Creates an empty table. Tables of the same shape may share one
+    /// schema: pass an `Arc<Schema>` clone.
+    pub fn new(name: impl Into<String>, schema: impl Into<Arc<Schema>>) -> Self {
+        let schema = schema.into();
         Table {
             name: name.into(),
+            width: schema.arity() - 1,
             schema,
-            columns,
-            numeric,
+            keys: Vec::new(),
             index: KeyIndex::default(),
+            words: Vec::new(),
+            kinds: Vec::new(),
+            texts: Vec::new(),
         }
+    }
+
+    /// Reserves room for `additional` more rows.
+    pub fn reserve(&mut self, additional: usize) {
+        self.keys.reserve(additional);
+        self.index.reserve(additional);
+        self.words.reserve(additional * self.width);
+        self.kinds.reserve(additional * self.width);
     }
 
     /// Table name.
@@ -96,12 +123,42 @@ impl Table {
 
     /// Number of rows.
     pub fn row_count(&self) -> usize {
-        self.columns.first().map_or(0, Vec::len)
+        self.keys.len()
+    }
+
+    /// Attribute slot of schema column `col`, `None` for the key column.
+    #[inline]
+    fn slot(&self, col: usize) -> Option<usize> {
+        let key = self.schema.key_index();
+        match col.cmp(&key) {
+            std::cmp::Ordering::Less => Some(col),
+            std::cmp::Ordering::Equal => None,
+            std::cmp::Ordering::Greater => Some(col - 1),
+        }
+    }
+
+    /// The value of the cell at `row`, attribute `slot`.
+    fn cell(&self, row: usize, slot: usize) -> Value {
+        let position = row * self.width + slot;
+        let word = self.words[position];
+        match self.kinds[position] {
+            CellKind::Null => Value::Null,
+            CellKind::Float => Value::Float(f64::from_bits(word)),
+            CellKind::Int => Value::Int(word as i64),
+            CellKind::Text => {
+                let at = self
+                    .texts
+                    .binary_search_by_key(&position, |(p, _)| *p)
+                    .expect("every text cell is in the side list");
+                Value::Str(self.texts[at].1.clone())
+            }
+        }
     }
 
     /// Appends a row given in schema order.
     ///
-    /// Validates arity, column types, and primary-key uniqueness/non-nullness.
+    /// Validates arity, column types, and primary-key uniqueness/non-nullness
+    /// before touching storage, so a rejected row changes nothing.
     pub fn push_row(&mut self, row: Vec<Value>) -> Result<()> {
         if row.len() != self.schema.arity() {
             return Err(DataError::ArityMismatch {
@@ -114,15 +171,16 @@ impl Table {
                 return Err(DataError::TypeMismatch {
                     column: column.name.clone(),
                     expected: match column.dtype {
-                        crate::schema::DataType::Int => "int",
-                        crate::schema::DataType::Float => "float",
-                        crate::schema::DataType::Str => "string",
+                        DataType::Int => "int",
+                        DataType::Float => "float",
+                        DataType::Str => "string",
                     },
                     actual: format!("{} `{}`", value.type_name(), value),
                 });
             }
         }
-        let key_value = &row[self.schema.key_index()];
+        let key_index = self.schema.key_index();
+        let key_value = &row[key_index];
         let key = key_value.as_str().ok_or_else(|| DataError::TypeMismatch {
             column: self.schema.key_name().to_string(),
             expected: "non-null string key",
@@ -132,17 +190,34 @@ impl Table {
         if !self.index.insert(key, position) {
             return Err(DataError::DuplicateKey(key.to_string()));
         }
-        for ((column, numeric), value) in self.columns.iter_mut().zip(&mut self.numeric).zip(row) {
-            numeric.push(&value);
-            column.push(value);
+        for (col, value) in row.into_iter().enumerate() {
+            if col == key_index {
+                let Value::Str(key) = value else {
+                    unreachable!("the key was checked to be a string")
+                };
+                self.keys.push(key);
+                continue;
+            }
+            let (kind, word) = match value {
+                Value::Null => (CellKind::Null, 0),
+                Value::Float(f) => (CellKind::Float, f.to_bits()),
+                Value::Int(i) => (CellKind::Int, i as u64),
+                Value::Str(text) => {
+                    self.texts.push((self.words.len(), text));
+                    (CellKind::Text, 0)
+                }
+            };
+            self.words.push(word);
+            self.kinds.push(kind);
         }
         Ok(())
     }
 
     /// Point lookup: value at (`key`, `attribute`).
     ///
-    /// This is the `GetValue(r, k, a)` primitive of Algorithm 2.
-    pub fn get(&self, key: &str, attribute: &str) -> Result<&Value> {
+    /// This is the `GetValue(r, k, a)` primitive of Algorithm 2. Only a
+    /// string cell (the key column, or a text attribute) allocates.
+    pub fn get(&self, key: &str, attribute: &str) -> Result<Value> {
         let row = self
             .index
             .get(key)
@@ -154,7 +229,10 @@ impl Table {
                 table: self.name.clone(),
                 column: attribute.to_string(),
             })?;
-        Ok(&self.columns[col][row])
+        Ok(match self.slot(col) {
+            Some(slot) => self.cell(row, slot),
+            None => Value::Str(self.keys[row].clone()),
+        })
     }
 
     /// Whether the table has a row with this primary key.
@@ -172,20 +250,22 @@ impl Table {
     /// The primary-key string stored at row `row`, if in range.
     #[inline]
     pub fn key_at(&self, row: u32) -> Option<&str> {
-        self.columns[self.schema.key_index()]
-            .get(row as usize)
-            .and_then(Value::as_str)
+        self.keys.get(row as usize).map(String::as_str)
     }
 
-    /// The cached numeric view of column `col` (by schema position).
+    /// The numeric view of column `col` (by schema position).
     ///
     /// # Panics
     /// Panics when `col` is out of range — column positions come from
-    /// [`Schema::column_index`](crate::schema::Schema::column_index), so an
-    /// out-of-range position is a programming error.
+    /// [`Schema::column_index`], so an out-of-range position is a
+    /// programming error.
     #[inline]
-    pub fn numeric_view(&self, col: usize) -> &NumericColumn {
-        &self.numeric[col]
+    pub fn numeric_view(&self, col: usize) -> NumericView<'_> {
+        assert!(col < self.schema.arity(), "column {col} out of range");
+        NumericView {
+            table: self,
+            slot: self.slot(col),
+        }
     }
 
     /// Whether the table has an attribute column with this name.
@@ -197,21 +277,7 @@ impl Table {
 
     /// All primary-key values in row order.
     pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.columns[self.schema.key_index()]
-            .iter()
-            .filter_map(Value::as_str)
-    }
-
-    /// Full column by name.
-    pub fn column(&self, name: &str) -> Result<&[Value]> {
-        let col = self
-            .schema
-            .column_index(name)
-            .ok_or_else(|| DataError::UnknownColumn {
-                table: self.name.clone(),
-                column: name.to_string(),
-            })?;
-        Ok(&self.columns[col])
+        self.keys.iter().map(String::as_str)
     }
 
     /// Materializes row `position` in schema order (clones cells).
@@ -219,7 +285,14 @@ impl Table {
         if position >= self.row_count() {
             return None;
         }
-        Some(self.columns.iter().map(|c| c[position].clone()).collect())
+        Some(
+            (0..self.schema.arity())
+                .map(|col| match self.slot(col) {
+                    Some(slot) => self.cell(position, slot),
+                    None => Value::Str(self.keys[position].clone()),
+                })
+                .collect(),
+        )
     }
 }
 
@@ -256,8 +329,8 @@ mod tests {
     #[test]
     fn point_lookup() {
         let t = ged();
-        assert_eq!(t.get("PGElecDemand", "2017").unwrap(), &Value::Int(22_209));
-        assert_eq!(t.get("PGINCoal", "2040").unwrap(), &Value::Int(2_353));
+        assert_eq!(t.get("PGElecDemand", "2017").unwrap(), Value::Int(22_209));
+        assert_eq!(t.get("PGINCoal", "2040").unwrap(), Value::Int(2_353));
     }
 
     #[test]
@@ -289,7 +362,7 @@ mod tests {
         assert!(matches!(err, DataError::DuplicateKey(_)));
         assert_eq!(t.row_count(), before, "failed insert must not grow columns");
         // all columns stay aligned
-        assert_eq!(t.get("PGElecDemand", "2016").unwrap(), &Value::Int(21_566));
+        assert_eq!(t.get("PGElecDemand", "2016").unwrap(), Value::Int(21_566));
     }
 
     #[test]
@@ -331,7 +404,11 @@ mod tests {
         let t = ged();
         let keys: Vec<&str> = t.keys().collect();
         assert_eq!(keys, vec!["PGElecDemand", "PGINCoal"]);
-        assert_eq!(t.column("2017").unwrap().len(), 2);
+        // the `2017` column holds one cell per row
+        let col = t.schema().column_index("2017").unwrap();
+        assert_eq!(t.get("PGINCoal", "2017").unwrap(), Value::Int(2_390));
+        assert!(t.numeric_view(col).get(1).is_some());
+        assert!(t.numeric_view(col).get(2).is_none());
         assert!(t.has_attribute("2030"));
         assert!(!t.has_attribute("Index"), "key column is not an attribute");
     }
@@ -344,12 +421,10 @@ mod tests {
         assert_eq!(view.get(0), Some(22_209.0));
         assert_eq!(view.get(1), Some(2_390.0));
         assert_eq!(view.get(2), None, "out of range");
-        assert_eq!(view.values(), &[22_209.0, 2_390.0]);
-        assert_eq!(view.valid(), &[true, true]);
-        // the key column is strings: numeric view is all-invalid NaN
+        // the key column is strings: its numeric view reads nothing
         let key_view = t.numeric_view(t.schema().key_index());
         assert_eq!(key_view.get(0), None);
-        assert!(key_view.values()[0].is_nan());
+        assert_eq!(key_view.get(1), None);
     }
 
     #[test]
