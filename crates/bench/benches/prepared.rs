@@ -21,6 +21,11 @@
 //!   saves. Screen parity is asserted on every context before timing, in
 //!   `--quick` mode too; the ratios are printed, not gated.
 //!
+//! * `catalog_footprint` runs first, before anything is timed: it builds
+//!   the paper-scale catalog under the [`CountingAllocator`] and asserts
+//!   that it keeps at most 16 live heap bytes per attribute cell and 3
+//!   live heap blocks per row, in `--quick` mode too.
+//!
 //! The `--quick` smoke mode (also triggered by `cargo test`'s `--test`
 //! flag, and used by CI) runs every routine once just to prove the bench
 //! still drives the APIs.
@@ -28,14 +33,57 @@
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use scrutinizer_bench::{live_blocks, live_bytes, CountingAllocator};
 use scrutinizer_core::screens::FinalScreen;
 use scrutinizer_core::{
     generate_queries, generate_queries_unprepared, generate_survivors, Survivors, SystemConfig,
     Verifier,
 };
-use scrutinizer_corpus::{ClaimKind, ClaimRecord, Corpus, CorpusConfig};
+use scrutinizer_corpus::{tables, ClaimKind, ClaimRecord, Corpus, CorpusConfig};
 use scrutinizer_formula::{parse_formula, Formula};
 use scrutinizer_query::{parse, FunctionRegistry, PreparedQuery};
+
+#[global_allocator]
+static ALLOC: CountingAllocator = CountingAllocator;
+
+/// Live heap bytes the paper-scale catalog may keep per attribute cell: a
+/// float cell's 8-byte word and kind byte, plus its share of the keys, the
+/// key index and the per-table vectors.
+const MAX_BYTES_PER_CELL: f64 = 16.0;
+
+/// Live heap blocks the paper-scale catalog may keep per row: the key and
+/// its index entry, plus a share of the per-table vectors.
+const MAX_BLOCKS_PER_ROW: f64 = 3.0;
+
+/// Builds the paper-scale catalog and asserts its heap footprint floor.
+fn catalog_footprint(_: &mut Criterion) {
+    let (bytes_before, blocks_before) = (live_bytes(), live_blocks());
+    let start = Instant::now();
+    let catalog = tables::generate_catalog(&CorpusConfig::paper_scale());
+    let build = start.elapsed();
+    let bytes = live_bytes().wrapping_sub(bytes_before);
+    let blocks = live_blocks().wrapping_sub(blocks_before);
+    let rows: usize = catalog.tables().map(|t| t.row_count()).sum();
+    let cells: usize = catalog.tables().map(|t| t.cell_count()).sum();
+    let per_cell = bytes as f64 / cells as f64;
+    let per_row = blocks as f64 / rows as f64;
+    println!(
+        "catalog_footprint paper scale: {} tables, {rows} rows, {cells} attribute cells; \
+         live heap {:.1} MB = {per_cell:.1} B per cell (floor {MAX_BYTES_PER_CELL}), \
+         {blocks} blocks = {per_row:.2} per row (floor {MAX_BLOCKS_PER_ROW}); built in {:.1} ms",
+        catalog.len(),
+        bytes as f64 / 1e6,
+        build.as_secs_f64() * 1e3
+    );
+    assert!(
+        per_cell <= MAX_BYTES_PER_CELL,
+        "the catalog keeps {per_cell:.1} B per attribute cell, above the {MAX_BYTES_PER_CELL} B floor"
+    );
+    assert!(
+        per_row <= MAX_BLOCKS_PER_ROW,
+        "the catalog keeps {per_row:.2} heap blocks per row, above the {MAX_BLOCKS_PER_ROW} floor"
+    );
+}
 
 /// One claim's Algorithm 2 input, resolved from the corpus ground truth
 /// the way the engine's suggestion path resolves validated contexts.
@@ -482,6 +530,6 @@ fn bench_suggest_screen(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_suggestion_sweep, bench_execute_repeat, bench_suggest_screen
+    targets = catalog_footprint, bench_suggestion_sweep, bench_execute_repeat, bench_suggest_screen
 }
 criterion_main!(benches);

@@ -140,9 +140,16 @@ fn table1(scale: &str) {
         ("Formula", [1, 1, 1, 8, 55]),
     ];
     let maps: [&FxHashMap<&str, usize>; 4] = [&rel, &key, &attr, &form];
+    let mut checks = Vec::with_capacity(paper.len());
     for ((name, published), map) in paper.iter().zip(maps) {
         let freqs: Vec<usize> = map.values().copied().collect();
         let p = percentiles(&freqs, &TABLE1_POINTS);
+        // TABLE1_POINTS are 10/25/50/95/99: compare the median and the tail
+        checks.push((
+            *name,
+            compare_percentile(p[2], published[2]),
+            compare_percentile(p[3], published[3]),
+        ));
         println!(
             "{:<14}{:>6}{:>6}{:>6}{:>8}{:>8}   (measured, {} distinct values)",
             name,
@@ -158,8 +165,42 @@ fn table1(scale: &str) {
             "", published[0], published[1], published[2], published[3], published[4]
         );
     }
-    println!("\nshape check: heavy Zipf tail on every property; attributes most reused,");
-    println!("formulas most concentrated at low counts — matches the paper's profile.");
+    println!("\nshape check: measured p50 and p95 against the paper's, within {TABLE1_FACTOR}×");
+    let mut matching = 0;
+    for (name, (p50_ok, p50), (p95_ok, p95)) in &checks {
+        let verdict = if *p50_ok && *p95_ok {
+            matching += 1;
+            "within"
+        } else {
+            "off"
+        };
+        println!("{name:<14}p50 {p50}; p95 {p95}   → {verdict}");
+    }
+    println!(
+        "{matching} of {} properties within {TABLE1_FACTOR}× of the paper at both p50 and p95.",
+        checks.len()
+    );
+}
+
+/// Factor within which a measured Table 1 percentile counts as matching
+/// the published one.
+const TABLE1_FACTOR: f64 = 2.0;
+
+/// Compares a measured percentile with the published one: whether it is
+/// within [`TABLE1_FACTOR`] either way, and a line saying so or saying by
+/// how much it is off.
+fn compare_percentile(measured: usize, published: usize) -> (bool, String) {
+    let ratio = measured as f64 / published as f64;
+    let off = ratio.max(1.0 / ratio);
+    if off <= TABLE1_FACTOR {
+        (true, format!("{measured} vs {published} (within)"))
+    } else {
+        let side = if ratio < 1.0 { "low" } else { "high" };
+        (
+            false,
+            format!("{measured} vs {published} ({off:.1}× too {side})"),
+        )
+    }
 }
 
 fn study_corpus(scale: &str) -> Corpus {
@@ -397,4 +438,24 @@ fn table3() {
     }
     println!("\n(this row set is definitional — nothing to measure; our implementation");
     println!("realizes the Scrutinizer column: general claims, crowd, corpus, learned ops)");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::compare_percentile;
+
+    #[test]
+    fn percentiles_within_the_factor_match_either_way() {
+        assert!(compare_percentile(10, 10).0);
+        assert!(compare_percentile(5, 10).0);
+        assert!(compare_percentile(20, 10).0);
+        assert_eq!(
+            compare_percentile(1, 10),
+            (false, "1 vs 10 (10.0× too low)".into())
+        );
+        assert_eq!(
+            compare_percentile(41, 4),
+            (false, "41 vs 4 (10.2× too high)".into())
+        );
+    }
 }

@@ -126,6 +126,11 @@ impl Table {
         self.keys.len()
     }
 
+    /// Number of attribute cells: rows times non-key columns.
+    pub fn cell_count(&self) -> usize {
+        self.row_count() * self.width
+    }
+
     /// Attribute slot of schema column `col`, `None` for the key column.
     #[inline]
     fn slot(&self, col: usize) -> Option<usize> {

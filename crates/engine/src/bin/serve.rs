@@ -43,6 +43,9 @@
 //!
 //! Diagnostics go to stderr as structured JSON log lines, filtered by
 //! `--log-level` (default `info`; `debug` adds per-connection chatter).
+//! Each startup phase logs its duration as `ms`: `corpus generated` (with
+//! the catalog's table and cell counts), `features built` (with the
+//! feature dimension) and, under `--data-dir`, `durable state recovered`.
 //! `--trace-log FILE` enables the tracing subsystem and appends every
 //! span and event record from the flight recorder to `FILE` as JSON
 //! lines, drained by a background thread — one line per span, carrying
@@ -61,7 +64,7 @@
 
 use std::io::Write as _;
 use std::process::exit;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use std::sync::Arc;
 
@@ -242,6 +245,11 @@ fn start_trace_log(path: &str) {
         .expect("spawning trace-log sink thread failed");
 }
 
+/// Milliseconds since `start`, for the startup phase log lines.
+fn elapsed_ms(start: Instant) -> f64 {
+    start.elapsed().as_secs_f64() * 1e3
+}
+
 fn main() {
     let args = parse_args();
     obs::log::set_log_level(args.log_level);
@@ -264,7 +272,18 @@ fn main() {
         seed = args.seed,
         claims = corpus_config.n_claims,
     );
+    let started = Instant::now();
     let corpus = Corpus::generate(corpus_config);
+    log_info!(
+        "corpus generated",
+        ms = elapsed_ms(started),
+        tables = corpus.catalog.len(),
+        cells = corpus
+            .catalog
+            .tables()
+            .map(|t| t.cell_count())
+            .sum::<usize>(),
+    );
     let mut options = EngineOptions::default();
     if let Some(threads) = args.threads {
         options.threads = threads;
@@ -278,7 +297,14 @@ fn main() {
         wal: WalOptions::default(),
     });
     let config = SystemConfig::default();
+    let started = Instant::now();
     let parts = EngineParts::bootstrap(corpus, &config);
+    log_info!(
+        "features built",
+        ms = elapsed_ms(started),
+        dim = parts.models.featurizer().dimension(),
+    );
+    let started = Instant::now();
     let (engine, report) = Engine::open(parts, config, options, SimEnv::production(), durable)
         .unwrap_or_else(|error| {
             log_error!(
@@ -291,6 +317,7 @@ fn main() {
     if let Some(dir) = &args.data_dir {
         log_info!(
             "durable state recovered",
+            ms = elapsed_ms(started),
             data_dir = dir.as_str(),
             resumed_epoch = report.resumed_epoch,
             checkpoint_epoch = report.checkpoint_epoch,
