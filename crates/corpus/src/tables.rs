@@ -302,13 +302,14 @@ pub fn generate_catalog(config: &CorpusConfig) -> Catalog {
     let extras: Vec<&String> = attrs.iter().filter(|a| a.parse::<i32>().is_err()).collect();
 
     let mut catalog = Catalog::new();
+    let max_extras = extras.len().min(6);
     // tables with the same extras count share one schema
-    let mut schemas: Vec<Option<Arc<Schema>>> = vec![None; extras.len().min(6) + 1];
+    let mut schemas: Vec<Option<Arc<Schema>>> = vec![None; max_extras + 1];
     for i in 0..config.n_relations {
         let name = relation_name(i);
         let mut rng = SmallRng::seed_from_u64(config.seed ^ (i as u64).wrapping_mul(0x9E37_79B9));
         // every table carries all year columns plus a few extras
-        let n_extras = rng.gen_range(0..=extras.len().min(6));
+        let n_extras = rng.gen_range(0..=max_extras);
         let schema = schemas[n_extras].get_or_insert_with(|| {
             let mut columns: Vec<&str> = years.iter().map(|s| s.as_str()).collect();
             columns.extend(extras.iter().take(n_extras).map(|s| s.as_str()));
