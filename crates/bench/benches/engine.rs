@@ -1,9 +1,9 @@
-//! Engine benchmarks: the suggest path and what the executor buys.
+//! Engine benchmarks: the suggest path and what the batch fan-out buys.
 //!
 //! `suggestion_pipeline` isolates Algorithm 2 — submit + suggest over a
 //! fixed slice of claims, every assignment evaluated directly — and
 //! `verify_throughput/*` measures end-to-end batch verification,
-//! sequential vs. pooled.
+//! sequential vs. `verify_batch`'s worker threads (`pooled`).
 
 use std::sync::Arc;
 

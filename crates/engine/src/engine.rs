@@ -1,8 +1,8 @@
 //! The engine proper: shared corpus + models behind a concurrency-safe
 //! facade, serving many interactive verification sessions at once.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, Weak};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex, OnceLock, RwLock, Weak};
 
 use scrutinizer_core::models::available_threads;
 use scrutinizer_core::ordering::{select_batch, BatchMethod, BatchSelection, ClaimChoice};
@@ -20,26 +20,22 @@ use scrutinizer_crowd::{Worker, WorkerConfig};
 use scrutinizer_data::hash::{FxHashMap, FxHashSet};
 use scrutinizer_query::FunctionRegistry;
 
-use scrutinizer_sim::{SimEnv, Spawner};
+use scrutinizer_sim::{SimEnv, Task};
 use scrutinizer_wal::{Wal, WalMetrics};
 
 use crate::durability::{
     self, ClaimImage, DurableEnv, RecoveryReport, SessionImage, StateImage, WalRecord,
 };
-use crate::executor::ThreadPool;
 use crate::session::{ClaimPhase, ClaimQuestions, ClaimTask, SessionId, SessionState, Suggestion};
 use crate::snapshot::{ModelSnapshot, SnapshotCell};
 use crate::stats::EngineStats;
 use scrutinizer_obs as obs;
 
-/// Bounded queue length of the `verify_batch` executor; submissions
-/// beyond it block (backpressure).
-const QUEUE_CAPACITY: usize = 256;
-
 /// Engine sizing and behavior knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineOptions {
-    /// Executor threads (default: available parallelism, min 2).
+    /// Worker threads one `verify_batch` call fans its claims out over
+    /// (default: available parallelism, min 2).
     pub threads: usize,
     /// Schedule a background incremental retrain once this many newly
     /// verified claims sit in the pending-examples log; `None` freezes the
@@ -138,6 +134,21 @@ fn wal_io<T>(result: std::io::Result<T>, context: &str) -> T {
     }
 }
 
+/// Starts the engine's one trainer thread: it runs the jobs it receives
+/// in order and exits when the returned sender drops.
+fn spawn_trainer() -> mpsc::Sender<Task> {
+    let (sender, jobs) = mpsc::channel::<Task>();
+    std::thread::Builder::new()
+        .name("scrutinizer-trainer".to_string())
+        .spawn(move || {
+            for job in jobs {
+                job();
+            }
+        })
+        .expect("spawn trainer thread");
+    sender
+}
+
 struct VerifiedSet {
     order: Vec<usize>,
     seen: FxHashSet<usize>,
@@ -146,9 +157,9 @@ struct VerifiedSet {
 /// The long-lived, concurrent verification engine.
 ///
 /// One engine owns the corpus (catalog + claims + document), the four
-/// property classifiers and the executors; any number of threads may
-/// drive sessions against it concurrently. See the [crate docs](crate)
-/// for the full tour.
+/// property classifiers and the background trainer; any number of
+/// threads may drive sessions against it concurrently. See the
+/// [crate docs](crate) for the full tour.
 pub struct Engine {
     corpus: Arc<Corpus>,
     config: SystemConfig,
@@ -161,11 +172,11 @@ pub struct Engine {
     /// Every claim featurized exactly once at construction; shared by
     /// translation, utility scoring and the background trainer.
     features: Arc<FeatureStore>,
-    pool: ThreadPool,
-    /// Dedicated single-thread executor for background retraining, so
-    /// learning can never compete with (or deadlock against) the serving
-    /// pool's claim-verification jobs.
-    trainer: ThreadPool,
+    /// Feeds the one long-lived `scrutinizer-trainer` thread, which runs
+    /// background retrains in order. The thread is never joined: it exits
+    /// once this sender drops, so the engine may drop inside a trainer
+    /// job (the job holds the last handle) without waiting on itself.
+    trainer: mpsc::Sender<Task>,
     stats: EngineStats,
     sessions: Mutex<FxHashMap<u64, SessionHandle>>,
     next_session: AtomicU64,
@@ -307,8 +318,7 @@ impl Engine {
             registry: FunctionRegistry::standard(),
             models: SnapshotCell::with_epoch(models, epoch),
             features,
-            pool: ThreadPool::new(options.threads, QUEUE_CAPACITY),
-            trainer: ThreadPool::new(1, 2),
+            trainer: spawn_trainer(),
             stats: EngineStats::default(),
             sessions: Mutex::new(FxHashMap::default()),
             next_session: AtomicU64::new(1),
@@ -1366,7 +1376,14 @@ impl Engine {
         // the dedicated trainer thread
         match self.env.scheduler() {
             Some(sched) => sched.spawn("trainer", Box::new(job)),
-            None => self.trainer.execute(job),
+            None => {
+                if self.trainer.send(Box::new(job)).is_err() {
+                    // the trainer thread is gone (a retrain panicked):
+                    // clear the flag so no later retrain waits on it
+                    self.retrain_active.store(false, Ordering::Release);
+                    return false;
+                }
+            }
         }
         true
     }
@@ -1506,42 +1523,65 @@ impl Engine {
         }
     }
 
-    /// Verifies a batch of claims concurrently on the engine's executor,
-    /// one simulated checker per claim (seeded by `base.seed ^ claim id`,
-    /// so results are independent of scheduling). Results come back in
-    /// input order. Claim ids are validated here — not in any dispatch
-    /// layer — so every entry point (TCP, in-process, `batch`
-    /// sub-request) reports the same [`EngineError::UnknownClaim`].
+    /// Verifies a batch of claims concurrently on `options.threads`
+    /// scoped worker threads, one simulated checker per claim (seeded by
+    /// `base.seed ^ claim id`, so results are independent of scheduling).
+    /// Results come back in input order. Claim ids are validated here —
+    /// not in any dispatch layer — so every entry point (TCP, in-process,
+    /// `batch` sub-request) reports the same [`EngineError::UnknownClaim`].
     pub fn verify_batch(
-        self: &Arc<Self>,
+        &self,
         claim_ids: &[usize],
         base: WorkerConfig,
     ) -> Result<Vec<ClaimOutcome>, EngineError> {
         if let Some(&bad) = claim_ids.iter().find(|&&id| id >= self.corpus.claims.len()) {
             return Err(EngineError::UnknownClaim(bad));
         }
-        let tasks: Vec<_> = claim_ids
-            .iter()
-            .map(|&claim_id| {
-                let engine = Arc::clone(self);
-                move || {
-                    let config = WorkerConfig {
-                        seed: base.seed ^ (claim_id as u64).wrapping_mul(0x9E37_79B9),
-                        ..base
-                    };
-                    let mut worker = Worker::new(format!("batch-{claim_id}"), config);
-                    engine.verify_claim_with(claim_id, &mut worker)
-                }
-            })
-            .collect();
+        let verify = |claim_id: usize| {
+            let config = WorkerConfig {
+                seed: base.seed ^ (claim_id as u64).wrapping_mul(0x9E37_79B9),
+                ..base
+            };
+            let mut worker = Worker::new(format!("batch-{claim_id}"), config);
+            self.verify_claim_with(claim_id, &mut worker)
+        };
         // per-claim worker seeds make results scheduling-independent, but
         // side effects (session-id draws, retrain timing) are
         // not — under simulation the batch runs inline in input order so
         // the whole run stays bitwise deterministic
         if self.env.is_simulated() {
-            return Ok(tasks.into_iter().map(|task| task()).collect());
+            return Ok(claim_ids.iter().map(|&claim_id| verify(claim_id)).collect());
         }
-        Ok(self.pool.run_all(tasks))
+        let (queue_depth, in_flight) = (&self.stats.queue_depth, &self.stats.jobs_in_flight);
+        for _ in claim_ids {
+            queue_depth.inc();
+        }
+        let slots: Vec<OnceLock<ClaimOutcome>> =
+            claim_ids.iter().map(|_| OnceLock::new()).collect();
+        let cursor = AtomicUsize::new(0);
+        let work = || loop {
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(&claim_id) = claim_ids.get(index) else {
+                break;
+            };
+            queue_depth.dec();
+            in_flight.inc();
+            let outcome = verify(claim_id);
+            in_flight.dec();
+            let _ = slots[index].set(outcome);
+        };
+        std::thread::scope(|scope| {
+            for i in 0..self.options.threads.max(1).min(claim_ids.len()) {
+                std::thread::Builder::new()
+                    .name(format!("scrutinizer-batch-{i}"))
+                    .spawn_scoped(scope, work)
+                    .expect("spawn batch worker");
+            }
+        });
+        Ok(slots
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("every claim verified"))
+            .collect())
     }
 
     // ---- raw SQL ----------------------------------------------------------
@@ -1580,7 +1620,7 @@ impl Engine {
     }
 
     /// Copies the state the engine keeps outside the registry — live
-    /// sessions, model epoch, pending examples, pool levels and the WAL
+    /// sessions, model epoch, pending examples and the WAL
     /// counters — into its mirrored series.
     fn refresh_mirrored(&self) {
         let stats = &self.stats;
@@ -1589,8 +1629,6 @@ impl Engine {
         stats
             .pending_examples
             .set(self.pending.lock().expect("pending log poisoned").len() as u64);
-        stats.queue_depth.set(self.pool.queue_depth() as u64);
-        stats.jobs_in_flight.set(self.pool.in_flight() as u64);
         if let Some(wal) = self.wal_metrics() {
             stats.wal_appends.store(wal.appends);
             stats.wal_bytes_written.store(wal.bytes_written);

@@ -25,8 +25,8 @@
 //!   │   features: Arc<FeatureStore> (CSR, built   │──▶ batch utility scoring
 //!   │             once at bootstrap)              │
 //!   │   corpus:   Arc<Corpus>       (catalog)     │──▶ Algorithm 2 (qgen), `sql` op
-//!   │   pool:     bounded-queue thread pool       │──▶ verify_batch fan-out
-//!   │   trainer:  1-thread background executor    │──▶ warm-start retrains
+//!   │   trainer:  channel to one long-lived       │──▶ warm-start retrains
+//!   │             `scrutinizer-trainer` thread    │
 //!   │   stats:    counters + latency histograms   │──▶ `stats` endpoint
 //!   └─────────────────────────────────────────────┘
 //!        │ verdicts append to the pending-examples log
@@ -55,8 +55,8 @@
 //!    edge, off the read path.
 //!
 //! [`Engine::verify_batch`] drives the same machinery with simulated
-//! checkers ([`scrutinizer_crowd::Worker`]) concurrently over the thread
-//! pool — the high-throughput batch path used by the benches and tests.
+//! checkers ([`scrutinizer_crowd::Worker`]) concurrently on scoped worker
+//! threads — the high-throughput batch path used by the benches and tests.
 //!
 //! ## The paper's experiments
 //!
@@ -115,7 +115,6 @@ pub mod api;
 pub mod codec;
 pub mod durability;
 pub mod engine;
-pub mod executor;
 pub mod experiments;
 pub mod protocol;
 pub mod serve_core;
@@ -128,7 +127,6 @@ pub mod wire;
 pub use api::{dispatch, ApiError, ErrorCode, Request, Response};
 pub use durability::{DurableEnv, RecoveryReport, WalRecord};
 pub use engine::{Engine, EngineError, EngineOptions, EngineParts, VerdictRecord};
-pub use executor::ThreadPool;
 pub use serve_core::{step_conn, ConnState, ServiceLimits};
 pub use server::{Server, ServerHandle, ServerOptions};
 pub use session::{ClaimQuestions, ScreenView, SessionId, Suggestion};

@@ -141,6 +141,10 @@ pub struct EngineStats {
     pub verify_latency: LatencyHistogram,
     /// Latency of model retraining.
     pub retrain_latency: LatencyHistogram,
+    /// Claims of running `verify_batch` calls that no worker has taken yet.
+    pub queue_depth: Gauge,
+    /// Claims `verify_batch` workers are verifying right now.
+    pub jobs_in_flight: Gauge,
     // The mirrored series below copy state the engine keeps elsewhere;
     // `Engine::stats` and `Engine::render_metrics` refresh them first.
     /// Sessions currently live (mirrored).
@@ -149,10 +153,6 @@ pub struct EngineStats {
     pub model_epoch: Gauge,
     /// Verified claims awaiting the next retrain (mirrored).
     pub pending_examples: Gauge,
-    /// Jobs waiting in the executor queue (mirrored).
-    pub queue_depth: Gauge,
-    /// Jobs currently executing on the pool (mirrored).
-    pub jobs_in_flight: Gauge,
     /// WAL records appended (mirrored from the WAL's own counters; zero
     /// when the engine runs without a `--data-dir`). The durability
     /// conservation law: on a fresh durable engine, appends equals the
@@ -322,11 +322,11 @@ impl EngineStats {
             ),
             queue_depth: r.gauge(
                 "scrutinizer_queue_depth",
-                "Jobs waiting in the executor queue.",
+                "Claims of running verify_batch calls that no worker has taken yet.",
             ),
             jobs_in_flight: r.gauge(
                 "scrutinizer_jobs_in_flight",
-                "Jobs currently executing on the pool.",
+                "Claims verify_batch workers are verifying right now.",
             ),
             wal_appends: r.counter(
                 "scrutinizer_wal_appends_total",
@@ -350,8 +350,8 @@ impl EngineStats {
     }
 
     /// The registry backing every series — render it for the `metrics`
-    /// endpoint. Mirrored series (`sessions_live`, pool levels, the WAL
-    /// block) are refreshed by
+    /// endpoint. Mirrored series (`sessions_live`, the WAL block) are
+    /// refreshed by
     /// [`Engine::render_metrics`](crate::Engine::render_metrics) just
     /// before rendering.
     pub fn registry(&self) -> &MetricsRegistry {

@@ -11,11 +11,13 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use scrutinizer_core::{OrderingStrategy, SystemConfig};
 use scrutinizer_corpus::{Corpus, CorpusConfig};
 use scrutinizer_crowd::{Worker, WorkerConfig};
-use scrutinizer_engine::engine::{Engine, EngineOptions};
+use scrutinizer_engine::engine::{Engine, EngineOptions, EngineParts};
+use scrutinizer_sim::SimEnv;
 
 fn engine_with_interval(retrain_interval: Option<usize>) -> Arc<Engine> {
     let corpus = Corpus::generate(CorpusConfig::small());
@@ -157,4 +159,45 @@ fn suggestions_stay_deterministic_and_nonblocking_during_a_retrain_storm() {
         reads >= claims.len(),
         "readers made progress during the storm"
     );
+}
+
+/// The trainer job holds a handle on the engine, so when the caller drops
+/// its only handle mid-retrain, the engine drops on the trainer thread
+/// once the job ends. Nothing may wait on that thread from inside its own
+/// job: the engine (and everything it owns) must go away within a bounded
+/// wait instead of hanging the trainer forever.
+#[test]
+fn dropping_the_engine_during_a_background_retrain_does_not_hang() {
+    let config = SystemConfig::test();
+    let parts = EngineParts::bootstrap(Corpus::generate(CorpusConfig::small()), &config);
+    let corpus = Arc::downgrade(&parts.corpus);
+    let options = EngineOptions {
+        retrain_interval: Some(1),
+        ordering: OrderingStrategy::Sequential,
+        threads: 2,
+    };
+    let (engine, _) =
+        Engine::open(parts, config, options, SimEnv::production(), None).expect("in-memory open");
+    let mut worker = Worker::new(
+        "w",
+        WorkerConfig {
+            accuracy: 1.0,
+            skip_probability: 0.0,
+            seed: 7,
+            ..WorkerConfig::default()
+        },
+    );
+    // the verdict crosses the interval of 1 and hands the trainer a job
+    engine.verify_claim_with(0, &mut worker);
+    let weak = Arc::downgrade(&engine);
+    drop(engine);
+
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while weak.upgrade().is_some() || corpus.upgrade().is_some() {
+        assert!(
+            Instant::now() < deadline,
+            "the engine outlived its last handle by 30 s"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }

@@ -345,16 +345,14 @@ const PROTOCOL_FIXTURE: &str = concat!(
 
 /// The `stats` fields whose values are not deterministic: the six
 /// wall-clock fields of every latency histogram (each `count` stays
-/// pinned), and `in_flight`, which a `verify_batch` worker decrements only
-/// after it has sent its result.
-const VOLATILE_STATS: [&str; 7] = [
+/// pinned).
+const VOLATILE_STATS: [&str; 6] = [
     "mean_micros",
     "p50_micros",
     "p99_micros",
     "p50_est_micros",
     "p95_est_micros",
     "p99_est_micros",
-    "in_flight",
 ];
 
 /// A `stats` response with every [`VOLATILE_STATS`] value replaced by

@@ -2,7 +2,7 @@
 //! deterministic scheduler, optionally an armed fault plan.
 //!
 //! [`SimEnv::production`] is the ambient-world configuration — real
-//! clock, no scheduler override (the engine keeps its thread pools), no
+//! clock, no scheduler override (the engine keeps its trainer thread), no
 //! faults — and is what every existing constructor uses, so production
 //! behaviour is unchanged: the `Option`s are `None` and every check
 //! folds to a branch on a null pointer. [`SimEnv::simulated`] is built
@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use crate::clock::{Clock, SystemClock, VirtualClock};
 use crate::fault::FaultPlan;
-use crate::spawn::{SimScheduler, Spawner};
+use crate::spawn::SimScheduler;
 
 /// The injected environment: time, background scheduling, faults.
 #[derive(Clone)]
@@ -24,7 +24,7 @@ pub struct SimEnv {
 }
 
 impl SimEnv {
-    /// The real world: system clock, engine-owned threads, no faults.
+    /// The real world: system clock, the engine's own threads, no faults.
     pub fn production() -> Self {
         SimEnv {
             clock: Arc::new(SystemClock),

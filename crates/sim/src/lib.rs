@@ -2,16 +2,16 @@
 //!
 //! The deterministic-simulation substrate: every source of
 //! nondeterminism the serving stack touches — **time**, **background
-//! threads**, and the **network** — sits behind a small trait family, so
+//! threads**, and the **network** — sits behind a small seam, so
 //! the whole service can run either on the real operating system or
 //! inside a single-threaded, seeded, perfectly reproducible simulation
 //! (the FoundationDB discipline: test the real code, simulate the
 //! world around it).
 //!
-//! | ambient resource | trait | production (zero-cost passthrough) | simulation |
+//! | ambient resource | seam | production (zero-cost passthrough) | simulation |
 //! |------------------|-------------------------|------------------------------------|------------|
 //! | monotonic time   | [`Clock`]               | [`SystemClock`] (`Instant`)        | [`VirtualClock`] (atomic nanos, jumps on demand) |
-//! | background tasks | [`Spawner`]             | engine-owned thread pools          | [`SimScheduler`] (deterministic queue, driven by the harness) |
+//! | background tasks | [`SimEnv::scheduler`]   | the engine's trainer thread        | [`SimScheduler`] (deterministic queue, driven by the harness) |
 //! | byte streams     | [`ByteStream`]          | `std::net::TcpStream`              | [`SimStream`] (in-memory duplex with fault injection) |
 //! | durable storage  | [`Storage`]             | [`FsStorage`] (`std::fs`)          | [`SimStorage`] (in-memory files with a durable/volatile split and crash faults) |
 //! | rare-path faults | [`FaultPlan`] (buggify) | disarmed (`fault()` is `false`)    | armed per-point by the schedule |
@@ -39,5 +39,5 @@ pub use clock::{Clock, SystemClock, VirtualClock};
 pub use env::SimEnv;
 pub use fault::FaultPlan;
 pub use net::{sim_pair, ByteStream, IoPoll, SimEndpoint, SimStream};
-pub use spawn::{SimScheduler, Spawner, Task};
+pub use spawn::{SimScheduler, Task};
 pub use storage::{FsStorage, SimStorage, Storage};

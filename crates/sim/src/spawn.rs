@@ -1,13 +1,11 @@
-//! Background-task spawning as an injected capability.
+//! Harness-driven background tasks.
 //!
 //! The engine's trainer does not own a thread when it runs under
-//! simulation. Instead, work it would have handed to its thread pool
-//! goes through a [`Spawner`]: production spawners execute on real
-//! threads (the engine adapts its own pool), while the simulated
-//! [`SimScheduler`] just queues the closure and lets the *harness*
-//! decide when — and whether — it runs, via
-//! [`drive_one`](Spawner::drive_one). That turns "the trainer raced the
-//! shutdown" from a once-in-a-thousand-runs flake into an explicitly
+//! simulation. Instead, work it would have sent to its trainer thread
+//! goes to the [`SimScheduler`], which just queues the closure and lets
+//! the *harness* decide when — and whether — it runs, via
+//! [`drive_one`](SimScheduler::drive_one). That turns "the trainer raced
+//! the shutdown" from a once-in-a-thousand-runs flake into an explicitly
 //! schedulable interleaving.
 
 use std::collections::VecDeque;
@@ -16,40 +14,8 @@ use std::sync::Mutex;
 /// A unit of background work.
 pub type Task = Box<dyn FnOnce() + Send + 'static>;
 
-/// Where background work goes.
-///
-/// `lane` is a stable label for the kind of work (e.g. `"trainer"`);
-/// simulated runs use it for diagnostics and selective driving, real
-/// spawners may ignore it.
-pub trait Spawner: Send + Sync {
-    /// Submit `task` for eventual execution.
-    fn spawn(&self, lane: &'static str, task: Task);
-
-    /// Run one queued task on the calling thread, if any is pending.
-    ///
-    /// Returns `true` if a task ran. Production spawners execute work on
-    /// their own threads and have nothing to drive, so the default is a
-    /// no-op returning `false`; code that waits for background work must
-    /// treat that as "wait for the real thread" (sleep) rather than spin.
-    fn drive_one(&self) -> bool {
-        false
-    }
-
-    /// `true` when tasks only run via [`drive_one`](Spawner::drive_one).
-    fn is_simulated(&self) -> bool {
-        false
-    }
-
-    /// Number of queued-but-unrun tasks (simulated spawners only;
-    /// production spawners report 0 because they cannot observe their
-    /// pool's queue through this trait).
-    fn pending(&self) -> usize {
-        0
-    }
-}
-
 /// The deterministic scheduler: a FIFO of queued tasks that run only
-/// when the harness calls [`drive_one`](Spawner::drive_one). Single
+/// when the harness calls [`drive_one`](SimScheduler::drive_one). Single
 /// queue, strict submission order — determinism comes from the harness
 /// choosing *when* to interleave driving with foreground ops, not from
 /// reordering.
@@ -63,14 +29,17 @@ impl SimScheduler {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl Spawner for SimScheduler {
-    fn spawn(&self, lane: &'static str, task: Task) {
+    /// Queues `task` until the harness drives it. `lane` is a stable
+    /// label for the kind of work (e.g. `"trainer"`), kept for
+    /// diagnostics.
+    pub fn spawn(&self, lane: &'static str, task: Task) {
         self.queue.lock().unwrap().push_back((lane, task));
     }
 
-    fn drive_one(&self) -> bool {
+    /// Runs the oldest queued task on the calling thread, if any is
+    /// pending; returns `true` if a task ran.
+    pub fn drive_one(&self) -> bool {
         // Pop under the lock, run after releasing it: a task may itself
         // spawn (the trainer re-arms its backlog check), and must not
         // deadlock on the queue.
@@ -84,11 +53,8 @@ impl Spawner for SimScheduler {
         }
     }
 
-    fn is_simulated(&self) -> bool {
-        true
-    }
-
-    fn pending(&self) -> usize {
+    /// Number of queued-but-unrun tasks.
+    pub fn pending(&self) -> usize {
         self.queue.lock().unwrap().len()
     }
 }

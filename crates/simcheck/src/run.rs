@@ -25,9 +25,7 @@ use scrutinizer_engine::protocol::{handle_payload, Json};
 use scrutinizer_engine::{codec, step_conn, wire, ConnState, ServiceLimits};
 use scrutinizer_engine::{EngineStats, Request, WireCodec, BINARY_MAGIC};
 use scrutinizer_sim::storage::{FAULT_CRASH_TORN, FAULT_CRASH_ZERO_TAIL};
-use scrutinizer_sim::{
-    FaultPlan, SimEndpoint, SimScheduler, SimStorage, SimStream, Spawner, VirtualClock,
-};
+use scrutinizer_sim::{FaultPlan, SimEndpoint, SimScheduler, SimStorage, SimStream, VirtualClock};
 
 use crate::invariants::{
     check_durability, check_sql_outcome, check_stats, DurableSnapshot, InvariantKind, Mirror,

@@ -8,7 +8,7 @@
 //! session against it: submit a report, answer the property screens a
 //! (simulated) checker would see, read the top-k query suggestions, post
 //! verdicts, and watch the engine re-plan what is left. Finishes with a
-//! concurrent batch over the thread pool and the engine's metrics.
+//! concurrent batch on the engine's batch worker threads and its metrics.
 
 use scrutinizer::core::{OrderingStrategy, SystemConfig};
 use scrutinizer::corpus::{Corpus, CorpusConfig};
@@ -106,7 +106,7 @@ fn main() {
         verified.len()
     );
 
-    // ---- the batch path: simulated checkers over the thread pool ----
+    // ---- the batch path: simulated checkers on batch worker threads ----
     let claims: Vec<usize> = (6..30).collect();
     let outcomes = engine
         .verify_batch(
@@ -121,7 +121,7 @@ fn main() {
         .expect("all claim ids are in the corpus");
     let matched = outcomes.iter().filter(|o| o.verdict_matches_truth).count();
     println!(
-        "batch of {} claims over {} pool threads: {}/{} verdicts match ground truth",
+        "batch of {} claims over {} worker threads: {}/{} verdicts match ground truth",
         claims.len(),
         std::thread::available_parallelism()
             .map_or(2, |n| n.get())

@@ -52,7 +52,7 @@ pub use scrutinizer_crowd as crowd;
 /// Relational storage: values, tables, catalog, CSV.
 pub use scrutinizer_data as data;
 /// The serving layer: a long-lived concurrent engine hosting many checker
-/// sessions over shared models, with a thread-pool executor, metrics, durability (WAL records + crash recovery), and the
+/// sessions over shared models, with concurrent batch verification, a background trainer, metrics, durability (WAL records + crash recovery), and the
 /// `scrutinizer-serve` TCP binary.
 pub use scrutinizer_engine as engine;
 /// Formula language: generalization and instantiation of checks.
