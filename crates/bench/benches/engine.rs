@@ -21,7 +21,6 @@ fn engine() -> Arc<Engine> {
         EngineOptions {
             retrain_interval: None,
             ordering: OrderingStrategy::Sequential,
-            ..EngineOptions::default()
         },
     );
     engine.pretrain(None);

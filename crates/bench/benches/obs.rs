@@ -38,7 +38,6 @@ fn bench_engine() -> Arc<Engine> {
         EngineOptions {
             retrain_interval: None,
             ordering: OrderingStrategy::Sequential,
-            ..EngineOptions::default()
         },
     );
     engine.pretrain(None);

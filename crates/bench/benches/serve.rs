@@ -499,7 +499,6 @@ fn bench_serve(c: &mut Criterion) {
         EngineOptions {
             retrain_interval: None,
             ordering: OrderingStrategy::Sequential,
-            ..EngineOptions::default()
         },
     );
     let queries: Vec<String> = (0..REQUESTS)

@@ -583,7 +583,6 @@ fn bench_retrain_storm(_c: &mut Criterion) {
         EngineOptions {
             retrain_interval: None,
             ordering: OrderingStrategy::Sequential,
-            ..EngineOptions::default()
         },
     );
     engine.pretrain(None);

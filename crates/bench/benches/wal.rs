@@ -83,7 +83,6 @@ fn options() -> EngineOptions {
     EngineOptions {
         retrain_interval: Some(RETRAIN_INTERVAL),
         ordering: OrderingStrategy::Sequential,
-        threads: 2,
     }
 }
 

@@ -951,7 +951,6 @@ mod tests {
             EngineOptions {
                 retrain_interval: None,
                 ordering: OrderingStrategy::Sequential,
-                ..EngineOptions::default()
             },
         )
     }

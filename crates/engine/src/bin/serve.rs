@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! scrutinizer-serve [ADDR] [--scale small|paper] [--seed N]
-//!                   [--threads N] [--cache-capacity N] [--no-pretrain]
+//!                   [--cache-capacity N] [--no-pretrain]
 //!                   [--max-conns N] [--workers N]
 //!                   [--retrain-interval N] [--data-dir DIR]
 //!                   [--port-file FILE]
@@ -82,7 +82,6 @@ struct Args {
     addr: String,
     scale: &'static str,
     seed: u64,
-    threads: Option<usize>,
     pretrain: bool,
     max_connections: Option<usize>,
     workers: Option<usize>,
@@ -98,7 +97,6 @@ fn parse_args() -> Args {
         addr: "127.0.0.1:7878".to_string(),
         scale: "small",
         seed: 17,
-        threads: None,
         pretrain: true,
         max_connections: None,
         workers: None,
@@ -139,10 +137,6 @@ fn parse_args() -> Args {
                     exit(2);
                 })
             }
-            "--threads" => {
-                let value = value_of("--threads");
-                args.threads = Some(int_value("--threads", value));
-            }
             "--cache-capacity" => {
                 value_of("--cache-capacity");
             }
@@ -171,7 +165,7 @@ fn parse_args() -> Args {
             "--help" | "-h" => {
                 eprintln!(
                     "scrutinizer-serve [ADDR] [--scale small|paper] [--seed N] \
-                     [--threads N] [--cache-capacity N] [--no-pretrain] \
+                     [--cache-capacity N] [--no-pretrain] \
                      [--max-conns N] [--workers N] [--retrain-interval N] \
                      [--data-dir DIR] [--port-file FILE] \
                      [--log-level error|warn|info|debug] [--trace-log FILE]\n\
@@ -285,9 +279,6 @@ fn main() {
             .sum::<usize>(),
     );
     let mut options = EngineOptions::default();
-    if let Some(threads) = args.threads {
-        options.threads = threads;
-    }
     if let Some(interval) = args.retrain_interval {
         options.retrain_interval = (interval > 0).then_some(interval);
     }

@@ -34,9 +34,6 @@ use scrutinizer_obs as obs;
 /// Engine sizing and behavior knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineOptions {
-    /// Worker threads one `verify_batch` call fans its claims out over
-    /// (default: available parallelism, min 2).
-    pub threads: usize,
     /// Schedule a background incremental retrain once this many newly
     /// verified claims sit in the pending-examples log; `None` freezes the
     /// models (deterministic serving). Retraining happens off the read
@@ -50,9 +47,6 @@ pub struct EngineOptions {
 impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
-            threads: std::thread::available_parallelism()
-                .map_or(2, |n| n.get())
-                .max(2),
             retrain_interval: Some(50),
             ordering: OrderingStrategy::Ilp,
         }
@@ -200,10 +194,10 @@ pub struct Engine {
     /// the snapshot's weights, and publishes before letting go. Readers
     /// never touch this lock; only trainers (and recovery) do.
     retrain_serial: Mutex<TrainingState>,
-    /// The injected environment: clock, background scheduling, fault
+    /// The injected environment: background scheduling and fault
     /// points. Production engines carry the zero-cost passthrough
-    /// ([`SimEnv::production`]); the simulation harness injects a virtual
-    /// clock, a harness-driven scheduler, and an armed fault plan.
+    /// ([`SimEnv::production`]); the simulation harness injects a
+    /// harness-driven scheduler and an armed fault plan.
     env: SimEnv,
     /// The write-ahead log, when the engine is durable. Every
     /// state-changing op appends a [`WalRecord`] and commits it before
@@ -355,11 +349,6 @@ impl Engine {
     /// The corpus-wide feature store (claims featurized once at startup).
     pub fn feature_store(&self) -> &FeatureStore {
         &self.features
-    }
-
-    /// The injected environment this engine runs in.
-    pub fn env(&self) -> &SimEnv {
-        &self.env
     }
 
     /// The currently published model generation (see
@@ -1375,7 +1364,7 @@ impl Engine {
         // (the harness decides when it runs); in production it runs on
         // the dedicated trainer thread
         match self.env.scheduler() {
-            Some(sched) => sched.spawn("trainer", Box::new(job)),
+            Some(sched) => sched.spawn(Box::new(job)),
             None => {
                 if self.trainer.send(Box::new(job)).is_err() {
                     // the trainer thread is gone (a retrain panicked):
@@ -1466,9 +1455,9 @@ impl Engine {
             // under simulation, run the queued trainer job right here on
             // this thread — a real sleep would wait forever for a thread
             // that does not exist; in production drive_one is a no-op and
-            // the clock really sleeps
+            // this thread sleeps while the trainer thread works
             if !self.env.drive_one() {
-                self.env.sleep(std::time::Duration::from_micros(100));
+                std::thread::sleep(std::time::Duration::from_micros(100));
             }
         }
     }
@@ -1523,7 +1512,7 @@ impl Engine {
         }
     }
 
-    /// Verifies a batch of claims concurrently on `options.threads`
+    /// Verifies a batch of claims concurrently on [`available_threads`]
     /// scoped worker threads, one simulated checker per claim (seeded by
     /// `base.seed ^ claim id`, so results are independent of scheduling).
     /// Results come back in input order. Claim ids are validated here —
@@ -1571,7 +1560,7 @@ impl Engine {
             let _ = slots[index].set(outcome);
         };
         std::thread::scope(|scope| {
-            for i in 0..self.options.threads.max(1).min(claim_ids.len()) {
+            for i in 0..available_threads().min(claim_ids.len()) {
                 std::thread::Builder::new()
                     .name(format!("scrutinizer-batch-{i}"))
                     .spawn_scoped(scope, work)

@@ -22,7 +22,6 @@ fn frozen_engine(corpus: &Corpus, config: SystemConfig, ordering: OrderingStrate
     let options = EngineOptions {
         retrain_interval: None,
         ordering,
-        ..EngineOptions::default()
     };
     Engine::new(corpus.clone(), config, options)
 }

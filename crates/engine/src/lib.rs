@@ -55,8 +55,9 @@
 //!    edge, off the read path.
 //!
 //! [`Engine::verify_batch`] drives the same machinery with simulated
-//! checkers ([`scrutinizer_crowd::Worker`]) concurrently on scoped worker
-//! threads — the high-throughput batch path used by the benches and tests.
+//! checkers ([`scrutinizer_crowd::Worker`]) concurrently, on one scoped
+//! worker thread per available core — the high-throughput batch path used
+//! by the benches and tests.
 //!
 //! ## The paper's experiments
 //!

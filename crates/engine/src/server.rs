@@ -39,7 +39,7 @@ use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream,
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use scrutinizer_data::hash::FxHashMap;
 
@@ -304,13 +304,11 @@ impl Server {
 
         // drain: connection threads finish their queues and flush; past
         // the grace period the stragglers' sockets are shut, which fails
-        // their blocked writes. Time comes from the engine's injected
-        // clock, never the ambient `Instant`.
-        let clock = engine.env().clock();
-        let deadline = clock.now() + options.shutdown_grace;
+        // their blocked writes
+        let deadline = Instant::now() + options.shutdown_grace;
         let mut conns = control.conns();
         while !conns.is_empty() {
-            let now = clock.now();
+            let now = Instant::now();
             if now >= deadline {
                 for stream in conns.values() {
                     let _ = stream.shutdown(Shutdown::Both);

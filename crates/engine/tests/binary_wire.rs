@@ -39,7 +39,6 @@ fn spawn_server() -> (Arc<Engine>, SocketAddr, impl FnOnce()) {
         EngineOptions {
             retrain_interval: None,
             ordering: OrderingStrategy::Sequential,
-            ..EngineOptions::default()
         },
     );
     engine.pretrain(None);

@@ -25,7 +25,6 @@ fn fresh_engine() -> Arc<Engine> {
             // deterministic serving: pretrain once, then freeze the models
             retrain_interval: None,
             ordering: OrderingStrategy::Sequential,
-            ..EngineOptions::default()
         },
     );
     engine.pretrain(None);

@@ -43,7 +43,6 @@ fn recover_on(
     let options = EngineOptions {
         retrain_interval: Some(4),
         ordering,
-        threads: 2,
     };
     Engine::open(parts, config, options, SimEnv::production(), Some(durable))
 }

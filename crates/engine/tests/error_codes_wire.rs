@@ -155,7 +155,6 @@ fn every_error_code_is_wire_reachable_and_stable() {
         EngineOptions {
             retrain_interval: None,
             ordering: OrderingStrategy::Sequential,
-            ..EngineOptions::default()
         },
     );
     let server = Server::bind(

@@ -85,7 +85,6 @@ fn frozen_engine(ordering: OrderingStrategy) -> Arc<Engine> {
     let options = EngineOptions {
         retrain_interval: None,
         ordering,
-        ..EngineOptions::default()
     };
     let corpus = Corpus::generate(CorpusConfig::small());
     let engine = Engine::new(corpus, SystemConfig::test(), options);

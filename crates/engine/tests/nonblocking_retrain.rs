@@ -27,7 +27,6 @@ fn engine_with_interval(retrain_interval: Option<usize>) -> Arc<Engine> {
         EngineOptions {
             retrain_interval,
             ordering: OrderingStrategy::Sequential,
-            threads: 2,
         },
     )
 }
@@ -174,7 +173,6 @@ fn dropping_the_engine_during_a_background_retrain_does_not_hang() {
     let options = EngineOptions {
         retrain_interval: Some(1),
         ordering: OrderingStrategy::Sequential,
-        threads: 2,
     };
     let (engine, _) =
         Engine::open(parts, config, options, SimEnv::production(), None).expect("in-memory open");

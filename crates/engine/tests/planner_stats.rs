@@ -16,7 +16,6 @@ fn planner_counters_surface_in_stats() {
         EngineOptions {
             ordering: OrderingStrategy::Ilp,
             retrain_interval: None,
-            threads: 2,
         },
     );
     engine.pretrain(None);
@@ -82,7 +81,6 @@ fn branching_plans_solve_every_node_cold() {
         EngineOptions {
             ordering: OrderingStrategy::Ilp,
             retrain_interval: None,
-            threads: 2,
         },
     );
     for stride in 1..=3 {
@@ -124,7 +122,6 @@ fn sequential_ordering_plans_without_solver_activity() {
         EngineOptions {
             ordering: OrderingStrategy::Sequential,
             retrain_interval: None,
-            threads: 2,
         },
     );
     let session = engine.open_session("sequential");

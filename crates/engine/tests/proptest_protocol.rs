@@ -30,7 +30,6 @@ fn frozen_engine() -> Arc<Engine> {
         EngineOptions {
             retrain_interval: None,
             ordering: OrderingStrategy::Sequential,
-            ..EngineOptions::default()
         },
     );
     engine.pretrain(None);
@@ -48,7 +47,6 @@ fn shared_engine() -> &'static Arc<Engine> {
             EngineOptions {
                 retrain_interval: None,
                 ordering: OrderingStrategy::Sequential,
-                ..EngineOptions::default()
             },
         )
     })
@@ -585,7 +583,6 @@ fn differential_engines() -> (&'static Arc<Engine>, &'static Arc<Engine>) {
             EngineOptions {
                 retrain_interval: None,
                 ordering: OrderingStrategy::Sequential,
-                ..EngineOptions::default()
             },
         )
     };

@@ -26,7 +26,6 @@ fn cheap_engine() -> Arc<Engine> {
         EngineOptions {
             retrain_interval: None,
             ordering: OrderingStrategy::Sequential,
-            ..EngineOptions::default()
         },
     )
 }

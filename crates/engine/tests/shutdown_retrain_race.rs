@@ -32,7 +32,6 @@ fn retraining_engine() -> Arc<Engine> {
             // possible window for shutdown to land inside one
             retrain_interval: Some(1),
             ordering: OrderingStrategy::Sequential,
-            ..EngineOptions::default()
         },
     );
     engine.pretrain(None);

@@ -24,7 +24,6 @@ fn cheap_engine() -> Arc<Engine> {
         EngineOptions {
             retrain_interval: None,
             ordering: OrderingStrategy::Sequential,
-            ..EngineOptions::default()
         },
     )
 }

@@ -43,6 +43,6 @@ pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry};
 pub use trace::{
-    current_trace, drain, dropped_records, root_span, set_tracing, snapshot_records, span,
-    tracing_enabled, FieldValue, Span, SpanId, SpanRecord, TraceId,
+    current_trace, drain, dropped_records, json_escape_into, root_span, set_tracing,
+    snapshot_records, span, tracing_enabled, FieldValue, Span, SpanId, SpanRecord, TraceId,
 };

@@ -213,7 +213,10 @@ pub struct SpanRecord {
     pub fields: Vec<(&'static str, FieldValue)>,
 }
 
-pub(crate) fn json_escape_into(out: &mut String, s: &str) {
+/// Appends `s` to `out` escaped for the inside of a JSON string (no
+/// surrounding quotes): `"`, `\` and control characters are escaped,
+/// everything else is copied as is.
+pub fn json_escape_into(out: &mut String, s: &str) {
     for ch in s.chars() {
         match ch {
             '"' => out.push_str("\\\""),

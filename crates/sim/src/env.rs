@@ -1,67 +1,41 @@
-//! The bundle the engine is constructed with: one clock, optionally a
-//! deterministic scheduler, optionally an armed fault plan.
+//! The bundle the engine is constructed with: optionally a deterministic
+//! scheduler, optionally an armed fault plan.
 //!
-//! [`SimEnv::production`] is the ambient-world configuration — real
-//! clock, no scheduler override (the engine keeps its trainer thread), no
-//! faults — and is what every existing constructor uses, so production
+//! [`SimEnv::production`] is the ambient-world configuration — no
+//! scheduler override (the engine keeps its trainer thread), no faults —
+//! and is what every existing constructor uses, so production
 //! behaviour is unchanged: the `Option`s are `None` and every check
 //! folds to a branch on a null pointer. [`SimEnv::simulated`] is built
 //! per schedule by the harness.
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use crate::clock::{Clock, SystemClock, VirtualClock};
 use crate::fault::FaultPlan;
 use crate::spawn::SimScheduler;
 
-/// The injected environment: time, background scheduling, faults.
-#[derive(Clone)]
+/// The injected environment: background scheduling, faults.
+#[derive(Clone, Default)]
 pub struct SimEnv {
-    clock: Arc<dyn Clock>,
     tasks: Option<Arc<SimScheduler>>,
     faults: Option<Arc<FaultPlan>>,
 }
 
 impl SimEnv {
-    /// The real world: system clock, the engine's own threads, no faults.
+    /// The real world: the engine's own threads, no faults.
     pub fn production() -> Self {
-        SimEnv {
-            clock: Arc::new(SystemClock),
-            tasks: None,
-            faults: None,
-        }
+        Self::default()
     }
 
-    /// A fresh simulated world: virtual clock at t = 0, deterministic
-    /// scheduler, empty fault plan. The harness keeps clones of the
-    /// parts to drive them.
-    pub fn simulated() -> (Self, Arc<VirtualClock>, Arc<SimScheduler>, Arc<FaultPlan>) {
-        let clock = Arc::new(VirtualClock::new());
+    /// A fresh simulated world: deterministic scheduler, empty fault
+    /// plan. The harness keeps clones of the parts to drive them.
+    pub fn simulated() -> (Self, Arc<SimScheduler>, Arc<FaultPlan>) {
         let tasks = Arc::new(SimScheduler::new());
         let faults = Arc::new(FaultPlan::new());
         let env = SimEnv {
-            clock: Arc::clone(&clock) as Arc<dyn Clock>,
             tasks: Some(Arc::clone(&tasks)),
             faults: Some(Arc::clone(&faults)),
         };
-        (env, clock, tasks, faults)
-    }
-
-    /// The environment's clock.
-    pub fn clock(&self) -> &Arc<dyn Clock> {
-        &self.clock
-    }
-
-    /// Elapsed time since the environment's origin (shorthand for
-    /// `clock().now()`).
-    pub fn now(&self) -> Duration {
-        self.clock.now()
-    }
-
-    /// Sleep via the environment's clock (really, or virtually).
-    pub fn sleep(&self, d: Duration) {
-        self.clock.sleep(d);
+        (env, tasks, faults)
     }
 
     /// The deterministic scheduler, when simulated.
@@ -102,12 +76,6 @@ impl std::fmt::Debug for SimEnv {
     }
 }
 
-impl Default for SimEnv {
-    fn default() -> Self {
-        Self::production()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,17 +86,12 @@ mod tests {
         assert!(!env.is_simulated());
         assert!(!env.fault("anything"));
         assert!(!env.drive_one());
-        let a = env.now();
-        assert!(env.now() >= a);
     }
 
     #[test]
     fn simulated_env_wires_the_parts_together() {
-        let (env, clock, sched, faults) = SimEnv::simulated();
+        let (env, sched, faults) = SimEnv::simulated();
         assert!(env.is_simulated());
-
-        clock.advance(Duration::from_secs(5));
-        assert_eq!(env.now(), Duration::from_secs(5));
 
         faults.arm("x", 1);
         assert!(env.fault("x"));
@@ -136,10 +99,9 @@ mod tests {
 
         let hit = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let h = Arc::clone(&hit);
-        sched.spawn(
-            "t",
-            Box::new(move || h.store(true, std::sync::atomic::Ordering::SeqCst)),
-        );
+        sched.spawn(Box::new(move || {
+            h.store(true, std::sync::atomic::Ordering::SeqCst)
+        }));
         assert!(env.drive_one());
         assert!(hit.load(std::sync::atomic::Ordering::SeqCst));
     }

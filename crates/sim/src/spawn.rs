@@ -21,7 +21,7 @@ pub type Task = Box<dyn FnOnce() + Send + 'static>;
 /// reordering.
 #[derive(Default)]
 pub struct SimScheduler {
-    queue: Mutex<VecDeque<(&'static str, Task)>>,
+    queue: Mutex<VecDeque<Task>>,
 }
 
 impl SimScheduler {
@@ -30,11 +30,9 @@ impl SimScheduler {
         Self::default()
     }
 
-    /// Queues `task` until the harness drives it. `lane` is a stable
-    /// label for the kind of work (e.g. `"trainer"`), kept for
-    /// diagnostics.
-    pub fn spawn(&self, lane: &'static str, task: Task) {
-        self.queue.lock().unwrap().push_back((lane, task));
+    /// Queues `task` until the harness drives it.
+    pub fn spawn(&self, task: Task) {
+        self.queue.lock().unwrap().push_back(task);
     }
 
     /// Runs the oldest queued task on the calling thread, if any is
@@ -45,7 +43,7 @@ impl SimScheduler {
         // deadlock on the queue.
         let next = self.queue.lock().unwrap().pop_front();
         match next {
-            Some((_lane, task)) => {
+            Some(task) => {
                 task();
                 true
             }
@@ -79,7 +77,7 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         for i in 0..3 {
             let log = Arc::clone(&log);
-            sched.spawn("test", Box::new(move || log.lock().unwrap().push(i)));
+            sched.spawn(Box::new(move || log.lock().unwrap().push(i)));
         }
         assert_eq!(sched.pending(), 3);
         assert!(log.lock().unwrap().is_empty(), "nothing runs until driven");
@@ -93,19 +91,13 @@ mod tests {
         let sched = Arc::new(SimScheduler::new());
         let ran = Arc::new(AtomicUsize::new(0));
         let (s2, r2) = (Arc::clone(&sched), Arc::clone(&ran));
-        sched.spawn(
-            "outer",
-            Box::new(move || {
-                r2.fetch_add(1, Ordering::SeqCst);
-                let r3 = Arc::clone(&r2);
-                s2.spawn(
-                    "inner",
-                    Box::new(move || {
-                        r3.fetch_add(1, Ordering::SeqCst);
-                    }),
-                );
-            }),
-        );
+        sched.spawn(Box::new(move || {
+            r2.fetch_add(1, Ordering::SeqCst);
+            let r3 = Arc::clone(&r2);
+            s2.spawn(Box::new(move || {
+                r3.fetch_add(1, Ordering::SeqCst);
+            }));
+        }));
         assert!(sched.drive_one());
         assert_eq!(ran.load(Ordering::SeqCst), 1);
         assert!(sched.drive_one());

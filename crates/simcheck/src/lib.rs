@@ -9,7 +9,7 @@
 //! ```text
 //!   seed ──▶ schedule (ops over 3 simulated connections + faults)
 //!              │ open / submit / answer / suggest / verdict / sql /
-//!              │ batch / stats / close  +  drive / jump / drop /
+//!              │ batch / stats / close  +  drive / drop /
 //!              │ stall / partial / crash  +  kill / recover (--crash)
 //!              ▼
 //!   run: SimStream pairs ──▶ step_conn (the production connection

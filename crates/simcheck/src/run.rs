@@ -25,7 +25,7 @@ use scrutinizer_engine::protocol::{handle_payload, Json};
 use scrutinizer_engine::{codec, step_conn, wire, ConnState, ServiceLimits};
 use scrutinizer_engine::{EngineStats, Request, WireCodec, BINARY_MAGIC};
 use scrutinizer_sim::storage::{FAULT_CRASH_TORN, FAULT_CRASH_ZERO_TAIL};
-use scrutinizer_sim::{FaultPlan, SimEndpoint, SimScheduler, SimStorage, SimStream, VirtualClock};
+use scrutinizer_sim::{FaultPlan, SimEndpoint, SimScheduler, SimStorage, SimStream};
 
 use crate::invariants::{
     check_durability, check_sql_outcome, check_stats, DurableSnapshot, InvariantKind, Mirror,
@@ -97,13 +97,12 @@ pub fn run_schedule(world: &SharedWorld, ops: &[SimOp], canary: bool) -> RunResu
     // holds it), unlike the per-incarnation engine fault plan below
     let storage_faults = Arc::new(FaultPlan::new());
     let storage = SimStorage::with_faults(Arc::clone(&storage_faults));
-    let (engine, clock, scheduler, faults, _) = world
+    let (engine, scheduler, faults, _) = world
         .spawn_engine(Arc::clone(&storage) as _)
         .expect("fresh simulated storage cannot fail to open");
     let mut harness = Harness {
         world,
         engine,
-        clock,
         scheduler,
         faults,
         storage,
@@ -137,7 +136,6 @@ pub fn run_schedule(world: &SharedWorld, ops: &[SimOp], canary: bool) -> RunResu
 struct Harness<'w> {
     world: &'w SharedWorld,
     engine: Arc<Engine>,
-    clock: Arc<VirtualClock>,
     scheduler: Arc<SimScheduler>,
     faults: Arc<FaultPlan>,
     /// Durable storage shared across engine incarnations.
@@ -274,10 +272,6 @@ impl Harness<'_> {
             SimOp::DriveTrainer => {
                 self.scheduler.drive_one();
             }
-            SimOp::ClockJump { millis } => {
-                self.clock
-                    .advance(std::time::Duration::from_millis(*millis));
-            }
             SimOp::DropConn { slot } => {
                 if let Some((_, endpoint)) = &self.slots[*slot].conn {
                     endpoint.drop_hard();
@@ -346,7 +340,7 @@ impl Harness<'_> {
     }
 
     /// Restarts the process: a fresh engine incarnation recovers from
-    /// the shared durable storage (fresh clock, scheduler, and
+    /// the shared durable storage (fresh scheduler and
     /// per-incarnation fault plan — queued trainer jobs died with the
     /// old process), then the durability invariant holds recovery to the
     /// state captured at the kill.
@@ -360,9 +354,8 @@ impl Harness<'_> {
                 step: self.step,
                 detail: format!("recovery failed to open the WAL: {error}"),
             })?;
-        let (engine, clock, scheduler, faults, _report) = spawned;
+        let (engine, scheduler, faults, _report) = spawned;
         self.engine = engine;
-        self.clock = clock;
         self.scheduler = scheduler;
         self.faults = faults;
         let recovered = DurableSnapshot::capture(self.engine.stats());

@@ -81,11 +81,6 @@ pub enum SimOp {
     },
     /// Run one queued background-trainer job to completion.
     DriveTrainer,
-    /// Jump the virtual clock forward.
-    ClockJump {
-        /// Jump size in milliseconds.
-        millis: u64,
-    },
     /// Hard-drop the slot's connection (simulated RST, buffers lost).
     DropConn {
         /// Target connection slot.
@@ -213,10 +208,7 @@ fn random_op(rng: &mut Xoshiro256PlusPlus, n_claims: usize, crash: bool) -> SimO
         },
         66..=69 => SimOp::Stats { slot },
         70..=71 => SimOp::Close { slot },
-        72..=82 => SimOp::DriveTrainer,
-        83..=85 => SimOp::ClockJump {
-            millis: rng.gen_range(1..=10_000u64),
-        },
+        72..=85 => SimOp::DriveTrainer,
         // fault ops also target the binary slot (index N_SLOTS), so
         // binary connections see drops, stalls, and partial writes too
         86..=88 => SimOp::DropConn {
@@ -265,7 +257,6 @@ pub fn render(ops: &[SimOp]) -> String {
             SimOp::Stats { slot } => format!("stats {slot}"),
             SimOp::Close { slot } => format!("close {slot}"),
             SimOp::DriveTrainer => "drive".to_string(),
-            SimOp::ClockJump { millis } => format!("jump {millis}"),
             SimOp::DropConn { slot } => format!("drop {slot}"),
             SimOp::Stall { slot, on } => {
                 format!("stall {slot} {}", if *on { "on" } else { "off" })
@@ -345,9 +336,6 @@ pub fn parse(text: &str) -> Result<Vec<SimOp>, String> {
                 slot: parse_num(&arg("slot")?, number)?,
             },
             "drive" => SimOp::DriveTrainer,
-            "jump" => SimOp::ClockJump {
-                millis: parse_num::<u64>(&arg("millis")?, number)?,
-            },
             "drop" => SimOp::DropConn {
                 slot: parse_num(&arg("slot")?, number)?,
             },
@@ -430,5 +418,9 @@ mod tests {
         assert!(parse("warp 9").is_err());
         assert!(parse("verdict 0 1 maybe").is_err());
         assert!(parse("kill maybe").is_err());
+        // schedules saved by older builds may name the retired `jump`
+        // op: they must fail to replay, not replay as something else
+        let error = parse("jump 5").unwrap_err();
+        assert!(error.contains("unknown op `jump`"), "{error}");
     }
 }

@@ -17,7 +17,7 @@ use scrutinizer_core::{OrderingStrategy, SystemConfig};
 use scrutinizer_corpus::{Corpus, CorpusConfig};
 use scrutinizer_engine::engine::{Engine, EngineOptions, EngineParts};
 use scrutinizer_engine::{DurableEnv, RecoveryReport};
-use scrutinizer_sim::{FaultPlan, SimEnv, SimScheduler, Storage, VirtualClock};
+use scrutinizer_sim::{FaultPlan, SimEnv, SimScheduler, Storage};
 use scrutinizer_wal::WalOptions;
 
 /// Background-retrain interval for simulated engines — deliberately tiny
@@ -25,12 +25,11 @@ use scrutinizer_wal::WalOptions;
 pub const RETRAIN_INTERVAL: usize = 2;
 
 /// A freshly spawned simulated engine and its simulation handles: the
-/// engine itself, the virtual clock, the single-lane scheduler, the
-/// armable fault plan, and the recovery report describing what (if
-/// anything) was replayed from `storage`.
+/// engine itself, the deterministic scheduler, the armable fault plan,
+/// and the recovery report describing what (if anything) was replayed
+/// from `storage`.
 pub type SpawnedEngine = (
     Arc<Engine>,
-    Arc<VirtualClock>,
     Arc<SimScheduler>,
     Arc<FaultPlan>,
     RecoveryReport,
@@ -96,19 +95,18 @@ impl SharedWorld {
         }
     }
 
-    /// Spawns an engine under full simulation — virtual clock,
-    /// deterministic single-lane scheduler, armable fault plan — durable
-    /// over `storage`. With fresh storage, the engine starts at epoch 0
-    /// with empty sessions; with storage a previous incarnation wrote
-    /// (and crashed on), it recovers the durable state. Every schedule
-    /// run therefore also model-checks the WAL record/replay path.
+    /// Spawns an engine under full simulation — deterministic scheduler,
+    /// armable fault plan — durable over `storage`. With fresh storage,
+    /// the engine starts at epoch 0 with empty sessions; with storage a
+    /// previous incarnation wrote (and crashed on), it recovers the
+    /// durable state. Every schedule run therefore also model-checks the
+    /// WAL record/replay path.
     pub fn spawn_engine(&self, storage: Arc<dyn Storage>) -> std::io::Result<SpawnedEngine> {
-        let (env, clock, scheduler, faults) = SimEnv::simulated();
+        let (env, scheduler, faults) = SimEnv::simulated();
         let (engine, report) = Engine::open(
             self.parts.clone(),
             self.config,
             EngineOptions {
-                threads: 1,
                 retrain_interval: Some(RETRAIN_INTERVAL),
                 ordering: OrderingStrategy::Sequential,
             },
@@ -119,7 +117,7 @@ impl SharedWorld {
                 wal: WalOptions::default(),
             }),
         )?;
-        Ok((engine, clock, scheduler, faults, report))
+        Ok((engine, scheduler, faults, report))
     }
 
     /// Ground-truth relation text for a claim — the harness answers
@@ -138,8 +136,8 @@ mod tests {
         let world = SharedWorld::build();
         let storage_a = scrutinizer_sim::SimStorage::new();
         let storage_b = scrutinizer_sim::SimStorage::new();
-        let (a, _, _, _, _) = world.spawn_engine(storage_a).expect("spawn a");
-        let (b, _, _, _, _) = world.spawn_engine(storage_b).expect("spawn b");
+        let (a, _, _, _) = world.spawn_engine(storage_a).expect("spawn a");
+        let (b, _, _, _) = world.spawn_engine(storage_b).expect("spawn b");
         assert_eq!(
             a.stats().model_epoch.get(),
             0,

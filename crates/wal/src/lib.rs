@@ -33,10 +33,10 @@
 //!
 //! [`Wal::append`] buffers; a record is durable only once
 //! [`Wal::commit`] (or [`Wal::sync`]) returns for its LSN. `commit`
-//! group-commits: one *leader* thread waits a configurable flush
-//! interval for followers to pile on, issues a single fsync, and wakes
-//! everyone whose records it covered — the classic group-commit
-//! batching that turns N concurrent acknowledgements into one fsync.
+//! group-commits: one *leader* thread issues a single fsync for every
+//! record appended so far and wakes everyone whose records it covered,
+//! so committers that arrive while a flush is in flight share the next
+//! one.
 //!
 //! ## Replay
 //!
@@ -61,7 +61,6 @@ pub use crc::crc32;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 use scrutinizer_sim::Storage;
 
@@ -79,17 +78,12 @@ pub struct WalOptions {
     /// Rotate to a fresh segment once the active one reaches this many
     /// bytes.
     pub segment_bytes: usize,
-    /// How long a group-commit leader lingers before fsyncing, letting
-    /// concurrent committers share the flush. Zero = fsync immediately
-    /// (what the deterministic simulation uses).
-    pub flush_interval: Duration,
 }
 
 impl Default for WalOptions {
     fn default() -> Self {
         Self {
             segment_bytes: 4 << 20,
-            flush_interval: Duration::ZERO,
         }
     }
 }
@@ -330,8 +324,8 @@ impl Wal {
 
     /// Blocks until every record with LSN ≤ `lsn` is durable. Many
     /// threads may call this concurrently; one becomes the flush
-    /// leader, lingers [`WalOptions::flush_interval`] so followers'
-    /// appends join the batch, fsyncs once, and wakes the rest.
+    /// leader, fsyncs once for every record appended so far, and wakes
+    /// the rest.
     pub fn commit(&self, lsn: u64) -> io::Result<()> {
         let mut state = self.flush.lock().unwrap();
         loop {
@@ -345,9 +339,6 @@ impl Wal {
             state.flushing = true;
             drop(state);
 
-            if !self.options.flush_interval.is_zero() {
-                std::thread::sleep(self.options.flush_interval);
-            }
             let (path, target) = {
                 let writer = self.writer.lock().unwrap();
                 (self.segment_path(writer.seg_seq), writer.appended_lsn)
@@ -709,13 +700,7 @@ mod tests {
     fn rotation_trims_retired_segments_of_their_zeros() {
         let faults = Arc::new(FaultPlan::new());
         let storage = SimStorage::with_faults(faults.clone());
-        let (wal, _) = open_with(
-            &storage,
-            WalOptions {
-                segment_bytes: 64,
-                ..WalOptions::default()
-            },
-        );
+        let (wal, _) = open_with(&storage, WalOptions { segment_bytes: 64 });
         for i in 0..20u32 {
             let lsn = wal.append(&i.to_le_bytes()).unwrap();
             wal.commit(lsn).unwrap();
@@ -814,13 +799,7 @@ mod tests {
     #[test]
     fn segments_rotate_and_replay_in_order() {
         let storage = sim();
-        let (wal, _) = open_with(
-            &storage,
-            WalOptions {
-                segment_bytes: 64,
-                ..WalOptions::default()
-            },
-        );
+        let (wal, _) = open_with(&storage, WalOptions { segment_bytes: 64 });
         for i in 0..20u32 {
             let lsn = wal.append(&i.to_le_bytes()).unwrap();
             wal.commit(lsn).unwrap();
@@ -838,13 +817,7 @@ mod tests {
     #[test]
     fn checkpoint_compacts_and_replay_resumes_from_it() {
         let storage = sim();
-        let (wal, _) = open_with(
-            &storage,
-            WalOptions {
-                segment_bytes: 32,
-                ..WalOptions::default()
-            },
-        );
+        let (wal, _) = open_with(&storage, WalOptions { segment_bytes: 32 });
         for i in 0..10u32 {
             let lsn = wal.append(&i.to_le_bytes()).unwrap();
             wal.commit(lsn).unwrap();
@@ -906,19 +879,7 @@ mod tests {
     #[test]
     fn group_commit_batches_fsyncs_across_threads() {
         let storage = sim();
-        let storage_dyn: Arc<dyn Storage> = storage.clone();
-        let wal = Arc::new(
-            Wal::open(
-                storage_dyn,
-                "wal",
-                WalOptions {
-                    flush_interval: Duration::from_millis(1),
-                    ..WalOptions::default()
-                },
-            )
-            .unwrap()
-            .0,
-        );
+        let wal = Arc::new(open(&storage).0);
         let threads: Vec<_> = (0..8)
             .map(|t| {
                 let wal = wal.clone();

@@ -59,7 +59,6 @@ fn open(dir: &TempDir) -> (Wal, Recovered) {
         &dir.path(LOG_DIR),
         WalOptions {
             segment_bytes: SEGMENT_BYTES,
-            ..WalOptions::default()
         },
     )
     .expect("open")

@@ -10,6 +10,7 @@
 //! verdicts, and watch the engine re-plan what is left. Finishes with a
 //! concurrent batch on the engine's batch worker threads and its metrics.
 
+use scrutinizer::core::models::available_threads;
 use scrutinizer::core::{OrderingStrategy, SystemConfig};
 use scrutinizer::corpus::{Corpus, CorpusConfig};
 use scrutinizer::crowd::WorkerConfig;
@@ -24,7 +25,6 @@ fn main() {
         EngineOptions {
             retrain_interval: Some(10),
             ordering: OrderingStrategy::Ilp,
-            ..EngineOptions::default()
         },
     );
     engine.pretrain(None);
@@ -123,9 +123,7 @@ fn main() {
     println!(
         "batch of {} claims over {} worker threads: {}/{} verdicts match ground truth",
         claims.len(),
-        std::thread::available_parallelism()
-            .map_or(2, |n| n.get())
-            .max(2),
+        available_threads().min(claims.len()),
         matched,
         outcomes.len()
     );
