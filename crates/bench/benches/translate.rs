@@ -37,10 +37,13 @@
 //!   gated.
 //! * the **retrain storm** — suggest latency on a live engine in
 //!   alternating idle and storm windows; in each storm window a writer
-//!   thread publishes back-to-back model epochs, and the window samples
-//!   once the first of them is out. With snapshot swaps readers never
-//!   wait on the trainer; the median of the per-window storm/idle p99
-//!   ratios must stay near 1 instead of absorbing whole retrain
+//!   thread posts verdicts on fresh claims, every [`STORM_INTERVAL`] of
+//!   which the engine retrains in the background on its one trainer
+//!   thread, as in production, so epochs publish back to back (each
+//!   retiring the one before while readers still hold it); the window
+//!   samples once the first of them is out. With snapshot swaps readers
+//!   never wait on the trainer; the median of the per-window storm/idle
+//!   p99 ratios must stay near 1 instead of absorbing whole retrain
 //!   latencies.
 //!
 //! The warm≡cold model-equivalence assertion (accuracy parity on the full
@@ -575,17 +578,36 @@ fn timed_suggest(engine: &Arc<Engine>, claim_id: usize) -> f64 {
     elapsed
 }
 
+/// Verdicts per background retrain in the retrain storm.
+const STORM_INTERVAL: usize = 16;
+
 fn bench_retrain_storm(_c: &mut Criterion) {
-    let corpus = Corpus::generate(CorpusConfig::small());
+    // `small()` label spaces and a pretrain on its 80 claims, with enough
+    // claims beyond them for every storm retrain to train on fresh
+    // verdicts
+    let corpus = Corpus::generate(CorpusConfig {
+        n_claims: 1280,
+        n_sentences: 6400,
+        ..CorpusConfig::small()
+    });
     let engine = Engine::new(
         corpus,
         SystemConfig::test(),
         EngineOptions {
-            retrain_interval: None,
+            retrain_interval: Some(STORM_INTERVAL),
             ordering: OrderingStrategy::Sequential,
         },
     );
-    engine.pretrain(None);
+    let pretrained: Vec<usize> = (0..80).collect();
+    engine.pretrain(Some(&pretrained));
+    // the storm's checker submits every claim it will judge up front, so
+    // during a window its thread only posts verdicts and waits
+    let verdicts: Vec<usize> = (80..engine.corpus().claims.len()).collect();
+    let checker = engine.open_session("storm");
+    engine
+        .submit_report(checker, &verdicts)
+        .expect("storm claims submit");
+    let mut verdicts = verdicts.chunks_exact(STORM_INTERVAL);
 
     let claims: Vec<usize> = (0..8).collect();
     // the same 2 (quick) or 25 (full) passes per side as one long idle and
@@ -621,10 +643,21 @@ fn bench_retrain_storm(_c: &mut Criterion) {
         let stop = AtomicBool::new(false);
         let epoch = engine.model_epoch();
         let (window, window_published) = std::thread::scope(|scope| {
+            let verdicts = &mut verdicts;
             let writer = scope.spawn(|| {
                 let mut published = 0u64;
                 loop {
-                    engine.pretrain(None);
+                    let batch = verdicts
+                        .next()
+                        .expect("the storm corpus ran out of unverified claims");
+                    for &id in batch {
+                        engine
+                            .post_verdict(checker, id, true, None)
+                            .expect("storm verdict");
+                    }
+                    // the last verdict handed the batch to the trainer
+                    // thread; wait for its epoch
+                    engine.flush_retrains();
                     published += 1;
                     if stop.load(Ordering::Acquire) {
                         break published;

@@ -4,7 +4,8 @@ use crate::config::SystemConfig;
 use crate::feature_store::FeatureStore;
 use scrutinizer_corpus::{ClaimRecord, Corpus};
 use scrutinizer_learn::{
-    training_utility, ClassifierState, FusedEntropy, LabelDict, PropertyClassifier, SoftmaxTraining,
+    training_utility, ClassifierState, FusedEntropy, LabelDict, PropertyClassifier, RowCopies,
+    SoftmaxTraining,
 };
 use scrutinizer_text::{ClaimFeaturizer, FeatureMatrix, SparseVector, SparseView};
 
@@ -145,6 +146,30 @@ impl TrainingState {
     /// Round-robin cursor into [`replay_log`](Self::replay_log).
     pub fn replay_cursor(&self) -> usize {
         self.replay_cursor
+    }
+
+    /// Keeps the weight rows of `retired` that no other model shares as
+    /// spare rows for the next retrain's copies (see
+    /// [`SoftmaxTraining::recycle`]). `retired` must be owned outright: a
+    /// published generation that no reader can reach any more.
+    pub fn recycle(&mut self, retired: SystemModels) {
+        for (training, classifier) in self.classifiers.iter_mut().zip(retired.classifiers) {
+            if let (Some(training), Some(model)) = (training, classifier.into_softmax()) {
+                training.recycle(model);
+            }
+        }
+    }
+
+    /// The weight rows the retrains copied since the last call, summed
+    /// over the classifiers (see [`SoftmaxTraining::take_row_copies`]).
+    pub fn take_row_copies(&mut self) -> RowCopies {
+        let mut total = RowCopies::default();
+        for training in self.classifiers.iter_mut().flatten() {
+            let copies = training.take_row_copies();
+            total.copied += copies.copied;
+            total.recycled += copies.recycled;
+        }
+        total
     }
 }
 

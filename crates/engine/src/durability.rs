@@ -57,10 +57,12 @@
 //! never exists in memory. It joins the two owners of the learned state:
 //! the published snapshot's [`SystemModels`] (weights, biases, labels)
 //! and the trainer's [`TrainingState`] (AdaGrad accumulators, fit counts,
-//! rehearsal log). `write_models` streams each classifier's weight block
+//! rehearsal log). `write_models` streams each classifier's weight rows
 //! from the first and its accumulator block from the second through the
 //! atomic write one tile of class rows at a time, and `read_models` fills
-//! fresh blocks from the file the same way, each into its owner, building
+//! fresh rows and blocks from the file the same way, each into its owner
+//! (the weights straight into their feature rows, never into a whole
+//! block first), building
 //! each classifier on the label and dim scaffold of a model set already
 //! in hand rather than on a clone of its weights. Publishing or
 //! restarting therefore needs one tile (~1.5 MB) beyond the models and
@@ -70,7 +72,7 @@ use std::io::{self, Read, Write};
 use std::sync::Arc;
 
 use scrutinizer_core::{PropertyKind, SystemModels, TrainingState};
-use scrutinizer_learn::softmax::{feature_major_from_tiles, Block};
+use scrutinizer_learn::softmax::{feature_major_from_tiles, feature_rows_from_tiles, Block};
 use scrutinizer_learn::{PropertyClassifier, SoftmaxClassifier, SoftmaxTraining};
 use scrutinizer_sim::Storage;
 use scrutinizer_wal::{Wal, WalOptions};
@@ -425,7 +427,7 @@ fn write_f32s(out: &mut dyn Write, values: &[f32]) -> io::Result<()> {
 }
 
 /// Streams one published epoch into `out` as a `SCRMDLv1` blob,
-/// straight from each classifier's feature-major blocks one tile of class
+/// straight from each classifier's feature-major rows one tile of class
 /// rows at a time — the weights from `models`, the accumulators, fit
 /// counts and rehearsal log from their `training` state: no row-major
 /// copy and no encoded blob is ever held in memory.
@@ -580,10 +582,10 @@ impl BlobReader<'_> {
 /// `(epoch, models, training)`. Each classifier is built on its
 /// counterpart in `scaffold` ([`PropertyClassifier::with_learned`]): the
 /// scaffold lends the featurizer, property names, feature dims and
-/// training config, never its weights, and each block streams from
-/// `input` straight into a fresh feature-major block of its owner — the
-/// weights into the models, the accumulators into the training state —
-/// one tile at a time.
+/// training config, never its weights, and each half streams from
+/// `input` straight into its owner's fresh feature-major storage — the
+/// weights into the models' feature rows, the accumulators into the
+/// training state's block — one tile at a time.
 pub(crate) fn read_models(
     input: &mut dyn Read,
     len: u64,
@@ -656,8 +658,7 @@ fn read_softmax(
         )));
     }
     let n_classes = cells / dim;
-    let weights =
-        feature_major_from_tiles(Block::Weights, n_classes, dim, |tile| blob.f32s_into(tile))?;
+    let rows = feature_rows_from_tiles(n_classes, dim, |tile| blob.f32s_into(tile))?;
     let biases = blob.f32s(n_classes)?;
     if blob.count(4)? != cells {
         return Err(invalid(format!(
@@ -677,7 +678,7 @@ fn read_softmax(
     }
     let corrupt = |e: String| invalid(format!("{}: {e}", scaffold.property));
     Ok((
-        SoftmaxClassifier::from_blocks(weights, biases, dim, n_classes).map_err(corrupt)?,
+        SoftmaxClassifier::from_rows(rows, biases, dim, n_classes).map_err(corrupt)?,
         SoftmaxTraining::from_blocks(grad_sq_w, grad_sq_b, dim, n_classes, fits)
             .map_err(corrupt)?,
     ))

@@ -183,17 +183,17 @@ pub struct Engine {
     /// trainer job exists at a time; later threshold crossings fold into
     /// the active drain loop.
     retrain_active: AtomicBool,
-    /// The training state of the published models — the AdaGrad
-    /// accumulators and the rehearsal log — behind the lock that
+    /// The training state of the published models and the snapshot the
+    /// last publish retired ([`Trainer`]), behind the lock that
     /// serializes whole retrain executions (load → train → publish).
     /// Without it, a synchronous `pretrain` racing the background trainer
     /// would clone the same base snapshot and the later publish would
     /// silently discard the earlier one's training — including drained
-    /// pending examples that exist nowhere else. The state is never
-    /// copied: each retrain advances it in place alongside its clone of
-    /// the snapshot's weights, and publishes before letting go. Readers
-    /// never touch this lock; only trainers (and recovery) do.
-    retrain_serial: Mutex<TrainingState>,
+    /// pending examples that exist nowhere else. The training state is
+    /// never copied: each retrain advances it in place alongside its
+    /// copy of the snapshot's models, and publishes before letting go.
+    /// Readers never touch this lock; only trainers (and recovery) do.
+    retrain_serial: Mutex<Trainer>,
     /// The injected environment: background scheduling and fault
     /// points. Production engines carry the zero-cost passthrough
     /// ([`SimEnv::production`]); the simulation harness injects a
@@ -219,6 +219,19 @@ pub struct Engine {
     wal_replaying: AtomicBool,
     /// Self-handle so verdict paths can hand the engine to trainer jobs.
     self_ref: Weak<Engine>,
+}
+
+/// What trainers keep from one retrain to the next.
+#[derive(Debug, Default)]
+struct Trainer {
+    /// The training state of the published models: the AdaGrad
+    /// accumulators and the rehearsal log.
+    training: TrainingState,
+    /// The snapshot the last publish retired. The published models share
+    /// each of its weight rows that their retrain did not copy; the rows
+    /// it alone holds become the next incremental retrain's spare rows,
+    /// if by then no reader holds it.
+    retired: Option<Arc<ModelSnapshot>>,
 }
 
 /// Which retrain flavor [`Engine::run_retrain`] executes.
@@ -322,7 +335,10 @@ impl Engine {
             }),
             pending: Mutex::new(Vec::new()),
             retrain_active: AtomicBool::new(false),
-            retrain_serial: Mutex::new(training),
+            retrain_serial: Mutex::new(Trainer {
+                training,
+                retired: None,
+            }),
             env,
             wal,
             wal_gate: RwLock::new(()),
@@ -368,11 +384,11 @@ impl Engine {
     /// tools that compare learned state across engines. Waits for a
     /// running retrain to publish, so the two halves are of one epoch.
     pub fn export_models_state(&self) -> ModelsState {
-        let training = self
+        let trainer = self
             .retrain_serial
             .lock()
             .expect("retrain serializer poisoned");
-        self.models.load().models.export_state(&training)
+        self.models.load().models.export_state(&trainer.training)
     }
 
     /// Trains the classifiers on the given claims (all claims when
@@ -406,26 +422,38 @@ impl Engine {
     /// The single source of truth for retrain execution and accounting —
     /// shared by [`pretrain`](Self::pretrain) (synchronous, from scratch)
     /// and the verdict path's background trainer (incremental): clone the
-    /// current snapshot's models — the weights only; the accumulators stay
-    /// in the one training state — train the copy and advance the
-    /// training state *off* every reader-facing lock (timed into
-    /// `retrain_latency`), publish the next epoch, bump the counter.
+    /// current snapshot's models — row pointers, not weights; the
+    /// accumulators stay in the one training state — train the copy and
+    /// advance the training state *off* every reader-facing lock (timed
+    /// into `retrain_latency`), publish the next epoch, bump the counters.
     /// Concurrent trainers serialize on `retrain_serial`, which holds the
     /// training state, so each one bases its copy on the previous one's
     /// published snapshot and no training is ever lost; readers keep
-    /// loading snapshots throughout. The trainer lets go of the previous
-    /// snapshot as soon as it has its copy, so once readers move on, the
-    /// previous epoch's weights are freed before the new epoch's blob is
-    /// written.
+    /// loading snapshots throughout.
+    ///
+    /// An incremental fit copies each weight row the first time it writes
+    /// it. The copies go into the rows of the snapshot the last publish
+    /// retired that the published epoch does not share, but only if no
+    /// reader holds that snapshot any more (the trainer then owns it
+    /// outright); otherwise the trainer lets go of it and allocates. So a
+    /// run of epochs keeps reusing the same rows instead of leaving the
+    /// released ones behind as holes in the heap.
     fn run_retrain(&self, claim_ids: &[usize], kind: RetrainKind) -> u64 {
-        let mut training = self
+        let mut trainer = self
             .retrain_serial
             .lock()
             .expect("retrain serializer poisoned");
+        let Trainer { training, retired } = &mut *trainer;
         let models = {
             let _span = obs::span!("retrain", claims = claim_ids.len());
             let mut models = {
                 let _span = obs::span!("retrain.clone");
+                // a from-scratch fit replaces the training state, spare
+                // rows included, so only an incremental one recycles
+                let owned = retired.take().and_then(Arc::into_inner);
+                if let (Some(retired), RetrainKind::Incremental) = (owned, kind) {
+                    training.recycle(retired.models);
+                }
                 self.models.load().models.clone()
             };
             self.stats.retrain_latency.time(|| {
@@ -433,7 +461,7 @@ impl Engine {
                 match kind {
                     RetrainKind::FromScratch => {
                         models.retrain_from_store(
-                            &mut training,
+                            training,
                             &self.features,
                             &self.corpus.claims,
                             claim_ids,
@@ -442,7 +470,7 @@ impl Engine {
                     }
                     RetrainKind::Incremental => {
                         models.retrain_incremental(
-                            &mut training,
+                            training,
                             &self.features,
                             &self.corpus.claims,
                             claim_ids,
@@ -452,7 +480,11 @@ impl Engine {
             });
             models
         };
-        let epoch = self.models.publish(models);
+        let copies = training.take_row_copies();
+        self.stats.retrain_rows_copied.add(copies.copied);
+        self.stats.retrain_rows_recycled.add(copies.recycled);
+        let (epoch, replaced) = self.models.publish(models);
+        *retired = Some(replaced);
         self.stats.retrains.inc();
         if kind == RetrainKind::Incremental {
             self.stats.background_retrains.inc();
@@ -460,7 +492,7 @@ impl Engine {
         }
         self.durable_publish(
             epoch,
-            &training,
+            training,
             claim_ids.len() as u64,
             kind == RetrainKind::Incremental,
         );
@@ -781,20 +813,22 @@ impl Engine {
                 }
                 if *epoch > self.models.epoch() {
                     let wal = self.wal.as_ref().expect("replay requires a wal");
-                    let mut training = self
+                    let mut trainer = self
                         .retrain_serial
                         .lock()
                         .expect("retrain serializer poisoned");
                     // the superseded accumulators go before the blob's are
                     // decoded; the live snapshot is only the scaffold: the
-                    // blob decodes into fresh blocks, no trained weight
-                    // copied
-                    *training = TrainingState::default();
+                    // blob decodes into fresh rows, no trained weight
+                    // copied, so the replaced snapshot has nothing to
+                    // share and is dropped
+                    *trainer = Trainer::default();
                     let (models, restored) =
                         durability::load_models(wal, *epoch, &self.models.load().models)?;
-                    let published = self.models.publish(models);
+                    let (published, _) = self.models.publish(models);
                     debug_assert_eq!(published, *epoch, "replayed epochs are contiguous");
-                    *training = restored;
+                    trainer.training = restored;
+                    let training = &trainer.training;
                     if *background {
                         // a background epoch trained on exactly the batch
                         // it drained from the pending log, and

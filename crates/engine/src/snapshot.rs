@@ -15,13 +15,19 @@
 //!   as a new snapshot with the epoch advanced — an atomic pointer swap.
 //!
 //! A snapshot holds only the read side of the learned state
-//! ([`SystemModels`]: labels, weights, biases), so that copy is the
-//! weights alone (71 MB at paper scale). The AdaGrad accumulators and the
-//! rehearsal log — the [`TrainingState`](scrutinizer_core::TrainingState),
-//! read only by training and persistence — have a single owner: the
-//! engine keeps them inside the lock that serializes trainers, never
-//! copies them, and each retrain advances them in place with the epoch it
-//! publishes.
+//! ([`SystemModels`]: labels, weights, biases), and its weights are one
+//! shared row per feature, so that copy shares every row with the
+//! published snapshot: training copies a row only when it first writes
+//! it, about a quarter of the 67 MB of weights for a 50-claim epoch at
+//! paper scale. The snapshot a publish retires
+//! ([`publish`](SnapshotCell::publish) hands it back) alone holds the
+//! old values of the rows the new epoch copied; once no reader holds
+//! it, the next retrain writes its copies into those rows instead of new
+//! allocations. The AdaGrad accumulators and the rehearsal log — the
+//! [`TrainingState`](scrutinizer_core::TrainingState), read only by
+//! training and persistence — have a single owner: the engine keeps them
+//! inside the lock that serializes trainers, never copies them, and each
+//! retrain advances them in place with the epoch it publishes.
 //!
 //! The epoch is the invalidation token for everything derived from the
 //! models (session translations, cached utilities): one monotone counter
@@ -37,8 +43,8 @@ pub struct ModelSnapshot {
     /// Monotone generation counter; bumped by every publish.
     pub epoch: u64,
     /// The models themselves — weights and labels, no training state.
-    /// Immutable: retraining clones them, trains the copy off-lock, and
-    /// publishes a fresh snapshot.
+    /// Immutable: retraining clones them (sharing their weight rows),
+    /// trains the copy off-lock, and publishes a fresh snapshot.
     pub models: SystemModels,
 }
 
@@ -81,14 +87,14 @@ impl SnapshotCell {
     }
 
     /// Publishes freshly trained models as the next epoch, returning the
-    /// new epoch. Readers holding the previous snapshot keep it alive via
-    /// their `Arc` until they finish — no reader is ever invalidated
-    /// mid-operation.
-    pub fn publish(&self, models: SystemModels) -> u64 {
+    /// new epoch and the snapshot it retired. Readers holding the retired
+    /// snapshot keep it alive via their `Arc` until they finish — no
+    /// reader is ever invalidated mid-operation.
+    pub fn publish(&self, models: SystemModels) -> (u64, Arc<ModelSnapshot>) {
         let mut slot = self.current.write().expect("snapshot cell poisoned");
         let epoch = slot.epoch + 1;
-        *slot = Arc::new(ModelSnapshot { epoch, models });
-        epoch
+        let retired = std::mem::replace(&mut *slot, Arc::new(ModelSnapshot { epoch, models }));
+        (epoch, retired)
     }
 }
 
@@ -106,8 +112,9 @@ mod tests {
         assert_eq!(cell.epoch(), 0);
 
         let held = cell.load();
-        assert_eq!(cell.publish(models.clone()), 1);
-        assert_eq!(cell.publish(models), 2);
+        let (epoch, retired) = cell.publish(models.clone());
+        assert_eq!((epoch, retired.epoch), (1, 0));
+        assert_eq!(cell.publish(models).0, 2);
         assert_eq!(cell.epoch(), 2);
         // the reader's generation is untouched by later publishes
         assert_eq!(held.epoch, 0);

@@ -93,6 +93,13 @@ pub struct EngineStats {
     /// number of unique claims ever verified (when retraining is
     /// enabled) — a drained batch that never trains is a lost example.
     pub examples_trained: Counter,
+    /// Weight rows retrains copied on their first write because they
+    /// were shared: with the published models, or, in a from-scratch
+    /// fit, as the untrained model's one zero row.
+    pub retrain_rows_copied: Counter,
+    /// Of those copies, the ones written into a row the retired epoch
+    /// released rather than into a new allocation.
+    pub retrain_rows_recycled: Counter,
     /// Raw SQL statements executed through the serving layer.
     pub sql_executed: Counter,
     /// Batch-selection plans requested (all strategies).
@@ -245,6 +252,14 @@ impl EngineStats {
             examples_trained: r.counter(
                 "scrutinizer_examples_trained_total",
                 "Pending examples folded into a published model epoch.",
+            ),
+            retrain_rows_copied: r.counter(
+                "scrutinizer_retrain_rows_copied_total",
+                "Shared weight rows retrains copied on their first write.",
+            ),
+            retrain_rows_recycled: r.counter(
+                "scrutinizer_retrain_rows_recycled_total",
+                "Copied weight rows written into rows a retired epoch released.",
             ),
             sql_executed: r.counter(
                 "scrutinizer_sql_executed_total",

@@ -113,6 +113,14 @@ fn metrics_op_round_trips_the_stats_op_and_lints_clean() {
             "stats `{json_key}` and exposition `{series}` diverged"
         );
     }
+    // the retrains' copy-on-write counters are exposition-only series
+    // (no v1 `stats` field); nothing retrained here
+    for series in [
+        "scrutinizer_retrain_rows_copied_total",
+        "scrutinizer_retrain_rows_recycled_total",
+    ] {
+        assert_eq!(expo_value(&expo, series), 0.0, "{series}");
+    }
     assert_eq!(expo_value(&expo, "scrutinizer_sessions_opened_total"), 2.0);
     assert_eq!(expo_value(&expo, "scrutinizer_sessions_closed_total"), 1.0);
     assert_eq!(expo_value(&expo, "scrutinizer_sessions_live"), 1.0);

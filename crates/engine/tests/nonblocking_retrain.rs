@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use scrutinizer_core::{OrderingStrategy, SystemConfig};
+use scrutinizer_core::{OrderingStrategy, PropertyKind, SystemConfig, SystemModels};
 use scrutinizer_corpus::{Corpus, CorpusConfig};
 use scrutinizer_crowd::{Worker, WorkerConfig};
 use scrutinizer_engine::engine::{Engine, EngineOptions, EngineParts};
@@ -157,6 +157,98 @@ fn suggestions_stay_deterministic_and_nonblocking_during_a_retrain_storm() {
     assert!(
         reads >= claims.len(),
         "readers made progress during the storm"
+    );
+}
+
+/// Each probe claim's top-5 ranking per property under `models`,
+/// probabilities as bits, and its utility's bits.
+type Fingerprint = (Vec<(String, u32)>, u64);
+
+fn translations(engine: &Engine, models: &SystemModels, probes: &[usize]) -> Vec<Fingerprint> {
+    probes
+        .iter()
+        .map(|&id| {
+            let (translation, utility) =
+                models.translate_view(engine.feature_store().features(id), 5);
+            let ranked = PropertyKind::ALL
+                .into_iter()
+                .flat_map(|kind| {
+                    translation
+                        .of(kind)
+                        .iter()
+                        .map(|(label, p)| (label.clone(), p.to_bits()))
+                })
+                .collect();
+            (ranked, utility.to_bits())
+        })
+        .collect()
+}
+
+/// A retrain copies a weight row before it first writes it, into a row
+/// the retired epoch alone held when no reader holds that epoch: a
+/// reader's snapshot reads the same weights however many epochs publish
+/// after it, and the rows it reads are never recycled while it holds
+/// them.
+#[test]
+fn a_held_snapshot_reads_the_same_weights_while_later_epochs_recycle_rows() {
+    let engine = engine_with_interval(Some(8));
+    engine.pretrain(Some(&(0..40).collect::<Vec<_>>()));
+    let mut worker = Worker::new(
+        "w",
+        WorkerConfig {
+            accuracy: 1.0,
+            skip_probability: 0.0,
+            seed: 11,
+            ..WorkerConfig::default()
+        },
+    );
+    let mut next_claim = 40..;
+    let mut background_epoch = || {
+        let stats = engine.stats_ref();
+        let (copied, recycled) = (
+            stats.retrain_rows_copied.get(),
+            stats.retrain_rows_recycled.get(),
+        );
+        for id in next_claim.by_ref().take(8) {
+            engine.verify_claim_with(id, &mut worker);
+        }
+        engine.flush_retrains();
+        (
+            stats.retrain_rows_copied.get() - copied,
+            stats.retrain_rows_recycled.get() - recycled,
+        )
+    };
+    let probes: Vec<usize> = (0..64).collect();
+
+    // epoch 2: the first background epoch
+    background_epoch();
+    let held = engine.models_snapshot();
+    assert_eq!(held.epoch, 2);
+    let before = translations(&engine, &held.models, &probes);
+
+    // epoch 3 copies into the rows of epoch 1, which no reader holds
+    let (copied, recycled) = background_epoch();
+    assert_eq!(engine.model_epoch(), 3);
+    assert!(copied > 0, "a background epoch copies the rows it trains");
+    assert!(
+        recycled > 0,
+        "the second background epoch recycles the rows epoch 1 alone held"
+    );
+    assert!(recycled <= copied);
+    assert!(translations(&engine, &held.models, &probes) == before);
+
+    // epoch 4 retires the held epoch 2: none of its rows may be reused
+    let (copied, recycled) = background_epoch();
+    assert_eq!(engine.model_epoch(), 4);
+    assert!(copied > 0);
+    assert_eq!(recycled, 0, "a snapshot a reader holds gives up no row");
+    assert!(
+        translations(&engine, &held.models, &probes) == before,
+        "the held epoch's rankings moved"
+    );
+    assert!(
+        translations(&engine, &engine.models_snapshot().models, &probes) != before,
+        "two epochs of training changed no ranking, so the check above shows nothing"
     );
 }
 

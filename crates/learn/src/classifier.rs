@@ -315,9 +315,16 @@ impl PropertyClassifier {
     }
 
     /// The trained softmax model, if any (fusion sweeps its
-    /// feature-major block in place; snapshots stream it out).
+    /// feature rows in place; snapshots stream them out).
     pub fn softmax(&self) -> Option<&SoftmaxClassifier> {
         self.model.as_ref()
+    }
+
+    /// The trained softmax model, if any, taken out of this classifier
+    /// (recycling a retired model's rows; see
+    /// [`SoftmaxTraining::recycle`]).
+    pub fn into_softmax(self) -> Option<SoftmaxClassifier> {
+        self.model
     }
 
     /// Entropy of the uniform fallback distribution (`ln` of the label

@@ -31,5 +31,5 @@ pub use fused::FusedEntropy;
 pub use labels::LabelDict;
 pub use metrics::{accuracy, entropy, top_k_accuracy};
 pub use softmax::{
-    entropy_from_scores, SoftmaxClassifier, SoftmaxState, SoftmaxTraining, TrainConfig,
+    entropy_from_scores, RowCopies, SoftmaxClassifier, SoftmaxState, SoftmaxTraining, TrainConfig,
 };

@@ -19,26 +19,39 @@
 //!   bias accumulators and the fit count, which only training reads.
 //!
 //! Training takes `&mut` of both halves; everything else needs only the
-//! read side, so a published model carries no accumulators and copying
-//! one for the next retrain copies the weights alone.
+//! read side, so a published model carries no accumulators.
 //!
-//! Each half stores its values once, in one **feature-major** layout: a
-//! `dim × stride` block (`stride` = the class count rounded up to a
-//! multiple of eight lanes) in which feature `i`'s class columns sit
-//! contiguously at `block[i * stride..][..n_classes]`. The weights' pad
-//! columns stay 0.0; the accumulators use the same layout with pad columns
-//! at the initial accumulator, and class growth re-strides both halves in
-//! step. Every consumer reads the weight block in place:
+//! Both halves share one **feature-major** layout: feature `i`'s class
+//! columns sit contiguously in a row of `stride` floats (`stride` = the
+//! class count rounded up to a multiple of eight lanes), with the real
+//! classes at `[..n_classes]`. The two halves store those rows
+//! differently:
+//!
+//! * the weights are one **shared row per feature** (`Arc<[f32]>`, pad
+//!   columns 0.0). Cloning a model clones row pointers, not weights, and
+//!   training copies a row only the first time a fit writes it while
+//!   another model still shares it, so a retrain's copy of the published
+//!   weights costs the rows its batch touches (a quarter of them for a
+//!   50-claim epoch at paper scale), not the whole model. Those copies
+//!   fill spare rows first: the rows of a retired model that nothing
+//!   else shares, handed over by [`SoftmaxTraining::recycle`].
+//!   Untrained models share one zero row;
+//! * the AdaGrad accumulators are one flat, owned `dim × stride` block
+//!   (pad columns at the initial accumulator), since no model shares
+//!   them.
+//!
+//! Class growth re-strides both halves in step. Every consumer reads
+//! the weight rows in place:
 //!
 //! * training scores an example with one contiguous sweep per stored
 //!   feature, then updates the touched `(feature, class)` slots of both
-//!   blocks elementwise;
+//!   halves elementwise;
 //! * per-claim inference (`predict_proba`, [`top_k_view`], and through
 //!   them `PropertyClassifier::top_k_ids`, `predict_id` and accuracy
 //!   traces) runs the same kernel;
 //! * [`FusedEntropy`] ranks all four classifiers for translation and sums
 //!   their Definition 7 entropies from the same score row, one sweep of
-//!   each classifier's block per claim.
+//!   each classifier's rows per claim.
 //!
 //! That one scoring kernel keeps the per-lane order of the row-major
 //! `bias + x.dot_dense(row)` it replaced (see `scores_into`), so every
@@ -49,18 +62,21 @@
 //! Persistence is row-major (one `dim`-long row per class) and never
 //! materializes a whole row-major copy: each half's `row_tiles`
 //! ([`SoftmaxClassifier::row_tiles`], [`SoftmaxTraining::row_tiles`])
-//! streams its block out as tiles of 64 class rows, and
-//! [`feature_major_from_tiles`] fills a fresh padded block from such
-//! tiles, so a snapshot writer or reader holds at most one tile (~1.5 MB
-//! at paper scale) beside the blocks themselves. The whole-model
-//! [`SoftmaxState`] ([`export_state`], [`from_state`]) joins both halves
-//! and remains the reference the tests hold the split and streamed forms
-//! to.
+//! streams it out as tiles of 64 class rows, and
+//! [`feature_rows_from_tiles`] (weights) and [`feature_major_from_tiles`]
+//! (accumulators) fill fresh rows from such tiles, so a snapshot writer
+//! or reader holds at most one tile (~1.5 MB at paper scale) beside the
+//! rows themselves. The whole-model [`SoftmaxState`] ([`export_state`],
+//! [`from_state`]) joins both halves and remains the reference the tests
+//! hold the split and streamed forms to.
 //!
 //! [`top_k_view`]: SoftmaxClassifier::top_k_view
 //! [`export_state`]: SoftmaxClassifier::export_state
 //! [`from_state`]: SoftmaxClassifier::from_state
 //! [`FusedEntropy`]: crate::FusedEntropy
+
+use std::convert::Infallible;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -137,14 +153,17 @@ pub(crate) const LANES: usize = 8;
 pub const GRAD_SQ_INIT: f32 = 1e-8;
 
 /// Class rows per tile of the row-major stream (`row_tiles`,
-/// [`feature_major_from_tiles`]): a tile is `TILE_CLASSES × dim` floats,
-/// about 1.5 MB at paper scale.
+/// [`feature_rows_from_tiles`], [`feature_major_from_tiles`]): a tile is
+/// `TILE_CLASSES × dim` floats, about 1.5 MB at paper scale.
 pub(crate) const TILE_CLASSES: usize = 64;
 
-/// One of a classifier's two feature-major `dim × stride` blocks.
+/// One of a classifier's two halves as a flat feature-major
+/// `dim × stride` block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Block {
-    /// The weights, on the read side (pad columns 0.0).
+    /// The weights (pad columns 0.0); the classifier keeps them as one
+    /// shared row per feature ([`SoftmaxClassifier::from_blocks`] splits
+    /// such a block).
     Weights,
     /// The AdaGrad weight accumulators, in the training state (pad
     /// columns at [`GRAD_SQ_INIT`], so a class growing into one starts
@@ -163,17 +182,72 @@ impl Block {
 
 /// The read side of a trained softmax classifier over `n_classes` classes
 /// and `dim` features: the weights and biases every prediction reads.
+/// A clone shares every weight row with its original until one of them
+/// trains it.
 #[derive(Debug, Clone)]
 pub struct SoftmaxClassifier {
-    /// Feature-major weights, `dim × stride`: feature `i`'s class columns
-    /// at `weights[i * stride..][..n_classes]`, pad columns 0.0.
-    weights: Vec<f32>,
+    /// One weight row per feature, `stride` floats each: feature `i`'s
+    /// class columns at `rows[i][..n_classes]`, pad columns 0.0. A row
+    /// is written in place only while this model is its one owner (see
+    /// [`RowPool::writable`]).
+    rows: Vec<Arc<[f32]>>,
     /// Per-class biases padded to `stride` (pad lanes 0.0).
     biases: Vec<f32>,
-    /// Row stride of `weights`: `n_classes` rounded up to [`LANES`].
+    /// Length of every weight row: `n_classes` rounded up to [`LANES`].
     stride: usize,
     dim: usize,
     n_classes: usize,
+}
+
+/// How many weight rows training copied because they were shared (with
+/// another model, or as an untrained model's one zero row), and how many
+/// of those copies filled a spare row rather than a new allocation.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RowCopies {
+    /// Rows copied on their first write in a fit.
+    pub copied: u64,
+    /// Of those, the copies written into a recycled spare row.
+    pub recycled: u64,
+}
+
+/// The spare weight rows of a training state and its copy counters.
+#[derive(Debug, Clone, Default)]
+struct RowPool {
+    /// Rows of the training state's stride that no model shares: the
+    /// rows a retired model alone owned. Copies fill them before they
+    /// allocate; a fit drops whatever it leaves.
+    spare: Vec<Arc<[f32]>>,
+    /// Copy traffic since [`SoftmaxTraining::take_row_copies`].
+    copies: RowCopies,
+}
+
+impl RowPool {
+    /// `row`, writable: in place while its model is the row's one owner,
+    /// otherwise first copied — into a spare row while one is left, else
+    /// into a new allocation — so every model that shared it keeps
+    /// reading the old values. The model is owned through `&mut`, so no
+    /// other handle can appear while the count is read.
+    fn writable<'r>(&mut self, row: &'r mut Arc<[f32]>) -> &'r mut [f32] {
+        if Arc::strong_count(row) > 1 {
+            self.copies.copied += 1;
+            *row = self.copy_of(row);
+        }
+        Arc::get_mut(row).expect("a row written in place has one owner")
+    }
+
+    /// A row of this model alone holding `values`.
+    fn copy_of(&mut self, values: &[f32]) -> Arc<[f32]> {
+        while let Some(mut spare) = self.spare.pop() {
+            // a spare cloned along with its training state is shared:
+            // drop that handle and try the next
+            if let Some(slots) = Arc::get_mut(&mut spare) {
+                slots.copy_from_slice(values);
+                self.copies.recycled += 1;
+                return spare;
+            }
+        }
+        Arc::from(values)
+    }
 }
 
 /// The training state of a [`SoftmaxClassifier`]: the AdaGrad
@@ -193,6 +267,9 @@ pub struct SoftmaxTraining {
     /// Completed training calls; salts the shuffle seed so successive
     /// `partial_fit` batches see different (but deterministic) orders.
     fits: u64,
+    /// Spare weight rows for the next fit, and the copy counters; never
+    /// persisted.
+    pool: RowPool,
 }
 
 impl SoftmaxTraining {
@@ -207,6 +284,7 @@ impl SoftmaxTraining {
             dim,
             n_classes,
             fits: 0,
+            pool: RowPool::default(),
         }
     }
 
@@ -231,6 +309,7 @@ impl SoftmaxTraining {
             dim,
             n_classes,
             fits,
+            pool: RowPool::default(),
         })
     }
 
@@ -238,7 +317,31 @@ impl SoftmaxTraining {
     /// (see [`SoftmaxClassifier::row_tiles`]); concatenated, the tiles are
     /// [`SoftmaxState::grad_sq_w`].
     pub fn row_tiles<E>(&self, emit: impl FnMut(&[f32]) -> Result<(), E>) -> Result<(), E> {
-        stream_row_tiles(&self.grad_sq_w, self.n_classes, self.dim, self.stride, emit)
+        let rows: Vec<&[f32]> = self.grad_sq_w.chunks_exact(self.stride).collect();
+        stream_row_tiles(&rows, self.n_classes, emit)
+    }
+
+    /// Keeps the weight rows of `retired` that no other model shares as
+    /// spare rows for the next fit to copy into. `retired` must be owned
+    /// outright — a published model that no reader can reach any more —
+    /// since a row's count says nothing of who still reads the model that
+    /// holds it. Rows of another shape (class growth re-strided since)
+    /// are dropped.
+    pub fn recycle(&mut self, retired: SoftmaxClassifier) {
+        if (retired.stride, retired.dim) != (self.stride, self.dim) {
+            return;
+        }
+        for mut row in retired.rows {
+            if Arc::get_mut(&mut row).is_some() {
+                self.pool.spare.push(row);
+            }
+        }
+    }
+
+    /// The weight rows training copied since the last call (and how many
+    /// of those filled spare rows), then resets the count.
+    pub fn take_row_copies(&mut self) -> RowCopies {
+        std::mem::take(&mut self.pool.copies)
     }
 
     /// Number of classes.
@@ -286,8 +389,9 @@ impl SoftmaxClassifier {
     pub fn untrained(n_classes: usize, dim: usize) -> Self {
         assert!(n_classes > 0, "need at least one class");
         let stride = n_classes.next_multiple_of(LANES);
+        let zero: Arc<[f32]> = std::iter::repeat_n(0.0, stride).collect();
         SoftmaxClassifier {
-            weights: vec![0.0; dim * stride],
+            rows: vec![zero; dim],
             biases: vec![0.0; stride],
             stride,
             dim,
@@ -370,15 +474,24 @@ impl SoftmaxClassifier {
 
     /// Adds zero-weight classes to both halves. Within the current stride
     /// they take over pad columns, which already hold a zero weight and a
-    /// fresh accumulator; past it, both blocks are re-strided once.
+    /// fresh accumulator; past it, every weight row and the accumulator
+    /// block are re-strided once, and the spare rows, now too short, are
+    /// dropped.
     fn grow_classes(&mut self, training: &mut SoftmaxTraining, n_classes: usize) {
         debug_assert!(n_classes > self.n_classes);
         let stride = n_classes.next_multiple_of(LANES);
         if stride > self.stride {
-            self.weights = restride(&self.weights, self.stride, stride, 0.0);
+            for row in &mut self.rows {
+                *row = row
+                    .iter()
+                    .copied()
+                    .chain(std::iter::repeat_n(0.0, stride - row.len()))
+                    .collect();
+            }
             self.biases.resize(stride, 0.0);
             training.grad_sq_w = restride(&training.grad_sq_w, self.stride, stride, GRAD_SQ_INIT);
             training.grad_sq_b.resize(stride, GRAD_SQ_INIT);
+            training.pool.spare.clear();
             self.stride = stride;
             training.stride = stride;
         }
@@ -388,7 +501,10 @@ impl SoftmaxClassifier {
 
     /// The AdaGrad inner loop: `config.epochs` shuffled passes over
     /// `examples`, updating the true class plus the top-probability
-    /// classes in place in the feature-major blocks of both halves.
+    /// classes of both halves in place — a weight row that another model
+    /// still shares is copied on its first write (see
+    /// [`RowPool::writable`]). The spare rows left at the end are
+    /// dropped.
     fn fit_epochs(
         &mut self,
         training: &mut SoftmaxTraining,
@@ -438,12 +554,15 @@ impl SoftmaxClassifier {
                     self.biases[c] -= config.learning_rate * g / training.grad_sq_b[c].sqrt();
                     steps.push((c, g));
                 }
+                if steps.is_empty() {
+                    continue;
+                }
                 for (i, v) in x.iter() {
                     let i = i as usize;
                     if i >= dim {
                         continue;
                     }
-                    let weights = &mut self.weights[i * stride..][..stride];
+                    let weights = training.pool.writable(&mut self.rows[i]);
                     let grad_sq = &mut training.grad_sq_w[i * stride..][..stride];
                     for &(c, g) in &steps {
                         let gw = g * v + config.l2 * weights[c];
@@ -453,6 +572,7 @@ impl SoftmaxClassifier {
                 }
             }
         }
+        training.pool.spare.clear();
     }
 
     /// A whole copy of this model and its `training` state, transposed to
@@ -468,15 +588,20 @@ impl SoftmaxClassifier {
             (n_classes, dim),
             "the training state belongs to another model"
         );
-        let row_major = |block: &[f32]| {
-            let mut out = vec![0.0; n_classes * dim];
-            transpose_into(block, dim, n_classes, self.stride, &mut out, dim);
-            out
-        };
+        let mut weights = Vec::with_capacity(n_classes * dim);
+        let Ok(()) = self.row_tiles(|tile| {
+            weights.extend_from_slice(tile);
+            Ok::<_, Infallible>(())
+        });
+        let mut grad_sq_w = Vec::with_capacity(n_classes * dim);
+        let Ok(()) = training.row_tiles(|tile| {
+            grad_sq_w.extend_from_slice(tile);
+            Ok::<_, Infallible>(())
+        });
         SoftmaxState {
-            weights: row_major(&self.weights),
+            weights,
             biases: self.biases[..n_classes].to_vec(),
-            grad_sq_w: row_major(&training.grad_sq_w),
+            grad_sq_w,
             grad_sq_b: training.grad_sq_b[..n_classes].to_vec(),
             dim,
             n_classes,
@@ -485,7 +610,7 @@ impl SoftmaxClassifier {
     }
 
     /// Reconstructs a classifier and its training state from a whole
-    /// [`SoftmaxState`], transposing each to its feature-major block.
+    /// [`SoftmaxState`], transposing each half to its feature-major rows.
     /// Rejects shape-inconsistent state (a corrupt or truncated snapshot)
     /// rather than panicking later.
     pub fn from_state(state: SoftmaxState) -> Result<(Self, SoftmaxTraining), String> {
@@ -507,25 +632,21 @@ impl SoftmaxClassifier {
             ));
         }
         let (n_classes, dim) = (state.n_classes, state.dim);
-        let stride = n_classes.next_multiple_of(LANES);
-        let feature_major = |rows: &[f32], block: Block| {
-            let mut out = vec![block.pad(); dim * stride];
-            transpose_into(rows, n_classes, dim, dim, &mut out, stride);
-            out
-        };
-        let model = SoftmaxClassifier::from_blocks(
-            feature_major(&state.weights, Block::Weights),
-            state.biases,
-            dim,
-            n_classes,
-        )?;
-        let training = SoftmaxTraining::from_blocks(
-            feature_major(&state.grad_sq_w, Block::GradSq),
-            state.grad_sq_b,
-            dim,
-            n_classes,
-            state.fits,
-        )?;
+        /// Fills each tile with the next run of class rows.
+        fn tiles_of(rows: &[f32]) -> impl FnMut(&mut [f32]) -> Result<(), Infallible> + '_ {
+            let mut at = 0;
+            move |tile| {
+                tile.copy_from_slice(&rows[at..at + tile.len()]);
+                at += tile.len();
+                Ok(())
+            }
+        }
+        let Ok(rows) = feature_rows_from_tiles(n_classes, dim, tiles_of(&state.weights));
+        let model = SoftmaxClassifier::from_rows(rows, state.biases, dim, n_classes)?;
+        let Ok(grad_sq_w) =
+            feature_major_from_tiles(Block::GradSq, n_classes, dim, tiles_of(&state.grad_sq_w));
+        let training =
+            SoftmaxTraining::from_blocks(grad_sq_w, state.grad_sq_b, dim, n_classes, state.fits)?;
         Ok((model, training))
     }
 
@@ -535,29 +656,52 @@ impl SoftmaxClassifier {
     /// tiles are [`SoftmaxState::weights`]; at most one tile is
     /// allocated. Stops at the first error `emit` returns.
     pub fn row_tiles<E>(&self, emit: impl FnMut(&[f32]) -> Result<(), E>) -> Result<(), E> {
-        stream_row_tiles(&self.weights, self.n_classes, self.dim, self.stride, emit)
+        let rows: Vec<&[f32]> = self.rows.iter().map(|row| &row[..]).collect();
+        stream_row_tiles(&rows, self.n_classes, emit)
     }
 
-    /// Assembles a classifier from streamed parts: `weights` is a padded
-    /// block from [`feature_major_from_tiles`] over `n_classes` classes
-    /// and `dim` features, `biases` holds one value per class. Rejects
-    /// inconsistent shapes (a corrupt snapshot) rather than panicking
-    /// later.
-    pub fn from_blocks(
-        weights: Vec<f32>,
+    /// Assembles a classifier from streamed parts: `rows` are the padded
+    /// feature rows from [`feature_rows_from_tiles`] over `n_classes`
+    /// classes and `dim` features, `biases` holds one value per class.
+    /// Rejects inconsistent shapes (a corrupt snapshot) rather than
+    /// panicking later.
+    pub fn from_rows(
+        rows: Vec<Arc<[f32]>>,
         mut biases: Vec<f32>,
         dim: usize,
         n_classes: usize,
     ) -> Result<Self, String> {
-        let stride = check_shape(weights.len(), biases.len(), dim, n_classes)?;
+        let cells = rows.iter().map(|row| row.len()).sum();
+        let stride = check_shape(cells, biases.len(), dim, n_classes)?;
+        if rows.len() != dim || rows.iter().any(|row| row.len() != stride) {
+            return Err(format!(
+                "snapshot shape mismatch: {} weight rows for {dim} dims of {stride} values",
+                rows.len()
+            ));
+        }
         biases.resize(stride, 0.0);
         Ok(SoftmaxClassifier {
-            weights,
+            rows,
             biases,
             stride,
             dim,
             n_classes,
         })
+    }
+
+    /// [`from_rows`](Self::from_rows) over one flat padded block from
+    /// [`feature_major_from_tiles`] (`Block::Weights`), split into its
+    /// rows. Snapshots decode with [`feature_rows_from_tiles`] instead,
+    /// which never holds the whole block beside its rows.
+    pub fn from_blocks(
+        weights: Vec<f32>,
+        biases: Vec<f32>,
+        dim: usize,
+        n_classes: usize,
+    ) -> Result<Self, String> {
+        let stride = check_shape(weights.len(), biases.len(), dim, n_classes)?;
+        let rows = weights.chunks_exact(stride).map(Arc::from).collect();
+        Self::from_rows(rows, biases, dim, n_classes)
     }
 
     /// Number of classes.
@@ -575,14 +719,15 @@ impl SoftmaxClassifier {
         self.stride
     }
 
-    /// The padded feature-major weight block, `dim × stride`.
-    pub fn weight_block(&self) -> &[f32] {
-        &self.weights
+    /// A copy of the weights as one padded feature-major block,
+    /// `dim × stride`: the rows laid end to end.
+    pub fn weight_block(&self) -> Vec<f32> {
+        self.rows.concat()
     }
 
     /// Feature `i`'s weight for every class (`i < dim`).
     pub(crate) fn feature_column(&self, i: usize) -> &[f32] {
-        &self.weights[i * self.stride..][..self.n_classes]
+        &self.rows[i][..self.n_classes]
     }
 
     /// The per-class biases.
@@ -636,21 +781,21 @@ impl SoftmaxClassifier {
             <&[(usize, f32); 8]>::try_from(group)
         else {
             for &(i, v) in group {
-                let column = &self.weights[i * stride..][..stride];
+                let column = &self.rows[i][..stride];
                 for (s, &w) in scores.iter_mut().zip(column) {
                     *s += v * w;
                 }
             }
             return;
         };
-        let c0 = &self.weights[i0 * stride..][..stride];
-        let c1 = &self.weights[i1 * stride..][..stride];
-        let c2 = &self.weights[i2 * stride..][..stride];
-        let c3 = &self.weights[i3 * stride..][..stride];
-        let c4 = &self.weights[i4 * stride..][..stride];
-        let c5 = &self.weights[i5 * stride..][..stride];
-        let c6 = &self.weights[i6 * stride..][..stride];
-        let c7 = &self.weights[i7 * stride..][..stride];
+        let c0 = &self.rows[i0][..stride];
+        let c1 = &self.rows[i1][..stride];
+        let c2 = &self.rows[i2][..stride];
+        let c3 = &self.rows[i3][..stride];
+        let c4 = &self.rows[i4][..stride];
+        let c5 = &self.rows[i5][..stride];
+        let c6 = &self.rows[i6][..stride];
+        let c7 = &self.rows[i7][..stride];
         for j in 0..stride {
             let mut a = scores[j];
             a += v0 * c0[j];
@@ -734,50 +879,96 @@ pub(crate) fn feature_groups(
     }
 }
 
-/// Builds a padded feature-major block for `n_classes` classes over
-/// `dim` features from row-major tiles — the inverse of
-/// [`SoftmaxClassifier::row_tiles`] and [`SoftmaxTraining::row_tiles`]. `fill` is handed one buffer per tile
-/// (up to 64 classes in id order, `rows × dim` floats) to
-/// fill with those classes' rows; pad columns hold the block's pad value.
+/// Builds padded feature rows for `n_classes` classes over `dim`
+/// features from row-major tiles — the inverse of
+/// [`SoftmaxClassifier::row_tiles`], and what
+/// [`SoftmaxClassifier::from_rows`] takes. `fill` is handed one buffer
+/// per tile (up to 64 classes in id order, `rows × dim` floats) to fill
+/// with those classes' rows; pad columns hold 0.0. Allocates the rows
+/// plus one tile, and stops at the first error `fill` returns.
+pub fn feature_rows_from_tiles<E>(
+    n_classes: usize,
+    dim: usize,
+    fill: impl FnMut(&mut [f32]) -> Result<(), E>,
+) -> Result<Vec<Arc<[f32]>>, E> {
+    let stride = n_classes.next_multiple_of(LANES);
+    let mut rows: Vec<Arc<[f32]>> = (0..dim)
+        .map(|_| std::iter::repeat_n(0.0, stride).collect())
+        .collect();
+    let mut slots: Vec<&mut [f32]> = rows
+        .iter_mut()
+        .map(|row| Arc::get_mut(row).expect("a fresh row has one owner"))
+        .collect();
+    scatter_row_tiles(&mut slots, n_classes, fill)?;
+    Ok(rows)
+}
+
+/// Builds a flat padded feature-major block of `block`'s kind for
+/// `n_classes` classes over `dim` features from row-major tiles — the
+/// inverse of [`SoftmaxTraining::row_tiles`], and what
+/// [`SoftmaxTraining::from_blocks`] takes. `fill` works as in
+/// [`feature_rows_from_tiles`]; pad columns hold the block's pad value.
 /// Allocates the block plus one tile, and stops at the first error
 /// `fill` returns.
 pub fn feature_major_from_tiles<E>(
     block: Block,
     n_classes: usize,
     dim: usize,
-    mut fill: impl FnMut(&mut [f32]) -> Result<(), E>,
+    fill: impl FnMut(&mut [f32]) -> Result<(), E>,
 ) -> Result<Vec<f32>, E> {
     let stride = n_classes.next_multiple_of(LANES);
     let mut out = vec![block.pad(); dim * stride];
-    if dim == 0 {
-        return Ok(out);
-    }
-    let mut tile = vec![0.0; TILE_CLASSES.min(n_classes) * dim];
-    for c0 in (0..n_classes).step_by(TILE_CLASSES) {
-        let tile = &mut tile[..TILE_CLASSES.min(n_classes - c0) * dim];
-        fill(tile)?;
-        transpose_into(tile, tile.len() / dim, dim, dim, &mut out[c0..], stride);
-    }
+    let mut slots: Vec<&mut [f32]> = out.chunks_exact_mut(stride).collect();
+    scatter_row_tiles(&mut slots, n_classes, fill)?;
     Ok(out)
 }
 
-/// The stream behind both halves' `row_tiles`: `block` (feature-major,
-/// `dim × stride`) out row-major as tiles of up to [`TILE_CLASSES`]
-/// class rows, through one reused tile.
-fn stream_row_tiles<E>(
-    block: &[f32],
+/// The fill behind both decoders: hands `fill` one tile of up to
+/// [`TILE_CLASSES`] class rows at a time (each as long as there are
+/// feature rows) and scatters it into class columns of the feature rows
+/// `rows`.
+fn scatter_row_tiles<E>(
+    rows: &mut [&mut [f32]],
     n_classes: usize,
-    dim: usize,
-    stride: usize,
-    mut emit: impl FnMut(&[f32]) -> Result<(), E>,
+    mut fill: impl FnMut(&mut [f32]) -> Result<(), E>,
 ) -> Result<(), E> {
+    let dim = rows.len();
     if dim == 0 {
         return Ok(());
     }
     let mut tile = vec![0.0; TILE_CLASSES.min(n_classes) * dim];
     for c0 in (0..n_classes).step_by(TILE_CLASSES) {
         let tile = &mut tile[..TILE_CLASSES.min(n_classes - c0) * dim];
-        transpose_into(&block[c0..], dim, tile.len() / dim, stride, tile, dim);
+        fill(tile)?;
+        let classes: Vec<&[f32]> = tile.chunks_exact(dim).collect();
+        let mut columns: Vec<&mut [f32]> = rows
+            .iter_mut()
+            .map(|row| &mut row[c0..c0 + classes.len()])
+            .collect();
+        transpose(&classes, &mut columns);
+    }
+    Ok(())
+}
+
+/// The stream behind both halves' `row_tiles`: the feature rows `rows`
+/// out row-major as tiles of up to [`TILE_CLASSES`] class rows, through
+/// one reused tile.
+fn stream_row_tiles<E>(
+    rows: &[&[f32]],
+    n_classes: usize,
+    mut emit: impl FnMut(&[f32]) -> Result<(), E>,
+) -> Result<(), E> {
+    let dim = rows.len();
+    if dim == 0 {
+        return Ok(());
+    }
+    let mut tile = vec![0.0; TILE_CLASSES.min(n_classes) * dim];
+    for c0 in (0..n_classes).step_by(TILE_CLASSES) {
+        let tile = &mut tile[..TILE_CLASSES.min(n_classes - c0) * dim];
+        let c1 = c0 + tile.len() / dim;
+        let columns: Vec<&[f32]> = rows.iter().map(|row| &row[c0..c1]).collect();
+        let mut classes: Vec<&mut [f32]> = tile.chunks_exact_mut(dim).collect();
+        transpose(&columns, &mut classes);
         emit(tile)?;
     }
     Ok(())
@@ -815,26 +1006,19 @@ fn restride(block: &[f32], from: usize, to: usize, pad: f32) -> Vec<f32> {
     out
 }
 
-/// `dst[c * dst_stride + r] = src[r * src_stride + c]` for every
-/// `r < rows`, `c < cols`, in square tiles: each tile writes contiguous
-/// runs of `dst` and gathers from a tile of `src` rows small enough to
-/// stay in cache.
-fn transpose_into(
-    src: &[f32],
-    rows: usize,
-    cols: usize,
-    src_stride: usize,
-    dst: &mut [f32],
-    dst_stride: usize,
-) {
+/// `dst[c][r] = src[r][c]` for every row `r` of `src` and row `c` of
+/// `dst`, in square tiles: each tile writes contiguous runs of `dst`
+/// rows and gathers from a tile of `src` rows small enough to stay in
+/// cache.
+fn transpose(src: &[&[f32]], dst: &mut [&mut [f32]]) {
     const TILE: usize = 64;
-    for r0 in (0..rows).step_by(TILE) {
-        let r1 = (r0 + TILE).min(rows);
-        for c0 in (0..cols).step_by(TILE) {
-            for c in c0..(c0 + TILE).min(cols) {
-                let run = &mut dst[c * dst_stride..][r0..r1];
-                for (r, slot) in (r0..r1).zip(run) {
-                    *slot = src[r * src_stride + c];
+    for r0 in (0..src.len()).step_by(TILE) {
+        let src = &src[r0..(r0 + TILE).min(src.len())];
+        for c0 in (0..dst.len()).step_by(TILE) {
+            for c in c0..(c0 + TILE).min(dst.len()) {
+                let run = &mut dst[c][r0..r0 + src.len()];
+                for (slot, row) in run.iter_mut().zip(src) {
+                    *slot = row[c];
                 }
             }
         }
@@ -1203,6 +1387,87 @@ mod tests {
     }
 
     #[test]
+    fn a_clone_copies_only_the_rows_it_trains_and_recycles_retired_ones() {
+        let (examples, dim) = separable();
+        let config = TrainConfig::default();
+        let bits = |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let shared = |a: &SoftmaxClassifier, b: &SoftmaxClassifier| -> Vec<bool> {
+            a.rows
+                .iter()
+                .zip(&b.rows)
+                .map(|(a, b)| Arc::ptr_eq(a, b))
+                .collect()
+        };
+        let (original, mut training) = SoftmaxClassifier::train_owned(&examples, 3, dim, config);
+        training.take_row_copies();
+        let before = original.weight_block();
+        // a small batch on features 0 and 3 only
+        let x = SparseVector::from_pairs(vec![(0, 1.0), (3, 0.1)]);
+        let batch = [(x.view(), 0u32)];
+
+        let mut clone = original.clone();
+        assert_eq!(shared(&original, &clone), [true; 4]);
+        clone.partial_fit(&mut training, &batch, config);
+        assert_eq!(bits(&original.weight_block()), bits(&before));
+        assert_ne!(bits(&clone.weight_block()), bits(&before));
+        assert_eq!(shared(&original, &clone), [false, true, true, false]);
+        let copies = training.take_row_copies();
+        assert_eq!(
+            copies,
+            RowCopies {
+                copied: 2,
+                recycled: 0
+            }
+        );
+
+        // the next clone's copies fill the rows the retired original alone
+        // held, and train exactly as fresh copies would
+        let mut next = clone.clone();
+        let mut fresh = clone.clone();
+        let mut fresh_training = training.clone();
+        let retired_rows: Vec<*const f32> = [0, 3].map(|i| original.rows[i].as_ptr()).to_vec();
+        training.recycle(original);
+        next.partial_fit(&mut training, &batch, config);
+        fresh.partial_fit(&mut fresh_training, &batch, config);
+        assert_eq!(bits(&next.weight_block()), bits(&fresh.weight_block()));
+        assert_eq!(shared(&clone, &next), [false, true, true, false]);
+        let mut reused: Vec<*const f32> = [0, 3].map(|i| next.rows[i].as_ptr()).to_vec();
+        reused.sort();
+        let mut retired_rows = retired_rows;
+        retired_rows.sort();
+        assert_eq!(reused, retired_rows);
+        assert_eq!(
+            training.take_row_copies(),
+            RowCopies {
+                copied: 2,
+                recycled: 2
+            }
+        );
+        assert_eq!(
+            fresh_training.take_row_copies(),
+            RowCopies {
+                copied: 2,
+                recycled: 0
+            }
+        );
+        assert!(training.pool.spare.is_empty(), "a fit drops its leftovers");
+        // a model still shared with the published one gives up no row
+        let shared_retired = next.clone();
+        training.recycle(shared_retired);
+        assert!(training.pool.spare.is_empty());
+    }
+
+    #[test]
+    fn untrained_models_share_one_zero_row() {
+        let model = SoftmaxClassifier::untrained(3, 4);
+        assert!(model
+            .rows
+            .iter()
+            .all(|row| Arc::ptr_eq(row, &model.rows[0])));
+        assert_eq!(model.weight_block(), vec![0.0; 4 * 8]);
+    }
+
+    #[test]
     fn state_round_trip_is_exact_and_resumes_training() {
         let (examples, dim) = separable();
         let views: Vec<(SparseView<'_>, u32)> =
@@ -1293,7 +1558,7 @@ mod tests {
         )
         .unwrap();
         // the same blocks, pad columns included
-        assert_eq!(bits(&rebuilt.weights), bits(&model.weights));
+        assert_eq!(bits(&rebuilt.weight_block()), bits(&model.weight_block()));
         assert_eq!(bits(&rebuilt.biases), bits(&model.biases));
         assert_eq!(bits(&rebuilt_training.grad_sq_w), bits(&training.grad_sq_w));
         assert_eq!(bits(&rebuilt_training.grad_sq_b), bits(&training.grad_sq_b));

@@ -378,7 +378,7 @@ fn class_growth_past_the_stride_restrides_both_halves() {
     let all = |value: f32, n: usize| vec![value.to_bits(); n];
     assert_eq!(model.weight_block().len(), dim * 152);
     assert_eq!(training.grad_sq_block().len(), dim * 152);
-    assert_eq!(pads(model.weight_block(), 152), all(0.0, dim * 2));
+    assert_eq!(pads(&model.weight_block(), 152), all(0.0, dim * 2));
     assert_eq!(
         pads(training.grad_sq_block(), 152),
         all(GRAD_SQ_INIT, dim * 2)
@@ -403,7 +403,7 @@ fn class_growth_past_the_stride_restrides_both_halves() {
     // and back: the same blocks, pad columns included
     let weights = from_blob(&weights_blob, Block::Weights, 150, dim);
     let grad_sq = from_blob(&grad_sq_blob, Block::GradSq, 150, dim);
-    assert_eq!(bits(&weights), bits(model.weight_block()));
+    assert_eq!(bits(&weights), bits(&model.weight_block()));
     assert_eq!(bits(&grad_sq), bits(training.grad_sq_block()));
     let rebuilt = SoftmaxClassifier::from_blocks(weights, want.biases.clone(), dim, 150)
         .expect("the streamed weights fit");
