@@ -23,7 +23,7 @@
 //! * `translate/*` — claim translation (§3.1, top-k per property) over
 //!   the utility corpus's label spaces: `per_claim` is
 //!   `SystemModels::translate_view`, which ranks all four classifiers
-//!   by sweeping each one's feature-major block; `per_classifier` the
+//!   by sweeping each one's feature-major rows; `per_classifier` the
 //!   row-major path it replaced, rebuilt here from the exported
 //!   row-major state (per classifier, a gathered dot product per class,
 //!   then a ranking). Bit-identical output is asserted on every claim

@@ -297,7 +297,7 @@ impl SystemModels {
     ///
     /// The trained classifiers are ranked through
     /// [`FusedEntropy::top_k_ids_each`], one sweep of each classifier's
-    /// feature-major block, bit-identical to each classifier's own
+    /// feature-major rows, bit-identical to each classifier's own
     /// [`top_k_ids`](PropertyClassifier::top_k_ids); untrained ones keep
     /// their uniform answer in label-id order. The same sweep scores the
     /// utility, bit-identical to

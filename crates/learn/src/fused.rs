@@ -8,8 +8,8 @@
 //! in O(classifiers), so it can never go stale after a retrain. Its one
 //! sweep walks a claim's stored features once, eight at a time, and
 //! folds each group through every trained classifier's own
-//! feature-major block in place — per feature, one contiguous segment
-//! of class columns per classifier — into a reused scratch row.
+//! feature-major rows in place — per feature, one contiguous row of
+//! class columns per classifier — into a reused scratch row.
 //! Untrained classifiers fold in as their constant uniform entropy.
 //!
 //! Translation ([`FusedEntropy::top_k_ids_each`]) must be

@@ -650,7 +650,7 @@ impl SoftmaxClassifier {
         Ok((model, training))
     }
 
-    /// Streams the weight block out row-major, one tile at a time: `emit`
+    /// Streams the weight rows out row-major, one tile at a time: `emit`
     /// gets consecutive tiles of up to 64 classes in id order, each
     /// `rows × dim` floats with class rows contiguous. Concatenated, the
     /// tiles are [`SoftmaxState::weights`]; at most one tile is
