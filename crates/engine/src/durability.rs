@@ -14,7 +14,8 @@
 //! The durable state is exactly what a checker can observe across a
 //! restart: open sessions (checker name, submitted claims, validated
 //! screen answers, verdict flags, verified order), the global verified
-//! set and pending-examples log, the monotone counters
+//! log with the trainer's cursor into it (the image stores the log's
+//! untrained tail as its `pending` list), the monotone counters
 //! (`sessions_opened/closed`, `claims_verified`, `answers_posted`,
 //! `retrains`, `background_retrains`, `examples_trained`), and the
 //! published model epoch with its trained weights. Derived state —
@@ -72,7 +73,7 @@ use std::io::{self, Read, Write};
 use std::sync::Arc;
 
 use scrutinizer_core::{PropertyKind, SystemModels, TrainingState};
-use scrutinizer_learn::softmax::{feature_major_from_tiles, feature_rows_from_tiles, Block};
+use scrutinizer_learn::softmax::{feature_major_from_tiles, feature_rows_from_tiles};
 use scrutinizer_learn::{PropertyClassifier, SoftmaxClassifier, SoftmaxTraining};
 use scrutinizer_sim::Storage;
 use scrutinizer_wal::{Wal, WalOptions};
@@ -280,7 +281,8 @@ pub(crate) struct SessionImage {
 }
 
 /// The full durable engine state as of a checkpoint: session registry,
-/// verified set, pending-examples log, and the monotone counters. Model
+/// the verified log and its untrained tail `verified[trained..]` (as
+/// `pending`), and the monotone counters. Model
 /// weights live in the epoch's snapshot blob, not here.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct StateImage {
@@ -666,8 +668,7 @@ fn read_softmax(
             scaffold.property
         )));
     }
-    let grad_sq_w =
-        feature_major_from_tiles(Block::GradSq, n_classes, dim, |tile| blob.f32s_into(tile))?;
+    let grad_sq_w = feature_major_from_tiles(n_classes, dim, |tile| blob.f32s_into(tile))?;
     let grad_sq_b = blob.f32s(n_classes)?;
     let (stored_dim, stored_classes, fits) = (blob.u64()?, blob.u64()?, blob.u64()?);
     if (stored_dim, stored_classes) != (dim as u64, n_classes as u64) {
@@ -744,7 +745,7 @@ pub struct RecoveryReport {
     pub truncated_bytes: usize,
 }
 
-fn invalid(message: String) -> io::Error {
+pub(crate) fn invalid(message: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message)
 }
 
@@ -791,7 +792,6 @@ impl Recovery {
     /// Applies the checkpoint image to `engine`, replays the WAL tail and
     /// re-plans open claims once with the recovered models.
     pub(crate) fn replay(self, engine: &Engine) -> io::Result<RecoveryReport> {
-        engine.begin_replay();
         if let Some(image) = &self.image {
             engine.apply_state_image(image);
         }
@@ -800,7 +800,6 @@ impl Recovery {
             engine.replay_record(&record)?;
         }
         engine.replay_finalize();
-        engine.end_replay();
         Ok(RecoveryReport {
             resumed_epoch: engine.model_epoch(),
             checkpoint_epoch: self.checkpoint_epoch,

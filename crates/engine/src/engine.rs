@@ -1,8 +1,8 @@
 //! The engine proper: shared corpus + models behind a concurrency-safe
 //! facade, serving many interactive verification sessions at once.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock, RwLock, Weak};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock, RwLock, Weak};
 
 use scrutinizer_core::models::available_threads;
 use scrutinizer_core::ordering::{select_batch, BatchMethod, BatchSelection, ClaimChoice};
@@ -34,11 +34,11 @@ use scrutinizer_obs as obs;
 /// Engine sizing and behavior knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineOptions {
-    /// Schedule a background incremental retrain once this many newly
-    /// verified claims sit in the pending-examples log; `None` freezes the
-    /// models (deterministic serving). Retraining happens off the read
-    /// path: verdicts only append to the log, a background trainer folds
-    /// it into the next model epoch.
+    /// Schedule a background incremental retrain once this many verified
+    /// claims wait past the trainer's cursor into the verified log; `None`
+    /// freezes the models (deterministic serving). Retraining happens off
+    /// the read path: verdicts only append to the log, a background
+    /// trainer folds what follows its cursor into the next model epoch.
     pub retrain_interval: Option<usize>,
     /// Claim-batch ordering strategy for session re-planning.
     pub ordering: OrderingStrategy,
@@ -102,8 +102,9 @@ impl std::error::Error for EngineError {}
 pub struct VerdictRecord {
     /// The recorded outcome.
     pub outcome: ClaimOutcome,
-    /// Whether this verdict pushed the pending-examples log over the
-    /// retrain threshold and scheduled a background retrain. The new model
+    /// Whether this verdict brought the examples waiting past the
+    /// trainer's cursor to the retrain threshold and scheduled a
+    /// background retrain. The new model
     /// epoch publishes asynchronously; readers keep serving the current
     /// snapshot in the meantime.
     pub retrained: bool,
@@ -143,9 +144,50 @@ fn spawn_trainer() -> mpsc::Sender<Task> {
     sender
 }
 
+/// Every verified claim once, in the order its first `VerdictPosted`
+/// record sits in the WAL, and the trainer's cursor into that log.
+#[derive(Default)]
 struct VerifiedSet {
     order: Vec<usize>,
     seen: FxHashSet<usize>,
+    /// How many claims of `order` the trainer has taken: the pending
+    /// examples are `order[trained..]`. With retraining off the cursor
+    /// follows the log's end, so nothing is ever pending.
+    trained: usize,
+    /// True while a background retrain is queued or running; at most one
+    /// trainer job exists at a time.
+    queued: bool,
+}
+
+impl VerifiedSet {
+    /// Appends `claim_id` unless it was verified before; whether it was
+    /// new.
+    fn push(&mut self, claim_id: usize, retraining: bool) -> bool {
+        if !self.seen.insert(claim_id) {
+            return false;
+        }
+        self.order.push(claim_id);
+        if !retraining {
+            self.trained = self.order.len();
+        }
+        true
+    }
+
+    /// The verified claims no epoch has trained on yet.
+    fn pending(&self) -> &[usize] {
+        &self.order[self.trained..]
+    }
+
+    /// Marks a background retrain queued if none is and at least `min`
+    /// (and at least one) examples are pending; whether the caller must
+    /// start it ([`Engine::spawn_retrain`]).
+    fn queue_retrain(&mut self, min: usize) -> bool {
+        if self.queued || self.pending().len() < min.max(1) {
+            return false;
+        }
+        self.queued = true;
+        true
+    }
 }
 
 /// The long-lived, concurrent verification engine.
@@ -174,22 +216,17 @@ pub struct Engine {
     stats: EngineStats,
     sessions: Mutex<FxHashMap<u64, SessionHandle>>,
     next_session: AtomicU64,
+    /// The verified log and the trainer's cursor into it. Lock order:
+    /// session → verified (verdicts push under their session's lock).
     verified: Mutex<VerifiedSet>,
-    /// The pending-examples log: claim ids verified since the last retrain
-    /// was scheduled. Verdicts append here (cheap); the background trainer
-    /// drains it.
-    pending: Mutex<Vec<usize>>,
-    /// True while a background retrain is queued or running — at most one
-    /// trainer job exists at a time; later threshold crossings fold into
-    /// the active drain loop.
-    retrain_active: AtomicBool,
     /// The training state of the published models and the snapshot the
     /// last publish retired ([`Trainer`]), behind the lock that
     /// serializes whole retrain executions (load → train → publish).
     /// Without it, a synchronous `pretrain` racing the background trainer
     /// would clone the same base snapshot and the later publish would
-    /// silently discard the earlier one's training — including drained
-    /// pending examples that exist nowhere else. The training state is
+    /// silently discard the earlier one's training. The background
+    /// trainer takes its batch under it too, so no checkpoint sees the
+    /// cursor past claims that no published epoch trained. The training state is
     /// never copied: each retrain advances it in place alongside its
     /// copy of the snapshot's models, and publishes before letting go.
     /// Readers never touch this lock; only trainers (and recovery) do.
@@ -213,10 +250,6 @@ pub struct Engine {
     /// session registry → session → WAL internals; nothing ever waits on
     /// the gate while holding a later lock.
     wal_gate: RwLock<()>,
-    /// True while recovery replays the log into this engine: appends and
-    /// retrain scheduling are suppressed, so replay is a pure state
-    /// reconstruction.
-    wal_replaying: AtomicBool,
     /// Self-handle so verdict paths can hand the engine to trainer jobs.
     self_ref: Weak<Engine>,
 }
@@ -329,12 +362,7 @@ impl Engine {
             stats: EngineStats::default(),
             sessions: Mutex::new(FxHashMap::default()),
             next_session: AtomicU64::new(1),
-            verified: Mutex::new(VerifiedSet {
-                order: Vec::new(),
-                seen: FxHashSet::default(),
-            }),
-            pending: Mutex::new(Vec::new()),
-            retrain_active: AtomicBool::new(false),
+            verified: Mutex::new(VerifiedSet::default()),
             retrain_serial: Mutex::new(Trainer {
                 training,
                 retired: None,
@@ -342,7 +370,6 @@ impl Engine {
             env,
             wal,
             wal_gate: RwLock::new(()),
-            wal_replaying: AtomicBool::new(false),
             self_ref: self_ref.clone(),
         });
         let report = match recovery {
@@ -384,11 +411,15 @@ impl Engine {
     /// tools that compare learned state across engines. Waits for a
     /// running retrain to publish, so the two halves are of one epoch.
     pub fn export_models_state(&self) -> ModelsState {
-        let trainer = self
-            .retrain_serial
-            .lock()
-            .expect("retrain serializer poisoned");
+        let trainer = self.trainer();
         self.models.load().models.export_state(&trainer.training)
+    }
+
+    /// The trainers' state, behind the lock that serializes retrains.
+    fn trainer(&self) -> MutexGuard<'_, Trainer> {
+        self.retrain_serial
+            .lock()
+            .expect("retrain serializer poisoned")
     }
 
     /// Trains the classifiers on the given claims (all claims when
@@ -416,7 +447,7 @@ impl Engine {
                 .collect(),
             None => (0..self.corpus.claims.len()).collect(),
         };
-        self.run_retrain(&ids, RetrainKind::FromScratch);
+        self.run_retrain(&mut self.trainer(), &ids, RetrainKind::FromScratch);
     }
 
     /// The single source of truth for retrain execution and accounting —
@@ -426,10 +457,10 @@ impl Engine {
     /// accumulators stay in the one training state — train the copy and
     /// advance the training state *off* every reader-facing lock (timed
     /// into `retrain_latency`), publish the next epoch, bump the counters.
-    /// Concurrent trainers serialize on `retrain_serial`, which holds the
-    /// training state, so each one bases its copy on the previous one's
-    /// published snapshot and no training is ever lost; readers keep
-    /// loading snapshots throughout.
+    /// Callers hold `retrain_serial` (`trainer` is what it guards), so
+    /// concurrent trainers serialize: each one bases its copy on the
+    /// previous one's published snapshot and no training is ever lost;
+    /// readers keep loading snapshots throughout.
     ///
     /// An incremental fit copies each weight row the first time it writes
     /// it. The copies go into the rows of the snapshot the last publish
@@ -438,12 +469,8 @@ impl Engine {
     /// outright); otherwise the trainer lets go of it and allocates. So a
     /// run of epochs keeps reusing the same rows instead of leaving the
     /// released ones behind as holes in the heap.
-    fn run_retrain(&self, claim_ids: &[usize], kind: RetrainKind) -> u64 {
-        let mut trainer = self
-            .retrain_serial
-            .lock()
-            .expect("retrain serializer poisoned");
-        let Trainer { training, retired } = &mut *trainer;
+    fn run_retrain(&self, trainer: &mut Trainer, claim_ids: &[usize], kind: RetrainKind) {
+        let Trainer { training, retired } = trainer;
         let models = {
             let _span = obs::span!("retrain", claims = claim_ids.len());
             let mut models = {
@@ -496,16 +523,9 @@ impl Engine {
             claim_ids.len() as u64,
             kind == RetrainKind::Incremental,
         );
-        epoch
     }
 
     // ---- durability --------------------------------------------------------
-
-    /// Whether ops should append to the WAL: a WAL is attached and the
-    /// engine is not mid-replay.
-    fn recording(&self) -> bool {
-        self.wal.is_some() && !self.wal_replaying.load(Ordering::Acquire)
-    }
 
     /// Appends one record and commits it — the op is acknowledged only
     /// after this returns, so acknowledged implies durable. For ops whose
@@ -528,9 +548,6 @@ impl Engine {
     /// on replay. Only the fsync ([`commit_record`](Self::commit_record))
     /// runs outside the lock.
     fn append_record(&self, record: &WalRecord) -> Option<u64> {
-        if !self.recording() {
-            return None;
-        }
         let wal = self.wal.as_ref()?;
         let _span = obs::span!("wal.append");
         Some(wal_io(wal.append(&record.encode()), "wal append failed"))
@@ -562,9 +579,6 @@ impl Engine {
         examples: u64,
         background: bool,
     ) {
-        if !self.recording() {
-            return;
-        }
         let Some(wal) = &self.wal else { return };
         {
             let _span = obs::span!("wal.blob_write");
@@ -610,8 +624,6 @@ impl Engine {
     /// the checkpoint path). Sessions and claims are serialized in sorted
     /// order so identical states produce identical images.
     pub(crate) fn build_state_image(&self) -> StateImage {
-        let verified = self.verified.lock().expect("verified set poisoned");
-        let pending = self.pending.lock().expect("pending log poisoned");
         let registry = self.sessions.lock().expect("session registry poisoned");
         let mut sessions: Vec<SessionImage> = registry
             .iter()
@@ -637,6 +649,7 @@ impl Engine {
             })
             .collect();
         sessions.sort_by_key(|session| session.id);
+        let verified = self.verified.lock().expect("verified set poisoned");
         StateImage {
             next_session: self.next_session.load(Ordering::Relaxed),
             sessions_opened: self.stats.sessions_opened.get(),
@@ -647,20 +660,9 @@ impl Engine {
             background_retrains: self.stats.background_retrains.get(),
             examples_trained: self.stats.examples_trained.get(),
             verified: verified.order.clone(),
-            pending: pending.clone(),
+            pending: verified.pending().to_vec(),
             sessions,
         }
-    }
-
-    /// Suppresses WAL appends and retrain scheduling while recovery
-    /// replays the log into this engine.
-    pub(crate) fn begin_replay(&self) {
-        self.wal_replaying.store(true, Ordering::Release);
-    }
-
-    /// Re-enables recording once replay finished.
-    pub(crate) fn end_replay(&self) {
-        self.wal_replaying.store(false, Ordering::Release);
     }
 
     /// A claim task reconstructed from durable state only: screen answers
@@ -690,7 +692,8 @@ impl Engine {
         }
     }
 
-    /// Restores a checkpoint image: counters, verified set, pending log,
+    /// Restores a checkpoint image: counters, the verified log with the
+    /// trainer's cursor (its `pending` list is the log's untrained tail),
     /// and every live session with its per-claim durable state.
     pub(crate) fn apply_state_image(&self, image: &StateImage) {
         self.next_session
@@ -708,8 +711,8 @@ impl Engine {
             let mut verified = self.verified.lock().expect("verified set poisoned");
             verified.seen = image.verified.iter().copied().collect();
             verified.order = image.verified.clone();
+            verified.trained = image.verified.len() - image.pending.len();
         }
-        *self.pending.lock().expect("pending log poisoned") = image.pending.clone();
         let mut registry = self.sessions.lock().expect("session registry poisoned");
         for session in &image.sessions {
             let mut state = SessionState::new(session.checker.as_str());
@@ -728,8 +731,8 @@ impl Engine {
     /// Applies one replayed WAL record on top of the checkpoint image.
     /// Mirrors the live ops' durable effects exactly — same counters,
     /// same dedup rules — without any planning, suggestion or retrain
-    /// work; that is what makes replay an order of magnitude faster than
-    /// re-executing the ops.
+    /// work, and without appending to the WAL; that is what makes
+    /// replay an order of magnitude faster than re-executing the ops.
     pub(crate) fn replay_record(&self, record: &WalRecord) -> std::io::Result<()> {
         match record {
             WalRecord::SessionOpened { id, checker } => {
@@ -782,17 +785,10 @@ impl Engine {
                     state.verified.push(*claim);
                 }
                 self.stats.claims_verified.inc();
-                let mut verified = self.verified.lock().expect("verified set poisoned");
-                if verified.seen.insert(*claim) {
-                    verified.order.push(*claim);
-                    drop(verified);
-                    if self.options.retrain_interval.is_some() {
-                        self.pending
-                            .lock()
-                            .expect("pending log poisoned")
-                            .push(*claim);
-                    }
-                }
+                self.verified
+                    .lock()
+                    .expect("verified set poisoned")
+                    .push(*claim, self.options.retrain_interval.is_some());
             }
             WalRecord::SessionClosed { id } => {
                 self.sessions
@@ -810,13 +806,21 @@ impl Engine {
                 if *background {
                     self.stats.background_retrains.inc();
                     self.stats.examples_trained.add(*examples);
+                    // the epoch trained the `examples` claims its trainer
+                    // took from the cursor, and the log replays in the
+                    // order the live verdicts pushed
+                    let mut verified = self.verified.lock().expect("verified set poisoned");
+                    verified.trained += *examples as usize;
+                    if verified.trained > verified.order.len() {
+                        return Err(durability::invalid(format!(
+                            "epoch {epoch} trained past the {} verified claims",
+                            verified.order.len()
+                        )));
+                    }
                 }
                 if *epoch > self.models.epoch() {
                     let wal = self.wal.as_ref().expect("replay requires a wal");
-                    let mut trainer = self
-                        .retrain_serial
-                        .lock()
-                        .expect("retrain serializer poisoned");
+                    let mut trainer = self.trainer();
                     // the superseded accumulators go before the blob's are
                     // decoded; the live snapshot is only the scaffold: the
                     // blob decodes into fresh rows, no trained weight
@@ -828,23 +832,6 @@ impl Engine {
                     let (published, _) = self.models.publish(models);
                     debug_assert_eq!(published, *epoch, "replayed epochs are contiguous");
                     trainer.training = restored;
-                    let training = &trainer.training;
-                    if *background {
-                        // a background epoch trained on exactly the batch
-                        // it drained from the pending log, and
-                        // `retrain_incremental` appended that batch last to
-                        // the rehearsal log: drain it here too
-                        let log = training.replay_log();
-                        let batch: FxHashSet<usize> = log
-                            [log.len().saturating_sub(*examples as usize)..]
-                            .iter()
-                            .copied()
-                            .collect();
-                        self.pending
-                            .lock()
-                            .expect("pending log poisoned")
-                            .retain(|claim| !batch.contains(claim));
-                    }
                 }
             }
         }
@@ -928,7 +915,7 @@ impl Engine {
             .expect("session registry poisoned")
             .insert(id, Arc::new(Mutex::new(SessionState::new(checker))));
         self.stats.sessions_opened.inc();
-        if self.recording() {
+        if self.is_durable() {
             self.log_record(&WalRecord::SessionOpened {
                 id,
                 checker: checker.to_string(),
@@ -947,7 +934,7 @@ impl Engine {
             .remove(&session.0)
             .ok_or(EngineError::UnknownSession(session.0))?;
         self.stats.sessions_closed.inc();
-        if self.recording() {
+        if self.is_durable() {
             self.log_record(&WalRecord::SessionClosed { id: session.0 });
         }
         let state = handle.lock().expect("session poisoned");
@@ -1303,16 +1290,26 @@ impl Engine {
         let outcome = claim_outcome(claim, correct, chosen, &task.candidates, 0.0);
         task.phase = ClaimPhase::Done;
         state.verified.push(claim_id);
-        let lsn = self.append_record(&WalRecord::VerdictPosted {
-            session: session.0,
-            claim: claim_id,
-            correct,
-            chosen,
-        });
+        // push to the verified log and append the record under one lock,
+        // so the log's order is the WAL's and replay rebuilds it exactly;
+        // the verdict path never trains, at most it queues the trainer
+        let (lsn, retrain) = {
+            let mut verified = self.verified.lock().expect("verified set poisoned");
+            let interval = self.options.retrain_interval;
+            let fresh = verified.push(claim_id, interval.is_some());
+            let lsn = self.append_record(&WalRecord::VerdictPosted {
+                session: session.0,
+                claim: claim_id,
+                correct,
+                chosen,
+            });
+            let retrain = fresh && verified.queue_retrain(interval.unwrap_or(usize::MAX));
+            (lsn, retrain)
+        };
         drop(state);
         self.stats.claims_verified.inc();
         self.commit_record(lsn);
-        let retrained = self.note_verified(claim_id);
+        let retrained = retrain && self.spawn_retrain();
         Ok(VerdictRecord { outcome, retrained })
     }
 
@@ -1341,123 +1338,82 @@ impl Engine {
         }
     }
 
-    /// Adds a claim to the global verified set, appends it to the
-    /// pending-examples log, and schedules a background incremental
-    /// retrain once the log crosses the configured interval. The verdict
-    /// path itself never trains: this returns as soon as the log entry is
-    /// written (and, at most, a job handle is enqueued).
-    fn note_verified(&self, claim_id: usize) -> bool {
-        {
-            let mut verified = self.verified.lock().expect("verified set poisoned");
-            if !verified.seen.insert(claim_id) {
-                return false;
-            }
-            verified.order.push(claim_id);
-        }
-        let Some(interval) = self.options.retrain_interval else {
-            return false;
-        };
-        {
-            let mut pending = self.pending.lock().expect("pending log poisoned");
-            pending.push(claim_id);
-            if pending.len() < interval {
-                return false;
-            }
-        }
-        self.schedule_retrain()
-    }
-
-    /// Enqueues one background retrain unless one is already queued or
-    /// running (the active trainer drains whatever accumulates meanwhile).
-    fn schedule_retrain(&self) -> bool {
-        if self
-            .retrain_active
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            return false;
-        }
-        let Some(engine) = self.self_ref.upgrade() else {
-            // engine is tearing down; nobody is left to read new models
-            self.retrain_active.store(false, Ordering::Release);
-            return false;
-        };
+    /// Starts the background retrain that the caller marked queued
+    /// ([`VerifiedSet::queue_retrain`]); clears the mark again when no
+    /// trainer can run it. Whether the job was handed over.
+    fn spawn_retrain(&self) -> bool {
         // carry the triggering request's trace onto the trainer thread, so
         // the drained flight recorder stitches the verdict that crossed the
         // threshold to the retrain it caused
         let trace = obs::current_trace();
-        let job = move || {
-            let mut root = obs::root_span(
-                "retrain.background",
-                trace.unwrap_or_else(obs::TraceId::generate),
-            );
-            root.add_field("triggered_by_request", trace.is_some());
-            engine.background_retrain()
-        };
-        // under simulation the job goes to the deterministic scheduler
-        // (the harness decides when it runs); in production it runs on
-        // the dedicated trainer thread
-        match self.env.scheduler() {
-            Some(sched) => sched.spawn(Box::new(job)),
-            None => {
-                if self.trainer.send(Box::new(job)).is_err() {
-                    // the trainer thread is gone (a retrain panicked):
-                    // clear the flag so no later retrain waits on it
-                    self.retrain_active.store(false, Ordering::Release);
-                    return false;
+        let spawned = self.self_ref.upgrade().is_some_and(|engine| {
+            let job = Box::new(move || {
+                let mut root = obs::root_span(
+                    "retrain.background",
+                    trace.unwrap_or_else(obs::TraceId::generate),
+                );
+                root.add_field("triggered_by_request", trace.is_some());
+                engine.background_retrain()
+            });
+            // under simulation the job goes to the deterministic scheduler
+            // (the harness decides when it runs); in production it runs on
+            // the dedicated trainer thread, unless a retrain panicked it away
+            match self.env.scheduler() {
+                Some(sched) => {
+                    sched.spawn(job);
+                    true
                 }
+                None => self.trainer.send(job).is_ok(),
             }
+        });
+        if !spawned {
+            self.verified.lock().expect("verified set poisoned").queued = false;
         }
-        true
+        spawned
     }
 
-    /// The trainer job: drain the pending log, warm-start the classifiers
-    /// on the drained batch against a *copy* of the current snapshot's
-    /// weights and the engine's one training state, and
-    /// publish the result as the next epoch. Loops while whole new
-    /// intervals accumulated during training, then re-arms.
+    /// The trainer job: take the pending examples `order[trained..]`
+    /// (advancing the cursor), warm-start the classifiers on them against
+    /// a *copy* of the current snapshot's weights and the engine's one
+    /// training state, and publish the result as the next epoch. Loops
+    /// while a whole interval accumulated meanwhile. The backlog check and
+    /// the end of the job happen under the lock verdicts push under, so a
+    /// verdict either lands in the backlog checked here or finds no job
+    /// queued and queues the next.
     fn background_retrain(&self) {
         let interval = self.options.retrain_interval.unwrap_or(usize::MAX);
         loop {
-            let batch: Vec<usize> = {
-                let mut pending = self.pending.lock().expect("pending log poisoned");
-                std::mem::take(&mut *pending)
-            };
-            if batch.is_empty() {
-                break;
-            }
-            // buggify: a trainer crash between draining the log and
-            // training. The drained batch exists nowhere else, so the
-            // recovery contract is publish-or-restore: put it back at the
-            // front of the log (order preserved) for the restarted
-            // trainer — the stranded re-check below is the restart. The
-            // canary point deliberately skips the restore; it is the
-            // seeded bug the simulation harness must find and shrink.
-            if self.env.fault("trainer.crash") {
-                if !self.env.fault("canary.trainer.drop_batch") {
-                    let mut pending = self.pending.lock().expect("pending log poisoned");
-                    let tail = std::mem::take(&mut *pending);
-                    *pending = batch;
-                    pending.extend(tail);
+            {
+                let mut trainer = self.trainer();
+                let (start, batch) = {
+                    let mut verified = self.verified.lock().expect("verified set poisoned");
+                    let start = verified.trained;
+                    verified.trained = verified.order.len();
+                    (start, verified.order[start..].to_vec())
+                };
+                // buggify: a trainer crash between taking the batch and
+                // training it. The recovery contract is publish-or-restore:
+                // roll the cursor back, so the restarted trainer (the next
+                // pass, or the next job) takes the batch again. The canary
+                // point deliberately skips the rollback; it is the seeded
+                // bug the simulation harness must find and shrink.
+                if self.env.fault("trainer.crash") {
+                    if !self.env.fault("canary.trainer.drop_batch") {
+                        self.verified.lock().expect("verified set poisoned").trained = start;
+                    }
+                } else if !batch.is_empty() {
+                    // background/example accounting happens inside
+                    // run_retrain, before the epoch's checkpoint image is
+                    // captured — so a restart resumes with the same
+                    // counters it acknowledged
+                    self.run_retrain(&mut trainer, &batch, RetrainKind::Incremental);
                 }
-                break;
             }
-            // background/example accounting happens inside run_retrain,
-            // before the epoch's checkpoint image is captured — so a
-            // restart resumes with the same counters it acknowledged
-            self.run_retrain(&batch, RetrainKind::Incremental);
-            let backlog = self.pending.lock().expect("pending log poisoned").len();
-            if backlog < interval {
-                break;
+            let mut verified = self.verified.lock().expect("verified set poisoned");
+            if verified.pending().len() < interval.max(1) {
+                verified.queued = false;
+                return;
             }
-        }
-        self.retrain_active.store(false, Ordering::Release);
-        // a verdict may have crossed the threshold after our last check but
-        // before the flag cleared; make sure it is not stranded
-        let stranded = self.pending.lock().expect("pending log poisoned").len()
-            >= self.options.retrain_interval.unwrap_or(usize::MAX);
-        if stranded {
-            self.schedule_retrain();
         }
     }
 
@@ -1467,24 +1423,17 @@ impl Engine {
     /// path; the serving path never calls it.
     pub fn flush_retrains(&self) {
         loop {
-            // read the active flag on both sides of the pending check: the
-            // log is conclusively drained only if it was empty at a moment
-            // with no trainer running before *or* after the observation
-            // (one read could race a trainer that drained the log but has
-            // not yet published, or a verdict that appended right after an
-            // early flag read)
-            let active_before = self.retrain_active.load(Ordering::Acquire);
-            let pending_empty = self
-                .pending
-                .lock()
-                .expect("pending log poisoned")
-                .is_empty();
-            let active_after = self.retrain_active.load(Ordering::Acquire);
-            if pending_empty && !active_before && !active_after {
-                return;
-            }
-            if !pending_empty && !active_after {
-                self.schedule_retrain();
+            // with no job queued or running, nothing is in flight: an
+            // empty tail is conclusive
+            let spawn = {
+                let mut verified = self.verified.lock().expect("verified set poisoned");
+                if !verified.queued && verified.pending().is_empty() {
+                    return;
+                }
+                verified.queue_retrain(1)
+            };
+            if spawn {
+                self.spawn_retrain();
             }
             // under simulation, run the queued trainer job right here on
             // this thread — a real sleep would wait forever for a thread
@@ -1649,9 +1598,13 @@ impl Engine {
         let stats = &self.stats;
         stats.sessions_live.set(self.session_count() as u64);
         stats.model_epoch.set(self.models.epoch());
-        stats
-            .pending_examples
-            .set(self.pending.lock().expect("pending log poisoned").len() as u64);
+        let pending = self
+            .verified
+            .lock()
+            .expect("verified set poisoned")
+            .pending()
+            .len();
+        stats.pending_examples.set(pending as u64);
         if let Some(wal) = self.wal_metrics() {
             stats.wal_appends.store(wal.appends);
             stats.wal_bytes_written.store(wal.bytes_written);
@@ -1683,6 +1636,8 @@ impl Engine {
 mod tests {
     use super::*;
     use scrutinizer_corpus::CorpusConfig;
+    use scrutinizer_sim::{SimStorage, Storage};
+    use scrutinizer_wal::WalOptions;
 
     /// The session's cached utilities of `ids`, as bits, and its cache epoch.
     fn cached(engine: &Engine, session: SessionId, ids: &[usize]) -> (Vec<u64>, u64) {
@@ -1755,5 +1710,63 @@ mod tests {
             "the retrain moved it"
         );
         assert_eq!(cached(&engine, session, &ids), (scored_after, after));
+    }
+
+    /// A durable engine over `storage`'s `data` directory, recovering
+    /// whatever it holds.
+    fn durable_engine(storage: &Arc<SimStorage>, retrain_interval: usize) -> Arc<Engine> {
+        let config = SystemConfig::test();
+        let parts = EngineParts::bootstrap(Corpus::generate(CorpusConfig::small()), &config);
+        let durable = DurableEnv {
+            storage: Arc::clone(storage) as Arc<dyn Storage>,
+            dir: "data".to_string(),
+            wal: WalOptions::default(),
+        };
+        let options = EngineOptions {
+            retrain_interval: Some(retrain_interval),
+            ordering: OrderingStrategy::Sequential,
+        };
+        let (engine, _) = Engine::open(parts, config, options, SimEnv::production(), Some(durable))
+            .expect("recovery over healthy storage cannot fail");
+        engine
+    }
+
+    #[test]
+    fn recovery_rebuilds_the_verified_log_and_cursor_that_concurrent_verdicts_left() {
+        let storage = SimStorage::new();
+        let engine = durable_engine(&storage, 5);
+        // two sessions post verdicts at once; their reports overlap on
+        // claims 32..48, whose first verdict is the one the log keeps
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for claims in [0..48, 32..80] {
+                let (engine, start) = (&engine, &start);
+                scope.spawn(move || {
+                    let session = engine.open_session("racer");
+                    let claims: Vec<usize> = claims.collect();
+                    engine.submit_report(session, &claims).expect("submit");
+                    start.wait();
+                    for claim in claims {
+                        engine
+                            .post_verdict(session, claim, true, None)
+                            .expect("verdict");
+                    }
+                });
+            }
+        });
+        // let the trainer finish what it queued, without a flush: the
+        // tail it leaves below the interval stays pending
+        while engine.verified.lock().unwrap().queued {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let live = engine.build_state_image();
+        assert_eq!(live.verified.len(), 80);
+        assert!(engine.model_epoch() > 0, "the verdicts published epochs");
+        drop(engine);
+
+        let recovered = durable_engine(&storage, 5).build_state_image();
+        assert_eq!(recovered.verified, live.verified, "the WAL's order");
+        assert_eq!(recovered.pending, live.pending, "the cursor's tail");
+        assert!(recovered == live);
     }
 }

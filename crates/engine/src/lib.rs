@@ -29,9 +29,9 @@
 //!   │             `scrutinizer-trainer` thread    │
 //!   │   stats:    counters + latency histograms   │──▶ `stats` endpoint
 //!   └─────────────────────────────────────────────┘
-//!        │ verdicts append to the pending-examples log
+//!        │ verdicts append to the verified log, in WAL order
 //!        ▼
-//!    background trainer: drain log ─▶ partial_fit a COPY of the weights
+//!    background trainer: take the log past its cursor ─▶ partial_fit a COPY of the weights
 //!    with the one TrainingState (AdaGrad + rehearsal log) ─▶ publish epoch+1
 //!    (readers keep the old snapshot; next_batch re-plans on epoch change)
 //! ```
@@ -48,8 +48,9 @@
 //!    over the validated context, evaluating every assignment directly,
 //!    and returns the top-k as a ranked final screen.
 //! 5. [`Engine::post_verdict`] — the checker's judgment lands in the
-//!    pending-examples log; at the configured interval a **background**
-//!    warm-start retrain folds the log into the next model epoch (readers
+//!    verified log; once the configured interval of claims waits past
+//!    the trainer's cursor, a **background** warm-start retrain folds
+//!    them into the next model epoch (readers
 //!    never wait), and [`Engine::next_batch`] re-plans the remaining
 //!    claims once the new epoch publishes — the mixed-initiative feedback
 //!    edge, off the read path.

@@ -91,7 +91,8 @@ pub struct EngineStats {
     /// background trainer. The verdict-loss invariant the simulation
     /// harness checks: `examples_trained + pending_examples` equals the
     /// number of unique claims ever verified (when retraining is
-    /// enabled) — a drained batch that never trains is a lost example.
+    /// enabled) — a batch the trainer took past its cursor into the
+    /// verified log and never trained is a lost example.
     pub examples_trained: Counter,
     /// Weight rows retrains copied on their first write because they
     /// were shared: with the published models, or, in a from-scratch

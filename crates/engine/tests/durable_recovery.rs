@@ -425,7 +425,6 @@ fn crash_between_epoch_record_and_checkpoint_replays_the_epoch_from_its_blob() {
     let acknowledged = epoch_counters(&engine);
     let live_pending = engine.stats().pending_examples.get();
     let trained = engine.export_models_state();
-    drop(engine);
 
     let crashed = storage
         .crashed
@@ -455,6 +454,22 @@ fn crash_between_epoch_record_and_checkpoint_replays_the_epoch_from_its_blob() {
         stats.pending_examples.get() + stats.examples_trained.get(),
         stats.claims_verified.get(),
         "every verified claim is pending or trained, once"
+    );
+
+    // the replayed cursor names the same claims, not only as many: a tail
+    // below the interval, flushed on the engine that never stopped and on
+    // the recovered one, trains the same next epoch
+    for engine in [&engine, &recovered] {
+        for claim_id in 8..11 {
+            engine.verify_claim_with(claim_id, &mut worker(500 + claim_id as u64));
+        }
+        engine.flush_retrains();
+    }
+    assert_eq!(recovered.model_epoch(), epoch + 1);
+    assert_eq!(engine.model_epoch(), epoch + 1);
+    assert!(
+        recovered.export_models_state() == engine.export_models_state(),
+        "the next epoch's weights, accumulators and rehearsal log match bit for bit"
     );
 }
 

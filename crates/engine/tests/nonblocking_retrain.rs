@@ -1,6 +1,7 @@
-//! Non-blocking learning: verdicts append to the pending-examples log, a
-//! background trainer publishes epoch-versioned snapshots, and no reader
-//! path ever waits on a retrain.
+//! Non-blocking learning: verdicts append to the verified log, a
+//! background trainer trains what follows its cursor into that log and
+//! publishes epoch-versioned snapshots, and no reader path ever waits on
+//! a retrain.
 //!
 //! The determinism assertion is structural, not timing-based: retrains in
 //! the storm train on identical data from identical snapshots, so *every*

@@ -1,8 +1,9 @@
 //! Graceful shutdown racing an in-flight background retrain.
 //!
 //! A verdict schedules a retrain on the background trainer; shutdown can
-//! land at any point of that pipeline — before the trainer drains the
-//! pending log, mid-train, or between training and publishing. Whatever
+//! land at any point of that pipeline — before the trainer takes the
+//! claims past its cursor into the verified log, mid-train, or between
+//! training and publishing. Whatever
 //! the interleaving, three things must hold once the dust settles:
 //!
 //! * `Server::run` returns (no deadlock between the drain loop and the

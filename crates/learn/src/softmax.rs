@@ -157,29 +157,6 @@ pub const GRAD_SQ_INIT: f32 = 1e-8;
 /// `TILE_CLASSES × dim` floats, about 1.5 MB at paper scale.
 pub(crate) const TILE_CLASSES: usize = 64;
 
-/// One of a classifier's two halves as a flat feature-major
-/// `dim × stride` block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Block {
-    /// The weights (pad columns 0.0); the classifier keeps them as one
-    /// shared row per feature ([`SoftmaxClassifier::from_blocks`] splits
-    /// such a block).
-    Weights,
-    /// The AdaGrad weight accumulators, in the training state (pad
-    /// columns at [`GRAD_SQ_INIT`], so a class growing into one starts
-    /// fresh).
-    GradSq,
-}
-
-impl Block {
-    fn pad(self) -> f32 {
-        match self {
-            Block::Weights => 0.0,
-            Block::GradSq => GRAD_SQ_INIT,
-        }
-    }
-}
-
 /// The read side of a trained softmax classifier over `n_classes` classes
 /// and `dim` features: the weights and biases every prediction reads.
 /// A clone shares every weight row with its original until one of them
@@ -632,19 +609,9 @@ impl SoftmaxClassifier {
             ));
         }
         let (n_classes, dim) = (state.n_classes, state.dim);
-        /// Fills each tile with the next run of class rows.
-        fn tiles_of(rows: &[f32]) -> impl FnMut(&mut [f32]) -> Result<(), Infallible> + '_ {
-            let mut at = 0;
-            move |tile| {
-                tile.copy_from_slice(&rows[at..at + tile.len()]);
-                at += tile.len();
-                Ok(())
-            }
-        }
         let Ok(rows) = feature_rows_from_tiles(n_classes, dim, tiles_of(&state.weights));
         let model = SoftmaxClassifier::from_rows(rows, state.biases, dim, n_classes)?;
-        let Ok(grad_sq_w) =
-            feature_major_from_tiles(Block::GradSq, n_classes, dim, tiles_of(&state.grad_sq_w));
+        let Ok(grad_sq_w) = feature_major_from_tiles(n_classes, dim, tiles_of(&state.grad_sq_w));
         let training =
             SoftmaxTraining::from_blocks(grad_sq_w, state.grad_sq_b, dim, n_classes, state.fits)?;
         Ok((model, training))
@@ -689,21 +656,6 @@ impl SoftmaxClassifier {
         })
     }
 
-    /// [`from_rows`](Self::from_rows) over one flat padded block from
-    /// [`feature_major_from_tiles`] (`Block::Weights`), split into its
-    /// rows. Snapshots decode with [`feature_rows_from_tiles`] instead,
-    /// which never holds the whole block beside its rows.
-    pub fn from_blocks(
-        weights: Vec<f32>,
-        biases: Vec<f32>,
-        dim: usize,
-        n_classes: usize,
-    ) -> Result<Self, String> {
-        let stride = check_shape(weights.len(), biases.len(), dim, n_classes)?;
-        let rows = weights.chunks_exact(stride).map(Arc::from).collect();
-        Self::from_rows(rows, biases, dim, n_classes)
-    }
-
     /// Number of classes.
     pub fn n_classes(&self) -> usize {
         self.n_classes
@@ -717,12 +669,6 @@ impl SoftmaxClassifier {
     /// Length of one score row: the class count rounded up to eight lanes.
     pub fn stride(&self) -> usize {
         self.stride
-    }
-
-    /// A copy of the weights as one padded feature-major block,
-    /// `dim × stride`: the rows laid end to end.
-    pub fn weight_block(&self) -> Vec<f32> {
-        self.rows.concat()
     }
 
     /// Feature `i`'s weight for every class (`i < dim`).
@@ -903,24 +849,34 @@ pub fn feature_rows_from_tiles<E>(
     Ok(rows)
 }
 
-/// Builds a flat padded feature-major block of `block`'s kind for
-/// `n_classes` classes over `dim` features from row-major tiles — the
-/// inverse of [`SoftmaxTraining::row_tiles`], and what
+/// Builds a flat padded feature-major accumulator block for `n_classes`
+/// classes over `dim` features from row-major tiles — the inverse of
+/// [`SoftmaxTraining::row_tiles`], and what
 /// [`SoftmaxTraining::from_blocks`] takes. `fill` works as in
-/// [`feature_rows_from_tiles`]; pad columns hold the block's pad value.
-/// Allocates the block plus one tile, and stops at the first error
-/// `fill` returns.
+/// [`feature_rows_from_tiles`]; pad columns hold [`GRAD_SQ_INIT`], so a
+/// class growing into one starts fresh. Allocates the block plus one
+/// tile, and stops at the first error `fill` returns.
 pub fn feature_major_from_tiles<E>(
-    block: Block,
     n_classes: usize,
     dim: usize,
     fill: impl FnMut(&mut [f32]) -> Result<(), E>,
 ) -> Result<Vec<f32>, E> {
     let stride = n_classes.next_multiple_of(LANES);
-    let mut out = vec![block.pad(); dim * stride];
+    let mut out = vec![GRAD_SQ_INIT; dim * stride];
     let mut slots: Vec<&mut [f32]> = out.chunks_exact_mut(stride).collect();
     scatter_row_tiles(&mut slots, n_classes, fill)?;
     Ok(out)
+}
+
+/// A decoder's `fill` over whole row-major `rows`: each tile gets the
+/// next run of class rows.
+fn tiles_of(rows: &[f32]) -> impl FnMut(&mut [f32]) -> Result<(), Infallible> + '_ {
+    let mut at = 0;
+    move |tile| {
+        tile.copy_from_slice(&rows[at..at + tile.len()]);
+        at += tile.len();
+        Ok(())
+    }
 }
 
 /// The fill behind both decoders: hands `fill` one tile of up to
@@ -1189,6 +1145,17 @@ mod tests {
         (examples, 4)
     }
 
+    /// The model's weights through `row_tiles`, the stream a snapshot
+    /// blob is written from: row-major class rows, no pad columns.
+    fn weights(model: &SoftmaxClassifier) -> Vec<f32> {
+        let mut out = Vec::new();
+        let Ok(()) = model.row_tiles(|tile| {
+            out.extend_from_slice(tile);
+            Ok::<_, Infallible>(())
+        });
+        out
+    }
+
     #[test]
     fn learns_separable_data() {
         let (examples, dim) = separable();
@@ -1400,7 +1367,7 @@ mod tests {
         };
         let (original, mut training) = SoftmaxClassifier::train_owned(&examples, 3, dim, config);
         training.take_row_copies();
-        let before = original.weight_block();
+        let before = weights(&original);
         // a small batch on features 0 and 3 only
         let x = SparseVector::from_pairs(vec![(0, 1.0), (3, 0.1)]);
         let batch = [(x.view(), 0u32)];
@@ -1408,8 +1375,8 @@ mod tests {
         let mut clone = original.clone();
         assert_eq!(shared(&original, &clone), [true; 4]);
         clone.partial_fit(&mut training, &batch, config);
-        assert_eq!(bits(&original.weight_block()), bits(&before));
-        assert_ne!(bits(&clone.weight_block()), bits(&before));
+        assert_eq!(bits(&weights(&original)), bits(&before));
+        assert_ne!(bits(&weights(&clone)), bits(&before));
         assert_eq!(shared(&original, &clone), [false, true, true, false]);
         let copies = training.take_row_copies();
         assert_eq!(
@@ -1429,7 +1396,7 @@ mod tests {
         training.recycle(original);
         next.partial_fit(&mut training, &batch, config);
         fresh.partial_fit(&mut fresh_training, &batch, config);
-        assert_eq!(bits(&next.weight_block()), bits(&fresh.weight_block()));
+        assert_eq!(bits(&weights(&next)), bits(&weights(&fresh)));
         assert_eq!(shared(&clone, &next), [false, true, true, false]);
         let mut reused: Vec<*const f32> = [0, 3].map(|i| next.rows[i].as_ptr()).to_vec();
         reused.sort();
@@ -1464,7 +1431,8 @@ mod tests {
             .rows
             .iter()
             .all(|row| Arc::ptr_eq(row, &model.rows[0])));
-        assert_eq!(model.weight_block(), vec![0.0; 4 * 8]);
+        assert_eq!(weights(&model), vec![0.0; 3 * 4]);
+        assert_eq!(&*model.rows[0], &[0.0; 8], "pad columns included");
     }
 
     #[test]
@@ -1513,13 +1481,13 @@ mod tests {
         let bits = |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
 
         let state = model.export_state(&training);
-        let (mut weights, mut grad_sq) = (Vec::new(), Vec::new());
+        let (mut streamed, mut grad_sq) = (Vec::new(), Vec::new());
         let tile_shape =
             |tile: &[f32]| tile.len() <= TILE_CLASSES * dim && tile.len().is_multiple_of(dim);
         model
             .row_tiles(|tile| {
                 assert!(tile_shape(tile));
-                weights.extend_from_slice(tile);
+                streamed.extend_from_slice(tile);
                 Ok::<_, ()>(())
             })
             .unwrap();
@@ -1530,35 +1498,19 @@ mod tests {
                 Ok::<_, ()>(())
             })
             .unwrap();
-        assert_eq!(bits(&weights), bits(&state.weights));
+        assert_eq!(bits(&streamed), bits(&state.weights));
         assert_eq!(bits(&grad_sq), bits(&state.grad_sq_w));
 
-        let from_rows = |block: Block, rows: &[f32]| {
-            let mut at = 0;
-            feature_major_from_tiles(block, n, dim, |tile| {
-                tile.copy_from_slice(&rows[at..at + tile.len()]);
-                at += tile.len();
-                Ok::<_, ()>(())
-            })
-            .unwrap()
-        };
-        let rebuilt = SoftmaxClassifier::from_blocks(
-            from_rows(Block::Weights, &state.weights),
-            state.biases.clone(),
-            dim,
-            n,
-        )
-        .unwrap();
-        let rebuilt_training = SoftmaxTraining::from_blocks(
-            from_rows(Block::GradSq, &state.grad_sq_w),
-            state.grad_sq_b.clone(),
-            dim,
-            n,
-            state.fits,
-        )
-        .unwrap();
-        // the same blocks, pad columns included
-        assert_eq!(bits(&rebuilt.weight_block()), bits(&model.weight_block()));
+        let w = || feature_rows_from_tiles(n, dim, tiles_of(&state.weights)).unwrap();
+        let g = || feature_major_from_tiles(n, dim, tiles_of(&state.grad_sq_w)).unwrap();
+        let rebuilt = SoftmaxClassifier::from_rows(w(), state.biases.clone(), dim, n).unwrap();
+        let rebuilt_training =
+            SoftmaxTraining::from_blocks(g(), state.grad_sq_b.clone(), dim, n, state.fits).unwrap();
+        // the same rows and blocks, pad columns included: the grown
+        // model's re-strided pad columns hold 0.0 like the decoded ones
+        assert_eq!(bits(&weights(&rebuilt)), bits(&weights(&model)));
+        assert_eq!(bits(&rebuilt.rows.concat()), bits(&model.rows.concat()));
+        assert!(model.rows.iter().all(|row| row[n..] == [0.0; 2]));
         assert_eq!(bits(&rebuilt.biases), bits(&model.biases));
         assert_eq!(bits(&rebuilt_training.grad_sq_w), bits(&training.grad_sq_w));
         assert_eq!(bits(&rebuilt_training.grad_sq_b), bits(&training.grad_sq_b));
@@ -1578,15 +1530,13 @@ mod tests {
             Err("stop")
         });
         assert_eq!((stopped, calls), (Err("stop"), 1));
-        assert!(feature_major_from_tiles(Block::GradSq, n, dim, |_| Err("stop")).is_err());
+        assert!(feature_major_from_tiles(n, dim, |_| Err("stop")).is_err());
         // and shapes that do not fit are rejected
-        let w = || from_rows(Block::Weights, &state.weights);
-        let g = || from_rows(Block::GradSq, &state.grad_sq_w);
-        assert!(SoftmaxClassifier::from_blocks(w(), vec![0.0; n - 1], dim, n).is_err());
-        assert!(SoftmaxClassifier::from_blocks(w(), vec![0.0; n], dim + 1, n).is_err());
+        assert!(SoftmaxClassifier::from_rows(w(), vec![0.0; n - 1], dim, n).is_err());
+        assert!(SoftmaxClassifier::from_rows(w(), vec![0.0; n], dim + 1, n).is_err());
         assert!(SoftmaxTraining::from_blocks(g(), vec![0.0; n - 1], dim, n, 1).is_err());
         assert!(SoftmaxTraining::from_blocks(g(), vec![0.0; n], dim + 1, n, 1).is_err());
-        assert!(SoftmaxClassifier::from_blocks(Vec::new(), Vec::new(), dim, 0).is_err());
+        assert!(SoftmaxClassifier::from_rows(Vec::new(), Vec::new(), dim, 0).is_err());
         assert!(SoftmaxTraining::from_blocks(Vec::new(), Vec::new(), dim, 0, 1).is_err());
     }
 

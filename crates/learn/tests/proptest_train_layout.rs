@@ -19,7 +19,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use scrutinizer_learn::softmax::{feature_major_from_tiles, softmax_in_place, Block, GRAD_SQ_INIT};
+use scrutinizer_learn::softmax::{
+    feature_major_from_tiles, feature_rows_from_tiles, softmax_in_place, GRAD_SQ_INIT,
+};
 use scrutinizer_learn::{SoftmaxClassifier, SoftmaxState, SoftmaxTraining, TrainConfig};
 use scrutinizer_text::{SparseVector, SparseView};
 
@@ -329,16 +331,20 @@ fn to_blob(row_tiles: impl FnOnce(&mut dyn FnMut(&[f32]) -> Result<(), ()>)) -> 
     blob
 }
 
-/// Decodes [`to_blob`]'s bytes into a fresh padded block of `block`'s kind.
-fn from_blob(blob: &[u8], block: Block, n_classes: usize, dim: usize) -> Vec<f32> {
+/// Decodes [`to_blob`]'s bytes with `decode`, one of the two tile
+/// decoders, into that half's fresh padded rows.
+fn from_blob<T>(
+    blob: &[u8],
+    decode: impl FnOnce(&mut dyn FnMut(&mut [f32]) -> Result<(), ()>) -> Result<T, ()>,
+) -> T {
     let mut values = blob
         .chunks_exact(4)
         .map(|raw| f32::from_le_bytes(raw.try_into().expect("4 bytes")));
-    let filled = feature_major_from_tiles(block, n_classes, dim, |tile| {
+    let filled = decode(&mut |tile| {
         for slot in tile.iter_mut() {
             *slot = values.next().ok_or(())?;
         }
-        Ok::<_, ()>(())
+        Ok(())
     })
     .expect("the blob holds every row");
     assert!(values.next().is_none(), "the blob holds only these rows");
@@ -376,9 +382,9 @@ fn class_growth_past_the_stride_restrides_both_halves() {
             .collect()
     };
     let all = |value: f32, n: usize| vec![value.to_bits(); n];
-    assert_eq!(model.weight_block().len(), dim * 152);
+    let weights_blob = to_blob(|emit| model.row_tiles(emit).expect("a Vec sink"));
+    assert_eq!(weights_blob.len(), dim * 150 * 4);
     assert_eq!(training.grad_sq_block().len(), dim * 152);
-    assert_eq!(pads(&model.weight_block(), 152), all(0.0, dim * 2));
     assert_eq!(
         pads(training.grad_sq_block(), 152),
         all(GRAD_SQ_INIT, dim * 2)
@@ -391,7 +397,6 @@ fn class_growth_past_the_stride_restrides_both_halves() {
 
     // streamed to blob bytes, each half is the unsplit reference's rows
     let want = &reference.state;
-    let weights_blob = to_blob(|emit| model.row_tiles(emit).expect("a Vec sink"));
     let grad_sq_blob = to_blob(|emit| training.row_tiles(emit).expect("a Vec sink"));
     let le = |values: &[f32]| -> Vec<u8> { values.iter().flat_map(|v| v.to_le_bytes()).collect() };
     assert!(weights_blob == le(&want.weights), "streamed weights differ");
@@ -400,13 +405,19 @@ fn class_growth_past_the_stride_restrides_both_halves() {
         "streamed accumulators differ"
     );
 
-    // and back: the same blocks, pad columns included
-    let weights = from_blob(&weights_blob, Block::Weights, 150, dim);
-    let grad_sq = from_blob(&grad_sq_blob, Block::GradSq, 150, dim);
-    assert_eq!(bits(&weights), bits(&model.weight_block()));
+    // and back: the same rows and blocks, pad columns included
+    let rows = from_blob(&weights_blob, |fill| {
+        feature_rows_from_tiles(150, dim, fill)
+    });
+    let grad_sq = from_blob(&grad_sq_blob, |fill| {
+        feature_major_from_tiles(150, dim, fill)
+    });
+    assert_eq!(pads(&rows.concat(), 152), all(0.0, dim * 2));
     assert_eq!(bits(&grad_sq), bits(training.grad_sq_block()));
-    let rebuilt = SoftmaxClassifier::from_blocks(weights, want.biases.clone(), dim, 150)
+    let rebuilt = SoftmaxClassifier::from_rows(rows, want.biases.clone(), dim, 150)
         .expect("the streamed weights fit");
+    let rebuilt_blob = to_blob(|emit| rebuilt.row_tiles(emit).expect("a Vec sink"));
+    assert!(rebuilt_blob == weights_blob, "the rebuilt weights differ");
     let rebuilt_training =
         SoftmaxTraining::from_blocks(grad_sq, want.grad_sq_b.clone(), dim, 150, want.fits)
             .expect("the streamed accumulators fit");

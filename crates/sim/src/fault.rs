@@ -2,11 +2,11 @@
 //!
 //! Production code sprinkles named fault points at the branches a test
 //! could never hit on demand — `env.fault("trainer.crash")` right after
-//! the trainer drains its batch, say. In production the plan is absent
+//! the trainer takes its batch, say. In production the plan is absent
 //! and the call is a constant `false`; under simulation the schedule
-//! arms specific points a specific number of times, so "the trainer dies
-//! exactly between drain and publish" is one line of schedule, not a
-//! prayer.
+//! arms specific points a specific number of times, so "the trainer
+//! dies exactly between taking its batch and publishing" is one line of
+//! schedule, not a prayer.
 
 use std::collections::HashMap;
 use std::sync::Mutex;

@@ -16,8 +16,8 @@ pub enum InvariantKind {
     /// Model epoch must move monotonically and equal the retrain count.
     EpochAccounting,
     /// `examples_trained + pending_examples` must equal the number of
-    /// unique claims ever verified — a crashed trainer may not lose
-    /// drained examples.
+    /// unique claims ever verified — a crashed trainer may not lose the
+    /// examples it took.
     VerdictLoss,
     /// One query, one answer: repeated SQL returns bit-identical values
     /// (or the same structured failure).

@@ -26,7 +26,7 @@
 //!    retrain count.
 //! 2. **Verdict loss** — `examples_trained + pending_examples` equals
 //!    the unique claims ever verified; a crashed trainer may not lose
-//!    drained examples. (The `--canary` mode deliberately breaks exactly
+//!    examples it took. (The `--canary` mode deliberately breaks exactly
 //!    this, proving the harness catches real interleaving bugs.)
 //! 3. **SQL stability** — one query, one answer: repeated SQL returns
 //!    bit-identical values, or the same structured failure.

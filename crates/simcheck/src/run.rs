@@ -90,8 +90,8 @@ struct Slot {
 
 /// Runs `ops` against a fresh simulated engine in `world`. With `canary`
 /// the deliberately-injected trainer bug is enabled: an armed crash
-/// *discards* its drained batch instead of restoring it, which the
-/// verdict-loss invariant must catch.
+/// *discards* the batch it took instead of rolling its cursor back, which
+/// the verdict-loss invariant must catch.
 pub fn run_schedule(world: &SharedWorld, ops: &[SimOp], canary: bool) -> RunResult {
     // the storage fault plan outlives engine incarnations (the storage
     // holds it), unlike the per-incarnation engine fault plan below

@@ -103,7 +103,7 @@ pub enum SimOp {
         cap: usize,
     },
     /// Arm a one-shot trainer crash: the next background retrain dies
-    /// after draining its batch (and, under the canary, loses it).
+    /// after taking its batch (and, under the canary, loses it).
     CrashTrainer,
     /// Kill the whole process: storage loses every unsynced tail (with
     /// `torn`, one file keeps half of its tail — a torn write recovery

@@ -21,7 +21,7 @@ use scrutinizer_sim::{FaultPlan, SimEnv, SimScheduler, Storage};
 use scrutinizer_wal::WalOptions;
 
 /// Background-retrain interval for simulated engines — deliberately tiny
-/// so a few verdicts already exercise the drain → train → publish path.
+/// so a few verdicts already exercise the take → train → publish path.
 pub const RETRAIN_INTERVAL: usize = 2;
 
 /// A freshly spawned simulated engine and its simulation handles: the
