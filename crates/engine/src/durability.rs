@@ -33,7 +33,9 @@
 //!   the session lock (only the fsync runs outside it), so the log's
 //!   record order always matches the order the ops' effects were
 //!   applied — replay can never see an `AnswerPosted` ahead of the
-//!   `ReportSubmitted` that created its task.
+//!   `ReportSubmitted` that created its task. A verdict also pushes to
+//!   the verified log under the lock it appends under, so that log
+//!   replays in its live order and the trainer's cursor into it holds.
 //! * At epoch publish: snapshot blob first (atomic write), then the
 //!   `EpochPublished` record, then the checkpoint — so any durable
 //!   `EpochPublished` record has its blob, and any checkpoint at epoch

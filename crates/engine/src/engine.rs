@@ -173,7 +173,7 @@ impl VerifiedSet {
         true
     }
 
-    /// The verified claims no epoch has trained on yet.
+    /// The verified claims the trainer has not taken yet.
     fn pending(&self) -> &[usize] {
         &self.order[self.trained..]
     }
@@ -226,9 +226,9 @@ pub struct Engine {
     /// would clone the same base snapshot and the later publish would
     /// silently discard the earlier one's training. The background
     /// trainer takes its batch under it too, so no checkpoint sees the
-    /// cursor past claims that no published epoch trained. The training state is
-    /// never copied: each retrain advances it in place alongside its
-    /// copy of the snapshot's models, and publishes before letting go.
+    /// cursor past claims that no published epoch trained. The training
+    /// state is never copied: each retrain advances it in place alongside
+    /// its copy of the snapshot's models, and publishes before letting go.
     /// Readers never touch this lock; only trainers (and recovery) do.
     retrain_serial: Mutex<Trainer>,
     /// The injected environment: background scheduling and fault
@@ -247,8 +247,8 @@ pub struct Engine {
     /// write side across image-and-cut. This is what guarantees a record
     /// can never land *after* a checkpoint that already captured its
     /// effect (which would double-apply it on replay). Lock order: gate →
-    /// session registry → session → WAL internals; nothing ever waits on
-    /// the gate while holding a later lock.
+    /// session registry → session → verified → WAL internals; nothing
+    /// ever waits on the gate while holding a later lock.
     wal_gate: RwLock<()>,
     /// Self-handle so verdict paths can hand the engine to trainer jobs.
     self_ref: Weak<Engine>,
